@@ -26,12 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nonlinearity import check_hypotheses, critical_exponent
+from .nonlinearity import check_hypotheses, critical_exponent, make_nonlinearity
 from .spectral import norm_lambda, omega_sphere, project, split as make_split
 from .torus import SpinorField, analyze, l2_norm, pointwise_modulus, synthesize
 from .variational import (
+    Functional,
     L_lambda,
-    ReducedProblem,
     SolverFailure,
     default_sigma,
     fiber_maximize,
@@ -95,9 +95,7 @@ def _strong_residual(table, nl, psi, lam):
     n = grid.n_grid
     v = psi.values()
     s = pointwise_modulus(v)
-    coef = s ** (critical_exponent(grid.m) - 2.0)
-    if not nl.is_zero():
-        coef = coef + nl.f(s)
+    coef = nl.g(s)
     r_cube = -np.fft.fftn(coef[..., None] * v, axes=tuple(range(grid.m))) / (n**grid.m)
     r_cube[_band_index(grid)] += table.from_eigen((table.eigenvalues - lam) * table.to_eigen(psi.coeffs))
     norm = float(np.sqrt(grid.volume * (np.abs(r_cube) ** 2).sum()))
@@ -272,8 +270,21 @@ def test_spinor_direction(table, sp, eps=0.2):
     return (1.0 / nrm) * plus
 
 
+def _ray_quotient(fn, a):
+    """The ray quotient [<(D-lam)phi,phi>]^2 / (4 |phi|_{2*}^{2*}) at eigen coordinates a.
+
+    ``fn`` is the pure-critical functional at the split's lambda; returns the
+    quotient and its lambda-metric gradient in eigen coordinates.
+    """
+    ev = fn(a)
+    alpha = 2.0 * ev.quadratic
+    beta = critical_exponent(fn.split.grid.m) * ev.mass
+    rep = (alpha / beta) * ev.lin - (alpha**2 / beta**2) * ev.nonlin
+    return alpha**2 / (4.0 * beta), rep / fn.split.w2
+
+
 def ray_opt_direction(table, sp, seed=1, maxiter=600):
-    """Direction minimizing the quotient [<(D-lam)phi,phi>]^2 / (4 |phi|_{2*}^{2*}).
+    """Direction minimizing the ray quotient (``_ray_quotient``).
 
     For the quartic critical term (m = 2, pure power) this is the exact
     maximum of the energy along the ray t phi, hence a pointwise lower bound
@@ -282,31 +293,17 @@ def ray_opt_direction(table, sp, seed=1, maxiter=600):
     """
     from scipy.optimize import minimize as _scipy_minimize
 
-    from .spectral import riesz_lambda
     from .variational import SubspaceCoords, _pack, _unpack
 
-    grid = table.grid
-    sig = table.eigenvalues
-    ts = critical_exponent(grid.m)
+    fn = Functional(sp, make_nonlinearity("zero", table.m))
     coords = SubspaceCoords(sp, sp.plus)
     rng = np.random.default_rng(seed)
     z0 = rng.standard_normal(coords.dim) + 1j * rng.standard_normal(coords.dim)
     z0 = z0 / (1.0 + sp.w2[coords.idx] ** 2)
-    lam = sp.lam
 
     def fun(x):
-        z = _unpack(x)
-        psi = coords.to_field(z)
-        a = table.to_eigen(psi.coeffs)
-        alpha = grid.volume * float(((sig - lam) * (a.real**2 + a.imag**2)).sum())
-        v = psi.values()
-        s = pointwise_modulus(v)
-        beta = grid.cell * float((s**ts).sum())
-        lin = table.from_eigen((sig - lam) * a)
-        nlrep = analyze(grid, (s ** (ts - 2.0))[..., None] * v)
-        rep = (alpha / beta) * lin - (alpha**2 / beta**2) * nlrep
-        gz = coords.from_coeffs(riesz_lambda(sp, rep))
-        return alpha**2 / (4.0 * beta), _pack(gz)
+        val, grad = _ray_quotient(fn, coords.to_eigen(_unpack(x)))
+        return val, _pack(coords.from_eigen(grad))
 
     res = _scipy_minimize(
         fun,
@@ -360,7 +357,7 @@ def minimize_M(
     lam = split.lam
     if lam <= 0:
         _lambda_nonpositive_gate(nl)
-    reduced = ReducedProblem(split, nl) if (split.kernel_dim > 0 and nl.is_zero()) else None
+    fn = Functional.for_split(split, nl)
 
     candidates = []
     if isinstance(init, SpinorField):
@@ -403,11 +400,9 @@ def minimize_M(
     for name, phi in shortlist:
         try:
             fib = fiber_maximize(
-                split,
-                nl,
+                fn,
                 phi,
                 gtol=max(fiber_gtol, 1e-6),
-                reduced=reduced,
                 t_scan_points=0,
                 t_tol=1e-4,
             )
@@ -420,10 +415,8 @@ def minimize_M(
     start_value, start_name, phi0 = scored[0]
 
     value, fiber, info = sphere_minimize(
-        split,
-        nl,
+        fn,
         phi0,
-        reduced=reduced,
         gtol=outer_gtol,
         maxiter=maxiter,
         fiber_gtol=fiber_gtol,
@@ -431,13 +424,11 @@ def minimize_M(
     if value > start_value:
         # Descent never goes above its start; fall back to the candidate point.
         info = dict(info, fell_back=True)
-        value, fiber, _ = sphere_minimize(
-            split, nl, phi0, reduced=reduced, gtol=outer_gtol, maxiter=0, fiber_gtol=fiber_gtol
-        )
+        value, fiber, _ = sphere_minimize(fn, phi0, gtol=outer_gtol, maxiter=0, fiber_gtol=fiber_gtol)
 
     psi_sol = fiber.psi
-    if reduced is not None:
-        psi_sol = psi_sol - t_lambda(split, psi_sol, basis=reduced.basis)
+    if fn.basis is not None:
+        psi_sol = psi_sol - t_lambda(split, psi_sol, basis=fn.basis)
     resid = residual_check(table, nl, psi_sol, lam)
     value_pre_polish, resid_pre_polish, polish_steps = value, resid, 0
     if resid < 1e-2:
@@ -508,10 +499,8 @@ def second_solution(
     phi0 = init if isinstance(init, SpinorField) else plane_wave_direction(table, split_k, 0)
 
     value, fiber, info = sphere_minimize(
-        split_k,
-        nl,
+        Functional(split_k, nl, lam),
         phi0,
-        lam=lam,
         gtol=outer_gtol,
         maxiter=maxiter,
         fiber_gtol=fiber_gtol,

@@ -1,35 +1,43 @@
 """Strongly indefinite functional layer and the fiber/Nehari solvers.
 
-The working functional on the cutoff space is
+Every energy here is one functional on the cutoff space,
 
-    L_lam(psi) = 1/2 <(D - lam) psi, psi>_2 - int F(|psi|) - (1/2*) |psi|_{2*}^{2*}
+    L_lam(psi) = 1/2 <(D - lam) psi, psi>_2 - int F(|u|) - (1/2*) |u|_{2*}^{2*},
 
-whose Euler-Lagrange equation is D psi = lam psi + f(|psi|) psi + |psi|^(2*-2) psi.
-Gradients are lambda-metric Riesz representatives: in eigen coordinates the
-L^2 representative (D - lam) psi - g(|psi|) psi is divided by the split
-weights |sigma - lambda| (weight one on the kernel block).
+with u = psi; its Euler-Lagrange equation is
+D psi = lam psi + f(|psi|) psi + |psi|^(2*-2) psi.  ``Functional`` evaluates it
+on eigen coordinates (the coefficients of psi in the per-mode Dirac
+eigenbasis), where D - lam is the diagonal sigma - lam.  One evaluation makes
+one synthesize, plus one analyze when a gradient is read, and returns the
+quadratic part, the nonlinear mass and the L^2 representatives of both, all
+in eigen coordinates.  The lambda-metric gradient is the L^2 representative
+divided by the split weights |sigma - lambda| (weight one on the kernel
+block).  The fiber maximum, M, J and the Rayleigh quotients R and S are all
+built on this one evaluation.
+
+At spectral parameters with f = 0 the functional is T-reduced: u = psi - T(psi),
+where T is the nonlinear best approximation onto ker(D - lam) in the L^{2*}
+norm.  The reduced energy is invariant under kernel shifts, so its inner
+maximizations run over E^- only; without T-reduction they run over E^0 + E^-.
 
 Solvers use lambda-orthonormal coordinates on masked eigen entries, so the
 Euclidean geometry handed to the quasi-Newton inner loops coincides with the
 ||.||_lambda geometry.  Fiber maximization is nested as a 1-D outer search in
 t over a concave (for lam >= split.lam) inner maximization in chi, matching
 the uniqueness structure of the constrained problem.
-
-At spectral parameters the kernel is handled by the nonlinear best
-approximation T onto ker(D - lam) in the L^{2*} norm; the reduced functional
-uses |psi - T(psi)| in the critical term and is invariant under kernel shifts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from .nonlinearity import critical_exponent
-from .spectral import riesz_lambda
-from .torus import SpinorField, pointwise_modulus
+from .nonlinearity import critical_exponent, make_nonlinearity
+from .spectral import norm_lambda, project
+from .torus import SpinorField, analyze, l2_norm, pointwise_modulus, synthesize, zero_field
 
 
 class SolverFailure(RuntimeError):
@@ -58,66 +66,112 @@ def _unpack(x):
 
 
 # ---------------------------------------------------------------------------
-# Energy, gradient, residual
+# The energy functional
 
 
-def k_value(nl, psi):
-    """K(psi) = int F(|psi|) + (1/2*)|psi|_{2*}^{2*} by collocation quadrature."""
-    s = pointwise_modulus(psi.values())
-    ts = critical_exponent(psi.grid.m)
-    dens = s**ts / ts
-    if not nl.is_zero():
-        dens = dens + nl.F(s)
-    return float(psi.grid.cell * dens.sum())
+class Evaluation:
+    """The functional at one point, everything in eigen coordinates.
 
-
-def k_l2_coeffs(nl, grid, values):
-    """Band-projected Fourier coefficients of g(|psi|) psi (the L^2 rep of K')."""
-    from .torus import analyze
-
-    s = pointwise_modulus(values)
-    ts = critical_exponent(grid.m)
-    coef = s ** (ts - 2.0)
-    if not nl.is_zero():
-        coef = coef + nl.f(s)
-    return analyze(grid, coef[..., None] * values)
-
-
-def quadratic_part(split, psi, lam=None):
-    """1/2 (||psi^+||_lam^2 - ||psi^-||_lam^2) evaluated spectrally.
-
-    For lam different from split.lam this is 1/2 <(D - lam) psi, psi>_2, the
-    same expression with shifted weights (the fiber solvers freeze the split
-    at an eigenvalue while moving the functional parameter).
+    ``quadratic`` is 1/2 <(D - lam) psi, psi>_2 and ``mass`` is
+    K(u) = int F(|u|) + (1/2*)|u|_{2*}^{2*}.  Their L^2 representatives are
+    ``lin`` = (D - lam) psi and ``nonlin`` = the band projection of g(|u|) u.
+    ``nonlin`` holds the one analyze and is computed on first use, so a
+    value-only caller never pays for it.
     """
-    lam = split.lam if lam is None else lam
-    a = split.table.to_eigen(psi.coeffs)
-    w = split.table.eigenvalues - lam
-    return 0.5 * split.grid.volume * float((w * (a.real**2 + a.imag**2)).sum())
+
+    def __init__(self, fn, quadratic, mass, lin, u, s):
+        self._fn = fn
+        self.quadratic = quadratic
+        self.mass = mass
+        self.lin = lin
+        self._u = u
+        self._s = s
+
+    @property
+    def energy(self):
+        return self.quadratic - self.mass
+
+    @cached_property
+    def nonlin(self):
+        fn = self._fn
+        return fn.split.table.to_eigen(analyze(fn.split.grid, fn.nl.g(self._s)[..., None] * self._u))
+
+    @property
+    def rep(self):
+        """L^2 representative of L'(psi)."""
+        return self.lin - self.nonlin
+
+    @property
+    def grad(self):
+        """lambda-metric Riesz representative of L'(psi)."""
+        return self.rep / self._fn.split.w2
+
+
+class Functional:
+    """L_lam on the eigen coordinates of a split, optionally T-reduced.
+
+    ``lam`` defaults to the split's lambda; another value evaluates the
+    functional on a split frozen at an eigenvalue (the lambda metric keeps the
+    split's weights).  Given the split's kernel basis, the mass is taken at
+    u = psi - T(psi) and ``inner``, the coordinates that fiber and J
+    maximizations run over, is E^- only; otherwise u = psi and ``inner`` is
+    E^0 + E^-.
+    """
+
+    def __init__(self, split, nl, lam=None, basis=None):
+        if basis is not None and not nl.is_zero():
+            # T'(psi) drops out of the gradient only for the critical term.
+            raise ValueError("T-reduction needs the pure critical problem (f = 0)")
+        self.split = split
+        self.nl = nl
+        self.lam = split.lam if lam is None else float(lam)
+        self.basis = basis
+        self.shift = split.table.eigenvalues - self.lam
+        self.inner = SubspaceCoords(split, split.minus if basis is not None else split.zero | split.minus)
+        self._t_warm = None  # kernel coordinates of the last T, the next Newton start
+
+    @classmethod
+    def for_split(cls, split, nl):
+        """The solvers' functional at the split's lambda: T-reduced exactly at an eigenvalue with f = 0."""
+        reduced = split.kernel_dim > 0 and nl.is_zero()
+        return cls(split, nl, basis=kernel_basis(split) if reduced else None)
+
+    def __call__(self, a):
+        """Evaluation at eigen coordinates ``a`` of shape (n_modes, N)."""
+        return self._evaluate(a, synthesize(self.split.grid, self.split.table.from_eigen(a)))
+
+    def at_field(self, psi):
+        """Evaluation at a field, reusing its cached collocation values."""
+        return self._evaluate(self.split.table.to_eigen(psi.coeffs), psi.values())
+
+    def value_and_grad(self, a):
+        ev = self(a)
+        return ev.energy, ev.grad
+
+    def _evaluate(self, a, values):
+        grid = self.split.grid
+        if self.basis is not None and self.basis.dim:
+            self._t_warm = _kernel_coords(self.basis, values, init=self._t_warm)
+            values = values - np.tensordot(self._t_warm, self.basis.values, axes=(0, 0))
+        s = pointwise_modulus(values)
+        return Evaluation(
+            self,
+            quadratic=0.5 * grid.volume * float((self.shift * (a.real**2 + a.imag**2)).sum()),
+            mass=float(grid.cell * self.nl.G(s).sum()),
+            lin=self.shift * a,
+            u=values,
+            s=s,
+        )
 
 
 def L_lambda(split, nl, psi, lam=None):
     """Energy L_lam(psi); defaults to the split's own lambda."""
-    return quadratic_part(split, psi, lam) - k_value(nl, psi)
-
-
-def l2_rep_coeffs(split, nl, psi, lam=None):
-    """Band coefficients of the L^2 representative (D - lam) psi - g(|psi|) psi."""
-    lam = split.lam if lam is None else lam
-    a = split.table.to_eigen(psi.coeffs)
-    lin = split.table.from_eigen((split.table.eigenvalues - lam) * a)
-    return lin - k_l2_coeffs(nl, psi.grid, psi.values())
+    return Functional(split, nl, lam).at_field(psi).energy
 
 
 def grad_L(split, nl, psi, lam=None):
     """lambda-metric Riesz representative of L_lam'(psi)."""
-    return SpinorField(psi.grid, riesz_lambda(split, l2_rep_coeffs(split, nl, psi, lam)))
-
-
-def directional_derivative(split, nl, psi, direction, lam=None):
-    """L_lam'(psi)[direction] via the L^2 representative."""
-    r = l2_rep_coeffs(split, nl, psi, lam)
-    return float(split.grid.volume * (r * direction.coeffs.conj()).real.sum())
+    return SpinorField(psi.grid, split.table.from_eigen(Functional(split, nl, lam).at_field(psi).grad))
 
 
 # ---------------------------------------------------------------------------
@@ -186,23 +240,15 @@ def _tstar_objective(basis, psi_values, c, ts):
     return u, s, float((s**ts).sum())
 
 
-def t_lambda(split, psi, basis=None, tol=1e-12, max_iter=200, init=None):
-    """Best approximation of psi in ker(D - lambda) w.r.t. the L^{2*} norm.
+def _kernel_coords(basis, pv, init=None, tol=1e-12, max_iter=200):
+    """Coordinates c of T(psi) = sum_a c_a e_a, from the collocation values pv of psi.
 
     Damped Newton on the strictly convex finite-dimensional objective
-    c -> int |psi - sum c_a e_a|^{2*}; returns the kernel field.  The zero
-    field is returned immediately when the kernel is trivial.
+    c -> int |psi - sum c_a e_a|^{2*}, started from ``init`` when given.
     """
-    from .torus import zero_field
-
-    grid = psi.grid
-    if basis is None:
-        basis = kernel_basis(split)
+    grid = basis.split.grid
     d = basis.dim
-    if d == 0:
-        return zero_field(grid, psi.N)
     ts = critical_exponent(grid.m)
-    pv = psi.values()
     if init is not None:
         c = np.asarray(init, dtype=complex).copy()
     else:
@@ -213,7 +259,7 @@ def t_lambda(split, psi, basis=None, tol=1e-12, max_iter=200, init=None):
     floor = 1e-14
 
     cell = grid.cell
-    u0 = pv.reshape(-1, psi.N)
+    u0 = pv.reshape(-1, pv.shape[-1])
 
     scale = max(1.0, cell * float((pointwise_modulus(pv) ** ts).sum()))
     for it in range(max_iter):
@@ -241,18 +287,25 @@ def t_lambda(split, psi, basis=None, tol=1e-12, max_iter=200, init=None):
             "kernel projector Newton did not converge",
             {"grad_norm": gnorm, "dim": d, "iterations": max_iter},
         )
-    out = basis.fields[0].coeffs * 0.0
-    for a in range(d):
-        out = out + c[a] * basis.fields[a].coeffs
-    proj = SpinorField(grid, out)
-    proj.kernel_coords = c
-    return proj
+    return c
+
+
+def t_lambda(split, psi, basis=None, tol=1e-12, max_iter=200, init=None):
+    """Best approximation of psi in ker(D - lambda) w.r.t. the L^{2*} norm.
+
+    Returns the kernel field; the zero field is returned immediately when the
+    kernel is trivial.
+    """
+    if basis is None:
+        basis = kernel_basis(split)
+    if basis.dim == 0:
+        return zero_field(psi.grid, psi.N)
+    c = _kernel_coords(basis, psi.values(), init=init, tol=tol, max_iter=max_iter)
+    return SpinorField(psi.grid, sum(ca * e.coeffs for ca, e in zip(c, basis.fields)))
 
 
 def t_prime(split, psi, chi, basis=None):
     """Derivative T'(psi)[chi], solving the linearized optimality system."""
-    from .torus import zero_field
-
     grid = psi.grid
     if basis is None:
         basis = kernel_basis(split)
@@ -278,23 +331,15 @@ def t_prime(split, psi, chi, basis=None):
     return SpinorField(grid, out)
 
 
+def _critical(split, basis=None):
+    """The T-reduced pure-critical functional at the split's lambda."""
+    zero = make_nonlinearity("zero", split.grid.m)
+    return Functional(split, zero, basis=kernel_basis(split) if basis is None else basis)
+
+
 def f_lambda_value(split, psi, basis=None):
     """F_lam(psi) = (1/2*) |psi - T(psi)|_{2*}^{2*}."""
-    ts = critical_exponent(psi.grid.m)
-    u = psi - t_lambda(split, psi, basis=basis)
-    s = pointwise_modulus(u.values())
-    return float(psi.grid.cell * (s**ts).sum() / ts)
-
-
-def f_lambda_l2_coeffs(split, psi, basis=None):
-    """Band coefficients of |u|^(2*-2) u with u = psi - T(psi) (the L^2 rep of F')."""
-    from .torus import analyze
-
-    ts = critical_exponent(psi.grid.m)
-    u = psi - t_lambda(split, psi, basis=basis)
-    uv = u.values()
-    s = pointwise_modulus(uv)
-    return analyze(psi.grid, (s ** (ts - 2.0))[..., None] * uv)
+    return _critical(split, basis).at_field(psi).mass
 
 
 def f_second_form(split, psi, phi, chi, basis=None):
@@ -315,8 +360,8 @@ def f_second_form(split, psi, phi, chi, basis=None):
 
 def f_first(split, psi, phi, basis=None):
     """F'(psi)[phi]."""
-    r = f_lambda_l2_coeffs(split, psi, basis=basis)
-    return float(psi.grid.volume * (r * phi.coeffs.conj()).real.sum())
+    r = _critical(split, basis).at_field(psi).nonlin
+    return float(psi.grid.volume * (r * split.table.to_eigen(phi.coeffs).conj()).real.sum())
 
 
 def tmfm_gap(split, psi, phi, basis=None):
@@ -335,9 +380,7 @@ def tmfm_gap(split, psi, phi, basis=None):
         + 2.0 * (f_second_form(split, psi, phi, psi, basis=basis) - f_first(split, psi, phi, basis=basis))
         + f_second_form(split, psi, phi, phi, basis=basis)
     )
-    u = psi - t_lambda(split, psi, basis=basis)
-    s = pointwise_modulus(u.values())
-    rhs = 2.0 / (m + 1.0) * float(psi.grid.cell * (s**ts).sum())
+    rhs = 2.0 * ts / (m + 1.0) * f_lambda_value(split, psi, basis=basis)
     return lhs - rhs
 
 
@@ -349,27 +392,30 @@ class SubspaceCoords:
     """Masked eigen entries with Euclidean coordinates matching ||.||_lambda."""
 
     def __init__(self, split, mask):
-        self.split = split
         self.table = split.table
         self.grid = split.grid
-        self.mask = mask
         self.idx = np.nonzero(mask)
         self.scale = np.sqrt(split.grid.volume * split.w2[self.idx])
         self.dim = int(self.idx[0].size)
 
-    def to_coeffs(self, z):
+    def to_eigen(self, z):
         a = np.zeros((self.grid.n_modes, self.table.N), dtype=complex)
         a[self.idx] = z / self.scale
-        return self.table.from_eigen(a)
+        return a
+
+    def from_eigen(self, a):
+        """Coordinates of the masked entries of eigen coordinates ``a``.
+
+        Applied to a lambda-metric gradient this gives the Euclidean gradient
+        in these coordinates.
+        """
+        return a[self.idx] * self.scale
 
     def to_field(self, z):
-        return SpinorField(self.grid, self.to_coeffs(z))
-
-    def from_coeffs(self, coeffs):
-        return self.table.to_eigen(coeffs)[self.idx] * self.scale
+        return SpinorField(self.grid, self.table.from_eigen(self.to_eigen(z)))
 
     def from_field(self, psi):
-        return self.from_coeffs(psi.coeffs)
+        return self.from_eigen(self.table.to_eigen(psi.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -379,23 +425,18 @@ class SubspaceCoords:
 def _inner_maximize(objective, coords, z0, gtol, maxiter):
     """Maximize a concave-along-the-mask objective with L-BFGS.
 
-    ``objective(coeffs)`` returns (value, l2_rep_coeffs_of_derivative); the
-    z-space gradient is the lambda-Riesz restriction, which in these
-    coordinates is just ``from_coeffs`` of the Riesz representative.
+    ``objective(a)`` takes eigen coordinates and returns (value, lambda-metric
+    gradient in eigen coordinates).
     """
-    split = coords.split
     evals = [0]
 
     def fun(x):
-        z = _unpack(x)
-        coeffs = coords.to_coeffs(z)
-        val, rep = objective(coeffs)
+        val, grad = objective(coords.to_eigen(_unpack(x)))
         evals[0] += 1
-        gz = coords.from_coeffs(riesz_lambda(split, rep))
-        return -val, -_pack(gz)
+        return -val, -_pack(coords.from_eigen(grad))
 
     if coords.dim == 0:
-        val, _ = objective(coords.to_coeffs(np.zeros(0, dtype=complex)))
+        val, _ = objective(coords.to_eigen(np.zeros(0, dtype=complex)))
         return np.zeros(0, dtype=complex), val, 0.0, 0
     res = _scipy_minimize(
         fun,
@@ -446,84 +487,74 @@ def _golden_max(f, a, b, tol=1e-9, maxiter=80):
 
 
 class _FiberProblem:
-    """Shared state for the nested fiber maximization over t and chi.
+    """Shared state for the nested fiber maximization over t and chi in ``fn.inner``."""
 
-    ``reduced`` switches the energy to the kernel-reduced functional (critical
-    term at psi - T(psi)) with the chi space restricted to E^- only; kernel
-    directions are then redundant by shift invariance.
-    """
-
-    def __init__(self, split, nl, phi, lam, gtol, maxiter, reduced=None):
-        from .spectral import norm_lambda
-
-        self.split = split
-        self.nl = nl
-        self.lam = split.lam if lam is None else float(lam)
-        nrm = norm_lambda(split, phi)
+    def __init__(self, fn, phi, gtol, maxiter):
+        nrm = norm_lambda(fn.split, phi)
         if nrm <= 0:
             raise SolverFailure("fiber direction is zero")
+        self.fn = fn
         self.phi = (1.0 / nrm) * phi
-        self.reduced = reduced
-        if reduced is not None:
-            self.coords = reduced.coords
-        else:
-            self.coords = SubspaceCoords(split, split.zero | split.minus)
+        self.phi_e = fn.split.table.to_eigen(self.phi.coeffs)
+        self.coords = fn.inner
         self.gtol = gtol
         self.maxiter = maxiter
         self.z = np.zeros(self.coords.dim, dtype=complex)
         self.inner_evals = 0
 
-    def objective(self, coeffs):
-        if self.reduced is not None:
-            return self.reduced.value_and_rep(coeffs)
-        psi = SpinorField(self.split.grid, coeffs)
-        val = L_lambda(self.split, self.nl, psi, self.lam)
-        rep = l2_rep_coeffs(self.split, self.nl, psi, self.lam)
-        return val, rep
-
     def value_at(self, t, gtol=None):
-        base = t * self.phi.coeffs
-
-        def obj(chis):
-            return self.objective(base + chis)
-
+        base = t * self.phi_e
         z, val, gnorm, ev = _inner_maximize(
-            obj, self.coords, self.z, self.gtol if gtol is None else gtol, self.maxiter
+            lambda chi: self.fn.value_and_grad(base + chi),
+            self.coords,
+            self.z,
+            self.gtol if gtol is None else gtol,
+            self.maxiter,
         )
         self.z = z
         self.inner_evals += ev
         return val, gnorm
 
     def ray_value(self, t):
-        val, _ = self.objective(t * self.phi.coeffs)
-        return val
+        return self.fn(t * self.phi_e).energy
 
     def envelope_slope(self, t):
         """d/dt of the inner-maximized value (envelope theorem)."""
-        coeffs = t * self.phi.coeffs + self.coords.to_coeffs(self.z)
-        _, rep = self.objective(coeffs)
-        return float(self.split.grid.volume * (rep * self.phi.coeffs.conj()).real.sum())
+        rep = self.fn(t * self.phi_e + self.coords.to_eigen(self.z)).rep
+        return float(self.fn.split.grid.volume * (rep * self.phi_e.conj()).real.sum())
 
-    def assemble(self, t):
-        chi_coeffs = self.coords.to_coeffs(self.z)
-        psi = SpinorField(self.split.grid, t * self.phi.coeffs + chi_coeffs)
-        chi = SpinorField(self.split.grid, chi_coeffs)
-        return psi, chi
+    def fiber_point(self, t, value, grad_norm, t_scan, converged):
+        """FiberPoint at scale t with the current inner maximizer."""
+        split = self.fn.split
+        chi = self.coords.to_eigen(self.z)
+
+        def as_field(a):
+            return SpinorField(split.grid, split.table.from_eigen(a))
+
+        return FiberPoint(
+            phi=self.phi,
+            t=float(t),
+            chi0=as_field(np.where(split.zero, chi, 0.0)),
+            chim=as_field(np.where(split.minus, chi, 0.0)),
+            psi=as_field(t * self.phi_e + chi),
+            value=float(value),
+            grad_norm=grad_norm,
+            inner_evals=self.inner_evals,
+            t_scan=t_scan,
+            converged=converged,
+        )
 
 
 def fiber_maximize(
-    split,
-    nl,
+    fn,
     phi,
-    lam=None,
     gtol=1e-9,
     inner_maxiter=500,
     t_scan_points=8,
     t_tol=1e-7,
-    reduced=None,
     warm=None,
 ):
-    """Global maximizer of L_lam over the fiber {t phi + chi : t >= 0, chi in E0 + E-}.
+    """Global maximizer of ``fn`` over the fiber {t phi + chi : t >= 0, chi in fn.inner}.
 
     Nested scheme: golden-section search in t over the concave inner problem,
     then a secant polish on the envelope slope.  The coarse t-scan is kept in
@@ -533,7 +564,7 @@ def fiber_maximize(
     if the slope root is not the maximum; inner solves run at a loosened
     tolerance during the search and tight at the final point.
     """
-    prob = _FiberProblem(split, nl, phi, lam, gtol, inner_maxiter, reduced=reduced)
+    prob = _FiberProblem(fn, phi, gtol, inner_maxiter)
     search_gtol = max(gtol, 1e-6)
 
     def _secant_on_slope(t_start, max_steps=25):
@@ -586,26 +617,15 @@ def fiber_maximize(
         raise DegenerateFiberError(
             "fiber maximizer collapsed to t = 0", {"t_ray": t_ray, "value": val}
         )
-    psi, chi = prob.assemble(t_star)
-    from .spectral import project
-
-    chi0 = project(split, chi, "zero")
-    chim = project(split, chi, "minus")
-    gnorm = float(np.hypot(inner_g, slope))
     if warm is not None:
         warm["t"] = float(t_star)
         warm["z"] = prob.z.copy()
-    return FiberPoint(
-        phi=prob.phi,
-        t=float(t_star),
-        chi0=chi0,
-        chim=chim,
-        psi=psi,
-        value=float(val),
-        grad_norm=gnorm,
-        inner_evals=prob.inner_evals,
-        t_scan=scan,
-        converged=bool(abs(slope) < 1e-6 * max(1.0, abs(val))),
+    return prob.fiber_point(
+        t_star,
+        val,
+        float(np.hypot(inner_g, slope)),
+        scan,
+        bool(abs(slope) < 1e-6 * max(1.0, abs(val))),
     )
 
 
@@ -625,48 +645,44 @@ def _expand_bracket(f, start=1.0, growth=2.0, maxiter=60):
 
 def mu_lambda(split, nl, phi, lam=None, gtol=1e-9, inner_maxiter=500):
     """Unique fiber maximizer mu_lambda(phi) (the Nehari-Pankov point over phi)."""
-    return fiber_maximize(split, nl, phi, lam=lam, gtol=gtol, inner_maxiter=inner_maxiter)
+    return fiber_maximize(Functional(split, nl, lam), phi, gtol=gtol, inner_maxiter=inner_maxiter)
 
 
-def m_lambda(split, nl, phi, lam=None, fiber=None, gtol=1e-9, reduced=None):
+def _sphere_grad(fn, coords, fiber, zhat):
+    """t times the sphere-tangent part at zhat of the E^+ gradient at the fiber maximizer."""
+    gz = coords.from_eigen(fn.at_field(fiber.psi).grad)
+    return fiber.t * (gz - np.vdot(zhat, gz).real * zhat)
+
+
+def m_lambda(split, nl, phi, lam=None, fiber=None, gtol=1e-9, reduced=False):
     """Reduced functional M(phi) = L(mu(phi)) and its sphere-tangent gradient.
 
     The gradient is ||mu(phi)^+||_lam times the E^+ restriction of grad L at
-    the fiber maximizer, projected onto the tangent space at phi.
+    the fiber maximizer, projected onto the tangent space at phi.  ``reduced``
+    switches on T-reduction (at an eigenvalue, f = 0).
     """
-    from .spectral import inner_lambda, project
-
+    fn = Functional(split, nl, lam, basis=kernel_basis(split) if reduced else None)
     if fiber is None:
-        fiber = fiber_maximize(split, nl, phi, lam=lam, gtol=gtol, reduced=reduced)
-    if reduced is not None:
-        _, rep = reduced.value_and_rep(fiber.psi.coeffs)
-        g_full = SpinorField(fiber.psi.grid, riesz_lambda(split, rep))
-    else:
-        g_full = grad_L(split, nl, fiber.psi, lam)
-    gp = project(split, g_full, "plus")
-    tangent = gp - inner_lambda(split, gp, fiber.phi) * fiber.phi
-    grad = fiber.t * tangent
+        fiber = fiber_maximize(fn, phi, gtol=gtol)
+    coords = SubspaceCoords(split, split.plus)
+    grad = coords.to_field(_sphere_grad(fn, coords, fiber, coords.from_field(fiber.phi)))
     return fiber.value, grad, fiber
 
 
 def sphere_minimize(
-    split,
-    nl,
+    fn,
     phi0,
-    lam=None,
-    reduced=None,
     gtol=1e-7,
     maxiter=120,
     fiber_gtol=1e-9,
 ):
-    """Minimize the reduced functional over the unit sphere of E^+.
+    """Minimize the fiber maximum of ``fn`` over the unit sphere of E^+.
 
     Quasi-Newton descent on the scale-invariant extension phi -> M(phi/||phi||)
     in lambda-orthonormal E^+ coordinates; fiber solves are warm-started from
     the previous iterate.  Returns (value, fiber_point, info).
     """
-    from .spectral import norm_lambda, project
-
+    split = fn.split
     coords = SubspaceCoords(split, split.plus)
     phi0 = project(split, phi0, "plus")
     nrm0 = norm_lambda(split, phi0)
@@ -679,18 +695,9 @@ def sphere_minimize(
     def fun(x):
         z = _unpack(x)
         nrm = float(np.linalg.norm(z))
-        phi = coords.to_field(z / nrm)
-        fiber = fiber_maximize(
-            split, nl, phi, lam=lam, gtol=fiber_gtol, reduced=reduced, warm=warm, t_scan_points=0
-        )
-        if reduced is not None:
-            _, rep = reduced.value_and_rep(fiber.psi.coeffs)
-        else:
-            rep = l2_rep_coeffs(split, nl, fiber.psi, lam)
-        gz = coords.from_coeffs(riesz_lambda(split, rep))
         zhat = z / nrm
-        gz = gz - np.vdot(zhat, gz).real * zhat
-        gz = gz * (fiber.t / nrm)
+        fiber = fiber_maximize(fn, coords.to_field(zhat), gtol=fiber_gtol, warm=warm, t_scan_points=0)
+        gz = _sphere_grad(fn, coords, fiber, zhat) / nrm
         last["fiber"] = fiber
         last["gnorm"] = float(np.linalg.norm(gz))
         return fiber.value, _pack(gz)
@@ -714,83 +721,28 @@ def sphere_minimize(
 
 
 # ---------------------------------------------------------------------------
-# Reduced functionals on E+ at spectral parameters (T-composed path)
+# Reduced functionals on E+: J, H and the Nehari projection
 
 
-class ReducedProblem:
-    """J(phi) = max over E- of the kernel-reduced energy at phi + chi.
-
-    For a trivial kernel this is the plain L_lambda; at an eigenvalue the
-    critical term is evaluated at psi - T(psi) and is kernel-shift invariant.
-    """
-
-    def __init__(self, split, nl):
-        self.split = split
-        self.nl = nl
-        self.basis = kernel_basis(split)
-        self.coords = SubspaceCoords(split, split.minus)
-        self._t_warm = None
-
-    def has_kernel(self):
-        return self.basis.dim > 0
-
-    def value_and_rep(self, coeffs):
-        from .torus import analyze
-
-        psi = SpinorField(self.split.grid, coeffs)
-        if not self.has_kernel() or not self.nl.is_zero():
-            # Trivial kernel, or a general subcritical term (there the kernel
-            # directions stay inside the fiber machinery; the T-reduced path
-            # is specific to the pure critical problem).
-            val = L_lambda(self.split, self.nl, psi)
-            rep = l2_rep_coeffs(self.split, self.nl, psi)
-            return val, rep
-        grid = self.split.grid
-        ts = critical_exponent(grid.m)
-        q = quadratic_part(self.split, psi)
-        tpsi = t_lambda(self.split, psi, basis=self.basis, init=self._t_warm)
-        self._t_warm = tpsi.kernel_coords
-        uv = (psi - tpsi).values()
-        s = pointwise_modulus(uv)
-        fval = float(grid.cell * (s**ts).sum() / ts)
-        a = self.split.table.to_eigen(psi.coeffs)
-        lin = self.split.table.from_eigen((self.split.table.eigenvalues - self.split.lam) * a)
-        rep = lin - analyze(grid, (s ** (ts - 2.0))[..., None] * uv)
-        return q - fval, rep
-
-    def eta(self, phi_plus, z0=None, gtol=1e-10, maxiter=900):
-        """Maximizer over E- of the reduced energy at phi_plus + chi."""
-        from .spectral import norm_lambda
-
-        base = phi_plus.coeffs
-
-        def obj(chis):
-            return self.value_and_rep(base + chis)
-
-        z0 = np.zeros(self.coords.dim, dtype=complex) if z0 is None else z0
-        z, val, gnorm, evals = _inner_maximize(obj, self.coords, z0, gtol, maxiter)
-        scale = max(1.0, norm_lambda(self.split, phi_plus) ** 3)
-        if gnorm > 1e-5 * scale:
-            raise SolverFailure("eta maximization stalled", {"grad_norm": gnorm})
-        return z, val, gnorm, evals
-
-    def j_value(self, phi_plus, z0=None):
-        z, val, _, _ = self.eta(phi_plus, z0=z0)
-        return val, z
-
-    def j_slope(self, phi_plus, z, direction):
-        """d/ds of J(phi + s d) at s = 0 via the envelope theorem."""
-        psi = SpinorField(self.split.grid, phi_plus.coeffs + self.coords.to_coeffs(z))
-        _, rep = self.value_and_rep(psi.coeffs)
-        return float(self.split.grid.volume * (rep * direction.coeffs.conj()).real.sum())
+def _j_max(fn, phi_plus, z0=None, gtol=1e-10, maxiter=900):
+    """J(phi_plus) = max of fn over phi_plus + fn.inner; returns (z, J, grad_norm, evals)."""
+    coords = fn.inner
+    base = fn.split.table.to_eigen(phi_plus.coeffs)
+    z0 = np.zeros(coords.dim, dtype=complex) if z0 is None else z0
+    z, val, gnorm, evals = _inner_maximize(
+        lambda chi: fn.value_and_grad(base + chi), coords, z0, gtol, maxiter
+    )
+    scale = max(1.0, norm_lambda(fn.split, phi_plus) ** 3)
+    if gnorm > 1e-5 * scale:
+        raise SolverFailure("eta maximization stalled", {"grad_norm": gnorm})
+    return z, val, gnorm, evals
 
 
 def eta_lambda(split, nl, phi_plus, gtol=1e-10):
-    """The E^- maximizer eta(phi^+) and the value J(phi^+)."""
-    prob = ReducedProblem(split, nl)
-    z, val, gnorm, evals = prob.eta(phi_plus, gtol=gtol)
-    eta_field = prob.coords.to_field(z)
-    return eta_field, float(val), {"grad_norm": gnorm, "inner_evals": evals}
+    """The inner maximizer eta(phi^+) and the value J(phi^+)."""
+    fn = Functional.for_split(split, nl)
+    z, val, gnorm, evals = _j_max(fn, phi_plus, gtol=gtol)
+    return fn.inner.to_field(z), float(val), {"grad_norm": gnorm, "inner_evals": evals}
 
 
 def j_lambda(split, nl, phi_plus):
@@ -798,13 +750,15 @@ def j_lambda(split, nl, phi_plus):
     return val
 
 
-def h_lambda(split, nl, phi_plus, prob=None, z0=None):
-    """H(phi) = J'(phi)[phi], the Nehari defect of phi in E^+."""
-    if prob is None:
-        prob = ReducedProblem(split, nl)
-    val, z = prob.j_value(phi_plus, z0=z0)
-    slope = prob.j_slope(phi_plus, z, phi_plus)
-    return slope, z, val
+def h_lambda(fn, phi_plus, z0=None):
+    """H(phi) = J'(phi)[phi], the Nehari defect of phi in E^+, by the envelope theorem.
+
+    Returns (H, the inner maximizer's coordinates, J).
+    """
+    z, val, _, _ = _j_max(fn, phi_plus, z0=z0)
+    a = fn.split.table.to_eigen(phi_plus.coeffs)
+    rep = fn(a + fn.inner.to_eigen(z)).rep
+    return float(fn.split.grid.volume * (rep * a.conj()).real.sum()), z, val
 
 
 def nehari_project(split, nl, phi, t_max=1e6, tol=1e-11):
@@ -812,22 +766,20 @@ def nehari_project(split, nl, phi, t_max=1e6, tol=1e-11):
 
     The ray function j(t) = J(t phi) increases from 0, has a single interior
     maximum and decreases afterwards; t*j'(t) = H(t phi), so the root is
-    isolated by a sign change of j'.
+    isolated by a sign change of j'.  The returned field's lambda norm is t.
     """
-    from .spectral import norm_lambda, project
-
     phi = project(split, phi, "plus")
     nrm = norm_lambda(split, phi)
     if nrm <= 0:
         raise SolverFailure("nehari_project needs a nonzero E^+ direction")
     phi = (1.0 / nrm) * phi
-    prob = ReducedProblem(split, nl)
+    fn = Functional.for_split(split, nl)
 
-    z = np.zeros(prob.coords.dim, dtype=complex)
+    z = np.zeros(fn.inner.dim, dtype=complex)
 
     def jprime(t):
         nonlocal z
-        slope, z, _ = h_lambda(split, nl, t * phi, prob=prob, z0=z)
+        slope, z, _ = h_lambda(fn, t * phi, z0=z)
         return slope
 
     t_lo, t_hi = None, None
@@ -864,23 +816,18 @@ def nehari_project(split, nl, phi, t_max=1e6, tol=1e-11):
             t_lo, s_lo = t_mid, s_mid
         else:
             t_hi, s_hi = t_mid, s_mid
-    t_bar = 0.5 * (t_lo + t_hi)
-    out = t_bar * phi
-    out.nehari_t = float(t_bar)
-    return out
+    return 0.5 * (t_lo + t_hi) * phi
 
 
 def nehari_second_order(split, nl, phi_bar, rel_step=1e-4):
     """t^2 j''(t) at the Nehari root (equals H'(phi)[phi] there), by central FD."""
-    from .spectral import norm_lambda
-
     t_bar = norm_lambda(split, phi_bar)
     direction = (1.0 / t_bar) * phi_bar
-    prob = ReducedProblem(split, nl)
+    fn = Functional.for_split(split, nl)
     h = rel_step * t_bar
-    z = np.zeros(prob.coords.dim, dtype=complex)
-    sp, z, _ = h_lambda(split, nl, (t_bar + h) * direction, prob=prob, z0=z)
-    sm, z, _ = h_lambda(split, nl, (t_bar - h) * direction, prob=prob, z0=z)
+    z = np.zeros(fn.inner.dim, dtype=complex)
+    sp, z, _ = h_lambda(fn, (t_bar + h) * direction, z0=z)
+    sm, z, _ = h_lambda(fn, (t_bar - h) * direction, z0=z)
     return t_bar**2 * (sp - sm) / (2.0 * h)
 
 
@@ -888,72 +835,46 @@ def nehari_second_order(split, nl, phi_bar, rel_step=1e-4):
 # Rayleigh functional R and S
 
 
-def _r_value_and_rep(split, psi, basis, t_init=None):
-    """Rayleigh quotient R(psi) and the L^2 representative of R'(psi)."""
-    from .torus import analyze
-
-    grid = psi.grid
-    ts = critical_exponent(grid.m)
-    tpsi = t_lambda(split, psi, basis=basis, init=t_init)
-    uv = (psi - tpsi).values()
-    s = pointwise_modulus(uv)
-    a_int = float(grid.cell * (s**ts).sum())
-    q = 2.0 * quadratic_part(split, psi)
-    r_val = q / a_int ** (2.0 / ts)
-    fcoef = analyze(grid, (s ** (ts - 2.0))[..., None] * uv)
-    ae = split.table.to_eigen(psi.coeffs)
-    lin = split.table.from_eigen((split.table.eigenvalues - split.lam) * ae)
-    rep = (2.0 / a_int ** (2.0 / ts)) * (lin - r_val * a_int ** ((2.0 - ts) / ts) * fcoef)
-    return r_val, rep, getattr(tpsi, "kernel_coords", None)
+def _rayleigh(ev, ts):
+    """R = 2 q / |u|_{2*}^2 of a pure-critical evaluation and the L^2 representative of R'."""
+    a_int = ts * ev.mass
+    norm2 = a_int ** (2.0 / ts)
+    r_val = 2.0 * ev.quadratic / norm2
+    return r_val, (2.0 / norm2) * (ev.lin - r_val * a_int ** ((2.0 - ts) / ts) * ev.nonlin)
 
 
 def r_lambda(split, psi, basis=None):
     """R(psi) = (||psi^+||^2 - ||psi^-||^2) / |psi - T(psi)|_{2*}^2."""
-    if basis is None:
-        basis = kernel_basis(split)
-    r_val, _, _ = _r_value_and_rep(split, psi, basis)
-    return r_val
+    return _rayleigh(_critical(split, basis).at_field(psi), critical_exponent(split.grid.m))[0]
 
 
 def r_lambda_rep(split, psi, basis=None):
-    """L^2 representative of the Rayleigh derivative R'(psi)."""
-    if basis is None:
-        basis = kernel_basis(split)
-    _, rep, _ = _r_value_and_rep(split, psi, basis)
-    return rep
+    """L^2 representative of the Rayleigh derivative R'(psi), as band coefficients."""
+    _, rep = _rayleigh(_critical(split, basis).at_field(psi), critical_exponent(split.grid.m))
+    return split.table.from_eigen(rep)
 
 
 def s_lambda(split, nl, phi_nehari, gtol=1e-10, maxiter=400):
     """S(phi) = max over chi in E^- of R(phi + chi), by concave-superlevel ascent.
 
     Computed independently of J so the identity S^m = 2m J can be used as a
-    two-route consistency check.
+    two-route consistency check.  R is the pure-critical Rayleigh quotient, so
+    ``nl`` must be the zero nonlinearity.
     """
-    basis = kernel_basis(split)
-    coords = SubspaceCoords(split, split.minus)
-    grid = split.grid
-    warm = [None]
+    if not nl.is_zero():
+        raise ValueError(f"S is defined for the pure critical problem; got nonlinearity {nl.kind!r}")
+    fn = Functional(split, nl, basis=kernel_basis(split))
+    ts = critical_exponent(split.grid.m)
+    base = split.table.to_eigen(phi_nehari.coeffs)
 
-    def fun(x):
-        z = _unpack(x)
-        psi = SpinorField(grid, phi_nehari.coeffs + coords.to_coeffs(z))
-        r_val, rep, tw = _r_value_and_rep(split, psi, basis, t_init=warm[0])
-        warm[0] = tw
-        gz = coords.from_coeffs(riesz_lambda(split, rep))
-        return -r_val, -_pack(gz)
+    def objective(chi):
+        r_val, rep = _rayleigh(fn(base + chi), ts)
+        return r_val, rep / split.w2
 
-    if coords.dim == 0:
-        val, _ = fun(np.zeros(0))
-        return -val, None, {"inner_evals": 0}
-    res = _scipy_minimize(
-        fun,
-        np.zeros(2 * coords.dim),
-        jac=True,
-        method="L-BFGS-B",
-        options={"gtol": gtol, "ftol": 1e-18, "maxiter": maxiter},
+    z, val, gnorm, evals = _inner_maximize(
+        objective, fn.inner, np.zeros(fn.inner.dim, dtype=complex), gtol, maxiter
     )
-    chi = coords.to_field(_unpack(res.x))
-    return float(-res.fun), chi, {"grad_norm": float(np.linalg.norm(res.jac)), "inner_evals": res.nfev}
+    return float(val), fn.inner.to_field(z), {"grad_norm": gnorm, "inner_evals": evals}
 
 
 # ---------------------------------------------------------------------------
@@ -977,9 +898,6 @@ def nu_lambda_k(
     confidence flag (the positive kernel-direction quadratic makes the inner
     problem only locally well-posed for lam < lambda_k).
     """
-    from .spectral import norm_lambda
-    from .torus import l2_norm
-
     lam = float(lam)
     if lam > split_k.lam + split_k.tol:
         raise SolverFailure(f"nu requires lam <= lambda_k = {split_k.lam}, got {lam}")
@@ -990,35 +908,22 @@ def nu_lambda_k(
             f"direction has |phi|_2^2 = {l2_norm(phi)**2:.3g} below sigma = {sigma}"
         )
 
-    best = fiber_maximize(split_k, nl, phi, lam=lam, gtol=gtol)
+    fn = Functional(split_k, nl, lam)
+    best = fiber_maximize(fn, phi, gtol=gtol)
     values = [best.value]
     rng = np.random.default_rng(seed)
-    coords = SubspaceCoords(split_k, split_k.zero | split_k.minus)
+    dim = fn.inner.dim
     for _ in range(max(0, n_starts - 1)):
-        prob = _FiberProblem(split_k, nl, phi, lam, gtol, 500)
+        prob = _FiberProblem(fn, phi, gtol, 500)
         prob.z = 0.3 * best.t * (
-            rng.standard_normal(coords.dim) + 1j * rng.standard_normal(coords.dim)
-        ) / max(np.sqrt(coords.dim), 1.0)
+            rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        ) / max(np.sqrt(dim), 1.0)
         t_hi = 2.5 * best.t
         t_star = _golden_max(lambda t: prob.value_at(t)[0], 0.0, t_hi, tol=1e-7)
         val, _ = prob.value_at(t_star)
         values.append(val)
         if val > best.value + agreement_tol:
-            psi, chi = prob.assemble(t_star)
-            from .spectral import project
-
-            best = FiberPoint(
-                phi=prob.phi,
-                t=float(t_star),
-                chi0=project(split_k, chi, "zero"),
-                chim=project(split_k, chi, "minus"),
-                psi=psi,
-                value=float(val),
-                grad_norm=best.grad_norm,
-                inner_evals=prob.inner_evals,
-                t_scan=best.t_scan,
-                converged=True,
-            )
+            best = prob.fiber_point(t_star, val, best.grad_norm, best.t_scan, True)
     spread = max(values) - min(values)
     best.unique_confident = bool(spread <= agreement_tol * max(1.0, abs(best.value)))
     return best

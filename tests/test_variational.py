@@ -7,8 +7,8 @@ from diractorus.nonlinearity import make_nonlinearity
 from diractorus.spectral import apply_dirac, assemble, inner_lambda, norm_lambda, project, split
 from diractorus.torus import SpinorField, l2_inner, l2_norm, lp_norm, random_field, zero_field
 from diractorus.variational import (
+    Functional,
     L_lambda,
-    ReducedProblem,
     SubspaceCoords,
     _FiberProblem,
     default_sigma,
@@ -16,10 +16,7 @@ from diractorus.variational import (
     f_lambda_value,
     grad_L,
     j_lambda,
-    k_l2_coeffs,
-    k_value,
     kernel_basis,
-    l2_rep_coeffs,
     m_lambda,
     mu_lambda,
     nehari_project,
@@ -101,7 +98,7 @@ def test_L_direct_form_agreement(table, sp05):
     direct = (
         0.5 * l2_inner(apply_dirac(table, psi), psi).real
         - 0.25 * l2_inner(psi, psi).real
-        - k_value(NL, psi)
+        - Functional(sp05, NL).at_field(psi).mass
     )
     assert abs(val - direct) < 1e-10 * max(1.0, abs(val))
 
@@ -141,7 +138,7 @@ def test_grad_L_vanishes_at_solution(table, sp05):
 def test_grad_L_kernel_direction(table, sp1, basis1):
     # psi in the kernel at lambda = 1: the linear part cancels, only -|psi|^2 psi remains.
     psi = 0.9 * basis1.fields[0] + 0.4j * basis1.fields[2]
-    rep = l2_rep_coeffs(sp1, NL, psi)
+    rep = table.from_eigen(Functional(sp1, NL).at_field(psi).rep)
     from diractorus.torus import analyze
 
     vals = psi.values()
@@ -208,7 +205,7 @@ def test_mu_global_max_over_fiber_samples(table, sp05):
         t = fib.t * (0.2 + 2.0 * rng.random())
         z = rng.standard_normal(coords.dim) + 1j * rng.standard_normal(coords.dim)
         z *= rng.random() * fib.t / max(np.linalg.norm(z), 1e-12)
-        trial = SpinorField(table.grid, t * fib.phi.coeffs + coords.to_coeffs(z))
+        trial = SpinorField(table.grid, t * fib.phi.coeffs + coords.to_field(z).coeffs)
         assert L_lambda(sp05, NL, trial) <= fib.value + 1e-8
 
 
@@ -280,7 +277,7 @@ def test_j_quadratic_near_zero(table, sp05):
 def test_nehari_project_plane_wave(table, sp05):
     phi = unit_plane_wave(table, sp05)
     out = nehari_project(sp05, NL, phi)
-    assert np.isclose(out.nehari_t, np.pi, rtol=1e-9)
+    assert np.isclose(norm_lambda(sp05, out), np.pi, rtol=1e-9)
     # homogeneity: any positive multiple projects to the same field
     out2 = nehari_project(sp05, NL, 3.7 * phi)
     assert l2_norm(out2 - out) < 1e-8
@@ -342,7 +339,7 @@ def test_kernel_direction_ceiling(table, sp1):
     gaps = np.array([0.16, 0.08, 0.04])
     sups = []
     for d in gaps:
-        prob = _FiberProblem(sp1, NL, phi, 1.0 - d, 1e-9, 500)
+        prob = _FiberProblem(Functional(sp1, NL, 1.0 - d), phi, 1e-9, 500)
         # chi = 0 is a critical point of the restriction; seed a kernel mode
         # so the ascent reaches the interior maximum.
         kmask = sp1.zero[prob.coords.idx]
@@ -365,26 +362,30 @@ def test_degenerate_fiber_error(table, sp05):
         mu_lambda(sp05, NL, zero_field(table.grid, 2))
 
 
-def test_k_inequality_lemma(table):
+def test_k_inequality_lemma(table, sp05):
     # (1/2) K'(psi)[psi] > K(psi) > 0 on nonzero fields
     rng = np.random.default_rng(12)
+    fn = Functional(sp05, NL)
     for _ in range(20):
         psi = random_field(table.grid, 2, rng)
-        kv = k_value(NL, psi)
-        kp = table.grid.volume * float(
-            (k_l2_coeffs(NL, psi.grid, psi.values()) * psi.coeffs.conj()).real.sum()
-        )
+        ev = fn.at_field(psi)
+        kv = ev.mass
+        kp = table.grid.volume * float((ev.nonlin * table.to_eigen(psi.coeffs).conj()).real.sum())
         assert kv > 0
         assert 0.5 * kp > kv
 
 
 def test_K_and_F_convexity_midpoint(table, sp1, basis1):
     rng = np.random.default_rng(13)
+
+    def k_value(psi):
+        return Functional(sp1, NL).at_field(psi).mass
+
     for _ in range(100):
         a = random_field(table.grid, 2, rng)
         b = random_field(table.grid, 2, rng)
         mid = 0.5 * (a + b)
-        assert k_value(NL, mid) <= 0.5 * (k_value(NL, a) + k_value(NL, b)) + 1e-12
+        assert k_value(mid) <= 0.5 * (k_value(a) + k_value(b)) + 1e-12
     for _ in range(20):
         a = random_field(table.grid, 2, rng)
         b = random_field(table.grid, 2, rng)
@@ -410,10 +411,83 @@ def test_default_sigma(sp1):
 
 def test_reduced_problem_kernel_invariance(table, sp1, basis1):
     # the reduced energy is invariant under kernel shifts
-    red = ReducedProblem(sp1, NL)
+    fn = Functional(sp1, NL, basis=basis1)
     rng = np.random.default_rng(15)
     psi = random_field(table.grid, 2, rng)
     shift = 0.8 * basis1.fields[1]
-    v1, _ = red.value_and_rep(psi.coeffs)
-    v2, _ = red.value_and_rep((psi + shift).coeffs)
+    v1 = fn.at_field(psi).energy
+    v2 = fn.at_field(psi + shift).energy
     assert abs(v1 - v2) < 1e-9 * max(1.0, abs(v1))
+
+
+def test_j_maximizes_over_the_kernel_block_with_a_subcritical_term(table, sp1):
+    # No T-reduction when f != 0, so at an eigenvalue J maximizes over E^0 + E^-:
+    # the maximizer has a kernel part and the energy is stationary along E^0.
+    nl = make_nonlinearity("power", 2, alpha=0.8, p=3.0)
+    raw = project(sp1, random_field(table.grid, 2, np.random.default_rng(3), decay=1.2), "plus")
+    phi = (1.0 / norm_lambda(sp1, raw)) * raw
+    eta, jval, _ = eta_lambda(sp1, nl, phi)
+    assert l2_norm(project(sp1, eta, "zero")) > 0.05
+    assert norm_lambda(sp1, project(sp1, grad_L(sp1, nl, phi + eta), "zero")) < 1e-7
+    assert jval > 0.427  # the maximum over E^- alone is 0.42655
+
+
+def test_s_lambda_rejects_a_subcritical_term(sp05):
+    with pytest.raises(ValueError):
+        s_lambda(sp05, make_nonlinearity("power", 2, alpha=0.8, p=3.0), zero_field(sp05.grid, 2))
+
+
+@pytest.mark.parametrize("case", ["frozen-split", "ray-quotient"])
+def test_functional_gradients_fd(table, sp05, sp1, case):
+    # frozen-split: split at lambda_k = 1, energy at lambda = 0.95 (second
+    # solutions); ray-quotient: the quotient ray_opt_direction descends on.
+    if case == "frozen-split":
+        sp, value_and_grad = sp1, Functional(sp1, NL, 0.95).value_and_grad
+    else:
+        from diractorus.branch import _ray_quotient
+
+        sp, fn = sp05, Functional(sp05, NL)
+        value_and_grad = lambda a: _ray_quotient(fn, a)  # noqa: E731
+    rng = np.random.default_rng(16)
+    worst = 0.0
+    for _ in range(10):
+        a = table.to_eigen(random_field(table.grid, 2, rng, scale=0.6).coeffs)
+        d = table.to_eigen(random_field(table.grid, 2, rng, scale=0.6).coeffs)
+        slope = table.grid.volume * float((sp.w2 * (value_and_grad(a)[1] * d.conj()).real).sum())
+        h = 1e-4
+        fd = (value_and_grad(a + h * d)[0] - value_and_grad(a - h * d)[0]) / (2.0 * h)
+        worst = max(worst, abs(slope - fd) / max(1.0, abs(fd)))
+    assert worst < 1e-6
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_one_evaluation_is_one_synthesize_and_one_analyze(monkeypatch, table, sp1, basis1, reduced):
+    import diractorus.torus as torus
+    import diractorus.variational as variational
+    from diractorus.spectral import EigenTable
+
+    rng = np.random.default_rng(17)
+    fn = Functional(sp1, NL, basis=basis1 if reduced else None)
+    psi = random_field(table.grid, 2, rng)
+    a = table.to_eigen(psi.coeffs)
+    calls = {"synthesize": 0, "analyze": 0, "eigen": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    synthesize, analyze = torus.synthesize, torus.analyze
+    for module in (torus, variational):
+        monkeypatch.setattr(module, "synthesize", counted("synthesize", synthesize))
+        monkeypatch.setattr(module, "analyze", counted("analyze", analyze))
+    monkeypatch.setattr(EigenTable, "to_eigen", counted("eigen", EigenTable.to_eigen))
+    monkeypatch.setattr(EigenTable, "from_eigen", counted("eigen", EigenTable.from_eigen))
+    for evaluate, point in ((fn, a), (fn.at_field, psi)):
+        calls.update(synthesize=0, analyze=0, eigen=0)
+        ev = evaluate(point)
+        ev.energy, ev.grad, ev.rep, ev.lin, ev.nonlin
+        assert calls["synthesize"] == 1 and calls["analyze"] == 1
+        assert calls["eigen"] <= 2
