@@ -33,6 +33,7 @@ from .variational import (
     Functional,
     L_lambda,
     SolverFailure,
+    _ray_max,
     default_sigma,
     fiber_maximize,
     nu_lambda_k,
@@ -381,17 +382,8 @@ def minimize_M(
 
     # Cheap shortlist by the ray value (a lower proxy for the fiber value),
     # then full fiber solves on the remaining few.
-    def ray_score(phi):
-        from .variational import _expand_bracket, _golden_max
-
-        def on_ray(t):
-            return L_lambda(split, nl, t * phi, lam)
-
-        t_hi = _expand_bracket(on_ray)
-        t_best = _golden_max(on_ray, 0.0, t_hi, tol=1e-5)
-        return on_ray(t_best)
-
-    ranked = sorted(candidates, key=lambda item: ray_score(item[1]))
+    unreduced = Functional(split, nl)
+    ranked = sorted(candidates, key=lambda item: _ray_max(unreduced, table.to_eigen(item[1].coeffs))[1])
     shortlist = ranked[:2]
     if candidates and candidates[0][0] == "warm" and all(n != "warm" for n, _ in shortlist):
         shortlist.append(candidates[0])
@@ -399,13 +391,7 @@ def minimize_M(
     scored = []
     for name, phi in shortlist:
         try:
-            fib = fiber_maximize(
-                fn,
-                phi,
-                gtol=max(fiber_gtol, 1e-6),
-                t_scan_points=0,
-                t_tol=1e-4,
-            )
+            fib = fiber_maximize(fn, phi, gtol=max(fiber_gtol, 1e-6))
             scored.append((fib.value, name, phi))
         except SolverFailure:
             continue

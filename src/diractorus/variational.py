@@ -21,10 +21,12 @@ norm.  The reduced energy is invariant under kernel shifts, so its inner
 maximizations run over E^- only; without T-reduction they run over E^0 + E^-.
 
 Solvers use lambda-orthonormal coordinates on masked eigen entries, so the
-Euclidean geometry handed to the quasi-Newton inner loops coincides with the
-||.||_lambda geometry.  Fiber maximization is nested as a 1-D outer search in
-t over a concave (for lam >= split.lam) inner maximization in chi, matching
-the uniqueness structure of the constrained problem.
+Euclidean geometry handed to the quasi-Newton loops coincides with the
+||.||_lambda geometry.  The fiber maximum over {t phi + chi} is one L-BFGS
+ascent over (t, chi) jointly: by the generalized Nehari reduction its only
+critical point with t > 0 is the global maximum, and evenness of L maps a
+run that crosses t = 0 back from the mirror maximizer.  The Nehari
+projection of an E^+ direction is the scale of its fiber maximum.
 """
 
 from __future__ import annotations
@@ -50,10 +52,6 @@ class SolverFailure(RuntimeError):
 
 class DegenerateFiberError(SolverFailure):
     """Fiber maximizer collapsed to t = 0."""
-
-
-class BracketFailureError(SolverFailure):
-    """No sign change found for the Nehari ray projection."""
 
 
 def _pack(z):
@@ -419,14 +417,15 @@ class SubspaceCoords:
 
 
 # ---------------------------------------------------------------------------
-# Inner concave maximization over a masked subspace
+# Ascent in lambda-orthonormal coordinates (fiber, J and S maximizations)
 
 
 def _inner_maximize(objective, coords, z0, gtol, maxiter):
-    """Maximize a concave-along-the-mask objective with L-BFGS.
+    """Maximize an objective over the coordinates ``coords`` with L-BFGS.
 
     ``objective(a)`` takes eigen coordinates and returns (value, lambda-metric
-    gradient in eigen coordinates).
+    gradient in eigen coordinates).  Returns (z, value, gradient norm,
+    evaluations).
     """
     evals = [0]
 
@@ -462,7 +461,6 @@ class FiberPoint:
     value: float
     grad_norm: float
     inner_evals: int
-    t_scan: list
     converged: bool
     unique_confident: bool = True
 
@@ -486,166 +484,105 @@ def _golden_max(f, a, b, tol=1e-9, maxiter=80):
     return (a + b) / 2.0
 
 
-class _FiberProblem:
-    """Shared state for the nested fiber maximization over t and chi in ``fn.inner``."""
-
-    def __init__(self, fn, phi, gtol, maxiter):
-        nrm = norm_lambda(fn.split, phi)
-        if nrm <= 0:
-            raise SolverFailure("fiber direction is zero")
-        self.fn = fn
-        self.phi = (1.0 / nrm) * phi
-        self.phi_e = fn.split.table.to_eigen(self.phi.coeffs)
-        self.coords = fn.inner
-        self.gtol = gtol
-        self.maxiter = maxiter
-        self.z = np.zeros(self.coords.dim, dtype=complex)
-        self.inner_evals = 0
-
-    def value_at(self, t, gtol=None):
-        base = t * self.phi_e
-        z, val, gnorm, ev = _inner_maximize(
-            lambda chi: self.fn.value_and_grad(base + chi),
-            self.coords,
-            self.z,
-            self.gtol if gtol is None else gtol,
-            self.maxiter,
-        )
-        self.z = z
-        self.inner_evals += ev
-        return val, gnorm
-
-    def ray_value(self, t):
-        return self.fn(t * self.phi_e).energy
-
-    def envelope_slope(self, t):
-        """d/dt of the inner-maximized value (envelope theorem)."""
-        rep = self.fn(t * self.phi_e + self.coords.to_eigen(self.z)).rep
-        return float(self.fn.split.grid.volume * (rep * self.phi_e.conj()).real.sum())
-
-    def fiber_point(self, t, value, grad_norm, t_scan, converged):
-        """FiberPoint at scale t with the current inner maximizer."""
-        split = self.fn.split
-        chi = self.coords.to_eigen(self.z)
-
-        def as_field(a):
-            return SpinorField(split.grid, split.table.from_eigen(a))
-
-        return FiberPoint(
-            phi=self.phi,
-            t=float(t),
-            chi0=as_field(np.where(split.zero, chi, 0.0)),
-            chim=as_field(np.where(split.minus, chi, 0.0)),
-            psi=as_field(t * self.phi_e + chi),
-            value=float(value),
-            grad_norm=grad_norm,
-            inner_evals=self.inner_evals,
-            t_scan=t_scan,
-            converged=converged,
-        )
-
-
-def fiber_maximize(
-    fn,
-    phi,
-    gtol=1e-9,
-    inner_maxiter=500,
-    t_scan_points=8,
-    t_tol=1e-7,
-    warm=None,
-):
-    """Global maximizer of ``fn`` over the fiber {t phi + chi : t >= 0, chi in fn.inner}.
-
-    Nested scheme: golden-section search in t over the concave inner problem,
-    then a secant polish on the envelope slope.  The coarse t-scan is kept in
-    the diagnostics as a multimodality check of the outer 1-D problem.  A
-    ``warm`` dict with keys ``t`` and ``z`` (from a nearby fiber) tries the
-    secant directly from the warm scale, falling back to the bracketed search
-    if the slope root is not the maximum; inner solves run at a loosened
-    tolerance during the search and tight at the final point.
-    """
-    prob = _FiberProblem(fn, phi, gtol, inner_maxiter)
-    search_gtol = max(gtol, 1e-6)
-
-    def _secant_on_slope(t_start, max_steps=25):
-        t0 = t_start
-        prob.value_at(t0, gtol=search_gtol)
-        s0 = prob.envelope_slope(t0)
-        t1 = t0 * (1.0 + 1e-3) + 1e-12
-        for _ in range(max_steps):
-            prob.value_at(t1, gtol=search_gtol)
-            s1 = prob.envelope_slope(t1)
-            if abs(s1) < 1e-11 * max(1.0, abs(t1)) or s1 == s0:
-                return t1, True
-            t2 = t1 - s1 * (t1 - t0) / (s1 - s0)
-            if not np.isfinite(t2) or t2 <= 0 or t2 > 10.0 * max(t_start, t1):
-                return t1, False
-            t0, s0, t1 = t1, s1, t2
-        return t1, abs(s1) < 1e-8 * max(1.0, abs(t1))
-
-    scan = []
-    t_star = None
-    if warm is not None and warm.get("t"):
-        t_ray = float(warm["t"])
-        if warm.get("z") is not None and warm["z"].size == prob.coords.dim:
-            prob.z = warm["z"].copy()
-        v_warm = prob.value_at(t_ray, gtol=search_gtol)[0]
-        t_star, ok = _secant_on_slope(t_ray)
-        if ok:
-            v_new = prob.value_at(t_star, gtol=search_gtol)[0]
-            if v_new < v_warm - 1e-9 * max(1.0, abs(v_warm)):
-                ok = False  # slope root was not the fiber maximum
-        if not ok:
-            t_star = None
-    if t_star is None:
-        # Scale from the pure ray problem (cheap evaluations, no inner solve).
-        t_ray = _golden_max(prob.ray_value, 0.0, _expand_bracket(prob.ray_value), tol=1e-6)
-        if t_ray <= 0:
-            t_ray = 1.0
-        t_hi = _expand_bracket(lambda t: prob.value_at(t, gtol=search_gtol)[0], start=2.0 * t_ray)
-        if t_scan_points > 0:
-            scan_ts = np.linspace(0.0, t_hi, t_scan_points + 1)[1:]
-            scan = [(float(t), float(prob.value_at(t, gtol=search_gtol)[0])) for t in scan_ts]
-        t_star = _golden_max(
-            lambda t: prob.value_at(t, gtol=search_gtol)[0], 0.0, t_hi, tol=max(t_tol, 1e-5)
-        )
-        t_star, _ = _secant_on_slope(t_star)
-
-    val, inner_g = prob.value_at(t_star)
-    slope = prob.envelope_slope(t_star)
-    if t_star < 1e-8 * max(t_ray, 1.0):
-        raise DegenerateFiberError(
-            "fiber maximizer collapsed to t = 0", {"t_ray": t_ray, "value": val}
-        )
-    if warm is not None:
-        warm["t"] = float(t_star)
-        warm["z"] = prob.z.copy()
-    return prob.fiber_point(
-        t_star,
-        val,
-        float(np.hypot(inner_g, slope)),
-        scan,
-        bool(abs(slope) < 1e-6 * max(1.0, abs(val))),
-    )
-
-
-def _expand_bracket(f, start=1.0, growth=2.0, maxiter=60):
-    """Smallest T (by doubling) such that f stops improving toward T."""
-    t = start
+def _expand_bracket(f, maxiter=60):
+    """Smallest T = 2^k (by doubling from 1) such that f stops improving toward T."""
+    t = 1.0
     best = f(t)
     for _ in range(maxiter):
-        t2 = t * growth
+        t2 = 2.0 * t
         v = f(t2)
         if v < best:
             return t2
         best = v
         t = t2
-    raise SolverFailure("could not bracket the fiber maximum", {"t": t})
+    raise SolverFailure("could not bracket the ray maximum", {"t": t})
 
 
-def mu_lambda(split, nl, phi, lam=None, gtol=1e-9, inner_maxiter=500):
+def _ray_max(fn, phi_e):
+    """Maximum of ``fn`` on the ray t phi_e, t > 0; returns (t, value)."""
+
+    def on_ray(t):
+        return fn(t * phi_e).energy
+
+    t = _golden_max(on_ray, 0.0, _expand_bracket(on_ray), tol=1e-6)
+    return t, on_ray(t)
+
+
+class _FiberCoords:
+    """Coordinates (t, z) of t phi + chi: entry 0 is the real scale t, the rest ``fn.inner``'s.
+
+    phi is lambda-unit and lambda-orthogonal to ``fn.inner``, so the
+    coordinates are lambda-orthonormal.  The imaginary part of entry 0 is
+    unused; its gradient is zero, so an ascent never moves it.
+    """
+
+    def __init__(self, fn, phi_e):
+        self.inner = fn.inner
+        self.phi_e = phi_e
+        # <g, phi>_lambda = Re vdot(phi_dual, g): the t-gradient is vol Re sum rep conj(phi_e).
+        self.phi_dual = fn.split.grid.volume * fn.split.w2 * phi_e
+        self.dim = 1 + fn.inner.dim
+
+    def to_eigen(self, x):
+        return x[0].real * self.phi_e + self.inner.to_eigen(x[1:])
+
+    def from_eigen(self, g):
+        return np.concatenate([[np.vdot(self.phi_dual, g).real], self.inner.from_eigen(g)])
+
+
+def fiber_maximize(fn, phi, gtol=1e-9, maxiter=500, warm=None):
+    """Global maximizer of ``fn`` over the fiber {t phi + chi : t > 0, chi in fn.inner}.
+
+    One L-BFGS ascent over (t, chi) jointly.  Under the generalized Nehari
+    reduction every critical point with t > 0 on the fiber is its unique
+    global maximum, so the start only has to lie in its basin: a ``warm``
+    dict with keys ``t`` and ``z`` (from a nearby fiber) when ``t`` is set,
+    otherwise the maximum of the ray t phi.  ``warm`` is updated with the
+    result.
+    """
+    nrm = norm_lambda(fn.split, phi)
+    if nrm <= 0:
+        raise SolverFailure("fiber direction is zero")
+    phi = (1.0 / nrm) * phi
+    coords = _FiberCoords(fn, fn.split.table.to_eigen(phi.coeffs))
+    if warm is not None and warm.get("t"):
+        t0, z0 = float(warm["t"]), warm["z"]
+    else:
+        t0, z0 = _ray_max(fn, coords.phi_e)[0], np.zeros(fn.inner.dim, dtype=complex)
+    x, value, grad_norm, evals = _inner_maximize(
+        fn.value_and_grad, coords, np.concatenate([[t0], z0]), gtol, maxiter
+    )
+    t, z = float(x[0].real), x[1:]
+    if t < 0:
+        # L is even: a line-search step across t = 0 lands on the mirror maximizer.
+        t, z = -t, -z
+    if t < 1e-8 * max(abs(t0), 1.0):
+        raise DegenerateFiberError("fiber maximizer collapsed to t = 0", {"t_start": t0, "value": value})
+    if warm is not None:
+        warm["t"], warm["z"] = t, z
+
+    split = fn.split
+    chi = fn.inner.to_eigen(z)
+
+    def as_field(a):
+        return SpinorField(split.grid, split.table.from_eigen(a))
+
+    return FiberPoint(
+        phi=phi,
+        t=t,
+        chi0=as_field(np.where(split.zero, chi, 0.0)),
+        chim=as_field(np.where(split.minus, chi, 0.0)),
+        psi=as_field(t * coords.phi_e + chi),
+        value=value,
+        grad_norm=grad_norm,
+        inner_evals=evals,
+        converged=bool(grad_norm < 1e-6 * max(1.0, abs(value))),
+    )
+
+
+def mu_lambda(split, nl, phi, lam=None, gtol=1e-9):
     """Unique fiber maximizer mu_lambda(phi) (the Nehari-Pankov point over phi)."""
-    return fiber_maximize(Functional(split, nl, lam), phi, gtol=gtol, inner_maxiter=inner_maxiter)
+    return fiber_maximize(Functional(split, nl, lam), phi, gtol=gtol)
 
 
 def _sphere_grad(fn, coords, fiber, zhat):
@@ -654,16 +591,14 @@ def _sphere_grad(fn, coords, fiber, zhat):
     return fiber.t * (gz - np.vdot(zhat, gz).real * zhat)
 
 
-def m_lambda(split, nl, phi, lam=None, fiber=None, gtol=1e-9, reduced=False):
+def m_lambda(split, nl, phi, lam=None, gtol=1e-9):
     """Reduced functional M(phi) = L(mu(phi)) and its sphere-tangent gradient.
 
     The gradient is ||mu(phi)^+||_lam times the E^+ restriction of grad L at
-    the fiber maximizer, projected onto the tangent space at phi.  ``reduced``
-    switches on T-reduction (at an eigenvalue, f = 0).
+    the fiber maximizer, projected onto the tangent space at phi.
     """
-    fn = Functional(split, nl, lam, basis=kernel_basis(split) if reduced else None)
-    if fiber is None:
-        fiber = fiber_maximize(fn, phi, gtol=gtol)
+    fn = Functional(split, nl, lam)
+    fiber = fiber_maximize(fn, phi, gtol=gtol)
     coords = SubspaceCoords(split, split.plus)
     grad = coords.to_field(_sphere_grad(fn, coords, fiber, coords.from_field(fiber.phi)))
     return fiber.value, grad, fiber
@@ -680,7 +615,8 @@ def sphere_minimize(
 
     Quasi-Newton descent on the scale-invariant extension phi -> M(phi/||phi||)
     in lambda-orthonormal E^+ coordinates; fiber solves are warm-started from
-    the previous iterate.  Returns (value, fiber_point, info).
+    the previous iterate.  Returns (value, fiber_point, info); ``info`` holds
+    ``fiber_grad_max``, the largest final gradient norm of its fiber solves.
     """
     split = fn.split
     coords = SubspaceCoords(split, split.plus)
@@ -690,15 +626,16 @@ def sphere_minimize(
         raise SolverFailure("initial direction has no E^+ component")
     z0 = coords.from_field((1.0 / nrm0) * phi0)
     warm = {"t": None, "z": None}
-    last = {}
+    last = {"fiber_grad_max": 0.0}
 
     def fun(x):
         z = _unpack(x)
         nrm = float(np.linalg.norm(z))
         zhat = z / nrm
-        fiber = fiber_maximize(fn, coords.to_field(zhat), gtol=fiber_gtol, warm=warm, t_scan_points=0)
+        fiber = fiber_maximize(fn, coords.to_field(zhat), gtol=fiber_gtol, warm=warm)
         gz = _sphere_grad(fn, coords, fiber, zhat) / nrm
         last["fiber"] = fiber
+        last["fiber_grad_max"] = max(last["fiber_grad_max"], fiber.grad_norm)
         last["gnorm"] = float(np.linalg.norm(gz))
         return fiber.value, _pack(gz)
 
@@ -715,6 +652,7 @@ def sphere_minimize(
         "outer_iterations": int(res.nit),
         "outer_evals": int(res.nfev),
         "tangent_grad_norm": last["gnorm"],
+        "fiber_grad_max": last["fiber_grad_max"],
         "converged": bool(last["gnorm"] <= 10.0 * gtol or res.success),
     }
     return float(value), last["fiber"], info
@@ -761,62 +699,15 @@ def h_lambda(fn, phi_plus, z0=None):
     return float(fn.split.grid.volume * (rep * a.conj()).real.sum()), z, val
 
 
-def nehari_project(split, nl, phi, t_max=1e6, tol=1e-11):
+def nehari_project(split, nl, phi):
     """Scale phi in E^+ onto the Nehari-Pankov set: the unique t > 0 with H(t phi) = 0.
 
-    The ray function j(t) = J(t phi) increases from 0, has a single interior
-    maximum and decreases afterwards; t*j'(t) = H(t phi), so the root is
-    isolated by a sign change of j'.  The returned field's lambda norm is t.
+    The fiber maximum over phi is t phi + eta(t phi), and its vanishing
+    t-derivative is H(t phi) = 0, so t is that fiber's scale.  The returned
+    field's lambda norm is t.
     """
-    phi = project(split, phi, "plus")
-    nrm = norm_lambda(split, phi)
-    if nrm <= 0:
-        raise SolverFailure("nehari_project needs a nonzero E^+ direction")
-    phi = (1.0 / nrm) * phi
-    fn = Functional.for_split(split, nl)
-
-    z = np.zeros(fn.inner.dim, dtype=complex)
-
-    def jprime(t):
-        nonlocal z
-        slope, z, _ = h_lambda(fn, t * phi, z0=z)
-        return slope
-
-    t_lo, t_hi = None, None
-    t = 1.0
-    for _ in range(80):
-        s = jprime(t)
-        if s > 0:
-            t_lo = t
-            break
-        t *= 0.5
-        if t < 1e-12:
-            raise BracketFailureError("no positive slope near t = 0", {"t": t})
-    t = max(2.0 * t_lo, 1.0)
-    for _ in range(80):
-        s = jprime(t)
-        if s < 0:
-            t_hi = t
-            break
-        t_lo = t
-        t *= 2.0
-        if t > t_max:
-            raise BracketFailureError("no sign change up to t_max", {"t_max": t_max})
-    # bisection + secant on j'
-    s_lo, s_hi = jprime(t_lo), jprime(t_hi)
-    for _ in range(200):
-        t_mid = t_hi - s_hi * (t_hi - t_lo) / (s_hi - s_lo) if s_hi != s_lo else 0.5 * (t_lo + t_hi)
-        if not (t_lo < t_mid < t_hi):
-            t_mid = 0.5 * (t_lo + t_hi)
-        s_mid = jprime(t_mid)
-        if abs(s_mid) < tol or (t_hi - t_lo) < 1e-14 * t_hi:
-            t_lo = t_hi = t_mid
-            break
-        if s_mid > 0:
-            t_lo, s_lo = t_mid, s_mid
-        else:
-            t_hi, s_hi = t_mid, s_mid
-    return 0.5 * (t_lo + t_hi) * phi
+    fib = fiber_maximize(Functional.for_split(split, nl), project(split, phi, "plus"), gtol=1e-10)
+    return fib.t * fib.phi
 
 
 def nehari_second_order(split, nl, phi_bar, rel_step=1e-4):
@@ -914,16 +805,11 @@ def nu_lambda_k(
     rng = np.random.default_rng(seed)
     dim = fn.inner.dim
     for _ in range(max(0, n_starts - 1)):
-        prob = _FiberProblem(fn, phi, gtol, 500)
-        prob.z = 0.3 * best.t * (
-            rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        ) / max(np.sqrt(dim), 1.0)
-        t_hi = 2.5 * best.t
-        t_star = _golden_max(lambda t: prob.value_at(t)[0], 0.0, t_hi, tol=1e-7)
-        val, _ = prob.value_at(t_star)
-        values.append(val)
-        if val > best.value + agreement_tol:
-            best = prob.fiber_point(t_star, val, best.grad_norm, best.t_scan, True)
+        z = 0.3 * best.t * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / max(np.sqrt(dim), 1.0)
+        fib = fiber_maximize(fn, phi, gtol=gtol, warm={"t": best.t, "z": z})
+        values.append(fib.value)
+        if fib.value > best.value + agreement_tol:
+            best = fib
     spread = max(values) - min(values)
     best.unique_confident = bool(spread <= agreement_tol * max(1.0, abs(best.value)))
     return best

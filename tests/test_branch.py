@@ -119,6 +119,7 @@ def test_minimize_M_closed_form_bound():
     assert pt.below_gamma_crit
     assert pt.residual_l2 < 1e-6
     assert pt.accepted
+    assert pt.diagnostics["outer"]["fiber_grad_max"] < 1e-6
 
 
 def test_minimize_M_guard_violation():

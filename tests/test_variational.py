@@ -10,10 +10,11 @@ from diractorus.variational import (
     Functional,
     L_lambda,
     SubspaceCoords,
-    _FiberProblem,
+    _inner_maximize,
     default_sigma,
     eta_lambda,
     f_lambda_value,
+    fiber_maximize,
     grad_L,
     j_lambda,
     kernel_basis,
@@ -220,6 +221,30 @@ def test_mu_value_positive_lower_bound(table, sp05):
         assert fib.value > 0
 
 
+def test_fiber_maximum_is_start_independent(table, sp05):
+    rng = np.random.default_rng(13)
+    fn = Functional(sp05, NL)
+    phi = project(sp05, random_field(table.grid, 2, rng), "plus")
+    cold = fiber_maximize(fn, phi)
+    t_star = cold.t
+    z_star = fn.inner.from_field(cold.psi - t_star * cold.phi)
+    z_rand = t_star * (rng.standard_normal(fn.inner.dim) + 1j * rng.standard_normal(fn.inner.dim))
+    z_rand /= np.sqrt(fn.inner.dim)
+    starts = [(0.5 * t_star, z_rand), (2.0 * t_star, np.zeros_like(z_star)), (-t_star, z_star)]
+    for t0, z0 in starts:
+        fib = fiber_maximize(fn, phi, warm={"t": t0, "z": z0.copy()})
+        assert fib.t > 0
+        assert abs(fib.value - cold.value) < 1e-10 * abs(cold.value)
+        assert l2_norm(fib.psi - cold.psi) < 1e-6 * l2_norm(cold.psi)
+
+
+def test_fiber_maximize_reports_an_unconverged_stop(table, sp05):
+    rng = np.random.default_rng(14)
+    phi = project(sp05, random_field(table.grid, 2, rng), "plus")
+    fib = fiber_maximize(Functional(sp05, NL), phi, maxiter=2)
+    assert not fib.converged
+
+
 def test_m_lambda_gradient_fd(table, sp05):
     rng = np.random.default_rng(8)
     coords = SubspaceCoords(sp05, sp05.plus)
@@ -339,14 +364,13 @@ def test_kernel_direction_ceiling(table, sp1):
     gaps = np.array([0.16, 0.08, 0.04])
     sups = []
     for d in gaps:
-        prob = _FiberProblem(Functional(sp1, NL, 1.0 - d), phi, 1e-9, 500)
+        fn = Functional(sp1, NL, 1.0 - d)
         # chi = 0 is a critical point of the restriction; seed a kernel mode
         # so the ascent reaches the interior maximum.
-        kmask = sp1.zero[prob.coords.idx]
-        z0 = np.zeros(prob.coords.dim, dtype=complex)
+        kmask = sp1.zero[fn.inner.idx]
+        z0 = np.zeros(fn.inner.dim, dtype=complex)
         z0[int(np.argmax(kmask))] = 0.5
-        prob.z = z0
-        val, _ = prob.value_at(0.0)
+        _, val, _, _ = _inner_maximize(fn.value_and_grad, fn.inner, z0, 1e-9, 500)
         sups.append(val)
     sups = np.array(sups)
     assert np.all(sups > 0)
