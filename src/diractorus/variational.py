@@ -19,14 +19,21 @@ At spectral parameters with f = 0 the functional is T-reduced: u = psi - T(psi),
 where T is the nonlinear best approximation onto ker(D - lam) in the L^{2*}
 norm.  The reduced energy is invariant under kernel shifts, so its inner
 maximizations run over E^- only; without T-reduction they run over E^0 + E^-.
+T is a damped Newton on the kernel coordinates, warm-started from the
+functional's previous T; it builds u and |u| once per iterate and hands the
+final u to the evaluation.
 
 Solvers use lambda-orthonormal coordinates on masked eigen entries, so the
 Euclidean geometry handed to the quasi-Newton loops coincides with the
 ||.||_lambda geometry.  The fiber maximum over {t phi + chi} is one L-BFGS
 ascent over (t, chi) jointly: by the generalized Nehari reduction its only
 critical point with t > 0 is the global maximum, and evenness of L maps a
-run that crosses t = 0 back from the mirror maximizer.  The Nehari
-projection of an E^+ direction is the scale of its fiber maximum.
+run that crosses t = 0 back from the mirror maximizer.  A cold ascent starts
+at the maximum of the ray t phi, found from one evaluation at phi: the
+quadratic part scales as t^2 and u(t phi) = t u(phi) because T is positively
+homogeneous, so L(t phi) = t^2 q(phi) - int G(t |u(phi)|).  The T Newton is
+then left warm at t T(phi), the exact T of the ascent's first point.  The
+Nehari projection of an E^+ direction is the scale of its fiber maximum.
 """
 
 from __future__ import annotations
@@ -74,16 +81,17 @@ class Evaluation:
     K(u) = int F(|u|) + (1/2*)|u|_{2*}^{2*}.  Their L^2 representatives are
     ``lin`` = (D - lam) psi and ``nonlin`` = the band projection of g(|u|) u.
     ``nonlin`` holds the one analyze and is computed on first use, so a
-    value-only caller never pays for it.
+    value-only caller never pays for it.  ``u`` holds the collocation values
+    of u and ``modulus`` their pointwise modulus |u|.
     """
 
-    def __init__(self, fn, quadratic, mass, lin, u, s):
+    def __init__(self, fn, quadratic, mass, lin, u, modulus):
         self._fn = fn
         self.quadratic = quadratic
         self.mass = mass
         self.lin = lin
-        self._u = u
-        self._s = s
+        self.u = u
+        self.modulus = modulus
 
     @property
     def energy(self):
@@ -92,7 +100,7 @@ class Evaluation:
     @cached_property
     def nonlin(self):
         fn = self._fn
-        return fn.split.table.to_eigen(analyze(fn.split.grid, fn.nl.g(self._s)[..., None] * self._u))
+        return fn.split.table.to_eigen(analyze(fn.split.grid, fn.nl.g(self.modulus)[..., None] * self.u))
 
     @property
     def rep(self):
@@ -146,11 +154,24 @@ class Functional:
         ev = self(a)
         return ev.energy, ev.grad
 
+    def ray(self, phi_e):
+        """t -> L(t phi_e), from one evaluation at phi_e.
+
+        The quadratic part scales as t^2 and u(t phi) = t u(phi) (T is
+        positively homogeneous), so L(t phi) = t^2 q(phi) - int G(t |u(phi)|).
+        """
+        ev = self(phi_e)
+        cell = self.split.grid.cell
+
+        def on_ray(t):
+            return t * t * ev.quadratic - float(cell * self.nl.G(t * ev.modulus).sum())
+
+        return on_ray
+
     def _evaluate(self, a, values):
         grid = self.split.grid
         if self.basis is not None and self.basis.dim:
-            self._t_warm = _kernel_coords(self.basis, values, init=self._t_warm)
-            values = values - np.tensordot(self._t_warm, self.basis.values, axes=(0, 0))
+            self._t_warm, values = _kernel_coords(self.basis, values, init=self._t_warm)
         s = pointwise_modulus(values)
         return Evaluation(
             self,
@@ -158,7 +179,7 @@ class Functional:
             mass=float(grid.cell * self.nl.G(s).sum()),
             lin=self.shift * a,
             u=values,
-            s=s,
+            modulus=s,
         )
 
 
@@ -232,17 +253,13 @@ def _kernel_hessian(basis, u_flat, ts, cell, floor=1e-14):
     return g, H, (s, w1, w2)
 
 
-def _tstar_objective(basis, psi_values, c, ts):
-    u = psi_values - np.tensordot(c, basis.values, axes=(0, 0))
-    s = pointwise_modulus(u)
-    return u, s, float((s**ts).sum())
-
-
 def _kernel_coords(basis, pv, init=None, tol=1e-12, max_iter=200):
     """Coordinates c of T(psi) = sum_a c_a e_a, from the collocation values pv of psi.
 
     Damped Newton on the strictly convex finite-dimensional objective
     c -> int |psi - sum c_a e_a|^{2*}, started from ``init`` when given.
+    Returns (c, u) with u = psi - T(psi) on the grid, shaped like ``pv``; each
+    iterate's u is the accepted backtracking trial of the step before.
     """
     grid = basis.split.grid
     d = basis.dim
@@ -254,15 +271,14 @@ def _kernel_coords(basis, pv, init=None, tol=1e-12, max_iter=200):
         c = np.array(
             [grid.cell * (pv * bv.conj()).sum() for bv in basis.values], dtype=complex
         )
-    floor = 1e-14
 
     cell = grid.cell
     u0 = pv.reshape(-1, pv.shape[-1])
+    u = u0 - np.tensordot(c, basis.flat, axes=(0, 0))
 
     scale = max(1.0, cell * float((pointwise_modulus(pv) ** ts).sum()))
     for it in range(max_iter):
-        u = u0 - np.tensordot(c, basis.flat, axes=(0, 0))
-        g, H, _ = _kernel_hessian(basis, u, ts, cell, floor=floor)
+        g, H, (s, _, _) = _kernel_hessian(basis, u, ts, cell)
         gnorm = np.linalg.norm(g)
         if gnorm < tol * scale:
             break
@@ -270,22 +286,23 @@ def _kernel_coords(basis, pv, init=None, tol=1e-12, max_iter=200):
             step = np.linalg.solve(H + 1e-14 * np.eye(2 * d) * H.diagonal().max(), -g)
         except np.linalg.LinAlgError:
             step = -g / max(H.diagonal().max(), 1.0)
+        step = _unpack(step)
         # damped: backtrack on the objective
-        _, _, f0 = _tstar_objective(basis, pv, c, ts)
+        f0 = float((s**ts).sum())
         alpha = 1.0
         for _ in range(40):
-            trial = c + alpha * (step[:d] + 1j * step[d:])
-            _, _, f1 = _tstar_objective(basis, pv, trial, ts)
-            if f1 <= f0 + 1e-12 * abs(f0):
+            trial = c + alpha * step
+            u_trial = u0 - np.tensordot(trial, basis.flat, axes=(0, 0))
+            if float((pointwise_modulus(u_trial) ** ts).sum()) <= f0 + 1e-12 * abs(f0):
                 break
             alpha *= 0.5
-        c = c + alpha * (step[:d] + 1j * step[d:])
+        c, u = trial, u_trial
     else:
         raise SolverFailure(
             "kernel projector Newton did not converge",
             {"grad_norm": gnorm, "dim": d, "iterations": max_iter},
         )
-    return c
+    return c, u.reshape(pv.shape)
 
 
 def t_lambda(split, psi, basis=None, tol=1e-12, max_iter=200, init=None):
@@ -298,35 +315,8 @@ def t_lambda(split, psi, basis=None, tol=1e-12, max_iter=200, init=None):
         basis = kernel_basis(split)
     if basis.dim == 0:
         return zero_field(psi.grid, psi.N)
-    c = _kernel_coords(basis, psi.values(), init=init, tol=tol, max_iter=max_iter)
+    c, _ = _kernel_coords(basis, psi.values(), init=init, tol=tol, max_iter=max_iter)
     return SpinorField(psi.grid, sum(ca * e.coeffs for ca, e in zip(c, basis.fields)))
-
-
-def t_prime(split, psi, chi, basis=None):
-    """Derivative T'(psi)[chi], solving the linearized optimality system."""
-    grid = psi.grid
-    if basis is None:
-        basis = kernel_basis(split)
-    d = basis.dim
-    if d == 0:
-        return zero_field(grid, psi.N)
-    ts = critical_exponent(grid.m)
-    tpsi = t_lambda(split, psi, basis=basis)
-    u = (psi.values() - tpsi.values()).reshape(-1, psi.N)
-    _, H, (s, w1, w2) = _kernel_hessian(basis, u, ts, grid.cell)
-    cv = chi.values().reshape(-1, psi.N)
-    # rhs_a = bilinear(e_a, chi) in the same real block convention
-    pch = np.einsum("apc,pc->ap", basis.flat.conj(), cv)
-    ru = np.einsum("apc,pc->ap", basis.flat.conj(), u)
-    rchi = (cv.conj() * u).sum(axis=-1)
-    rhs = np.zeros(2 * d)
-    rhs[:d] = ts * grid.cell * ((w1 * pch.real).sum(axis=1) + (w2 * ru.real * rchi.real).sum(axis=1))
-    rhs[d:] = ts * grid.cell * ((w1 * pch.imag).sum(axis=1) + (w2 * ru.imag * rchi.real).sum(axis=1))
-    sol = np.linalg.solve(H + 1e-13 * np.eye(2 * d) * max(H.diagonal().max(), 1.0), rhs)
-    out = basis.fields[0].coeffs * 0.0
-    for a in range(d):
-        out = out + (sol[a] + 1j * sol[d + a]) * basis.fields[a].coeffs
-    return SpinorField(grid, out)
 
 
 def _critical(split, basis=None):
@@ -335,51 +325,93 @@ def _critical(split, basis=None):
     return Functional(split, zero, basis=kernel_basis(split) if basis is None else basis)
 
 
+class _FJet:
+    """F_lam(psi) = (1/2*) |psi - T(psi)|_{2*}^{2*} and its first two derivatives at one psi.
+
+    T(psi) and u = psi - T(psi) come from one T Newton; the kernel Hessian
+    that T' solves with is built on first use.  Fields are flat (points, N).
+    """
+
+    def __init__(self, split, psi, basis=None):
+        fn = _critical(split, basis)
+        self.split, self.basis, self.ev = split, fn.basis, fn.at_field(psi)
+        self.ts = critical_exponent(split.grid.m)
+        self.u = self.ev.u.reshape(-1, psi.N)
+        s = np.maximum(self.ev.modulus.reshape(-1), 1e-14)
+        self.w1, self.w2 = s ** (self.ts - 2.0), (self.ts - 2.0) * s ** (self.ts - 4.0)
+
+    @cached_property
+    def _hessian(self):
+        H = _kernel_hessian(self.basis, self.u, self.ts, self.split.grid.cell)[1]
+        return H + 1e-13 * np.eye(H.shape[0]) * max(H.diagonal().max(), 1.0)
+
+    def t_prime_coords(self, chi_values):
+        """Kernel coordinates of T'(psi)[chi], solving the linearized optimality system."""
+        u = self.u
+        cv = chi_values.reshape(u.shape)
+        # rhs_a = bilinear(e_a, chi), packed in the Hessian's real block convention
+        pch = np.einsum("apc,pc->ap", self.basis.flat.conj(), cv)
+        ru = np.einsum("apc,pc->ap", self.basis.flat.conj(), u)
+        rchi = (cv.conj() * u).sum(axis=-1).real
+        rhs = self.ts * self.split.grid.cell * (self.w1 * pch + self.w2 * ru * rchi).sum(axis=1)
+        return _unpack(np.linalg.solve(self._hessian, _pack(rhs)))
+
+    def first(self, phi):
+        """F'(psi)[phi]."""
+        a = self.split.table.to_eigen(phi.coeffs)
+        return float(self.split.grid.volume * (self.ev.nonlin * a.conj()).real.sum())
+
+    def second(self, phi, chi):
+        """F''(psi)[phi, chi] including the T' correction."""
+        u = self.u
+        du = chi.values().reshape(u.shape)
+        if self.basis.dim:
+            du = du - np.tensordot(self.t_prime_coords(du), self.basis.flat, axes=(0, 0))
+        pv = phi.values().reshape(u.shape)
+
+        def dot(x, y):
+            return (x * y.conj()).sum(axis=-1).real
+
+        return float(self.split.grid.cell * (self.w1 * dot(du, pv) + self.w2 * dot(u, du) * dot(u, pv)).sum())
+
+
+def t_prime(split, psi, chi, basis=None):
+    """Derivative T'(psi)[chi], solving the linearized optimality system."""
+    if basis is None:
+        basis = kernel_basis(split)
+    if basis.dim == 0:
+        return zero_field(psi.grid, psi.N)
+    c = _FJet(split, psi, basis).t_prime_coords(chi.values())
+    return SpinorField(psi.grid, sum(ca * e.coeffs for ca, e in zip(c, basis.fields)))
+
+
 def f_lambda_value(split, psi, basis=None):
     """F_lam(psi) = (1/2*) |psi - T(psi)|_{2*}^{2*}."""
     return _critical(split, basis).at_field(psi).mass
 
 
-def f_second_form(split, psi, phi, chi, basis=None):
-    """F''(psi)[phi, chi] including the T' correction."""
-    ts = critical_exponent(psi.grid.m)
-    if basis is None:
-        basis = kernel_basis(split)
-    u = (psi - t_lambda(split, psi, basis=basis)).values()
-    s = np.maximum(pointwise_modulus(u), 1e-14)
-    du = chi.values() - t_prime(split, psi, chi, basis=basis).values()
-    pv = phi.values()
-    w1 = s ** (ts - 2.0)
-    w2 = (ts - 2.0) * s ** (ts - 4.0)
-    term1 = (w1 * (du * pv.conj()).sum(axis=-1).real).sum()
-    term2 = (w2 * (u * du.conj()).sum(axis=-1).real * (u * pv.conj()).sum(axis=-1).real).sum()
-    return float(psi.grid.cell * (term1 + term2))
-
-
 def f_first(split, psi, phi, basis=None):
     """F'(psi)[phi]."""
-    r = _critical(split, basis).at_field(psi).nonlin
-    return float(psi.grid.volume * (r * split.table.to_eigen(phi.coeffs).conj()).real.sum())
+    return _FJet(split, psi, basis).first(phi)
 
 
 def tmfm_gap(split, psi, phi, basis=None):
     """LHS - RHS of the quadratic-form lower bound
 
     (F''[psi,psi] - F'[psi]) + 2 (F''[psi,phi] - F'[phi]) + F''[phi,phi]
-        >= 2/(m+1) |psi - T(psi)|_{2*}^{2*}.
+        >= 2/(m+1) |psi - T(psi)|_{2*}^{2*},
+
+    all at one T(psi).
     """
-    if basis is None:
-        basis = kernel_basis(split)
+    jet = _FJet(split, psi, basis)
     m = psi.grid.m
-    ts = critical_exponent(m)
     lhs = (
-        f_second_form(split, psi, psi, psi, basis=basis)
-        - f_first(split, psi, psi, basis=basis)
-        + 2.0 * (f_second_form(split, psi, phi, psi, basis=basis) - f_first(split, psi, phi, basis=basis))
-        + f_second_form(split, psi, phi, phi, basis=basis)
+        jet.second(psi, psi)
+        - jet.first(psi)
+        + 2.0 * (jet.second(phi, psi) - jet.first(phi))
+        + jet.second(phi, phi)
     )
-    rhs = 2.0 * ts / (m + 1.0) * f_lambda_value(split, psi, basis=basis)
-    return lhs - rhs
+    return lhs - 2.0 * jet.ts / (m + 1.0) * jet.ev.mass
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +531,15 @@ def _expand_bracket(f, maxiter=60):
 
 
 def _ray_max(fn, phi_e):
-    """Maximum of ``fn`` on the ray t phi_e, t > 0; returns (t, value)."""
+    """Maximum of ``fn`` on the ray t phi_e, t > 0, from one evaluation; returns (t, value).
 
-    def on_ray(t):
-        return fn(t * phi_e).energy
-
+    On a T-reduced functional the Newton warm start is left at
+    T(t phi) = t T(phi), so the ascent's first point starts converged.
+    """
+    on_ray = fn.ray(phi_e)
     t = _golden_max(on_ray, 0.0, _expand_bracket(on_ray), tol=1e-6)
+    if fn._t_warm is not None:
+        fn._t_warm = t * fn._t_warm
     return t, on_ray(t)
 
 

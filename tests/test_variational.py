@@ -515,3 +515,95 @@ def test_one_evaluation_is_one_synthesize_and_one_analyze(monkeypatch, table, sp
         ev.energy, ev.grad, ev.rep, ev.lin, ev.nonlin
         assert calls["synthesize"] == 1 and calls["analyze"] == 1
         assert calls["eigen"] <= 2
+
+
+def _counting(monkeypatch, module, name, calls):
+    func = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return func(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+@pytest.mark.parametrize("case", ["bnd-regular", "T-reduced", "power"])
+def test_ray_search_is_one_evaluation(monkeypatch, table, sp05, sp1, basis1, case):
+    import diractorus.torus as torus
+    import diractorus.variational as variational
+    from diractorus.variational import _ray_max
+
+    if case == "bnd-regular":
+        fn = Functional(sp05, NL)
+    elif case == "T-reduced":
+        fn = Functional(sp1, make_nonlinearity("zero", 2), basis=basis1)
+    else:
+        fn = Functional(sp05, make_nonlinearity("power", 2, alpha=0.8, p=3.0))
+    sp = fn.split
+    phi = project(sp, random_field(table.grid, 2, np.random.default_rng(5)), "plus")
+    phi_e = table.to_eigen(((1.0 / norm_lambda(sp, phi)) * phi).coeffs)
+
+    on_ray = fn.ray(phi_e)
+    for t in (0.3, 1.0, 2.5, 7.0):
+        direct = fn(t * phi_e).energy
+        assert abs(on_ray(t) - direct) <= 1e-12 * abs(direct)
+
+    calls = {}
+    for module in (torus, variational):
+        _counting(monkeypatch, module, "synthesize", calls)
+    _counting(monkeypatch, variational, "_kernel_coords", calls)
+    t, value = _ray_max(fn, phi_e)
+    assert calls["synthesize"] == 1
+    assert calls.get("_kernel_coords", 0) <= 1
+    assert t > 0 and value > 0
+    if fn.basis is not None:
+        # The Newton is left warm at T(t phi) = t T(phi): the ascent's first point takes no step.
+        _counting(monkeypatch, variational, "_kernel_hessian", calls)
+        fn(t * phi_e)
+        assert calls["_kernel_hessian"] == 1
+
+
+def test_kernel_newton_homogeneity_warm_start(monkeypatch, table, basis1):
+    import diractorus.variational as variational
+    from diractorus.variational import _kernel_coords
+
+    psi = random_field(table.grid, 2, np.random.default_rng(23))
+    c, _ = _kernel_coords(basis1, psi.values())
+    for t in (0.6, 1.7):
+        pv = (t * psi).values()
+        cold, u_cold = _kernel_coords(basis1, pv)
+        calls = {}
+        _counting(monkeypatch, variational, "_kernel_hessian", calls)
+        warm, u_warm = _kernel_coords(basis1, pv, init=t * c)
+        monkeypatch.undo()
+        assert calls["_kernel_hessian"] == 1
+        assert np.array_equal(warm, t * c)
+        assert np.abs(warm - cold).max() < 1e-10
+        assert np.abs(u_warm - u_cold).max() < 1e-10
+
+
+def test_tmfm_gap_runs_one_kernel_newton(monkeypatch, table, sp1, basis1):
+    import diractorus.variational as variational
+    from diractorus.variational import f_first
+
+    rng = np.random.default_rng(29)
+    psi = random_field(table.grid, 2, rng, scale=0.8)
+    phi = random_field(table.grid, 2, rng, scale=0.8)
+    h = 1e-4
+
+    def second(a, b):
+        # F''(psi)[a, b] by central differences of F'(.)[a] along b; each F' solves its own T.
+        return (f_first(sp1, psi + h * b, a, basis=basis1) - f_first(sp1, psi - h * b, a, basis=basis1)) / (2.0 * h)
+
+    reference = (
+        second(psi, psi)
+        - f_first(sp1, psi, psi, basis=basis1)
+        + 2.0 * (second(phi, psi) - f_first(sp1, psi, phi, basis=basis1))
+        + second(phi, phi)
+        - 2.0 * 4.0 / 3.0 * f_lambda_value(sp1, psi, basis=basis1)  # 2 2*/(m + 1), 2* = 4
+    )
+    calls = {}
+    _counting(monkeypatch, variational, "_kernel_coords", calls)
+    gap = tmfm_gap(sp1, psi, phi, basis=basis1)
+    assert calls["_kernel_coords"] == 1
+    assert abs(gap - reference) <= 1e-6 * max(1.0, abs(reference))
