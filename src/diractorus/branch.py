@@ -116,14 +116,11 @@ def residual_check(table, nl, psi, lam):
 
 @dataclass(frozen=True)
 class Polish:
-    """Outcome of ``polish_residual``; unpacks as ``(field, residual)``."""
+    """Outcome of ``polish_residual``."""
 
     psi: SpinorField
     residual: float
     steps: int  # Gauss-Newton steps kept
-
-    def __iter__(self):
-        return iter((self.psi, self.residual))
 
 
 def polish_residual(table, nl, psi, lam):
@@ -419,8 +416,7 @@ def minimize_M(
     value_pre_polish, resid_pre_polish, polish_steps = value, resid, 0
     if resid < 1e-2:
         polish = polish_residual(table, nl, psi_sol, lam)
-        psi_sol, resid = polish
-        polish_steps = polish.steps
+        psi_sol, resid, polish_steps = polish.psi, polish.residual, polish.steps
         value = L_lambda(split, nl, psi_sol, lam)
     below = bool(value < gamma_crit(table.m))
     diagnostics = {
@@ -506,8 +502,7 @@ def second_solution(
     resid_pre_polish, polish_steps = resid, 0
     if resid < 1e-2:
         polish = polish_residual(table, nl, psi_sol, lam)
-        psi_sol, resid = polish
-        polish_steps = polish.steps
+        psi_sol, resid, polish_steps = polish.psi, polish.residual, polish.steps
         value = L_lambda(split_k, nl, psi_sol, lam)
     below = bool(value < gamma_crit(table.m))
     point = BranchPoint(
@@ -585,11 +580,6 @@ def _solve_sweep_point(table, nl, lam, opts, warm_field=None):
         )
 
 
-def _sweep_task(args):
-    table, nl, lam, opts = args
-    return _solve_sweep_point(table, nl, lam, opts)
-
-
 def branch_sweep(
     table,
     nl,
@@ -601,17 +591,15 @@ def branch_sweep(
     residual_tol=1e-6,
     eig_tol=1e-9,
     maxiter=60,
-    workers=1,
 ):
     """Solve the least branch over a lambda grid plus optional second branches.
 
     Two deterministic phases: (1) every grid point solved independently from
-    the standard candidate pool (parallelizable, same results for any worker
-    count); (2) serial ascending monotone repair inside each spectral
-    interval, re-solving a violating point from its left neighbor's minimizer
-    direction, which enforces the non-increasing property of the recorded
-    energies up to solver tolerance.  Per-point failures are recorded as
-    flagged points and the sweep continues.
+    the standard candidate pool; (2) serial ascending monotone repair inside
+    each spectral interval, re-solving a violating point from its left
+    neighbor's minimizer direction, which enforces the non-increasing
+    property of the recorded energies up to solver tolerance.  Per-point
+    failures are recorded as flagged points and the sweep continues.
     """
     lam_grid = sorted({float(x) for x in lam_grid})
     opts = {
@@ -622,14 +610,7 @@ def branch_sweep(
         "maxiter": maxiter,
     }
 
-    tasks = [(table, nl, lam, opts) for lam in lam_grid]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_sweep_task, tasks))
-    else:
-        points = [_sweep_task(t) for t in tasks]
+    points = [_solve_sweep_point(table, nl, lam, opts) for lam in lam_grid]
 
     # Phase 2: ascending monotone repair within spectral intervals.
     sweep = SweepTable(points=list(points), eigenvalues=table.distinct.copy())

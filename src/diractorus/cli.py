@@ -31,7 +31,7 @@ from .branch import (
 from .clifford import build_rep
 from .config import ConfigError, RunConfig, load_config, parse_lambda_grid, validate_config
 from .spectral import assemble, split, weyl_cm_vol, weyl_counts
-from .testspinor import TestSpinorParams, asymptotic_fit, build_test_spinor, energy_report
+from .testspinor import asymptotic_fit, sweep
 from .torus import lp_norm, make_grid, random_field
 from .variational import SolverFailure
 
@@ -117,12 +117,7 @@ def cmd_weyl(cfg, out_dir, t0):
 
 def cmd_testspinor(cfg, out_dir, t0):
     table = assemble(cfg.dim, cfg.cutoff, cfg.n_grid)
-    sp = split(table, cfg.dual_lambda)
-    rows = []
-    for eps in cfg.eps_sweep:
-        params = TestSpinorParams(eps=eps, delta=cfg.delta)
-        psi = build_test_spinor(table.grid, table.rep, params)
-        rows.append(energy_report(table, sp, psi, params=params))
+    rows = sweep(table, split(table, cfg.dual_lambda), cfg.eps_sweep, cfg.delta)
     header = [
         "eps",
         "l2",
@@ -234,7 +229,6 @@ def cmd_branch(cfg, out_dir, t0):
         outer_gtol=cfg.outer_gtol,
         fiber_gtol=cfg.fiber_gtol,
         residual_tol=cfg.residual_tol,
-        workers=cfg.workers,
     )
     header = ["lambda", "level", "energy", "residual", "below_gamma_crit", "flags"]
     _write_csv(out_dir / "results.csv", header, [_point_row(p) for p in sweep.points])
@@ -371,7 +365,6 @@ def build_parser():
     p.add_argument("--lambda-grid", type=str, required=True)
     p.add_argument("--second-near", type=int, default=None)
     p.add_argument("--nl", type=str, default=None)
-    p.add_argument("--workers", type=int, default=None)
 
     p = sub.add_parser("multiplicity", help="continuation-window solution count")
     common(p)
@@ -413,7 +406,6 @@ def main(argv=None):
                 ("delta", "delta"),
                 ("dual_lambda", "dual_lambda"),
                 ("second_near", "second_near"),
-                ("workers", "workers"),
                 ("suite", "suite"),
                 ("out_dir", "out"),
             ]:

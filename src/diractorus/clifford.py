@@ -92,21 +92,28 @@ def build_rep(m):
 def _check_shapes(rep, x, s):
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=complex)
-    if x.shape != (rep.m,):
-        raise CliffordError(f"vector must have shape ({rep.m},), got {x.shape}")
-    if s.shape[-1] != rep.N:
+    if x.shape[-1:] != (rep.m,):
+        raise CliffordError(f"vector must have last axis {rep.m}, got {x.shape}")
+    if s.shape[-1:] != (rep.N,):
         raise CliffordError(f"spinor must have last axis {rep.N}, got {s.shape}")
+    try:
+        np.broadcast_shapes(x.shape[:-1], s.shape[:-1])
+    except ValueError:
+        raise CliffordError(f"leading axes of {x.shape} and {s.shape} do not broadcast") from None
     return x, s
 
 
 def clifford_mul(rep, x, s):
     """Clifford multiplication x . s = sum_j x_j (e_j s).
 
-    ``s`` may carry leading batch axes; the contraction acts on the last axis.
+    ``x`` has last axis m and ``s`` last axis N; their leading axes broadcast,
+    so one vector can act on a batch of spinors, a batch of vectors on one
+    spinor, or each point's vector on its own spinor.
     """
     x, s = _check_shapes(rep, x, s)
-    mat = sum(x[j] * rep.gamma[j] for j in range(rep.m))
-    return s @ mat.T
+    if x.ndim == 1:  # one vector: form x . e once and apply it as one matrix
+        return s @ sum(x[j] * rep.gamma[j] for j in range(rep.m)).T
+    return sum(x[..., j, None] * (s @ rep.gamma[j].T) for j in range(rep.m))
 
 
 def one_minus_x_mul(rep, x, s):
@@ -114,5 +121,4 @@ def one_minus_x_mul(rep, x, s):
 
     Satisfies |(1 - x) . s|^2 = (1 + |x|^2) |s|^2.
     """
-    x, s = _check_shapes(rep, x, s)
-    return s - clifford_mul(rep, x, s)
+    return np.asarray(s, dtype=complex) - clifford_mul(rep, x, s)

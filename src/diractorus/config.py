@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .nonlinearity import NonlinearityError, critical_exponent, make_nonlinearity
+from .testspinor import DEFAULT_EPS_SWEEP
 
 
 class ConfigError(ValueError):
@@ -29,7 +30,7 @@ _SCHEMA = {
     "problem": {"dim", "cutoff", "n_grid", "lambda", "lambda_grid", "Lambda"},
     "nonlinearity": {"kind", "alpha", "p", "q"},
     "testspinor": {"eps_sweep", "delta", "dual_lambda"},
-    "branch": {"second_near", "second_offsets", "workers"},
+    "branch": {"second_near", "second_offsets"},
     "tolerances": {"outer_gtol", "fiber_gtol", "residual_tol"},
     "accept": {"suite"},
 }
@@ -62,12 +63,11 @@ class RunConfig:
     alpha: float | None = None
     p: float | None = None
     q: float | None = None
-    eps_sweep: tuple = (0.2, 0.14, 0.1, 0.07, 0.05, 0.035, 0.025)
+    eps_sweep: tuple = DEFAULT_EPS_SWEEP
     delta: float = float(np.pi / 4.0)
     dual_lambda: float = 0.5
     second_near: int | None = None
     second_offsets: tuple = (0.05, 0.02, 0.01)
-    workers: int = 1
     outer_gtol: float = 1e-7
     fiber_gtol: float = 1e-9
     residual_tol: float = 1e-6
@@ -180,7 +180,6 @@ def load_config(path, overrides=None):
         lambda s: tuple(float(x) for x in s.split(",")),
         "second_offsets",
     )
-    get("branch", "workers", int, "workers")
     get("tolerances", "outer_gtol", float, "outer_gtol")
     get("tolerances", "fiber_gtol", float, "fiber_gtol")
     get("tolerances", "residual_tol", float, "residual_tol")
@@ -229,6 +228,4 @@ def validate_config(cfg, path=None):
         bad("eps_sweep must be strictly decreasing", "testspinor", "eps_sweep")
     if not (0.0 < 2.0 * cfg.delta < np.pi):
         bad(f"delta must satisfy 0 < 2*delta < pi, got {cfg.delta}", "testspinor", "delta")
-    if cfg.workers < 1:
-        bad(f"workers must be >= 1, got {cfg.workers}", "branch", "workers")
     return cfg

@@ -287,12 +287,6 @@ def dual_norm(sp, r):
     return float(np.sqrt(sp.grid.volume * ((be.real**2 + be.imag**2) / sp.w2).sum()))
 
 
-def riesz_lambda(sp, r_coeffs):
-    """lambda-metric Riesz representative of h -> Re(r, h)_2, as coefficients."""
-    a = sp.table.to_eigen(r_coeffs)
-    return sp.table.from_eigen(a / sp.w2)
-
-
 def weyl_counts(table, Lambda):
     """(d_plus, d_minus, N_count) for eigenvalues of modulus <= Lambda.
 

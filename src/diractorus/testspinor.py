@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
+from .clifford import clifford_mul, one_minus_x_mul
 from .nonlinearity import critical_exponent
 from .spectral import apply_dirac, dual_norm, omega_sphere
 from .torus import SpinorField, analyze, pointwise_modulus
@@ -89,13 +90,8 @@ def cutoff_eta_prime(r, delta):
 def euclidean_solution(rep, x, params):
     """psi(x) = mu^(m/2) (1 - x) . psi_0 at one or many points x (last axis m)."""
     x = np.asarray(x, dtype=float)
-    psi0 = params.direction(rep)
-    pts = x.reshape(-1, rep.m)
-    mu = 1.0 / (1.0 + (pts**2).sum(axis=1))
-    gpsi0 = np.stack([g @ psi0 for g in rep.gamma])  # (m, N)
-    vals = psi0[None, :] - pts @ gpsi0
-    vals = mu[:, None] ** (rep.m / 2.0) * vals
-    return vals.reshape(x.shape[:-1] + (rep.N,))
+    mu = 1.0 / (1.0 + (x**2).sum(axis=-1))
+    return mu[..., None] ** (rep.m / 2.0) * one_minus_x_mul(rep, x, params.direction(rep))
 
 
 def euclidean_dirac(rep, x, params):
@@ -106,16 +102,10 @@ def euclidean_dirac(rep, x, params):
     """
     x = np.asarray(x, dtype=float)
     psi0 = params.direction(rep)
-    pts = x.reshape(-1, rep.m)
-    mu = 1.0 / (1.0 + (pts**2).sum(axis=1))
+    mu = 1.0 / (1.0 + (x**2).sum(axis=-1))[..., None]
     m = rep.m
-    gpsi0 = np.stack([g @ psi0 for g in rep.gamma])
-    one_minus = psi0[None, :] - pts @ gpsi0
-    # x . v per point: sum_j x_j gamma_j v
-    gammas = np.stack(rep.gamma)  # (m, N, N)
-    xdot = np.einsum("pj,jab,pb->pa", pts, gammas, one_minus)
-    vals = -m * mu[:, None] ** (m / 2.0 + 1.0) * xdot + m * mu[:, None] ** (m / 2.0) * psi0[None, :]
-    return vals.reshape(x.shape[:-1] + (rep.N,))
+    xdot = clifford_mul(rep, x, one_minus_x_mul(rep, x, psi0))
+    return -m * mu ** (m / 2.0 + 1.0) * xdot + m * mu ** (m / 2.0) * psi0
 
 
 def dirac_identity_fd_residual(rep, params, x, h):
@@ -157,34 +147,39 @@ def build_test_spinor(grid, rep, params):
     """Cutoff rescaled Euclidean spinor sampled in the chart, as a Fourier field.
 
     The returned field carries ``samples`` (the exact pre-truncation
-    collocation values) and ``resolution_warning`` (grid coarser than eight
-    points per concentration scale).
+    collocation values), ``params``, ``profile`` (the chart samples
+    ``(y, r, eta, psi_eps)`` they were built from) and ``resolution_warning``
+    (grid coarser than eight points per concentration scale).
     """
     if grid.m != rep.m:
         raise TestSpinorError("grid and representation dimensions differ")
-    y, r, eta, psi_eps = _profile_values(grid, rep, params)
+    y, r, eta, psi_eps = profile = _profile_values(grid, rep, params)
     samples = eta[..., None] * psi_eps
     psi = SpinorField(grid, analyze(grid, samples))
     psi.samples = samples
     psi.params = params
+    psi.profile = profile
     psi.resolution_warning = bool(grid.n_grid < 8.0 * (2.0 * np.pi / params.eps))
     return psi
 
 
-def energy_report(table, sp, psi, params=None, samples=None):
-    """Per-epsilon measurements of the cutoff spinor.
+def energy_report(table, sp, psi, params=None):
+    """Per-epsilon measurements of a ``build_test_spinor`` field.
 
     l2, l2star, dirac_energy and free_energy quadrate the exact samples with
     the closed-form derivative; the dual norms of the field and of the
     residual R = D phi - |phi|^(2*-2) phi are measured spectrally at the
-    split's lambda.
+    split's lambda.  The field's chart profile is reused unless ``params``
+    names other parameters than the field's own.
     """
     grid = psi.grid
     rep = table.rep
     params = params if params is not None else psi.params
-    samples = samples if samples is not None else getattr(psi, "samples", None)
-    if samples is None:
-        samples = psi.values()
+    if params is psi.params:
+        y, r, eta, psi_eps = psi.profile
+    else:
+        y, r, eta, psi_eps = _profile_values(grid, rep, params)
+    samples = psi.samples
     ts = critical_exponent(grid.m)
     cell = grid.cell
     s = pointwise_modulus(samples)
@@ -192,17 +187,12 @@ def energy_report(table, sp, psi, params=None, samples=None):
     l2star_pow = float(cell * (s**ts).sum())
 
     # Exact D phi = grad(eta) . psi_eps + eta D psi_eps in the chart.
-    y, r, eta, psi_eps = _profile_values(grid, rep, params)
     eps = params.eps
     dpsi_eps = eps ** (-(rep.m + 1) / 2.0) * euclidean_dirac(rep, y / eps, params)
     etap = cutoff_eta_prime(r, params.delta)
     rr = np.where(r > 0, r, 1.0)
     grad_eta = etap[..., None] * y / rr[..., None]
-    flat = grad_eta.reshape(-1, grid.m)
-    pvals = psi_eps.reshape(-1, rep.N)
-    gammas = np.stack(rep.gamma)
-    cut_term = np.einsum("pj,jab,pb->pa", flat, gammas, pvals).reshape(psi_eps.shape)
-    dphi = cut_term + eta[..., None] * dpsi_eps
+    dphi = clifford_mul(rep, grad_eta, psi_eps) + eta[..., None] * dpsi_eps
     dirac_energy = float(cell * (dphi * samples.conj()).sum(axis=-1).real.sum())
     free_energy = 0.5 * dirac_energy - l2star_pow / ts
 
@@ -282,14 +272,12 @@ def asymptotic_fit(samples):
 DEFAULT_EPS_SWEEP = (0.2, 0.14, 0.1, 0.07, 0.05, 0.035, 0.025)
 
 
-def sweep(table, sp, params_factory, eps_values=DEFAULT_EPS_SWEEP):
-    """Energy reports over a decreasing eps grid (embarrassingly parallel map)."""
-    rep = table.rep
+def sweep(table, sp, eps_values, delta):
+    """Energy reports of the cutoff spinor over a decreasing eps grid."""
     rows = []
     for eps in eps_values:
-        params = params_factory(eps)
-        psi = build_test_spinor(table.grid, rep, params)
-        rows.append(energy_report(table, sp, psi, params=params))
+        params = TestSpinorParams(eps=eps, delta=delta)
+        rows.append(energy_report(table, sp, build_test_spinor(table.grid, table.rep, params)))
     return rows
 
 

@@ -615,11 +615,6 @@ def fiber_maximize(fn, phi, gtol=1e-9, maxiter=500, warm=None):
     )
 
 
-def mu_lambda(split, nl, phi, lam=None, gtol=1e-9):
-    """Unique fiber maximizer mu_lambda(phi) (the Nehari-Pankov point over phi)."""
-    return fiber_maximize(Functional(split, nl, lam), phi, gtol=gtol)
-
-
 def _sphere_grad(fn, coords, fiber, zhat):
     """t times the sphere-tangent part at zhat of the E^+ gradient at the fiber maximizer."""
     gz = coords.from_eigen(fn.at_field(fiber.psi).grad)

@@ -8,8 +8,9 @@ checks are expected to be red and are asserted faithfully anyway:
   double-counts the radial integral int_0^T r dr/(1+r^2) = (1/2) ln(1+T^2));
 * branch energies below gamma_crit = pi for every lambda in 0.1..0.99: the
   flat square torus sits exactly at the sphere bound (lambda_1^+ Vol^(1/2) =
-  2 sqrt(pi)), so the near-threshold minimizers degenerate as lambda -> 0+
-  and desk-scale cutoffs cannot reach sub-pi levels at lambda <= 0.2.
+  2 sqrt(pi)), so the near-threshold minimizers concentrate as lambda -> 0+;
+  at lambda <= 0.2 the K = 16 levels are resolution-limited and keep falling
+  with the cutoff (at lambda = 0.2 they cross pi between K = 64 and K = 96).
 """
 
 import pytest

@@ -89,7 +89,8 @@ def test_polish_reduces_residual():
     rng = np.random.default_rng(4)
     psi = plane_wave_solution(table, 0.5) + 1e-3 * random_field(table.grid, 2, rng)
     before = residual_check(table, NL, psi, 0.5)
-    polished, after = polish_residual(table, NL, psi, 0.5)
+    polish = polish_residual(table, NL, psi, 0.5)
+    polished, after = polish.psi, polish.residual
     assert before > 1e-4
     assert after < 1e-8
     assert np.isclose(residual_check(table, NL, polished, 0.5), after, rtol=1e-6)
@@ -104,7 +105,7 @@ def test_polish_does_not_stall_near_exact_solution():
         rng = np.random.default_rng(4)
         psi = plane_wave_solution(table, 0.5) + noise * random_field(table.grid, 2, rng)
         polish = polish_residual(table, NL, psi, 0.5)
-        polished, after = polish
+        polished, after = polish.psi, polish.residual
         assert after < 1e-12
         assert polish.steps >= 2
         assert np.isclose(residual_check(table, NL, polished, 0.5), after, rtol=1e-6)

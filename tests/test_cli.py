@@ -123,6 +123,11 @@ def test_run_config_unknown_key(tmp_path, capsys):
     assert run_cli(["run", str(path)]) == 64
     err = capsys.readouterr().err
     assert "line 2" in err and "mystery" in err
+    # the branch process pool and its key are gone
+    path.write_text("[branch]\nworkers = 2\n")
+    assert run_cli(["run", str(path)]) == 64
+    err = capsys.readouterr().err
+    assert "line 2" in err and "workers" in err
 
 
 def test_run_config_power_out_of_range(tmp_path, capsys):

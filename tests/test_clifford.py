@@ -68,6 +68,12 @@ def test_clifford_mul_shape_errors():
         clifford_mul(rep, [1.0, 0.0, 0.0], np.zeros(2, dtype=complex))
     with pytest.raises(CliffordError):
         clifford_mul(rep, [1.0, 0.0], np.zeros(3, dtype=complex))
+    # batched vectors and spinors whose leading axes do not broadcast
+    for op in (clifford_mul, one_minus_x_mul):
+        with pytest.raises(CliffordError):
+            op(rep, np.zeros((5, 2)), np.zeros((4, 2), dtype=complex))
+        with pytest.raises(CliffordError):
+            op(rep, np.zeros((3, 5, 2)), np.zeros((5, 3, 2), dtype=complex))
 
 
 def test_one_minus_x_example():
@@ -99,6 +105,21 @@ def test_isometry_properties(m):
         worst_norm = max(worst_norm, abs(lhs - rhs) / rhs)
     assert worst_iso < 1e-12
     assert worst_norm < 1e-12
+    # the batched action on (P, m) points equals the per-vector one
+    xs = rng.standard_normal((40, m))
+    ss = rng.standard_normal((40, rep.N)) + 1j * rng.standard_normal((40, rep.N))
+    mats = [sum(x[j] * rep.gamma[j] for j in range(m)) for x in xs]
+    direct = np.array([mat @ s for mat, s in zip(mats, ss)])
+    assert np.abs(clifford_mul(rep, xs, ss) - direct).max() < 1e-13
+    assert np.abs(one_minus_x_mul(rep, xs, ss) - (ss - direct)).max() < 1e-13
+    for op in (clifford_mul, one_minus_x_mul):
+        batched = op(rep, xs, ss)
+        assert batched.shape == ss.shape
+        per_vector = np.array([op(rep, x, s) for x, s in zip(xs, ss)])
+        assert np.abs(batched - per_vector).max() < 1e-14
+        # one spinor against many points broadcasts the same way
+        per_point = np.array([op(rep, x, ss[0]) for x in xs])
+        assert np.abs(op(rep, xs, ss[0]) - per_point).max() < 1e-14
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])

@@ -121,6 +121,9 @@ def test_l2_mass_ratio_near_4pi(sweep_table):
     rec = energy_report(sweep_table, sp, psi, params=params)
     ratio = rec["l2_sq"] / (0.05 * abs(np.log(0.05)))
     assert abs(ratio - 4.0 * np.pi) / (4.0 * np.pi) < 0.1
+    # the field's stored profile and one rebuilt from equal params agree
+    assert energy_report(sweep_table, sp, psi) == rec
+    assert energy_report(sweep_table, sp, psi, params=TestSpinorParams(eps=0.05)) == rec
 
 
 def test_l2star_mass_invariance(sweep_table):

@@ -19,7 +19,6 @@ from diractorus.variational import (
     j_lambda,
     kernel_basis,
     m_lambda,
-    mu_lambda,
     nehari_project,
     nehari_second_order,
     nu_lambda_k,
@@ -177,7 +176,7 @@ def test_T_prime(table, sp1, basis1):
 
 def test_mu_lambda_plane_wave(table, sp05):
     phi = unit_plane_wave(table, sp05)
-    fib = mu_lambda(sp05, NL, phi)
+    fib = fiber_maximize(Functional(sp05, NL), phi)
     assert np.isclose(fib.t, np.pi, rtol=1e-7)
     assert np.isclose(fib.value, np.pi**2 / 4.0, rtol=1e-9)
     assert l2_norm(fib.chi0) < 1e-9
@@ -190,8 +189,8 @@ def test_mu_lambda_phase_equivariance(table, sp05):
     raw = project(sp05, random_field(table.grid, 2, rng), "plus")
     phi = (1.0 / norm_lambda(sp05, raw)) * raw
     zeta = np.exp(0.7j)
-    fib = mu_lambda(sp05, NL, phi)
-    fib2 = mu_lambda(sp05, NL, zeta * phi)
+    fib = fiber_maximize(Functional(sp05, NL), phi)
+    fib2 = fiber_maximize(Functional(sp05, NL), zeta * phi)
     assert abs(fib.value - fib2.value) < 1e-8 * max(1.0, abs(fib.value))
     assert l2_norm(fib2.psi - zeta * fib.psi) < 1e-5 * l2_norm(fib.psi)
 
@@ -200,7 +199,7 @@ def test_mu_global_max_over_fiber_samples(table, sp05):
     rng = np.random.default_rng(6)
     raw = project(sp05, random_field(table.grid, 2, rng), "plus")
     phi = (1.0 / norm_lambda(sp05, raw)) * raw
-    fib = mu_lambda(sp05, NL, phi)
+    fib = fiber_maximize(Functional(sp05, NL), phi)
     coords = SubspaceCoords(sp05, sp05.zero | sp05.minus)
     for _ in range(50):
         t = fib.t * (0.2 + 2.0 * rng.random())
@@ -215,7 +214,7 @@ def test_mu_value_positive_lower_bound(table, sp05):
     for _ in range(5):
         raw = project(sp05, random_field(table.grid, 2, rng), "plus")
         phi = (1.0 / norm_lambda(sp05, raw)) * raw
-        fib = mu_lambda(sp05, NL, phi)
+        fib = fiber_maximize(Functional(sp05, NL), phi)
         ray_max = max(L_lambda(sp05, NL, t * phi) for t in np.linspace(0.05, 3 * fib.t, 60))
         assert fib.value >= ray_max - 1e-9
         assert fib.value > 0
@@ -340,7 +339,7 @@ def test_r_lambda_plane_wave(table, sp05):
 def test_nu_matches_mu_at_lambda_k(table, sp1):
     phi = unit_plane_wave(table, sp1, k=(1, 1))
     fib_nu = nu_lambda_k(sp1, NL, phi, 1.0, n_starts=3)
-    fib_mu = mu_lambda(sp1, NL, phi)
+    fib_mu = fiber_maximize(Functional(sp1, NL), phi)
     assert abs(fib_nu.value - fib_mu.value) < 1e-8
     assert fib_nu.unique_confident
 
@@ -383,7 +382,7 @@ def test_degenerate_fiber_error(table, sp05):
     from diractorus.variational import SolverFailure
 
     with pytest.raises(SolverFailure):
-        mu_lambda(sp05, NL, zero_field(table.grid, 2))
+        fiber_maximize(Functional(sp05, NL), zero_field(table.grid, 2))
 
 
 def test_k_inequality_lemma(table, sp05):
