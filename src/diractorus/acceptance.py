@@ -294,7 +294,10 @@ def criterion_6(ctx=None):
         pt.residual_l2,
         0.0,
         1e-8,
-        {k: pt.diagnostics[k] for k in ("residual_pre_polish", "polish_steps")},
+        {
+            k: pt.diagnostics[k]
+            for k in ("residual_pre_polish", "polish_steps", "residual_in_band", "residual_spill")
+        },
     )
     return [rec_a, rec_b, rec_c]
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .nonlinearity import check_hypotheses, critical_exponent, make_nonlinearity
 from .spectral import norm_lambda, omega_sphere, project, split as make_split
-from .torus import SpinorField, analyze, l2_norm, pointwise_modulus, synthesize
+from .torus import SpinorField, l2_norm, pointwise_modulus
 from .variational import (
     Functional,
     L_lambda,
@@ -79,28 +79,22 @@ def multiplicity_count(table, lam, nu=None):
     return int(table.multiplicity[mask].sum())
 
 
-def _band_index(grid):
-    n = grid.n_grid
-    return tuple((grid.modes[:, j] % n) for j in range(grid.m))
-
-
 def _strong_residual(table, nl, psi, lam):
-    """Strong-form residual on the full collocation cube.
+    """In-band and out-of-band L^2 norms of the strong-form residual, from one FFT of g(|psi|) psi.
 
-    Returns ``(norm, r_cube, values, modulus, coef)`` with ``coef`` =
-    |psi|^(2*-2) + f(|psi|).  The linear part lives on the cutoff band; the
-    pointwise nonlinearity is transformed on the whole cube, so out-of-band
-    spill is part of the residual.
+    The in-band part is (D - lam) psi minus the band part of g(|psi|) psi: the
+    Galerkin gradient, the L^2 representative of L_lam'(psi) on the cutoff
+    space, which the solvers drive to zero.  The spill is the part of
+    g(|psi|) psi outside the band: fixed by psi, it estimates the truncation
+    error.
     """
     grid = psi.grid
-    n = grid.n_grid
     v = psi.values()
-    s = pointwise_modulus(v)
-    coef = nl.g(s)
-    r_cube = -np.fft.fftn(coef[..., None] * v, axes=tuple(range(grid.m))) / (n**grid.m)
-    r_cube[_band_index(grid)] += table.from_eigen((table.eigenvalues - lam) * table.to_eigen(psi.coeffs))
-    norm = float(np.sqrt(grid.volume * (np.abs(r_cube) ** 2).sum()))
-    return norm, r_cube, v, s, coef
+    cube = np.fft.fftn(nl.g(pointwise_modulus(v))[..., None] * v, axes=tuple(range(grid.m))) / (grid.n_grid**grid.m)
+    idx = tuple(grid.modes[:, j] % grid.n_grid for j in range(grid.m))
+    in_band = table.from_eigen((table.eigenvalues - lam) * table.to_eigen(psi.coeffs)) - cube[idx]
+    cube[idx] = 0.0
+    return tuple(float(np.sqrt(grid.volume * (np.abs(r) ** 2).sum())) for r in (in_band, cube))
 
 
 def residual_check(table, nl, psi, lam):
@@ -111,7 +105,7 @@ def residual_check(table, nl, psi, lam):
     toward the residual (polynomial nonlinearities are exact for
     n_grid > (2* - 1) K + K).
     """
-    return _strong_residual(table, nl, psi, lam)[0]
+    return float(np.hypot(*_strong_residual(table, nl, psi, lam)))
 
 
 @dataclass(frozen=True)
@@ -120,81 +114,89 @@ class Polish:
 
     psi: SpinorField
     residual: float
-    steps: int  # Gauss-Newton steps kept
+    steps: int  # Newton steps kept
 
 
 def polish_residual(table, nl, psi, lam):
-    """Gauss-Newton polish of a near-solution on the strong-form residual.
+    """Newton polish of a near-solution on the Galerkin problem.
 
-    Each step solves the linearized least-squares problem min ||J d + r||_2
-    with 20 LSMR iterations, where J is the exact Jacobian of the
-    ``residual_check`` residual, applied as a linear operator (forward map and
-    adjoint, one FFT pair each).  The step is right-preconditioned by
+    Newton runs on the in-band residual, the ``rep`` of L_lam' on the cutoff
+    space, whose zeros are the Galerkin critical points the solvers find.
+    Each step solves L''(psi) d = -L'(psi) with MINRES on the Hessian-vector
+    product ``Evaluation.hvp`` to relative tolerance 1e-4, preconditioned by
     1/(|sigma - lam| + 1) in the eigenbasis, the lambda metric of the solvers.
-    A step is kept when it lowers the residual, and the polish goes on while
-    each step at least halves it (at most 20 steps).  The residual
-    lives on the full collocation cube, so truncation spill is part of the
-    objective and cannot be gamed away: where the spill dominates, the polish
-    ends at that floor.
+    A step is kept when it lowers the in-band norm, and the polish goes on
+    while each step at least halves it, until that norm is at rounding level
+    1e-12 max(1, ||(D - lam) psi||) (at most 20 steps).  The out-of-band
+    spill is left alone, so the polish does not trade the Galerkin critical
+    point for a smaller full residual; ``residual`` is the full
+    ``residual_check`` value.
     """
-    from scipy.sparse.linalg import LinearOperator, lsmr
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import LinearOperator, minres
 
     from .variational import _pack, _unpack
 
-    grid = psi.grid
-    n = grid.n_grid
-    axes = tuple(range(grid.m))
-    idx = _band_index(grid)
-    ts = critical_exponent(grid.m)
-    shift = table.eigenvalues - lam
-    weight = 1.0 / (np.abs(shift) + 1.0)
-    shape = psi.coeffs.shape
-    cube_shape = (n,) * grid.m + shape[1:]
-    floor = 1e-30
+    fn = Functional(make_split(table, lam), nl, lam)
+    shape, size = psi.coeffs.shape, 2 * psi.coeffs.size
+    precond = diags(np.tile(1.0 / (np.abs(fn.shift.ravel()) + 1.0), 2))
 
-    def jacobian(v, s, coef):
-        """J in preconditioned eigen coordinates d = weight * y, as a real operator."""
-        ss = np.maximum(s, floor)
-        gp = (ts - 2.0) * ss ** (ts - 3.0)
-        if not nl.is_zero():
-            h = 1e-7 * np.maximum(ss, 1e-3)
-            gp = gp + (nl.f(ss + h) - nl.f(np.maximum(ss - h, 0.0))) / (2.0 * h)
-        radial = gp / ss
+    def norm(r):
+        return float(np.sqrt(psi.grid.volume * (np.abs(r) ** 2).sum()))
 
-        def linearized(dv):
-            beta = (v.conj() * dv).sum(axis=-1).real
-            return coef[..., None] * dv + (radial * beta)[..., None] * v
-
-        def matvec(x):
-            y = weight * _unpack(x).reshape(shape)
-            dv = synthesize(grid, table.from_eigen(y))
-            out = -np.fft.fftn(linearized(dv), axes=axes) / (n**grid.m)
-            out[idx] += table.from_eigen(shift * y)
-            return _pack(out.ravel())
-
-        def rmatvec(x):
-            rho = _unpack(x).reshape(cube_shape)
-            back = analyze(grid, linearized(np.fft.ifftn(rho, axes=axes) * (n**grid.m)))
-            return _pack((weight * (shift * table.to_eigen(rho[idx]) - table.to_eigen(back))).ravel())
-
-        return LinearOperator((2 * v.size, 2 * psi.coeffs.size), matvec=matvec, rmatvec=rmatvec, dtype=float)
-
-    resid, r_cube, v, s, coef = _strong_residual(table, nl, psi, lam)
-    steps = 0
-    while steps < 20:
-        y = lsmr(jacobian(v, s, coef), -_pack(r_cube.ravel()), maxiter=20)[0]
-        if not np.isfinite(y).all():
+    ev = fn.at_field(psi)
+    hess = LinearOperator(  # the Hessian at the current iterate ``ev``
+        (size, size), matvec=lambda x: _pack(ev.hvp(_unpack(x).reshape(shape)).ravel()), dtype=float
+    )
+    resid, steps = norm(ev.rep), 0
+    while steps < 20 and resid > 1e-12 * max(1.0, norm(ev.lin)):
+        d = minres(hess, -_pack(ev.rep.ravel()), M=precond, rtol=1e-4)[0]
+        if not np.isfinite(d).all():
             break
-        trial = SpinorField(grid, psi.coeffs + table.from_eigen(weight * _unpack(y).reshape(shape)))
-        state = _strong_residual(table, nl, trial, lam)
-        if not state[0] < resid:
+        trial = SpinorField(psi.grid, psi.coeffs + table.from_eigen(_unpack(d).reshape(shape)))
+        trial_ev = fn.at_field(trial)
+        trial_resid = norm(trial_ev.rep)
+        if not trial_resid < resid:
             break
-        halved = state[0] <= 0.5 * resid
-        psi, steps = trial, steps + 1
-        resid, r_cube, v, s, coef = state
+        halved = trial_resid <= 0.5 * resid
+        psi, ev, resid, steps = trial, trial_ev, trial_resid, steps + 1
         if not halved:
             break
-    return Polish(psi, resid, steps)
+    return Polish(psi, residual_check(table, nl, psi, lam), steps)
+
+
+def _solved_point(split, nl, psi, lam, value, residual_tol, level, k=None, flags=(), **diagnostics):
+    """Polish a solved field and report it; raises GuardViolationError at or above gamma_crit.
+
+    ``value`` is the solver's energy at ``psi``, kept as ``value_pre_polish``
+    and re-evaluated only when the polish moves psi.  Any of the solver's own
+    ``flags`` rejects the point.
+    """
+    table = split.table
+    resid_pre = residual_check(table, nl, psi, lam)
+    polish = polish_residual(table, nl, psi, lam)
+    energy = L_lambda(split, nl, polish.psi, lam) if polish.steps else value
+    in_band, spill = _strong_residual(table, nl, polish.psi, lam)
+    resid = polish.residual
+    below = bool(energy < gamma_crit(table.m))
+    point = BranchPoint(
+        lam=float(lam),
+        level=level,
+        k=k,
+        energy=float(energy),
+        residual_l2=float(resid),
+        below_gamma_crit=below,
+        accepted=bool(below and resid <= residual_tol and not flags),
+        psi=polish.psi,
+        diagnostics=dict(diagnostics, value_pre_polish=float(value), residual_pre_polish=float(resid_pre),
+                         polish_steps=polish.steps, residual_in_band=in_band, residual_spill=spill),
+        flags=list(flags) + ([] if resid <= residual_tol else ["resolution-limited-residual"]),
+    )
+    if not below:
+        raise GuardViolationError(
+            f"{level} energy {energy:.6f} >= gamma_crit {gamma_crit(table.m):.6f}", point=point
+        )
+    return point
 
 
 @dataclass
@@ -412,42 +414,22 @@ def minimize_M(
     psi_sol = fiber.psi
     if fn.basis is not None:
         psi_sol = psi_sol - t_lambda(split, psi_sol, basis=fn.basis)
-    resid = residual_check(table, nl, psi_sol, lam)
-    value_pre_polish, resid_pre_polish, polish_steps = value, resid, 0
-    if resid < 1e-2:
-        polish = polish_residual(table, nl, psi_sol, lam)
-        psi_sol, resid, polish_steps = polish.psi, polish.residual, polish.steps
-        value = L_lambda(split, nl, psi_sol, lam)
-    below = bool(value < gamma_crit(table.m))
-    diagnostics = {
-        "init": start_name,
-        "init_value": float(start_value),
-        "candidate_values": {name: float(v) for v, name, _ in scored},
-        "outer": info,
-        "fiber_grad_norm": fiber.grad_norm,
-        "t": fiber.t,
-        "kernel_dim": split.kernel_dim,
-        "value_pre_polish": float(value_pre_polish),
-        "residual_pre_polish": float(resid_pre_polish),
-        "polish_steps": polish_steps,
-    }
-    point = BranchPoint(
-        lam=float(lam),
-        level="least",
-        k=None,
-        energy=float(value),
-        residual_l2=float(resid),
-        below_gamma_crit=below,
-        accepted=bool(below and resid <= residual_tol),
-        psi=psi_sol,
-        diagnostics=diagnostics,
-        flags=[] if resid <= residual_tol else ["resolution-limited-residual"],
+    return _solved_point(
+        split,
+        nl,
+        psi_sol,
+        lam,
+        value,
+        residual_tol,
+        "least",
+        init=start_name,
+        init_value=float(start_value),
+        candidate_values={name: float(v) for v, name, _ in scored},
+        outer=info,
+        fiber_grad_norm=fiber.grad_norm,
+        t=fiber.t,
+        kernel_dim=split.kernel_dim,
     )
-    if not below:
-        raise GuardViolationError(
-            f"energy {value:.6f} >= gamma_crit {gamma_crit(table.m):.6f}", point=point
-        )
-    return point
 
 
 def second_solution(
@@ -496,39 +478,21 @@ def second_solution(
     )
     if not confirmed.unique_confident:
         flags.append("non-unique-fiber-maximizer")
-    value = confirmed.value
-    psi_sol = confirmed.psi
-    resid = residual_check(table, nl, psi_sol, lam)
-    resid_pre_polish, polish_steps = resid, 0
-    if resid < 1e-2:
-        polish = polish_residual(table, nl, psi_sol, lam)
-        psi_sol, resid, polish_steps = polish.psi, polish.residual, polish.steps
-        value = L_lambda(split_k, nl, psi_sol, lam)
-    below = bool(value < gamma_crit(table.m))
-    point = BranchPoint(
-        lam=lam,
-        level="second",
+    return _solved_point(
+        split_k,
+        nl,
+        confirmed.psi,
+        lam,
+        confirmed.value,
+        residual_tol,
+        "second",
         k=int(k),
-        energy=float(value),
-        residual_l2=float(resid),
-        below_gamma_crit=below,
-        accepted=bool(below and resid <= residual_tol and not flags),
-        psi=psi_sol,
-        diagnostics={
-            "outer": info,
-            "phi_mass": float(mass),
-            "sigma": float(sigma),
-            "lambda_k": float(lam_k),
-            "residual_pre_polish": float(resid_pre_polish),
-            "polish_steps": polish_steps,
-        },
-        flags=flags if resid <= residual_tol else flags + ["resolution-limited-residual"],
+        flags=flags,
+        outer=info,
+        phi_mass=float(mass),
+        sigma=float(sigma),
+        lambda_k=float(lam_k),
     )
-    if not below:
-        raise GuardViolationError(
-            f"second-solution energy {value:.6f} >= gamma_crit", point=point
-        )
-    return point
 
 
 def _nearest_eigenvalue(table, lam, tol=1e-9):

@@ -57,6 +57,15 @@ class Nonlinearity:
         s = np.asarray(s, dtype=float)
         return self._f(s) + s ** (self.two_star - 2.0)
 
+    def g_prime(self, s):
+        """g'(s): the critical part exactly, plus f'(s) by a central difference."""
+        s = np.asarray(s, dtype=float)
+        out = (self.two_star - 2.0) * s ** (self.two_star - 3.0)
+        if not self.is_zero():
+            h = 1e-7 * np.maximum(s, 1e-3)
+            out = out + (self._f(s + h) - self._f(np.maximum(s - h, 0.0))) / (2.0 * h)
+        return out
+
     def G(self, s):
         """Full primitive G(s) = F(s) + s^(2*)/2*."""
         s = np.asarray(s, dtype=float)

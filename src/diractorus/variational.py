@@ -13,7 +13,11 @@ quadratic part, the nonlinear mass and the L^2 representatives of both, all
 in eigen coordinates.  The lambda-metric gradient is the L^2 representative
 divided by the split weights |sigma - lambda| (weight one on the kernel
 block).  The fiber maximum, M, J and the Rayleigh quotients R and S are all
-built on this one evaluation.
+built on this one evaluation.  Its second variation is written once, as the
+pointwise K''(u)[dv] of ``Evaluation.second``.  The Hessian-vector product
+``Evaluation.hvp`` (one synthesize and one analyze per product), which the
+residual polish solves with, the second derivative of F_lam and the
+right-hand side of T' are all built on it.
 
 At spectral parameters with f = 0 the functional is T-reduced: u = psi - T(psi),
 where T is the nonlinear best approximation onto ker(D - lam) in the L^{2*}
@@ -73,6 +77,8 @@ def _unpack(x):
 # ---------------------------------------------------------------------------
 # The energy functional
 
+_FLOOR = 1e-14  # modulus floor of the second variation's weights
+
 
 class Evaluation:
     """The functional at one point, everything in eigen coordinates.
@@ -82,7 +88,8 @@ class Evaluation:
     ``lin`` = (D - lam) psi and ``nonlin`` = the band projection of g(|u|) u.
     ``nonlin`` holds the one analyze and is computed on first use, so a
     value-only caller never pays for it.  ``u`` holds the collocation values
-    of u and ``modulus`` their pointwise modulus |u|.
+    of u and ``modulus`` their pointwise modulus |u|.  ``second`` and ``hvp``
+    give the second variation at u = psi (with T-reduction, T' is left out).
     """
 
     def __init__(self, fn, quadratic, mass, lin, u, modulus):
@@ -111,6 +118,24 @@ class Evaluation:
     def grad(self):
         """lambda-metric Riesz representative of L'(psi)."""
         return self.rep / self._fn.split.w2
+
+    @cached_property
+    def _second_weights(self):
+        s = np.maximum(self.modulus, _FLOOR)
+        nl = self._fn.nl
+        return nl.g(s)[..., None], (nl.g_prime(s) / s)[..., None]
+
+    def second(self, dv):
+        """K''(u)[dv] = g(|u|) dv + (g'(|u|)/|u|) Re<u, dv> u on collocation values shaped like u."""
+        g, radial = self._second_weights
+        beta = (self.u.real * dv.real + self.u.imag * dv.imag).sum(axis=-1, keepdims=True)
+        return g * dv + radial * beta * self.u
+
+    def hvp(self, d):
+        """L^2 representative of L''(psi)[d] in eigen coordinates: one synthesize, one analyze."""
+        fn = self._fn
+        table, grid = fn.split.table, fn.split.grid
+        return fn.shift * d - table.to_eigen(analyze(grid, self.second(synthesize(grid, table.from_eigen(d)))))
 
 
 class Functional:
@@ -329,31 +354,25 @@ class _FJet:
     """F_lam(psi) = (1/2*) |psi - T(psi)|_{2*}^{2*} and its first two derivatives at one psi.
 
     T(psi) and u = psi - T(psi) come from one T Newton; the kernel Hessian
-    that T' solves with is built on first use.  Fields are flat (points, N).
+    that T' solves with is built on first use.  The second variation of the
+    mass at u is the evaluation's ``second``.
     """
 
     def __init__(self, split, psi, basis=None):
         fn = _critical(split, basis)
         self.split, self.basis, self.ev = split, fn.basis, fn.at_field(psi)
         self.ts = critical_exponent(split.grid.m)
-        self.u = self.ev.u.reshape(-1, psi.N)
-        s = np.maximum(self.ev.modulus.reshape(-1), 1e-14)
-        self.w1, self.w2 = s ** (self.ts - 2.0), (self.ts - 2.0) * s ** (self.ts - 4.0)
 
     @cached_property
     def _hessian(self):
-        H = _kernel_hessian(self.basis, self.u, self.ts, self.split.grid.cell)[1]
+        H = _kernel_hessian(self.basis, self.ev.u.reshape(-1, self.ev.u.shape[-1]), self.ts, self.split.grid.cell)[1]
         return H + 1e-13 * np.eye(H.shape[0]) * max(H.diagonal().max(), 1.0)
 
     def t_prime_coords(self, chi_values):
         """Kernel coordinates of T'(psi)[chi], solving the linearized optimality system."""
-        u = self.u
-        cv = chi_values.reshape(u.shape)
-        # rhs_a = bilinear(e_a, chi), packed in the Hessian's real block convention
-        pch = np.einsum("apc,pc->ap", self.basis.flat.conj(), cv)
-        ru = np.einsum("apc,pc->ap", self.basis.flat.conj(), u)
-        rchi = (cv.conj() * u).sum(axis=-1).real
-        rhs = self.ts * self.split.grid.cell * (self.w1 * pch + self.w2 * ru * rchi).sum(axis=1)
+        flat = self.basis.flat
+        k = self.ev.second(chi_values).reshape(flat.shape[1:])
+        rhs = self.ts * self.split.grid.cell * np.einsum("apc,pc->a", flat.conj(), k)
         return _unpack(np.linalg.solve(self._hessian, _pack(rhs)))
 
     def first(self, phi):
@@ -363,16 +382,10 @@ class _FJet:
 
     def second(self, phi, chi):
         """F''(psi)[phi, chi] including the T' correction."""
-        u = self.u
-        du = chi.values().reshape(u.shape)
+        du = chi.values()
         if self.basis.dim:
-            du = du - np.tensordot(self.t_prime_coords(du), self.basis.flat, axes=(0, 0))
-        pv = phi.values().reshape(u.shape)
-
-        def dot(x, y):
-            return (x * y.conj()).sum(axis=-1).real
-
-        return float(self.split.grid.cell * (self.w1 * dot(du, pv) + self.w2 * dot(u, du) * dot(u, pv)).sum())
+            du = du - np.tensordot(self.t_prime_coords(du), self.basis.values, axes=(0, 0))
+        return float(self.split.grid.cell * (phi.values().conj() * self.ev.second(du)).real.sum())
 
 
 def t_prime(split, psi, chi, basis=None):

@@ -13,6 +13,8 @@ checks are expected to be red and are asserted faithfully anyway:
   with the cutoff (at lambda = 0.2 they cross pi between K = 64 and K = 96).
 """
 
+import math
+
 import pytest
 
 from diractorus.acceptance import (
@@ -92,7 +94,11 @@ def test_criterion_5_omega_identity():
 
 
 def test_criterion_6_closed_form_anchor(branch_ctx):
-    _check(criterion_6(branch_ctx))
+    records = criterion_6(branch_ctx)
+    _check(records)
+    resid = records[2]
+    split_norms = (resid["details"]["residual_in_band"], resid["details"]["residual_spill"])
+    assert math.isclose(math.hypot(*split_norms), resid["measured"], rel_tol=1e-12)
 
 
 def test_criterion_7_positive(records_7):

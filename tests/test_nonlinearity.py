@@ -84,3 +84,14 @@ def test_f5_growth_rate_power_m2():
     y = np.log(vals) + np.log(big_l)
     slope = np.polyfit(np.log(1.0 / rhos), y, 1)[0]
     assert abs(slope - 0.5) < 0.05
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("kind", ["zero", "power", "log-critical"])
+def test_g_prime_matches_differences_of_g(kind, m):
+    p = 0.5 * (2.0 + critical_exponent(m))
+    nl = make_nonlinearity(kind, m, alpha=0.7, p=p, q=1.0)
+    s = np.geomspace(1e-2, 1e2, 41)
+    h = 1e-5 * s
+    fd = (nl.g(s + h) - nl.g(s - h)) / (2.0 * h)
+    assert np.allclose(nl.g_prime(s), fd, rtol=1e-6, atol=0.0)

@@ -483,6 +483,23 @@ def test_functional_gradients_fd(table, sp05, sp1, case):
     assert worst < 1e-6
 
 
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("kind", ["bnd", "power", "log-critical"])
+def test_hvp_matches_gradient_differences(table, sp05, sp1, kind, frozen):
+    # frozen: split at lambda_k = 1, functional at lambda = 0.95 (second solutions)
+    nl = make_nonlinearity(kind, 2, alpha=0.8, p=3.0, q=1.0)
+    fn = Functional(sp1, nl, 0.95) if frozen else Functional(sp05, nl)
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    for _ in range(5):
+        a = table.to_eigen(random_field(table.grid, 2, rng, scale=0.6).coeffs)
+        d = table.to_eigen(random_field(table.grid, 2, rng, scale=0.6).coeffs)
+        h = 1e-5
+        fd = (fn(a + h * d).rep - fn(a - h * d).rep) / (2.0 * h)
+        worst = max(worst, np.linalg.norm(fn(a).hvp(d) - fd) / max(1.0, np.linalg.norm(fd)))
+    assert worst < 1e-7
+
+
 @pytest.mark.parametrize("reduced", [False, True])
 def test_one_evaluation_is_one_synthesize_and_one_analyze(monkeypatch, table, sp1, basis1, reduced):
     import diractorus.torus as torus
