@@ -343,7 +343,7 @@ def criterion_7(ctx=None):
     ok = kp.energy is not None and kp.energy < np.pi and kp.diagnostics.get("kernel_dim", 0) > 0
     rec_e = _record(
         7,
-        "lambda = 1 kernel-point run completes with T active, energy < pi",
+        "lambda = 1 kernel-point run completes with kernel_dim > 0, energy < pi",
         ok,
         kp.energy,
         float(np.pi),
@@ -504,7 +504,7 @@ def criterion_11():
     # envelope derivative of J along rays
     worst = 0.0
     prob_split = split(table, 0.5)
-    fn = Functional.for_split(prob_split, nl)
+    fn = Functional(prob_split, nl)
     for _ in range(100):
         raw = random_field(table.grid, 2, rng, decay=1.2)
         phi = project(prob_split, raw, "plus")

@@ -12,8 +12,8 @@ plane-wave directions on the lowest positive shells (closed-form critical
 points of the pure-power problem on the torus), a cheap ray-quotient
 optimized direction, and the normalized positive part of a concentrated test
 spinor.  Candidates are shortlisted by their ray value before the expensive
-fiber solves.  At spectral parameters the kernel projector T is switched in
-and the minimization runs on the kernel-reduced functional.
+fiber solves.  At every lambda the fibers keep E^0 in their inner space:
+L_T(psi) = max_c L(psi - sum_a c_a e_a) at an eigenvalue with f = 0.
 
 Second solutions near an eigenvalue lambda_k minimize the frozen-fiber
 functional N over the sphere of E^+ at lambda_k with the L^2 mass constraint
@@ -38,7 +38,6 @@ from .variational import (
     fiber_maximize,
     nu_lambda_k,
     sphere_minimize,
-    t_lambda,
 )
 
 
@@ -357,7 +356,7 @@ def minimize_M(
     lam = split.lam
     if lam <= 0:
         _lambda_nonpositive_gate(nl)
-    fn = Functional.for_split(split, nl)
+    fn = Functional(split, nl)
 
     candidates = []
     if isinstance(init, SpinorField):
@@ -381,8 +380,7 @@ def minimize_M(
 
     # Cheap shortlist by the ray value (a lower proxy for the fiber value),
     # then full fiber solves on the remaining few.
-    unreduced = Functional(split, nl)
-    ranked = sorted(candidates, key=lambda item: _ray_max(unreduced, table.to_eigen(item[1].coeffs))[1])
+    ranked = sorted(candidates, key=lambda item: _ray_max(fn, table.to_eigen(item[1].coeffs))[1])
     shortlist = ranked[:2]
     if candidates and candidates[0][0] == "warm" and all(n != "warm" for n, _ in shortlist):
         shortlist.append(candidates[0])
@@ -411,13 +409,10 @@ def minimize_M(
         info = dict(info, fell_back=True)
         value, fiber, _ = sphere_minimize(fn, phi0, gtol=outer_gtol, maxiter=0, fiber_gtol=fiber_gtol)
 
-    psi_sol = fiber.psi
-    if fn.basis is not None:
-        psi_sol = psi_sol - t_lambda(split, psi_sol, basis=fn.basis)
     return _solved_point(
         split,
         nl,
-        psi_sol,
+        fiber.psi,
         lam,
         value,
         residual_tol,

@@ -19,13 +19,16 @@ pointwise K''(u)[dv] of ``Evaluation.second``.  The Hessian-vector product
 residual polish solves with, the second derivative of F_lam and the
 right-hand side of T' are all built on it.
 
-At spectral parameters with f = 0 the functional is T-reduced: u = psi - T(psi),
-where T is the nonlinear best approximation onto ker(D - lam) in the L^{2*}
-norm.  The reduced energy is invariant under kernel shifts, so its inner
-maximizations run over E^- only; without T-reduction they run over E^0 + E^-.
-T is a damped Newton on the kernel coordinates, warm-started from the
-functional's previous T; it builds u and |u| once per iterate and hands the
-final u to the evaluation.
+The solvers run on this unreduced L at every lambda, with inner space
+E^0 + E^-.  At an eigenvalue with f = 0, q is blind to kernel shifts and T,
+the L^{2*}-best approximation onto ker(D - lam), picks the closest kernel
+field, so the paper's reduced energy is L_T(psi) = q(psi) -
+(1/2*)|psi - T(psi)|_{2*}^{2*} = max_c L(psi - sum_a c_a e_a): its fiber
+maximum over E^- is L's over E^0 + E^- (Szulkin-Weth, E^0 non-positive), and
+the kernel part of L's maximizer is -T of the rest.  The T-reduced functional
+(given a kernel basis: u = psi - T(psi), inner space E^- only) stays for
+F_lam, T', R and S, which criteria 9 and 11 measure.  T is a damped Newton
+on the kernel coordinates, warm-started from the functional's previous T.
 
 Solvers use lambda-orthonormal coordinates on masked eigen entries, so the
 Euclidean geometry handed to the quasi-Newton loops coincides with the
@@ -35,9 +38,8 @@ critical point with t > 0 is the global maximum, and evenness of L maps a
 run that crosses t = 0 back from the mirror maximizer.  A cold ascent starts
 at the maximum of the ray t phi, found from one evaluation at phi: the
 quadratic part scales as t^2 and u(t phi) = t u(phi) because T is positively
-homogeneous, so L(t phi) = t^2 q(phi) - int G(t |u(phi)|).  The T Newton is
-then left warm at t T(phi), the exact T of the ascent's first point.  The
-Nehari projection of an E^+ direction is the scale of its fiber maximum.
+homogeneous, so L(t phi) = t^2 q(phi) - int G(t |u(phi)|).  The Nehari
+projection of an E^+ direction is the scale of its fiber maximum.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ class Functional:
     split's weights).  Given the split's kernel basis, the mass is taken at
     u = psi - T(psi) and ``inner``, the coordinates that fiber and J
     maximizations run over, is E^- only; otherwise u = psi and ``inner`` is
-    E^0 + E^-.
+    E^0 + E^-, the form every solver uses (see the module docstring).
     """
 
     def __init__(self, split, nl, lam=None, basis=None):
@@ -160,12 +162,6 @@ class Functional:
         self.shift = split.table.eigenvalues - self.lam
         self.inner = SubspaceCoords(split, split.minus if basis is not None else split.zero | split.minus)
         self._t_warm = None  # kernel coordinates of the last T, the next Newton start
-
-    @classmethod
-    def for_split(cls, split, nl):
-        """The solvers' functional at the split's lambda: T-reduced exactly at an eigenvalue with f = 0."""
-        reduced = split.kernel_dim > 0 and nl.is_zero()
-        return cls(split, nl, basis=kernel_basis(split) if reduced else None)
 
     def __call__(self, a):
         """Evaluation at eigen coordinates ``a`` of shape (n_modes, N)."""
@@ -544,15 +540,9 @@ def _expand_bracket(f, maxiter=60):
 
 
 def _ray_max(fn, phi_e):
-    """Maximum of ``fn`` on the ray t phi_e, t > 0, from one evaluation; returns (t, value).
-
-    On a T-reduced functional the Newton warm start is left at
-    T(t phi) = t T(phi), so the ascent's first point starts converged.
-    """
+    """Maximum of ``fn`` on the ray t phi_e, t > 0, from one evaluation; returns (t, value)."""
     on_ray = fn.ray(phi_e)
     t = _golden_max(on_ray, 0.0, _expand_bracket(on_ray), tol=1e-6)
-    if fn._t_warm is not None:
-        fn._t_warm = t * fn._t_warm
     return t, on_ray(t)
 
 
@@ -659,7 +649,8 @@ def sphere_minimize(
     Quasi-Newton descent on the scale-invariant extension phi -> M(phi/||phi||)
     in lambda-orthonormal E^+ coordinates; fiber solves are warm-started from
     the previous iterate.  Returns (value, fiber_point, info); ``info`` holds
-    ``fiber_grad_max``, the largest final gradient norm of its fiber solves.
+    ``fiber_grad_max``, the largest final gradient norm of its fiber solves,
+    and ``fiber_evals``, the sum of their inner evaluations.
     """
     split = fn.split
     coords = SubspaceCoords(split, split.plus)
@@ -669,7 +660,7 @@ def sphere_minimize(
         raise SolverFailure("initial direction has no E^+ component")
     z0 = coords.from_field((1.0 / nrm0) * phi0)
     warm = {"t": None, "z": None}
-    last = {"fiber_grad_max": 0.0}
+    last = {"fiber_grad_max": 0.0, "fiber_evals": 0}
 
     def fun(x):
         z = _unpack(x)
@@ -679,6 +670,7 @@ def sphere_minimize(
         gz = _sphere_grad(fn, coords, fiber, zhat) / nrm
         last["fiber"] = fiber
         last["fiber_grad_max"] = max(last["fiber_grad_max"], fiber.grad_norm)
+        last["fiber_evals"] += fiber.inner_evals
         last["gnorm"] = float(np.linalg.norm(gz))
         return fiber.value, _pack(gz)
 
@@ -696,6 +688,7 @@ def sphere_minimize(
         "outer_evals": int(res.nfev),
         "tangent_grad_norm": last["gnorm"],
         "fiber_grad_max": last["fiber_grad_max"],
+        "fiber_evals": last["fiber_evals"],
         "converged": bool(last["gnorm"] <= 10.0 * gtol or res.success),
     }
     return float(value), last["fiber"], info
@@ -721,7 +714,7 @@ def _j_max(fn, phi_plus, z0=None, gtol=1e-10, maxiter=900):
 
 def eta_lambda(split, nl, phi_plus, gtol=1e-10):
     """The inner maximizer eta(phi^+) and the value J(phi^+)."""
-    fn = Functional.for_split(split, nl)
+    fn = Functional(split, nl)
     z, val, gnorm, evals = _j_max(fn, phi_plus, gtol=gtol)
     return fn.inner.to_field(z), float(val), {"grad_norm": gnorm, "inner_evals": evals}
 
@@ -749,7 +742,7 @@ def nehari_project(split, nl, phi):
     t-derivative is H(t phi) = 0, so t is that fiber's scale.  The returned
     field's lambda norm is t.
     """
-    fib = fiber_maximize(Functional.for_split(split, nl), project(split, phi, "plus"), gtol=1e-10)
+    fib = fiber_maximize(Functional(split, nl), project(split, phi, "plus"), gtol=1e-10)
     return fib.t * fib.phi
 
 
@@ -757,7 +750,7 @@ def nehari_second_order(split, nl, phi_bar, rel_step=1e-4):
     """t^2 j''(t) at the Nehari root (equals H'(phi)[phi] there), by central FD."""
     t_bar = norm_lambda(split, phi_bar)
     direction = (1.0 / t_bar) * phi_bar
-    fn = Functional.for_split(split, nl)
+    fn = Functional(split, nl)
     h = rel_step * t_bar
     z = np.zeros(fn.inner.dim, dtype=complex)
     sp, z, _ = h_lambda(fn, (t_bar + h) * direction, z0=z)

@@ -176,6 +176,31 @@ def test_minimize_M_power_nonlinearity_negative_lambda():
     assert "mass_ratio" not in pt.flags
 
 
+def test_minimize_M_at_an_eigenvalue_runs_no_kernel_newton(monkeypatch):
+    # The solver keeps E^0 in its inner space, so no evaluation solves for T.
+    import diractorus.variational as variational
+
+    calls = {"_kernel_coords": 0}
+    kernel_coords = variational._kernel_coords
+
+    def counted(*args, **kwargs):
+        calls["_kernel_coords"] += 1
+        return kernel_coords(*args, **kwargs)
+
+    monkeypatch.setattr(variational, "_kernel_coords", counted)
+    sp1 = split(assemble(2, 8), 1.0)
+    assert sp1.kernel_dim > 0
+    pt = minimize_M(sp1, NL, maxiter=40)
+    assert calls["_kernel_coords"] == 0
+    assert pt.energy < gamma_crit(2)
+
+
+def test_fiber_evals_are_reproducible():
+    sp = split(assemble(2, 8), 0.9)
+    counts = [minimize_M(sp, NL).diagnostics["outer"]["fiber_evals"] for _ in range(2)]
+    assert counts[0] == counts[1] > 0
+
+
 def test_second_solution_levels():
     table = assemble(2, 8)
     sp1 = split(table, 1.0)
