@@ -7,12 +7,10 @@ configured tolerance.  Energies above the threshold are reported as guard
 violations: the minimization certificate is meaningless there.
 
 The least-energy solve minimizes the reduced functional M over the unit
-sphere of E^+ starting from the best of three candidate families: exact
-plane-wave directions on the lowest positive shells (closed-form critical
-points of the pure-power problem on the torus), a cheap ray-quotient
-optimized direction, and the normalized positive part of a concentrated test
-spinor.  Candidates are shortlisted by their ray value before the expensive
-fiber solves.  At every lambda the fibers keep E^0 in their inner space:
+sphere of E^+ from one start: the caller's warm direction when given, else
+the minimizer of the ray quotient.  Plane waves are exact critical points of
+M on the torus, so a descent started on one never leaves it; no start is
+taken from them.  At every lambda the fibers keep E^0 in their inner space:
 L_T(psi) = max_c L(psi - sum_a c_a e_a) at an eigenvalue with f = 0.
 
 Second solutions near an eigenvalue lambda_k minimize the frozen-fiber
@@ -33,9 +31,7 @@ from .variational import (
     Functional,
     L_lambda,
     SolverFailure,
-    _ray_max,
     default_sigma,
-    fiber_maximize,
     nu_lambda_k,
     sphere_minimize,
 )
@@ -239,36 +235,6 @@ class SweepTable:
         return bad
 
 
-def plane_wave_direction(table, sp, shell=0):
-    """Unit E^+ direction of the first mode on the given positive shell."""
-    eigs = table.eigenvalues
-    shells = np.unique(np.round(eigs[sp.plus] ** 2, 9))
-    if shell >= shells.size:
-        raise SolverFailure(f"no positive shell index {shell} inside the cutoff")
-    target = shells[shell]
-    for mode_i in range(table.grid.n_modes):
-        for branch in range(table.N):
-            if sp.plus[mode_i, branch] and abs(eigs[mode_i, branch] ** 2 - target) < 1e-9:
-                a = np.zeros((table.grid.n_modes, table.N), dtype=complex)
-                a[mode_i, branch] = 1.0
-                phi = SpinorField(table.grid, table.from_eigen(a))
-                return (1.0 / norm_lambda(sp, phi)) * phi
-    raise SolverFailure("no plane-wave direction found")
-
-
-def test_spinor_direction(table, sp, eps=0.2):
-    """Normalized positive part of a concentrated cutoff spinor."""
-    from .testspinor import TestSpinorParams, build_test_spinor
-
-    params = TestSpinorParams(eps=eps)
-    psi = build_test_spinor(table.grid, table.rep, params)
-    plus = project(sp, psi, "plus")
-    nrm = norm_lambda(sp, plus)
-    if nrm <= 0:
-        raise SolverFailure("test spinor has no positive component")
-    return (1.0 / nrm) * plus
-
-
 def _ray_quotient(fn, a):
     """The ray quotient [<(D-lam)phi,phi>]^2 / (4 |phi|_{2*}^{2*}) at eigen coordinates a.
 
@@ -282,13 +248,15 @@ def _ray_quotient(fn, a):
     return alpha**2 / (4.0 * beta), rep / fn.split.w2
 
 
-def ray_opt_direction(table, sp, seed=1, maxiter=600):
+def ray_opt_direction(table, sp):
     """Direction minimizing the ray quotient (``_ray_quotient``).
 
     For the quartic critical term (m = 2, pure power) this is the exact
     maximum of the energy along the ray t phi, hence a pointwise lower bound
     for the fiber value M(phi); its minimizer is a cheap, strong initial
-    direction for the sphere descent (no inner solves needed).
+    direction for the sphere descent (no inner solves needed).  The L-BFGS
+    run starts from a fixed random E^+ vector, so the direction is
+    reproducible.
     """
     from scipy.optimize import minimize as _scipy_minimize
 
@@ -296,7 +264,7 @@ def ray_opt_direction(table, sp, seed=1, maxiter=600):
 
     fn = Functional(sp, make_nonlinearity("zero", table.m))
     coords = SubspaceCoords(sp, sp.plus)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1)
     z0 = rng.standard_normal(coords.dim) + 1j * rng.standard_normal(coords.dim)
     z0 = z0 / (1.0 + sp.w2[coords.idx] ** 2)
 
@@ -309,7 +277,7 @@ def ray_opt_direction(table, sp, seed=1, maxiter=600):
         _pack(z0),
         jac=True,
         method="L-BFGS-B",
-        options={"maxiter": maxiter, "gtol": 1e-10, "ftol": 1e-16},
+        options={"maxiter": 600, "gtol": 1e-10, "ftol": 1e-16},
     )
     z = _unpack(res.x)
     nrm = float(np.linalg.norm(z))
@@ -341,74 +309,34 @@ def _lambda_nonpositive_gate(nl):
 def minimize_M(
     split,
     nl,
-    init="auto",
+    init=None,
     outer_gtol=1e-7,
     fiber_gtol=1e-9,
     residual_tol=1e-6,
     maxiter=120,
-    test_eps=0.2,
 ):
-    """Least-energy solve at the split's lambda; returns an accepted BranchPoint.
+    """Least-energy solve at the split's lambda, descending from ``init`` or the ray-quotient direction.
 
-    Raises GuardViolationError when the converged energy reaches gamma_crit.
+    Returns the polished BranchPoint: accepted, or flagged when its residual
+    stays above ``residual_tol``.  Raises GuardViolationError when the
+    converged energy reaches gamma_crit.
     """
     table = split.table
     lam = split.lam
     if lam <= 0:
         _lambda_nonpositive_gate(nl)
-    fn = Functional(split, nl)
-
-    candidates = []
-    if isinstance(init, SpinorField):
-        candidates.append(("warm", init))
-    if init == "auto" or not candidates:
-        for shell in (0, 1):
-            try:
-                candidates.append((f"plane-wave-{shell}", plane_wave_direction(table, split, shell)))
-            except SolverFailure:
-                pass
-        try:
-            candidates.append(("ray-opt", ray_opt_direction(table, split)))
-        except SolverFailure:
-            pass
-        try:
-            candidates.append(("test-spinor", test_spinor_direction(table, split, eps=test_eps)))
-        except (SolverFailure, ValueError):
-            pass
-    if not candidates:
-        raise SolverFailure("no usable initial direction")
-
-    # Cheap shortlist by the ray value (a lower proxy for the fiber value),
-    # then full fiber solves on the remaining few.
-    ranked = sorted(candidates, key=lambda item: _ray_max(fn, table.to_eigen(item[1].coeffs))[1])
-    shortlist = ranked[:2]
-    if candidates and candidates[0][0] == "warm" and all(n != "warm" for n, _ in shortlist):
-        shortlist.append(candidates[0])
-
-    scored = []
-    for name, phi in shortlist:
-        try:
-            fib = fiber_maximize(fn, phi, gtol=max(fiber_gtol, 1e-6))
-            scored.append((fib.value, name, phi))
-        except SolverFailure:
-            continue
-    if not scored:
-        raise SolverFailure("all fiber solves failed on the candidate directions")
-    scored.sort(key=lambda t: t[0])
-    start_value, start_name, phi0 = scored[0]
+    if init is None:
+        start, phi0 = "ray-opt", ray_opt_direction(table, split)
+    else:
+        start, phi0 = "warm", init
 
     value, fiber, info = sphere_minimize(
-        fn,
+        Functional(split, nl),
         phi0,
         gtol=outer_gtol,
         maxiter=maxiter,
         fiber_gtol=fiber_gtol,
     )
-    if value > start_value:
-        # Descent never goes above its start; fall back to the candidate point.
-        info = dict(info, fell_back=True)
-        value, fiber, _ = sphere_minimize(fn, phi0, gtol=outer_gtol, maxiter=0, fiber_gtol=fiber_gtol)
-
     return _solved_point(
         split,
         nl,
@@ -417,9 +345,7 @@ def minimize_M(
         value,
         residual_tol,
         "least",
-        init=start_name,
-        init_value=float(start_value),
-        candidate_values={name: float(v) for v, name, _ in scored},
+        init=start,
         outer=info,
         fiber_grad_norm=fiber.grad_norm,
         t=fiber.t,
@@ -443,9 +369,10 @@ def second_solution(
 ):
     """Second-solution solve: minimize the frozen-fiber value N over E^+ at lambda_k.
 
-    lam must sit in the guard window just below lambda_k.  The returned point
-    carries a uniqueness-confidence flag from the multi-start certification of
-    the final fiber.
+    The descent starts from ``init`` when given, else from the ray-quotient
+    direction at lambda_k.  lam must sit in the guard window just below
+    lambda_k.  The returned point carries a uniqueness-confidence flag from
+    the multi-start certification of the final fiber.
     """
     table = split_k.table
     lam = float(lam)
@@ -455,11 +382,9 @@ def second_solution(
     if sigma is None:
         sigma = default_sigma(split_k)
 
-    phi0 = init if isinstance(init, SpinorField) else plane_wave_direction(table, split_k, 0)
-
     value, fiber, info = sphere_minimize(
         Functional(split_k, nl, lam),
-        phi0,
+        ray_opt_direction(table, split_k) if init is None else init,
         gtol=outer_gtol,
         maxiter=maxiter,
         fiber_gtol=fiber_gtol,
@@ -490,19 +415,20 @@ def second_solution(
     )
 
 
-def _nearest_eigenvalue(table, lam, tol=1e-9):
+def _nearest_eigenvalue(table, lam):
+    """The distinct eigenvalue within 1e-9 of lam, else None."""
     eigs = table.distinct
     idx = int(np.argmin(np.abs(eigs - lam)))
-    if abs(eigs[idx] - lam) <= tol:
+    if abs(eigs[idx] - lam) <= 1e-9:
         return float(eigs[idx])
     return None
 
 
 def _solve_sweep_point(table, nl, lam, opts, warm_field=None):
     """One least-branch solve; failures come back as flagged points."""
-    eig = _nearest_eigenvalue(table, lam, tol=opts.get("eig_tol", 1e-9))
+    eig = _nearest_eigenvalue(table, lam)
     sp = make_split(table, eig if eig is not None else lam)
-    init = "auto"
+    init = None
     if warm_field is not None:
         plus = project(sp, warm_field, "plus")
         nrm = norm_lambda(sp, plus)
@@ -548,13 +474,12 @@ def branch_sweep(
     outer_gtol=1e-7,
     fiber_gtol=1e-9,
     residual_tol=1e-6,
-    eig_tol=1e-9,
     maxiter=60,
 ):
     """Solve the least branch over a lambda grid plus optional second branches.
 
     Two deterministic phases: (1) every grid point solved independently from
-    the standard candidate pool; (2) serial ascending monotone repair inside
+    the ray-quotient direction; (2) serial ascending monotone repair inside
     each spectral interval, re-solving a violating point from its left
     neighbor's minimizer direction, which enforces the non-increasing
     property of the recorded energies up to solver tolerance.  Per-point
@@ -565,7 +490,6 @@ def branch_sweep(
         "outer_gtol": outer_gtol,
         "fiber_gtol": fiber_gtol,
         "residual_tol": residual_tol,
-        "eig_tol": eig_tol,
         "maxiter": maxiter,
     }
 

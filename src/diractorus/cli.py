@@ -22,6 +22,7 @@ from . import __version__
 from .acceptance import SUITES, run_suite
 from .branch import (
     GuardViolationError,
+    _nearest_eigenvalue,
     branch_sweep,
     gamma_crit,
     minimize_M,
@@ -186,8 +187,8 @@ def cmd_solve(cfg, out_dir, t0):
         raise ConfigError("solve needs lambda")
     nl = cfg.nonlinearity()
     table = assemble(cfg.dim, cfg.cutoff, cfg.n_grid)
-    eig = table.distinct[np.argmin(np.abs(table.distinct - cfg.lam))]
-    sp = split(table, float(eig) if abs(eig - cfg.lam) <= 1e-9 else cfg.lam)
+    eig = _nearest_eigenvalue(table, cfg.lam)
+    sp = split(table, cfg.lam if eig is None else eig)
     code = 0
     try:
         pt = minimize_M(
@@ -336,7 +337,6 @@ def build_parser():
 
     p = sub.add_parser("clifford", help="gamma-matrix relation residuals")
     common(p)
-    p.add_argument("--check", action="store_true")
 
     p = sub.add_parser("spectrum", help="exact torus Dirac spectrum")
     common(p)

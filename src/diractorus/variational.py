@@ -650,7 +650,10 @@ def sphere_minimize(
     in lambda-orthonormal E^+ coordinates; fiber solves are warm-started from
     the previous iterate.  Returns (value, fiber_point, info); ``info`` holds
     ``fiber_grad_max``, the largest final gradient norm of its fiber solves,
-    and ``fiber_evals``, the sum of their inner evaluations.
+    and ``fiber_evals``, the sum of their inner evaluations.  A descent never
+    ends above its start: when it took a step and still ended higher than its
+    first evaluation at phi0, that evaluation is returned and ``info`` records
+    ``fell_back``.
     """
     split = fn.split
     coords = SubspaceCoords(split, split.plus)
@@ -669,6 +672,7 @@ def sphere_minimize(
         fiber = fiber_maximize(fn, coords.to_field(zhat), gtol=fiber_gtol, warm=warm)
         gz = _sphere_grad(fn, coords, fiber, zhat) / nrm
         last["fiber"] = fiber
+        last.setdefault("first", fiber)
         last["fiber_grad_max"] = max(last["fiber_grad_max"], fiber.grad_norm)
         last["fiber_evals"] += fiber.inner_evals
         last["gnorm"] = float(np.linalg.norm(gz))
@@ -691,7 +695,10 @@ def sphere_minimize(
         "fiber_evals": last["fiber_evals"],
         "converged": bool(last["gnorm"] <= 10.0 * gtol or res.success),
     }
-    return float(value), last["fiber"], info
+    if res.nit > 0 and value > last["first"].value:
+        info["fell_back"] = True
+        last["fiber"] = last["first"]
+    return float(last["fiber"].value), last["fiber"], info
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from diractorus.branch import (
 from diractorus.nonlinearity import make_nonlinearity
 from diractorus.spectral import assemble, omega_sphere, split
 from diractorus.torus import SpinorField, random_field, zero_field
-from diractorus.variational import SolverFailure
+from diractorus.variational import SolverFailure, m_lambda
 
 NL = make_nonlinearity("bnd", 2)
 
@@ -137,7 +137,8 @@ def test_minimize_M_closed_form_bound():
 
 
 def test_minimize_M_guard_violation():
-    # at lambda = 0.05 every desk-scale candidate sits above gamma_crit
+    # at lambda = 0.05 and K = 4 the descent from the ray-quotient direction
+    # ends above gamma_crit
     table = assemble(2, 4)
     sp = split(table, 0.05)
     with pytest.raises(GuardViolationError) as err:
@@ -193,6 +194,33 @@ def test_minimize_M_at_an_eigenvalue_runs_no_kernel_newton(monkeypatch):
     pt = minimize_M(sp1, NL, maxiter=40)
     assert calls["_kernel_coords"] == 0
     assert pt.energy < gamma_crit(2)
+    # the sqrt(2) plane wave is an exact critical point of M at level 1.6934:
+    # a descent started there never leaves it
+    assert pt.energy < 1.32
+    assert pt.diagnostics["outer"]["outer_iterations"] > 0
+
+
+@pytest.mark.parametrize(
+    "nl",
+    [
+        make_nonlinearity("power", 2, alpha=1.0, p=3.0),
+        make_nonlinearity("log-critical", 2, alpha=0.5, q=1.0),
+    ],
+    ids=["power", "log-critical"],
+)
+def test_minimize_M_descends_below_the_plane_wave_level(nl):
+    # plane waves are exact critical points of M, so a descent started on one
+    # would report the plane-wave level (0.4998 and 0.2328 here)
+    table = assemble(2, 8)
+    sp = split(table, 0.5)
+    idx = table.grid.mode_index()[(1, 0)]
+    coeffs = np.zeros((table.grid.n_modes, table.N), dtype=complex)
+    coeffs[idx] = table.basis[idx][:, -1]
+    plane_wave_level = m_lambda(sp, nl, SpinorField(table.grid, coeffs))[0]
+    pt = minimize_M(sp, nl)
+    assert pt.diagnostics["outer"]["outer_iterations"] > 0
+    assert "fell_back" not in pt.diagnostics["outer"]
+    assert pt.energy < plane_wave_level - 0.04
 
 
 def test_fiber_evals_are_reproducible():
@@ -209,6 +237,8 @@ def test_second_solution_levels():
     least = minimize_M(sp, NL, maxiter=40)
     assert pt2.energy > least.energy
     assert pt2.energy < gamma_crit(2)
+    # the sqrt(2) plane wave, a critical point no descent leaves, sits at 1.8608
+    assert pt2.energy < 1.5
     assert pt2.level == "second"
     with pytest.raises(SolverFailure):
         second_solution(sp1, NL, 1.2, k=1)

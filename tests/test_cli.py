@@ -17,6 +17,9 @@ def test_clifford_subcommand(tmp_path, capsys):
     assert run_cli(["clifford", "--dim", "4", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "anticommutation" in out and "rank N=4" in out
+    with pytest.raises(SystemExit) as exc:  # clifford takes no --check flag
+        run_cli(["clifford", "--dim", "4", "--check", "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_spectrum_golden_format(tmp_path):
