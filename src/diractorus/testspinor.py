@@ -15,9 +15,13 @@ the transplant code path is trivial by construction (curved backgrounds are
 out of scope and would attach here).
 
 Energy reports quadrate the exact pointwise construction on the collocation
-grid (spectrally accurate for the smooth compactly supported integrands);
-dual norms are measured on the cutoff-K Fourier coefficients, where the
-1/|sigma - lambda|^(1/2) weights concentrate the mass at low modes.
+grid (spectrally accurate for the smooth compactly supported integrands).
+The profile, its closed-form derivative and every quadrature sum are
+evaluated only on the cutoff's support box, the grid points with
+|y_j| < 2 delta on every axis (a quarter of the torus at delta = pi/4); the
+full grid is filled only for the samples and the nonlinear term, which are
+transformed.  Dual norms are measured on the cutoff-K Fourier coefficients,
+where the 1/|sigma - lambda|^(1/2) weights concentrate the mass at low modes.
 """
 
 from __future__ import annotations
@@ -124,37 +128,43 @@ def dirac_identity_fd_residual(rep, params, x, h):
 
 
 def _chart_coordinates(grid, center):
-    axes = [grid.points_1d()] * grid.m
-    mesh = np.meshgrid(*axes, indexing="ij")
-    x = np.stack(mesh, axis=-1)
-    if center is not None:
-        x = x - np.asarray(center, dtype=float)
-    # wrap into the fundamental chart [-pi, pi)^m
-    return (x + np.pi) % (2.0 * np.pi) - np.pi
+    """Chart coordinates of the grid points per axis, wrapped into [-pi, pi)."""
+    pts = grid.points_1d()
+    center = np.zeros(grid.m) if center is None else np.asarray(center, dtype=float)
+    return [(pts - c + np.pi) % (2.0 * np.pi) - np.pi for c in center]
 
 
 def _profile_values(grid, rep, params):
-    """Exact collocation samples of the cutoff rescaled solution and helpers."""
-    y = _chart_coordinates(grid, params.center)
+    """Exact samples of the cutoff rescaled solution on the cutoff's support box.
+
+    Returns ``(box, y, r, eta, psi_eps)``.  ``box`` is the ``np.ix_`` index of
+    the grid points with |y_j| < 2 delta on every axis; outside it eta and
+    eta' vanish.  The other arrays hold the chart profile on those points.
+    """
+    axes = _chart_coordinates(grid, params.center)
+    keep = [np.flatnonzero(np.abs(a) < 2.0 * params.delta) for a in axes]
+    y = np.stack(np.meshgrid(*(a[k] for a, k in zip(axes, keep)), indexing="ij"), axis=-1)
     r = np.sqrt((y**2).sum(axis=-1))
     eta = cutoff_eta(r, params.delta)
     scale = params.eps ** (-(rep.m - 1) / 2.0)
     psi_eps = scale * euclidean_solution(rep, y / params.eps, params)
-    return y, r, eta, psi_eps
+    return np.ix_(*keep), y, r, eta, psi_eps
 
 
 def build_test_spinor(grid, rep, params):
     """Cutoff rescaled Euclidean spinor sampled in the chart, as a Fourier field.
 
     The returned field carries ``samples`` (the exact pre-truncation
-    collocation values), ``params``, ``profile`` (the chart samples
-    ``(y, r, eta, psi_eps)`` they were built from) and ``resolution_warning``
-    (grid coarser than eight points per concentration scale).
+    collocation values on the full grid), ``params``, ``profile`` (the
+    support-box samples ``(box, y, r, eta, psi_eps)`` they were built from)
+    and ``resolution_warning`` (grid coarser than eight points per
+    concentration scale).
     """
     if grid.m != rep.m:
         raise TestSpinorError("grid and representation dimensions differ")
-    y, r, eta, psi_eps = profile = _profile_values(grid, rep, params)
-    samples = eta[..., None] * psi_eps
+    box, y, r, eta, psi_eps = profile = _profile_values(grid, rep, params)
+    samples = np.zeros((grid.n_grid,) * grid.m + (rep.N,), dtype=complex)
+    samples[box] = eta[..., None] * psi_eps
     psi = SpinorField(grid, analyze(grid, samples))
     psi.samples = samples
     psi.params = params
@@ -170,19 +180,23 @@ def energy_report(table, sp, psi, params=None):
     the closed-form derivative; the dual norms of the field and of the
     residual R = D phi - |phi|^(2*-2) phi are measured spectrally at the
     split's lambda.  The field's chart profile is reused unless ``params``
-    names other parameters than the field's own.
+    names other parameters than the field's own.  Every quadrature runs on a
+    support box (the field's own for the samples, the one of ``params`` for
+    D phi); only the nonlinear term is scattered to the full grid, for its
+    transform.
     """
     grid = psi.grid
     rep = table.rep
     params = params if params is not None else psi.params
     if params is psi.params:
-        y, r, eta, psi_eps = psi.profile
+        box, y, r, eta, psi_eps = psi.profile
     else:
-        y, r, eta, psi_eps = _profile_values(grid, rep, params)
-    samples = psi.samples
+        box, y, r, eta, psi_eps = _profile_values(grid, rep, params)
+    own = psi.profile[0]
+    phi = psi.samples[own]
     ts = critical_exponent(grid.m)
     cell = grid.cell
-    s = pointwise_modulus(samples)
+    s = pointwise_modulus(phi)
     l2_sq = float(cell * (s**2).sum())
     l2star_pow = float(cell * (s**ts).sum())
 
@@ -193,13 +207,14 @@ def energy_report(table, sp, psi, params=None):
     rr = np.where(r > 0, r, 1.0)
     grad_eta = etap[..., None] * y / rr[..., None]
     dphi = clifford_mul(rep, grad_eta, psi_eps) + eta[..., None] * dpsi_eps
-    dirac_energy = float(cell * (dphi * samples.conj()).sum(axis=-1).real.sum())
+    phi_box = phi if box is own else psi.samples[box]
+    dirac_energy = float(cell * (dphi * phi_box.conj()).sum(axis=-1).real.sum())
     free_energy = 0.5 * dirac_energy - l2star_pow / ts
 
     dual_phi = dual_norm(sp, psi)
-    resid_coeffs = apply_dirac(table, psi).coeffs - analyze(
-        grid, (s ** (ts - 2.0))[..., None] * samples
-    )
+    nonlinear = np.zeros_like(psi.samples)
+    nonlinear[own] = (s ** (ts - 2.0))[..., None] * phi
+    resid_coeffs = apply_dirac(table, psi).coeffs - analyze(grid, nonlinear)
     dual_resid = dual_norm(sp, SpinorField(grid, resid_coeffs))
 
     # Spectral Dirac energy of the band-limited field, as a cross-check.

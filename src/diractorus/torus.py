@@ -12,6 +12,16 @@ synthesis/analysis round trip is exact; pointwise nonlinearities of degree d
 are integrated exactly by the trapezoidal rule when n > d*K (the default
 solver grid uses n = 4K + 2 for quartic terms).
 
+Both transforms are band-pruned.  They transform one axis at a time, from the
+last axis to the first (the order ``np.fft.fftn`` uses), and every axis not
+yet in grid space is only 2K + 1 mode slabs wide: synthesis zero-pads each
+axis from the (2K + 1)^m mode box just before its inverse FFT, and analysis
+keeps the 2K + 1 mode slabs of each axis right after its FFT.  In m = 2 a
+transform then runs n + 2K + 1 one-dimensional FFTs of length n per spinor
+component instead of 2n (3/4 of them at the default n = 4K + 2).  The
+per-axis FFTs and the scalings are those of ``ifftn``/``fftn`` on the full
+cube, so the output is the same.
+
 Mode ordering is lexicographic in (|k|^2, k), which makes every table built
 on top of the grid reproducible across runs.
 """
@@ -44,6 +54,8 @@ class TorusGrid:
     K: int
     n_grid: int
     modes: np.ndarray = field(repr=False, compare=False, default=None)
+    # per-axis positions of ``modes`` in the (2K+1)^m box, FFT order [0..K, -K..-1]
+    box_index: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.m < 1:
@@ -57,6 +69,10 @@ class TorusGrid:
         if self.modes is None:
             object.__setattr__(self, "modes", _build_modes(self.m, self.K))
         self.modes.setflags(write=False)
+        box_index = tuple(self.modes[:, j] % (2 * self.K + 1) for j in range(self.m))
+        for idx in box_index:
+            idx.setflags(write=False)
+        object.__setattr__(self, "box_index", box_index)
 
     @property
     def n_modes(self):
@@ -147,28 +163,52 @@ def zero_field(grid, N):
     return SpinorField(grid, np.zeros((grid.n_modes, N), dtype=complex))
 
 
+def _pad_axis(box, axis, n, K):
+    """Zero-pad one FFT-ordered axis of a mode box from 2K + 1 to n entries."""
+    shape = list(box.shape)
+    shape[axis] = n
+    out = np.zeros(shape, dtype=complex)
+    head = (slice(None),) * axis
+    out[head + (slice(0, K + 1),)] = box[head + (slice(0, K + 1),)]
+    out[head + (slice(n - K, n),)] = box[head + (slice(K + 1, None),)]
+    return out
+
+
+def _crop_axis(cube, axis, n, K):
+    """Keep the 2K + 1 mode slabs [0..K, n-K..n-1] of one transformed axis."""
+    head = (slice(None),) * axis
+    return np.concatenate(
+        (cube[head + (slice(0, K + 1),)], cube[head + (slice(n - K, n),)]), axis=axis
+    )
+
+
 def synthesize(grid, coeffs):
-    """Evaluate sum_k c_k e^{i k.x} on the collocation grid."""
-    n = grid.n_grid
-    ncomp = coeffs.shape[1]
-    cube = np.zeros((n,) * grid.m + (ncomp,), dtype=complex)
-    idx = tuple((grid.modes[:, j] % n) for j in range(grid.m))
-    cube[idx] = coeffs
-    axes = tuple(range(grid.m))
-    return np.fft.ifftn(cube, axes=axes) * (n**grid.m)
+    """Evaluate sum_k c_k e^{i k.x} on the collocation grid.
+
+    Scatters the coefficients into the (2K+1)^m mode box, then for each axis,
+    last to first, zero-pads that axis to n and runs an inverse FFT along it.
+    """
+    n, K = grid.n_grid, grid.K
+    vals = np.zeros((2 * K + 1,) * grid.m + (coeffs.shape[1],), dtype=complex)
+    vals[grid.box_index] = coeffs
+    for axis in reversed(range(grid.m)):
+        vals = np.fft.ifft(_pad_axis(vals, axis, n, K), axis=axis)
+    return vals * (n**grid.m)
 
 
 def analyze(grid, values):
     """Project collocation values onto the |k_j| <= K mode cube.
 
     Exact inverse of ``synthesize`` for band-limited data; otherwise it is the
-    aliased trigonometric interpolation restricted to the cube.
+    aliased trigonometric interpolation restricted to the cube.  Runs an FFT
+    along each axis, last to first, and keeps only that axis's 2K + 1 mode
+    slabs before moving on.
     """
-    n = grid.n_grid
-    axes = tuple(range(grid.m))
-    cube = np.fft.fftn(np.asarray(values, dtype=complex), axes=axes) / (n**grid.m)
-    idx = tuple((grid.modes[:, j] % n) for j in range(grid.m))
-    return np.ascontiguousarray(cube[idx])
+    n, K = grid.n_grid, grid.K
+    vals = np.asarray(values, dtype=complex)
+    for axis in reversed(range(grid.m)):
+        vals = _crop_axis(np.fft.fft(vals, axis=axis), axis, n, K)
+    return vals[grid.box_index] / (n**grid.m)
 
 
 def from_values(grid, values):
@@ -206,13 +246,10 @@ def resample_field(psi, new_grid):
     """Transfer Fourier coefficients to another grid (truncate or zero-pad)."""
     if new_grid.m != psi.grid.m:
         raise GridError("resample requires matching dimensions")
-    out = np.zeros((new_grid.n_modes, psi.N), dtype=complex)
-    idx_new = new_grid.mode_index()
-    for i, k in enumerate(psi.grid.modes):
-        j = idx_new.get(tuple(k))
-        if j is not None:
-            out[j] = psi.coeffs[i]
-    return SpinorField(new_grid, out)
+    keep = np.abs(psi.grid.modes).max(axis=1) <= new_grid.K
+    box = np.zeros((2 * new_grid.K + 1,) * new_grid.m + (psi.N,), dtype=complex)
+    box[tuple((psi.grid.modes[keep] % (2 * new_grid.K + 1)).T)] = psi.coeffs[keep]
+    return SpinorField(new_grid, box[new_grid.box_index])
 
 
 def random_field(grid, N, rng, scale=1.0, decay=1.0):

@@ -93,8 +93,8 @@ def test_build_sup_norm_and_support(sweep_table):
     # support inside |x| < 2 delta
     from diractorus.testspinor import _chart_coordinates
 
-    y = _chart_coordinates(sweep_table.grid, None)
-    r = np.sqrt((y**2).sum(axis=-1))
+    y = np.meshgrid(*_chart_coordinates(sweep_table.grid, None), indexing="ij")
+    r = np.sqrt(sum(yj**2 for yj in y))
     assert np.abs(s[r >= 2 * params.delta]).max() == 0.0
     # pointwise modulus matches the closed form inside the support
     eta = cutoff_eta(r, params.delta)
@@ -110,6 +110,69 @@ def test_resolution_warning_flag(sweep_table):
     coarse = build_test_spinor(sweep_table.grid, rep, TestSpinorParams(eps=0.05))
     assert not fine.resolution_warning
     assert coarse.resolution_warning
+
+
+# energy_report at K = 24, n = 256, lambda = 0.5, recorded from the full-grid
+# quadrature that preceded the support-box one
+GOLDEN_REPORTS = {
+    0.2: {
+        "l2": 2.0726758378688244,
+        "l2_sq": 4.295985128885234,
+        "l2star": 1.864822004158959,
+        "l2star_pow": 12.09343125427835,
+        "dirac_energy": 12.14505821239241,
+        "dirac_energy_spectral": 12.14204943367328,
+        "free_energy": 3.0491712926266175,
+        "dual_norm_phi": 1.5768127784594748,
+        "dual_norm_residual": 1.5253601645693413,
+        "resolution_flag": False,
+    },
+    0.05: {
+        "l2": 1.391039999893,
+        "l2_sq": 1.9349922813023175,
+        "l2star": 1.8816665799195942,
+        "l2star_pow": 12.536337803061901,
+        "dirac_energy": 12.539784733389453,
+        "dirac_energy_spectral": 9.851968429866652,
+        "free_energy": 3.1358079159292513,
+        "dual_norm_phi": 0.7884744466146255,
+        "dual_norm_residual": 0.7991495167818357,
+        "resolution_flag": True,
+    },
+}
+
+
+@pytest.mark.parametrize("eps", sorted(GOLDEN_REPORTS))
+def test_energy_report_golden(sweep_table, eps):
+    sp = split(sweep_table, 0.5)
+    psi = build_test_spinor(sweep_table.grid, sweep_table.rep, TestSpinorParams(eps=eps))
+    rec = energy_report(sweep_table, sp, psi)
+    assert rec["eps"] == eps
+    for name, want in GOLDEN_REPORTS[eps].items():
+        if isinstance(want, bool):
+            assert rec[name] is want, name
+        else:
+            assert abs(rec[name] - want) <= 1e-12 * abs(want), name
+
+
+def test_off_center_spinor_is_the_rolled_centered_one(sweep_table):
+    # a center a whole number of cells off the origin; the support wraps
+    # across the chart boundary on both axes
+    grid, rep = sweep_table.grid, sweep_table.rep
+    sp = split(sweep_table, 0.5)
+    shift = (37, -50)
+    center = tuple(2.0 * np.pi * k / grid.n_grid for k in shift)
+    centered = build_test_spinor(grid, rep, TestSpinorParams(eps=0.1))
+    moved = build_test_spinor(grid, rep, TestSpinorParams(eps=0.1, center=center))
+    for idx in moved.profile[0]:
+        assert idx.min() == 0 and idx.max() == grid.n_grid - 1
+    rolled = np.roll(centered.samples, shift, axis=(0, 1))
+    # equal up to the rounding of the shifted chart coordinates
+    assert np.abs(moved.samples - rolled).max() <= 1e-13 * np.abs(rolled).max()
+    want = energy_report(sweep_table, sp, centered)
+    got = energy_report(sweep_table, sp, moved)
+    for name in ("l2", "l2_sq", "l2star", "l2star_pow", "dirac_energy", "dirac_energy_spectral", "free_energy"):
+        assert abs(got[name] - want[name]) <= 1e-12 * abs(want[name]), name
 
 
 def test_l2_mass_ratio_near_4pi(sweep_table):

@@ -14,6 +14,7 @@ from diractorus.torus import (
     lp_norm,
     make_grid,
     random_field,
+    resample_field,
     synthesize,
     zero_field,
 )
@@ -53,6 +54,55 @@ def test_round_trip(m):
     vals = psi.values()
     again = from_values(g, vals).values()
     assert np.abs(again - vals).max() < 1e-12 * np.abs(vals).max()
+
+
+def _full_cube_synthesize(grid, coeffs):
+    n = grid.n_grid
+    cube = np.zeros((n,) * grid.m + (coeffs.shape[1],), dtype=complex)
+    cube[tuple(grid.modes[:, j] % n for j in range(grid.m))] = coeffs
+    return np.fft.ifftn(cube, axes=tuple(range(grid.m))) * n**grid.m
+
+
+def _full_cube_analyze(grid, values):
+    n = grid.n_grid
+    cube = np.fft.fftn(values, axes=tuple(range(grid.m))) / n**grid.m
+    return cube[tuple(grid.modes[:, j] % n for j in range(grid.m))]
+
+
+# (m, K, n): n = 2K + 2 puts the two mode slabs of an axis side by side
+@pytest.mark.parametrize(
+    "m, K, n", [(1, 5, 12), (1, 3, 64), (2, 4, 10), (2, 3, 40), (3, 3, 8), (3, 2, 16)]
+)
+def test_pruned_transforms_match_full_cube_fft(m, K, n):
+    rng = np.random.default_rng(100 * m + K)
+    g = TorusGrid(m=m, K=K, n_grid=n)
+    coeffs = random_field(g, 2, rng).coeffs
+    vals = synthesize(g, coeffs)
+    want = _full_cube_synthesize(g, coeffs)
+    assert np.abs(vals - want).max() <= 1e-15 * np.abs(want).max()
+    # analyze on values that are not band-limited: the aliased projection
+    shape = (n,) * m + (2,)
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for values in (raw, raw.real, vals):
+        got = analyze(g, values)
+        want = _full_cube_analyze(g, values)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_resample_pads_and_truncates_in_the_mode_cube(m):
+    rng = np.random.default_rng(7 + m)
+    g = make_grid(m, 3)
+    psi = random_field(g, 2, rng)
+    up = resample_field(psi, make_grid(m, 5))
+    assert np.array_equal(resample_field(up, g).coeffs, psi.coeffs)
+    down = resample_field(psi, make_grid(m, 2))
+    old = g.mode_index()
+    for k, c in zip(down.grid.modes, down.coeffs):
+        assert np.array_equal(c, psi.coeffs[old[tuple(k)]])
+    assert not up.coeffs[np.abs(up.grid.modes).max(axis=1) > 3].any()
+    inside = np.abs(g.modes).max(axis=1) <= 2
+    assert down.grid.n_modes == inside.sum()
 
 
 def test_parseval_matches_quadrature():
