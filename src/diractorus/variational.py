@@ -2,9 +2,9 @@
 
 Every energy here is one functional on the cutoff space,
 
-    L_lam(psi) = 1/2 <(D - lam) psi, psi>_2 - int F(|u|) - (1/2*) |u|_{2*}^{2*},
+    L_lam(psi) = 1/2 <(D - lam) psi, psi>_2 - int F(|psi|) - (1/2*) |psi|_{2*}^{2*};
 
-with u = psi; its Euler-Lagrange equation is
+its Euler-Lagrange equation is
 D psi = lam psi + f(|psi|) psi + |psi|^(2*-2) psi.  ``Functional`` evaluates it
 on eigen coordinates (the coefficients of psi in the per-mode Dirac
 eigenbasis), where D - lam is the diagonal sigma - lam.  One evaluation makes
@@ -16,8 +16,9 @@ block).  The fiber maximum, M, J and the Rayleigh quotients R and S are all
 built on this one evaluation.  Its second variation is written once, as the
 pointwise K''(u)[dv] of ``Evaluation.second``.  The Hessian-vector product
 ``Evaluation.hvp`` (one synthesize and one analyze per product), which the
-residual polish solves with, the second derivative of F_lam and the
-right-hand side of T' are all built on it.
+residual polish solves with, the Hessian of the kernel Newton for T, the
+second derivative of F_lam and the right-hand side of T' are all built on
+it.
 
 The solvers run on this unreduced L at every lambda, with inner space
 E^0 + E^-.  At an eigenvalue with f = 0, q is blind to kernel shifts and T,
@@ -25,10 +26,12 @@ the L^{2*}-best approximation onto ker(D - lam), picks the closest kernel
 field, so the paper's reduced energy is L_T(psi) = q(psi) -
 (1/2*)|psi - T(psi)|_{2*}^{2*} = max_c L(psi - sum_a c_a e_a): its fiber
 maximum over E^- is L's over E^0 + E^- (Szulkin-Weth, E^0 non-positive), and
-the kernel part of L's maximizer is -T of the rest.  The T-reduced functional
-(given a kernel basis: u = psi - T(psi), inner space E^- only) stays for
-F_lam, T', R and S, which criteria 9 and 11 measure.  T is a damped Newton
-on the kernel coordinates, warm-started from the functional's previous T.
+the kernel part of L's maximizer is -T of the rest.  T, T', F_lam and R at
+an eigenvalue, which criteria 9 and 11 measure, come from one pure-critical
+evaluation at u = psi - T(psi), held by ``_FJet``.  T is a damped Newton on
+the kernel coordinates whose gradient, Hessian and backtracking value are
+read from evaluations at its iterates; S maximizes the unreduced R over
+E^0 + E^-.
 
 Solvers use lambda-orthonormal coordinates on masked eigen entries, so the
 Euclidean geometry handed to the quasi-Newton loops coincides with the
@@ -37,9 +40,9 @@ ascent over (t, chi) jointly: by the generalized Nehari reduction its only
 critical point with t > 0 is the global maximum, and evenness of L maps a
 run that crosses t = 0 back from the mirror maximizer.  A cold ascent starts
 at the maximum of the ray t phi, found from one evaluation at phi: the
-quadratic part scales as t^2 and u(t phi) = t u(phi) because T is positively
-homogeneous, so L(t phi) = t^2 q(phi) - int G(t |u(phi)|).  The Nehari
-projection of an E^+ direction is the scale of its fiber maximum.
+quadratic part scales as t^2 and the mass at t phi is int G(t |phi|), so
+L(t phi) = t^2 q(phi) - int G(t |phi|).  The Nehari projection of an E^+
+direction is the scale of its fiber maximum.
 """
 
 from __future__ import annotations
@@ -91,7 +94,8 @@ class Evaluation:
     ``nonlin`` holds the one analyze and is computed on first use, so a
     value-only caller never pays for it.  ``u`` holds the collocation values
     of u and ``modulus`` their pointwise modulus |u|.  ``second`` and ``hvp``
-    give the second variation at u = psi (with T-reduction, T' is left out).
+    give the second variation of the mass at u.  Solver evaluations have
+    u = psi; ``_FJet``'s has u = psi - T(psi), and its ``hvp`` leaves T' out.
     """
 
     def __init__(self, fn, quadratic, mass, lin, u, modulus):
@@ -141,27 +145,20 @@ class Evaluation:
 
 
 class Functional:
-    """L_lam on the eigen coordinates of a split, optionally T-reduced.
+    """L_lam on the eigen coordinates of a split.
 
     ``lam`` defaults to the split's lambda; another value evaluates the
     functional on a split frozen at an eigenvalue (the lambda metric keeps the
-    split's weights).  Given the split's kernel basis, the mass is taken at
-    u = psi - T(psi) and ``inner``, the coordinates that fiber and J
-    maximizations run over, is E^- only; otherwise u = psi and ``inner`` is
-    E^0 + E^-, the form every solver uses (see the module docstring).
+    split's weights).  ``inner``, the coordinates that fiber and J
+    maximizations run over, is E^0 + E^- (see the module docstring).
     """
 
-    def __init__(self, split, nl, lam=None, basis=None):
-        if basis is not None and not nl.is_zero():
-            # T'(psi) drops out of the gradient only for the critical term.
-            raise ValueError("T-reduction needs the pure critical problem (f = 0)")
+    def __init__(self, split, nl, lam=None):
         self.split = split
         self.nl = nl
         self.lam = split.lam if lam is None else float(lam)
-        self.basis = basis
         self.shift = split.table.eigenvalues - self.lam
-        self.inner = SubspaceCoords(split, split.minus if basis is not None else split.zero | split.minus)
-        self._t_warm = None  # kernel coordinates of the last T, the next Newton start
+        self.inner = SubspaceCoords(split, split.zero | split.minus)
 
     def __call__(self, a):
         """Evaluation at eigen coordinates ``a`` of shape (n_modes, N)."""
@@ -178,8 +175,8 @@ class Functional:
     def ray(self, phi_e):
         """t -> L(t phi_e), from one evaluation at phi_e.
 
-        The quadratic part scales as t^2 and u(t phi) = t u(phi) (T is
-        positively homogeneous), so L(t phi) = t^2 q(phi) - int G(t |u(phi)|).
+        The quadratic part scales as t^2 and u = t phi_e on the ray, so
+        L(t phi) = t^2 q(phi) - int G(t |phi|).
         """
         ev = self(phi_e)
         cell = self.split.grid.cell
@@ -190,9 +187,8 @@ class Functional:
         return on_ray
 
     def _evaluate(self, a, values):
+        """Quadratic part at eigen coordinates ``a``, mass at the collocation values ``values`` of u."""
         grid = self.split.grid
-        if self.basis is not None and self.basis.dim:
-            self._t_warm, values = _kernel_coords(self.basis, values, init=self._t_warm)
         s = pointwise_modulus(values)
         return Evaluation(
             self,
@@ -225,8 +221,6 @@ class KernelBasis:
     split: object
     fields: list
     values: np.ndarray = field(repr=False)  # (d, grid..., N)
-    flat: np.ndarray = field(repr=False, default=None)  # (d, npts, N)
-    pair: np.ndarray = field(repr=False, default=None)  # (d, d, npts), sum_c conj(e_a) e_b
 
     @property
     def dim(self):
@@ -247,129 +241,95 @@ def kernel_basis(split):
         fields.append(psi)
         vals.append(psi.values())
     values = np.stack(vals) if fields else np.zeros((0,) + (grid.n_grid,) * grid.m + (table.N,))
-    flat = values.reshape(len(fields), -1, table.N) if fields else values.reshape(0, 0, table.N)
-    pair = np.einsum("apc,bpc->abp", flat.conj(), flat) if fields else None
-    return KernelBasis(split=split, fields=fields, values=values, flat=flat, pair=pair)
+    return KernelBasis(split=split, fields=fields, values=values)
 
 
-def _kernel_hessian(basis, u_flat, ts, cell, floor=1e-14):
-    """Gradient core and real 2d x 2d Hessian of c -> int |psi - sum c e|^{2*}."""
-    d = basis.dim
-    s = np.maximum(np.sqrt((u_flat.real**2 + u_flat.imag**2).sum(axis=-1)), floor)
-    w1 = s ** (ts - 2.0)
-    w2 = (ts - 2.0) * s ** (ts - 4.0)
-    R = np.einsum("apc,pc->ap", basis.flat.conj(), u_flat)
-    ub = (w1[None, :] * R).sum(axis=1)
-    hw1 = np.einsum("abp,p->ab", basis.pair, w1)
-    sq = np.sqrt(w2)
-    ar = R.real * sq[None, :]
-    ai = R.imag * sq[None, :]
-    H = np.empty((2 * d, 2 * d))
-    H[:d, :d] = hw1.real + ar @ ar.T
-    H[:d, d:] = -hw1.imag + ar @ ai.T
-    H[d:, :d] = hw1.imag + ai @ ar.T
-    H[d:, d:] = hw1.real + ai @ ai.T
-    H *= ts * cell
-    g = np.concatenate([ub.real, ub.imag]) * (-ts * cell)
-    return g, H, (s, w1, w2)
+def _pair(dirs, w, cell):
+    """Real L^2 pairings cell Re sum conj(dirs_i) w_j of stacked collocation values, in one matmul."""
+    size = int(np.prod(dirs.shape[1:]))
+    return cell * (dirs.reshape(-1, size).conj() @ w.reshape(-1, size).T).real
 
 
-def _kernel_coords(basis, pv, init=None, tol=1e-12, max_iter=200):
-    """Coordinates c of T(psi) = sum_a c_a e_a, from the collocation values pv of psi.
+_T_TOL, _T_MAX_ITER = 1e-12, 200  # the kernel Newton's relative gradient tolerance and iteration cap
 
-    Damped Newton on the strictly convex finite-dimensional objective
-    c -> int |psi - sum c_a e_a|^{2*}, started from ``init`` when given.
-    Returns (c, u) with u = psi - T(psi) on the grid, shaped like ``pv``; each
-    iterate's u is the accepted backtracking trial of the step before.
+
+def _kernel_coords(fn, dirs, a, pv):
+    """Coordinates c of T(psi) = sum_a c_a e_a and the evaluation of ``fn`` at u = psi - T(psi).
+
+    ``fn`` is the pure-critical functional, ``a`` and ``pv`` are psi's eigen
+    coordinates and collocation values, and ``dirs`` stacks the 2d real kernel
+    directions e_a, i e_a.  Damped Newton on the strictly convex
+    c -> K(psi - sum c_a e_a) = (1/2*) int |psi - sum c_a e_a|^{2*}, started
+    from the L^2 projection.  The gradient pairs the directions with
+    g(|u|) u, the Hessian pairs them with ``Evaluation.second`` of
+    themselves, and the backtracking value is the evaluation's ``mass``.
     """
-    grid = basis.split.grid
-    d = basis.dim
-    ts = critical_exponent(grid.m)
-    if init is not None:
-        c = np.asarray(init, dtype=complex).copy()
-    else:
-        # L^2 projection: exact minimizer for p = 2, warm start for p = 2*.
-        c = np.array(
-            [grid.cell * (pv * bv.conj()).sum() for bv in basis.values], dtype=complex
-        )
+    cell = fn.split.grid.cell
+    ts = critical_exponent(fn.split.grid.m)
+    d = len(dirs) // 2
+    e = dirs[:d]
 
-    cell = grid.cell
-    u0 = pv.reshape(-1, pv.shape[-1])
-    u = u0 - np.tensordot(c, basis.flat, axes=(0, 0))
+    def evaluate(c):
+        return fn._evaluate(a, pv - np.tensordot(c, e, axes=(0, 0)))
 
-    scale = max(1.0, cell * float((pointwise_modulus(pv) ** ts).sum()))
-    for it in range(max_iter):
-        g, H, (s, _, _) = _kernel_hessian(basis, u, ts, cell)
-        gnorm = np.linalg.norm(g)
-        if gnorm < tol * scale:
+    # L^2 projection: exact minimizer for p = 2, warm start for p = 2*.
+    c = np.array([cell * (pv * bv.conj()).sum() for bv in e], dtype=complex)
+    ev = evaluate(c)
+    # Stop when the gradient of int |u|^{2*} (2* times K's) is small against int |psi|^{2*}.
+    scale = max(1.0, cell * float((pointwise_modulus(pv) ** ts).sum())) / ts
+    for _ in range(_T_MAX_ITER):
+        grad = -_pair(dirs, (ev._second_weights[0] * ev.u)[None], cell)[:, 0]
+        gnorm = np.linalg.norm(grad)
+        if gnorm < _T_TOL * scale:
             break
+        H = _pair(dirs, ev.second(dirs), cell)
         try:
-            step = np.linalg.solve(H + 1e-14 * np.eye(2 * d) * H.diagonal().max(), -g)
+            step = np.linalg.solve(H + 1e-14 * np.eye(2 * d) * H.diagonal().max(), -grad)
         except np.linalg.LinAlgError:
-            step = -g / max(H.diagonal().max(), 1.0)
+            step = -grad / max(H.diagonal().max(), 1.0)
         step = _unpack(step)
-        # damped: backtrack on the objective
-        f0 = float((s**ts).sum())
         alpha = 1.0
         for _ in range(40):
-            trial = c + alpha * step
-            u_trial = u0 - np.tensordot(trial, basis.flat, axes=(0, 0))
-            if float((pointwise_modulus(u_trial) ** ts).sum()) <= f0 + 1e-12 * abs(f0):
+            trial = evaluate(c + alpha * step)
+            if trial.mass <= ev.mass + 1e-12 * abs(ev.mass):
                 break
             alpha *= 0.5
-        c, u = trial, u_trial
+        c, ev = c + alpha * step, trial
     else:
         raise SolverFailure(
             "kernel projector Newton did not converge",
-            {"grad_norm": gnorm, "dim": d, "iterations": max_iter},
+            {"grad_norm": gnorm, "dim": d, "iterations": _T_MAX_ITER},
         )
-    return c, u.reshape(pv.shape)
-
-
-def t_lambda(split, psi, basis=None, tol=1e-12, max_iter=200, init=None):
-    """Best approximation of psi in ker(D - lambda) w.r.t. the L^{2*} norm.
-
-    Returns the kernel field; the zero field is returned immediately when the
-    kernel is trivial.
-    """
-    if basis is None:
-        basis = kernel_basis(split)
-    if basis.dim == 0:
-        return zero_field(psi.grid, psi.N)
-    c, _ = _kernel_coords(basis, psi.values(), init=init, tol=tol, max_iter=max_iter)
-    return SpinorField(psi.grid, sum(ca * e.coeffs for ca, e in zip(c, basis.fields)))
-
-
-def _critical(split, basis=None):
-    """The T-reduced pure-critical functional at the split's lambda."""
-    zero = make_nonlinearity("zero", split.grid.m)
-    return Functional(split, zero, basis=kernel_basis(split) if basis is None else basis)
+    return c, ev
 
 
 class _FJet:
-    """F_lam(psi) = (1/2*) |psi - T(psi)|_{2*}^{2*} and its first two derivatives at one psi.
+    """The pure-critical functional reduced by T, at one psi, from one T Newton.
 
-    T(psi) and u = psi - T(psi) come from one T Newton; the kernel Hessian
-    that T' solves with is built on first use.  The second variation of the
-    mass at u is the evaluation's ``second``.
+    ``ev`` is the evaluation with the quadratic part at psi and the mass at
+    u = psi - T(psi): its ``energy`` is L_T(psi), its ``mass`` is
+    F_lam(psi) = (1/2*) |psi - T(psi)|_{2*}^{2*}, and its ``rep`` and
+    ``grad`` are L_T'(psi), because T'(psi) drops out of the gradient at
+    f = 0.  The kernel Hessian that T' solves with is built on first use.
     """
 
     def __init__(self, split, psi, basis=None):
-        fn = _critical(split, basis)
-        self.split, self.basis, self.ev = split, fn.basis, fn.at_field(psi)
+        self.split = split
+        self.basis = kernel_basis(split) if basis is None else basis
         self.ts = critical_exponent(split.grid.m)
+        self.dirs = np.concatenate([self.basis.values, 1j * self.basis.values])
+        fn = Functional(split, make_nonlinearity("zero", split.grid.m))
+        self.c, self.ev = _kernel_coords(fn, self.dirs, split.table.to_eigen(psi.coeffs), psi.values())
 
     @cached_property
     def _hessian(self):
-        H = _kernel_hessian(self.basis, self.ev.u.reshape(-1, self.ev.u.shape[-1]), self.ts, self.split.grid.cell)[1]
+        H = _pair(self.dirs, self.ev.second(self.dirs), self.split.grid.cell)
         return H + 1e-13 * np.eye(H.shape[0]) * max(H.diagonal().max(), 1.0)
 
     def t_prime_coords(self, chi_values):
         """Kernel coordinates of T'(psi)[chi], solving the linearized optimality system."""
-        flat = self.basis.flat
-        k = self.ev.second(chi_values).reshape(flat.shape[1:])
-        rhs = self.ts * self.split.grid.cell * np.einsum("apc,pc->a", flat.conj(), k)
-        return _unpack(np.linalg.solve(self._hessian, _pack(rhs)))
+        rhs = _pair(self.dirs, self.ev.second(chi_values)[None], self.split.grid.cell)[:, 0]
+        return _unpack(np.linalg.solve(self._hessian, rhs))
 
     def first(self, phi):
         """F'(psi)[phi]."""
@@ -384,6 +344,20 @@ class _FJet:
         return float(self.split.grid.cell * (phi.values().conj() * self.ev.second(du)).real.sum())
 
 
+def t_lambda(split, psi, basis=None):
+    """Best approximation of psi in ker(D - lambda) w.r.t. the L^{2*} norm.
+
+    Returns the kernel field; the zero field is returned immediately when the
+    kernel is trivial.
+    """
+    if basis is None:
+        basis = kernel_basis(split)
+    if basis.dim == 0:
+        return zero_field(psi.grid, psi.N)
+    c = _FJet(split, psi, basis).c
+    return SpinorField(psi.grid, sum(ca * e.coeffs for ca, e in zip(c, basis.fields)))
+
+
 def t_prime(split, psi, chi, basis=None):
     """Derivative T'(psi)[chi], solving the linearized optimality system."""
     if basis is None:
@@ -396,7 +370,7 @@ def t_prime(split, psi, chi, basis=None):
 
 def f_lambda_value(split, psi, basis=None):
     """F_lam(psi) = (1/2*) |psi - T(psi)|_{2*}^{2*}."""
-    return _critical(split, basis).at_field(psi).mass
+    return _FJet(split, psi, basis).ev.mass
 
 
 def f_first(split, psi, phi, basis=None):
@@ -779,25 +753,28 @@ def _rayleigh(ev, ts):
 
 def r_lambda(split, psi, basis=None):
     """R(psi) = (||psi^+||^2 - ||psi^-||^2) / |psi - T(psi)|_{2*}^2."""
-    return _rayleigh(_critical(split, basis).at_field(psi), critical_exponent(split.grid.m))[0]
+    return _rayleigh(_FJet(split, psi, basis).ev, critical_exponent(split.grid.m))[0]
 
 
 def r_lambda_rep(split, psi, basis=None):
     """L^2 representative of the Rayleigh derivative R'(psi), as band coefficients."""
-    _, rep = _rayleigh(_critical(split, basis).at_field(psi), critical_exponent(split.grid.m))
+    _, rep = _rayleigh(_FJet(split, psi, basis).ev, critical_exponent(split.grid.m))
     return split.table.from_eigen(rep)
 
 
 def s_lambda(split, nl, phi_nehari, gtol=1e-10, maxiter=400):
-    """S(phi) = max over chi in E^- of R(phi + chi), by concave-superlevel ascent.
+    """S(phi) = max over chi in E^- of the T-reduced R(phi + chi), by concave-superlevel ascent.
 
-    Computed independently of J so the identity S^m = 2m J can be used as a
-    two-route consistency check.  R is the pure-critical Rayleigh quotient, so
-    ``nl`` must be the zero nonlinearity.
+    The ascent runs on the unreduced R over E^0 + E^-: where q > 0, the
+    maximum of R over kernel shifts is 2 q / min_c |psi - sum c_a e_a|_{2*}^2,
+    the T-reduced R, so both maxima agree and the returned chi carries its
+    kernel part.  Computed independently of J so the identity S^m = 2m J can
+    be used as a two-route consistency check.  R is the pure-critical Rayleigh
+    quotient, so ``nl`` must be the zero nonlinearity.
     """
     if not nl.is_zero():
         raise ValueError(f"S is defined for the pure critical problem; got nonlinearity {nl.kind!r}")
-    fn = Functional(split, nl, basis=kernel_basis(split))
+    fn = Functional(split, nl)
     ts = critical_exponent(split.grid.m)
     base = split.table.to_eigen(phi_nehari.coeffs)
 

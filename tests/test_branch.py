@@ -200,6 +200,26 @@ def test_minimize_M_at_an_eigenvalue_runs_no_kernel_newton(monkeypatch):
     assert pt.diagnostics["outer"]["outer_iterations"] > 0
 
 
+def test_minimize_M_transforms_the_strong_residual_twice(monkeypatch):
+    # One full-cube transform before the polish and one after it: the final
+    # residual and its in-band and spill parts come from the same call.
+    import diractorus.branch as branch
+
+    calls = []
+    strong_residual = branch._strong_residual
+
+    def counted(*args):
+        calls.append(strong_residual(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(branch, "_strong_residual", counted)
+    pt = minimize_M(split(assemble(2, 4), 0.5), NL)
+    assert len(calls) == 2
+    assert pt.diagnostics["residual_pre_polish"] == float(np.hypot(*calls[0]))
+    assert pt.residual_l2 == float(np.hypot(*calls[1]))
+    assert (pt.diagnostics["residual_in_band"], pt.diagnostics["residual_spill"]) == calls[1]
+
+
 @pytest.mark.parametrize(
     "nl",
     [

@@ -1,5 +1,7 @@
 """Energy functional, kernel projector, fiber maximizers, Nehari machinery."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,10 @@ from diractorus.variational import (
     Functional,
     L_lambda,
     SubspaceCoords,
+    _FiberCoords,
+    _FJet,
     _inner_maximize,
+    _rayleigh,
     default_sigma,
     eta_lambda,
     f_lambda_value,
@@ -432,14 +437,23 @@ def test_default_sigma(sp1):
     assert np.isclose(default_sigma(sp1), 0.5 / (np.sqrt(2.0) - 1.0), rtol=1e-12)
 
 
+def _t_reduced(sp, basis):
+    """a -> (L_T, its lambda-metric gradient) at eigen coordinates a, from ``_FJet``'s evaluation."""
+
+    def objective(a):
+        ev = _FJet(sp, SpinorField(sp.grid, sp.table.from_eigen(a)), basis).ev
+        return ev.energy, ev.grad
+
+    return objective
+
+
 def test_reduced_problem_kernel_invariance(table, sp1, basis1):
     # the reduced energy is invariant under kernel shifts
-    fn = Functional(sp1, NL, basis=basis1)
     rng = np.random.default_rng(15)
     psi = random_field(table.grid, 2, rng)
     shift = 0.8 * basis1.fields[1]
-    v1 = fn.at_field(psi).energy
-    v2 = fn.at_field(psi + shift).energy
+    v1 = _FJet(sp1, psi, basis1).ev.energy
+    v2 = _FJet(sp1, psi + shift, basis1).ev.energy
     assert abs(v1 - v2) < 1e-9 * max(1.0, abs(v1))
 
 
@@ -450,20 +464,43 @@ def test_unreduced_fiber_maximum_equals_the_T_reduced_one(table, sp1, basis1, se
     # -T of the rest.
     raw = project(sp1, random_field(table.grid, 2, np.random.default_rng(seed), decay=1.2), "plus")
     full = fiber_maximize(Functional(sp1, NL), raw, gtol=1e-10)
-    reduced = fiber_maximize(Functional(sp1, NL, basis=basis1), raw, gtol=1e-10)
-    assert abs(full.value - reduced.value) <= 1e-9 * abs(reduced.value)
+    # L_T over {t phi + chi : chi in E^-}, phi lambda-unit, started at (full.t, 0)
+    t_reduced_fiber = SimpleNamespace(split=sp1, inner=SubspaceCoords(sp1, sp1.minus))
+    coords = _FiberCoords(t_reduced_fiber, table.to_eigen(full.phi.coeffs))
+    x0 = np.concatenate([[full.t], np.zeros(coords.dim - 1)]).astype(complex)
+    reduced = _inner_maximize(_t_reduced(sp1, basis1), coords, x0, 1e-10, 500)[1]
+    assert abs(full.value - reduced) <= 1e-9 * abs(reduced)
     rest = full.psi - full.chi0
     assert l2_norm(full.chi0 + t_lambda(sp1, rest, basis=basis1)) < 1e-7
 
 
 def test_unreduced_j_equals_the_T_reduced_one(table, sp1, basis1):
-    from diractorus.variational import _j_max
-
     raw = project(sp1, random_field(table.grid, 2, np.random.default_rng(34), decay=1.2), "plus")
     phi = (1.5 / norm_lambda(sp1, raw)) * raw
     _, jval, _ = eta_lambda(sp1, NL, phi)
-    reduced = _j_max(Functional(sp1, NL, basis=basis1), phi)[1]
+    base, minus, objective = table.to_eigen(phi.coeffs), SubspaceCoords(sp1, sp1.minus), _t_reduced(sp1, basis1)
+    z0 = np.zeros(minus.dim, dtype=complex)
+    reduced = _inner_maximize(lambda chi: objective(base + chi), minus, z0, 1e-10, 900)[1]
     assert abs(jval - reduced) <= 1e-9 * abs(reduced)
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+def test_s_lambda_at_an_eigenvalue_equals_the_T_reduced_maximum(table, sp1, basis1, seed):
+    # S runs on the unreduced R over E^0 + E^-; at lambda = 1 it equals the
+    # maximum over E^- of r_lambda(., basis), and S^2 = 4 J holds there.
+    raw = project(sp1, random_field(table.grid, 2, np.random.default_rng(seed), decay=1.2), "plus")
+    phi_bar = nehari_project(sp1, NL, raw)
+    sval, _, _ = s_lambda(sp1, NL, phi_bar)
+    base, minus = table.to_eigen(phi_bar.coeffs), SubspaceCoords(sp1, sp1.minus)
+
+    def objective(chi):
+        # r_lambda and r_lambda_rep at phi_bar + chi, from one T Newton
+        r_val, rep = _rayleigh(_FJet(sp1, SpinorField(table.grid, table.from_eigen(base + chi)), basis1).ev, 4.0)
+        return r_val, rep / sp1.w2
+
+    reduced = _inner_maximize(objective, minus, np.zeros(minus.dim, dtype=complex), 1e-10, 400)[1]
+    assert abs(sval - reduced) <= 1e-9 * abs(reduced)
+    assert abs(sval**2 - 4.0 * j_lambda(sp1, NL, phi_bar)) <= 1e-9 * sval**2
 
 
 def test_j_maximizes_over_the_kernel_block_with_a_subcritical_term(table, sp1):
@@ -523,14 +560,13 @@ def test_hvp_matches_gradient_differences(table, sp05, sp1, kind, frozen):
     assert worst < 1e-7
 
 
-@pytest.mark.parametrize("reduced", [False, True])
-def test_one_evaluation_is_one_synthesize_and_one_analyze(monkeypatch, table, sp1, basis1, reduced):
+def test_one_evaluation_is_one_synthesize_and_one_analyze(monkeypatch, table, sp1):
     import diractorus.torus as torus
     import diractorus.variational as variational
     from diractorus.spectral import EigenTable
 
     rng = np.random.default_rng(17)
-    fn = Functional(sp1, NL, basis=basis1 if reduced else None)
+    fn = Functional(sp1, NL)
     psi = random_field(table.grid, 2, rng)
     a = table.to_eigen(psi.coeffs)
     calls = {"synthesize": 0, "analyze": 0, "eigen": 0}
@@ -566,16 +602,14 @@ def _counting(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, wrapper)
 
 
-@pytest.mark.parametrize("case", ["bnd-regular", "T-reduced", "power"])
-def test_ray_search_is_one_evaluation(monkeypatch, table, sp05, sp1, basis1, case):
+@pytest.mark.parametrize("case", ["bnd-regular", "power"])
+def test_ray_search_is_one_evaluation(monkeypatch, table, sp05, case):
     import diractorus.torus as torus
     import diractorus.variational as variational
     from diractorus.variational import _ray_max
 
     if case == "bnd-regular":
         fn = Functional(sp05, NL)
-    elif case == "T-reduced":
-        fn = Functional(sp1, make_nonlinearity("zero", 2), basis=basis1)
     else:
         fn = Functional(sp05, make_nonlinearity("power", 2, alpha=0.8, p=3.0))
     sp = fn.split
@@ -590,30 +624,9 @@ def test_ray_search_is_one_evaluation(monkeypatch, table, sp05, sp1, basis1, cas
     calls = {}
     for module in (torus, variational):
         _counting(monkeypatch, module, "synthesize", calls)
-    _counting(monkeypatch, variational, "_kernel_coords", calls)
     t, value = _ray_max(fn, phi_e)
     assert calls["synthesize"] == 1
-    assert calls.get("_kernel_coords", 0) <= 1
     assert t > 0 and value > 0
-
-
-def test_kernel_newton_homogeneity_warm_start(monkeypatch, table, basis1):
-    import diractorus.variational as variational
-    from diractorus.variational import _kernel_coords
-
-    psi = random_field(table.grid, 2, np.random.default_rng(23))
-    c, _ = _kernel_coords(basis1, psi.values())
-    for t in (0.6, 1.7):
-        pv = (t * psi).values()
-        cold, u_cold = _kernel_coords(basis1, pv)
-        calls = {}
-        _counting(monkeypatch, variational, "_kernel_hessian", calls)
-        warm, u_warm = _kernel_coords(basis1, pv, init=t * c)
-        monkeypatch.undo()
-        assert calls["_kernel_hessian"] == 1
-        assert np.array_equal(warm, t * c)
-        assert np.abs(warm - cold).max() < 1e-10
-        assert np.abs(u_warm - u_cold).max() < 1e-10
 
 
 def test_tmfm_gap_runs_one_kernel_newton(monkeypatch, table, sp1, basis1):
