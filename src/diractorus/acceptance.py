@@ -10,6 +10,7 @@ target.
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .branch import (
 )
 from .clifford import build_rep, clifford_mul, one_minus_x_mul
 from .nonlinearity import make_nonlinearity
-from .spectral import assemble, norm_lambda, project, split, weyl_cm_vol, weyl_counts
+from .spectral import assemble, project, split, weyl_cm_vol, weyl_counts
 from .testspinor import (
     DEFAULT_EPS_SWEEP,
     TestSpinorParams,
@@ -209,7 +210,7 @@ def criterion_5():
 
 
 class BranchContext:
-    """Shared solves for the branch criteria (6, 7, 8, 10)."""
+    """Shared solves for the branch criteria (6, 7, 8), each made on first use."""
 
     def __init__(self):
         self.nl = make_nonlinearity("bnd", 2)
@@ -236,9 +237,7 @@ class BranchContext:
             for K in (24, 32):
                 table = assemble(2, K)
                 sp = split(table, 0.5)
-                warm = resample_field(prev, table.grid)
-                wp = project(sp, warm, "plus")
-                pt = minimize_M(sp, self.nl, init=(1.0 / norm_lambda(sp, wp)) * wp)
+                pt = minimize_M(sp, self.nl, init=resample_field(prev, table.grid))
                 prev = pt.psi
             self._chain = pt
         return self._chain
@@ -252,15 +251,11 @@ class BranchContext:
     def second_branch(self):
         if self._second is None:
             sp1 = split(self.table16, 1.0)
-            pt1 = self.kernel_point()
-            pp = project(sp1, pt1.psi, "plus")
-            warm = (1.0 / norm_lambda(sp1, pp)) * pp
+            warm = self.kernel_point().psi
             rows = []
             for lam in (0.95, 0.98, 0.99):
-                pt2 = second_solution(sp1, self.nl, lam, k=1, init=warm)
-                rows.append(pt2)
-                ppp = project(sp1, pt2.psi, "plus")
-                warm = (1.0 / norm_lambda(sp1, ppp)) * ppp
+                rows.append(second_solution(sp1, self.nl, lam, k=1, init=warm))
+                warm = rows[-1].psi
             self._second = rows
         return self._second
 
@@ -551,17 +546,6 @@ def criterion_11():
     return out
 
 
-_CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    9: criterion_9,
-    10: criterion_10,
-    11: criterion_11,
-}
-
 SUITES = {
     "clifford": (1,),
     "spectral": (2,),
@@ -576,15 +560,23 @@ def run_suite(suite, progress=None):
     """Run one named suite; returns the ordered list of verdict records."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    ids = SUITES[suite]
-    ctx = BranchContext() if any(i in (6, 7, 8, 10) for i in ids) else None
+    ctx = BranchContext()
+    criteria = {
+        1: criterion_1,
+        2: criterion_2,
+        3: criterion_3,
+        4: criterion_4,
+        5: criterion_5,
+        6: partial(criterion_6, ctx),
+        7: partial(criterion_7, ctx),
+        8: partial(criterion_8, ctx),
+        9: criterion_9,
+        10: criterion_10,
+        11: criterion_11,
+    }
     records = []
-    for cid in ids:
-        if cid in (6, 7, 8):
-            fn = {6: criterion_6, 7: criterion_7, 8: criterion_8}[cid]
-            recs = fn(ctx)
-        else:
-            recs = _CRITERIA[cid]()
+    for cid in SUITES[suite]:
+        recs = criteria[cid]()
         records.extend(recs)
         if progress:
             for r in recs:

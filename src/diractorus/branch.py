@@ -2,13 +2,16 @@
 
 A branch point is accepted when its energy sits strictly below the
 compactness threshold gamma_crit = (1/2m)(m/2)^m omega_m and its strong-form
-residual ||D psi - lam psi - f(|psi|)psi - |psi|^(2*-2)psi||_2 is below the
-configured tolerance.  Energies above the threshold are reported as guard
-violations: the minimization certificate is meaningless there.
+residual ||D psi - lam psi - f(|psi|)psi - |psi|^(2*-2)psi||_2 is at most
+RESIDUAL_TOL = 1e-6.  Energies above the threshold are reported as guard
+violations: the minimization certificate is meaningless there.  The stop
+policy is fixed: the least-energy descent stops at gtol 1e-7, the
+second-solution descent at 1e-6, and every fiber ascent at
+``fiber_maximize``'s 1e-9.
 
 The least-energy solve minimizes the reduced functional M over the unit
-sphere of E^+ from one start: the caller's warm direction when given, else
-the minimizer of the ray quotient.  Plane waves are exact critical points of
+sphere of E^+ from one start: the E^+ part of the caller's warm field when
+given, else the minimizer of the ray quotient.  Plane waves are exact critical points of
 M on the torus, so a descent started on one never leaves it; no start is
 taken from them.  At every lambda the fibers keep E^0 in their inner space:
 L_T(psi) = max_c L(psi - sum_a c_a e_a) at an eigenvalue with f = 0.
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nonlinearity import check_hypotheses, critical_exponent, make_nonlinearity
-from .spectral import norm_lambda, omega_sphere, project, split as make_split
+from .spectral import omega_sphere, split as make_split
 from .torus import SpinorField, l2_norm, pointwise_modulus
 from .variational import (
     Functional,
@@ -35,6 +38,9 @@ from .variational import (
     nu_lambda_k,
     sphere_minimize,
 )
+
+
+RESIDUAL_TOL = 1e-6  # strong-form residual at or below which a point is accepted
 
 
 class GuardViolationError(SolverFailure):
@@ -170,7 +176,7 @@ def polish_residual(table, nl, psi, lam):
     return Polish(psi, *_strong_residual(table, nl, psi, lam), steps)
 
 
-def _solved_point(split, nl, psi, lam, value, residual_tol, level, k=None, flags=(), **diagnostics):
+def _solved_point(split, nl, psi, lam, value, level, k=None, flags=(), **diagnostics):
     """Polish a solved field and report it; raises GuardViolationError at or above gamma_crit.
 
     ``value`` is the solver's energy at ``psi``, kept as ``value_pre_polish``
@@ -190,11 +196,11 @@ def _solved_point(split, nl, psi, lam, value, residual_tol, level, k=None, flags
         energy=float(energy),
         residual_l2=float(resid),
         below_gamma_crit=below,
-        accepted=bool(below and resid <= residual_tol and not flags),
+        accepted=bool(below and resid <= RESIDUAL_TOL and not flags),
         psi=polish.psi,
         diagnostics=dict(diagnostics, value_pre_polish=float(value), residual_pre_polish=float(resid_pre),
                          polish_steps=polish.steps, residual_in_band=polish.in_band, residual_spill=polish.spill),
-        flags=list(flags) + ([] if resid <= residual_tol else ["resolution-limited-residual"]),
+        flags=list(flags) + ([] if resid <= RESIDUAL_TOL else ["resolution-limited-residual"]),
     )
     if not below:
         raise GuardViolationError(
@@ -225,7 +231,6 @@ class SweepTable:
 
     points: list
     eigenvalues: np.ndarray
-    config: dict = field(default_factory=dict)
 
     def interval_index(self, lam):
         """Index k of the interval [lambda_k, lambda_{k+1}) containing lam."""
@@ -245,25 +250,31 @@ class SweepTable:
 
 
 def _ray_quotient(fn, a):
-    """The ray quotient [<(D-lam)phi,phi>]^2 / (4 |phi|_{2*}^{2*}) at eigen coordinates a.
+    """The ray quotient alpha^m / (2m beta^(m-1)) at eigen coordinates a.
 
-    ``fn`` is the pure-critical functional at the split's lambda; returns the
-    quotient and its lambda-metric gradient in eigen coordinates.
+    Here alpha = <(D-lam)phi,phi> and beta = |phi|_{2*}^{2*}.  On the ray,
+    the pure-critical energy (t^2/2) alpha - (t^{2*}/2*) beta is largest at
+    t^{2*-2} = alpha/beta, with this value, so the quotient is invariant
+    under scaling phi.  ``fn`` is the pure-critical functional at the split's
+    lambda; returns the quotient and its lambda-metric gradient in eigen
+    coordinates, whose L^2 representative is
+    (alpha/beta)^(m-1) (D-lam)phi - (alpha/beta)^m |phi|^(2*-2)phi.
     """
+    m = fn.split.grid.m
     ev = fn(a)
     alpha = 2.0 * ev.quadratic
-    beta = critical_exponent(fn.split.grid.m) * ev.mass
-    rep = (alpha / beta) * ev.lin - (alpha**2 / beta**2) * ev.nonlin
-    return alpha**2 / (4.0 * beta), rep / fn.split.w2
+    beta = critical_exponent(m) * ev.mass
+    rep = (alpha ** (m - 1) / beta ** (m - 1)) * ev.lin - (alpha**m / beta**m) * ev.nonlin
+    return alpha**m / (2.0 * m * beta ** (m - 1)), rep / fn.split.w2
 
 
 def ray_opt_direction(table, sp):
     """Direction minimizing the ray quotient (``_ray_quotient``).
 
-    For the quartic critical term (m = 2, pure power) this is the exact
-    maximum of the energy along the ray t phi, hence a pointwise lower bound
-    for the fiber value M(phi); its minimizer is a cheap, strong initial
-    direction for the sphere descent (no inner solves needed).  The L-BFGS
+    The quotient is the exact maximum of the pure-critical energy along the
+    ray t phi, hence a pointwise lower bound for the pure-critical fiber
+    value M(phi); its minimizer is a cheap, strong initial direction for the
+    sphere descent (no inner solves needed).  The L-BFGS
     run starts from a fixed random E^+ vector, so the direction is
     reproducible.
     """
@@ -315,20 +326,12 @@ def _lambda_nonpositive_gate(nl):
     return report
 
 
-def minimize_M(
-    split,
-    nl,
-    init=None,
-    outer_gtol=1e-7,
-    fiber_gtol=1e-9,
-    residual_tol=1e-6,
-    maxiter=120,
-):
-    """Least-energy solve at the split's lambda, descending from ``init`` or the ray-quotient direction.
+def minimize_M(split, nl, init=None, maxiter=120):
+    """Least-energy solve at the split's lambda, descending from the field ``init`` or the ray-quotient direction.
 
-    Returns the polished BranchPoint: accepted, or flagged when its residual
-    stays above ``residual_tol``.  Raises GuardViolationError when the
-    converged energy reaches gamma_crit.
+    The descent stops at gtol 1e-7.  Returns the polished BranchPoint:
+    accepted, or flagged when its residual stays above RESIDUAL_TOL.  Raises
+    GuardViolationError when the converged energy reaches gamma_crit.
     """
     table = split.table
     lam = split.lam
@@ -339,20 +342,13 @@ def minimize_M(
     else:
         start, phi0 = "warm", init
 
-    value, fiber, info = sphere_minimize(
-        Functional(split, nl),
-        phi0,
-        gtol=outer_gtol,
-        maxiter=maxiter,
-        fiber_gtol=fiber_gtol,
-    )
+    value, fiber, info = sphere_minimize(Functional(split, nl), phi0, gtol=1e-7, maxiter=maxiter)
     return _solved_point(
         split,
         nl,
         fiber.psi,
         lam,
         value,
-        residual_tol,
         "least",
         init=start,
         outer=info,
@@ -362,49 +358,34 @@ def minimize_M(
     )
 
 
-def second_solution(
-    split_k,
-    nl,
-    lam,
-    k,
-    sigma=None,
-    init=None,
-    outer_gtol=1e-6,
-    fiber_gtol=1e-9,
-    residual_tol=1e-6,
-    maxiter=80,
-    confirm_starts=8,
-    seed=0,
-):
+def second_solution(split_k, nl, lam, k, init=None):
     """Second-solution solve: minimize the frozen-fiber value N over E^+ at lambda_k.
 
-    The descent starts from ``init`` when given, else from the ray-quotient
-    direction at lambda_k.  lam must sit in the guard window just below
-    lambda_k.  The returned point carries a uniqueness-confidence flag from
-    the multi-start certification of the final fiber.
+    The descent starts from the field ``init`` when given, else from the
+    ray-quotient direction at lambda_k, and stops at gtol 1e-6 or after 80
+    iterations.  lam must sit in the guard window just below lambda_k.  The
+    returned point carries a uniqueness-confidence flag from the 8-start
+    certification of the final fiber (``nu_lambda_k``) and a flag when the
+    final direction's L^2 mass is below ``default_sigma``.
     """
     table = split_k.table
     lam = float(lam)
     lam_k = split_k.lam
     if not (lam <= lam_k + split_k.tol):
         raise SolverFailure(f"second solution needs lam <= lambda_k = {lam_k}, got {lam}")
-    if sigma is None:
-        sigma = default_sigma(split_k)
+    sigma = default_sigma(split_k)
 
     value, fiber, info = sphere_minimize(
         Functional(split_k, nl, lam),
         ray_opt_direction(table, split_k) if init is None else init,
-        gtol=outer_gtol,
-        maxiter=maxiter,
-        fiber_gtol=fiber_gtol,
+        gtol=1e-6,
+        maxiter=80,
     )
     flags = []
     mass = l2_norm(fiber.phi) ** 2
     if mass < sigma:
         flags.append("sigma-constraint-violated")
-    confirmed = nu_lambda_k(
-        split_k, nl, fiber.phi, lam, sigma=None, n_starts=confirm_starts, seed=seed, gtol=fiber_gtol
-    )
+    confirmed = nu_lambda_k(split_k, nl, fiber.phi, lam)
     if not confirmed.unique_confident:
         flags.append("non-unique-fiber-maximizer")
     return _solved_point(
@@ -413,7 +394,6 @@ def second_solution(
         confirmed.psi,
         lam,
         confirmed.value,
-        residual_tol,
         "second",
         k=int(k),
         flags=flags,
@@ -433,38 +413,23 @@ def _nearest_eigenvalue(table, lam):
     return None
 
 
-def _solve_sweep_point(table, nl, lam, opts, warm_field=None):
-    """One least-branch solve; failures come back as flagged points."""
-    eig = _nearest_eigenvalue(table, lam)
-    sp = make_split(table, eig if eig is not None else lam)
-    init = None
-    if warm_field is not None:
-        plus = project(sp, warm_field, "plus")
-        nrm = norm_lambda(sp, plus)
-        if nrm > 0:
-            init = (1.0 / nrm) * plus
+def _as_point(solve, lam, level, k=None):
+    """The point ``solve()`` returns, with solver failures recorded as flagged points.
+
+    A GuardViolationError gives its own point, flagged ``guard-violation``;
+    any other SolverFailure gives a point with no energy or field, flagged
+    ``solver-failure: <message>``.
+    """
     try:
-        pt = minimize_M(
-            sp,
-            nl,
-            init=init,
-            outer_gtol=opts.get("outer_gtol", 1e-7),
-            fiber_gtol=opts.get("fiber_gtol", 1e-9),
-            residual_tol=opts.get("residual_tol", 1e-6),
-            maxiter=opts.get("maxiter", 60),
-        )
-        pt.diagnostics["kernel_point"] = eig is not None
-        return pt
+        return solve()
     except GuardViolationError as exc:
-        pt = exc.point
-        pt.flags.append("guard-violation")
-        pt.diagnostics["kernel_point"] = eig is not None
-        return pt
+        exc.point.flags.append("guard-violation")
+        return exc.point
     except SolverFailure as exc:
         return BranchPoint(
             lam=lam,
-            level="least",
-            k=None,
+            level=level,
+            k=k,
             energy=None,
             residual_l2=None,
             below_gamma_crit=False,
@@ -474,35 +439,29 @@ def _solve_sweep_point(table, nl, lam, opts, warm_field=None):
         )
 
 
-def branch_sweep(
-    table,
-    nl,
-    lam_grid,
-    second_near=None,
-    second_offsets=(0.05, 0.02, 0.01),
-    outer_gtol=1e-7,
-    fiber_gtol=1e-9,
-    residual_tol=1e-6,
-    maxiter=60,
-):
+def _solve_sweep_point(table, nl, lam, maxiter, warm_field=None):
+    """One least-branch solve, at the nearest eigenvalue when lam is one."""
+    eig = _nearest_eigenvalue(table, lam)
+    sp = make_split(table, eig if eig is not None else lam)
+    pt = _as_point(lambda: minimize_M(sp, nl, init=warm_field, maxiter=maxiter), lam, "least")
+    pt.diagnostics["kernel_point"] = eig is not None
+    return pt
+
+
+def branch_sweep(table, nl, lam_grid, second_near=None, second_offsets=(0.05, 0.02, 0.01), maxiter=60):
     """Solve the least branch over a lambda grid plus optional second branches.
 
     Two deterministic phases: (1) every grid point solved independently from
     the ray-quotient direction; (2) serial ascending monotone repair inside
     each spectral interval, re-solving a violating point from its left
-    neighbor's minimizer direction, which enforces the non-increasing
-    property of the recorded energies up to solver tolerance.  Per-point
-    failures are recorded as flagged points and the sweep continues.
+    neighbor's minimizer, which enforces the non-increasing property of the
+    recorded energies up to solver tolerance.  Second-branch points are
+    solved from the largest offset down, each warm-started from the last one
+    that has a field.  Per-point failures are recorded as flagged points and
+    the sweep continues.
     """
     lam_grid = sorted({float(x) for x in lam_grid})
-    opts = {
-        "outer_gtol": outer_gtol,
-        "fiber_gtol": fiber_gtol,
-        "residual_tol": residual_tol,
-        "maxiter": maxiter,
-    }
-
-    points = [_solve_sweep_point(table, nl, lam, opts) for lam in lam_grid]
+    points = [_solve_sweep_point(table, nl, lam, maxiter) for lam in lam_grid]
 
     # Phase 2: ascending monotone repair within spectral intervals.
     sweep = SweepTable(points=list(points), eigenvalues=table.distinct.copy())
@@ -514,7 +473,7 @@ def branch_sweep(
             continue
         if cur.energy <= prev.energy + 1e-12:
             continue
-        repaired = _solve_sweep_point(table, nl, cur.lam, opts, warm_field=prev.psi)
+        repaired = _solve_sweep_point(table, nl, cur.lam, maxiter, warm_field=prev.psi)
         if repaired.energy is not None and repaired.energy < cur.energy:
             repaired.flags.append("monotone-repair")
             points[i] = repaired
@@ -529,35 +488,10 @@ def branch_sweep(
         warm = None
         for off in sorted(second_offsets, reverse=True):
             lam2 = lam_k - off
-            try:
-                pt = second_solution(
-                    sp_k,
-                    nl,
-                    lam2,
-                    k,
-                    init=warm,
-                    outer_gtol=max(outer_gtol, 1e-6),
-                    fiber_gtol=fiber_gtol,
-                    residual_tol=residual_tol,
-                )
-                plus = project(sp_k, pt.psi, "plus")
-                nrm = norm_lambda(sp_k, plus)
-                warm = (1.0 / nrm) * plus if nrm > 0 else None
-                points.append(pt)
-            except SolverFailure as exc:
-                points.append(
-                    BranchPoint(
-                        lam=lam2,
-                        level="second",
-                        k=k,
-                        energy=None,
-                        residual_l2=None,
-                        below_gamma_crit=False,
-                        accepted=False,
-                        psi=None,
-                        flags=[f"solver-failure: {exc}"],
-                    )
-                )
+            pt = _as_point(lambda: second_solution(sp_k, nl, lam2, k, init=warm), lam2, "second", k)
+            if pt.psi is not None:
+                warm = pt.psi
+            points.append(pt)
 
     points.sort(key=lambda p: (p.lam, p.level))
     return SweepTable(points=points, eigenvalues=table.distinct.copy())

@@ -191,13 +191,7 @@ def cmd_solve(cfg, out_dir, t0):
     sp = split(table, cfg.lam if eig is None else eig)
     code = 0
     try:
-        pt = minimize_M(
-            sp,
-            nl,
-            outer_gtol=cfg.outer_gtol,
-            fiber_gtol=cfg.fiber_gtol,
-            residual_tol=cfg.residual_tol,
-        )
+        pt = minimize_M(sp, nl)
     except GuardViolationError as exc:
         pt = exc.point
         pt.flags.append("guard-violation")
@@ -222,14 +216,7 @@ def cmd_branch(cfg, out_dir, t0):
     nl = cfg.nonlinearity()
     table = assemble(cfg.dim, cfg.cutoff, cfg.n_grid)
     sweep = branch_sweep(
-        table,
-        nl,
-        cfg.lambda_grid,
-        second_near=cfg.second_near,
-        second_offsets=cfg.second_offsets,
-        outer_gtol=cfg.outer_gtol,
-        fiber_gtol=cfg.fiber_gtol,
-        residual_tol=cfg.residual_tol,
+        table, nl, cfg.lambda_grid, second_near=cfg.second_near, second_offsets=cfg.second_offsets
     )
     header = ["lambda", "level", "energy", "residual", "below_gamma_crit", "flags"]
     _write_csv(out_dir / "results.csv", header, [_point_row(p) for p in sweep.points])

@@ -31,7 +31,6 @@ _SCHEMA = {
     "nonlinearity": {"kind", "alpha", "p", "q"},
     "testspinor": {"eps_sweep", "delta", "dual_lambda"},
     "branch": {"second_near", "second_offsets"},
-    "tolerances": {"outer_gtol", "fiber_gtol", "residual_tol"},
     "accept": {"suite"},
 }
 
@@ -68,9 +67,6 @@ class RunConfig:
     dual_lambda: float = 0.5
     second_near: int | None = None
     second_offsets: tuple = (0.05, 0.02, 0.01)
-    outer_gtol: float = 1e-7
-    fiber_gtol: float = 1e-9
-    residual_tol: float = 1e-6
     suite: str = "all"
 
     def nonlinearity(self):
@@ -180,9 +176,6 @@ def load_config(path, overrides=None):
         lambda s: tuple(float(x) for x in s.split(",")),
         "second_offsets",
     )
-    get("tolerances", "outer_gtol", float, "outer_gtol")
-    get("tolerances", "fiber_gtol", float, "fiber_gtol")
-    get("tolerances", "residual_tol", float, "residual_tol")
     get("accept", "suite", str, "suite")
 
     for attr, value in (overrides or {}).items():

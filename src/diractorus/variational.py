@@ -55,7 +55,7 @@ from scipy.optimize import minimize as _scipy_minimize
 
 from .nonlinearity import critical_exponent, make_nonlinearity
 from .spectral import norm_lambda, project
-from .torus import SpinorField, analyze, l2_norm, pointwise_modulus, synthesize, zero_field
+from .torus import SpinorField, analyze, pointwise_modulus, synthesize, zero_field
 
 
 class SolverFailure(RuntimeError):
@@ -598,31 +598,27 @@ def _sphere_grad(fn, coords, fiber, zhat):
     return fiber.t * (gz - np.vdot(zhat, gz).real * zhat)
 
 
-def m_lambda(split, nl, phi, lam=None, gtol=1e-9):
+def m_lambda(split, nl, phi):
     """Reduced functional M(phi) = L(mu(phi)) and its sphere-tangent gradient.
 
     The gradient is ||mu(phi)^+||_lam times the E^+ restriction of grad L at
     the fiber maximizer, projected onto the tangent space at phi.
     """
-    fn = Functional(split, nl, lam)
-    fiber = fiber_maximize(fn, phi, gtol=gtol)
+    fn = Functional(split, nl)
+    fiber = fiber_maximize(fn, phi)
     coords = SubspaceCoords(split, split.plus)
     grad = coords.to_field(_sphere_grad(fn, coords, fiber, coords.from_field(fiber.phi)))
     return fiber.value, grad, fiber
 
 
-def sphere_minimize(
-    fn,
-    phi0,
-    gtol=1e-7,
-    maxiter=120,
-    fiber_gtol=1e-9,
-):
+def sphere_minimize(fn, phi0, gtol=1e-7, maxiter=120):
     """Minimize the fiber maximum of ``fn`` over the unit sphere of E^+.
 
+    The descent starts from the normalized E^+ part of the field ``phi0``.
     Quasi-Newton descent on the scale-invariant extension phi -> M(phi/||phi||)
-    in lambda-orthonormal E^+ coordinates; fiber solves are warm-started from
-    the previous iterate.  Returns (value, fiber_point, info); ``info`` holds
+    in lambda-orthonormal E^+ coordinates; fiber solves run at
+    ``fiber_maximize``'s default gtol and are warm-started from the previous
+    iterate.  Returns (value, fiber_point, info); ``info`` holds
     ``fiber_grad_max``, the largest final gradient norm of its fiber solves,
     and ``fiber_evals``, the sum of their inner evaluations.  A descent never
     ends above its start: when it took a step and still ended higher than its
@@ -643,7 +639,7 @@ def sphere_minimize(
         z = _unpack(x)
         nrm = float(np.linalg.norm(z))
         zhat = z / nrm
-        fiber = fiber_maximize(fn, coords.to_field(zhat), gtol=fiber_gtol, warm=warm)
+        fiber = fiber_maximize(fn, coords.to_field(zhat), warm=warm)
         gz = _sphere_grad(fn, coords, fiber, zhat) / nrm
         last["fiber"] = fiber
         last.setdefault("first", fiber)
@@ -679,13 +675,13 @@ def sphere_minimize(
 # Reduced functionals on E+: J, H and the Nehari projection
 
 
-def _j_max(fn, phi_plus, z0=None, gtol=1e-10, maxiter=900):
+def _j_max(fn, phi_plus, z0=None):
     """J(phi_plus) = max of fn over phi_plus + fn.inner; returns (z, J, grad_norm, evals)."""
     coords = fn.inner
     base = fn.split.table.to_eigen(phi_plus.coeffs)
     z0 = np.zeros(coords.dim, dtype=complex) if z0 is None else z0
     z, val, gnorm, evals = _inner_maximize(
-        lambda chi: fn.value_and_grad(base + chi), coords, z0, gtol, maxiter
+        lambda chi: fn.value_and_grad(base + chi), coords, z0, 1e-10, 900
     )
     scale = max(1.0, norm_lambda(fn.split, phi_plus) ** 3)
     if gnorm > 1e-5 * scale:
@@ -693,10 +689,10 @@ def _j_max(fn, phi_plus, z0=None, gtol=1e-10, maxiter=900):
     return z, val, gnorm, evals
 
 
-def eta_lambda(split, nl, phi_plus, gtol=1e-10):
+def eta_lambda(split, nl, phi_plus):
     """The inner maximizer eta(phi^+) and the value J(phi^+)."""
     fn = Functional(split, nl)
-    z, val, gnorm, evals = _j_max(fn, phi_plus, gtol=gtol)
+    z, val, gnorm, evals = _j_max(fn, phi_plus)
     return fn.inner.to_field(z), float(val), {"grad_norm": gnorm, "inner_evals": evals}
 
 
@@ -727,12 +723,12 @@ def nehari_project(split, nl, phi):
     return fib.t * fib.phi
 
 
-def nehari_second_order(split, nl, phi_bar, rel_step=1e-4):
+def nehari_second_order(split, nl, phi_bar):
     """t^2 j''(t) at the Nehari root (equals H'(phi)[phi] there), by central FD."""
     t_bar = norm_lambda(split, phi_bar)
     direction = (1.0 / t_bar) * phi_bar
     fn = Functional(split, nl)
-    h = rel_step * t_bar
+    h = 1e-4 * t_bar
     z = np.zeros(fn.inner.dim, dtype=complex)
     sp, z, _ = h_lambda(fn, (t_bar + h) * direction, z0=z)
     sm, z, _ = h_lambda(fn, (t_bar - h) * direction, z0=z)
@@ -762,7 +758,7 @@ def r_lambda_rep(split, psi, basis=None):
     return split.table.from_eigen(rep)
 
 
-def s_lambda(split, nl, phi_nehari, gtol=1e-10, maxiter=400):
+def s_lambda(split, nl, phi_nehari):
     """S(phi) = max over chi in E^- of the T-reduced R(phi + chi), by concave-superlevel ascent.
 
     The ascent runs on the unreduced R over E^0 + E^-: where q > 0, the
@@ -783,7 +779,7 @@ def s_lambda(split, nl, phi_nehari, gtol=1e-10, maxiter=400):
         return r_val, rep / split.w2
 
     z, val, gnorm, evals = _inner_maximize(
-        objective, fn.inner, np.zeros(fn.inner.dim, dtype=complex), gtol, maxiter
+        objective, fn.inner, np.zeros(fn.inner.dim, dtype=complex), 1e-10, 400
     )
     return float(val), fn.inner.to_field(z), {"grad_norm": gnorm, "inner_evals": evals}
 
@@ -792,46 +788,33 @@ def s_lambda(split, nl, phi_nehari, gtol=1e-10, maxiter=400):
 # Frozen-fiber maximizers near an eigenvalue
 
 
-def nu_lambda_k(
-    split_k,
-    nl,
-    phi,
-    lam,
-    sigma=None,
-    n_starts=8,
-    seed=0,
-    gtol=1e-9,
-    agreement_tol=1e-8,
-):
+def nu_lambda_k(split_k, nl, phi, lam, n_starts=8):
     """Maximize L_lam over the fiber of the split frozen at lambda_k, lam <= lambda_k.
 
-    Multi-start gradient ascent; all starts must agree for the uniqueness
-    confidence flag (the positive kernel-direction quadratic makes the inner
-    problem only locally well-posed for lam < lambda_k).
+    Multi-start gradient ascent from fixed random inner starts; all starts
+    must agree to 1e-8 for the uniqueness confidence flag (the positive
+    kernel-direction quadratic makes the inner problem only locally
+    well-posed for lam < lambda_k).
     """
     lam = float(lam)
     if lam > split_k.lam + split_k.tol:
         raise SolverFailure(f"nu requires lam <= lambda_k = {split_k.lam}, got {lam}")
     nrm = norm_lambda(split_k, phi)
     phi = (1.0 / nrm) * phi
-    if sigma is not None and l2_norm(phi) ** 2 < sigma:
-        raise SolverFailure(
-            f"direction has |phi|_2^2 = {l2_norm(phi)**2:.3g} below sigma = {sigma}"
-        )
 
     fn = Functional(split_k, nl, lam)
-    best = fiber_maximize(fn, phi, gtol=gtol)
+    best = fiber_maximize(fn, phi)
     values = [best.value]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     dim = fn.inner.dim
     for _ in range(max(0, n_starts - 1)):
         z = 0.3 * best.t * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / max(np.sqrt(dim), 1.0)
-        fib = fiber_maximize(fn, phi, gtol=gtol, warm={"t": best.t, "z": z})
+        fib = fiber_maximize(fn, phi, warm={"t": best.t, "z": z})
         values.append(fib.value)
-        if fib.value > best.value + agreement_tol:
+        if fib.value > best.value + 1e-8:
             best = fib
     spread = max(values) - min(values)
-    best.unique_confident = bool(spread <= agreement_tol * max(1.0, abs(best.value)))
+    best.unique_confident = bool(spread <= 1e-8 * max(1.0, abs(best.value)))
     return best
 
 

@@ -5,19 +5,21 @@ import pytest
 
 from diractorus.branch import (
     GuardViolationError,
+    _ray_quotient,
     branch_sweep,
     gamma_crit,
     minimize_M,
     multiplicity_count,
     nu_window,
     polish_residual,
+    ray_opt_direction,
     residual_check,
     second_solution,
 )
 from diractorus.nonlinearity import make_nonlinearity
-from diractorus.spectral import assemble, omega_sphere, split
+from diractorus.spectral import assemble, omega_sphere, project, split
 from diractorus.torus import SpinorField, random_field, zero_field
-from diractorus.variational import SolverFailure, m_lambda
+from diractorus.variational import Functional, L_lambda, SolverFailure, _ray_max, m_lambda, sphere_minimize
 
 NL = make_nonlinearity("bnd", 2)
 
@@ -115,13 +117,19 @@ def test_polish_keeps_the_galerkin_energy_where_the_spill_is_large():
     # at K = 16, lambda = 0.4 the out-of-band spill is 9.2e-3; a polish of the
     # full-cube residual moved the energy by up to 9.9e-6 off the minimizer,
     # differently for each outer tolerance
-    sp = split(assemble(2, 16), 0.4)
-    for outer_gtol in (1e-7, 1e-9):
-        pt = minimize_M(sp, NL, outer_gtol=outer_gtol)
-        assert abs(pt.energy - pt.diagnostics["value_pre_polish"]) < 1e-10
-        in_band, spill = pt.diagnostics["residual_in_band"], pt.diagnostics["residual_spill"]
-        assert in_band < 1e-8
-        assert np.isclose(np.hypot(in_band, spill), pt.residual_l2)
+    table = assemble(2, 16)
+    sp = split(table, 0.4)
+    pt = minimize_M(sp, NL)  # the descent stops at gtol 1e-7
+    assert abs(pt.energy - pt.diagnostics["value_pre_polish"]) < 1e-10
+    in_band, spill = pt.diagnostics["residual_in_band"], pt.diagnostics["residual_spill"]
+    assert in_band < 1e-8
+    assert np.isclose(np.hypot(in_band, spill), pt.residual_l2)
+    # the same finish after a descent to gtol 1e-9
+    value, fiber, _ = sphere_minimize(Functional(sp, NL), ray_opt_direction(table, sp), gtol=1e-9)
+    polish = polish_residual(table, NL, fiber.psi, 0.4)
+    assert abs(L_lambda(sp, NL, polish.psi) - value) < 1e-10
+    assert polish.in_band < 1e-8
+    assert np.isclose(np.hypot(polish.in_band, polish.spill), residual_check(table, NL, polish.psi, 0.4))
 
 
 def test_minimize_M_closed_form_bound():
@@ -284,3 +292,47 @@ def test_branch_sweep_records_guard_violations_and_continues():
     assert len(flagged) == 1 and flagged[0].lam == 0.05
     assert clean[0].below_gamma_crit
     assert clean[0].energy <= np.pi**2 * 0.01 + 1e-6
+
+
+def test_branch_sweep_keeps_a_second_point_that_violates_the_guard(monkeypatch):
+    # A guard violation is a SolverFailure; the second branch used to record
+    # it as a solver failure without energy or field.
+    import diractorus.branch as branch
+
+    solve, inits = branch.second_solution, []
+
+    def violating(split_k, nl, lam, k, init=None):
+        inits.append(init)
+        pt = solve(split_k, nl, lam, k, init=init)
+        if np.isclose(lam, 0.95):
+            raise GuardViolationError("second energy above the threshold", point=pt)
+        return pt
+
+    monkeypatch.setattr(branch, "second_solution", violating)
+    sweep = branch_sweep(assemble(2, 4), NL, [0.9], second_near=1, second_offsets=(0.05, 0.02))
+    flagged, after = [p for p in sweep.points if p.level == "second"]
+    assert np.isclose(flagged.lam, 0.95) and np.isclose(after.lam, 0.98)
+    assert flagged.energy is not None and flagged.psi is not None
+    assert "guard-violation" in flagged.flags
+    assert not any(f.startswith("solver-failure") for f in flagged.flags)
+    # the next offset starts from the flagged point's field
+    assert inits[1] is flagged.psi
+
+
+def test_ray_quotient_is_the_scale_invariant_ray_maximum_at_m3():
+    # alpha^2 / (4 beta) is the ray maximum only at m = 2; at m = 3 it grew
+    # linearly with the scale of phi
+    table = assemble(3, 3)
+    sp = split(table, 0.5)
+    fn = Functional(sp, make_nonlinearity("zero", 3))
+    rng = np.random.default_rng(3)
+    a = table.to_eigen(project(sp, random_field(table.grid, table.N, rng), "plus").coeffs)
+    values = [_ray_quotient(fn, s * a)[0] for s in (1.0, 2.0, 4.0)]
+    assert max(values) - min(values) <= 1e-12 * values[0]
+    assert np.isclose(values[0], _ray_max(fn, a)[1], rtol=1e-9, atol=0.0)
+    _, grad = _ray_quotient(fn, a)
+    d = table.to_eigen(random_field(table.grid, table.N, rng).coeffs)
+    h = 1e-5
+    fd = (_ray_quotient(fn, a + h * d)[0] - _ray_quotient(fn, a - h * d)[0]) / (2.0 * h)
+    slope = float(table.grid.volume * (grad * sp.w2 * d.conj()).real.sum())
+    assert abs(slope - fd) <= 1e-6 * max(1.0, abs(fd))

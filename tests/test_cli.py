@@ -133,6 +133,15 @@ def test_run_config_unknown_key(tmp_path, capsys):
     assert "line 2" in err and "workers" in err
 
 
+def test_run_config_rejects_the_tolerances_section(tmp_path, capsys):
+    # the solver stop policy is fixed; its section and keys are gone
+    path = tmp_path / "tol.ini"
+    path.write_text("[problem]\ndim = 2\n\n[tolerances]\nresidual_tol = 1e-6\n")
+    assert run_cli(["run", str(path)]) == 64
+    err = capsys.readouterr().err
+    assert "line 4" in err and "tolerances" in err
+
+
 def test_run_config_power_out_of_range(tmp_path, capsys):
     path = tmp_path / "bad2.ini"
     path.write_text(
