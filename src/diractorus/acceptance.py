@@ -10,7 +10,7 @@ target.
 from __future__ import annotations
 
 import time
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .variational import (
     grad_L,
     h_lambda,
     j_lambda,
-    kernel_basis,
     m_lambda,
     nehari_project,
     r_lambda,
@@ -215,49 +214,41 @@ class BranchContext:
     def __init__(self):
         self.nl = make_nonlinearity("bnd", 2)
         self.table16 = assemble(2, 16)
-        self._sweep = None
-        self._chain = None
-        self._kernel_point = None
-        self._second = None
 
+    @cached_property
     def sweep(self):
-        if self._sweep is None:
-            from .branch import branch_sweep
+        from .branch import branch_sweep
 
-            grid = [round(0.1 * i, 10) for i in range(1, 10)] + [0.99]
-            self._sweep = branch_sweep(self.table16, self.nl, grid)
-        return self._sweep
+        grid = [round(0.1 * i, 10) for i in range(1, 10)] + [0.99]
+        return branch_sweep(self.table16, self.nl, grid)
 
+    @cached_property
     def chain_05(self):
         """Least solve at lambda = 0.5 chained K = 16 -> 24 -> 32."""
-        if self._chain is None:
-            sp16 = split(self.table16, 0.5)
-            pt = minimize_M(sp16, self.nl)
+        sp16 = split(self.table16, 0.5)
+        pt = minimize_M(sp16, self.nl)
+        prev = pt.psi
+        for K in (24, 32):
+            table = assemble(2, K)
+            sp = split(table, 0.5)
+            pt = minimize_M(sp, self.nl, init=resample_field(prev, table.grid))
             prev = pt.psi
-            for K in (24, 32):
-                table = assemble(2, K)
-                sp = split(table, 0.5)
-                pt = minimize_M(sp, self.nl, init=resample_field(prev, table.grid))
-                prev = pt.psi
-            self._chain = pt
-        return self._chain
+        return pt
 
+    @cached_property
     def kernel_point(self):
-        if self._kernel_point is None:
-            sp1 = split(self.table16, 1.0)
-            self._kernel_point = minimize_M(sp1, self.nl, maxiter=60)
-        return self._kernel_point
+        sp1 = split(self.table16, 1.0)
+        return minimize_M(sp1, self.nl, maxiter=60)
 
+    @cached_property
     def second_branch(self):
-        if self._second is None:
-            sp1 = split(self.table16, 1.0)
-            warm = self.kernel_point().psi
-            rows = []
-            for lam in (0.95, 0.98, 0.99):
-                rows.append(second_solution(sp1, self.nl, lam, k=1, init=warm))
-                warm = rows[-1].psi
-            self._second = rows
-        return self._second
+        sp1 = split(self.table16, 1.0)
+        warm = self.kernel_point.psi
+        rows = []
+        for lam in (0.95, 0.98, 0.99):
+            rows.append(second_solution(sp1, self.nl, lam, k=1, init=warm))
+            warm = rows[-1].psi
+        return rows
 
 
 def criterion_6(ctx=None):
@@ -272,7 +263,7 @@ def criterion_6(ctx=None):
     pw = SpinorField(grid, coeffs)  # |s|^2 = 0.5 solves the lam = 0.5 problem
     resid_pw = residual_check(table, ctx.nl, pw, 0.5)
     rec_a = _record(6, "plane-wave residual at lambda=0.5", resid_pw < 1e-12, resid_pw, 0.0, 1e-12)
-    pt = ctx.chain_05()
+    pt = ctx.chain_05
     bound = np.pi**2 / 4.0 + 1e-6
     rec_b = _record(
         6,
@@ -300,7 +291,7 @@ def criterion_6(ctx=None):
 def criterion_7(ctx=None):
     """Branch properties over lambda = 0.1 .. 0.99 plus the kernel point."""
     ctx = ctx or BranchContext()
-    sweep = ctx.sweep()
+    sweep = ctx.sweep
     least = [p for p in sweep.points if p.level == "least"]
     energies = {p.lam: p.energy for p in least}
     positive = all(e is not None and e > 0 for e in energies.values())
@@ -334,7 +325,7 @@ def criterion_7(ctx=None):
     )
     tail = energies[0.99]
     rec_d = _record(7, "energy(0.99) <= 1e-3", tail <= 1e-3, tail, 1e-3)
-    kp = ctx.kernel_point()
+    kp = ctx.kernel_point
     ok = kp.energy is not None and kp.energy < np.pi and kp.diagnostics.get("kernel_dim", 0) > 0
     rec_e = _record(
         7,
@@ -351,8 +342,8 @@ def criterion_7(ctx=None):
 def criterion_8(ctx=None):
     """Second-solution level ordering and continuation toward c(lambda_1)."""
     ctx = ctx or BranchContext()
-    c1 = ctx.kernel_point().energy
-    seconds = ctx.second_branch()
+    c1 = ctx.kernel_point.energy
+    seconds = ctx.second_branch
     ordering = []
     for pt2 in seconds[:2]:
         sp = split(ctx.table16, pt2.lam)
@@ -402,15 +393,15 @@ def criterion_9():
 
     table3 = assemble(2, 3)
     sp1 = split(table3, 1.0)
-    basis = kernel_basis(sp1)
+    kernel, e = SubspaceCoords(sp1, sp1.zero), np.eye(sp1.kernel_dim)
+    shift = kernel.to_field(0.4 * e[1] - 0.9j * e[3])  # 0.4 e_1 - 0.9i e_3
     worst_t = 0.0
     for _ in range(10):
         psi = random_field(table3.grid, 2, rng)
-        tpsi = t_lambda(sp1, psi, basis=basis)
-        t2 = t_lambda(sp1, 1.7 * psi, basis=basis)
+        tpsi = t_lambda(sp1, psi)
+        t2 = t_lambda(sp1, 1.7 * psi)
         worst_t = max(worst_t, l2_norm(t2 - 1.7 * tpsi))
-        shift = 0.4 * basis.fields[1] - 0.9j * basis.fields[3]
-        t3 = t_lambda(sp1, psi + shift, basis=basis)
+        t3 = t_lambda(sp1, psi + shift)
         worst_t = max(worst_t, l2_norm(t3 - (tpsi + shift)))
     rec_b = _record(
         9, "kernel projector equivariance (scaling, shifts)", worst_t < 1e-10, worst_t, 0.0, 1e-10
@@ -420,7 +411,7 @@ def criterion_9():
     for _ in range(20):
         psi = random_field(table3.grid, 2, rng, scale=0.8)
         phi = random_field(table3.grid, 2, rng, scale=0.8)
-        worst_gap = min(worst_gap, tmfm_gap(sp1, psi, phi, basis=basis))
+        worst_gap = min(worst_gap, tmfm_gap(sp1, psi, phi))
     rec_c = _record(
         9, "quadratic-form lower bound (sampled)", worst_gap >= -1e-8, worst_gap, 0.0, 1e-8
     )
@@ -512,17 +503,13 @@ def criterion_11():
 
     # derivative of the kernel-reduced critical mass F
     sp1 = split(table, 1.0)
-    basis = kernel_basis(sp1)
     worst = 0.0
     for _ in range(100):
         psi = random_field(table.grid, 2, rng, scale=0.7)
         d = random_field(table.grid, 2, rng, scale=0.7)
-        slope = f_first(sp1, psi, d, basis=basis)
+        slope = f_first(sp1, psi, d)
         h = 1e-4
-        fd = (
-            f_lambda_value(sp1, psi + h * d, basis=basis)
-            - f_lambda_value(sp1, psi - h * d, basis=basis)
-        ) / (2.0 * h)
+        fd = (f_lambda_value(sp1, psi + h * d) - f_lambda_value(sp1, psi - h * d)) / (2.0 * h)
         worst = max(worst, abs(slope - fd) / max(1.0, abs(fd)))
     out.append(
         _record(11, "derivative of the kernel-reduced mass (100 samples)", worst < 1e-5, worst, 0.0, 1e-5)

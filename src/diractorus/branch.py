@@ -29,10 +29,9 @@ import numpy as np
 
 from .nonlinearity import check_hypotheses, critical_exponent, make_nonlinearity
 from .spectral import omega_sphere, split as make_split
-from .torus import SpinorField, l2_norm, pointwise_modulus
+from .torus import SpinorField, l2_norm
 from .variational import (
     Functional,
-    L_lambda,
     SolverFailure,
     default_sigma,
     nu_lambda_k,
@@ -80,27 +79,32 @@ def multiplicity_count(table, lam, nu=None):
     return int(table.multiplicity[mask].sum())
 
 
-def _strong_residual(table, nl, psi, lam):
-    """In-band and out-of-band L^2 norms of the strong-form residual, from one FFT of g(|psi|) psi.
+def _l2(grid, r):
+    """L^2 norm of the field whose band (or full-cube) coefficients are r."""
+    return float(np.sqrt(grid.volume * (np.abs(r) ** 2).sum()))
 
-    The in-band part is (D - lam) psi minus the band part of g(|psi|) psi: the
-    Galerkin gradient, the L^2 representative of L_lam'(psi) on the cutoff
-    space, which the solvers drive to zero.  The spill is the part of
-    g(|psi|) psi outside the band: fixed by psi, it estimates the truncation
-    error.
+
+def _strong_residual(ev):
+    """In-band and out-of-band L^2 norms of the strong-form residual at the evaluation ``ev``.
+
+    The in-band part is the norm of ``ev.rep``, the Galerkin gradient: the L^2
+    representative of L_lam'(psi) on the cutoff space, which the solvers drive
+    to zero.  The spill is the part of g(|psi|) psi outside the band, read off
+    one full-cube FFT of the evaluation's ``gu``; fixed by psi, it estimates
+    the truncation error.  It is transformed on its own, not taken as the
+    full norm minus the band norm, which cancels to the square root of
+    rounding at a band-limited solution.
     """
-    grid = psi.grid
-    v = psi.values()
-    cube = np.fft.fftn(nl.g(pointwise_modulus(v))[..., None] * v, axes=tuple(range(grid.m))) / (grid.n_grid**grid.m)
-    idx = tuple(grid.modes[:, j] % grid.n_grid for j in range(grid.m))
-    in_band = table.from_eigen((table.eigenvalues - lam) * table.to_eigen(psi.coeffs)) - cube[idx]
-    cube[idx] = 0.0
-    return tuple(float(np.sqrt(grid.volume * (np.abs(r) ** 2).sum())) for r in (in_band, cube))
+    grid = ev.fn.split.grid
+    cube = np.fft.fftn(ev.gu, axes=tuple(range(grid.m))) / (grid.n_grid**grid.m)
+    cube[tuple(grid.modes[:, j] % grid.n_grid for j in range(grid.m))] = 0.0
+    return _l2(grid, ev.rep), _l2(grid, cube)
 
 
 def residual_check(table, nl, psi, lam):
     """L^2 norm of the strong-form residual: its in-band part and out-of-band spill combined.
 
+    Both parts come from one evaluation of L_lam at psi (``_strong_residual``).
     The linear part lives on the cutoff band; the pointwise nonlinearity is
     transformed on the full collocation cube, so out-of-band spill counts
     toward the residual.  For the critical term at m = 2, g(|psi|) psi =
@@ -110,7 +114,8 @@ def residual_check(table, nl, psi, lam):
     lambda = 0.2 least-energy point at K = 96 has a full residual of
     0.61787859 at n_grid = 386 and 0.61787873 at n_grid = 390.
     """
-    return float(np.hypot(*_strong_residual(table, nl, psi, lam)))
+    ev = Functional(make_split(table, lam), nl, lam).at_field(psi)
+    return float(np.hypot(*_strong_residual(ev)))
 
 
 @dataclass(frozen=True)
@@ -118,7 +123,9 @@ class Polish:
     """Outcome of ``polish_residual``."""
 
     psi: SpinorField
-    in_band: float  # the two parts of the final residual, from one ``_strong_residual``
+    energy: float  # L_lam at psi, from the last evaluation
+    pre: tuple  # (in-band, spill) of the residual at the start, from the first evaluation
+    in_band: float  # the two parts of the final residual, from the last evaluation
     spill: float
     steps: int  # Newton steps kept
 
@@ -140,8 +147,10 @@ def polish_residual(table, nl, psi, lam):
     while each step at least halves it, until that norm is at rounding level
     1e-12 max(1, ||(D - lam) psi||) (at most 20 steps).  The out-of-band
     spill is left alone, so the polish does not trade the Galerkin critical
-    point for a smaller full residual; ``residual`` is the full
-    ``residual_check`` value, kept as its in-band and spill parts.
+    point for a smaller full residual.  The energy and both residual parts,
+    before and after, are read off the first and last evaluations
+    (``_strong_residual``); a polish that keeps no step transforms the spill
+    once.  ``residual`` is the full ``residual_check`` value at ``psi``.
     """
     from scipy.sparse import diags
     from scipy.sparse.linalg import LinearOperator, minres
@@ -152,42 +161,39 @@ def polish_residual(table, nl, psi, lam):
     shape, size = psi.coeffs.shape, 2 * psi.coeffs.size
     precond = diags(np.tile(1.0 / (np.abs(fn.shift.ravel()) + 1.0), 2))
 
-    def norm(r):
-        return float(np.sqrt(psi.grid.volume * (np.abs(r) ** 2).sum()))
-
     ev = fn.at_field(psi)
     hess = LinearOperator(  # the Hessian at the current iterate ``ev``
         (size, size), matvec=lambda x: _pack(ev.hvp(_unpack(x).reshape(shape)).ravel()), dtype=float
     )
-    resid, steps = norm(ev.rep), 0
-    while steps < 20 and resid > 1e-12 * max(1.0, norm(ev.lin)):
+    pre = _strong_residual(ev)
+    resid, steps = pre[0], 0
+    while steps < 20 and resid > 1e-12 * max(1.0, _l2(psi.grid, ev.lin)):
         d = minres(hess, -_pack(ev.rep.ravel()), M=precond, rtol=1e-4)[0]
         if not np.isfinite(d).all():
             break
         trial = SpinorField(psi.grid, psi.coeffs + table.from_eigen(_unpack(d).reshape(shape)))
         trial_ev = fn.at_field(trial)
-        trial_resid = norm(trial_ev.rep)
+        trial_resid = _l2(psi.grid, trial_ev.rep)
         if not trial_resid < resid:
             break
         halved = trial_resid <= 0.5 * resid
         psi, ev, resid, steps = trial, trial_ev, trial_resid, steps + 1
         if not halved:
             break
-    return Polish(psi, *_strong_residual(table, nl, psi, lam), steps)
+    return Polish(psi, ev.energy, pre, *(_strong_residual(ev) if steps else pre), steps)
 
 
 def _solved_point(split, nl, psi, lam, value, level, k=None, flags=(), **diagnostics):
     """Polish a solved field and report it; raises GuardViolationError at or above gamma_crit.
 
     ``value`` is the solver's energy at ``psi``, kept as ``value_pre_polish``
-    and re-evaluated only when the polish moves psi.  Any of the solver's own
-    ``flags`` rejects the point.
+    and replaced by the polish's energy only when the polish moves psi.  Any
+    of the solver's own ``flags`` rejects the point.
     """
     table = split.table
-    resid_pre = residual_check(table, nl, psi, lam)
     polish = polish_residual(table, nl, psi, lam)
-    energy = L_lambda(split, nl, polish.psi, lam) if polish.steps else value
-    resid = polish.residual
+    energy = polish.energy if polish.steps else value
+    resid, resid_pre = polish.residual, np.hypot(*polish.pre)
     below = bool(energy < gamma_crit(table.m))
     point = BranchPoint(
         lam=float(lam),
@@ -330,8 +336,10 @@ def minimize_M(split, nl, init=None, maxiter=120):
     """Least-energy solve at the split's lambda, descending from the field ``init`` or the ray-quotient direction.
 
     The descent stops at gtol 1e-7.  Returns the polished BranchPoint:
-    accepted, or flagged when its residual stays above RESIDUAL_TOL.  Raises
-    GuardViolationError when the converged energy reaches gamma_crit.
+    accepted, or flagged ``descent-not-converged`` when the descent stopped
+    before its tolerance (at ``maxiter``) or ``resolution-limited-residual``
+    when its residual stays above RESIDUAL_TOL.  Raises GuardViolationError
+    when the converged energy reaches gamma_crit.
     """
     table = split.table
     lam = split.lam
@@ -350,6 +358,7 @@ def minimize_M(split, nl, init=None, maxiter=120):
         lam,
         value,
         "least",
+        flags=[] if info["converged"] else ["descent-not-converged"],
         init=start,
         outer=info,
         fiber_grad_norm=fiber.grad_norm,
@@ -365,8 +374,9 @@ def second_solution(split_k, nl, lam, k, init=None):
     ray-quotient direction at lambda_k, and stops at gtol 1e-6 or after 80
     iterations.  lam must sit in the guard window just below lambda_k.  The
     returned point carries a uniqueness-confidence flag from the 8-start
-    certification of the final fiber (``nu_lambda_k``) and a flag when the
-    final direction's L^2 mass is below ``default_sigma``.
+    certification of the final fiber (``nu_lambda_k``), a flag when the
+    final direction's L^2 mass is below ``default_sigma`` and one when the
+    descent stopped unconverged, as in ``minimize_M``.
     """
     table = split_k.table
     lam = float(lam)
@@ -381,7 +391,7 @@ def second_solution(split_k, nl, lam, k, init=None):
         gtol=1e-6,
         maxiter=80,
     )
-    flags = []
+    flags = [] if info["converged"] else ["descent-not-converged"]
     mass = l2_norm(fiber.phi) ** 2
     if mass < sigma:
         flags.append("sigma-constraint-violated")

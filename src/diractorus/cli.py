@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from .branch import (
     nu_window,
 )
 from .clifford import build_rep
-from .config import ConfigError, RunConfig, load_config, parse_lambda_grid, validate_config
+from .config import PARSERS, ConfigError, RunConfig, load_config, validate_config
 from .spectral import assemble, split, weyl_cm_vol, weyl_counts
 from .testspinor import asymptotic_fit, sweep
 from .torus import lp_norm, make_grid, random_field
@@ -315,12 +316,12 @@ def build_parser():
         p.add_argument("--dim", type=int, default=None)
         p.add_argument("--cutoff", type=int, default=None)
         p.add_argument("--n-grid", type=int, default=None)
-        p.add_argument("--out", type=str, default=None, help="output directory")
+        p.add_argument("--out", dest="out_dir", type=str, default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("run", help="execute a config file")
     p.add_argument("config", type=str)
-    p.add_argument("--out", type=str, default=None)
+    p.add_argument("--out", dest="out_dir", type=str, default=None)
 
     p = sub.add_parser("clifford", help="gamma-matrix relation residuals")
     common(p)
@@ -342,7 +343,7 @@ def build_parser():
     p = sub.add_parser("solve", help="least-energy solve at one lambda")
     common(p)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--nl", type=str, default=None)
+    p.add_argument("--nl", dest="nl_kind", type=str, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--q", type=float, default=None)
@@ -351,7 +352,7 @@ def build_parser():
     common(p)
     p.add_argument("--lambda-grid", type=str, required=True)
     p.add_argument("--second-near", type=int, default=None)
-    p.add_argument("--nl", type=str, default=None)
+    p.add_argument("--nl", dest="nl_kind", type=str, default=None)
 
     p = sub.add_parser("multiplicity", help="continuation-window solution count")
     common(p)
@@ -359,7 +360,7 @@ def build_parser():
 
     p = sub.add_parser("accept", help="run acceptance criteria")
     p.add_argument("suite", nargs="?", default="all", choices=sorted(SUITES))
-    p.add_argument("--out", type=str, default=None)
+    p.add_argument("--out", dest="out_dir", type=str, default=None)
 
     p = sub.add_parser("quadcheck", help="quadrature refinement self-test")
     common(p)
@@ -376,32 +377,14 @@ def main(argv=None):
     t0 = time.time()
     try:
         if args.command == "run":
-            cfg = load_config(args.config, overrides={"out_dir": args.out})
+            cfg = load_config(args.config, overrides={"out_dir": args.out_dir})
         else:
-            cfg = RunConfig(command=args.command)
-            for attr, key in [
-                ("dim", "dim"),
-                ("cutoff", "cutoff"),
-                ("n_grid", "n_grid"),
-                ("seed", "seed"),
-                ("lam", "lam"),
-                ("Lambda", "Lambda"),
-                ("nl_kind", "nl"),
-                ("alpha", "alpha"),
-                ("p", "p"),
-                ("q", "q"),
-                ("delta", "delta"),
-                ("dual_lambda", "dual_lambda"),
-                ("second_near", "second_near"),
-                ("suite", "suite"),
-                ("out_dir", "out"),
-            ]:
-                if hasattr(args, key) and getattr(args, key) is not None:
-                    setattr(cfg, attr, getattr(args, key))
-            if getattr(args, "eps_sweep", None):
-                cfg.eps_sweep = tuple(float(x) for x in args.eps_sweep.split(","))
-            if getattr(args, "lambda_grid", None):
-                cfg.lambda_grid = parse_lambda_grid(args.lambda_grid)
+            # each flag's dest is its RunConfig attribute; the key's parser reads
+            # the list-valued flags and leaves the others as argparse typed them
+            cfg = RunConfig()
+            for f in fields(RunConfig):
+                if getattr(args, f.name, None) is not None:
+                    setattr(cfg, f.name, PARSERS[f.name](getattr(args, f.name)))
             validate_config(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -25,15 +25,6 @@ class ConfigError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-_SCHEMA = {
-    "run": {"command", "out_dir", "seed"},
-    "problem": {"dim", "cutoff", "n_grid", "lambda", "lambda_grid", "Lambda"},
-    "nonlinearity": {"kind", "alpha", "p", "q"},
-    "testspinor": {"eps_sweep", "delta", "dual_lambda"},
-    "branch": {"second_near", "second_offsets"},
-    "accept": {"suite"},
-}
-
 _COMMANDS = {
     "clifford",
     "spectrum",
@@ -119,6 +110,36 @@ def parse_lambda_grid(spec):
     return [float(p) for p in spec.split(",") if p.strip()]
 
 
+def _floats(spec):
+    return tuple(float(x) for x in spec.split(","))
+
+
+# Every run key, in load order: (section, key, RunConfig attribute, parser of its string value).
+_KEYS = (
+    ("run", "command", "command", str),
+    ("run", "out_dir", "out_dir", str),
+    ("run", "seed", "seed", int),
+    ("problem", "dim", "dim", int),
+    ("problem", "cutoff", "cutoff", int),
+    ("problem", "n_grid", "n_grid", int),
+    ("problem", "lambda", "lam", float),
+    ("problem", "lambda_grid", "lambda_grid", parse_lambda_grid),
+    ("problem", "Lambda", "Lambda", float),
+    ("nonlinearity", "kind", "nl_kind", str),
+    ("nonlinearity", "alpha", "alpha", float),
+    ("nonlinearity", "p", "p", float),
+    ("nonlinearity", "q", "q", float),
+    ("testspinor", "eps_sweep", "eps_sweep", _floats),
+    ("testspinor", "delta", "delta", float),
+    ("testspinor", "dual_lambda", "dual_lambda", float),
+    ("branch", "second_near", "second_near", int),
+    ("branch", "second_offsets", "second_offsets", _floats),
+    ("accept", "suite", "suite", str),
+)
+_SCHEMA = {section: {k for s, k, _, _ in _KEYS if s == section} for section, *_ in _KEYS}
+PARSERS = {attr: parse for _, _, attr, parse in _KEYS}
+
+
 def load_config(path, overrides=None):
     """Load and validate a RunConfig from an INI file."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -142,41 +163,14 @@ def load_config(path, overrides=None):
                 )
 
     cfg = RunConfig()
-
-    def get(section, key, cast, attr, line_key=None):
+    for section, key, attr, parse in _KEYS:
         if parser.has_option(section, key):
-            raw = parser.get(section, key)
             try:
-                setattr(cfg, attr, cast(raw))
+                setattr(cfg, attr, parse(parser.get(section, key)))
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(
                     f"bad value for {key!r}: {exc}", line=_line_of(path, section, key)
                 ) from exc
-
-    get("run", "command", str, "command")
-    get("run", "out_dir", str, "out_dir")
-    get("run", "seed", int, "seed")
-    get("problem", "dim", int, "dim")
-    get("problem", "cutoff", int, "cutoff")
-    get("problem", "n_grid", int, "n_grid")
-    get("problem", "lambda", float, "lam")
-    get("problem", "lambda_grid", parse_lambda_grid, "lambda_grid")
-    get("problem", "Lambda", float, "Lambda")
-    get("nonlinearity", "kind", str, "nl_kind")
-    get("nonlinearity", "alpha", float, "alpha")
-    get("nonlinearity", "p", float, "p")
-    get("nonlinearity", "q", float, "q")
-    get("testspinor", "eps_sweep", lambda s: tuple(float(x) for x in s.split(",")), "eps_sweep")
-    get("testspinor", "delta", float, "delta")
-    get("testspinor", "dual_lambda", float, "dual_lambda")
-    get("branch", "second_near", int, "second_near")
-    get(
-        "branch",
-        "second_offsets",
-        lambda s: tuple(float(x) for x in s.split(",")),
-        "second_offsets",
-    )
-    get("accept", "suite", str, "suite")
 
     for attr, value in (overrides or {}).items():
         if value is not None:

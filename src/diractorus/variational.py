@@ -28,10 +28,16 @@ field, so the paper's reduced energy is L_T(psi) = q(psi) -
 maximum over E^- is L's over E^0 + E^- (Szulkin-Weth, E^0 non-positive), and
 the kernel part of L's maximizer is -T of the rest.  T, T', F_lam and R at
 an eigenvalue, which criteria 9 and 11 measure, come from one pure-critical
-evaluation at u = psi - T(psi), held by ``_FJet``.  T is a damped Newton on
-the kernel coordinates whose gradient, Hessian and backtracking value are
-read from evaluations at its iterates; S maximizes the unreduced R over
-E^0 + E^-.
+evaluation at u = psi - T(psi), held by ``_FJet``.  T runs on the same
+lambda-orthonormal coordinates as the solvers, restricted to the kernel
+block E^0: its weight is one, so their unit vectors are the L^2-orthonormal
+kernel directions e_a, and T(psi) and T'(psi)[chi] are the fields of their
+coordinates.  T is a damped Newton on those coordinates whose gradient,
+Hessian and backtracking value are read from evaluations at its iterates;
+S maximizes the unreduced R over E^0 + E^-.  The residual of the
+Euler-Lagrange equation is read off an evaluation too: its in-band part is
+``rep``, and its out-of-band spill is that of ``gu``, the g(|u|) u whose band
+part is ``nonlin``.
 
 Solvers use lambda-orthonormal coordinates on masked eigen entries, so the
 Euclidean geometry handed to the quasi-Newton loops coincides with the
@@ -47,7 +53,7 @@ direction is the scale of its fiber maximum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -93,13 +99,14 @@ class Evaluation:
     ``lin`` = (D - lam) psi and ``nonlin`` = the band projection of g(|u|) u.
     ``nonlin`` holds the one analyze and is computed on first use, so a
     value-only caller never pays for it.  ``u`` holds the collocation values
-    of u and ``modulus`` their pointwise modulus |u|.  ``second`` and ``hvp``
-    give the second variation of the mass at u.  Solver evaluations have
+    of u, ``modulus`` their pointwise modulus |u| and ``gu`` those of
+    g(|u|) u, whose out-of-band part is the residual's spill.  ``second`` and
+    ``hvp`` give the second variation of the mass at u.  Solver evaluations have
     u = psi; ``_FJet``'s has u = psi - T(psi), and its ``hvp`` leaves T' out.
     """
 
     def __init__(self, fn, quadratic, mass, lin, u, modulus):
-        self._fn = fn
+        self.fn = fn
         self.quadratic = quadratic
         self.mass = mass
         self.lin = lin
@@ -111,9 +118,13 @@ class Evaluation:
         return self.quadratic - self.mass
 
     @cached_property
+    def gu(self):
+        return self.fn.nl.g(self.modulus)[..., None] * self.u
+
+    @cached_property
     def nonlin(self):
-        fn = self._fn
-        return fn.split.table.to_eigen(analyze(fn.split.grid, fn.nl.g(self.modulus)[..., None] * self.u))
+        split = self.fn.split
+        return split.table.to_eigen(analyze(split.grid, self.gu))
 
     @property
     def rep(self):
@@ -123,12 +134,12 @@ class Evaluation:
     @property
     def grad(self):
         """lambda-metric Riesz representative of L'(psi)."""
-        return self.rep / self._fn.split.w2
+        return self.rep / self.fn.split.w2
 
     @cached_property
     def _second_weights(self):
         s = np.maximum(self.modulus, _FLOOR)
-        nl = self._fn.nl
+        nl = self.fn.nl
         return nl.g(s)[..., None], (nl.g_prime(s) / s)[..., None]
 
     def second(self, dv):
@@ -139,7 +150,7 @@ class Evaluation:
 
     def hvp(self, d):
         """L^2 representative of L''(psi)[d] in eigen coordinates: one synthesize, one analyze."""
-        fn = self._fn
+        fn = self.fn
         table, grid = fn.split.table, fn.split.grid
         return fn.shift * d - table.to_eigen(analyze(grid, self.second(synthesize(grid, table.from_eigen(d)))))
 
@@ -214,36 +225,6 @@ def grad_L(split, nl, psi, lam=None):
 # Kernel best-approximation projector T
 
 
-@dataclass
-class KernelBasis:
-    """L^2-orthonormal basis fields of ker(D - lambda) with cached values."""
-
-    split: object
-    fields: list
-    values: np.ndarray = field(repr=False)  # (d, grid..., N)
-
-    @property
-    def dim(self):
-        return len(self.fields)
-
-
-def kernel_basis(split):
-    table = split.table
-    grid = split.grid
-    idx = np.nonzero(split.zero)
-    fields = []
-    vals = []
-    scale = 1.0 / np.sqrt(grid.volume)
-    for mode_i, branch in zip(*idx):
-        a = np.zeros((grid.n_modes, table.N), dtype=complex)
-        a[mode_i, branch] = scale
-        psi = SpinorField(grid, table.from_eigen(a))
-        fields.append(psi)
-        vals.append(psi.values())
-    values = np.stack(vals) if fields else np.zeros((0,) + (grid.n_grid,) * grid.m + (table.N,))
-    return KernelBasis(split=split, fields=fields, values=values)
-
-
 def _pair(dirs, w, cell):
     """Real L^2 pairings cell Re sum conj(dirs_i) w_j of stacked collocation values, in one matmul."""
     size = int(np.prod(dirs.shape[1:]))
@@ -310,16 +291,21 @@ class _FJet:
     u = psi - T(psi): its ``energy`` is L_T(psi), its ``mass`` is
     F_lam(psi) = (1/2*) |psi - T(psi)|_{2*}^{2*}, and its ``rep`` and
     ``grad`` are L_T'(psi), because T'(psi) drops out of the gradient at
-    f = 0.  The kernel Hessian that T' solves with is built on first use.
+    f = 0.  ``kernel`` is the lambda-orthonormal E^0 block, whose unit vectors
+    are the L^2-orthonormal e_a, and ``c`` are T(psi)'s coordinates in it.  The
+    kernel Hessian that T' solves with is built on first use.
     """
 
-    def __init__(self, split, psi, basis=None):
+    def __init__(self, split, psi):
         self.split = split
-        self.basis = kernel_basis(split) if basis is None else basis
+        self.kernel = SubspaceCoords(split, split.zero)
         self.ts = critical_exponent(split.grid.m)
-        self.dirs = np.concatenate([self.basis.values, 1j * self.basis.values])
+        pv = psi.values()
+        e = np.array([self.kernel.to_field(z).values() for z in np.eye(self.kernel.dim)])
+        e = e.reshape((self.kernel.dim,) + pv.shape)
+        self.dirs = np.concatenate([e, 1j * e])
         fn = Functional(split, make_nonlinearity("zero", split.grid.m))
-        self.c, self.ev = _kernel_coords(fn, self.dirs, split.table.to_eigen(psi.coeffs), psi.values())
+        self.c, self.ev = _kernel_coords(fn, self.dirs, split.table.to_eigen(psi.coeffs), pv)
 
     @cached_property
     def _hessian(self):
@@ -339,46 +325,42 @@ class _FJet:
     def second(self, phi, chi):
         """F''(psi)[phi, chi] including the T' correction."""
         du = chi.values()
-        if self.basis.dim:
-            du = du - np.tensordot(self.t_prime_coords(du), self.basis.values, axes=(0, 0))
+        if self.kernel.dim:
+            du = du - np.tensordot(self.t_prime_coords(du), self.dirs[: self.kernel.dim], axes=(0, 0))
         return float(self.split.grid.cell * (phi.values().conj() * self.ev.second(du)).real.sum())
 
 
-def t_lambda(split, psi, basis=None):
+def t_lambda(split, psi):
     """Best approximation of psi in ker(D - lambda) w.r.t. the L^{2*} norm.
 
     Returns the kernel field; the zero field is returned immediately when the
     kernel is trivial.
     """
-    if basis is None:
-        basis = kernel_basis(split)
-    if basis.dim == 0:
+    if not split.kernel_dim:
         return zero_field(psi.grid, psi.N)
-    c = _FJet(split, psi, basis).c
-    return SpinorField(psi.grid, sum(ca * e.coeffs for ca, e in zip(c, basis.fields)))
+    jet = _FJet(split, psi)
+    return jet.kernel.to_field(jet.c)
 
 
-def t_prime(split, psi, chi, basis=None):
+def t_prime(split, psi, chi):
     """Derivative T'(psi)[chi], solving the linearized optimality system."""
-    if basis is None:
-        basis = kernel_basis(split)
-    if basis.dim == 0:
+    if not split.kernel_dim:
         return zero_field(psi.grid, psi.N)
-    c = _FJet(split, psi, basis).t_prime_coords(chi.values())
-    return SpinorField(psi.grid, sum(ca * e.coeffs for ca, e in zip(c, basis.fields)))
+    jet = _FJet(split, psi)
+    return jet.kernel.to_field(jet.t_prime_coords(chi.values()))
 
 
-def f_lambda_value(split, psi, basis=None):
+def f_lambda_value(split, psi):
     """F_lam(psi) = (1/2*) |psi - T(psi)|_{2*}^{2*}."""
-    return _FJet(split, psi, basis).ev.mass
+    return _FJet(split, psi).ev.mass
 
 
-def f_first(split, psi, phi, basis=None):
+def f_first(split, psi, phi):
     """F'(psi)[phi]."""
-    return _FJet(split, psi, basis).first(phi)
+    return _FJet(split, psi).first(phi)
 
 
-def tmfm_gap(split, psi, phi, basis=None):
+def tmfm_gap(split, psi, phi):
     """LHS - RHS of the quadratic-form lower bound
 
     (F''[psi,psi] - F'[psi]) + 2 (F''[psi,phi] - F'[phi]) + F''[phi,phi]
@@ -386,7 +368,7 @@ def tmfm_gap(split, psi, phi, basis=None):
 
     all at one T(psi).
     """
-    jet = _FJet(split, psi, basis)
+    jet = _FJet(split, psi)
     m = psi.grid.m
     lhs = (
         jet.second(psi, psi)
@@ -470,8 +452,6 @@ class FiberPoint:
 
     phi: SpinorField
     t: float
-    chi0: SpinorField
-    chim: SpinorField
     psi: SpinorField
     value: float
     grad_norm: float
@@ -573,18 +553,10 @@ def fiber_maximize(fn, phi, gtol=1e-9, maxiter=500, warm=None):
     if warm is not None:
         warm["t"], warm["z"] = t, z
 
-    split = fn.split
-    chi = fn.inner.to_eigen(z)
-
-    def as_field(a):
-        return SpinorField(split.grid, split.table.from_eigen(a))
-
     return FiberPoint(
         phi=phi,
         t=t,
-        chi0=as_field(np.where(split.zero, chi, 0.0)),
-        chim=as_field(np.where(split.minus, chi, 0.0)),
-        psi=as_field(t * coords.phi_e + chi),
+        psi=SpinorField(fn.split.grid, fn.split.table.from_eigen(t * coords.phi_e + fn.inner.to_eigen(z))),
         value=value,
         grad_norm=grad_norm,
         inner_evals=evals,
@@ -747,14 +719,14 @@ def _rayleigh(ev, ts):
     return r_val, (2.0 / norm2) * (ev.lin - r_val * a_int ** ((2.0 - ts) / ts) * ev.nonlin)
 
 
-def r_lambda(split, psi, basis=None):
+def r_lambda(split, psi):
     """R(psi) = (||psi^+||^2 - ||psi^-||^2) / |psi - T(psi)|_{2*}^2."""
-    return _rayleigh(_FJet(split, psi, basis).ev, critical_exponent(split.grid.m))[0]
+    return _rayleigh(_FJet(split, psi).ev, critical_exponent(split.grid.m))[0]
 
 
-def r_lambda_rep(split, psi, basis=None):
+def r_lambda_rep(split, psi):
     """L^2 representative of the Rayleigh derivative R'(psi), as band coefficients."""
-    _, rep = _rayleigh(_FJet(split, psi, basis).ev, critical_exponent(split.grid.m))
+    _, rep = _rayleigh(_FJet(split, psi).ev, critical_exponent(split.grid.m))
     return split.table.from_eigen(rep)
 
 

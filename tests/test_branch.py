@@ -96,6 +96,7 @@ def test_polish_reduces_residual():
     assert before > 1e-4
     assert after < 1e-8
     assert np.isclose(residual_check(table, NL, polished, 0.5), after, rtol=1e-6)
+    assert polish.energy == L_lambda(split(table, 0.5), NL, polished)
 
 
 def test_polish_does_not_stall_near_exact_solution():
@@ -226,6 +227,20 @@ def test_minimize_M_transforms_the_strong_residual_twice(monkeypatch):
     assert pt.diagnostics["residual_pre_polish"] == float(np.hypot(*calls[0]))
     assert pt.residual_l2 == float(np.hypot(*calls[1]))
     assert (pt.diagnostics["residual_in_band"], pt.diagnostics["residual_spill"]) == calls[1]
+    # a polish that keeps no step reads both ends off its one evaluation
+    calls.clear()
+    table = assemble(2, 4)
+    polish = branch.polish_residual(table, NL, plane_wave_solution(table, 0.5), 0.5)
+    assert polish.steps == 0 and len(calls) == 1
+    assert polish.pre == (polish.in_band, polish.spill) == calls[0]
+
+
+def test_minimize_M_flags_a_descent_that_stops_unconverged():
+    sp = split(assemble(2, 6), 0.9)
+    assert minimize_M(sp, NL).accepted
+    pt = minimize_M(sp, NL, maxiter=1)
+    assert "descent-not-converged" in pt.flags
+    assert not pt.accepted
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,6 @@ from diractorus.variational import (
     fiber_maximize,
     grad_L,
     j_lambda,
-    kernel_basis,
     m_lambda,
     nehari_project,
     nehari_second_order,
@@ -53,8 +52,15 @@ def sp1(table):
 
 
 @pytest.fixture(scope="module")
-def basis1(sp1):
-    return kernel_basis(sp1)
+def kernel1(sp1):
+    return SubspaceCoords(sp1, sp1.zero)
+
+
+def kernel_field(kernel, coords):
+    """The kernel field sum_a c_a e_a, from {a: c_a}."""
+    z = np.zeros(kernel.dim, dtype=complex)
+    z[list(coords)] = list(coords.values())
+    return kernel.to_field(z)
 
 
 def unit_plane_wave(table, sp, k=(1, 0)):
@@ -140,9 +146,9 @@ def test_grad_L_vanishes_at_solution(table, sp05):
     assert norm_lambda(sp05, grad_L(sp05, NL, psi)) < 1e-10
 
 
-def test_grad_L_kernel_direction(table, sp1, basis1):
+def test_grad_L_kernel_direction(table, sp1, kernel1):
     # psi in the kernel at lambda = 1: the linear part cancels, only -|psi|^2 psi remains.
-    psi = 0.9 * basis1.fields[0] + 0.4j * basis1.fields[2]
+    psi = kernel_field(kernel1, {0: 0.9, 2: 0.4j})
     rep = table.from_eigen(Functional(sp1, NL).at_field(psi).rep)
     from diractorus.torus import analyze
 
@@ -153,30 +159,28 @@ def test_grad_L_kernel_direction(table, sp1, basis1):
     assert np.abs(rep).max() > 0
 
 
-def test_T_properties(table, sp1, sp05, basis1):
+def test_T_properties(table, sp1, sp05, kernel1):
     rng = np.random.default_rng(3)
     psi = random_field(table.grid, 2, rng)
-    tpsi = t_lambda(sp1, psi, basis=basis1)
+    tpsi = t_lambda(sp1, psi)
     assert l2_norm(project(sp1, tpsi, "zero") - tpsi) < 1e-12
-    assert l2_norm(t_lambda(sp1, 2.5 * psi, basis=basis1) - 2.5 * tpsi) < 1e-10
-    shift = 0.7 * basis1.fields[0] + 0.3j * basis1.fields[2]
-    assert l2_norm(t_lambda(sp1, psi + shift, basis=basis1) - (tpsi + shift)) < 1e-10
-    assert l2_norm(t_lambda(sp1, shift, basis=basis1) - shift) < 1e-12
+    assert l2_norm(t_lambda(sp1, 2.5 * psi) - 2.5 * tpsi) < 1e-10
+    shift = kernel_field(kernel1, {0: 0.7, 2: 0.3j})
+    assert l2_norm(t_lambda(sp1, psi + shift) - (tpsi + shift)) < 1e-10
+    assert l2_norm(t_lambda(sp1, shift) - shift) < 1e-12
     assert l2_norm(t_lambda(sp05, psi)) == 0.0
 
 
-def test_T_prime(table, sp1, basis1):
+def test_T_prime(table, sp1):
     rng = np.random.default_rng(4)
     psi = random_field(table.grid, 2, rng)
     chi = random_field(table.grid, 2, rng)
-    tp = t_prime(sp1, psi, chi, basis=basis1)
+    tp = t_prime(sp1, psi, chi)
     h = 1e-5
-    fd = (1.0 / (2 * h)) * (
-        t_lambda(sp1, psi + h * chi, basis=basis1) - t_lambda(sp1, psi - h * chi, basis=basis1)
-    )
+    fd = (1.0 / (2 * h)) * (t_lambda(sp1, psi + h * chi) - t_lambda(sp1, psi - h * chi))
     assert l2_norm(fd - tp) < 1e-6 * max(l2_norm(tp), 1e-6)
     # T'(psi)[psi] = T(psi)
-    assert l2_norm(t_prime(sp1, psi, psi, basis=basis1) - t_lambda(sp1, psi, basis=basis1)) < 1e-9
+    assert l2_norm(t_prime(sp1, psi, psi) - t_lambda(sp1, psi)) < 1e-9
 
 
 def test_mu_lambda_plane_wave(table, sp05):
@@ -184,8 +188,8 @@ def test_mu_lambda_plane_wave(table, sp05):
     fib = fiber_maximize(Functional(sp05, NL), phi)
     assert np.isclose(fib.t, np.pi, rtol=1e-7)
     assert np.isclose(fib.value, np.pi**2 / 4.0, rtol=1e-9)
-    assert l2_norm(fib.chi0) < 1e-9
-    assert l2_norm(fib.chim) < 1e-9
+    assert l2_norm(project(sp05, fib.psi, "zero")) < 1e-9
+    assert l2_norm(project(sp05, fib.psi, "minus")) < 1e-9
     assert fib.converged
 
 
@@ -403,7 +407,7 @@ def test_k_inequality_lemma(table, sp05):
         assert 0.5 * kp > kv
 
 
-def test_K_and_F_convexity_midpoint(table, sp1, basis1):
+def test_K_and_F_convexity_midpoint(table, sp1):
     rng = np.random.default_rng(13)
 
     def k_value(psi):
@@ -418,18 +422,18 @@ def test_K_and_F_convexity_midpoint(table, sp1, basis1):
         a = random_field(table.grid, 2, rng)
         b = random_field(table.grid, 2, rng)
         mid = 0.5 * (a + b)
-        lhs = f_lambda_value(sp1, mid, basis=basis1)
-        rhs = 0.5 * (f_lambda_value(sp1, a, basis=basis1) + f_lambda_value(sp1, b, basis=basis1))
+        lhs = f_lambda_value(sp1, mid)
+        rhs = 0.5 * (f_lambda_value(sp1, a) + f_lambda_value(sp1, b))
         assert lhs <= rhs + 1e-10
 
 
-def test_tmfm_gap_nonnegative(table, sp1, basis1):
+def test_tmfm_gap_nonnegative(table, sp1):
     rng = np.random.default_rng(14)
     worst = 0.0
     for _ in range(10):
         psi = random_field(table.grid, 2, rng, scale=0.8)
         phi = random_field(table.grid, 2, rng, scale=0.8)
-        worst = min(worst, tmfm_gap(sp1, psi, phi, basis=basis1))
+        worst = min(worst, tmfm_gap(sp1, psi, phi))
     assert worst >= -1e-8
 
 
@@ -437,28 +441,28 @@ def test_default_sigma(sp1):
     assert np.isclose(default_sigma(sp1), 0.5 / (np.sqrt(2.0) - 1.0), rtol=1e-12)
 
 
-def _t_reduced(sp, basis):
+def _t_reduced(sp):
     """a -> (L_T, its lambda-metric gradient) at eigen coordinates a, from ``_FJet``'s evaluation."""
 
     def objective(a):
-        ev = _FJet(sp, SpinorField(sp.grid, sp.table.from_eigen(a)), basis).ev
+        ev = _FJet(sp, SpinorField(sp.grid, sp.table.from_eigen(a))).ev
         return ev.energy, ev.grad
 
     return objective
 
 
-def test_reduced_problem_kernel_invariance(table, sp1, basis1):
+def test_reduced_problem_kernel_invariance(table, sp1, kernel1):
     # the reduced energy is invariant under kernel shifts
     rng = np.random.default_rng(15)
     psi = random_field(table.grid, 2, rng)
-    shift = 0.8 * basis1.fields[1]
-    v1 = _FJet(sp1, psi, basis1).ev.energy
-    v2 = _FJet(sp1, psi + shift, basis1).ev.energy
+    shift = kernel_field(kernel1, {1: 0.8})
+    v1 = _FJet(sp1, psi).ev.energy
+    v2 = _FJet(sp1, psi + shift).ev.energy
     assert abs(v1 - v2) < 1e-9 * max(1.0, abs(v1))
 
 
 @pytest.mark.parametrize("seed", [31, 32, 33])
-def test_unreduced_fiber_maximum_equals_the_T_reduced_one(table, sp1, basis1, seed):
+def test_unreduced_fiber_maximum_equals_the_T_reduced_one(table, sp1, seed):
     # At f = 0, L_T(psi) = max_c L(psi - sum c_a e_a): keeping E^0 in the inner
     # space gives the T-reduced fiber maximum, and the maximizer's kernel part is
     # -T of the rest.
@@ -468,26 +472,26 @@ def test_unreduced_fiber_maximum_equals_the_T_reduced_one(table, sp1, basis1, se
     t_reduced_fiber = SimpleNamespace(split=sp1, inner=SubspaceCoords(sp1, sp1.minus))
     coords = _FiberCoords(t_reduced_fiber, table.to_eigen(full.phi.coeffs))
     x0 = np.concatenate([[full.t], np.zeros(coords.dim - 1)]).astype(complex)
-    reduced = _inner_maximize(_t_reduced(sp1, basis1), coords, x0, 1e-10, 500)[1]
+    reduced = _inner_maximize(_t_reduced(sp1), coords, x0, 1e-10, 500)[1]
     assert abs(full.value - reduced) <= 1e-9 * abs(reduced)
-    rest = full.psi - full.chi0
-    assert l2_norm(full.chi0 + t_lambda(sp1, rest, basis=basis1)) < 1e-7
+    chi0 = project(sp1, full.psi, "zero")
+    assert l2_norm(chi0 + t_lambda(sp1, full.psi - chi0)) < 1e-7
 
 
-def test_unreduced_j_equals_the_T_reduced_one(table, sp1, basis1):
+def test_unreduced_j_equals_the_T_reduced_one(table, sp1):
     raw = project(sp1, random_field(table.grid, 2, np.random.default_rng(34), decay=1.2), "plus")
     phi = (1.5 / norm_lambda(sp1, raw)) * raw
     _, jval, _ = eta_lambda(sp1, NL, phi)
-    base, minus, objective = table.to_eigen(phi.coeffs), SubspaceCoords(sp1, sp1.minus), _t_reduced(sp1, basis1)
+    base, minus, objective = table.to_eigen(phi.coeffs), SubspaceCoords(sp1, sp1.minus), _t_reduced(sp1)
     z0 = np.zeros(minus.dim, dtype=complex)
     reduced = _inner_maximize(lambda chi: objective(base + chi), minus, z0, 1e-10, 900)[1]
     assert abs(jval - reduced) <= 1e-9 * abs(reduced)
 
 
 @pytest.mark.parametrize("seed", [41, 42, 43])
-def test_s_lambda_at_an_eigenvalue_equals_the_T_reduced_maximum(table, sp1, basis1, seed):
+def test_s_lambda_at_an_eigenvalue_equals_the_T_reduced_maximum(table, sp1, seed):
     # S runs on the unreduced R over E^0 + E^-; at lambda = 1 it equals the
-    # maximum over E^- of r_lambda(., basis), and S^2 = 4 J holds there.
+    # maximum over E^- of r_lambda, and S^2 = 4 J holds there.
     raw = project(sp1, random_field(table.grid, 2, np.random.default_rng(seed), decay=1.2), "plus")
     phi_bar = nehari_project(sp1, NL, raw)
     sval, _, _ = s_lambda(sp1, NL, phi_bar)
@@ -495,7 +499,7 @@ def test_s_lambda_at_an_eigenvalue_equals_the_T_reduced_maximum(table, sp1, basi
 
     def objective(chi):
         # r_lambda and r_lambda_rep at phi_bar + chi, from one T Newton
-        r_val, rep = _rayleigh(_FJet(sp1, SpinorField(table.grid, table.from_eigen(base + chi)), basis1).ev, 4.0)
+        r_val, rep = _rayleigh(_FJet(sp1, SpinorField(table.grid, table.from_eigen(base + chi))).ev, 4.0)
         return r_val, rep / sp1.w2
 
     reduced = _inner_maximize(objective, minus, np.zeros(minus.dim, dtype=complex), 1e-10, 400)[1]
@@ -629,7 +633,7 @@ def test_ray_search_is_one_evaluation(monkeypatch, table, sp05, case):
     assert t > 0 and value > 0
 
 
-def test_tmfm_gap_runs_one_kernel_newton(monkeypatch, table, sp1, basis1):
+def test_tmfm_gap_runs_one_kernel_newton(monkeypatch, table, sp1):
     import diractorus.variational as variational
     from diractorus.variational import f_first
 
@@ -640,17 +644,17 @@ def test_tmfm_gap_runs_one_kernel_newton(monkeypatch, table, sp1, basis1):
 
     def second(a, b):
         # F''(psi)[a, b] by central differences of F'(.)[a] along b; each F' solves its own T.
-        return (f_first(sp1, psi + h * b, a, basis=basis1) - f_first(sp1, psi - h * b, a, basis=basis1)) / (2.0 * h)
+        return (f_first(sp1, psi + h * b, a) - f_first(sp1, psi - h * b, a)) / (2.0 * h)
 
     reference = (
         second(psi, psi)
-        - f_first(sp1, psi, psi, basis=basis1)
-        + 2.0 * (second(phi, psi) - f_first(sp1, psi, phi, basis=basis1))
+        - f_first(sp1, psi, psi)
+        + 2.0 * (second(phi, psi) - f_first(sp1, psi, phi))
         + second(phi, phi)
-        - 2.0 * 4.0 / 3.0 * f_lambda_value(sp1, psi, basis=basis1)  # 2 2*/(m + 1), 2* = 4
+        - 2.0 * 4.0 / 3.0 * f_lambda_value(sp1, psi)  # 2 2*/(m + 1), 2* = 4
     )
     calls = {}
     _counting(monkeypatch, variational, "_kernel_coords", calls)
-    gap = tmfm_gap(sp1, psi, phi, basis=basis1)
+    gap = tmfm_gap(sp1, psi, phi)
     assert calls["_kernel_coords"] == 1
     assert abs(gap - reference) <= 1e-6 * max(1.0, abs(reference))
