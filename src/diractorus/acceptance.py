@@ -23,7 +23,7 @@ from .branch import (
 )
 from .clifford import build_rep, clifford_mul, one_minus_x_mul
 from .nonlinearity import make_nonlinearity
-from .spectral import assemble, project, split, weyl_cm_vol, weyl_counts
+from .spectral import assemble, inner_lambda, project, split, weyl_cm_vol, weyl_counts
 from .testspinor import (
     DEFAULT_EPS_SWEEP,
     TestSpinorParams,
@@ -45,6 +45,7 @@ from .variational import (
     m_lambda,
     nehari_project,
     r_lambda,
+    r_lambda_rep,
     s_lambda,
     t_lambda,
     tmfm_gap,
@@ -439,97 +440,79 @@ def criterion_10():
     return [rec_a, rec_b]
 
 
+def _fd_worst(draw, samples=100):
+    """Worst relative gap between a slope and its central difference over ``samples`` draws.
+
+    ``draw()`` returns (slope, value, h): the analytic directional derivative
+    at a drawn point, the function s -> value at step s along the drawn
+    direction, and the step h of the difference (value(h) - value(-h)) / 2h.
+    """
+    worst = 0.0
+    for _ in range(samples):
+        slope, value, h = draw()
+        fd = (value(h) - value(-h)) / (2.0 * h)
+        worst = max(worst, abs(slope - fd) / max(1.0, abs(fd)))
+    return worst
+
+
 def criterion_11():
     """First derivatives match central finite differences (100 samples each)."""
-    from .spectral import inner_lambda
-
     nl = make_nonlinearity("bnd", 2)
-    out = []
-
-    # grad_L against directional finite differences
     table = assemble(2, 3)
     sp = split(table, 0.5)
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(100):
-        a = random_field(table.grid, 2, rng, scale=0.6)
-        d = random_field(table.grid, 2, rng, scale=0.6)
-        slope = inner_lambda(sp, grad_L(sp, nl, a), d)
-        h = 1e-4
-        fd = (L_lambda(sp, nl, a + h * d) - L_lambda(sp, nl, a - h * d)) / (2.0 * h)
-        worst = max(worst, abs(slope - fd) / max(1.0, abs(fd)))
-    out.append(_record(11, "grad of the energy (100 samples)", worst < 1e-5, worst, 0.0, 1e-5))
-
-    # reduced-functional gradient on the sphere
+    sp1 = split(table, 1.0)
     table2 = assemble(2, 2)
     sp2 = split(table2, 0.5)
     coords = SubspaceCoords(sp2, sp2.plus)
-    worst = 0.0
-    for _ in range(100):
+    fn = Functional(sp, nl)
+    rng = np.random.default_rng(5)
+
+    def energy():  # grad_L against directional finite differences
+        a = random_field(table.grid, 2, rng, scale=0.6)
+        d = random_field(table.grid, 2, rng, scale=0.6)
+        return inner_lambda(sp, grad_L(sp, nl, a), d), lambda s: L_lambda(sp, nl, a + s * d), 1e-4
+
+    def sphere():  # reduced-functional gradient on the sphere
         z = rng.standard_normal(coords.dim) + 1j * rng.standard_normal(coords.dim)
-        phi = coords.to_field(z / np.linalg.norm(z))
-        val, grad, fiber = m_lambda(sp2, nl, phi)
+        zhat = z / np.linalg.norm(z)
+        _, grad, _ = m_lambda(sp2, nl, coords.to_field(zhat))
         dz = rng.standard_normal(coords.dim) + 1j * rng.standard_normal(coords.dim)
-        dz -= np.vdot(z / np.linalg.norm(z), dz).real * z / np.linalg.norm(z)
-        d = coords.to_field(dz / np.linalg.norm(dz))
-        h = 1e-4
+        dz -= np.vdot(zhat, dz).real * z / np.linalg.norm(z)  # scaled after the product, as recorded
+        dzhat = dz / np.linalg.norm(dz)
 
-        def m_at(step):
-            zt = z / np.linalg.norm(z) + step * (dz / np.linalg.norm(dz))
-            phit = coords.to_field(zt / np.linalg.norm(zt))
-            v, _, _ = m_lambda(sp2, nl, phit)
-            return v
+        def value(s):
+            zt = zhat + s * dzhat
+            return m_lambda(sp2, nl, coords.to_field(zt / np.linalg.norm(zt)))[0]
 
-        fd = (m_at(h) - m_at(-h)) / (2.0 * h)
-        slope = inner_lambda(sp2, grad, d)
-        worst = max(worst, abs(slope - fd) / max(1.0, abs(fd)))
-    out.append(
-        _record(11, "reduced-functional sphere gradient (100 samples)", worst < 1e-5, worst, 0.0, 1e-5)
-    )
+        return inner_lambda(sp2, grad, coords.to_field(dzhat)), value, 1e-4
 
-    # envelope derivative of J along rays
-    worst = 0.0
-    prob_split = split(table, 0.5)
-    fn = Functional(prob_split, nl)
-    for _ in range(100):
-        raw = random_field(table.grid, 2, rng, decay=1.2)
-        phi = project(prob_split, raw, "plus")
+    def ray():  # envelope derivative of J along rays
+        phi = project(sp, random_field(table.grid, 2, rng, decay=1.2), "plus")
         t = 0.5 + 2.0 * rng.random()
-        slope = h_lambda(fn, t * phi)[0] / t
-        h = 1e-4 * t
-        fd = (j_lambda(prob_split, nl, (t + h) * phi) - j_lambda(prob_split, nl, (t - h) * phi)) / (2.0 * h)
-        worst = max(worst, abs(slope - fd) / max(1.0, abs(fd)))
-    out.append(_record(11, "ray derivative of J (100 samples)", worst < 1e-5, worst, 0.0, 1e-5))
+        return h_lambda(fn, t * phi)[0] / t, lambda s: j_lambda(sp, nl, (t + s) * phi), 1e-4 * t
 
-    # derivative of the kernel-reduced critical mass F
-    sp1 = split(table, 1.0)
-    worst = 0.0
-    for _ in range(100):
+    def kernel_mass():  # derivative of the kernel-reduced critical mass F
         psi = random_field(table.grid, 2, rng, scale=0.7)
         d = random_field(table.grid, 2, rng, scale=0.7)
-        slope = f_first(sp1, psi, d)
-        h = 1e-4
-        fd = (f_lambda_value(sp1, psi + h * d) - f_lambda_value(sp1, psi - h * d)) / (2.0 * h)
-        worst = max(worst, abs(slope - fd) / max(1.0, abs(fd)))
-    out.append(
-        _record(11, "derivative of the kernel-reduced mass (100 samples)", worst < 1e-5, worst, 0.0, 1e-5)
-    )
+        return f_first(sp1, psi, d), lambda s: f_lambda_value(sp1, psi + s * d), 1e-4
 
-    # Rayleigh quotient derivative (via its definition)
-    worst = 0.0
-    for _ in range(100):
+    def rayleigh():  # Rayleigh quotient derivative (via its definition)
         psi = random_field(table.grid, 2, rng, scale=0.8)
         d = random_field(table.grid, 2, rng, scale=0.8)
-        h = 1e-5
-        fd = (r_lambda(sp, psi + h * d) - r_lambda(sp, psi - h * d)) / (2.0 * h)
-        from .variational import r_lambda_rep
+        slope = float(sp.grid.volume * (r_lambda_rep(sp, psi) * d.coeffs.conj()).real.sum())
+        return slope, lambda s: r_lambda(sp, psi + s * d), 1e-5
 
-        rep = r_lambda_rep(sp, psi)
-        slope = float(sp.grid.volume * (rep * d.coeffs.conj()).real.sum())
-        worst = max(worst, abs(slope - fd) / max(1.0, abs(fd)))
-    out.append(
-        _record(11, "Rayleigh functional derivative (100 samples)", worst < 1e-5, worst, 0.0, 1e-5)
+    checks = (
+        ("grad of the energy", energy),
+        ("reduced-functional sphere gradient", sphere),
+        ("ray derivative of J", ray),
+        ("derivative of the kernel-reduced mass", kernel_mass),
+        ("Rayleigh functional derivative", rayleigh),
     )
+    out = []
+    for name, draw in checks:
+        worst = _fd_worst(draw)
+        out.append(_record(11, f"{name} (100 samples)", worst < 1e-5, worst, 0.0, 1e-5))
     return out
 
 

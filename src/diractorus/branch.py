@@ -9,16 +9,22 @@ policy is fixed: the least-energy descent stops at gtol 1e-7, the
 second-solution descent at 1e-6, and every fiber ascent at
 ``fiber_maximize``'s 1e-9.
 
-The least-energy solve minimizes the reduced functional M over the unit
-sphere of E^+ from one start: the E^+ part of the caller's warm field when
-given, else the minimizer of the ray quotient.  Plane waves are exact critical points of
-M on the torus, so a descent started on one never leaves it; no start is
+Each solve builds one ``Functional`` and uses it end to end: the start, the
+sphere descent, the Newton polish (``polish_residual``) and the reported
+energy and residual all run on it, so no solved point splits the spectrum a
+second time.  Both kinds of solve descend with ``_descend``: on the unit
+sphere of E^+ from one start, the E^+ part of the caller's warm field when
+given, else the minimizer of the ray quotient
+(``variational.ray_opt_direction``).  Plane waves are exact critical points
+of M on the torus, so a descent started on one never leaves it; no start is
 taken from them.  At every lambda the fibers keep E^0 in their inner space:
 L_T(psi) = max_c L(psi - sum_a c_a e_a) at an eigenvalue with f = 0.
 
-Second solutions near an eigenvalue lambda_k minimize the frozen-fiber
-functional N over the sphere of E^+ at lambda_k with the L^2 mass constraint
-|phi|_2^2 >= sigma.
+The least-energy solve minimizes the reduced functional M of
+``Functional(split, nl)``.  Second solutions near an eigenvalue lambda_k
+minimize the frozen-fiber functional N, ``Functional(split_k, nl, lam)``,
+over the sphere of E^+ at lambda_k with the L^2 mass constraint
+|phi|_2^2 >= sigma; they are polished and reported at lam.
 """
 
 from __future__ import annotations
@@ -26,15 +32,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import diags
+from scipy.sparse.linalg import LinearOperator, minres
 
-from .nonlinearity import check_hypotheses, critical_exponent, make_nonlinearity
+from .nonlinearity import check_hypotheses
 from .spectral import omega_sphere, split as make_split
+from .testspinor import radial_mass_ratio
 from .torus import SpinorField, l2_norm
 from .variational import (
     Functional,
     SolverFailure,
+    _pack,
+    _unpack,
     default_sigma,
     nu_lambda_k,
+    ray_opt_direction,
     sphere_minimize,
 )
 
@@ -114,7 +126,7 @@ def residual_check(table, nl, psi, lam):
     lambda = 0.2 least-energy point at K = 96 has a full residual of
     0.61787859 at n_grid = 386 and 0.61787873 at n_grid = 390.
     """
-    ev = Functional(make_split(table, lam), nl, lam).at_field(psi)
+    ev = Functional(make_split(table, lam), nl).at_field(psi)
     return float(np.hypot(*_strong_residual(ev)))
 
 
@@ -135,11 +147,14 @@ class Polish:
         return float(np.hypot(self.in_band, self.spill))
 
 
-def polish_residual(table, nl, psi, lam):
-    """Newton polish of a near-solution on the Galerkin problem.
+def polish_residual(fn, psi):
+    """Newton polish of a near-solution on the Galerkin problem of the functional ``fn``.
 
-    Newton runs on the in-band residual, the ``rep`` of L_lam' on the cutoff
-    space, whose zeros are the Galerkin critical points the solvers find.
+    ``fn`` is the functional the solver ran on, so no solve splits the
+    spectrum a second time; the polish reads only its lambda, through
+    ``fn.shift``, never the split's weights.  Newton runs on the in-band
+    residual, the ``rep`` of L_lam' on the cutoff space, whose zeros are the
+    Galerkin critical points the solvers find.
     Each step solves L''(psi) d = -L'(psi) with MINRES on the Hessian-vector
     product ``Evaluation.hvp`` to relative tolerance 1e-4, preconditioned by
     1/(|sigma - lam| + 1) in the eigenbasis, the lambda metric of the solvers.
@@ -152,12 +167,7 @@ def polish_residual(table, nl, psi, lam):
     (``_strong_residual``); a polish that keeps no step transforms the spill
     once.  ``residual`` is the full ``residual_check`` value at ``psi``.
     """
-    from scipy.sparse import diags
-    from scipy.sparse.linalg import LinearOperator, minres
-
-    from .variational import _pack, _unpack
-
-    fn = Functional(make_split(table, lam), nl, lam)
+    table = fn.split.table
     shape, size = psi.coeffs.shape, 2 * psi.coeffs.size
     precond = diags(np.tile(1.0 / (np.abs(fn.shift.ravel()) + 1.0), 2))
 
@@ -183,20 +193,20 @@ def polish_residual(table, nl, psi, lam):
     return Polish(psi, ev.energy, pre, *(_strong_residual(ev) if steps else pre), steps)
 
 
-def _solved_point(split, nl, psi, lam, value, level, k=None, flags=(), **diagnostics):
-    """Polish a solved field and report it; raises GuardViolationError at or above gamma_crit.
+def _solved_point(fn, psi, value, level, k=None, flags=(), **diagnostics):
+    """Polish a field solved on the functional ``fn`` and report it; raises GuardViolationError at or above gamma_crit.
 
     ``value`` is the solver's energy at ``psi``, kept as ``value_pre_polish``
     and replaced by the polish's energy only when the polish moves psi.  Any
     of the solver's own ``flags`` rejects the point.
     """
-    table = split.table
-    polish = polish_residual(table, nl, psi, lam)
+    m = fn.split.grid.m
+    polish = polish_residual(fn, psi)
     energy = polish.energy if polish.steps else value
     resid, resid_pre = polish.residual, np.hypot(*polish.pre)
-    below = bool(energy < gamma_crit(table.m))
+    below = bool(energy < gamma_crit(m))
     point = BranchPoint(
-        lam=float(lam),
+        lam=fn.lam,
         level=level,
         k=k,
         energy=float(energy),
@@ -210,7 +220,7 @@ def _solved_point(split, nl, psi, lam, value, level, k=None, flags=(), **diagnos
     )
     if not below:
         raise GuardViolationError(
-            f"{level} energy {energy:.6f} >= gamma_crit {gamma_crit(table.m):.6f}", point=point
+            f"{level} energy {energy:.6f} >= gamma_crit {gamma_crit(m):.6f}", point=point
         )
     return point
 
@@ -255,63 +265,6 @@ class SweepTable:
         return bad
 
 
-def _ray_quotient(fn, a):
-    """The ray quotient alpha^m / (2m beta^(m-1)) at eigen coordinates a.
-
-    Here alpha = <(D-lam)phi,phi> and beta = |phi|_{2*}^{2*}.  On the ray,
-    the pure-critical energy (t^2/2) alpha - (t^{2*}/2*) beta is largest at
-    t^{2*-2} = alpha/beta, with this value, so the quotient is invariant
-    under scaling phi.  ``fn`` is the pure-critical functional at the split's
-    lambda; returns the quotient and its lambda-metric gradient in eigen
-    coordinates, whose L^2 representative is
-    (alpha/beta)^(m-1) (D-lam)phi - (alpha/beta)^m |phi|^(2*-2)phi.
-    """
-    m = fn.split.grid.m
-    ev = fn(a)
-    alpha = 2.0 * ev.quadratic
-    beta = critical_exponent(m) * ev.mass
-    rep = (alpha ** (m - 1) / beta ** (m - 1)) * ev.lin - (alpha**m / beta**m) * ev.nonlin
-    return alpha**m / (2.0 * m * beta ** (m - 1)), rep / fn.split.w2
-
-
-def ray_opt_direction(table, sp):
-    """Direction minimizing the ray quotient (``_ray_quotient``).
-
-    The quotient is the exact maximum of the pure-critical energy along the
-    ray t phi, hence a pointwise lower bound for the pure-critical fiber
-    value M(phi); its minimizer is a cheap, strong initial direction for the
-    sphere descent (no inner solves needed).  The L-BFGS
-    run starts from a fixed random E^+ vector, so the direction is
-    reproducible.
-    """
-    from scipy.optimize import minimize as _scipy_minimize
-
-    from .variational import SubspaceCoords, _pack, _unpack
-
-    fn = Functional(sp, make_nonlinearity("zero", table.m))
-    coords = SubspaceCoords(sp, sp.plus)
-    rng = np.random.default_rng(1)
-    z0 = rng.standard_normal(coords.dim) + 1j * rng.standard_normal(coords.dim)
-    z0 = z0 / (1.0 + sp.w2[coords.idx] ** 2)
-
-    def fun(x):
-        val, grad = _ray_quotient(fn, coords.to_eigen(_unpack(x)))
-        return val, _pack(coords.from_eigen(grad))
-
-    res = _scipy_minimize(
-        fun,
-        _pack(z0),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": 600, "gtol": 1e-10, "ftol": 1e-16},
-    )
-    z = _unpack(res.x)
-    nrm = float(np.linalg.norm(z))
-    if nrm <= 0:
-        raise SolverFailure("ray optimization collapsed to zero")
-    return coords.to_field(z / nrm)
-
-
 def _lambda_nonpositive_gate(nl):
     report = check_hypotheses(nl)
     if not report["f5"]:
@@ -321,8 +274,6 @@ def _lambda_nonpositive_gate(nl):
         )
     # Feasibility probe: the subcritical-mass to L^2-mass ratio of the
     # concentration family must grow along the sweep.
-    from .testspinor import radial_mass_ratio
-
     ratios = [radial_mass_ratio(nl, np.pi / 4.0, eps) for eps in (0.1, 0.05, 0.02)]
     if not all(b > a for a, b in zip(ratios, ratios[1:])):
         raise SolverFailure(
@@ -330,6 +281,17 @@ def _lambda_nonpositive_gate(nl):
         )
     report["mass_ratio_probe"] = ratios
     return report
+
+
+def _descend(fn, init, gtol, maxiter):
+    """Sphere descent of ``fn`` from the field ``init``, else from the ray-quotient direction of its split.
+
+    Returns sphere_minimize's (value, fiber point, info) and the descent's
+    flags: ``descent-not-converged`` when it stopped before gtol.
+    """
+    phi0 = ray_opt_direction(fn.split) if init is None else init
+    value, fiber, info = sphere_minimize(fn, phi0, gtol=gtol, maxiter=maxiter)
+    return value, fiber, info, [] if info["converged"] else ["descent-not-converged"]
 
 
 def minimize_M(split, nl, init=None, maxiter=120):
@@ -341,25 +303,17 @@ def minimize_M(split, nl, init=None, maxiter=120):
     when its residual stays above RESIDUAL_TOL.  Raises GuardViolationError
     when the converged energy reaches gamma_crit.
     """
-    table = split.table
-    lam = split.lam
-    if lam <= 0:
+    if split.lam <= 0:
         _lambda_nonpositive_gate(nl)
-    if init is None:
-        start, phi0 = "ray-opt", ray_opt_direction(table, split)
-    else:
-        start, phi0 = "warm", init
-
-    value, fiber, info = sphere_minimize(Functional(split, nl), phi0, gtol=1e-7, maxiter=maxiter)
+    fn = Functional(split, nl)
+    value, fiber, info, flags = _descend(fn, init, 1e-7, maxiter)
     return _solved_point(
-        split,
-        nl,
+        fn,
         fiber.psi,
-        lam,
         value,
         "least",
-        flags=[] if info["converged"] else ["descent-not-converged"],
-        init=start,
+        flags=flags,
+        init="ray-opt" if init is None else "warm",
         outer=info,
         fiber_grad_norm=fiber.grad_norm,
         t=fiber.t,
@@ -376,22 +330,16 @@ def second_solution(split_k, nl, lam, k, init=None):
     returned point carries a uniqueness-confidence flag from the 8-start
     certification of the final fiber (``nu_lambda_k``), a flag when the
     final direction's L^2 mass is below ``default_sigma`` and one when the
-    descent stopped unconverged, as in ``minimize_M``.
+    descent stopped unconverged, as in ``minimize_M``.  The point is
+    polished and reported at lam, on the frozen functional it was solved on.
     """
-    table = split_k.table
     lam = float(lam)
     lam_k = split_k.lam
     if not (lam <= lam_k + split_k.tol):
         raise SolverFailure(f"second solution needs lam <= lambda_k = {lam_k}, got {lam}")
     sigma = default_sigma(split_k)
-
-    value, fiber, info = sphere_minimize(
-        Functional(split_k, nl, lam),
-        ray_opt_direction(table, split_k) if init is None else init,
-        gtol=1e-6,
-        maxiter=80,
-    )
-    flags = [] if info["converged"] else ["descent-not-converged"]
+    fn = Functional(split_k, nl, lam)
+    _, fiber, info, flags = _descend(fn, init, 1e-6, 80)
     mass = l2_norm(fiber.phi) ** 2
     if mass < sigma:
         flags.append("sigma-constraint-violated")
@@ -399,10 +347,8 @@ def second_solution(split_k, nl, lam, k, init=None):
     if not confirmed.unique_confident:
         flags.append("non-unique-fiber-maximizer")
     return _solved_point(
-        split_k,
-        nl,
+        fn,
         confirmed.psi,
-        lam,
         confirmed.value,
         "second",
         k=int(k),

@@ -383,8 +383,13 @@ def main(argv=None):
             # the list-valued flags and leaves the others as argparse typed them
             cfg = RunConfig()
             for f in fields(RunConfig):
-                if getattr(args, f.name, None) is not None:
-                    setattr(cfg, f.name, PARSERS[f.name](getattr(args, f.name)))
+                value = getattr(args, f.name, None)
+                if value is not None:
+                    key, parse = PARSERS[f.name]
+                    try:
+                        setattr(cfg, f.name, parse(value))
+                    except ValueError as exc:  # a malformed value, as in a config file
+                        raise ConfigError(f"bad value for {key!r}: {exc}") from exc
             validate_config(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -137,12 +137,13 @@ _KEYS = (
     ("accept", "suite", "suite", str),
 )
 _SCHEMA = {section: {k for s, k, _, _ in _KEYS if s == section} for section, *_ in _KEYS}
-PARSERS = {attr: parse for _, _, attr, parse in _KEYS}
+PARSERS = {attr: (key, parse) for _, key, attr, parse in _KEYS}
 
 
 def load_config(path, overrides=None):
     """Load and validate a RunConfig from an INI file."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.optionxform = str  # keys are case-sensitive: ``lambda`` and ``Lambda`` are two keys
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -167,7 +168,7 @@ def load_config(path, overrides=None):
         if parser.has_option(section, key):
             try:
                 setattr(cfg, attr, parse(parser.get(section, key)))
-            except (ValueError, ConfigError) as exc:
+            except ValueError as exc:  # ConfigError included
                 raise ConfigError(
                     f"bad value for {key!r}: {exc}", line=_line_of(path, section, key)
                 ) from exc

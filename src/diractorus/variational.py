@@ -41,14 +41,19 @@ part is ``nonlin``.
 
 Solvers use lambda-orthonormal coordinates on masked eigen entries, so the
 Euclidean geometry handed to the quasi-Newton loops coincides with the
-||.||_lambda geometry.  The fiber maximum over {t phi + chi} is one L-BFGS
-ascent over (t, chi) jointly: by the generalized Nehari reduction its only
-critical point with t > 0 is the global maximum, and evenness of L maps a
-run that crosses t = 0 back from the mirror maximizer.  A cold ascent starts
-at the maximum of the ray t phi, found from one evaluation at phi: the
-quadratic part scales as t^2 and the mass at t phi is int G(t |phi|), so
+||.||_lambda geometry; every L-BFGS run and its coordinate packing
+(``_pack``/``_unpack``) lives here.  The fiber maximum over {t phi + chi}
+is one L-BFGS ascent over (t, chi) jointly: by the generalized Nehari
+reduction its only critical point with t > 0 is the global maximum, and
+evenness of L maps a run that crosses t = 0 back from the mirror maximizer.
+An ascent starts from the (t, z) pair its caller passes, a nearby fiber's
+scale and inner coordinates, which every ``FiberPoint`` carries; a cold one
+starts at the maximum of the ray t phi, found from one evaluation at phi:
+the quadratic part scales as t^2 and the mass at t phi is int G(t |phi|), so
 L(t phi) = t^2 q(phi) - int G(t |phi|).  The Nehari projection of an E^+
-direction is the scale of its fiber maximum.
+direction is the scale of its fiber maximum.  The sphere descent over E^+
+(``sphere_minimize``) starts from a caller's field or from the minimizer of
+the ray quotient (``ray_opt_direction``), a fiber-free lower bound of M.
 """
 
 from __future__ import annotations
@@ -452,6 +457,7 @@ class FiberPoint:
 
     phi: SpinorField
     t: float
+    z: np.ndarray  # coordinates of chi in ``fn.inner``
     psi: SpinorField
     value: float
     grad_norm: float
@@ -522,25 +528,24 @@ class _FiberCoords:
         return np.concatenate([[np.vdot(self.phi_dual, g).real], self.inner.from_eigen(g)])
 
 
-def fiber_maximize(fn, phi, gtol=1e-9, maxiter=500, warm=None):
+def fiber_maximize(fn, phi, gtol=1e-9, maxiter=500, start=None):
     """Global maximizer of ``fn`` over the fiber {t phi + chi : t > 0, chi in fn.inner}.
 
     One L-BFGS ascent over (t, chi) jointly.  Under the generalized Nehari
     reduction every critical point with t > 0 on the fiber is its unique
-    global maximum, so the start only has to lie in its basin: a ``warm``
-    dict with keys ``t`` and ``z`` (from a nearby fiber) when ``t`` is set,
-    otherwise the maximum of the ray t phi.  ``warm`` is updated with the
-    result.
+    global maximum, so the start only has to lie in its basin: the pair
+    ``start`` = (t, z) of a scale and inner coordinates (a nearby fiber's
+    ``t`` and ``z``) when given, otherwise the maximum of the ray t phi.
     """
     nrm = norm_lambda(fn.split, phi)
     if nrm <= 0:
         raise SolverFailure("fiber direction is zero")
     phi = (1.0 / nrm) * phi
     coords = _FiberCoords(fn, fn.split.table.to_eigen(phi.coeffs))
-    if warm is not None and warm.get("t"):
-        t0, z0 = float(warm["t"]), warm["z"]
-    else:
+    if start is None:
         t0, z0 = _ray_max(fn, coords.phi_e)[0], np.zeros(fn.inner.dim, dtype=complex)
+    else:
+        t0, z0 = start
     x, value, grad_norm, evals = _inner_maximize(
         fn.value_and_grad, coords, np.concatenate([[t0], z0]), gtol, maxiter
     )
@@ -550,12 +555,10 @@ def fiber_maximize(fn, phi, gtol=1e-9, maxiter=500, warm=None):
         t, z = -t, -z
     if t < 1e-8 * max(abs(t0), 1.0):
         raise DegenerateFiberError("fiber maximizer collapsed to t = 0", {"t_start": t0, "value": value})
-    if warm is not None:
-        warm["t"], warm["z"] = t, z
-
     return FiberPoint(
         phi=phi,
         t=t,
+        z=z,
         psi=SpinorField(fn.split.grid, fn.split.table.from_eigen(t * coords.phi_e + fn.inner.to_eigen(z))),
         value=value,
         grad_norm=grad_norm,
@@ -583,14 +586,67 @@ def m_lambda(split, nl, phi):
     return fiber.value, grad, fiber
 
 
+def _ray_quotient(fn, a):
+    """The ray quotient alpha^m / (2m beta^(m-1)) at eigen coordinates a.
+
+    Here alpha = <(D-lam)phi,phi> and beta = |phi|_{2*}^{2*}.  On the ray,
+    the pure-critical energy (t^2/2) alpha - (t^{2*}/2*) beta is largest at
+    t^{2*-2} = alpha/beta, with this value, so the quotient is invariant
+    under scaling phi.  ``fn`` is the pure-critical functional at the split's
+    lambda; returns the quotient and its lambda-metric gradient in eigen
+    coordinates, whose L^2 representative is
+    (alpha/beta)^(m-1) (D-lam)phi - (alpha/beta)^m |phi|^(2*-2)phi.
+    """
+    m = fn.split.grid.m
+    ev = fn(a)
+    alpha = 2.0 * ev.quadratic
+    beta = critical_exponent(m) * ev.mass
+    rep = (alpha ** (m - 1) / beta ** (m - 1)) * ev.lin - (alpha**m / beta**m) * ev.nonlin
+    return alpha**m / (2.0 * m * beta ** (m - 1)), rep / fn.split.w2
+
+
+def ray_opt_direction(split):
+    """Direction minimizing the ray quotient (``_ray_quotient``) over E^+ of the split.
+
+    The quotient is the exact maximum of the pure-critical energy along the
+    ray t phi, hence a pointwise lower bound for the pure-critical fiber
+    value M(phi); its minimizer is a cheap, strong initial direction for the
+    sphere descent (no inner solves needed).  The L-BFGS
+    run starts from a fixed random E^+ vector, so the direction is
+    reproducible.
+    """
+    fn = Functional(split, make_nonlinearity("zero", split.grid.m))
+    coords = SubspaceCoords(split, split.plus)
+    rng = np.random.default_rng(1)
+    z0 = rng.standard_normal(coords.dim) + 1j * rng.standard_normal(coords.dim)
+    z0 = z0 / (1.0 + split.w2[coords.idx] ** 2)
+
+    def fun(x):
+        val, grad = _ray_quotient(fn, coords.to_eigen(_unpack(x)))
+        return val, _pack(coords.from_eigen(grad))
+
+    res = _scipy_minimize(
+        fun,
+        _pack(z0),
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": 600, "gtol": 1e-10, "ftol": 1e-16},
+    )
+    z = _unpack(res.x)
+    nrm = float(np.linalg.norm(z))
+    if nrm <= 0:
+        raise SolverFailure("ray optimization collapsed to zero")
+    return coords.to_field(z / nrm)
+
+
 def sphere_minimize(fn, phi0, gtol=1e-7, maxiter=120):
     """Minimize the fiber maximum of ``fn`` over the unit sphere of E^+.
 
     The descent starts from the normalized E^+ part of the field ``phi0``.
     Quasi-Newton descent on the scale-invariant extension phi -> M(phi/||phi||)
     in lambda-orthonormal E^+ coordinates; fiber solves run at
-    ``fiber_maximize``'s default gtol and are warm-started from the previous
-    iterate.  Returns (value, fiber_point, info); ``info`` holds
+    ``fiber_maximize``'s default gtol, each from the previous fiber's
+    maximizer (t, z).  Returns (value, fiber_point, info); ``info`` holds
     ``fiber_grad_max``, the largest final gradient norm of its fiber solves,
     and ``fiber_evals``, the sum of their inner evaluations.  A descent never
     ends above its start: when it took a step and still ended higher than its
@@ -604,14 +660,14 @@ def sphere_minimize(fn, phi0, gtol=1e-7, maxiter=120):
     if nrm0 <= 0:
         raise SolverFailure("initial direction has no E^+ component")
     z0 = coords.from_field((1.0 / nrm0) * phi0)
-    warm = {"t": None, "z": None}
-    last = {"fiber_grad_max": 0.0, "fiber_evals": 0}
+    last = {"fiber": None, "fiber_grad_max": 0.0, "fiber_evals": 0}
 
     def fun(x):
         z = _unpack(x)
         nrm = float(np.linalg.norm(z))
         zhat = z / nrm
-        fiber = fiber_maximize(fn, coords.to_field(zhat), warm=warm)
+        prev = last["fiber"]
+        fiber = fiber_maximize(fn, coords.to_field(zhat), start=None if prev is None else (prev.t, prev.z))
         gz = _sphere_grad(fn, coords, fiber, zhat) / nrm
         last["fiber"] = fiber
         last.setdefault("first", fiber)
@@ -781,7 +837,7 @@ def nu_lambda_k(split_k, nl, phi, lam, n_starts=8):
     dim = fn.inner.dim
     for _ in range(max(0, n_starts - 1)):
         z = 0.3 * best.t * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / max(np.sqrt(dim), 1.0)
-        fib = fiber_maximize(fn, phi, warm={"t": best.t, "z": z})
+        fib = fiber_maximize(fn, phi, start=(best.t, z))
         values.append(fib.value)
         if fib.value > best.value + 1e-8:
             best = fib

@@ -5,21 +5,28 @@ import pytest
 
 from diractorus.branch import (
     GuardViolationError,
-    _ray_quotient,
     branch_sweep,
     gamma_crit,
     minimize_M,
     multiplicity_count,
     nu_window,
     polish_residual,
-    ray_opt_direction,
     residual_check,
     second_solution,
 )
 from diractorus.nonlinearity import make_nonlinearity
 from diractorus.spectral import assemble, omega_sphere, project, split
 from diractorus.torus import SpinorField, random_field, zero_field
-from diractorus.variational import Functional, L_lambda, SolverFailure, _ray_max, m_lambda, sphere_minimize
+from diractorus.variational import (
+    Functional,
+    L_lambda,
+    SolverFailure,
+    _ray_max,
+    _ray_quotient,
+    m_lambda,
+    ray_opt_direction,
+    sphere_minimize,
+)
 
 NL = make_nonlinearity("bnd", 2)
 
@@ -91,7 +98,7 @@ def test_polish_reduces_residual():
     rng = np.random.default_rng(4)
     psi = plane_wave_solution(table, 0.5) + 1e-3 * random_field(table.grid, 2, rng)
     before = residual_check(table, NL, psi, 0.5)
-    polish = polish_residual(table, NL, psi, 0.5)
+    polish = polish_residual(Functional(split(table, 0.5), NL), psi)
     polished, after = polish.psi, polish.residual
     assert before > 1e-4
     assert after < 1e-8
@@ -107,7 +114,7 @@ def test_polish_does_not_stall_near_exact_solution():
         table = assemble(2, K)
         rng = np.random.default_rng(4)
         psi = plane_wave_solution(table, 0.5) + noise * random_field(table.grid, 2, rng)
-        polish = polish_residual(table, NL, psi, 0.5)
+        polish = polish_residual(Functional(split(table, 0.5), NL), psi)
         polished, after = polish.psi, polish.residual
         assert after < 1e-12
         assert polish.steps >= 2
@@ -126,8 +133,9 @@ def test_polish_keeps_the_galerkin_energy_where_the_spill_is_large():
     assert in_band < 1e-8
     assert np.isclose(np.hypot(in_band, spill), pt.residual_l2)
     # the same finish after a descent to gtol 1e-9
-    value, fiber, _ = sphere_minimize(Functional(sp, NL), ray_opt_direction(table, sp), gtol=1e-9)
-    polish = polish_residual(table, NL, fiber.psi, 0.4)
+    fn = Functional(sp, NL)
+    value, fiber, _ = sphere_minimize(fn, ray_opt_direction(sp), gtol=1e-9)
+    polish = polish_residual(fn, fiber.psi)
     assert abs(L_lambda(sp, NL, polish.psi) - value) < 1e-10
     assert polish.in_band < 1e-8
     assert np.isclose(np.hypot(polish.in_band, polish.spill), residual_check(table, NL, polish.psi, 0.4))
@@ -230,7 +238,7 @@ def test_minimize_M_transforms_the_strong_residual_twice(monkeypatch):
     # a polish that keeps no step reads both ends off its one evaluation
     calls.clear()
     table = assemble(2, 4)
-    polish = branch.polish_residual(table, NL, plane_wave_solution(table, 0.5), 0.5)
+    polish = branch.polish_residual(Functional(split(table, 0.5), NL), plane_wave_solution(table, 0.5))
     assert polish.steps == 0 and len(calls) == 1
     assert polish.pre == (polish.in_band, polish.spill) == calls[0]
 
@@ -272,10 +280,16 @@ def test_fiber_evals_are_reproducible():
     assert counts[0] == counts[1] > 0
 
 
-def test_second_solution_levels():
+@pytest.fixture(scope="module")
+def second_098():
+    """The second solution at lambda = 0.98, K = 8, solved on the frozen lambda_k = 1 split."""
     table = assemble(2, 8)
+    return table, second_solution(split(table, 1.0), NL, 0.98, k=1)
+
+
+def test_second_solution_levels(second_098):
+    table, pt2 = second_098
     sp1 = split(table, 1.0)
-    pt2 = second_solution(sp1, NL, 0.98, k=1)
     sp = split(table, 0.98)
     least = minimize_M(sp, NL, maxiter=40)
     assert pt2.energy > least.energy
@@ -285,6 +299,15 @@ def test_second_solution_levels():
     assert pt2.level == "second"
     with pytest.raises(SolverFailure):
         second_solution(sp1, NL, 1.2, k=1)
+
+
+def test_second_solution_reports_lambda_quantities(second_098):
+    # solved and polished on the frozen lambda_k = 1 split, the point's
+    # energy and residual are those of L_lambda at lambda = 0.98
+    table, pt = second_098
+    assert pt.lam == 0.98 and pt.diagnostics["lambda_k"] == 1.0
+    assert np.isclose(pt.energy, L_lambda(split(table, 0.98), NL, pt.psi), rtol=1e-12, atol=0.0)
+    assert abs(pt.residual_l2 - residual_check(table, NL, pt.psi, 0.98)) <= 1e-15
 
 
 def test_branch_sweep_structure():

@@ -133,6 +133,31 @@ def test_run_config_unknown_key(tmp_path, capsys):
     assert "line 2" in err and "workers" in err
 
 
+def test_run_config_keys_are_case_sensitive(tmp_path, capsys):
+    # configparser lowercased option names, so `lambda` also set `Lambda`
+    # and the other way round
+    path = tmp_path / "case.ini"
+    path.write_text("[problem]\nlambda = 0.99\n")
+    cfg = load_config(str(path))
+    assert (cfg.lam, cfg.Lambda) == (0.99, None)
+    path.write_text("[problem]\nLambda = 10\n")
+    cfg = load_config(str(path))
+    assert (cfg.lam, cfg.Lambda) == (None, 10.0)
+    # a mis-cased key is an unknown key
+    path.write_text("[problem]\nCutoff = 8\n")
+    assert run_cli(["run", str(path)]) == 64
+    err = capsys.readouterr().err
+    assert "line 2" in err and "'Cutoff'" in err
+
+
+def test_malformed_flag_values_are_config_errors(tmp_path, capsys):
+    # a flag value its key's parser rejects used to escape as a ValueError
+    for argv, key in ((["testspinor", "--eps-sweep", "abc"], "eps_sweep"),
+                      (["branch", "--lambda-grid", "abc"], "lambda_grid")):
+        assert run_cli(argv + ["--out", str(tmp_path)]) == 64
+        assert capsys.readouterr().err.startswith(f"config error: bad value for '{key}': ")
+
+
 def test_run_config_rejects_the_tolerances_section(tmp_path, capsys):
     # the solver stop policy is fixed; its section and keys are gone
     path = tmp_path / "tol.ini"

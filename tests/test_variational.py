@@ -15,6 +15,7 @@ from diractorus.variational import (
     _FiberCoords,
     _FJet,
     _inner_maximize,
+    _ray_quotient,
     _rayleigh,
     default_sigma,
     eta_lambda,
@@ -240,7 +241,7 @@ def test_fiber_maximum_is_start_independent(table, sp05):
     z_rand /= np.sqrt(fn.inner.dim)
     starts = [(0.5 * t_star, z_rand), (2.0 * t_star, np.zeros_like(z_star)), (-t_star, z_star)]
     for t0, z0 in starts:
-        fib = fiber_maximize(fn, phi, warm={"t": t0, "z": z0.copy()})
+        fib = fiber_maximize(fn, phi, start=(t0, z0))
         assert fib.t > 0
         assert abs(fib.value - cold.value) < 1e-10 * abs(cold.value)
         assert l2_norm(fib.psi - cold.psi) < 1e-6 * l2_norm(cold.psi)
@@ -531,8 +532,6 @@ def test_functional_gradients_fd(table, sp05, sp1, case):
     if case == "frozen-split":
         sp, value_and_grad = sp1, Functional(sp1, NL, 0.95).value_and_grad
     else:
-        from diractorus.branch import _ray_quotient
-
         sp, fn = sp05, Functional(sp05, NL)
         value_and_grad = lambda a: _ray_quotient(fn, a)  # noqa: E731
     rng = np.random.default_rng(16)
