@@ -5,9 +5,10 @@ compactness threshold gamma_crit = (1/2m)(m/2)^m omega_m and its strong-form
 residual ||D psi - lam psi - f(|psi|)psi - |psi|^(2*-2)psi||_2 is at most
 RESIDUAL_TOL = 1e-6.  Energies above the threshold are reported as guard
 violations: the minimization certificate is meaningless there.  The stop
-policy is fixed: the least-energy descent stops at gtol 1e-7, the
-second-solution descent at 1e-6, and every fiber ascent at
-``fiber_maximize``'s 1e-9.
+policy is fixed: both sphere descents stop at outer gtol 1e-3 with their
+fiber ascents at 1e-7, every other fiber ascent stops at ``fiber_maximize``'s
+1e-9, and the Newton polish finishes each point (a coarse minimax, then a
+local Newton: Li-Zhou, SIAM J. Sci. Comput. 23, 2001).
 
 Each solve builds one ``Functional`` and uses it end to end: the start, the
 sphere descent, the Newton polish (``polish_residual``) and the reported
@@ -140,11 +141,17 @@ class Polish:
     in_band: float  # the two parts of the final residual, from the last evaluation
     spill: float
     steps: int  # Newton steps kept
+    converged: bool  # in_band within 10 times the rounding level the polish aims at
 
     @property
     def residual(self):
         """The full ``residual_check`` value at ``psi``."""
         return float(np.hypot(self.in_band, self.spill))
+
+
+def _rounding_level(ev):
+    """1e-12 max(1, ||(D - lam) psi||): the in-band residual norm at which the polish stops."""
+    return 1e-12 * max(1.0, _l2(ev.fn.split.grid, ev.lin))
 
 
 def polish_residual(fn, psi):
@@ -165,7 +172,10 @@ def polish_residual(fn, psi):
     point for a smaller full residual.  The energy and both residual parts,
     before and after, are read off the first and last evaluations
     (``_strong_residual``); a polish that keeps no step transforms the spill
-    once.  ``residual`` is the full ``residual_check`` value at ``psi``.
+    once.  ``residual`` is the full ``residual_check`` value at ``psi``.  The
+    polish is ``converged`` when it ends within 10 times that rounding level;
+    the sphere descent stops coarse, so an unfinished polish leaves the
+    reported energy unfinished too.
     """
     table = fn.split.table
     shape, size = psi.coeffs.shape, 2 * psi.coeffs.size
@@ -177,7 +187,7 @@ def polish_residual(fn, psi):
     )
     pre = _strong_residual(ev)
     resid, steps = pre[0], 0
-    while steps < 20 and resid > 1e-12 * max(1.0, _l2(psi.grid, ev.lin)):
+    while steps < 20 and resid > _rounding_level(ev):
         d = minres(hess, -_pack(ev.rep.ravel()), M=precond, rtol=1e-4)[0]
         if not np.isfinite(d).all():
             break
@@ -190,18 +200,21 @@ def polish_residual(fn, psi):
         psi, ev, resid, steps = trial, trial_ev, trial_resid, steps + 1
         if not halved:
             break
-    return Polish(psi, ev.energy, pre, *(_strong_residual(ev) if steps else pre), steps)
+    return Polish(psi, ev.energy, pre, *(_strong_residual(ev) if steps else pre), steps,
+                  bool(resid <= 10.0 * _rounding_level(ev)))
 
 
 def _solved_point(fn, psi, value, level, k=None, flags=(), **diagnostics):
     """Polish a field solved on the functional ``fn`` and report it; raises GuardViolationError at or above gamma_crit.
 
-    ``value`` is the solver's energy at ``psi``, kept as ``value_pre_polish``
-    and replaced by the polish's energy only when the polish moves psi.  Any
-    of the solver's own ``flags`` rejects the point.
+    ``value`` is the solver's energy at ``psi``, the coarse descent's value,
+    kept as ``value_pre_polish`` and replaced by the polish's energy only when
+    the polish moves psi.  Any of the solver's own ``flags`` rejects the
+    point, and so does ``polish-not-converged``, a polish that did not finish.
     """
     m = fn.split.grid.m
     polish = polish_residual(fn, psi)
+    flags = list(flags) + ([] if polish.converged else ["polish-not-converged"])
     energy = polish.energy if polish.steps else value
     resid, resid_pre = polish.residual, np.hypot(*polish.pre)
     below = bool(energy < gamma_crit(m))
@@ -216,7 +229,7 @@ def _solved_point(fn, psi, value, level, k=None, flags=(), **diagnostics):
         psi=polish.psi,
         diagnostics=dict(diagnostics, value_pre_polish=float(value), residual_pre_polish=float(resid_pre),
                          polish_steps=polish.steps, residual_in_band=polish.in_band, residual_spill=polish.spill),
-        flags=list(flags) + ([] if resid <= RESIDUAL_TOL else ["resolution-limited-residual"]),
+        flags=flags + ([] if resid <= RESIDUAL_TOL else ["resolution-limited-residual"]),
     )
     if not below:
         raise GuardViolationError(
@@ -283,81 +296,65 @@ def _lambda_nonpositive_gate(nl):
     return report
 
 
-def _descend(fn, init, gtol, maxiter):
+def _descend(fn, init, maxiter):
     """Sphere descent of ``fn`` from the field ``init``, else from the ray-quotient direction of its split.
 
-    Returns sphere_minimize's (value, fiber point, info) and the descent's
-    flags: ``descent-not-converged`` when it stopped before gtol.
+    It stops at outer gtol 1e-3, its fibers at 1e-7, and the Newton polish
+    of ``_solved_point`` finishes it.  Returns sphere_minimize's (value,
+    fiber point, info) and the flag ``descent-not-converged`` when it
+    stopped before gtol.
     """
     phi0 = ray_opt_direction(fn.split) if init is None else init
-    value, fiber, info = sphere_minimize(fn, phi0, gtol=gtol, maxiter=maxiter)
+    value, fiber, info = sphere_minimize(fn, phi0, gtol=1e-3, maxiter=maxiter)
     return value, fiber, info, [] if info["converged"] else ["descent-not-converged"]
 
 
 def minimize_M(split, nl, init=None, maxiter=120):
     """Least-energy solve at the split's lambda, descending from the field ``init`` or the ray-quotient direction.
 
-    The descent stops at gtol 1e-7.  Returns the polished BranchPoint:
-    accepted, or flagged ``descent-not-converged`` when the descent stopped
-    before its tolerance (at ``maxiter``) or ``resolution-limited-residual``
-    when its residual stays above RESIDUAL_TOL.  Raises GuardViolationError
-    when the converged energy reaches gamma_crit.
+    The descent stops at gtol 1e-3, its fibers at 1e-7, and the Newton
+    polish finishes it.  Returns the polished BranchPoint: accepted, or
+    flagged ``descent-not-converged`` when the descent stopped before its
+    tolerance (at ``maxiter``), ``polish-not-converged`` when the polish did
+    not finish, or ``resolution-limited-residual`` when its residual stays
+    above RESIDUAL_TOL.  Raises GuardViolationError when the converged energy
+    reaches gamma_crit.
     """
     if split.lam <= 0:
         _lambda_nonpositive_gate(nl)
     fn = Functional(split, nl)
-    value, fiber, info, flags = _descend(fn, init, 1e-7, maxiter)
-    return _solved_point(
-        fn,
-        fiber.psi,
-        value,
-        "least",
-        flags=flags,
-        init="ray-opt" if init is None else "warm",
-        outer=info,
-        fiber_grad_norm=fiber.grad_norm,
-        t=fiber.t,
-        kernel_dim=split.kernel_dim,
-    )
+    value, fiber, info, flags = _descend(fn, init, maxiter)
+    return _solved_point(fn, fiber.psi, value, "least", flags=flags,
+                         init="ray-opt" if init is None else "warm", outer=info,
+                         fiber_grad_norm=fiber.grad_norm, t=fiber.t, kernel_dim=split.kernel_dim)
 
 
 def second_solution(split_k, nl, lam, k, init=None):
     """Second-solution solve: minimize the frozen-fiber value N over E^+ at lambda_k.
 
     The descent starts from the field ``init`` when given, else from the
-    ray-quotient direction at lambda_k, and stops at gtol 1e-6 or after 80
-    iterations.  lam must sit in the guard window just below lambda_k.  The
-    returned point carries a uniqueness-confidence flag from the 8-start
-    certification of the final fiber (``nu_lambda_k``), a flag when the
-    final direction's L^2 mass is below ``default_sigma`` and one when the
-    descent stopped unconverged, as in ``minimize_M``.  The point is
-    polished and reported at lam, on the frozen functional it was solved on.
+    ray-quotient direction at lambda_k, and stops as in ``minimize_M`` or
+    after 80 iterations.  lam must sit in the guard window just below
+    lambda_k.  The returned point carries a uniqueness-confidence flag from
+    the 8-start certification (``nu_lambda_k``, whose first start is the
+    descent's final fiber), a flag when the final direction's L^2 mass is
+    below ``default_sigma`` and the descent and polish flags of
+    ``minimize_M``.  The point is polished and reported at lam, on the
+    frozen functional it was solved on.
     """
-    lam = float(lam)
-    lam_k = split_k.lam
-    if not (lam <= lam_k + split_k.tol):
-        raise SolverFailure(f"second solution needs lam <= lambda_k = {lam_k}, got {lam}")
-    sigma = default_sigma(split_k)
     fn = Functional(split_k, nl, lam)
-    _, fiber, info, flags = _descend(fn, init, 1e-6, 80)
+    if not (fn.lam <= split_k.lam + split_k.tol):
+        raise SolverFailure(f"second solution needs lam <= lambda_k = {split_k.lam}, got {fn.lam}")
+    sigma = default_sigma(split_k)
+    _, fiber, info, flags = _descend(fn, init, 80)
     mass = l2_norm(fiber.phi) ** 2
     if mass < sigma:
         flags.append("sigma-constraint-violated")
-    confirmed = nu_lambda_k(split_k, nl, fiber.phi, lam)
+    confirmed = nu_lambda_k(fn, fiber)
     if not confirmed.unique_confident:
         flags.append("non-unique-fiber-maximizer")
-    return _solved_point(
-        fn,
-        confirmed.psi,
-        confirmed.value,
-        "second",
-        k=int(k),
-        flags=flags,
-        outer=info,
-        phi_mass=float(mass),
-        sigma=float(sigma),
-        lambda_k=float(lam_k),
-    )
+    return _solved_point(fn, confirmed.psi, confirmed.value, "second", k=int(k), flags=flags, outer=info,
+                         phi_mass=float(mass), sigma=float(sigma), lambda_k=float(split_k.lam))
 
 
 def _nearest_eigenvalue(table, lam):

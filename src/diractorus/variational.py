@@ -58,7 +58,7 @@ the ray quotient (``ray_opt_direction``), a fiber-free lower bound of M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -639,14 +639,15 @@ def ray_opt_direction(split):
     return coords.to_field(z / nrm)
 
 
-def sphere_minimize(fn, phi0, gtol=1e-7, maxiter=120):
-    """Minimize the fiber maximum of ``fn`` over the unit sphere of E^+.
+def sphere_minimize(fn, phi0, gtol, maxiter=120):
+    """Minimize the fiber maximum of ``fn`` over the unit sphere of E^+, to the outer tolerance ``gtol``.
 
     The descent starts from the normalized E^+ part of the field ``phi0``.
     Quasi-Newton descent on the scale-invariant extension phi -> M(phi/||phi||)
-    in lambda-orthonormal E^+ coordinates; fiber solves run at
-    ``fiber_maximize``'s default gtol, each from the previous fiber's
-    maximizer (t, z).  Returns (value, fiber_point, info); ``info`` holds
+    in lambda-orthonormal E^+ coordinates; its fiber solves run at gtol 1e-7,
+    not ``fiber_maximize``'s 1e-9, each from the previous fiber's maximizer
+    (t, z), since the branch solves stop it at gtol 1e-3 and finish it with
+    the Newton polish.  Returns (value, fiber_point, info); ``info`` holds
     ``fiber_grad_max``, the largest final gradient norm of its fiber solves,
     and ``fiber_evals``, the sum of their inner evaluations.  A descent never
     ends above its start: when it took a step and still ended higher than its
@@ -667,7 +668,8 @@ def sphere_minimize(fn, phi0, gtol=1e-7, maxiter=120):
         nrm = float(np.linalg.norm(z))
         zhat = z / nrm
         prev = last["fiber"]
-        fiber = fiber_maximize(fn, coords.to_field(zhat), start=None if prev is None else (prev.t, prev.z))
+        start = None if prev is None else (prev.t, prev.z)
+        fiber = fiber_maximize(fn, coords.to_field(zhat), gtol=1e-7, start=start)
         gz = _sphere_grad(fn, coords, fiber, zhat) / nrm
         last["fiber"] = fiber
         last.setdefault("first", fiber)
@@ -816,34 +818,29 @@ def s_lambda(split, nl, phi_nehari):
 # Frozen-fiber maximizers near an eigenvalue
 
 
-def nu_lambda_k(split_k, nl, phi, lam, n_starts=8):
-    """Maximize L_lam over the fiber of the split frozen at lambda_k, lam <= lambda_k.
+def nu_lambda_k(fn, fiber, n_starts=8):
+    """Certify ``fiber``, a maximizer of ``fn`` = L_lam on the split frozen at lambda_k, lam <= lambda_k.
 
-    Multi-start gradient ascent from fixed random inner starts; all starts
-    must agree to 1e-8 for the uniqueness confidence flag (the positive
-    kernel-direction quadratic makes the inner problem only locally
+    ``fiber`` (the descent's final fiber, in ``second_solution``) is the first
+    of ``n_starts`` starts; the others are gradient ascents over the fiber of
+    its phi from fixed random inner starts.  Returns the best, whose
+    uniqueness confidence flag needs all starts to agree to 1e-8 (the
+    positive kernel-direction quadratic makes the inner problem only locally
     well-posed for lam < lambda_k).
     """
-    lam = float(lam)
-    if lam > split_k.lam + split_k.tol:
-        raise SolverFailure(f"nu requires lam <= lambda_k = {split_k.lam}, got {lam}")
-    nrm = norm_lambda(split_k, phi)
-    phi = (1.0 / nrm) * phi
-
-    fn = Functional(split_k, nl, lam)
-    best = fiber_maximize(fn, phi)
-    values = [best.value]
+    if fn.lam > fn.split.lam + fn.split.tol:
+        raise SolverFailure(f"nu requires lam <= lambda_k = {fn.split.lam}, got {fn.lam}")
+    best, values = fiber, [fiber.value]
     rng = np.random.default_rng(0)
     dim = fn.inner.dim
     for _ in range(max(0, n_starts - 1)):
         z = 0.3 * best.t * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / max(np.sqrt(dim), 1.0)
-        fib = fiber_maximize(fn, phi, start=(best.t, z))
+        fib = fiber_maximize(fn, fiber.phi, start=(best.t, z))
         values.append(fib.value)
         if fib.value > best.value + 1e-8:
             best = fib
     spread = max(values) - min(values)
-    best.unique_confident = bool(spread <= 1e-8 * max(1.0, abs(best.value)))
-    return best
+    return replace(best, unique_confident=bool(spread <= 1e-8 * max(1.0, abs(best.value))))
 
 
 def default_sigma(split_k):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from diractorus import branch
 from diractorus.branch import (
     GuardViolationError,
+    _solved_point,
     branch_sweep,
     gamma_crit,
     minimize_M,
@@ -118,25 +120,27 @@ def test_polish_does_not_stall_near_exact_solution():
         polished, after = polish.psi, polish.residual
         assert after < 1e-12
         assert polish.steps >= 2
+        assert polish.converged
         assert np.isclose(residual_check(table, NL, polished, 0.5), after, rtol=1e-6)
 
 
 def test_polish_keeps_the_galerkin_energy_where_the_spill_is_large():
     # at K = 16, lambda = 0.4 the out-of-band spill is 9.2e-3; a polish of the
     # full-cube residual moved the energy by up to 9.9e-6 off the minimizer,
-    # differently for each outer tolerance
+    # differently for each outer tolerance.  The Galerkin polish lands on the
+    # minimizer: it finishes the coarse descent (gtol 1e-3) to the energy of a
+    # polished descent to gtol 1e-9.
     table = assemble(2, 16)
     sp = split(table, 0.4)
-    pt = minimize_M(sp, NL)  # the descent stops at gtol 1e-7
-    assert abs(pt.energy - pt.diagnostics["value_pre_polish"]) < 1e-10
+    pt = minimize_M(sp, NL)
     in_band, spill = pt.diagnostics["residual_in_band"], pt.diagnostics["residual_spill"]
     assert in_band < 1e-8
     assert np.isclose(np.hypot(in_band, spill), pt.residual_l2)
-    # the same finish after a descent to gtol 1e-9
     fn = Functional(sp, NL)
     value, fiber, _ = sphere_minimize(fn, ray_opt_direction(sp), gtol=1e-9)
     polish = polish_residual(fn, fiber.psi)
     assert abs(L_lambda(sp, NL, polish.psi) - value) < 1e-10
+    assert np.isclose(pt.energy, polish.energy, rtol=1e-12, atol=0.0)
     assert polish.in_band < 1e-8
     assert np.isclose(np.hypot(polish.in_band, polish.spill), residual_check(table, NL, polish.psi, 0.4))
 
@@ -244,11 +248,43 @@ def test_minimize_M_transforms_the_strong_residual_twice(monkeypatch):
 
 
 def test_minimize_M_flags_a_descent_that_stops_unconverged():
-    sp = split(assemble(2, 6), 0.9)
+    # at K = 8, lambda = 0.7 the default descent takes 4 iterations to gtol
+    # 1e-3; where the ray-quotient start already meets it (K = 6, lambda = 0.9)
+    # one iteration cannot trip the flag
+    sp = split(assemble(2, 8), 0.7)
     assert minimize_M(sp, NL).accepted
     pt = minimize_M(sp, NL, maxiter=1)
     assert "descent-not-converged" in pt.flags
     assert not pt.accepted
+
+
+def test_minimize_M_flags_a_polish_that_stalls(monkeypatch):
+    # the descent stops at gtol 1e-3 and the polish finishes the energy, so a
+    # polish that cannot step (MINRES returns a zero step) rejects the point
+    sp = split(assemble(2, 8), 0.7)
+    monkeypatch.setattr(branch, "minres", lambda A, b, **kw: (np.zeros_like(b), 0))
+    pt = minimize_M(sp, NL)
+    assert pt.diagnostics["polish_steps"] == 0
+    assert "polish-not-converged" in pt.flags
+    assert not pt.accepted
+
+
+def _tight(fn, level, maxiter, **diagnostics):
+    """A descent to gtol 1e-9 from the ray-quotient direction, polished on ``fn``."""
+    value, fiber, info = sphere_minimize(fn, ray_opt_direction(fn.split), gtol=1e-9, maxiter=maxiter)
+    flags = [] if info["converged"] else ["descent-not-converged"]
+    return _solved_point(fn, fiber.psi, value, level, flags=flags, **diagnostics)
+
+
+@pytest.mark.parametrize("lam, maxiter", [(0.5, 120), (0.9, 120), (1.0, 60)])
+def test_the_coarse_descent_gives_the_tight_solve(lam, maxiter):
+    # the polish finishes a descent stopped at gtol 1e-3 (fibers at 1e-7) to
+    # the point a descent to gtol 1e-9 reaches; lambda = 1 is the kernel point
+    sp = split(assemble(2, 8), lam)
+    pt = minimize_M(sp, NL, maxiter=maxiter)
+    tight = _tight(Functional(sp, NL), "least", maxiter)
+    assert np.isclose(pt.energy, tight.energy, rtol=1e-12, atol=0.0)
+    assert pt.flags == tight.flags
 
 
 @pytest.mark.parametrize(
@@ -299,6 +335,13 @@ def test_second_solution_levels(second_098):
     assert pt2.level == "second"
     with pytest.raises(SolverFailure):
         second_solution(sp1, NL, 1.2, k=1)
+
+
+def test_the_coarse_second_descent_gives_the_tight_solve(second_098):
+    table, pt = second_098
+    tight = _tight(Functional(split(table, 1.0), NL, 0.98), "second", 80, k=1)
+    assert np.isclose(pt.energy, tight.energy, rtol=1e-12, atol=0.0)
+    assert pt.flags == tight.flags
 
 
 def test_second_solution_reports_lambda_quantities(second_098):

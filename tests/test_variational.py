@@ -11,6 +11,7 @@ from diractorus.torus import SpinorField, l2_inner, l2_norm, lp_norm, random_fie
 from diractorus.variational import (
     Functional,
     L_lambda,
+    SolverFailure,
     SubspaceCoords,
     _FiberCoords,
     _FJet,
@@ -346,25 +347,41 @@ def test_r_lambda_plane_wave(table, sp05):
     assert np.isclose(r_lambda(sp05, np.pi * phi), np.pi, rtol=1e-10)
 
 
+def _nu(sp, lam, phi, n_starts):
+    """nu_lambda_k certifying the fiber maximum of phi on the split ``sp`` frozen at its lambda."""
+    fn = Functional(sp, NL, lam)
+    return nu_lambda_k(fn, fiber_maximize(fn, phi), n_starts=n_starts)
+
+
 def test_nu_matches_mu_at_lambda_k(table, sp1):
     phi = unit_plane_wave(table, sp1, k=(1, 1))
-    fib_nu = nu_lambda_k(sp1, NL, phi, 1.0, n_starts=3)
+    fib_nu = _nu(sp1, 1.0, phi, n_starts=3)
     fib_mu = fiber_maximize(Functional(sp1, NL), phi)
     assert abs(fib_nu.value - fib_mu.value) < 1e-8
     assert fib_nu.unique_confident
 
 
+def test_nu_certifies_the_fiber_it_is_handed(table, sp1):
+    # the handed fiber is the first start, and the caller's point is not changed
+    fn = Functional(sp1, NL, 0.97)
+    fiber = fiber_maximize(fn, unit_plane_wave(table, sp1, k=(1, 1)))
+    fiber.unique_confident = None
+    best = nu_lambda_k(fn, fiber, n_starts=3)
+    assert best.unique_confident and fiber.unique_confident is None
+    assert abs(best.value - fiber.value) < 1e-8
+
+
 def test_nu_monotone_below_lambda_k(table, sp1):
     phi = unit_plane_wave(table, sp1, k=(1, 1))
-    v_at = nu_lambda_k(sp1, NL, phi, 1.0, n_starts=1).value
-    v_lo = nu_lambda_k(sp1, NL, phi, 0.97, n_starts=1).value
+    v_at = _nu(sp1, 1.0, phi, n_starts=1).value
+    v_lo = _nu(sp1, 0.97, phi, n_starts=1).value
     assert v_lo >= v_at - 1e-10
 
 
 def test_nu_guard_rejects_above(table, sp1):
-    phi = unit_plane_wave(table, sp1, k=(1, 1))
-    with pytest.raises(Exception):
-        nu_lambda_k(sp1, NL, phi, 1.2)
+    fiber = fiber_maximize(Functional(sp1, NL), unit_plane_wave(table, sp1, k=(1, 1)))
+    with pytest.raises(SolverFailure, match="nu requires"):
+        nu_lambda_k(Functional(sp1, NL, 1.2), fiber)
 
 
 def test_kernel_direction_ceiling(table, sp1):
