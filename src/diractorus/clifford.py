@@ -111,9 +111,8 @@ def clifford_mul(rep, x, s):
     spinor, or each point's vector on its own spinor.
     """
     x, s = _check_shapes(rep, x, s)
-    if x.ndim == 1:  # one vector: form x . e once and apply it as one matrix
-        return s @ sum(x[j] * rep.gamma[j] for j in range(rep.m)).T
-    return sum(x[..., j, None] * (s @ rep.gamma[j].T) for j in range(rep.m))
+    xe = np.tensordot(x, rep.gamma, axes=(-1, 0))  # x . e, shape (..., N, N)
+    return np.einsum("...ij,...j->...i", xe, s)
 
 
 def one_minus_x_mul(rep, x, s):

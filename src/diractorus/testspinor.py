@@ -16,17 +16,21 @@ out of scope and would attach here).
 
 Energy reports quadrate the exact pointwise construction on the collocation
 grid (spectrally accurate for the smooth compactly supported integrands).
-The profile, its closed-form derivative and every quadrature sum are
-evaluated only on the cutoff's support box, the grid points with
-|y_j| < 2 delta on every axis (a quarter of the torus at delta = pi/4); the
-full grid is filled only for the samples and the nonlinear term, which are
-transformed.  Dual norms are measured on the cutoff-K Fourier coefficients,
-where the 1/|sigma - lambda|^(1/2) weights concentrate the mass at low modes.
+Everything is evaluated only on the cutoff's support box, the grid points
+with |y_j| < 2 delta on every axis (a quarter of the torus at delta = pi/4):
+the profile, its closed-form derivative, every quadrature sum, and the
+transforms of the samples and of the nonlinear term, which ``analyze`` takes
+on the box.  The eps-free chart geometry of the box (y, eta, grad eta) is
+computed once per (grid, center, delta) and shared, read-only, by every eps.
+No full-grid array is built unless ``samples`` is read.  Dual norms are
+measured on the cutoff-K Fourier coefficients, where the
+1/|sigma - lambda|^(1/2) weights concentrate the mass at low modes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -134,39 +138,74 @@ def _chart_coordinates(grid, center):
     return [(pts - c + np.pi) % (2.0 * np.pi) - np.pi for c in center]
 
 
+@lru_cache(maxsize=4)
+def _chart_geometry(grid, center, delta):
+    """The eps-free chart geometry of the cutoff's support box, read-only.
+
+    Returns ``(box, y, eta, grad_eta)``.  ``box`` holds, per axis, the grid
+    indices with |y_j| < 2 delta; outside the box eta and eta' vanish.  The
+    other arrays hold the chart coordinates, the cutoff and its gradient on
+    the box points.  ``center`` is a tuple of floats or None, so
+    the arguments hash.
+    """
+    axes = _chart_coordinates(grid, center)
+    box = tuple(np.flatnonzero(np.abs(a) < 2.0 * delta) for a in axes)
+    y = np.stack(np.meshgrid(*(a[k] for a, k in zip(axes, box)), indexing="ij"), axis=-1)
+    r = np.sqrt((y**2).sum(axis=-1))
+    eta = cutoff_eta(r, delta)
+    rr = np.where(r > 0, r, 1.0)
+    grad_eta = cutoff_eta_prime(r, delta)[..., None] * y / rr[..., None]
+    for a in (*box, y, eta, grad_eta):
+        a.setflags(write=False)
+    return box, y, eta, grad_eta
+
+
 def _profile_values(grid, rep, params):
     """Exact samples of the cutoff rescaled solution on the cutoff's support box.
 
-    Returns ``(box, y, r, eta, psi_eps)``.  ``box`` is the ``np.ix_`` index of
-    the grid points with |y_j| < 2 delta on every axis; outside it eta and
-    eta' vanish.  The other arrays hold the chart profile on those points.
+    Returns ``(box, y, eta, grad_eta, psi_eps)``: the shared geometry of
+    ``_chart_geometry`` and the rescaled solution on the box points.
     """
-    axes = _chart_coordinates(grid, params.center)
-    keep = [np.flatnonzero(np.abs(a) < 2.0 * params.delta) for a in axes]
-    y = np.stack(np.meshgrid(*(a[k] for a, k in zip(axes, keep)), indexing="ij"), axis=-1)
-    r = np.sqrt((y**2).sum(axis=-1))
-    eta = cutoff_eta(r, params.delta)
+    center = None if params.center is None else tuple(float(c) for c in params.center)
+    geometry = _chart_geometry(grid, center, float(params.delta))
     scale = params.eps ** (-(rep.m - 1) / 2.0)
-    psi_eps = scale * euclidean_solution(rep, y / params.eps, params)
-    return np.ix_(*keep), y, r, eta, psi_eps
+    psi_eps = scale * euclidean_solution(rep, geometry[1] / params.eps, params)
+    return geometry + (psi_eps,)
+
+
+class TestSpinorField(SpinorField):
+    """A ``build_test_spinor`` field: Fourier coefficients plus the exact box samples.
+
+    ``box_values`` holds the exact pre-truncation collocation values on the
+    support box ``profile[0]``; the field vanishes off it.
+    """
+
+    __test__ = False  # keep pytest from collecting this class
+
+    @property
+    def samples(self):
+        """The exact collocation values on the full grid, built on each read."""
+        samples = np.zeros((self.grid.n_grid,) * self.grid.m + (self.N,), dtype=complex)
+        samples[np.ix_(*self.profile[0])] = self.box_values
+        return samples
 
 
 def build_test_spinor(grid, rep, params):
     """Cutoff rescaled Euclidean spinor sampled in the chart, as a Fourier field.
 
-    The returned field carries ``samples`` (the exact pre-truncation
-    collocation values on the full grid), ``params``, ``profile`` (the
-    support-box samples ``(box, y, r, eta, psi_eps)`` they were built from)
-    and ``resolution_warning`` (grid coarser than eight points per
-    concentration scale).
+    The returned ``TestSpinorField`` carries ``box_values`` (the exact
+    pre-truncation collocation values on the support box), ``samples`` (the
+    same on the full grid, built when read), ``params``, ``profile`` (the
+    support-box arrays ``(box, y, eta, grad_eta, psi_eps)`` the values
+    were built from) and ``resolution_warning`` (grid coarser than eight
+    points per concentration scale).  Only the box is transformed.
     """
     if grid.m != rep.m:
         raise TestSpinorError("grid and representation dimensions differ")
-    box, y, r, eta, psi_eps = profile = _profile_values(grid, rep, params)
-    samples = np.zeros((grid.n_grid,) * grid.m + (rep.N,), dtype=complex)
-    samples[box] = eta[..., None] * psi_eps
-    psi = SpinorField(grid, analyze(grid, samples))
-    psi.samples = samples
+    box, y, eta, grad_eta, psi_eps = profile = _profile_values(grid, rep, params)
+    values = eta[..., None] * psi_eps
+    psi = TestSpinorField(grid, analyze(grid, values, support=box))
+    psi.box_values = values
     psi.params = params
     psi.profile = profile
     psi.resolution_warning = bool(grid.n_grid < 8.0 * (2.0 * np.pi / params.eps))
@@ -182,18 +221,19 @@ def energy_report(table, sp, psi, params=None):
     split's lambda.  The field's chart profile is reused unless ``params``
     names other parameters than the field's own.  Every quadrature runs on a
     support box (the field's own for the samples, the one of ``params`` for
-    D phi); only the nonlinear term is scattered to the full grid, for its
-    transform.
+    D phi), and the nonlinear term is transformed on the field's box; the
+    full grid is filled only when the box of ``params`` differs from the
+    field's.
     """
     grid = psi.grid
     rep = table.rep
     params = params if params is not None else psi.params
     if params is psi.params:
-        box, y, r, eta, psi_eps = psi.profile
+        box, y, eta, grad_eta, psi_eps = psi.profile
     else:
-        box, y, r, eta, psi_eps = _profile_values(grid, rep, params)
+        box, y, eta, grad_eta, psi_eps = _profile_values(grid, rep, params)
     own = psi.profile[0]
-    phi = psi.samples[own]
+    phi = psi.box_values
     ts = critical_exponent(grid.m)
     cell = grid.cell
     s = pointwise_modulus(phi)
@@ -203,18 +243,15 @@ def energy_report(table, sp, psi, params=None):
     # Exact D phi = grad(eta) . psi_eps + eta D psi_eps in the chart.
     eps = params.eps
     dpsi_eps = eps ** (-(rep.m + 1) / 2.0) * euclidean_dirac(rep, y / eps, params)
-    etap = cutoff_eta_prime(r, params.delta)
-    rr = np.where(r > 0, r, 1.0)
-    grad_eta = etap[..., None] * y / rr[..., None]
     dphi = clifford_mul(rep, grad_eta, psi_eps) + eta[..., None] * dpsi_eps
-    phi_box = phi if box is own else psi.samples[box]
+    same_box = all(np.array_equal(a, b) for a, b in zip(box, own))
+    phi_box = phi if same_box else psi.samples[np.ix_(*box)]
     dirac_energy = float(cell * (dphi * phi_box.conj()).sum(axis=-1).real.sum())
     free_energy = 0.5 * dirac_energy - l2star_pow / ts
 
     dual_phi = dual_norm(sp, psi)
-    nonlinear = np.zeros_like(psi.samples)
-    nonlinear[own] = (s ** (ts - 2.0))[..., None] * phi
-    resid_coeffs = apply_dirac(table, psi).coeffs - analyze(grid, nonlinear)
+    nonlinear = (s ** (ts - 2.0))[..., None] * phi
+    resid_coeffs = apply_dirac(table, psi).coeffs - analyze(grid, nonlinear, support=own)
     dual_resid = dual_norm(sp, SpinorField(grid, resid_coeffs))
 
     # Spectral Dirac energy of the band-limited field, as a cross-check.

@@ -22,6 +22,12 @@ component instead of 2n (3/4 of them at the default n = 4K + 2).  The
 per-axis FFTs and the scalings are those of ``ifftn``/``fftn`` on the full
 cube, so the output is the same.
 
+Analysis also takes values given only on a box of grid points (``support``:
+one index array per axis), for fields that vanish off a compact support.
+Before each axis's FFT it zero-fills that axis from its support to n, so the
+zero cube outside the box is never built; the lines it transforms are those
+of the full cube, so the output is the same.
+
 Mode ordering is lexicographic in (|k|^2, k), which makes every table built
 on top of the grid reproducible across runs.
 """
@@ -182,6 +188,23 @@ def _crop_axis(cube, axis, n, K):
     )
 
 
+def _spread_axis(vals, axis, n, index):
+    """Zero-fill one axis from the grid indices ``index`` to all n grid points.
+
+    Copies each run of consecutive indices as one slice; a fancy-indexed
+    scatter along an inner axis is about three times slower.
+    """
+    shape = list(vals.shape)
+    shape[axis] = n
+    out = np.zeros(shape, dtype=complex)
+    head = (slice(None),) * axis
+    cuts = (0, *(np.flatnonzero(np.diff(index) != 1) + 1), len(index))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi > lo:  # an empty support has one empty run
+            out[head + (slice(index[lo], index[lo] + hi - lo),)] = vals[head + (slice(lo, hi),)]
+    return out
+
+
 def synthesize(grid, coeffs):
     """Evaluate sum_k c_k e^{i k.x} on the collocation grid.
 
@@ -196,17 +219,24 @@ def synthesize(grid, coeffs):
     return vals * (n**grid.m)
 
 
-def analyze(grid, values):
+def analyze(grid, values, support=None):
     """Project collocation values onto the |k_j| <= K mode cube.
 
     Exact inverse of ``synthesize`` for band-limited data; otherwise it is the
     aliased trigonometric interpolation restricted to the cube.  Runs an FFT
     along each axis, last to first, and keeps only that axis's 2K + 1 mode
     slabs before moving on.
+
+    With ``support`` (one array of distinct grid indices per axis), ``values``
+    holds only the box ``np.ix_(*support)`` of a field that vanishes
+    elsewhere; each axis is zero-filled from its support to n just before its
+    FFT.  The result equals ``analyze`` of the scattered full cube.
     """
     n, K = grid.n_grid, grid.K
     vals = np.asarray(values, dtype=complex)
     for axis in reversed(range(grid.m)):
+        if support is not None:
+            vals = _spread_axis(vals, axis, n, support[axis])
         vals = _crop_axis(np.fft.fft(vals, axis=axis), axis, n, K)
     return vals[grid.box_index] / (n**grid.m)
 

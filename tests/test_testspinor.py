@@ -1,5 +1,7 @@
 """Euclidean solution family, cutoff transplant, and measured asymptotics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from diractorus.spectral import assemble, split
 from diractorus.testspinor import (
     TestSpinorError,
     TestSpinorParams,
+    _chart_geometry,
     asymptotic_fit,
     build_test_spinor,
     cutoff_eta,
@@ -155,6 +158,29 @@ def test_energy_report_golden(sweep_table, eps):
             assert abs(rec[name] - want) <= 1e-12 * abs(want), name
 
 
+@pytest.mark.parametrize(
+    "params, dirac_energy, free_energy",
+    [
+        (TestSpinorParams(eps=0.1, delta=np.pi / 5), 12.417331911459582, 3.09751942260947),
+        (TestSpinorParams(eps=0.07, delta=np.pi / 4), 12.162865208999087, 2.9702860713792223),
+    ],
+)
+def test_energy_report_with_other_params(sweep_table, params, dirac_energy, free_energy):
+    # D phi is taken from ``params`` (a smaller box, or another eps on the
+    # same box) and paired with the field built at eps = 0.1
+    sp = split(sweep_table, 0.5)
+    psi = build_test_spinor(sweep_table.grid, sweep_table.rep, TestSpinorParams(eps=0.1))
+    rec = energy_report(sweep_table, sp, psi, params=params)
+    want = {
+        "dirac_energy": dirac_energy,
+        "free_energy": free_energy,
+        "l2_sq": 3.003015866124517,
+        "dual_norm_residual": 1.1154649501930538,
+    }
+    for name, value in want.items():
+        assert abs(rec[name] - value) <= 1e-12 * abs(value), name
+
+
 def test_off_center_spinor_is_the_rolled_centered_one(sweep_table):
     # a center a whole number of cells off the origin; the support wraps
     # across the chart boundary on both axes
@@ -173,6 +199,24 @@ def test_off_center_spinor_is_the_rolled_centered_one(sweep_table):
     got = energy_report(sweep_table, sp, moved)
     for name in ("l2", "l2_sq", "l2star", "l2star_pow", "dirac_energy", "dirac_energy_spectral", "free_energy"):
         assert abs(got[name] - want[name]) <= 1e-12 * abs(want[name]), name
+
+
+def test_array_center_reports_as_the_tuple_center(sweep_table):
+    # the chart geometry is cached per (grid, center, delta); a list or array
+    # center must still build, and give the same bits as the tuple
+    grid, rep = sweep_table.grid, sweep_table.rep
+    sp = split(sweep_table, 0.5)
+    center = (0.9, -1.2)
+    psi = build_test_spinor(grid, rep, TestSpinorParams(eps=0.1, center=center))
+    want = energy_report(sweep_table, sp, psi)
+    for same in (np.array(center), list(center)):
+        psi = build_test_spinor(grid, rep, TestSpinorParams(eps=0.1, center=same))
+        assert energy_report(sweep_table, sp, psi) == want
+    # the shared geometry is read-only
+    box, y, eta, grad_eta, _ = psi.profile
+    for cached in (box[0], y, eta, grad_eta):
+        with pytest.raises(ValueError):
+            cached[(0,) * cached.ndim] = 1.0
 
 
 def test_l2_mass_ratio_near_4pi(sweep_table):
@@ -220,16 +264,37 @@ def test_free_energy_monotone_chain(sweep_table):
     assert gaps[0] > gaps[1] > gaps[2]
 
 
-def test_spectral_vs_exact_dirac_energy():
+@pytest.fixture(scope="module")
+def table48():
+    return assemble(2, 48, n_grid=512)
+
+
+def test_spectral_vs_exact_dirac_energy(table48):
     # two-route check: spectral application of D against the closed-form
     # derivative, on a grid whose cutoff fully resolves the concentration
-    table = assemble(2, 48, n_grid=512)
+    table = table48
     sp = split(table, 0.5)
     params = TestSpinorParams(eps=0.25)
     psi = build_test_spinor(table.grid, table.rep, params)
     rec = energy_report(table, sp, psi, params=params)
     rel = abs(rec["dirac_energy"] - rec["dirac_energy_spectral"]) / abs(rec["dirac_energy"])
     assert rel < 1e-6
+
+
+def test_concentration_report_builds_no_full_grid_cube(table48):
+    # one 512^2 x 2 complex cube is 8 MiB; a report that fills the full grid
+    # for its samples and its nonlinear term peaks above three of them
+    sp = split(table48, 0.5)
+    params = TestSpinorParams(eps=0.05)
+    _chart_geometry.cache_clear()  # count the shared geometry too
+    tracemalloc.start()
+    try:
+        psi = build_test_spinor(table48.grid, table48.rep, params)
+        energy_report(table48, sp, psi, params=params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_omega_identity():

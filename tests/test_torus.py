@@ -89,6 +89,40 @@ def test_pruned_transforms_match_full_cube_fft(m, K, n):
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
+def _support(kind, n):
+    return {
+        "wrap": np.r_[0 : n // 4, n - n // 8 : n],  # wraps across index 0
+        "whole": np.arange(n),
+        "inner": np.arange(n // 8, n // 2),
+        "empty": np.arange(0),
+    }[kind]
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [
+        ("wrap",),
+        ("whole",),
+        ("wrap", "whole"),
+        ("inner", "wrap"),
+        ("wrap", "empty"),
+        ("wrap", "inner", "whole"),
+    ],
+)
+def test_analyze_on_a_support_box_matches_the_scattered_cube(kinds):
+    m, K, n = len(kinds), 3, 16
+    rng = np.random.default_rng(len(kinds))
+    g = TorusGrid(m=m, K=K, n_grid=n)
+    support = tuple(_support(kind, n) for kind in kinds)
+    shape = tuple(len(idx) for idx in support) + (2,)
+    box = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    cube = np.zeros((n,) * m + (2,), dtype=complex)
+    cube[np.ix_(*support)] = box
+    want = analyze(g, cube)
+    got = analyze(g, box, support=support)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_resample_pads_and_truncates_in_the_mode_cube(m):
     rng = np.random.default_rng(7 + m)
