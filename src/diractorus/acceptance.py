@@ -15,6 +15,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .branch import (
+    branch_sweep,
     gamma_crit,
     minimize_M,
     multiplicity_count,
@@ -218,8 +219,6 @@ class BranchContext:
 
     @cached_property
     def sweep(self):
-        from .branch import branch_sweep
-
         grid = [round(0.1 * i, 10) for i in range(1, 10)] + [0.99]
         return branch_sweep(self.table16, self.nl, grid)
 
@@ -297,7 +296,7 @@ def criterion_7(ctx=None):
     energies = {p.lam: p.energy for p in least}
     positive = all(e is not None and e > 0 for e in energies.values())
     rec_a = _record(7, "branch energies strictly positive", positive, min(energies.values()), 0.0)
-    violations = sweep.monotone_violations(1e-6)
+    violations = sweep.monotone_violations()
     rec_b = _record(
         7, "branch energies non-increasing within 1e-6", not violations, len(violations), 0, None,
         {"violations": violations},

@@ -19,7 +19,9 @@ given, else the minimizer of the ray quotient
 (``variational.ray_opt_direction``).  Plane waves are exact critical points
 of M on the torus, so a descent started on one never leaves it; no start is
 taken from them.  At every lambda the fibers keep E^0 in their inner space:
-L_T(psi) = max_c L(psi - sum_a c_a e_a) at an eigenvalue with f = 0.
+L_T(psi) = max_c L(psi - sum_a c_a e_a) at an eigenvalue with f = 0.  A sweep
+point is solved at its split's lambda, which ``spectral.split`` snaps to an
+eigenvalue within its tolerance, and reports that lambda.
 
 The least-energy solve minimizes the reduced functional M of
 ``Functional(split, nl)``.  Second solutions near an eigenvalue lambda_k
@@ -53,6 +55,7 @@ from .variational import (
 
 
 RESIDUAL_TOL = 1e-6  # strong-form residual at or below which a point is accepted
+MONOTONE_TOL = 1e-6  # energy rise between successive least points that violates monotonicity
 
 
 class GuardViolationError(SolverFailure):
@@ -266,14 +269,14 @@ class SweepTable:
         pos = self.eigenvalues[self.eigenvalues > 0]
         return int(np.searchsorted(pos, lam, side="right"))
 
-    def monotone_violations(self, tol=1e-6):
-        """Pairs of successive accepted least-energy points violating monotonicity."""
+    def monotone_violations(self):
+        """Successive least-energy points in one spectral interval whose energy rises by more than MONOTONE_TOL."""
         bad = []
         least = [p for p in self.points if p.level == "least" and p.energy is not None]
         least.sort(key=lambda p: p.lam)
         for a, b in zip(least, least[1:]):
             if self.interval_index(a.lam) == self.interval_index(b.lam):
-                if b.energy > a.energy + tol:
+                if b.energy > a.energy + MONOTONE_TOL:
                     bad.append((a.lam, b.lam, a.energy, b.energy))
         return bad
 
@@ -357,15 +360,6 @@ def second_solution(split_k, nl, lam, k, init=None):
                          phi_mass=float(mass), sigma=float(sigma), lambda_k=float(split_k.lam))
 
 
-def _nearest_eigenvalue(table, lam):
-    """The distinct eigenvalue within 1e-9 of lam, else None."""
-    eigs = table.distinct
-    idx = int(np.argmin(np.abs(eigs - lam)))
-    if abs(eigs[idx] - lam) <= 1e-9:
-        return float(eigs[idx])
-    return None
-
-
 def _as_point(solve, lam, level, k=None):
     """The point ``solve()`` returns, with solver failures recorded as flagged points.
 
@@ -393,12 +387,9 @@ def _as_point(solve, lam, level, k=None):
 
 
 def _solve_sweep_point(table, nl, lam, maxiter, warm_field=None):
-    """One least-branch solve, at the nearest eigenvalue when lam is one."""
-    eig = _nearest_eigenvalue(table, lam)
-    sp = make_split(table, eig if eig is not None else lam)
-    pt = _as_point(lambda: minimize_M(sp, nl, init=warm_field, maxiter=maxiter), lam, "least")
-    pt.diagnostics["kernel_point"] = eig is not None
-    return pt
+    """One least-branch solve at the split's lambda, the eigenvalue ``split`` snaps a nearby lam to."""
+    sp = make_split(table, lam)
+    return _as_point(lambda: minimize_M(sp, nl, init=warm_field, maxiter=maxiter), sp.lam, "least")
 
 
 def branch_sweep(table, nl, lam_grid, second_near=None, second_offsets=(0.05, 0.02, 0.01), maxiter=60):
@@ -411,7 +402,7 @@ def branch_sweep(table, nl, lam_grid, second_near=None, second_offsets=(0.05, 0.
     recorded energies up to solver tolerance.  Second-branch points are
     solved from the largest offset down, each warm-started from the last one
     that has a field.  Per-point failures are recorded as flagged points and
-    the sweep continues.
+    the sweep continues.  The CLI's ``solve`` is a one-point sweep.
     """
     lam_grid = sorted({float(x) for x in lam_grid})
     points = [_solve_sweep_point(table, nl, lam, maxiter) for lam in lam_grid]

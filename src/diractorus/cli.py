@@ -2,14 +2,17 @@
 
 Every run writes ``results.csv`` plus a ``manifest.json`` with the exact
 configuration next to it; branch runs also emit a plot-ready
-``plotdata/branch.csv`` (lambda, branch_id, energy).  Exit codes: 0 full
-success, 1 solver failures, 2 guard violations (converged energy at or above
-the compactness threshold), 64 malformed configuration.
+``plotdata/branch.csv`` (lambda, branch_id, energy).  ``solve`` is a
+one-point ``branch`` sweep, so both write one row per point, failed points
+included, and share one exit-code rule.  Exit codes: 0 full success, 1
+solver failures, 2 guard violations (converged energy at or above the
+compactness threshold), 64 malformed configuration.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -21,20 +24,12 @@ import numpy as np
 
 from . import __version__
 from .acceptance import SUITES, run_suite
-from .branch import (
-    GuardViolationError,
-    _nearest_eigenvalue,
-    branch_sweep,
-    gamma_crit,
-    minimize_M,
-    multiplicity_count,
-    nu_window,
-)
+from .branch import branch_sweep, gamma_crit, multiplicity_count, nu_window
 from .clifford import build_rep
 from .config import PARSERS, ConfigError, RunConfig, load_config, validate_config
 from .spectral import assemble, split, weyl_cm_vol, weyl_counts
 from .testspinor import asymptotic_fit, sweep
-from .torus import lp_norm, make_grid, random_field
+from .torus import lp_norm, make_grid, random_field, resample_field
 from .variational import SolverFailure
 
 _FMT = "%.11e"
@@ -51,11 +46,12 @@ def _fmt(x):
 
 
 def _write_csv(path, header, rows):
+    """Write a header and rows; a field holding a comma or a quote is quoted."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) if not isinstance(x, str) else x for x in row))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([x if isinstance(x, str) else _fmt(x) for x in row] for row in rows)
 
 
 def _write_manifest(out_dir, cfg, command, extra=None, t0=None):
@@ -117,35 +113,26 @@ def cmd_weyl(cfg, out_dir, t0):
     return 0
 
 
+# testspinor's results.csv columns, each with the sweep-row key it is read from
+_TESTSPINOR_COLUMNS = (
+    ("eps", "eps"),
+    ("l2", "l2"),
+    ("l2star", "l2star"),
+    ("dirac_energy", "dirac_energy"),
+    ("free_energy", "free_energy"),
+    ("dual_phi", "dual_norm_phi"),
+    ("dual_residual", "dual_norm_residual"),
+    ("resolution_flag", "resolution_flag"),
+)
+
+
 def cmd_testspinor(cfg, out_dir, t0):
     table = assemble(cfg.dim, cfg.cutoff, cfg.n_grid)
     rows = sweep(table, split(table, cfg.dual_lambda), cfg.eps_sweep, cfg.delta)
-    header = [
-        "eps",
-        "l2",
-        "l2star",
-        "dirac_energy",
-        "free_energy",
-        "dual_phi",
-        "dual_residual",
-        "resolution_flag",
-    ]
     _write_csv(
         out_dir / "results.csv",
-        header,
-        [
-            [
-                r["eps"],
-                r["l2"],
-                r["l2star"],
-                r["dirac_energy"],
-                r["free_energy"],
-                r["dual_norm_phi"],
-                r["dual_norm_residual"],
-                r["resolution_flag"],
-            ]
-            for r in rows
-        ],
+        [column for column, _ in _TESTSPINOR_COLUMNS],
+        [[r[key] for _, key in _TESTSPINOR_COLUMNS] for r in rows],
     )
     fits = {}
     if len(rows) >= 6:
@@ -172,15 +159,32 @@ def cmd_testspinor(cfg, out_dir, t0):
     return 0
 
 
-def _point_row(p):
-    return [
-        p.lam,
-        p.level,
-        p.energy,
-        p.residual_l2,
-        p.below_gamma_crit,
-        ";".join(p.flags) if p.flags else "",
-    ]
+def _write_points(out_dir, cfg, points, extra, t0):
+    """Write ``results.csv`` with one row per branch point and the manifest; returns the exit code.
+
+    A guard violation gives 2, else a solver failure 1, else 0.
+    """
+    _write_csv(
+        out_dir / "results.csv",
+        ["lambda", "level", "energy", "residual", "below_gamma_crit", "flags"],
+        [[p.lam, p.level, p.energy, p.residual_l2, p.below_gamma_crit, ";".join(p.flags)] for p in points],
+    )
+    failures = [p for p in points if any("solver-failure" in f for f in p.flags)]
+    guards = [p for p in points if "guard-violation" in p.flags]
+    for p in failures:
+        print(f"lambda={p.lam}: {';'.join(p.flags)}", file=sys.stderr)
+    print(
+        f"{cfg.command}: {len(points)} points, {len(guards)} guard violations, "
+        f"{len(failures)} failures -> {out_dir / 'results.csv'}"
+    )
+    _write_manifest(
+        out_dir, cfg, cfg.command, dict(extra, guard_violations=len(guards), failures=len(failures)), t0
+    )
+    if guards:
+        return 2
+    if failures:
+        return 1
+    return 0
 
 
 def cmd_solve(cfg, out_dir, t0):
@@ -188,27 +192,13 @@ def cmd_solve(cfg, out_dir, t0):
         raise ConfigError("solve needs lambda")
     nl = cfg.nonlinearity()
     table = assemble(cfg.dim, cfg.cutoff, cfg.n_grid)
-    eig = _nearest_eigenvalue(table, cfg.lam)
-    sp = split(table, cfg.lam if eig is None else eig)
-    code = 0
-    try:
-        pt = minimize_M(sp, nl)
-    except GuardViolationError as exc:
-        pt = exc.point
-        pt.flags.append("guard-violation")
-        code = 2
-    except SolverFailure as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        _write_manifest(out_dir, cfg, "solve", {"error": str(exc)}, t0)
-        return 1
-    header = ["lambda", "level", "energy", "residual", "below_gamma_crit", "flags"]
-    _write_csv(out_dir / "results.csv", header, [_point_row(pt)])
-    print(
-        f"solve lambda={pt.lam}: energy={pt.energy:.9f} residual={pt.residual_l2:.2e} "
-        f"below_gamma_crit={pt.below_gamma_crit}"
-    )
-    _write_manifest(out_dir, cfg, "solve", {"diagnostics": pt.diagnostics}, t0)
-    return code
+    pt = branch_sweep(table, nl, [cfg.lam], maxiter=120).points[0]
+    if pt.energy is not None:
+        print(
+            f"solve lambda={pt.lam}: energy={pt.energy:.9f} residual={pt.residual_l2:.2e} "
+            f"below_gamma_crit={pt.below_gamma_crit}"
+        )
+    return _write_points(out_dir, cfg, [pt], {"diagnostics": pt.diagnostics}, t0)
 
 
 def cmd_branch(cfg, out_dir, t0):
@@ -219,36 +209,13 @@ def cmd_branch(cfg, out_dir, t0):
     sweep = branch_sweep(
         table, nl, cfg.lambda_grid, second_near=cfg.second_near, second_offsets=cfg.second_offsets
     )
-    header = ["lambda", "level", "energy", "residual", "below_gamma_crit", "flags"]
-    _write_csv(out_dir / "results.csv", header, [_point_row(p) for p in sweep.points])
     plot_rows = [
         [p.lam, f"{p.level}{'' if p.k is None else p.k}", p.energy]
         for p in sweep.points
         if p.energy is not None
     ]
     _write_csv(out_dir / "plotdata" / "branch.csv", ["lambda", "branch_id", "energy"], plot_rows)
-    failures = [p for p in sweep.points if any("solver-failure" in f for f in p.flags)]
-    guards = [p for p in sweep.points if "guard-violation" in p.flags]
-    print(
-        f"branch sweep: {len(sweep.points)} points, {len(guards)} guard violations, "
-        f"{len(failures)} failures -> {out_dir / 'results.csv'}"
-    )
-    _write_manifest(
-        out_dir,
-        cfg,
-        "branch",
-        {
-            "monotone_violations": sweep.monotone_violations(),
-            "guard_violations": len(guards),
-            "failures": len(failures),
-        },
-        t0,
-    )
-    if guards:
-        return 2
-    if failures:
-        return 1
-    return 0
+    return _write_points(out_dir, cfg, sweep.points, {"monotone_violations": sweep.monotone_violations()}, t0)
 
 
 def cmd_multiplicity(cfg, out_dir, t0):
@@ -281,8 +248,6 @@ def cmd_quadcheck(cfg, out_dir, t0):
     grid2 = make_grid(cfg.dim, cfg.cutoff, 2 * grid1.n_grid)
     rng = np.random.default_rng(cfg.seed)
     psi1 = random_field(grid1, 2 ** (cfg.dim // 2), rng)
-    from .torus import resample_field
-
     psi2 = resample_field(psi1, grid2)
     v1 = lp_norm(psi1, p)
     v2 = lp_norm(psi2, p)

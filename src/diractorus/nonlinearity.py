@@ -175,12 +175,15 @@ def f5_integral(nl, rho):
     return rho ** (m - 1.0) / abs(np.log(rho)) ** max(3.0 - m, 0.0) * val
 
 
-def check_hypotheses(nl, rho_sweep=(0.1, 0.05, 0.02, 0.01, 0.005)):
+RHO_SWEEP = (0.1, 0.05, 0.02, 0.01, 0.005)  # concentration scales of the (f5) divergence check
+
+
+def check_hypotheses(nl):
     """Sampled verdicts for the structural hypotheses on (f, F).
 
     Verdicts, not exceptions: a custom evaluator that is negative somewhere
     simply fails (f1).  The (f5) check detects a divergence trend of the
-    scaled concentration integral along a rho sweep.
+    scaled concentration integral along the rho sweep RHO_SWEEP.
     """
     m = nl.m
     ts = nl.two_star
@@ -203,7 +206,7 @@ def check_hypotheses(nl, rho_sweep=(0.1, 0.05, 0.02, 0.01, 0.005)):
     tail4 = ratio4[s >= 1e4]
     report["f4"] = bool(tail4[-1] <= max(1e-3, 0.02 * (ratio4.max() + 1e-30)))
 
-    vals = np.array([f5_integral(nl, r) for r in rho_sweep])
+    vals = np.array([f5_integral(nl, r) for r in RHO_SWEEP])
     report["f5_values"] = vals.tolist()
     if np.any(vals <= 0):
         report["f5"] = False
@@ -211,7 +214,7 @@ def check_hypotheses(nl, rho_sweep=(0.1, 0.05, 0.02, 0.01, 0.005)):
         # Divergence trend: strictly increasing with a positive terminal
         # log-log slope against 1/rho.
         slope = (np.log(vals[-1]) - np.log(vals[-2])) / (
-            np.log(rho_sweep[-2]) - np.log(rho_sweep[-1])
+            np.log(RHO_SWEEP[-2]) - np.log(RHO_SWEEP[-1])
         )
         report["f5"] = bool(np.all(np.diff(vals) > 0) and slope > 0.02)
 

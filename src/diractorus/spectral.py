@@ -18,7 +18,7 @@ on the integer keys, so multiplicity aggregation is immune to float fuzz.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gamma as _gamma_fn
+from math import comb, gamma as _gamma_fn
 
 import numpy as np
 
@@ -230,8 +230,10 @@ class SpectralSplit:
 def split(table, lam, tol=None):
     """Partition the tabulated eigenpairs around lambda.
 
-    Raises when lambda sits within tol of two distinct eigenvalues (the
-    partition would be ambiguous).
+    A lambda within tol (default 1e-9 max(1, |lambda|)) of an eigenvalue is
+    snapped to it, so the kernel block E^0 has sigma - lambda = 0 exactly and
+    the split's ``lam`` is that eigenvalue.  Raises when lambda sits within
+    tol of two distinct eigenvalues (the partition would be ambiguous).
     """
     if tol is None:
         tol = 1e-9 * max(1.0, abs(lam))
@@ -244,6 +246,8 @@ def split(table, lam, tol=None):
             f"lambda={lam} is within tol={tol} of two distinct eigenvalues {close_eigs}"
         )
     zero = np.abs(sig - lam) <= tol
+    if zero.any():
+        lam = sig[zero][0]
     plus = sig - lam > tol
     minus = ~(zero | plus)
     w2 = np.abs(sig - lam)
@@ -318,8 +322,6 @@ def sphere_eigenvalues(m, count):
     Eigenvalues are +-(m/2 + k), k >= 0, with multiplicity
     2^floor(m/2) * binom(k + m - 1, k).
     """
-    from math import comb
-
     rows = []
     for k in range(count):
         rows.append((0.5 * m + k, 2 ** (m // 2) * comb(k + m - 1, k)))

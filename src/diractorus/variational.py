@@ -13,12 +13,15 @@ quadratic part, the nonlinear mass and the L^2 representatives of both, all
 in eigen coordinates.  The lambda-metric gradient is the L^2 representative
 divided by the split weights |sigma - lambda| (weight one on the kernel
 block).  The fiber maximum, M, J and the Rayleigh quotients R and S are all
-built on this one evaluation.  Its second variation is written once, as the
-pointwise K''(u)[dv] of ``Evaluation.second``.  The Hessian-vector product
-``Evaluation.hvp`` (one synthesize and one analyze per product), which the
-residual polish solves with, the Hessian of the kernel Newton for T, the
-second derivative of F_lam and the right-hand side of T' are all built on
-it.
+built on this one evaluation.  The pure-critical quotients are one formula:
+``_ray_quotient`` gives the ray maximum Q = alpha^m / (2m beta^(m-1)) and its
+gradient, and ``_rayleigh`` reads R = (2m Q)^(1/m) and R' = (R / (m Q)) Q'
+off it.  Its second variation is written once, as the pointwise K''(u)[dv]
+of ``Evaluation.second``.  The Hessian-vector product ``Evaluation.hvp``
+(one synthesize and one analyze per product), which the residual polish
+solves with, the kernel Hessian (``_kernel_hessian``) that both the Newton
+for T and T' solve with, the second derivative of F_lam and the right-hand
+side of T' are all built on it.
 
 The solvers run on this unreduced L at every lambda, with inner space
 E^0 + E^-.  At an eigenvalue with f = 0, q is blind to kernel shifts and T,
@@ -34,7 +37,9 @@ block E^0: its weight is one, so their unit vectors are the L^2-orthonormal
 kernel directions e_a, and T(psi) and T'(psi)[chi] are the fields of their
 coordinates.  T is a damped Newton on those coordinates whose gradient,
 Hessian and backtracking value are read from evaluations at its iterates;
-S maximizes the unreduced R over E^0 + E^-.  The residual of the
+S maximizes the unreduced R over E^0 + E^-.  A lambda within the split's
+tolerance of an eigenvalue is that eigenvalue (``spectral.split`` snaps it),
+so the kernel block has sigma - lambda = 0 exactly.  The residual of the
 Euler-Lagrange equation is read off an evaluation too: its in-band part is
 ``rep``, and its out-of-band spill is that of ``gu``, the g(|u|) u whose band
 part is ``nonlin``.
@@ -75,10 +80,6 @@ class SolverFailure(RuntimeError):
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
-
-
-class DegenerateFiberError(SolverFailure):
-    """Fiber maximizer collapsed to t = 0."""
 
 
 def _pack(z):
@@ -239,6 +240,17 @@ def _pair(dirs, w, cell):
 _T_TOL, _T_MAX_ITER = 1e-12, 200  # the kernel Newton's relative gradient tolerance and iteration cap
 
 
+def _kernel_hessian(ev, dirs):
+    """The kernel Hessian at ``ev``: ``dirs`` paired with their ``Evaluation.second``, plus a ridge.
+
+    It is the Hessian of c -> K(psi - sum c_a e_a) in the 2d real kernel
+    directions ``dirs``, positive semi-definite for the pure-critical mass, so
+    the ridge 1e-13 max(1, largest diagonal entry) makes it positive definite.
+    """
+    H = _pair(dirs, ev.second(dirs), ev.fn.split.grid.cell)
+    return H + 1e-13 * np.eye(len(dirs)) * max(H.diagonal().max(), 1.0)
+
+
 def _kernel_coords(fn, dirs, a, pv):
     """Coordinates c of T(psi) = sum_a c_a e_a and the evaluation of ``fn`` at u = psi - T(psi).
 
@@ -247,8 +259,8 @@ def _kernel_coords(fn, dirs, a, pv):
     directions e_a, i e_a.  Damped Newton on the strictly convex
     c -> K(psi - sum c_a e_a) = (1/2*) int |psi - sum c_a e_a|^{2*}, started
     from the L^2 projection.  The gradient pairs the directions with
-    g(|u|) u, the Hessian pairs them with ``Evaluation.second`` of
-    themselves, and the backtracking value is the evaluation's ``mass``.
+    ``Evaluation.gu`` = g(|u|) u, the Hessian is ``_kernel_hessian``, and the
+    backtracking value is the evaluation's ``mass``.
     """
     cell = fn.split.grid.cell
     ts = critical_exponent(fn.split.grid.m)
@@ -264,16 +276,11 @@ def _kernel_coords(fn, dirs, a, pv):
     # Stop when the gradient of int |u|^{2*} (2* times K's) is small against int |psi|^{2*}.
     scale = max(1.0, cell * float((pointwise_modulus(pv) ** ts).sum())) / ts
     for _ in range(_T_MAX_ITER):
-        grad = -_pair(dirs, (ev._second_weights[0] * ev.u)[None], cell)[:, 0]
+        grad = -_pair(dirs, ev.gu[None], cell)[:, 0]
         gnorm = np.linalg.norm(grad)
         if gnorm < _T_TOL * scale:
             break
-        H = _pair(dirs, ev.second(dirs), cell)
-        try:
-            step = np.linalg.solve(H + 1e-14 * np.eye(2 * d) * H.diagonal().max(), -grad)
-        except np.linalg.LinAlgError:
-            step = -grad / max(H.diagonal().max(), 1.0)
-        step = _unpack(step)
+        step = _unpack(np.linalg.solve(_kernel_hessian(ev, dirs), -grad))
         alpha = 1.0
         for _ in range(40):
             trial = evaluate(c + alpha * step)
@@ -314,8 +321,7 @@ class _FJet:
 
     @cached_property
     def _hessian(self):
-        H = _pair(self.dirs, self.ev.second(self.dirs), self.split.grid.cell)
-        return H + 1e-13 * np.eye(H.shape[0]) * max(H.diagonal().max(), 1.0)
+        return _kernel_hessian(self.ev, self.dirs)
 
     def t_prime_coords(self, chi_values):
         """Kernel coordinates of T'(psi)[chi], solving the linearized optimality system."""
@@ -554,7 +560,7 @@ def fiber_maximize(fn, phi, gtol=1e-9, maxiter=500, start=None):
         # L is even: a line-search step across t = 0 lands on the mirror maximizer.
         t, z = -t, -z
     if t < 1e-8 * max(abs(t0), 1.0):
-        raise DegenerateFiberError("fiber maximizer collapsed to t = 0", {"t_start": t0, "value": value})
+        raise SolverFailure("fiber maximizer collapsed to t = 0", {"t_start": t0, "value": value})
     return FiberPoint(
         phi=phi,
         t=t,
@@ -586,23 +592,21 @@ def m_lambda(split, nl, phi):
     return fiber.value, grad, fiber
 
 
-def _ray_quotient(fn, a):
-    """The ray quotient alpha^m / (2m beta^(m-1)) at eigen coordinates a.
+def _ray_quotient(ev):
+    """Ray quotient Q = alpha^m / (2m beta^(m-1)) of a pure-critical evaluation, and the L^2 representative of Q'.
 
     Here alpha = <(D-lam)phi,phi> and beta = |phi|_{2*}^{2*}.  On the ray,
     the pure-critical energy (t^2/2) alpha - (t^{2*}/2*) beta is largest at
     t^{2*-2} = alpha/beta, with this value, so the quotient is invariant
-    under scaling phi.  ``fn`` is the pure-critical functional at the split's
-    lambda; returns the quotient and its lambda-metric gradient in eigen
-    coordinates, whose L^2 representative is
-    (alpha/beta)^(m-1) (D-lam)phi - (alpha/beta)^m |phi|^(2*-2)phi.
+    under scaling phi.  The representative is
+    (alpha/beta)^(m-1) (D-lam)phi - (alpha/beta)^m |phi|^(2*-2)phi.  The
+    Rayleigh quotient R is read off Q (``_rayleigh``).
     """
-    m = fn.split.grid.m
-    ev = fn(a)
+    m = ev.fn.split.grid.m
     alpha = 2.0 * ev.quadratic
     beta = critical_exponent(m) * ev.mass
     rep = (alpha ** (m - 1) / beta ** (m - 1)) * ev.lin - (alpha**m / beta**m) * ev.nonlin
-    return alpha**m / (2.0 * m * beta ** (m - 1)), rep / fn.split.w2
+    return alpha**m / (2.0 * m * beta ** (m - 1)), rep
 
 
 def ray_opt_direction(split):
@@ -622,8 +626,8 @@ def ray_opt_direction(split):
     z0 = z0 / (1.0 + split.w2[coords.idx] ** 2)
 
     def fun(x):
-        val, grad = _ray_quotient(fn, coords.to_eigen(_unpack(x)))
-        return val, _pack(coords.from_eigen(grad))
+        val, rep = _ray_quotient(fn(coords.to_eigen(_unpack(x))))
+        return val, _pack(coords.from_eigen(rep / split.w2))
 
     res = _scipy_minimize(
         fun,
@@ -769,23 +773,27 @@ def nehari_second_order(split, nl, phi_bar):
 # Rayleigh functional R and S
 
 
-def _rayleigh(ev, ts):
-    """R = 2 q / |u|_{2*}^2 of a pure-critical evaluation and the L^2 representative of R'."""
-    a_int = ts * ev.mass
-    norm2 = a_int ** (2.0 / ts)
-    r_val = 2.0 * ev.quadratic / norm2
-    return r_val, (2.0 / norm2) * (ev.lin - r_val * a_int ** ((2.0 - ts) / ts) * ev.nonlin)
+def _rayleigh(ev):
+    """R = 2 q / |u|_{2*}^2 of a pure-critical evaluation and the L^2 representative of R', read off Q.
+
+    2m Q = alpha^m / beta^(m-1) = (2 q / |u|_{2*}^2)^m, so R is the real m-th
+    root of 2m Q with the sign of q (Q is blind to it at even m), and
+    R' = (R / (m Q)) Q'.
+    """
+    m = ev.fn.split.grid.m
+    q_val, q_rep = _ray_quotient(ev)
+    r_val = np.copysign(abs(2.0 * m * q_val) ** (1.0 / m), ev.quadratic)
+    return r_val, (r_val / (m * q_val)) * q_rep
 
 
 def r_lambda(split, psi):
     """R(psi) = (||psi^+||^2 - ||psi^-||^2) / |psi - T(psi)|_{2*}^2."""
-    return _rayleigh(_FJet(split, psi).ev, critical_exponent(split.grid.m))[0]
+    return _rayleigh(_FJet(split, psi).ev)[0]
 
 
 def r_lambda_rep(split, psi):
     """L^2 representative of the Rayleigh derivative R'(psi), as band coefficients."""
-    _, rep = _rayleigh(_FJet(split, psi).ev, critical_exponent(split.grid.m))
-    return split.table.from_eigen(rep)
+    return split.table.from_eigen(_rayleigh(_FJet(split, psi).ev)[1])
 
 
 def s_lambda(split, nl, phi_nehari):
@@ -801,11 +809,10 @@ def s_lambda(split, nl, phi_nehari):
     if not nl.is_zero():
         raise ValueError(f"S is defined for the pure critical problem; got nonlinearity {nl.kind!r}")
     fn = Functional(split, nl)
-    ts = critical_exponent(split.grid.m)
     base = split.table.to_eigen(phi_nehari.coeffs)
 
     def objective(chi):
-        r_val, rep = _rayleigh(fn(base + chi), ts)
+        r_val, rep = _rayleigh(fn(base + chi))
         return r_val, rep / split.w2
 
     z, val, gnorm, evals = _inner_maximize(

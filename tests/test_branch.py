@@ -360,9 +360,19 @@ def test_branch_sweep_structure():
     energies = [p.energy for p in sweep.points]
     assert all(e is not None and e > 0 for e in energies)
     assert energies[0] >= energies[1] >= energies[2] - 1e-9
-    assert not sweep.monotone_violations(1e-6)
+    assert not sweep.monotone_violations()
     assert sweep.interval_index(0.7) == 0
     assert sweep.interval_index(1.2) == 1
+
+
+def test_a_sweep_point_near_an_eigenvalue_reports_the_eigenvalue():
+    # the sweep used an absolute 1e-9 snap and split a relative tolerance,
+    # so this point was solved at lambda = sqrt(2) + 1.2e-9 with the sqrt(2)
+    # modes in E^0, shifted by -1.2e-9
+    table = assemble(2, 4)
+    pt = branch_sweep(table, NL, [np.sqrt(2.0) + 1.2e-9], maxiter=10).points[0]
+    assert pt.lam == np.sqrt(2.0)
+    assert pt.diagnostics["kernel_dim"] == 4
 
 
 def test_branch_sweep_records_guard_violations_and_continues():
@@ -408,12 +418,12 @@ def test_ray_quotient_is_the_scale_invariant_ray_maximum_at_m3():
     fn = Functional(sp, make_nonlinearity("zero", 3))
     rng = np.random.default_rng(3)
     a = table.to_eigen(project(sp, random_field(table.grid, table.N, rng), "plus").coeffs)
-    values = [_ray_quotient(fn, s * a)[0] for s in (1.0, 2.0, 4.0)]
+    values = [_ray_quotient(fn(s * a))[0] for s in (1.0, 2.0, 4.0)]
     assert max(values) - min(values) <= 1e-12 * values[0]
     assert np.isclose(values[0], _ray_max(fn, a)[1], rtol=1e-9, atol=0.0)
-    _, grad = _ray_quotient(fn, a)
+    _, rep = _ray_quotient(fn(a))
     d = table.to_eigen(random_field(table.grid, table.N, rng).coeffs)
     h = 1e-5
-    fd = (_ray_quotient(fn, a + h * d)[0] - _ray_quotient(fn, a - h * d)[0]) / (2.0 * h)
-    slope = float(table.grid.volume * (grad * sp.w2 * d.conj()).real.sum())
+    fd = (_ray_quotient(fn(a + h * d))[0] - _ray_quotient(fn(a - h * d))[0]) / (2.0 * h)
+    slope = float(table.grid.volume * (rep * d.conj()).real.sum())
     assert abs(slope - fd) <= 1e-6 * max(1.0, abs(fd))

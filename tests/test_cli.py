@@ -1,12 +1,14 @@
 """CLI subcommands, config handling, artifact formats, determinism."""
 
+import argparse
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from diractorus.cli import main
-from diractorus.config import ConfigError, load_config, parse_lambda_grid
+from diractorus.cli import _DISPATCH, build_parser, main
+from diractorus.config import _COMMANDS, ConfigError, load_config, parse_lambda_grid
 
 
 def run_cli(args):
@@ -204,3 +206,29 @@ def test_accept_cli_clifford_suite(tmp_path, capsys):
     assert "[PASS] criterion 1" in out
     records = json.loads((tmp_path / "acceptance.json").read_text())
     assert records[0]["passed"]
+
+
+def test_results_csv_quotes_a_flag_with_commas(tmp_path):
+    # the lambda <= 0 gate's verdict dict holds commas; unquoted, the failed
+    # row split into 10 fields under the 6-column header
+    code = run_cli(["branch", "--lambda-grid=-0.5,0.5", "--cutoff", "4", "--out", str(tmp_path)])
+    assert code == 1
+    with open(tmp_path / "results.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [6, 6, 6]
+    assert rows[1][0] == "-5.00000000000e-01" and rows[1][5].startswith("solver-failure: ")
+    assert "'f5': False" in rows[1][5]
+
+
+def test_a_failing_solve_writes_its_flagged_row(tmp_path):
+    assert run_cli(["solve", "--lambda", "-0.5", "--cutoff", "4", "--out", str(tmp_path)]) == 1
+    with open(tmp_path / "results.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["lambda", "level", "energy", "residual", "below_gamma_crit", "flags"]
+    assert len(rows) == 2 and rows[1][5].startswith("solver-failure: ")
+    assert json.loads((tmp_path / "manifest.json").read_text())["failures"] == 1
+
+
+def test_every_command_is_named_in_config_dispatch_and_parser():
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(_COMMANDS) == set(_DISPATCH) == set(subparsers.choices) - {"run"}

@@ -161,6 +161,16 @@ def test_split_examples():
     assert sp1.kernel_dim == 4
 
 
+def test_split_snaps_lambda_to_an_eigenvalue_within_its_tolerance():
+    table = assemble(2, 3)
+    assert split(table, 1 + 5e-10).lam == 1.0
+    # above |lambda| = 1 the tolerance is relative: 1.2e-9 is inside 1.41e-9
+    sp = split(table, np.sqrt(2.0) + 1.2e-9)
+    assert sp.lam == np.sqrt(2.0) and sp.kernel_dim == 4
+    assert not (table.eigenvalues - sp.lam)[sp.zero].any()
+    assert split(table, 1 + 2e-9).lam == 1 + 2e-9
+
+
 def test_split_ambiguity_error():
     table = assemble(2, 3)
     with pytest.raises(SpectralError):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from diractorus.nonlinearity import make_nonlinearity
+from diractorus.nonlinearity import critical_exponent, make_nonlinearity
 from diractorus.spectral import apply_dirac, assemble, inner_lambda, norm_lambda, project, split
 from diractorus.torus import SpinorField, l2_inner, l2_norm, lp_norm, random_field, zero_field
 from diractorus.variational import (
@@ -347,6 +347,24 @@ def test_r_lambda_plane_wave(table, sp05):
     assert np.isclose(r_lambda(sp05, np.pi * phi), np.pi, rtol=1e-10)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_r_lambda_is_read_off_the_ray_quotient(m):
+    # R = (2m Q)^(1/m) with the sign of q, and R = 2 q / |psi|_{2*}^2 off the kernel
+    table = assemble(m, 2)
+    sp = split(table, 0.5)
+    fn = Functional(sp, make_nonlinearity("zero", m))
+    rng = np.random.default_rng(50 + m)
+    psi = project(sp, random_field(table.grid, table.N, rng), "plus")
+    q_val, _ = _ray_quotient(fn(table.to_eigen(psi.coeffs)))
+    r_val = r_lambda(sp, psi)
+    assert abs(r_val - (2.0 * m * q_val) ** (1.0 / m)) <= 1e-13 * r_val
+    psi = psi + 3.0 * project(sp, random_field(table.grid, table.N, rng), "minus")
+    ev = fn.at_field(psi)
+    assert ev.quadratic < 0
+    expected = 2.0 * ev.quadratic / lp_norm(psi, critical_exponent(m)) ** 2
+    assert np.isclose(r_lambda(sp, psi), expected, rtol=1e-12, atol=0.0)
+
+
 def _nu(sp, lam, phi, n_starts):
     """nu_lambda_k certifying the fiber maximum of phi on the split ``sp`` frozen at its lambda."""
     fn = Functional(sp, NL, lam)
@@ -517,7 +535,7 @@ def test_s_lambda_at_an_eigenvalue_equals_the_T_reduced_maximum(table, sp1, seed
 
     def objective(chi):
         # r_lambda and r_lambda_rep at phi_bar + chi, from one T Newton
-        r_val, rep = _rayleigh(_FJet(sp1, SpinorField(table.grid, table.from_eigen(base + chi))).ev, 4.0)
+        r_val, rep = _rayleigh(_FJet(sp1, SpinorField(table.grid, table.from_eigen(base + chi))).ev)
         return r_val, rep / sp1.w2
 
     reduced = _inner_maximize(objective, minus, np.zeros(minus.dim, dtype=complex), 1e-10, 400)[1]
@@ -550,7 +568,10 @@ def test_functional_gradients_fd(table, sp05, sp1, case):
         sp, value_and_grad = sp1, Functional(sp1, NL, 0.95).value_and_grad
     else:
         sp, fn = sp05, Functional(sp05, NL)
-        value_and_grad = lambda a: _ray_quotient(fn, a)  # noqa: E731
+
+        def value_and_grad(a):
+            q_val, rep = _ray_quotient(fn(a))
+            return q_val, rep / sp05.w2
     rng = np.random.default_rng(16)
     worst = 0.0
     for _ in range(10):
