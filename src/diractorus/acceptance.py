@@ -421,18 +421,17 @@ def criterion_9():
 def criterion_10():
     """Multiplicity counts in the continuation window."""
     table = assemble(2, 16)
-    nu = 1.0 / np.sqrt(np.pi)
     counts = (
-        multiplicity_count(table, 0.5, nu),
-        multiplicity_count(table, 0.0, nu),
-        multiplicity_count(table, 0.99, nu),
+        multiplicity_count(table, 0.5),
+        multiplicity_count(table, 0.0),
+        multiplicity_count(table, 0.99),
     )
     rec_a = _record(
         10, "window counts l(0.5), l(0), l(0.99) = 4, 0, 8", counts == (4, 0, 8), counts, (4, 0, 8)
     )
     table48 = assemble(2, 48)
-    l5 = multiplicity_count(table48, 5.0, nu)
-    l20 = multiplicity_count(table48, 20.0, nu)
+    l5 = multiplicity_count(table48, 5.0)
+    l20 = multiplicity_count(table48, 20.0)
     rec_b = _record(
         10, "count growth l(20) > l(5) at K = 48", l20 > l5, (l5, l20), "l(20) > l(5)"
     )

@@ -82,10 +82,9 @@ def nu_window(m, volume=None):
     return 0.5 * m * (omega_sphere(m) / volume) ** (1.0 / m)
 
 
-def multiplicity_count(table, lam, nu=None):
-    """l(lam): total complex kernel dimension of eigenvalues in (lam, lam + nu)."""
-    if nu is None:
-        nu = nu_window(table.m, table.grid.volume)
+def multiplicity_count(table, lam):
+    """l(lam): total complex kernel dimension of eigenvalues in (lam, lam + nu), nu = ``nu_window``."""
+    nu = nu_window(table.m, table.grid.volume)
     if lam + nu > table.grid.K:
         raise SolverFailure(
             f"window (lam, lam+nu) = ({lam}, {lam + nu}) exceeds cutoff K={table.grid.K}"

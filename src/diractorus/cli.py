@@ -223,7 +223,7 @@ def cmd_multiplicity(cfg, out_dir, t0):
         raise ConfigError("multiplicity needs lambda")
     table = assemble(cfg.dim, cfg.cutoff, cfg.n_grid)
     nu = nu_window(cfg.dim, table.grid.volume)
-    count = multiplicity_count(table, cfg.lam, nu)
+    count = multiplicity_count(table, cfg.lam)
     record = {"lambda": cfg.lam, "nu": nu, "count": count}
     print(json.dumps(record))
     _write_csv(out_dir / "results.csv", ["lambda", "nu", "count"], [[cfg.lam, nu, count]])
@@ -284,6 +284,12 @@ def build_parser():
         p.add_argument("--out", dest="out_dir", type=str, default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None)
 
+    def nonlinearity(p):
+        p.add_argument("--nl", dest="nl_kind", type=str, default=None)
+        p.add_argument("--alpha", type=float, default=None)
+        p.add_argument("--p", type=float, default=None)
+        p.add_argument("--q", type=float, default=None)
+
     p = sub.add_parser("run", help="execute a config file")
     p.add_argument("config", type=str)
     p.add_argument("--out", dest="out_dir", type=str, default=None)
@@ -308,16 +314,13 @@ def build_parser():
     p = sub.add_parser("solve", help="least-energy solve at one lambda")
     common(p)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--nl", dest="nl_kind", type=str, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--q", type=float, default=None)
+    nonlinearity(p)
 
     p = sub.add_parser("branch", help="branch sweep over a lambda grid")
     common(p)
     p.add_argument("--lambda-grid", type=str, required=True)
     p.add_argument("--second-near", type=int, default=None)
-    p.add_argument("--nl", dest="nl_kind", type=str, default=None)
+    nonlinearity(p)
 
     p = sub.add_parser("multiplicity", help="continuation-window solution count")
     common(p)

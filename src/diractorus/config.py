@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .nonlinearity import NonlinearityError, critical_exponent, make_nonlinearity
+from .nonlinearity import NonlinearityError, make_nonlinearity
 from .testspinor import DEFAULT_EPS_SWEEP
 
 
@@ -198,14 +198,6 @@ def validate_config(cfg, path=None):
             "problem",
             "n_grid",
         )
-    if cfg.p is not None:
-        two_star = critical_exponent(cfg.dim)
-        if not (2.0 < cfg.p < two_star):
-            bad(
-                f"power exponent must satisfy 2 < p < 2* = {two_star}, got p={cfg.p}",
-                "nonlinearity",
-                "p",
-            )
     try:
         cfg.nonlinearity()
     except ConfigError as exc:

@@ -227,24 +227,15 @@ class SpectralSplit:
         return {"plus": self.plus, "zero": self.zero, "minus": self.minus}[part]
 
 
-def split(table, lam, tol=None):
+def split(table, lam):
     """Partition the tabulated eigenpairs around lambda.
 
-    A lambda within tol (default 1e-9 max(1, |lambda|)) of an eigenvalue is
-    snapped to it, so the kernel block E^0 has sigma - lambda = 0 exactly and
-    the split's ``lam`` is that eigenvalue.  Raises when lambda sits within
-    tol of two distinct eigenvalues (the partition would be ambiguous).
+    A lambda within tol = 1e-9 max(1, |lambda|) of an eigenvalue is snapped
+    to it, so the kernel block E^0 has sigma - lambda = 0 exactly and the
+    split's ``lam`` is that eigenvalue.
     """
-    if tol is None:
-        tol = 1e-9 * max(1.0, abs(lam))
-    if tol <= 0:
-        raise SpectralError("tol must be positive")
+    tol = 1e-9 * max(1.0, abs(lam))
     sig = table.eigenvalues
-    close_eigs = np.unique(np.round(sig[np.abs(sig - lam) <= tol], 12))
-    if close_eigs.size > 1:
-        raise SpectralError(
-            f"lambda={lam} is within tol={tol} of two distinct eigenvalues {close_eigs}"
-        )
     zero = np.abs(sig - lam) <= tol
     if zero.any():
         lam = sig[zero][0]

@@ -53,9 +53,9 @@ reduction its only critical point with t > 0 is the global maximum, and
 evenness of L maps a run that crosses t = 0 back from the mirror maximizer.
 An ascent starts from the (t, z) pair its caller passes, a nearby fiber's
 scale and inner coordinates, which every ``FiberPoint`` carries; a cold one
-starts at the maximum of the ray t phi, found from one evaluation at phi:
-the quadratic part scales as t^2 and the mass at t phi is int G(t |phi|), so
-L(t phi) = t^2 q(phi) - int G(t |phi|).  The Nehari projection of an E^+
+starts on the ray t phi where its critical part t^2 q(phi) -
+(t^{2*}/2*) |phi|_{2*}^{2*} peaks, in closed form from one evaluation at phi
+(the ray maximum ``_ray_quotient`` measures).  The Nehari projection of an E^+
 direction is the scale of its fiber maximum.  The sphere descent over E^+
 (``sphere_minimize``) starts from a caller's field or from the minimizer of
 the ray quotient (``ray_opt_direction``), a fiber-free lower bound of M.
@@ -188,20 +188,6 @@ class Functional:
     def value_and_grad(self, a):
         ev = self(a)
         return ev.energy, ev.grad
-
-    def ray(self, phi_e):
-        """t -> L(t phi_e), from one evaluation at phi_e.
-
-        The quadratic part scales as t^2 and u = t phi_e on the ray, so
-        L(t phi) = t^2 q(phi) - int G(t |phi|).
-        """
-        ev = self(phi_e)
-        cell = self.split.grid.cell
-
-        def on_ray(t):
-            return t * t * ev.quadratic - float(cell * self.nl.G(t * ev.modulus).sum())
-
-        return on_ray
 
     def _evaluate(self, a, values):
         """Quadratic part at eigen coordinates ``a``, mass at the collocation values ``values`` of u."""
@@ -472,46 +458,6 @@ class FiberPoint:
     unique_confident: bool = True
 
 
-def _golden_max(f, a, b, tol=1e-9, maxiter=80):
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(maxiter):
-        if b - a < tol * max(1.0, abs(a) + abs(b)):
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
-
-
-def _expand_bracket(f, maxiter=60):
-    """Smallest T = 2^k (by doubling from 1) such that f stops improving toward T."""
-    t = 1.0
-    best = f(t)
-    for _ in range(maxiter):
-        t2 = 2.0 * t
-        v = f(t2)
-        if v < best:
-            return t2
-        best = v
-        t = t2
-    raise SolverFailure("could not bracket the ray maximum", {"t": t})
-
-
-def _ray_max(fn, phi_e):
-    """Maximum of ``fn`` on the ray t phi_e, t > 0, from one evaluation; returns (t, value)."""
-    on_ray = fn.ray(phi_e)
-    t = _golden_max(on_ray, 0.0, _expand_bracket(on_ray), tol=1e-6)
-    return t, on_ray(t)
-
-
 class _FiberCoords:
     """Coordinates (t, z) of t phi + chi: entry 0 is the real scale t, the rest ``fn.inner``'s.
 
@@ -541,7 +487,11 @@ def fiber_maximize(fn, phi, gtol=1e-9, maxiter=500, start=None):
     reduction every critical point with t > 0 on the fiber is its unique
     global maximum, so the start only has to lie in its basin: the pair
     ``start`` = (t, z) of a scale and inner coordinates (a nearby fiber's
-    ``t`` and ``z``) when given, otherwise the maximum of the ray t phi.
+    ``t`` and ``z``) when given, otherwise (t0, 0), with t0^(2*-2) = alpha/beta,
+    alpha = <(D-lam)phi, phi> and beta = |phi|_{2*}^{2*}, read off one
+    evaluation at phi.  t0 maximizes the critical part of L on the ray t phi:
+    exactly L's ray maximum at f = 0, at or above it for f >= 0.  A direction
+    with alpha <= 0 has no positive ray maximum and raises ``SolverFailure``.
     """
     nrm = norm_lambda(fn.split, phi)
     if nrm <= 0:
@@ -549,7 +499,13 @@ def fiber_maximize(fn, phi, gtol=1e-9, maxiter=500, start=None):
     phi = (1.0 / nrm) * phi
     coords = _FiberCoords(fn, fn.split.table.to_eigen(phi.coeffs))
     if start is None:
-        t0, z0 = _ray_max(fn, coords.phi_e)[0], np.zeros(fn.inner.dim, dtype=complex)
+        ev = fn(coords.phi_e)
+        alpha = 2.0 * ev.quadratic
+        if alpha <= 0:
+            raise SolverFailure("fiber direction has no positive ray maximum", {"alpha": alpha})
+        ts = critical_exponent(fn.split.grid.m)
+        beta = fn.split.grid.cell * float((ev.modulus**ts).sum())
+        t0, z0 = (alpha / beta) ** (1.0 / (ts - 2.0)), np.zeros(fn.inner.dim, dtype=complex)
     else:
         t0, z0 = start
     x, value, grad_norm, evals = _inner_maximize(

@@ -23,7 +23,6 @@ from diractorus.variational import (
     Functional,
     L_lambda,
     SolverFailure,
-    _ray_max,
     _ray_quotient,
     m_lambda,
     ray_opt_direction,
@@ -69,9 +68,10 @@ def test_nu_window_values():
 def test_multiplicity_counts():
     table = assemble(2, 8)
     nu = 1.0 / np.sqrt(np.pi)
-    assert multiplicity_count(table, 0.5, nu) == 4
-    assert multiplicity_count(table, 0.0, nu) == 0
-    assert multiplicity_count(table, 0.99, nu) == 8
+    assert nu == nu_window(2, table.grid.volume)  # the window multiplicity_count uses
+    assert multiplicity_count(table, 0.5) == 4
+    assert multiplicity_count(table, 0.0) == 0
+    assert multiplicity_count(table, 0.99) == 8
     # brute-force consistency against the aggregated spectrum
     for lam in (0.3, 1.2, 2.0):
         brute = sum(
@@ -79,9 +79,9 @@ def test_multiplicity_counts():
             for ev, mult in zip(table.distinct, table.multiplicity)
             if lam < ev < lam + nu
         )
-        assert multiplicity_count(table, lam, nu) == brute
+        assert multiplicity_count(table, lam) == brute
     with pytest.raises(SolverFailure):
-        multiplicity_count(table, 7.9, nu)
+        multiplicity_count(table, 7.9)
 
 
 def test_residual_check_plane_wave():
@@ -420,7 +420,13 @@ def test_ray_quotient_is_the_scale_invariant_ray_maximum_at_m3():
     a = table.to_eigen(project(sp, random_field(table.grid, table.N, rng), "plus").coeffs)
     values = [_ray_quotient(fn(s * a))[0] for s in (1.0, 2.0, 4.0)]
     assert max(values) - min(values) <= 1e-12 * values[0]
-    assert np.isclose(values[0], _ray_max(fn, a)[1], rtol=1e-9, atol=0.0)
+    # t0^(2*-2) = alpha/beta maximizes the pure-critical energy on the ray, with value Q;
+    # at m = 3, 2* = 3 and beta = 3 mass
+    ev = fn(a)
+    t0 = 2.0 * ev.quadratic / (3.0 * ev.mass)
+    energies = [fn(s * t0 * a).energy for s in (1.0 - 1e-3, 1.0, 1.0 + 1e-3)]
+    assert energies[1] > max(energies[0], energies[2])
+    assert np.isclose(values[0], energies[1], rtol=1e-12, atol=0.0)
     _, rep = _ray_quotient(fn(a))
     d = table.to_eigen(random_field(table.grid, table.N, rng).coeffs)
     h = 1e-5

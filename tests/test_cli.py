@@ -99,9 +99,29 @@ def test_branch_subcommand(tmp_path):
     assert len(plot) == 3
 
 
+def test_branch_takes_a_power_nonlinearity_from_flags(tmp_path):
+    code = run_cli(
+        [
+            "branch", "--lambda-grid", "0.5", "--cutoff", "4", "--nl", "power", "--alpha", "1",
+            "--p", "3", "--out", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    rows = list(csv.DictReader((tmp_path / "results.csv").open()))
+    assert len(rows) == 1
+    assert np.isfinite(float(rows[0]["energy"]))
+    assert json.loads((tmp_path / "manifest.json").read_text())["config"]["nl_kind"] == "power"
+
+
 def test_quadcheck_subcommand(tmp_path, capsys):
     assert run_cli(["quadcheck", "--dim", "2", "--cutoff", "6", "--p", "3", "--out", str(tmp_path)]) == 0
     assert "rel diff" in capsys.readouterr().out
+
+
+def test_quadcheck_p_is_an_lp_exponent_not_a_power_exponent(tmp_path, capsys):
+    # p = 3 is 2* at m = 3: out of the power nonlinearity's range, a fine L^p norm
+    assert run_cli(["quadcheck", "--dim", "3", "--cutoff", "3", "--p", "3", "--out", str(tmp_path)]) == 0
+    assert "quadcheck p=3.0" in capsys.readouterr().out
 
 
 def test_run_config_roundtrip(tmp_path):

@@ -171,14 +171,6 @@ def test_split_snaps_lambda_to_an_eigenvalue_within_its_tolerance():
     assert split(table, 1 + 2e-9).lam == 1 + 2e-9
 
 
-def test_split_ambiguity_error():
-    table = assemble(2, 3)
-    with pytest.raises(SpectralError):
-        split(table, 1.2, tol=0.3)
-    with pytest.raises(SpectralError):
-        split(table, 0.5, tol=-1.0)
-
-
 def test_projector_algebra():
     table = assemble(2, 4)
     sp = split(table, 0.5)

@@ -255,6 +255,14 @@ def test_fiber_maximize_reports_an_unconverged_stop(table, sp05):
     assert not fib.converged
 
 
+def test_a_cold_fiber_on_an_e_minus_direction_fails(table, sp05):
+    # q < 0 on the ray: it has no positive maximum to start from
+    phi = project(sp05, random_field(table.grid, 2, np.random.default_rng(15)), "minus")
+    with pytest.raises(SolverFailure, match="no positive ray maximum") as exc:
+        fiber_maximize(Functional(sp05, NL), phi)
+    assert exc.value.diagnostics["alpha"] < 0
+
+
 def test_m_lambda_gradient_fd(table, sp05):
     rng = np.random.default_rng(8)
     coords = SubspaceCoords(sp05, sp05.plus)
@@ -647,7 +655,6 @@ def _counting(monkeypatch, module, name, calls):
 def test_ray_search_is_one_evaluation(monkeypatch, table, sp05, case):
     import diractorus.torus as torus
     import diractorus.variational as variational
-    from diractorus.variational import _ray_max
 
     if case == "bnd-regular":
         fn = Functional(sp05, NL)
@@ -657,17 +664,20 @@ def test_ray_search_is_one_evaluation(monkeypatch, table, sp05, case):
     phi = project(sp, random_field(table.grid, 2, np.random.default_rng(5)), "plus")
     phi_e = table.to_eigen(((1.0 / norm_lambda(sp, phi)) * phi).coeffs)
 
-    on_ray = fn.ray(phi_e)
-    for t in (0.3, 1.0, 2.5, 7.0):
-        direct = fn(t * phi_e).energy
-        assert abs(on_ray(t) - direct) <= 1e-12 * abs(direct)
-
+    # the cold start, without the ascent: its one evaluation is the only synthesize
     calls = {}
     for module in (torus, variational):
         _counting(monkeypatch, module, "synthesize", calls)
-    t, value = _ray_max(fn, phi_e)
+    monkeypatch.setattr(variational, "_inner_maximize", lambda _, c, x0, *a: (x0, 0.0, 0.0, 0))
+    t0 = fiber_maximize(fn, phi).t
     assert calls["synthesize"] == 1
-    assert t > 0 and value > 0
+    monkeypatch.undo()
+
+    energies = [fn(s * t0 * phi_e).energy for s in (1.0 - 1e-3, 1.0, 1.0 + 1e-3)]
+    if case == "bnd-regular":  # f = 0: t0 is the ray maximum
+        assert energies[1] > max(energies[0], energies[2]) and energies[1] > 0
+    else:  # f >= 0: t0 is at or above it, where the ray falls
+        assert energies[2] < energies[1] < energies[0]
 
 
 def test_tmfm_gap_runs_one_kernel_newton(monkeypatch, table, sp1):
