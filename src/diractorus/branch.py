@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 from scipy.sparse import diags
 from scipy.sparse.linalg import LinearOperator, minres
 
@@ -73,10 +74,8 @@ def gamma_crit(m):
     return (0.5 / m) * (0.5 * m) ** m * omega_sphere(m)
 
 
-def nu_window(m, volume=None):
-    """Continuation window nu = (m/2) (omega_m / Vol)^(1/m)."""
-    if volume is None:
-        volume = (2.0 * np.pi) ** m
+def nu_window(m, volume):
+    """Continuation window nu = (m/2) (omega_m / Vol)^(1/m) on a torus of volume ``volume``."""
     if volume <= 0:
         raise ValueError(f"volume must be positive, got {volume}")
     return 0.5 * m * (omega_sphere(m) / volume) ** (1.0 / m)
@@ -111,7 +110,7 @@ def _strong_residual(ev):
     rounding at a band-limited solution.
     """
     grid = ev.fn.split.grid
-    cube = np.fft.fftn(ev.gu, axes=tuple(range(grid.m))) / (grid.n_grid**grid.m)
+    cube = scipy.fft.fftn(ev.gu, axes=tuple(range(grid.m)), norm="forward")
     cube[tuple(grid.modes[:, j] % grid.n_grid for j in range(grid.m))] = 0.0
     return _l2(grid, ev.rep), _l2(grid, cube)
 
@@ -228,7 +227,7 @@ def _solved_point(fn, psi, value, level, k=None, flags=(), **diagnostics):
         residual_l2=float(resid),
         below_gamma_crit=below,
         accepted=bool(below and resid <= RESIDUAL_TOL and not flags),
-        psi=polish.psi,
+        psi=SpinorField(polish.psi.grid, polish.psi.coeffs),  # no collocation cache: 1/5 the memory
         diagnostics=dict(diagnostics, value_pre_polish=float(value), residual_pre_polish=float(resid_pre),
                          polish_steps=polish.steps, residual_in_band=polish.in_band, residual_spill=polish.spill),
         flags=flags + ([] if resid <= RESIDUAL_TOL else ["resolution-limited-residual"]),

@@ -13,14 +13,15 @@ are integrated exactly by the trapezoidal rule when n > d*K (the default
 solver grid uses n = 4K + 2 for quartic terms).
 
 Both transforms are band-pruned.  They transform one axis at a time, from the
-last axis to the first (the order ``np.fft.fftn`` uses), and every axis not
-yet in grid space is only 2K + 1 mode slabs wide: synthesis zero-pads each
-axis from the (2K + 1)^m mode box just before its inverse FFT, and analysis
-keeps the 2K + 1 mode slabs of each axis right after its FFT.  In m = 2 a
-transform then runs n + 2K + 1 one-dimensional FFTs of length n per spinor
-component instead of 2n (3/4 of them at the default n = 4K + 2).  The
-per-axis FFTs and the scalings are those of ``ifftn``/``fftn`` on the full
-cube, so the output is the same.
+last axis to the first (the order ``scipy.fft.fftn`` uses), and every axis
+not yet in grid space is only 2K + 1 mode slabs wide: synthesis zero-pads
+each axis from the (2K + 1)^m mode box just before its inverse FFT, and
+analysis keeps the 2K + 1 mode slabs of each axis right after its FFT.  In
+m = 2 a transform then runs n + 2K + 1 one-dimensional FFTs of length n per
+spinor component instead of 2n (3/4 of them at the default n = 4K + 2).  The
+per-axis FFTs are those of ``scipy.fft.ifftn``/``fftn`` on the full cube with
+``norm="forward"``, which puts the whole 1/n^m on analysis: synthesis is the
+plain sum over modes, and neither transform makes a separate scaling pass.
 
 Analysis also takes values given only on a box of grid points (``support``:
 one index array per axis), for fields that vanish off a compact support.
@@ -37,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 
 class GridError(ValueError):
@@ -209,14 +211,15 @@ def synthesize(grid, coeffs):
     """Evaluate sum_k c_k e^{i k.x} on the collocation grid.
 
     Scatters the coefficients into the (2K+1)^m mode box, then for each axis,
-    last to first, zero-pads that axis to n and runs an inverse FFT along it.
+    last to first, zero-pads that axis to n and runs an unscaled inverse FFT
+    along it (``norm="forward"``).
     """
     n, K = grid.n_grid, grid.K
     vals = np.zeros((2 * K + 1,) * grid.m + (coeffs.shape[1],), dtype=complex)
     vals[grid.box_index] = coeffs
     for axis in reversed(range(grid.m)):
-        vals = np.fft.ifft(_pad_axis(vals, axis, n, K), axis=axis)
-    return vals * (n**grid.m)
+        vals = scipy.fft.ifft(_pad_axis(vals, axis, n, K), axis=axis, norm="forward")
+    return vals
 
 
 def analyze(grid, values, support=None):
@@ -224,8 +227,8 @@ def analyze(grid, values, support=None):
 
     Exact inverse of ``synthesize`` for band-limited data; otherwise it is the
     aliased trigonometric interpolation restricted to the cube.  Runs an FFT
-    along each axis, last to first, and keeps only that axis's 2K + 1 mode
-    slabs before moving on.
+    along each axis, last to first, each scaled by 1/n (``norm="forward"``),
+    and keeps only that axis's 2K + 1 mode slabs before moving on.
 
     With ``support`` (one array of distinct grid indices per axis), ``values``
     holds only the box ``np.ix_(*support)`` of a field that vanishes
@@ -237,8 +240,8 @@ def analyze(grid, values, support=None):
     for axis in reversed(range(grid.m)):
         if support is not None:
             vals = _spread_axis(vals, axis, n, support[axis])
-        vals = _crop_axis(np.fft.fft(vals, axis=axis), axis, n, K)
-    return vals[grid.box_index] / (n**grid.m)
+        vals = _crop_axis(scipy.fft.fft(vals, axis=axis, norm="forward"), axis, n, K)
+    return vals[grid.box_index]
 
 
 def from_values(grid, values):
@@ -255,9 +258,28 @@ def l2_norm(a):
     return float(np.sqrt(a.grid.volume) * np.linalg.norm(a.coeffs))
 
 
+def _real_view(values):
+    """Values as real numbers with one more axis: (re, im) pairs of complex input, length 1 of real input; no copy."""
+    values = values[..., None]
+    return values.view(float) if np.iscomplexobj(values) else values
+
+
+def pointwise_real_inner(a, b):
+    """Re <a(x), b(x)> over the last axis, broadcasting the leading axes.
+
+    One ``einsum`` over real views of both, which is about twice as fast as
+    summing ``a.real * b.real + a.imag * b.imag``; complex or real, contiguous
+    or not.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if np.iscomplexobj(a) != np.iscomplexobj(b):  # a real factor pairs with the other's real part only
+        a, b = a.real, b.real
+    return np.einsum("...ij,...ij->...", _real_view(a), _real_view(b))
+
+
 def pointwise_modulus(values):
-    """Spinor modulus |psi(x)| over the last axis."""
-    return np.sqrt((values.real**2 + values.imag**2).sum(axis=-1))
+    """Spinor modulus |psi(x)| over the last axis, of complex or real values."""
+    return np.sqrt(pointwise_real_inner(values, values))
 
 
 def lp_norm(psi, p):

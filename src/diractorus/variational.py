@@ -71,7 +71,7 @@ from scipy.optimize import minimize as _scipy_minimize
 
 from .nonlinearity import critical_exponent, make_nonlinearity
 from .spectral import norm_lambda, project
-from .torus import SpinorField, analyze, pointwise_modulus, synthesize, zero_field
+from .torus import SpinorField, analyze, pointwise_modulus, pointwise_real_inner, synthesize, zero_field
 
 
 class SolverFailure(RuntimeError):
@@ -149,9 +149,13 @@ class Evaluation:
         return nl.g(s)[..., None], (nl.g_prime(s) / s)[..., None]
 
     def second(self, dv):
-        """K''(u)[dv] = g(|u|) dv + (g'(|u|)/|u|) Re<u, dv> u on collocation values shaped like u."""
+        """K''(u)[dv] = g(|u|) dv + (g'(|u|)/|u|) Re<u, dv> u on collocation values shaped like u.
+
+        ``dv`` may stack several directions on leading axes.  Re<u, dv> is
+        ``pointwise_real_inner``, one einsum over real views of u and dv.
+        """
         g, radial = self._second_weights
-        beta = (self.u.real * dv.real + self.u.imag * dv.imag).sum(axis=-1, keepdims=True)
+        beta = pointwise_real_inner(self.u, dv)[..., None]
         return g * dv + radial * beta * self.u
 
     def hvp(self, d):

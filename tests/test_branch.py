@@ -365,6 +365,20 @@ def test_branch_sweep_structure():
     assert sweep.interval_index(1.2) == 1
 
 
+def test_returned_points_keep_no_collocation_cache():
+    # a point held its polished field's collocation values, four times the size of its coefficients
+    table = assemble(2, 6)
+    pt = minimize_M(split(table, 0.9), NL)
+    sweep = branch_sweep(assemble(2, 4), NL, [0.9], second_near=1, second_offsets=(0.05, 0.02))
+    assert all(p.psi._values is None for p in [pt, *sweep.points])
+    # the 0.98 point starts from the 0.95 point's field
+    for p, energy in zip(sweep.points, (0.078302069429956, 1.651148079204886, 1.447809353706363)):
+        assert np.isclose(p.energy, energy, rtol=1e-12, atol=0.0)
+        assert p.flags == ["resolution-limited-residual"]
+    warm = minimize_M(split(table, 0.9), NL, init=pt.psi)
+    assert warm.accepted and np.isclose(warm.energy, pt.energy, rtol=1e-12, atol=0.0)
+
+
 def test_a_sweep_point_near_an_eigenvalue_reports_the_eigenvalue():
     # the sweep used an absolute 1e-9 snap and split a relative tolerance,
     # so this point was solved at lambda = sqrt(2) + 1.2e-9 with the sqrt(2)

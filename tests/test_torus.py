@@ -13,6 +13,8 @@ from diractorus.torus import (
     l2_norm,
     lp_norm,
     make_grid,
+    pointwise_modulus,
+    pointwise_real_inner,
     random_field,
     resample_field,
     synthesize,
@@ -71,7 +73,7 @@ def _full_cube_analyze(grid, values):
 
 # (m, K, n): n = 2K + 2 puts the two mode slabs of an axis side by side
 @pytest.mark.parametrize(
-    "m, K, n", [(1, 5, 12), (1, 3, 64), (2, 4, 10), (2, 3, 40), (3, 3, 8), (3, 2, 16)]
+    "m, K, n", [(1, 5, 12), (1, 3, 64), (2, 4, 10), (2, 3, 40), (2, 16, 66), (3, 3, 8), (3, 2, 16)]
 )
 def test_pruned_transforms_match_full_cube_fft(m, K, n):
     rng = np.random.default_rng(100 * m + K)
@@ -121,6 +123,7 @@ def test_analyze_on_a_support_box_matches_the_scattered_cube(kinds):
     want = analyze(g, cube)
     got = analyze(g, box, support=support)
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    assert np.abs(got - _full_cube_analyze(g, cube)).max() <= 1e-15 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -137,6 +140,19 @@ def test_resample_pads_and_truncates_in_the_mode_cube(m):
     assert not up.coeffs[np.abs(up.grid.modes).max(axis=1) > 3].any()
     inside = np.abs(g.modes).max(axis=1) <= 2
     assert down.grid.n_modes == inside.sum()
+
+
+def test_pointwise_modulus_and_real_inner_match_their_componentwise_sums():
+    rng = np.random.default_rng(13)
+    vals = random_field(make_grid(2, 4), 4, rng).values()
+    for values in (vals, vals[::3, 1:, 1::2], vals.real, vals.imag[:, ::2, :3]):  # non-contiguous, real
+        want = np.linalg.norm(values, axis=-1)
+        assert np.abs(pointwise_modulus(values) - want).max() <= 1e-15 * want.max()
+    other = random_field(make_grid(2, 4), 4, rng).values()
+    for a, b in ((vals, other), (vals[:, ::2], other.real[:, 1::2]), (vals.imag, other[None])):
+        want = (a.real * b.real + a.imag * b.imag).sum(axis=-1)
+        got = pointwise_real_inner(a, b)
+        assert got.shape == want.shape and np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_parseval_matches_quadrature():

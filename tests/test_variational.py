@@ -609,6 +609,18 @@ def test_hvp_matches_gradient_differences(table, sp05, sp1, kind, frozen):
     assert worst < 1e-7
 
 
+def test_second_matches_the_componentwise_real_inner_product(table, sp05):
+    # the reference sums Re<u, dv> as re*re + im*im per spinor component
+    rng = np.random.default_rng(23)
+    ev = Functional(sp05, NL).at_field(random_field(table.grid, 2, rng))
+    g, radial = ev._second_weights
+    dv = random_field(table.grid, 2, rng).values()
+    for w in (dv, np.array([dv, 1j * dv, 2.0 * dv.conj()])):  # one direction, and a stack as in the kernel Hessian
+        beta = (ev.u.real * w.real + ev.u.imag * w.imag).sum(axis=-1, keepdims=True)
+        want = g * w + radial * beta * ev.u
+        assert np.abs(ev.second(w) - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_one_evaluation_is_one_synthesize_and_one_analyze(monkeypatch, table, sp1):
     import diractorus.torus as torus
     import diractorus.variational as variational
