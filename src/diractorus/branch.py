@@ -142,6 +142,7 @@ class Polish:
     in_band: float  # the two parts of the final residual, from the last evaluation
     spill: float
     steps: int  # Newton steps kept
+    hvps: int  # Hessian-vector products of the MINRES solves
     converged: bool  # in_band within 10 times the rounding level the polish aims at
 
     @property
@@ -155,17 +156,20 @@ def _rounding_level(ev):
     return 1e-12 * max(1.0, _l2(ev.fn.split.grid, ev.lin))
 
 
-def polish_residual(fn, psi):
+def polish_residual(fn, psi, ev=None):
     """Newton polish of a near-solution on the Galerkin problem of the functional ``fn``.
 
     ``fn`` is the functional the solver ran on, so no solve splits the
-    spectrum a second time; the polish reads only its lambda, through
-    ``fn.shift``, never the split's weights.  Newton runs on the in-band
-    residual, the ``rep`` of L_lam' on the cutoff space, whose zeros are the
-    Galerkin critical points the solvers find.
+    spectrum a second time; ``ev`` is its evaluation at ``psi`` when the
+    caller holds one (a fiber's ``evaluation``), else the polish makes it.
+    Newton runs on the in-band residual, the ``rep`` of L_lam' on the cutoff
+    space, whose zeros are the Galerkin critical points the solvers find.
     Each step solves L''(psi) d = -L'(psi) with MINRES on the Hessian-vector
     product ``Evaluation.hvp`` to relative tolerance 1e-4, preconditioned by
-    1/(|sigma - lam| + 1) in the eigenbasis, the lambda metric of the solvers.
+    1/w2 in the eigenbasis: ``split.w2`` = |sigma - lambda|, one on the
+    kernel block, is the lambda metric the fibers and the sphere descent
+    run in.  For a second solution it is that of the split frozen at
+    lambda_k.  ``hvps`` counts the products.
     A step is kept when it lowers the in-band norm, and the polish goes on
     while each step at least halves it, until that norm is at rounding level
     1e-12 max(1, ||(D - lam) psi||) (at most 20 steps).  The out-of-band
@@ -180,12 +184,16 @@ def polish_residual(fn, psi):
     """
     table = fn.split.table
     shape, size = psi.coeffs.shape, 2 * psi.coeffs.size
-    precond = diags(np.tile(1.0 / (np.abs(fn.shift.ravel()) + 1.0), 2))
+    precond = diags(np.tile(1.0 / fn.split.w2.ravel(), 2))
+    ev = fn.at_field(psi) if ev is None else ev
+    hvps = 0
 
-    ev = fn.at_field(psi)
-    hess = LinearOperator(  # the Hessian at the current iterate ``ev``
-        (size, size), matvec=lambda x: _pack(ev.hvp(_unpack(x).reshape(shape)).ravel()), dtype=float
-    )
+    def hvp(x):  # the Hessian at the current iterate ``ev``
+        nonlocal hvps
+        hvps += 1
+        return _pack(ev.hvp(_unpack(x).reshape(shape)).ravel())
+
+    hess = LinearOperator((size, size), matvec=hvp, dtype=float)
     pre = _strong_residual(ev)
     resid, steps = pre[0], 0
     while steps < 20 and resid > _rounding_level(ev):
@@ -201,20 +209,22 @@ def polish_residual(fn, psi):
         psi, ev, resid, steps = trial, trial_ev, trial_resid, steps + 1
         if not halved:
             break
-    return Polish(psi, ev.energy, pre, *(_strong_residual(ev) if steps else pre), steps,
+    return Polish(psi, ev.energy, pre, *(_strong_residual(ev) if steps else pre), steps, hvps,
                   bool(resid <= 10.0 * _rounding_level(ev)))
 
 
-def _solved_point(fn, psi, value, level, k=None, flags=(), **diagnostics):
-    """Polish a field solved on the functional ``fn`` and report it; raises GuardViolationError at or above gamma_crit.
+def _solved_point(fn, fiber, value, level, k=None, flags=(), **diagnostics):
+    """Polish the fiber maximizer ``fiber`` solved on the functional ``fn`` and report it; raises GuardViolationError at or above gamma_crit.
 
-    ``value`` is the solver's energy at ``psi``, the coarse descent's value,
-    kept as ``value_pre_polish`` and replaced by the polish's energy only when
-    the polish moves psi.  Any of the solver's own ``flags`` rejects the
-    point, and so does ``polish-not-converged``, a polish that did not finish.
+    The polish starts from the fiber's own evaluation when it carries one.
+    ``value`` is the solver's energy at ``fiber.psi``, the coarse descent's
+    value, kept as ``value_pre_polish`` and replaced by the polish's energy
+    only when the polish moves psi.  Any of the solver's own ``flags``
+    rejects the point, and so does ``polish-not-converged``, a polish that
+    did not finish.
     """
     m = fn.split.grid.m
-    polish = polish_residual(fn, psi)
+    polish = polish_residual(fn, fiber.psi, fiber.evaluation)
     flags = list(flags) + ([] if polish.converged else ["polish-not-converged"])
     energy = polish.energy if polish.steps else value
     resid, resid_pre = polish.residual, np.hypot(*polish.pre)
@@ -229,7 +239,8 @@ def _solved_point(fn, psi, value, level, k=None, flags=(), **diagnostics):
         accepted=bool(below and resid <= RESIDUAL_TOL and not flags),
         psi=SpinorField(polish.psi.grid, polish.psi.coeffs),  # no collocation cache: 1/5 the memory
         diagnostics=dict(diagnostics, value_pre_polish=float(value), residual_pre_polish=float(resid_pre),
-                         polish_steps=polish.steps, residual_in_band=polish.in_band, residual_spill=polish.spill),
+                         polish_steps=polish.steps, polish_hvps=polish.hvps,
+                         residual_in_band=polish.in_band, residual_spill=polish.spill),
         flags=flags + ([] if resid <= RESIDUAL_TOL else ["resolution-limited-residual"]),
     )
     if not below:
@@ -325,7 +336,7 @@ def minimize_M(split, nl, init=None, maxiter=120):
         _lambda_nonpositive_gate(nl)
     fn = Functional(split, nl)
     value, fiber, info, flags = _descend(fn, init, maxiter)
-    return _solved_point(fn, fiber.psi, value, "least", flags=flags,
+    return _solved_point(fn, fiber, value, "least", flags=flags,
                          init="ray-opt" if init is None else "warm", outer=info,
                          fiber_grad_norm=fiber.grad_norm, t=fiber.t, kernel_dim=split.kernel_dim)
 
@@ -354,7 +365,7 @@ def second_solution(split_k, nl, lam, k, init=None):
     confirmed = nu_lambda_k(fn, fiber)
     if not confirmed.unique_confident:
         flags.append("non-unique-fiber-maximizer")
-    return _solved_point(fn, confirmed.psi, confirmed.value, "second", k=int(k), flags=flags, outer=info,
+    return _solved_point(fn, confirmed, confirmed.value, "second", k=int(k), flags=flags, outer=info,
                          phi_mass=float(mass), sigma=float(sigma), lambda_k=float(split_k.lam))
 
 

@@ -278,7 +278,11 @@ def dual_norm(sp, r):
     Spectrally, the l^2 norm of the eigen coefficients scaled by 1/w.
     """
     _check_field(sp.table, r)
-    be = sp.table.to_eigen(r.coeffs)
+    return dual_norm_eigen(sp, sp.table.to_eigen(r.coeffs))
+
+
+def dual_norm_eigen(sp, be):
+    """``dual_norm`` of the field whose eigen coordinates are ``be``."""
     return float(np.sqrt(sp.grid.volume * ((be.real**2 + be.imag**2) / sp.w2).sum()))
 
 

@@ -37,7 +37,7 @@ from scipy.integrate import quad
 
 from .clifford import clifford_mul, one_minus_x_mul
 from .nonlinearity import critical_exponent
-from .spectral import apply_dirac, dual_norm, omega_sphere
+from .spectral import dual_norm_eigen, omega_sphere
 from .torus import SpinorField, analyze, pointwise_modulus
 
 
@@ -218,7 +218,9 @@ def energy_report(table, sp, psi, params=None):
     l2, l2star, dirac_energy and free_energy quadrate the exact samples with
     the closed-form derivative; the dual norms of the field and of the
     residual R = D phi - |phi|^(2*-2) phi are measured spectrally at the
-    split's lambda.  The field's chart profile is reused unless ``params``
+    split's lambda.  They and dirac_energy_spectral are read off the field's
+    eigen coordinates a, where D phi = sigma a, and R stays in eigen
+    coordinates: two eigen transforms per report.  The field's chart profile is reused unless ``params``
     names other parameters than the field's own.  Every quadrature runs on a
     support box (the field's own for the samples, the one of ``params`` for
     D phi), and the nonlinear term is transformed on the field's box; the
@@ -249,13 +251,11 @@ def energy_report(table, sp, psi, params=None):
     dirac_energy = float(cell * (dphi * phi_box.conj()).sum(axis=-1).real.sum())
     free_energy = 0.5 * dirac_energy - l2star_pow / ts
 
-    dual_phi = dual_norm(sp, psi)
-    nonlinear = (s ** (ts - 2.0))[..., None] * phi
-    resid_coeffs = apply_dirac(table, psi).coeffs - analyze(grid, nonlinear, support=own)
-    dual_resid = dual_norm(sp, SpinorField(grid, resid_coeffs))
-
-    # Spectral Dirac energy of the band-limited field, as a cross-check.
     a = table.to_eigen(psi.coeffs)
+    nonlinear = (s ** (ts - 2.0))[..., None] * phi
+    resid = table.eigenvalues * a - table.to_eigen(analyze(grid, nonlinear, support=own))
+    dual_phi, dual_resid = dual_norm_eigen(sp, a), dual_norm_eigen(sp, resid)
+    # Spectral Dirac energy of the band-limited field, as a cross-check.
     dirac_spectral = float(grid.volume * (table.eigenvalues * (a.real**2 + a.imag**2)).sum())
 
     return {

@@ -52,7 +52,8 @@ is one L-BFGS ascent over (t, chi) jointly: by the generalized Nehari
 reduction its only critical point with t > 0 is the global maximum, and
 evenness of L maps a run that crosses t = 0 back from the mirror maximizer.
 An ascent starts from the (t, z) pair its caller passes, a nearby fiber's
-scale and inner coordinates, which every ``FiberPoint`` carries; a cold one
+scale and inner coordinates, which every ``FiberPoint`` carries together
+with the ascent's last evaluation when it was at the maximizer; a cold one
 starts on the ray t phi where its critical part t^2 q(phi) -
 (t^{2*}/2*) |phi|_{2*}^{2*} peaks, in closed form from one evaluation at phi
 (the ray maximum ``_ray_quotient`` measures).  The Nehari projection of an E^+
@@ -63,7 +64,7 @@ the ray quotient (``ray_opt_direction``), a fiber-free lower bound of M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -449,7 +450,13 @@ def _inner_maximize(objective, coords, z0, gtol, maxiter):
 
 @dataclass
 class FiberPoint:
-    """Constrained maximizer over a fiber {t phi + chi}."""
+    """Constrained maximizer over a fiber {t phi + chi}.
+
+    ``evaluation`` is the ascent's last evaluation when it was at psi, so a
+    caller reads the value and gradient there without evaluating again; it
+    is None when the ascent ended elsewhere or on the t < 0 mirror
+    (``fiber_maximize``).
+    """
 
     phi: SpinorField
     t: float
@@ -460,6 +467,11 @@ class FiberPoint:
     inner_evals: int
     converged: bool
     unique_confident: bool = True
+    evaluation: Evaluation | None = field(default=None, repr=False, compare=False)
+
+    def evaluated(self, fn):
+        """The evaluation of ``fn`` at psi: the ascent's last one when it was there, else a fresh one."""
+        return fn.at_field(self.psi) if self.evaluation is None else self.evaluation
 
 
 class _FiberCoords:
@@ -496,6 +508,9 @@ def fiber_maximize(fn, phi, gtol=1e-9, maxiter=500, start=None):
     evaluation at phi.  t0 maximizes the critical part of L on the ray t phi:
     exactly L's ray maximum at f = 0, at or above it for f >= 0.  A direction
     with alpha <= 0 has no positive ray maximum and raises ``SolverFailure``.
+    The returned point carries the ascent's last ``Evaluation`` when L-BFGS
+    made it at the returned (t, z), and none after the t < 0 mirror, where
+    its gradient has the other sign.
     """
     nrm = norm_lambda(fn.split, phi)
     if nrm <= 0:
@@ -512,30 +527,37 @@ def fiber_maximize(fn, phi, gtol=1e-9, maxiter=500, start=None):
         t0, z0 = (alpha / beta) ** (1.0 / (ts - 2.0)), np.zeros(fn.inner.dim, dtype=complex)
     else:
         t0, z0 = start
-    x, value, grad_norm, evals = _inner_maximize(
-        fn.value_and_grad, coords, np.concatenate([[t0], z0]), gtol, maxiter
-    )
+    last = {"a": None, "ev": None}
+
+    def objective(a):
+        last["a"], last["ev"] = a, fn(a)
+        return last["ev"].energy, last["ev"].grad
+
+    x, value, grad_norm, evals = _inner_maximize(objective, coords, np.concatenate([[t0], z0]), gtol, maxiter)
+    a = coords.to_eigen(x)
+    ev = last["ev"] if np.array_equal(last["a"], a) else None
     t, z = float(x[0].real), x[1:]
     if t < 0:
         # L is even: a line-search step across t = 0 lands on the mirror maximizer.
-        t, z = -t, -z
+        t, z, a, ev = -t, -z, -a, None
     if t < 1e-8 * max(abs(t0), 1.0):
         raise SolverFailure("fiber maximizer collapsed to t = 0", {"t_start": t0, "value": value})
     return FiberPoint(
         phi=phi,
         t=t,
         z=z,
-        psi=SpinorField(fn.split.grid, fn.split.table.from_eigen(t * coords.phi_e + fn.inner.to_eigen(z))),
+        psi=SpinorField(fn.split.grid, fn.split.table.from_eigen(a)),
         value=value,
         grad_norm=grad_norm,
         inner_evals=evals,
         converged=bool(grad_norm < 1e-6 * max(1.0, abs(value))),
+        evaluation=ev,
     )
 
 
 def _sphere_grad(fn, coords, fiber, zhat):
     """t times the sphere-tangent part at zhat of the E^+ gradient at the fiber maximizer."""
-    gz = coords.from_eigen(fn.at_field(fiber.psi).grad)
+    gz = coords.from_eigen(fiber.evaluated(fn).grad)
     return fiber.t * (gz - np.vdot(zhat, gz).real * zhat)
 
 
@@ -611,7 +633,10 @@ def sphere_minimize(fn, phi0, gtol, maxiter=120):
     in lambda-orthonormal E^+ coordinates; its fiber solves run at gtol 1e-7,
     not ``fiber_maximize``'s 1e-9, each from the previous fiber's maximizer
     (t, z), since the branch solves stop it at gtol 1e-3 and finish it with
-    the Newton polish.  Returns (value, fiber_point, info); ``info`` holds
+    the Newton polish.  The gradient at each fiber maximizer is read off the
+    fiber ascent's last evaluation there (``FiberPoint.evaluated``).  Returns
+    (value, fiber_point, info); the fiber is that of L-BFGS's last call when
+    it was at the optimizer, else a re-solve there.  ``info`` holds
     ``fiber_grad_max``, the largest final gradient norm of its fiber solves,
     and ``fiber_evals``, the sum of their inner evaluations.  A descent never
     ends above its start: when it took a step and still ended higher than its
@@ -635,7 +660,7 @@ def sphere_minimize(fn, phi0, gtol, maxiter=120):
         start = None if prev is None else (prev.t, prev.z)
         fiber = fiber_maximize(fn, coords.to_field(zhat), gtol=1e-7, start=start)
         gz = _sphere_grad(fn, coords, fiber, zhat) / nrm
-        last["fiber"] = fiber
+        last["x"], last["fiber"] = x.copy(), fiber
         last.setdefault("first", fiber)
         last["fiber_grad_max"] = max(last["fiber_grad_max"], fiber.grad_norm)
         last["fiber_evals"] += fiber.inner_evals
@@ -649,8 +674,9 @@ def sphere_minimize(fn, phi0, gtol, maxiter=120):
         method="L-BFGS-B",
         options={"gtol": gtol, "ftol": 1e-16, "maxiter": maxiter, "maxcor": 25},
     )
-    # Re-evaluate at the optimizer so the reported fiber matches res.x.
-    value, _ = fun(res.x)
+    if not np.array_equal(last["x"], res.x):
+        fun(res.x)  # re-evaluate at the optimizer so the reported fiber matches res.x
+    value = last["fiber"].value
     info = {
         "outer_iterations": int(res.nit),
         "outer_evals": int(res.nfev),

@@ -20,6 +20,7 @@ from diractorus.nonlinearity import make_nonlinearity
 from diractorus.spectral import assemble, omega_sphere, project, split
 from diractorus.torus import SpinorField, random_field, zero_field
 from diractorus.variational import (
+    Evaluation,
     Functional,
     L_lambda,
     SolverFailure,
@@ -269,11 +270,30 @@ def test_minimize_M_flags_a_polish_that_stalls(monkeypatch):
     assert not pt.accepted
 
 
+def test_a_least_solve_reuses_fiber_evaluations_and_polishes_in_the_lambda_metric(monkeypatch):
+    # at K = 16, lambda = 0.7 the sphere descent evaluated each fiber
+    # maximizer again after its ascent had, and the polish, preconditioned
+    # by 1/(|sigma - lambda| + 1) instead of 1/w2, made 74 products
+    sp = split(assemble(2, 16), 0.7)
+    fn = Functional(sp, NL)
+    phi0 = ray_opt_direction(sp)
+    at_field, fields = Functional.at_field, []
+    monkeypatch.setattr(Functional, "at_field", lambda self, psi: fields.append(psi) or at_field(self, psi))
+    sphere_minimize(fn, phi0, gtol=1e-3)
+    assert fields == []
+    monkeypatch.undo()
+    hvp, products = Evaluation.hvp, []
+    monkeypatch.setattr(Evaluation, "hvp", lambda self, d: products.append(d) or hvp(self, d))
+    pt = minimize_M(sp, NL)
+    assert pt.accepted
+    assert pt.diagnostics["polish_hvps"] == len(products) <= 55
+
+
 def _tight(fn, level, maxiter, **diagnostics):
     """A descent to gtol 1e-9 from the ray-quotient direction, polished on ``fn``."""
     value, fiber, info = sphere_minimize(fn, ray_opt_direction(fn.split), gtol=1e-9, maxiter=maxiter)
     flags = [] if info["converged"] else ["descent-not-converged"]
-    return _solved_point(fn, fiber.psi, value, level, flags=flags, **diagnostics)
+    return _solved_point(fn, fiber, value, level, flags=flags, **diagnostics)
 
 
 @pytest.mark.parametrize("lam, maxiter", [(0.5, 120), (0.9, 120), (1.0, 60)])

@@ -255,6 +255,45 @@ def test_fiber_maximize_reports_an_unconverged_stop(table, sp05):
     assert not fib.converged
 
 
+def _assert_same_evaluation(ev, fresh):
+    assert abs(ev.energy - fresh.energy) <= 1e-13 * abs(fresh.energy)
+    assert np.abs(ev.grad - fresh.grad).max() <= 1e-12 * np.abs(fresh.grad).max()
+
+
+def test_a_fiber_carries_its_last_evaluation_only_when_it_was_at_psi(monkeypatch):
+    # the sphere descent and the polish read a fiber's value and gradient off
+    # the ascent's last evaluation instead of evaluating at psi again
+    import diractorus.variational as variational
+
+    table8 = assemble(2, 8)
+    fn = Functional(split(table8, 0.5), NL)
+    rng = np.random.default_rng(16)
+    phi = project(fn.split, random_field(table8.grid, 2, rng), "plus")
+    cold = fiber_maximize(fn, phi, gtol=1e-7)
+    nearby = phi + 1e-2 * project(fn.split, random_field(table8.grid, 2, rng), "plus")
+    warm = fiber_maximize(fn, nearby, gtol=1e-7, start=(cold.t, cold.z))
+    for fib in (cold, warm):
+        assert fib.evaluation is not None and fib.evaluated(fn) is fib.evaluation
+        _assert_same_evaluation(fib.evaluation, fn.at_field(fib.psi))
+    # an ascent from the mirror start ends at t < 0, where its last gradient has the other sign
+    mirror = fiber_maximize(fn, phi, start=(-cold.t, -cold.z))
+    # an ascent whose last call was elsewhere: one more call after L-BFGS returns
+    minimize = variational._scipy_minimize
+
+    def and_one_more(fun, x0, **kwargs):
+        res = minimize(fun, x0, **kwargs)
+        fun(res.x + 1e-3)
+        return res
+
+    monkeypatch.setattr(variational, "_scipy_minimize", and_one_more)
+    elsewhere = fiber_maximize(fn, phi, gtol=1e-7)
+    for fib in (mirror, elsewhere):
+        assert fib.t > 0 and fib.evaluation is None
+        ev, fresh = fib.evaluated(fn), fn.at_field(fib.psi)  # the fallback is a fresh evaluation
+        assert ev.energy == fresh.energy and np.array_equal(ev.grad, fresh.grad)
+        _assert_same_evaluation(ev, fresh)
+
+
 def test_a_cold_fiber_on_an_e_minus_direction_fails(table, sp05):
     # q < 0 on the ray: it has no positive maximum to start from
     phi = project(sp05, random_field(table.grid, 2, np.random.default_rng(15)), "minus")
