@@ -107,11 +107,15 @@ def _strong_residual(ev):
     one full-cube FFT of the evaluation's ``gu``; fixed by psi, it estimates
     the truncation error.  It is transformed on its own, not taken as the
     full norm minus the band norm, which cancels to the square root of
-    rounding at a band-limited solution.
+    rounding at a band-limited solution.  When the evaluation has not made
+    its band projection ``nonlin`` yet, the band part of the same cube gives
+    it, so the residual costs one transform of ``gu``, not two.
     """
     grid = ev.fn.split.grid
     cube = scipy.fft.fftn(ev.gu, axes=tuple(range(grid.m)), norm="forward")
-    cube[tuple(grid.modes[:, j] % grid.n_grid for j in range(grid.m))] = 0.0
+    if "nonlin" not in vars(ev):  # Evaluation.nonlin is a cached_property
+        ev.nonlin = ev.fn.split.table.to_eigen(cube[grid.cube_index])
+    cube[grid.cube_index] = 0.0
     return _l2(grid, ev.rep), _l2(grid, cube)
 
 
@@ -156,6 +160,28 @@ def _rounding_level(ev):
     return 1e-12 * max(1.0, _l2(ev.fn.split.grid, ev.lin))
 
 
+def _newton_rtol(resid, prev, target):
+    """MINRES's relative tolerance for the Newton step from the in-band residual ``resid``.
+
+    ``prev`` is the (residual, rtol) of the last kept step, None before the
+    first.  An exact Newton step would leave C resid^2, with C ~ resid /
+    residual_prev^2 (an overestimate when the last step's linear error
+    dominated).  While that is above ``target`` the step solves to 1e-4.
+    Once it is below, the step can be the last one, and it aims at 0.025
+    target: a fortieth of the target below it, by design instead of by luck.
+    scipy's MINRES stops on its own test, ||r|| / (||A|| ||x||) with r in
+    the preconditioned norm, which leaves the L^2 residual above rtol times
+    resid (3 to 240 times in the steps measured at K = 16); the last step's
+    landing, resid / (rtol_prev residual_prev), measures that slack
+    (quadratic error included, so it overestimates it), and the aim is
+    divided by it.  The solve is never asked for less than 1e-6.
+    """
+    if prev is None or resid**3 > target * prev[0] ** 2:
+        return 1e-4
+    slack = max(1.0, resid / (prev[1] * prev[0]))
+    return max(0.025 * target / (resid * slack), 1e-6)
+
+
 def polish_residual(fn, psi, ev=None):
     """Newton polish of a near-solution on the Galerkin problem of the functional ``fn``.
 
@@ -165,11 +191,14 @@ def polish_residual(fn, psi, ev=None):
     Newton runs on the in-band residual, the ``rep`` of L_lam' on the cutoff
     space, whose zeros are the Galerkin critical points the solvers find.
     Each step solves L''(psi) d = -L'(psi) with MINRES on the Hessian-vector
-    product ``Evaluation.hvp`` to relative tolerance 1e-4, preconditioned by
-    1/w2 in the eigenbasis: ``split.w2`` = |sigma - lambda|, one on the
-    kernel block, is the lambda metric the fibers and the sphere descent
-    run in.  For a second solution it is that of the split frozen at
-    lambda_k.  ``hvps`` counts the products.
+    product ``Evaluation.hvp``, preconditioned by 1/w2 in the eigenbasis:
+    ``split.w2`` = |sigma - lambda|, one on the kernel block, is the lambda
+    metric the fibers and the sphere descent run in.  For a second solution
+    it is that of the split frozen at lambda_k.  ``hvps`` counts the
+    products.  MINRES solves to relative tolerance 1e-4 until the step that
+    can be the last, which ``_newton_rtol`` solves just tight enough to land
+    below the stop (Eisenstat-Walker, SIAM J. Sci. Comput. 17, 1996), so the
+    number of steps does not hang on where rounding puts the last one.
     A step is kept when it lowers the in-band norm, and the polish goes on
     while each step at least halves it, until that norm is at rounding level
     1e-12 max(1, ||(D - lam) psi||) (at most 20 steps).  The out-of-band
@@ -184,7 +213,7 @@ def polish_residual(fn, psi, ev=None):
     """
     table = fn.split.table
     shape, size = psi.coeffs.shape, 2 * psi.coeffs.size
-    precond = diags(np.tile(1.0 / fn.split.w2.ravel(), 2))
+    precond = diags(np.repeat(1.0 / fn.split.w2.ravel(), 2))  # each real coordinate, in ``_pack`` order
     ev = fn.at_field(psi) if ev is None else ev
     hvps = 0
 
@@ -195,9 +224,10 @@ def polish_residual(fn, psi, ev=None):
 
     hess = LinearOperator((size, size), matvec=hvp, dtype=float)
     pre = _strong_residual(ev)
-    resid, steps = pre[0], 0
+    resid, prev, steps = pre[0], None, 0
     while steps < 20 and resid > _rounding_level(ev):
-        d = minres(hess, -_pack(ev.rep.ravel()), M=precond, rtol=1e-4)[0]
+        rtol = _newton_rtol(resid, prev, _rounding_level(ev))
+        d = minres(hess, -_pack(ev.rep.ravel()), M=precond, rtol=rtol)[0]
         if not np.isfinite(d).all():
             break
         trial = SpinorField(psi.grid, psi.coeffs + table.from_eigen(_unpack(d).reshape(shape)))
@@ -206,7 +236,7 @@ def polish_residual(fn, psi, ev=None):
         if not trial_resid < resid:
             break
         halved = trial_resid <= 0.5 * resid
-        psi, ev, resid, steps = trial, trial_ev, trial_resid, steps + 1
+        psi, ev, resid, prev, steps = trial, trial_ev, trial_resid, (resid, rtol), steps + 1
         if not halved:
             break
     return Polish(psi, ev.energy, pre, *(_strong_residual(ev) if steps else pre), steps, hvps,
@@ -313,12 +343,15 @@ def _descend(fn, init, maxiter):
 
     It stops at outer gtol 1e-3, its fibers at 1e-7, and the Newton polish
     of ``_solved_point`` finishes it.  Returns sphere_minimize's (value,
-    fiber point, info) and the flag ``descent-not-converged`` when it
-    stopped before gtol.
+    fiber point, info), the flag ``descent-not-converged`` when it stopped
+    before gtol, and the start's diagnostics: ``ray_opt``, the ray-quotient
+    run's ``{evals, iterations, message}``, for a ray-opt start.
     """
-    phi0 = ray_opt_direction(fn.split) if init is None else init
-    value, fiber, info = sphere_minimize(fn, phi0, gtol=1e-3, maxiter=maxiter)
-    return value, fiber, info, [] if info["converged"] else ["descent-not-converged"]
+    start = {}
+    if init is None:
+        init, start["ray_opt"] = ray_opt_direction(fn.split)
+    value, fiber, info = sphere_minimize(fn, init, gtol=1e-3, maxiter=maxiter)
+    return value, fiber, info, [] if info["converged"] else ["descent-not-converged"], start
 
 
 def minimize_M(split, nl, init=None, maxiter=120):
@@ -335,9 +368,9 @@ def minimize_M(split, nl, init=None, maxiter=120):
     if split.lam <= 0:
         _lambda_nonpositive_gate(nl)
     fn = Functional(split, nl)
-    value, fiber, info, flags = _descend(fn, init, maxiter)
+    value, fiber, info, flags, start = _descend(fn, init, maxiter)
     return _solved_point(fn, fiber, value, "least", flags=flags,
-                         init="ray-opt" if init is None else "warm", outer=info,
+                         init="ray-opt" if init is None else "warm", outer=info, **start,
                          fiber_grad_norm=fiber.grad_norm, t=fiber.t, kernel_dim=split.kernel_dim)
 
 
@@ -358,14 +391,14 @@ def second_solution(split_k, nl, lam, k, init=None):
     if not (fn.lam <= split_k.lam + split_k.tol):
         raise SolverFailure(f"second solution needs lam <= lambda_k = {split_k.lam}, got {fn.lam}")
     sigma = default_sigma(split_k)
-    _, fiber, info, flags = _descend(fn, init, 80)
+    _, fiber, info, flags, start = _descend(fn, init, 80)
     mass = l2_norm(fiber.phi) ** 2
     if mass < sigma:
         flags.append("sigma-constraint-violated")
     confirmed = nu_lambda_k(fn, fiber)
     if not confirmed.unique_confident:
         flags.append("non-unique-fiber-maximizer")
-    return _solved_point(fn, confirmed, confirmed.value, "second", k=int(k), flags=flags, outer=info,
+    return _solved_point(fn, confirmed, confirmed.value, "second", k=int(k), flags=flags, outer=info, **start,
                          phi_mass=float(mass), sigma=float(sigma), lambda_k=float(split_k.lam))
 
 

@@ -55,21 +55,50 @@ class Nonlinearity:
     def g(self, s):
         """Full coefficient g(s) = f(s) + s^(2*-2)."""
         s = np.asarray(s, dtype=float)
-        return self._f(s) + s ** (self.two_star - 2.0)
+        return self.g_of_rho(s * s, s)
 
     def g_prime(self, s):
         """g'(s): the critical part exactly, plus f'(s) by a central difference."""
         s = np.asarray(s, dtype=float)
         out = (self.two_star - 2.0) * s ** (self.two_star - 3.0)
-        if not self.is_zero():
-            h = 1e-7 * np.maximum(s, 1e-3)
-            out = out + (self._f(s + h) - self._f(np.maximum(s - h, 0.0))) / (2.0 * h)
-        return out
+        return out if self.is_zero() else out + self._f_prime(s)
 
     def G(self, s):
         """Full primitive G(s) = F(s) + s^(2*)/2*."""
         s = np.asarray(s, dtype=float)
-        return self._F(s) + s**self.two_star / self.two_star
+        return self.G_of_rho(s * s, s)
+
+    # The energy kernel works on rho = s^2 = |u|^2, the sum of squares it
+    # forms anyway: s^(2*) = rho^(m/(m-1)) and s^(2*-2) = rho^(1/(m-1)), which
+    # at m = 2 are numpy's fast exponents 2 and 1.  The modulus s = sqrt(rho)
+    # is taken only for f, F or a negative power; ``s`` passes it when the
+    # caller has it.  The zero kind adds no f or F term at all.
+
+    def G_of_rho(self, rho, s=None):
+        """G(s) at s = sqrt(rho)."""
+        out = rho ** (self.m / (self.m - 1.0)) / self.two_star
+        return out if self.is_zero() else out + self._F(np.sqrt(rho) if s is None else s)
+
+    def g_of_rho(self, rho, s=None):
+        """g(s) at s = sqrt(rho)."""
+        out = rho ** (1.0 / (self.m - 1.0))
+        return out if self.is_zero() else out + self._f(np.sqrt(rho) if s is None else s)
+
+    def radial_of_rho(self, rho):
+        """g'(s)/s at s = sqrt(rho) > 0: the weight of the radial part of the second variation.
+
+        The critical part is (2* - 2) rho^((2-m)/(m-1)), the constant 2 at
+        m = 2; f'(s) is ``g_prime``'s central difference.
+        """
+        out = (self.two_star - 2.0) * rho ** ((2.0 - self.m) / (self.m - 1.0))
+        if self.is_zero():
+            return out
+        s = np.sqrt(rho)
+        return out + self._f_prime(s) / s
+
+    def _f_prime(self, s):
+        h = 1e-7 * np.maximum(s, 1e-3)
+        return (self._f(s + h) - self._f(np.maximum(s - h, 0.0))) / (2.0 * h)
 
     def is_zero(self):
         return self.kind == "zero"

@@ -18,6 +18,7 @@ on the integer keys, so multiplicity aggregation is immune to float fuzz.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb, gamma as _gamma_fn
 
 import numpy as np
@@ -67,6 +68,16 @@ class EigenTable:
         for arr in (self.eigenvalues, self.basis, self.distinct, self.multiplicity):
             arr.setflags(write=False)
 
+    @cached_property
+    def _rows(self):
+        """The basis by spinor row i, conjugated: to_eigen(c) = sum_i rows[i] * c[:, i]."""
+        return tuple(np.ascontiguousarray(self.basis[:, i, :].conj()) for i in range(self.N))
+
+    @cached_property
+    def _cols(self):
+        """The basis by eigen column a: from_eigen(e) = sum_a cols[a] * e[:, a]."""
+        return tuple(np.ascontiguousarray(self.basis[:, :, a]) for a in range(self.N))
+
     @property
     def m(self):
         return self.grid.m
@@ -76,11 +87,17 @@ class EigenTable:
         return self.rep.N
 
     def to_eigen(self, coeffs):
-        """Standard-basis mode coefficients -> eigenbasis coordinates."""
-        return np.einsum("kia,ki->ka", self.basis.conj(), coeffs)
+        """Standard-basis mode coefficients -> eigenbasis coordinates.
+
+        The per-mode product conj(U_k)^T c_k, written as N broadcast products
+        over the conjugated basis rows, built once per table: for a 2-wide
+        spinor axis that is about half the cost of one ``einsum``.
+        """
+        return _row_sum(self._rows, coeffs)
 
     def from_eigen(self, eig_coeffs):
-        return np.einsum("kia,ka->ki", self.basis, eig_coeffs)
+        """Eigenbasis coordinates -> standard-basis mode coefficients, U_k e_k as N broadcast products."""
+        return _row_sum(self._cols, eig_coeffs)
 
     def eigen_residual(self):
         """max_k ||A_k u - sigma u|| over all tabulated eigenpairs."""
@@ -92,6 +109,14 @@ class EigenTable:
     def _mode_matrices(self):
         gam = np.stack(self.rep.gamma)
         return 1j * np.einsum("kj,jab->kab", self.grid.modes.astype(float), gam)
+
+
+def _row_sum(terms, x):
+    """sum_j terms[j] * x[:, j, None]: a batch of small matrix-vector products, one broadcast product per column of x."""
+    out = terms[0] * x[:, :1]
+    for j in range(1, len(terms)):
+        out += terms[j] * x[:, j : j + 1]
+    return out
 
 
 def assemble(m, K, n_grid=None):

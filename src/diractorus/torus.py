@@ -16,7 +16,10 @@ Both transforms are band-pruned.  They transform one axis at a time, from the
 last axis to the first (the order ``scipy.fft.fftn`` uses), and every axis
 not yet in grid space is only 2K + 1 mode slabs wide: synthesis zero-pads
 each axis from the (2K + 1)^m mode box just before its inverse FFT, and
-analysis keeps the 2K + 1 mode slabs of each axis right after its FFT.  In
+analysis keeps the 2K + 1 mode slabs of each axis right after its FFT.  The
+modes go in and come out by one gather each, over row indices the grid
+builds once: synthesis builds its first FFT's input, the mode box with the
+last axis already n wide, and analysis reads them off its last FFT's output.  In
 m = 2 a transform then runs n + 2K + 1 one-dimensional FFTs of length n per
 spinor component instead of 2n (3/4 of them at the default n = 4K + 2).  The
 per-axis FFTs are those of ``scipy.fft.ifftn``/``fftn`` on the full cube with
@@ -64,6 +67,14 @@ class TorusGrid:
     modes: np.ndarray = field(repr=False, compare=False, default=None)
     # per-axis positions of ``modes`` in the (2K+1)^m box, FFT order [0..K, -K..-1]
     box_index: tuple = field(init=False, repr=False, compare=False, default=None)
+    # positions of ``modes`` on the n-point grid of every axis (the full FFT cube)
+    cube_index: tuple = field(init=False, repr=False, compare=False, default=None)
+    # the row of ``modes`` (n_modes: none) at each point of the mode box with its last axis
+    # n wide, in C order: the array synthesis's first inverse FFT runs on
+    synth_rows: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    # each mode's row in the C-order mode box with its first axis n wide, the output of
+    # analysis's last FFT
+    analyze_rows: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.m < 1:
@@ -77,10 +88,18 @@ class TorusGrid:
         if self.modes is None:
             object.__setattr__(self, "modes", _build_modes(self.m, self.K))
         self.modes.setflags(write=False)
-        box_index = tuple(self.modes[:, j] % (2 * self.K + 1) for j in range(self.m))
-        for idx in box_index:
+        box, n = 2 * self.K + 1, self.n_grid
+        box_index = tuple(self.modes[:, j] % box for j in range(self.m))
+        cube_index = tuple(self.modes[:, j] % n for j in range(self.m))
+        synth_shape = (box,) * (self.m - 1) + (n,)
+        synth_rows = np.full(int(np.prod(synth_shape)), self.n_modes)
+        synth_rows[np.ravel_multi_index(box_index[:-1] + cube_index[-1:], synth_shape)] = np.arange(self.n_modes)
+        analyze_rows = np.ravel_multi_index(cube_index[:1] + box_index[1:], (n,) + (box,) * (self.m - 1))
+        for idx in box_index + cube_index + (synth_rows, analyze_rows):
             idx.setflags(write=False)
-        object.__setattr__(self, "box_index", box_index)
+        for name, value in (("box_index", box_index), ("cube_index", cube_index),
+                            ("synth_rows", synth_rows), ("analyze_rows", analyze_rows)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_modes(self):
@@ -210,15 +229,19 @@ def _spread_axis(vals, axis, n, index):
 def synthesize(grid, coeffs):
     """Evaluate sum_k c_k e^{i k.x} on the collocation grid.
 
-    Scatters the coefficients into the (2K+1)^m mode box, then for each axis,
-    last to first, zero-pads that axis to n and runs an unscaled inverse FFT
-    along it (``norm="forward"``).
+    Builds the array the first inverse FFT runs on in one gather
+    (``grid.synth_rows``): the (2K+1)^m mode box with its last axis already
+    n wide.  Then for each axis, last to first, it runs an unscaled inverse
+    FFT along that axis (``norm="forward"``), zero-padding the next axis to
+    n before its turn.
     """
-    n, K = grid.n_grid, grid.K
-    vals = np.zeros((2 * K + 1,) * grid.m + (coeffs.shape[1],), dtype=complex)
-    vals[grid.box_index] = coeffs
-    for axis in reversed(range(grid.m)):
-        vals = scipy.fft.ifft(_pad_axis(vals, axis, n, K), axis=axis, norm="forward")
+    n, K, m = grid.n_grid, grid.K, grid.m
+    rows = np.concatenate([coeffs, np.zeros((1, coeffs.shape[1]))])  # the last row stands for no mode
+    vals = np.take(rows, grid.synth_rows, axis=0).reshape((2 * K + 1,) * (m - 1) + (n, coeffs.shape[1]))
+    for axis in reversed(range(m)):
+        if axis < m - 1:
+            vals = _pad_axis(vals, axis, n, K)
+        vals = scipy.fft.ifft(vals, axis=axis, norm="forward")
     return vals
 
 
@@ -228,7 +251,8 @@ def analyze(grid, values, support=None):
     Exact inverse of ``synthesize`` for band-limited data; otherwise it is the
     aliased trigonometric interpolation restricted to the cube.  Runs an FFT
     along each axis, last to first, each scaled by 1/n (``norm="forward"``),
-    and keeps only that axis's 2K + 1 mode slabs before moving on.
+    and keeps only that axis's 2K + 1 mode slabs before moving on; the modes
+    are gathered straight from the last FFT's output (``grid.analyze_rows``).
 
     With ``support`` (one array of distinct grid indices per axis), ``values``
     holds only the box ``np.ix_(*support)`` of a field that vanishes
@@ -240,8 +264,10 @@ def analyze(grid, values, support=None):
     for axis in reversed(range(grid.m)):
         if support is not None:
             vals = _spread_axis(vals, axis, n, support[axis])
-        vals = _crop_axis(scipy.fft.fft(vals, axis=axis, norm="forward"), axis, n, K)
-    return vals[grid.box_index]
+        vals = scipy.fft.fft(vals, axis=axis, norm="forward")
+        if axis:
+            vals = _crop_axis(vals, axis, n, K)
+    return np.take(vals.reshape(-1, vals.shape[-1]), grid.analyze_rows, axis=0)
 
 
 def from_values(grid, values):
@@ -267,14 +293,21 @@ def _real_view(values):
 def pointwise_real_inner(a, b):
     """Re <a(x), b(x)> over the last axis, broadcasting the leading axes.
 
-    One ``einsum`` over real views of both, which is about twice as fast as
-    summing ``a.real * b.real + a.imag * b.imag``; complex or real, contiguous
-    or not.
+    One product of real views of both, then a sum of its 2N real columns in
+    a fixed order; for a 2-wide spinor axis that is about twice as fast as
+    an ``einsum`` over the same views, and four times as fast as summing
+    ``a.real * b.real + a.imag * b.imag``.  Complex or real, contiguous or
+    not.
     """
     a, b = np.asarray(a), np.asarray(b)
     if np.iscomplexobj(a) != np.iscomplexobj(b):  # a real factor pairs with the other's real part only
         a, b = a.real, b.real
-    return np.einsum("...ij,...ij->...", _real_view(a), _real_view(b))
+    prod = _real_view(a) * _real_view(b)
+    prod = prod.reshape(prod.shape[:-2] + (-1,))
+    out = prod[..., 0].copy()
+    for j in range(1, prod.shape[-1]):
+        out += prod[..., j]
+    return out
 
 
 def pointwise_modulus(values):

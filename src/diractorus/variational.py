@@ -72,7 +72,7 @@ from scipy.optimize import minimize as _scipy_minimize
 
 from .nonlinearity import critical_exponent, make_nonlinearity
 from .spectral import norm_lambda, project
-from .torus import SpinorField, analyze, pointwise_modulus, pointwise_real_inner, synthesize, zero_field
+from .torus import SpinorField, analyze, pointwise_real_inner, synthesize, zero_field
 
 
 class SolverFailure(RuntimeError):
@@ -84,18 +84,19 @@ class SolverFailure(RuntimeError):
 
 
 def _pack(z):
-    return np.concatenate([z.real, z.imag])
+    """Complex coordinates as the real vector (re z_0, im z_0, re z_1, ...): a view, no copy, of contiguous input."""
+    return np.ascontiguousarray(z, dtype=complex).reshape(-1).view(float)
 
 
 def _unpack(x):
-    n = x.size // 2
-    return x[:n] + 1j * x[n:]
+    """The inverse of ``_pack``: a complex view of the real vector x, no copy."""
+    return np.ascontiguousarray(x, dtype=float).view(complex)
 
 
 # ---------------------------------------------------------------------------
 # The energy functional
 
-_FLOOR = 1e-14  # modulus floor of the second variation's weights
+_FLOOR = 1e-28  # floor of the squared modulus in the second variation's weights (1e-14 on |u|)
 
 
 class Evaluation:
@@ -106,19 +107,21 @@ class Evaluation:
     ``lin`` = (D - lam) psi and ``nonlin`` = the band projection of g(|u|) u.
     ``nonlin`` holds the one analyze and is computed on first use, so a
     value-only caller never pays for it.  ``u`` holds the collocation values
-    of u, ``modulus`` their pointwise modulus |u| and ``gu`` those of
-    g(|u|) u, whose out-of-band part is the residual's spill.  ``second`` and
-    ``hvp`` give the second variation of the mass at u.  Solver evaluations have
-    u = psi; ``_FJet``'s has u = psi - T(psi), and its ``hvp`` leaves T' out.
+    of u, ``rho`` the pointwise squared modulus |u|^2 that every weight is
+    read from (``Nonlinearity.G_of_rho`` and its kin), and ``gu`` the values
+    of g(|u|) u, whose out-of-band part is the residual's spill.  ``second``
+    and ``hvp`` give the second variation of the mass at u.  Solver
+    evaluations have u = psi; ``_FJet``'s has u = psi - T(psi), and its
+    ``hvp`` leaves T' out.
     """
 
-    def __init__(self, fn, quadratic, mass, lin, u, modulus):
+    def __init__(self, fn, quadratic, mass, lin, u, rho):
         self.fn = fn
         self.quadratic = quadratic
         self.mass = mass
         self.lin = lin
         self.u = u
-        self.modulus = modulus
+        self.rho = rho
 
     @property
     def energy(self):
@@ -126,7 +129,7 @@ class Evaluation:
 
     @cached_property
     def gu(self):
-        return self.fn.nl.g(self.modulus)[..., None] * self.u
+        return self.fn.nl.g_of_rho(self.rho)[..., None] * self.u
 
     @cached_property
     def nonlin(self):
@@ -145,9 +148,9 @@ class Evaluation:
 
     @cached_property
     def _second_weights(self):
-        s = np.maximum(self.modulus, _FLOOR)
+        rho = np.maximum(self.rho, _FLOOR)
         nl = self.fn.nl
-        return nl.g(s)[..., None], (nl.g_prime(s) / s)[..., None]
+        return nl.g_of_rho(rho)[..., None], nl.radial_of_rho(rho)[..., None]
 
     def second(self, dv):
         """K''(u)[dv] = g(|u|) dv + (g'(|u|)/|u|) Re<u, dv> u on collocation values shaped like u.
@@ -197,14 +200,15 @@ class Functional:
     def _evaluate(self, a, values):
         """Quadratic part at eigen coordinates ``a``, mass at the collocation values ``values`` of u."""
         grid = self.split.grid
-        s = pointwise_modulus(values)
+        lin = self.shift * a
+        rho = pointwise_real_inner(values, values)
         return Evaluation(
             self,
-            quadratic=0.5 * grid.volume * float((self.shift * (a.real**2 + a.imag**2)).sum()),
-            mass=float(grid.cell * self.nl.G(s).sum()),
-            lin=self.shift * a,
+            quadratic=0.5 * grid.volume * float(np.vdot(a, lin).real),
+            mass=float(grid.cell * self.nl.G_of_rho(rho).sum()),
+            lin=lin,
             u=values,
-            modulus=s,
+            rho=rho,
         )
 
 
@@ -247,16 +251,17 @@ def _kernel_coords(fn, dirs, a, pv):
 
     ``fn`` is the pure-critical functional, ``a`` and ``pv`` are psi's eigen
     coordinates and collocation values, and ``dirs`` stacks the 2d real kernel
-    directions e_a, i e_a.  Damped Newton on the strictly convex
-    c -> K(psi - sum c_a e_a) = (1/2*) int |psi - sum c_a e_a|^{2*}, started
-    from the L^2 projection.  The gradient pairs the directions with
-    ``Evaluation.gu`` = g(|u|) u, the Hessian is ``_kernel_hessian``, and the
-    backtracking value is the evaluation's ``mass``.
+    directions e_1, i e_1, e_2, i e_2, ... (``_pack`` order).  Damped Newton
+    on the strictly convex c -> K(psi - sum c_a e_a) =
+    (1/2*) int |psi - sum c_a e_a|^{2*}, started from the L^2 projection.
+    The gradient pairs the directions with ``Evaluation.gu`` = g(|u|) u, the
+    Hessian is ``_kernel_hessian``, and the backtracking value is the
+    evaluation's ``mass``.
     """
     cell = fn.split.grid.cell
     ts = critical_exponent(fn.split.grid.m)
     d = len(dirs) // 2
-    e = dirs[:d]
+    e = dirs[::2]
 
     def evaluate(c):
         return fn._evaluate(a, pv - np.tensordot(c, e, axes=(0, 0)))
@@ -265,7 +270,7 @@ def _kernel_coords(fn, dirs, a, pv):
     c = np.array([cell * (pv * bv.conj()).sum() for bv in e], dtype=complex)
     ev = evaluate(c)
     # Stop when the gradient of int |u|^{2*} (2* times K's) is small against int |psi|^{2*}.
-    scale = max(1.0, cell * float((pointwise_modulus(pv) ** ts).sum())) / ts
+    scale = max(1.0, cell * float((pointwise_real_inner(pv, pv) ** (0.5 * ts)).sum())) / ts
     for _ in range(_T_MAX_ITER):
         grad = -_pair(dirs, ev.gu[None], cell)[:, 0]
         gnorm = np.linalg.norm(grad)
@@ -306,7 +311,7 @@ class _FJet:
         pv = psi.values()
         e = np.array([self.kernel.to_field(z).values() for z in np.eye(self.kernel.dim)])
         e = e.reshape((self.kernel.dim,) + pv.shape)
-        self.dirs = np.concatenate([e, 1j * e])
+        self.dirs = np.stack([e, 1j * e], axis=1).reshape((2 * self.kernel.dim,) + pv.shape)  # in ``_pack`` order
         fn = Functional(split, make_nonlinearity("zero", split.grid.m))
         self.c, self.ev = _kernel_coords(fn, self.dirs, split.table.to_eigen(psi.coeffs), pv)
 
@@ -328,7 +333,7 @@ class _FJet:
         """F''(psi)[phi, chi] including the T' correction."""
         du = chi.values()
         if self.kernel.dim:
-            du = du - np.tensordot(self.t_prime_coords(du), self.dirs[: self.kernel.dim], axes=(0, 0))
+            du = du - np.tensordot(self.t_prime_coords(du), self.dirs[::2], axes=(0, 0))
         return float(self.split.grid.cell * (phi.values().conj() * self.ev.second(du)).real.sum())
 
 
@@ -386,18 +391,24 @@ def tmfm_gap(split, psi, phi):
 
 
 class SubspaceCoords:
-    """Masked eigen entries with Euclidean coordinates matching ||.||_lambda."""
+    """Masked eigen entries with Euclidean coordinates matching ||.||_lambda.
+
+    Entries are addressed by their flat positions ``flat`` in the
+    (n_modes, N) eigen array, so packing and unpacking are one 1-d gather or
+    scatter each.
+    """
 
     def __init__(self, split, mask):
         self.table = split.table
         self.grid = split.grid
-        self.idx = np.nonzero(mask)
-        self.scale = np.sqrt(split.grid.volume * split.w2[self.idx])
-        self.dim = int(self.idx[0].size)
+        self.flat = np.flatnonzero(mask)
+        self.scale = np.sqrt(split.grid.volume * split.w2.ravel()[self.flat])
+        self.dim = int(self.flat.size)
 
-    def to_eigen(self, z):
-        a = np.zeros((self.grid.n_modes, self.table.N), dtype=complex)
-        a[self.idx] = z / self.scale
+    def to_eigen(self, z, base=None):
+        """Eigen coordinates of the coordinates ``z``, added in place onto the eigen array ``base`` when given."""
+        a = np.zeros((self.grid.n_modes, self.table.N), dtype=complex) if base is None else base
+        a.reshape(-1)[self.flat] += z / self.scale
         return a
 
     def from_eigen(self, a):
@@ -406,7 +417,7 @@ class SubspaceCoords:
         Applied to a lambda-metric gradient this gives the Euclidean gradient
         in these coordinates.
         """
-        return a[self.idx] * self.scale
+        return np.take(a.reshape(-1), self.flat) * self.scale
 
     def to_field(self, z):
         return SpinorField(self.grid, self.table.from_eigen(self.to_eigen(z)))
@@ -490,10 +501,13 @@ class _FiberCoords:
         self.dim = 1 + fn.inner.dim
 
     def to_eigen(self, x):
-        return x[0].real * self.phi_e + self.inner.to_eigen(x[1:])
+        return self.inner.to_eigen(x[1:], base=x[0].real * self.phi_e)
 
     def from_eigen(self, g):
-        return np.concatenate([[np.vdot(self.phi_dual, g).real], self.inner.from_eigen(g)])
+        out = np.empty(self.dim, dtype=complex)
+        out[0] = np.vdot(self.phi_dual, g).real
+        out[1:] = self.inner.from_eigen(g)
+        return out
 
 
 def fiber_maximize(fn, phi, gtol=1e-9, maxiter=500, start=None):
@@ -523,7 +537,7 @@ def fiber_maximize(fn, phi, gtol=1e-9, maxiter=500, start=None):
         if alpha <= 0:
             raise SolverFailure("fiber direction has no positive ray maximum", {"alpha": alpha})
         ts = critical_exponent(fn.split.grid.m)
-        beta = fn.split.grid.cell * float((ev.modulus**ts).sum())
+        beta = fn.split.grid.cell * float((ev.rho ** (0.5 * ts)).sum())
         t0, z0 = (alpha / beta) ** (1.0 / (ts - 2.0)), np.zeros(fn.inner.dim, dtype=complex)
     else:
         t0, z0 = start
@@ -592,37 +606,44 @@ def _ray_quotient(ev):
 
 
 def ray_opt_direction(split):
-    """Direction minimizing the ray quotient (``_ray_quotient``) over E^+ of the split.
+    """Direction minimizing the ray quotient (``_ray_quotient``) over E^+ of the split, and its L-BFGS record.
 
     The quotient is the exact maximum of the pure-critical energy along the
     ray t phi, hence a pointwise lower bound for the pure-critical fiber
     value M(phi); its minimizer is a cheap, strong initial direction for the
     sphere descent (no inner solves needed).  The L-BFGS
     run starts from a fixed random E^+ vector, so the direction is
-    reproducible.
+    reproducible.  It minimizes log Q, whose gradient Q'/Q is relative, and
+    stops at gtol 1e-8.  That sits above the rounding floor of Q'/Q (1e-11
+    to 2.5e-9 at K = 8, 16 and 32), where line searches fail in the noise,
+    and it is as tight at every lambda: near an eigenvalue Q is small
+    (7.9e-4 at lambda = 0.99), and a stop on Q' itself at 1e-8 there left a
+    start whose polish stalled.  Returns the lambda-unit field and
+    ``{evals, iterations, message}`` read off the L-BFGS result.
     """
     fn = Functional(split, make_nonlinearity("zero", split.grid.m))
     coords = SubspaceCoords(split, split.plus)
     rng = np.random.default_rng(1)
     z0 = rng.standard_normal(coords.dim) + 1j * rng.standard_normal(coords.dim)
-    z0 = z0 / (1.0 + split.w2[coords.idx] ** 2)
+    z0 = z0 / (1.0 + split.w2.ravel()[coords.flat] ** 2)
 
-    def fun(x):
+    def fun(x):  # log Q: its gradient Q'/Q is relative, so one gtol fits every lambda and cutoff
         val, rep = _ray_quotient(fn(coords.to_eigen(_unpack(x))))
-        return val, _pack(coords.from_eigen(rep / split.w2))
+        return np.log(val), _pack(coords.from_eigen(rep / (val * split.w2)))
 
     res = _scipy_minimize(
         fun,
         _pack(z0),
         jac=True,
         method="L-BFGS-B",
-        options={"maxiter": 600, "gtol": 1e-10, "ftol": 1e-16},
+        options={"maxiter": 600, "gtol": 1e-8, "ftol": 1e-16},
     )
     z = _unpack(res.x)
     nrm = float(np.linalg.norm(z))
     if nrm <= 0:
         raise SolverFailure("ray optimization collapsed to zero")
-    return coords.to_field(z / nrm)
+    info = {"evals": int(res.nfev), "iterations": int(res.nit), "message": str(res.message)}
+    return coords.to_field(z / nrm), info
 
 
 def sphere_minimize(fn, phi0, gtol, maxiter=120):

@@ -138,7 +138,7 @@ def test_polish_keeps_the_galerkin_energy_where_the_spill_is_large():
     assert in_band < 1e-8
     assert np.isclose(np.hypot(in_band, spill), pt.residual_l2)
     fn = Functional(sp, NL)
-    value, fiber, _ = sphere_minimize(fn, ray_opt_direction(sp), gtol=1e-9)
+    value, fiber, _ = sphere_minimize(fn, ray_opt_direction(sp)[0], gtol=1e-9)
     polish = polish_residual(fn, fiber.psi)
     assert abs(L_lambda(sp, NL, polish.psi) - value) < 1e-10
     assert np.isclose(pt.energy, polish.energy, rtol=1e-12, atol=0.0)
@@ -276,7 +276,7 @@ def test_a_least_solve_reuses_fiber_evaluations_and_polishes_in_the_lambda_metri
     # by 1/(|sigma - lambda| + 1) instead of 1/w2, made 74 products
     sp = split(assemble(2, 16), 0.7)
     fn = Functional(sp, NL)
-    phi0 = ray_opt_direction(sp)
+    phi0, _ = ray_opt_direction(sp)
     at_field, fields = Functional.at_field, []
     monkeypatch.setattr(Functional, "at_field", lambda self, psi: fields.append(psi) or at_field(self, psi))
     sphere_minimize(fn, phi0, gtol=1e-3)
@@ -291,7 +291,7 @@ def test_a_least_solve_reuses_fiber_evaluations_and_polishes_in_the_lambda_metri
 
 def _tight(fn, level, maxiter, **diagnostics):
     """A descent to gtol 1e-9 from the ray-quotient direction, polished on ``fn``."""
-    value, fiber, info = sphere_minimize(fn, ray_opt_direction(fn.split), gtol=1e-9, maxiter=maxiter)
+    value, fiber, info = sphere_minimize(fn, ray_opt_direction(fn.split)[0], gtol=1e-9, maxiter=maxiter)
     flags = [] if info["converged"] else ["descent-not-converged"]
     return _solved_point(fn, fiber, value, level, flags=flags, **diagnostics)
 
@@ -467,3 +467,79 @@ def test_ray_quotient_is_the_scale_invariant_ray_maximum_at_m3():
     fd = (_ray_quotient(fn(a + h * d))[0] - _ray_quotient(fn(a - h * d))[0]) / (2.0 * h)
     slope = float(table.grid.volume * (rep * d.conj()).real.sum())
     assert abs(slope - fd) <= 1e-6 * max(1.0, abs(fd))
+
+
+def test_the_polish_preconditioner_is_one_over_w2_per_real_coordinate(monkeypatch):
+    # MINRES runs on packed real coordinates; each of them, real or
+    # imaginary part, is weighted by 1/w2 of its own eigen entry
+    from diractorus.variational import _pack, _unpack
+
+    table = assemble(2, 4)
+    sp = split(table, 0.5)
+    seen = []
+    monkeypatch.setattr(branch, "minres", lambda A, b, M=None, **kw: seen.append(M) or (np.zeros_like(b), 0))
+    rng = np.random.default_rng(6)
+    polish_residual(Functional(sp, NL), plane_wave_solution(table, 0.5) + 1e-3 * random_field(table.grid, 2, rng))
+    z = rng.standard_normal(sp.w2.shape) + 1j * rng.standard_normal(sp.w2.shape)
+    got = _unpack(seen[0] @ _pack(z.ravel())).reshape(z.shape)
+    assert np.allclose(got, z / sp.w2, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("K", [8, 16])
+def test_ray_opt_stops_above_its_rounding_floor(K):
+    # the relative gradient Q'/Q bottoms out at 1e-11 to 2.5e-9; a stop on
+    # Q' at gtol 1e-10 ended 1 of these 8 runs in failed line searches (95
+    # evaluations at K = 8, lambda = 0.7) and took 65 evaluations at K = 16,
+    # lambda = 0.3
+    table = assemble(2, K)
+    for lam in (0.3, 0.5, 0.7, 0.9):
+        _, info = ray_opt_direction(split(table, lam))
+        assert info["message"].startswith("CONVERGENCE"), (lam, info)
+        assert 0 < info["iterations"] <= info["evals"] <= 30, (lam, info)
+
+
+@pytest.mark.parametrize("lam", [0.98, 0.99])
+def test_a_least_solve_next_to_an_eigenvalue_polishes_to_rounding(lam):
+    # Q is 3.2e-3 and 7.9e-4 here; a ray-opt stop on Q' at 1e-8 instead of
+    # on Q'/Q stopped early and the polish stalled at 2.7e-9 and 9.4e-9
+    pt = minimize_M(split(assemble(2, 16), lam), NL)
+    assert pt.accepted and pt.flags == [], pt.flags
+    assert pt.diagnostics["residual_in_band"] < 1e-11
+
+
+def test_a_least_point_records_its_ray_opt_run():
+    sp = split(assemble(2, 8), 0.7)
+    pt = minimize_M(sp, NL)
+    assert pt.diagnostics["init"] == "ray-opt"
+    assert pt.diagnostics["ray_opt"] == ray_opt_direction(sp)[1]
+    warm = minimize_M(sp, NL, init=pt.psi)
+    assert warm.diagnostics["init"] == "warm" and "ray_opt" not in warm.diagnostics
+
+
+def test_the_polish_step_count_does_not_hang_on_rounding():
+    # at K = 16, lambda = 0.9 the last Newton step used to land next to the
+    # stop by chance: the descent endpoint polished in 5 steps, and 2 of these
+    # 10 perturbations of it by 1e-13 relative in 4
+    sp = split(assemble(2, 16), 0.9)
+    fn = Functional(sp, NL)
+    _, fiber, _ = sphere_minimize(fn, ray_opt_direction(sp)[0], gtol=1e-3)
+    steps = polish_residual(fn, fiber.psi).steps
+    c = fiber.psi.coeffs
+    for seed in range(10):
+        noise = np.random.default_rng(seed).standard_normal(c.shape)
+        polish = polish_residual(fn, SpinorField(fiber.psi.grid, c * (1.0 + 1e-13 * noise)))
+        assert polish.steps == steps and polish.converged, seed
+
+
+def test_least_solves_stay_within_their_pass_budget(monkeypatch):
+    # passes are evaluations plus Hessian-vector products, machine-independent
+    # counts: 476 here (583 when ray-opt and the polish's last step chased
+    # rounding); the bound is that plus 10 %
+    passes = []
+    evaluate, hvp = Functional._evaluate, Evaluation.hvp
+    monkeypatch.setattr(Functional, "_evaluate", lambda self, *a: passes.append(1) or evaluate(self, *a))
+    monkeypatch.setattr(Evaluation, "hvp", lambda self, d: passes.append(1) or hvp(self, d))
+    table = assemble(2, 8)
+    for lam in (0.3, 0.5, 0.7, 0.9):
+        minimize_M(split(table, lam), NL)
+    assert len(passes) <= 523

@@ -269,3 +269,16 @@ def test_sphere_reference_data():
     d_plus = sum(mult for ev, mult in rows if ev <= Lam)
     target = weyl_cm_vol(2, volume=omega_sphere(2))
     assert abs(d_plus / Lam**2 - target) / target < 0.1
+
+
+@pytest.mark.parametrize("m, K", [(2, 5), (3, 2), (4, 1)])
+def test_eigen_transforms_match_the_einsum_form(m, K):
+    # the transforms are N broadcast products over basis rows and columns
+    # built once; the reference is the per-mode product as one einsum
+    table = assemble(m, K)
+    rng = np.random.default_rng(m)
+    c = random_field(table.grid, table.N, rng).coeffs
+    want_to = np.einsum("kia,ki->ka", table.basis.conj(), c)
+    want_from = np.einsum("kia,ka->ki", table.basis, c)
+    assert np.abs(table.to_eigen(c) - want_to).max() <= 1e-15 * np.abs(want_to).max()
+    assert np.abs(table.from_eigen(c) - want_from).max() <= 1e-15 * np.abs(want_from).max()

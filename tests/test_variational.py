@@ -458,7 +458,7 @@ def test_kernel_direction_ceiling(table, sp1):
         fn = Functional(sp1, NL, 1.0 - d)
         # chi = 0 is a critical point of the restriction; seed a kernel mode
         # so the ascent reaches the interior maximum.
-        kmask = sp1.zero[fn.inner.idx]
+        kmask = sp1.zero.ravel()[fn.inner.flat]
         z0 = np.zeros(fn.inner.dim, dtype=complex)
         z0[int(np.argmax(kmask))] = 0.5
         _, val, _, _ = _inner_maximize(fn.value_and_grad, fn.inner, z0, 1e-9, 500)
@@ -756,3 +756,41 @@ def test_tmfm_gap_runs_one_kernel_newton(monkeypatch, table, sp1):
     gap = tmfm_gap(sp1, psi, phi)
     assert calls["_kernel_coords"] == 1
     assert abs(gap - reference) <= 1e-6 * max(1.0, abs(reference))
+
+
+@pytest.mark.parametrize("m, K", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("kind", ["zero", "power", "log-critical"])
+def test_the_kernel_matches_the_modulus_form_of_the_nonlinearity(m, K, kind):
+    # the evaluation reads every weight off rho = |u|^2; the reference is
+    # G, g and g' of the modulus s = |u|, with the second variation's floor
+    # on s at 1e-14.  g' takes f' by a central difference with step 1e-7 s,
+    # whose own rounding is about 2.2e-16 / 1e-7: an ulp of s moves it by
+    # ~1e-9 relative, so with an f the second variation agrees to that level
+    params = {"zero": {}, "power": {"alpha": 0.8, "p": 2.5}, "log-critical": {"alpha": 0.5, "q": 1.0}}[kind]
+    nl = make_nonlinearity(kind, m, **params)
+    table = assemble(m, K)
+    rng = np.random.default_rng(41)
+    fn = Functional(split(table, 0.5), nl)
+    ev = fn(table.to_eigen(random_field(table.grid, table.N, rng, scale=0.6).coeffs))
+    dv = random_field(table.grid, table.N, rng).values()
+    s = np.linalg.norm(ev.u, axis=-1)
+    assert abs(ev.mass - table.grid.cell * nl.G(s).sum()) <= 1e-14 * abs(ev.mass)
+    want = nl.g(s)[..., None] * ev.u
+    assert np.abs(ev.gu - want).max() <= 1e-14 * np.abs(want).max()
+    sf = np.maximum(s, 1e-14)
+    beta = (ev.u.real * dv.real + ev.u.imag * dv.imag).sum(axis=-1)
+    want = nl.g(sf)[..., None] * dv + (nl.g_prime(sf) / sf * beta)[..., None] * ev.u
+    tol = 1e-14 if nl.is_zero() else 1e-8
+    assert np.abs(ev.second(dv) - want).max() <= tol * np.abs(want).max()
+
+
+def test_pack_and_unpack_are_inverse():
+    from diractorus.variational import _pack, _unpack
+
+    rng = np.random.default_rng(43)
+    z = rng.standard_normal(14) + 1j * rng.standard_normal(14)
+    x = _pack(z)
+    assert x.dtype == float and x.shape == (28,)
+    assert np.array_equal(_unpack(x), z)
+    assert np.array_equal(_pack(_unpack(x)), x)
+    assert np.array_equal(np.sort(x), np.sort(np.concatenate([z.real, z.imag])))
