@@ -35,14 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 from scipy.sparse import diags
 from scipy.sparse.linalg import LinearOperator, minres
 
 from .nonlinearity import check_hypotheses
 from .spectral import omega_sphere, split as make_split
 from .testspinor import radial_mass_ratio
-from .torus import SpinorField, l2_norm
+from .torus import SpinorField, cube_coefficients, l2_norm
 from .variational import (
     Functional,
     SolverFailure,
@@ -104,15 +103,16 @@ def _strong_residual(ev):
     The in-band part is the norm of ``ev.rep``, the Galerkin gradient: the L^2
     representative of L_lam'(psi) on the cutoff space, which the solvers drive
     to zero.  The spill is the part of g(|psi|) psi outside the band, read off
-    one full-cube FFT of the evaluation's ``gu``; fixed by psi, it estimates
-    the truncation error.  It is transformed on its own, not taken as the
-    full norm minus the band norm, which cancels to the square root of
-    rounding at a band-limited solution.  When the evaluation has not made
-    its band projection ``nonlin`` yet, the band part of the same cube gives
-    it, so the residual costs one transform of ``gu``, not two.
+    the full FFT cube of the evaluation's ``gu`` (``cube_coefficients``);
+    fixed by psi, it estimates the truncation error.  It is transformed on
+    its own, not taken as the full norm minus the band norm, which cancels
+    to the square root of rounding at a band-limited solution.  When the
+    evaluation has not made its band projection ``nonlin`` yet, the band
+    part of the same cube gives it, so the residual costs one transform of
+    ``gu``, not two.
     """
     grid = ev.fn.split.grid
-    cube = scipy.fft.fftn(ev.gu, axes=tuple(range(grid.m)), norm="forward")
+    cube = cube_coefficients(grid, ev.gu)
     if "nonlin" not in vars(ev):  # Evaluation.nonlin is a cached_property
         ev.nonlin = ev.fn.split.table.to_eigen(cube[grid.cube_index])
     cube[grid.cube_index] = 0.0

@@ -15,12 +15,14 @@ import argparse
 import csv
 import json
 import os
+import platform
 import sys
 import time
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .acceptance import SUITES, run_suite
@@ -54,12 +56,24 @@ def _write_csv(path, header, rows):
         writer.writerows([x if isinstance(x, str) else _fmt(x) for x in row] for row in rows)
 
 
+def _environment():
+    """The library versions a run's numbers came from, BLAS included."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+    }
+
+
 def _write_manifest(out_dir, cfg, command, extra=None, t0=None):
     manifest = {
         "tool": "diractorus",
         "version": __version__,
         "command": command,
         "config": cfg.to_dict(),
+        "environment": _environment(),
         "wall_clock_s": None if t0 is None else time.time() - t0,
     }
     if extra:

@@ -9,11 +9,17 @@ The construction is a fixed recursive tensor doubling from the m = 2 base
 pair (i*sigma_1, i*sigma_2), so the matrices are identical across runs and
 platforms.  All downstream sign choices (torus Dirac blocks, the Euclidean
 solution family) inherit the e_i^2 = -I convention from here.
+
+Every generator of the construction is monomial: one nonzero entry per row,
+a phase in {+-1, +-i}, since each is a tensor product of Pauli matrices up
+to such a phase.  Clifford multiplication runs per spinor component over that
+structure, (x . s)_i = sum_j x_j c_(j,i) s_(p_j(i)): m strided
+multiply-adds, with no (..., N, N) matrix built per point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,12 +36,27 @@ class CliffordError(ValueError):
 class CliffordRep:
     """Immutable gamma-matrix representation for dimension ``m``.
 
-    ``gamma`` is a tuple of m skew-adjoint complex (N, N) arrays.
+    ``gamma`` is a tuple of m skew-adjoint complex (N, N) arrays, each
+    monomial.  ``columns[j, i]`` is the column of row i's nonzero in e_j and
+    ``phases[j, i]`` its value, both (m, N) and read-only.
     """
 
     m: int
     N: int
     gamma: tuple
+    columns: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    phases: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+
+    def __post_init__(self):
+        gam = np.stack(self.gamma)
+        nonzero = gam != 0
+        if np.any(nonzero.sum(axis=-1) != 1):
+            raise CliffordError("each generator must have exactly one nonzero entry per row")
+        columns = nonzero.argmax(axis=-1)
+        phases = np.take_along_axis(gam, columns[..., None], axis=-1)[..., 0]
+        for name, value in (("columns", columns), ("phases", phases)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def relation_residuals(self):
         """Max residuals of the anticommutation and skew-adjointness relations.
@@ -111,8 +132,10 @@ def clifford_mul(rep, x, s):
     spinor, or each point's vector on its own spinor.
     """
     x, s = _check_shapes(rep, x, s)
-    xe = np.tensordot(x, rep.gamma, axes=(-1, 0))  # x . e, shape (..., N, N)
-    return np.einsum("...ij,...j->...i", xe, s)
+    out = x[..., :1] * (rep.phases[0] * np.take(s, rep.columns[0], axis=-1))
+    for j in range(1, rep.m):
+        out += x[..., j : j + 1] * (rep.phases[j] * np.take(s, rep.columns[j], axis=-1))
+    return out
 
 
 def one_minus_x_mul(rep, x, s):

@@ -35,10 +35,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .clifford import clifford_mul, one_minus_x_mul
+from .clifford import clifford_mul
 from .nonlinearity import critical_exponent
 from .spectral import dual_norm_eigen, omega_sphere
-from .torus import SpinorField, analyze, pointwise_modulus
+from .torus import SpinorField, analyze, pointwise_modulus, pointwise_real_inner
 
 
 class TestSpinorError(ValueError):
@@ -95,25 +95,51 @@ def cutoff_eta_prime(r, delta):
     return -du / delta
 
 
+def _squared_norm(x):
+    """|x|^2 over the last axis, a sum of component squares rather than a reduction over it."""
+    sq = x[..., 0] ** 2
+    for j in range(1, x.shape[-1]):
+        sq += x[..., j] ** 2
+    return sq
+
+
+def _solution_and_dirac(rep, x, psi0):
+    """``euclidean_solution`` and ``euclidean_dirac`` at the points x, one spinor component at a time.
+
+    Both share |x|^2, mu and x . psi_0, whose component i is
+    sum_j x_j (e_j psi_0)_i.  Every product runs on whole per-point arrays,
+    never broadcasting a per-point factor along the short spinor axis.
+    """
+    m = rep.m
+    sq = _squared_norm(x)
+    mu = 1.0 / (1.0 + sq)
+    images = clifford_mul(rep, np.eye(m), psi0)  # row j is e_j . psi_0
+    lead, slope = mu ** (m / 2.0), -m * mu ** (m / 2.0 + 1.0)
+    psi = np.empty(x.shape[:-1] + (rep.N,), dtype=complex)
+    dpsi = np.empty_like(psi)
+    for i in range(rep.N):
+        xpsi0 = x[..., 0] * images[0, i]
+        for j in range(1, m):
+            xpsi0 += x[..., j] * images[j, i]
+        psi[..., i] = lead * (psi0[i] - xpsi0)
+        dpsi[..., i] = slope * (xpsi0 + sq * psi0[i]) + m * lead * psi0[i]
+    return psi, dpsi
+
+
 def euclidean_solution(rep, x, params):
     """psi(x) = mu^(m/2) (1 - x) . psi_0 at one or many points x (last axis m)."""
-    x = np.asarray(x, dtype=float)
-    mu = 1.0 / (1.0 + (x**2).sum(axis=-1))
-    return mu[..., None] ** (rep.m / 2.0) * one_minus_x_mul(rep, x, params.direction(rep))
+    return _solution_and_dirac(rep, np.asarray(x, dtype=float), params.direction(rep))[0]
 
 
 def euclidean_dirac(rep, x, params):
     """Closed-form D psi(x), assembled from the two derivative terms.
 
-    D psi = -m mu^(m/2+1) x . ((1 - x) . psi_0) + m mu^(m/2) psi_0; no use of
-    the pointwise identity D psi = m mu psi, so this can cross-check it.
+    D psi = -m mu^(m/2+1) x . ((1 - x) . psi_0) + m mu^(m/2) psi_0, where the
+    Clifford relation x . x = -|x|^2 gives x . ((1 - x) . psi_0) =
+    x . psi_0 + |x|^2 psi_0.  No use of the pointwise identity
+    D psi = m mu psi, so this can cross-check it.
     """
-    x = np.asarray(x, dtype=float)
-    psi0 = params.direction(rep)
-    mu = 1.0 / (1.0 + (x**2).sum(axis=-1))[..., None]
-    m = rep.m
-    xdot = clifford_mul(rep, x, one_minus_x_mul(rep, x, psi0))
-    return -m * mu ** (m / 2.0 + 1.0) * xdot + m * mu ** (m / 2.0) * psi0
+    return _solution_and_dirac(rep, np.asarray(x, dtype=float), params.direction(rep))[1]
 
 
 def dirac_identity_fd_residual(rep, params, x, h):
@@ -151,7 +177,7 @@ def _chart_geometry(grid, center, delta):
     axes = _chart_coordinates(grid, center)
     box = tuple(np.flatnonzero(np.abs(a) < 2.0 * delta) for a in axes)
     y = np.stack(np.meshgrid(*(a[k] for a, k in zip(axes, box)), indexing="ij"), axis=-1)
-    r = np.sqrt((y**2).sum(axis=-1))
+    r = np.sqrt(_squared_norm(y))
     eta = cutoff_eta(r, delta)
     rr = np.where(r > 0, r, 1.0)
     grad_eta = cutoff_eta_prime(r, delta)[..., None] * y / rr[..., None]
@@ -163,14 +189,17 @@ def _chart_geometry(grid, center, delta):
 def _profile_values(grid, rep, params):
     """Exact samples of the cutoff rescaled solution on the cutoff's support box.
 
-    Returns ``(box, y, eta, grad_eta, psi_eps)``: the shared geometry of
-    ``_chart_geometry`` and the rescaled solution on the box points.
+    Returns ``(box, y, eta, grad_eta, psi_eps, dpsi_eps)``: the shared
+    geometry of ``_chart_geometry``, the rescaled solution on the box points
+    and its closed-form D psi_eps, both from one set of Euclidean terms at
+    y / eps.
     """
     center = None if params.center is None else tuple(float(c) for c in params.center)
     geometry = _chart_geometry(grid, center, float(params.delta))
-    scale = params.eps ** (-(rep.m - 1) / 2.0)
-    psi_eps = scale * euclidean_solution(rep, geometry[1] / params.eps, params)
-    return geometry + (psi_eps,)
+    psi, dpsi = _solution_and_dirac(rep, geometry[1] / params.eps, params.direction(rep))
+    psi_eps = params.eps ** (-(rep.m - 1) / 2.0) * psi
+    dpsi_eps = params.eps ** (-(rep.m + 1) / 2.0) * dpsi
+    return geometry + (psi_eps, dpsi_eps)
 
 
 class TestSpinorField(SpinorField):
@@ -196,13 +225,13 @@ def build_test_spinor(grid, rep, params):
     The returned ``TestSpinorField`` carries ``box_values`` (the exact
     pre-truncation collocation values on the support box), ``samples`` (the
     same on the full grid, built when read), ``params``, ``profile`` (the
-    support-box arrays ``(box, y, eta, grad_eta, psi_eps)`` the values
-    were built from) and ``resolution_warning`` (grid coarser than eight
+    support-box arrays ``(box, y, eta, grad_eta, psi_eps, dpsi_eps)`` the
+    values were built from) and ``resolution_warning`` (grid coarser than eight
     points per concentration scale).  Only the box is transformed.
     """
     if grid.m != rep.m:
         raise TestSpinorError("grid and representation dimensions differ")
-    box, y, eta, grad_eta, psi_eps = profile = _profile_values(grid, rep, params)
+    box, y, eta, grad_eta, psi_eps, _ = profile = _profile_values(grid, rep, params)
     values = eta[..., None] * psi_eps
     psi = TestSpinorField(grid, analyze(grid, values, support=box))
     psi.box_values = values
@@ -231,9 +260,9 @@ def energy_report(table, sp, psi, params=None):
     rep = table.rep
     params = params if params is not None else psi.params
     if params is psi.params:
-        box, y, eta, grad_eta, psi_eps = psi.profile
+        box, _, eta, grad_eta, psi_eps, dpsi_eps = psi.profile
     else:
-        box, y, eta, grad_eta, psi_eps = _profile_values(grid, rep, params)
+        box, _, eta, grad_eta, psi_eps, dpsi_eps = _profile_values(grid, rep, params)
     own = psi.profile[0]
     phi = psi.box_values
     ts = critical_exponent(grid.m)
@@ -243,12 +272,10 @@ def energy_report(table, sp, psi, params=None):
     l2star_pow = float(cell * (s**ts).sum())
 
     # Exact D phi = grad(eta) . psi_eps + eta D psi_eps in the chart.
-    eps = params.eps
-    dpsi_eps = eps ** (-(rep.m + 1) / 2.0) * euclidean_dirac(rep, y / eps, params)
     dphi = clifford_mul(rep, grad_eta, psi_eps) + eta[..., None] * dpsi_eps
     same_box = all(np.array_equal(a, b) for a, b in zip(box, own))
     phi_box = phi if same_box else psi.samples[np.ix_(*box)]
-    dirac_energy = float(cell * (dphi * phi_box.conj()).sum(axis=-1).real.sum())
+    dirac_energy = float(cell * pointwise_real_inner(dphi, phi_box).sum())
     free_energy = 0.5 * dirac_energy - l2star_pow / ts
 
     a = table.to_eigen(psi.coeffs)
@@ -259,7 +286,7 @@ def energy_report(table, sp, psi, params=None):
     dirac_spectral = float(grid.volume * (table.eigenvalues * (a.real**2 + a.imag**2)).sum())
 
     return {
-        "eps": float(eps),
+        "eps": float(params.eps),
         "l2": float(np.sqrt(l2_sq)),
         "l2_sq": l2_sq,
         "l2star": float(l2star_pow ** (1.0 / ts)),

@@ -32,6 +32,13 @@ Before each axis's FFT it zero-fills that axis from its support to n, so the
 zero cube outside the box is never built; the lines it transforms are those
 of the full cube, so the output is the same.
 
+Every FFT runs in place (``overwrite_x``) when its input is an array the
+transform made itself: the synthesis gather, a padded, spread or cropped
+axis, an earlier FFT's output, or a copy ``analyze`` made to convert real
+values.  On large grids the page faults of a fresh output array cost more
+than the transform itself.  The caller's array is never written: complex
+values reach the first FFT uncopied, and that FFT writes a new array.
+
 Mode ordering is lexicographic in (|k|^2, k), which makes every table built
 on top of the grid reproducible across runs.
 """
@@ -241,7 +248,7 @@ def synthesize(grid, coeffs):
     for axis in reversed(range(m)):
         if axis < m - 1:
             vals = _pad_axis(vals, axis, n, K)
-        vals = scipy.fft.ifft(vals, axis=axis, norm="forward")
+        vals = scipy.fft.ifft(vals, axis=axis, norm="forward", overwrite_x=True)
     return vals
 
 
@@ -261,13 +268,26 @@ def analyze(grid, values, support=None):
     """
     n, K = grid.n_grid, grid.K
     vals = np.asarray(values, dtype=complex)
+    # a spread axis or a converted copy is the transform's own; the caller's array is not
+    own = support is not None or (vals is not values and vals.base is None)
     for axis in reversed(range(grid.m)):
         if support is not None:
             vals = _spread_axis(vals, axis, n, support[axis])
-        vals = scipy.fft.fft(vals, axis=axis, norm="forward")
+        vals = scipy.fft.fft(vals, axis=axis, norm="forward", overwrite_x=own)
+        own = True
         if axis:
             vals = _crop_axis(vals, axis, n, K)
     return np.take(vals.reshape(-1, vals.shape[-1]), grid.analyze_rows, axis=0)
+
+
+def cube_coefficients(grid, values):
+    """All n^m Fourier coefficients of collocation values, FFT order on every axis.
+
+    The unpruned counterpart of ``analyze``, with the same 1/n^m scaling: the
+    modes of ``grid.modes`` sit at ``grid.cube_index``, the rest is spill
+    above the cutoff.  A new array; ``values`` is left alone.
+    """
+    return scipy.fft.fftn(values, axes=tuple(range(grid.m)), norm="forward")
 
 
 def from_values(grid, values):

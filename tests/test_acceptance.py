@@ -89,6 +89,25 @@ def test_criterion_4_free_energy_slope(records_4):
     _check([r for r in records_4 if "free energy" in r["name"]])
 
 
+# criterion 4's measurements as the sweep gives them, the red 8 pi record's
+# included; a change to the test-spinor path or the transforms under it that
+# moves one shows here, whatever the record's verdict
+CRITERION_4_MEASURED = {
+    "l2 mass exponent (fit with log power 1)": 1.0170127027894225,
+    "l2 mass ratio vs 8 pi at smallest eps": 12.849422398189494,
+    "dual norm of phi_eps: exponent 0.5": 0.5103834315597975,
+    "dual norm of residual R_eps: exponent 0.5": 0.4765622510740116,
+    "free energy gap |E(eps) - pi| slope >= 1.5": 2.0223538959984406,
+}
+
+
+def test_criterion_4_measurements_are_pinned(records_4):
+    assert [r["name"] for r in records_4] == list(CRITERION_4_MEASURED)
+    for r in records_4:
+        want = CRITERION_4_MEASURED[r["name"]]
+        assert abs(r["measured"] - want) <= 1e-11 * abs(want), r["name"]
+
+
 def test_criterion_5_omega_identity():
     _check(criterion_5())
 

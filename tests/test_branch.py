@@ -96,6 +96,23 @@ def test_residual_check_plane_wave():
     assert r > 0.1
 
 
+def test_hvp_and_residual_leave_the_evaluation_values_alone():
+    # u, gu and the field's cached values feed later transforms; neither the
+    # Hessian-vector product nor the strong residual may write into them
+    table = assemble(2, 6)
+    rng = np.random.default_rng(5)
+    psi = random_field(table.grid, 2, rng)
+    ev = Functional(split(table, 0.5), NL).at_field(psi)
+    u, gu = ev.u.copy(), ev.gu.copy()
+    assert np.isfinite(ev.rep).all()  # the band projection of gu: one analyze of it
+    ev.hvp(table.to_eigen(random_field(table.grid, 2, rng).coeffs))
+    branch._strong_residual(ev)
+    residual_check(table, NL, psi, 0.5)
+    assert np.array_equal(ev.u, u)
+    assert np.array_equal(ev.gu, gu)
+    assert np.array_equal(psi.values(), u)
+
+
 def test_polish_reduces_residual():
     table = assemble(2, 6)
     rng = np.random.default_rng(4)

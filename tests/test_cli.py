@@ -3,9 +3,11 @@
 import argparse
 import csv
 import json
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 from diractorus.cli import _DISPATCH, build_parser, main
 from diractorus.config import _COMMANDS, ConfigError, load_config, parse_lambda_grid
@@ -22,6 +24,16 @@ def test_clifford_subcommand(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:  # clifford takes no --check flag
         run_cli(["clifford", "--dim", "4", "--check", "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+def test_manifest_records_the_environment(tmp_path):
+    assert run_cli(["clifford", "--dim", "2", "--out", str(tmp_path)]) == 0
+    env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert env["scipy"] == scipy.__version__
+    assert set(env["blas"]) == {"name", "version"}
+    assert env["blas"]["name"]
 
 
 def test_spectrum_golden_format(tmp_path):

@@ -122,6 +122,33 @@ def test_isometry_properties(m):
         assert np.abs(op(rep, xs, ss[0]) - per_point).max() < 1e-14
 
 
+@pytest.mark.parametrize("m", range(2, 9))
+def test_clifford_mul_matches_the_dense_product(m):
+    rep = build_rep(m)
+    # the per-component product rests on one nonzero per generator row
+    for g, cols, phases in zip(rep.gamma, rep.columns, rep.phases):
+        assert np.array_equal(np.count_nonzero(g, axis=1), np.ones(rep.N))
+        assert np.array_equal(g[np.arange(rep.N), cols], phases)
+        assert set(phases) <= {1, -1, 1j, -1j}
+    rng = np.random.default_rng(60 + m)
+    xs = rng.standard_normal((3, 17, m))
+    ss = rng.standard_normal((3, 17, rep.N)) + 1j * rng.standard_normal((3, 17, rep.N))
+
+    def dense(x, s):
+        return np.einsum("...ij,...j->...i", np.tensordot(x, np.stack(rep.gamma), axes=(-1, 0)), s)
+
+    for x, s in ((xs, ss), (xs, ss[0, 0]), (xs[0, 0], ss), (xs[:, :1], ss[:1])):
+        want = dense(x, s)
+        got = clifford_mul(rep, x, s)
+        assert got.shape == want.shape == np.broadcast_shapes(x.shape[:-1], s.shape[:-1]) + (rep.N,)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_a_generator_with_two_entries_in_a_row_is_rejected():
+    with pytest.raises(CliffordError):
+        CliffordRep(m=2, N=2, gamma=(W1, np.full((2, 2), 1j)))
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_anticommutation_and_skew_pairing_on_vectors(m):
     rng = np.random.default_rng(40 + m)

@@ -213,7 +213,7 @@ def test_array_center_reports_as_the_tuple_center(sweep_table):
         psi = build_test_spinor(grid, rep, TestSpinorParams(eps=0.1, center=same))
         assert energy_report(sweep_table, sp, psi) == want
     # the shared geometry is read-only
-    box, y, eta, grad_eta, _ = psi.profile
+    box, y, eta, grad_eta, *_ = psi.profile
     for cached in (box[0], y, eta, grad_eta):
         with pytest.raises(ValueError):
             cached[(0,) * cached.ndim] = 1.0

@@ -8,6 +8,7 @@ from diractorus.torus import (
     SpinorField,
     TorusGrid,
     analyze,
+    cube_coefficients,
     from_values,
     l2_inner,
     l2_norm,
@@ -89,6 +90,11 @@ def test_pruned_transforms_match_full_cube_fft(m, K, n):
         got = analyze(g, values)
         want = _full_cube_analyze(g, values)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    # the unpruned transform holds the same modes at the grid's cube positions
+    cube = cube_coefficients(g, raw)
+    assert cube.shape == raw.shape
+    want = _full_cube_analyze(g, raw)
+    assert np.abs(cube[g.cube_index] - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def _support(kind, n):
@@ -124,6 +130,33 @@ def test_analyze_on_a_support_box_matches_the_scattered_cube(kinds):
     got = analyze(g, box, support=support)
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
     assert np.abs(got - _full_cube_analyze(g, cube)).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_transforms_leave_their_inputs_alone(m):
+    # the FFTs run in place only on arrays the transforms made themselves
+    rng = np.random.default_rng(20 + m)
+    g = make_grid(m, 3)
+    n = g.n_grid
+    coeffs = random_field(g, 2, rng).coeffs
+    before = coeffs.copy()
+    synthesize(g, coeffs)
+    assert np.array_equal(coeffs, before)
+    shape = (n,) * m + (2,)
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    wide = rng.standard_normal(shape[:-1] + (4,)) + 1j * rng.standard_normal(shape[:-1] + (4,))
+    support = tuple(_support("wrap", n) for _ in range(m))
+    cases = [
+        (raw, None),
+        (raw.real, None),  # real, a view into a complex array
+        (wide[..., ::2], None),  # not contiguous
+        (raw[np.ix_(*support)], support),
+    ]
+    for values, sup in cases:
+        before = values.copy()
+        got = analyze(g, values, support=sup)
+        assert np.array_equal(values, before)
+        assert np.array_equal(analyze(g, before, support=sup), got)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
