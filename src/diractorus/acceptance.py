@@ -394,7 +394,7 @@ def criterion_9():
     table3 = assemble(2, 3)
     sp1 = split(table3, 1.0)
     kernel, e = SubspaceCoords(sp1, sp1.zero), np.eye(sp1.kernel_dim)
-    shift = kernel.to_field(0.4 * e[1] - 0.9j * e[3])  # 0.4 e_1 - 0.9i e_3
+    shift = kernel.to_field((0.4 * e[1] - 0.9j * e[3]).view(float))  # 0.4 e_1 - 0.9i e_3
     worst_t = 0.0
     for _ in range(10):
         psi = random_field(table3.grid, 2, rng)
@@ -470,12 +470,13 @@ def criterion_11():
         d = random_field(table.grid, 2, rng, scale=0.6)
         return inner_lambda(sp, grad_L(sp, nl, a), d), lambda s: L_lambda(sp, nl, a + s * d), 1e-4
 
-    def sphere():  # reduced-functional gradient on the sphere
-        z = rng.standard_normal(coords.dim) + 1j * rng.standard_normal(coords.dim)
+    def sphere():  # reduced-functional gradient on the sphere, from complex draws per entry
+        n = coords.flat.size
+        z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).view(float)
         zhat = z / np.linalg.norm(z)
         _, grad, _ = m_lambda(sp2, nl, coords.to_field(zhat))
-        dz = rng.standard_normal(coords.dim) + 1j * rng.standard_normal(coords.dim)
-        dz -= np.vdot(zhat, dz).real * z / np.linalg.norm(z)  # scaled after the product, as recorded
+        dz = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).view(float)
+        dz -= (zhat @ dz) * z / np.linalg.norm(z)  # scaled after the product, as recorded
         dzhat = dz / np.linalg.norm(dz)
 
         def value(s):

@@ -45,8 +45,6 @@ from .torus import SpinorField, cube_coefficients, l2_norm
 from .variational import (
     Functional,
     SolverFailure,
-    _pack,
-    _unpack,
     default_sigma,
     nu_lambda_k,
     ray_opt_direction,
@@ -213,24 +211,24 @@ def polish_residual(fn, psi, ev=None):
     """
     table = fn.split.table
     shape, size = psi.coeffs.shape, 2 * psi.coeffs.size
-    precond = diags(np.repeat(1.0 / fn.split.w2.ravel(), 2))  # each real coordinate, in ``_pack`` order
+    precond = diags(np.repeat(1.0 / fn.split.w2.ravel(), 2))  # on the real view: re and im of each eigen entry
     ev = fn.at_field(psi) if ev is None else ev
     hvps = 0
 
     def hvp(x):  # the Hessian at the current iterate ``ev``
         nonlocal hvps
         hvps += 1
-        return _pack(ev.hvp(_unpack(x).reshape(shape)).ravel())
+        return ev.hvp(x.view(complex).reshape(shape)).view(float).ravel()
 
     hess = LinearOperator((size, size), matvec=hvp, dtype=float)
     pre = _strong_residual(ev)
     resid, prev, steps = pre[0], None, 0
     while steps < 20 and resid > _rounding_level(ev):
         rtol = _newton_rtol(resid, prev, _rounding_level(ev))
-        d = minres(hess, -_pack(ev.rep.ravel()), M=precond, rtol=rtol)[0]
+        d = minres(hess, -ev.rep.view(float).ravel(), M=precond, rtol=rtol)[0]
         if not np.isfinite(d).all():
             break
-        trial = SpinorField(psi.grid, psi.coeffs + table.from_eigen(_unpack(d).reshape(shape)))
+        trial = SpinorField(psi.grid, psi.coeffs + table.from_eigen(d.view(complex).reshape(shape)))
         trial_ev = fn.at_field(trial)
         trial_resid = _l2(psi.grid, trial_ev.rep)
         if not trial_resid < resid:

@@ -166,6 +166,16 @@ def _diagonalize_m2(modes, kabs):
 
 
 def _diagonalize_general(grid, rep, kabs):
+    """Per-mode eigenbasis of i k.gamma from ``eigh``, with a fixed phase per column.
+
+    The first component of each column within 1e-12 relative of its largest
+    modulus is made real and positive.  Components of equal modulus are
+    common (336 of the 4394 columns at m = 3, K = 6), and picking the
+    largest one would follow 1-ulp differences in eigh's output, so the
+    m = 3 basis, with one-dimensional eigenspaces, would depend on the
+    BLAS/LAPACK build.  At m >= 4 the eigenspaces have dimension N/2 >= 2,
+    and the basis inside them is still LAPACK's choice.
+    """
     gam = np.stack(rep.gamma)
     mats = 1j * np.einsum("kj,jab->kab", grid.modes.astype(float), gam)
     _, vecs = np.linalg.eigh(mats)  # vecs[k][:, a], eigenvalues ascending
@@ -179,9 +189,9 @@ def _diagonalize_general(grid, rep, kabs):
     zero = kabs == 0
     eigenvalues[zero] = 0.0
     vecs[zero] = np.eye(n)
-    # Deterministic phases: leading component of each column made real positive.
     cols = np.swapaxes(vecs, 1, 2)  # (k, a, i)
-    lead = np.argmax(np.abs(cols), axis=2)
+    mod = np.abs(cols)
+    lead = np.argmax(mod >= (1.0 - 1e-12) * mod.max(axis=2, keepdims=True), axis=2)
     piv = np.take_along_axis(cols, lead[:, :, None], axis=2)[:, :, 0]
     piv = np.where(piv == 0, 1.0, piv)
     cols = cols * (np.abs(piv) / piv)[:, :, None]

@@ -34,8 +34,8 @@ an eigenvalue, which criteria 9 and 11 measure, come from one pure-critical
 evaluation at u = psi - T(psi), held by ``_FJet``.  T runs on the same
 lambda-orthonormal coordinates as the solvers, restricted to the kernel
 block E^0: its weight is one, so their unit vectors are the L^2-orthonormal
-kernel directions e_a, and T(psi) and T'(psi)[chi] are the fields of their
-coordinates.  T is a damped Newton on those coordinates whose gradient,
+real kernel directions e_a and i e_a, and T(psi) and T'(psi)[chi] are the
+fields of their coordinates.  T is a damped Newton on those coordinates whose gradient,
 Hessian and backtracking value are read from evaluations at its iterates;
 S maximizes the unreduced R over E^0 + E^-.  A lambda within the split's
 tolerance of an eigenvalue is that eigenvalue (``spectral.split`` snaps it),
@@ -44,10 +44,11 @@ Euler-Lagrange equation is read off an evaluation too: its in-band part is
 ``rep``, and its out-of-band spill is that of ``gu``, the g(|u|) u whose band
 part is ``nonlin``.
 
-Solvers use lambda-orthonormal coordinates on masked eigen entries, so the
-Euclidean geometry handed to the quasi-Newton loops coincides with the
-||.||_lambda geometry; every L-BFGS run and its coordinate packing
-(``_pack``/``_unpack``) lives here.  The fiber maximum over {t phi + chi}
+Solvers use lambda-orthonormal coordinates on masked eigen entries
+(``SubspaceCoords``): the real and imaginary part of each entry, scaled to
+the lambda metric.  They are real vectors, the ones scipy optimizes, and
+their Euclidean geometry is the ||.||_lambda geometry; every L-BFGS run
+lives here.  The fiber maximum over {t phi + chi}
 is one L-BFGS ascent over (t, chi) jointly: by the generalized Nehari
 reduction its only critical point with t > 0 is the global maximum, and
 evenness of L maps a run that crosses t = 0 back from the mirror maximizer.
@@ -81,16 +82,6 @@ class SolverFailure(RuntimeError):
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
-
-
-def _pack(z):
-    """Complex coordinates as the real vector (re z_0, im z_0, re z_1, ...): a view, no copy, of contiguous input."""
-    return np.ascontiguousarray(z, dtype=complex).reshape(-1).view(float)
-
-
-def _unpack(x):
-    """The inverse of ``_pack``: a complex view of the real vector x, no copy."""
-    return np.ascontiguousarray(x, dtype=float).view(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +229,7 @@ _T_TOL, _T_MAX_ITER = 1e-12, 200  # the kernel Newton's relative gradient tolera
 def _kernel_hessian(ev, dirs):
     """The kernel Hessian at ``ev``: ``dirs`` paired with their ``Evaluation.second``, plus a ridge.
 
-    It is the Hessian of c -> K(psi - sum c_a e_a) in the 2d real kernel
+    It is the Hessian of c -> K(psi - sum c_a e_a) in the real kernel
     directions ``dirs``, positive semi-definite for the pure-critical mass, so
     the ridge 1e-13 max(1, largest diagonal entry) makes it positive definite.
     """
@@ -250,24 +241,22 @@ def _kernel_coords(fn, dirs, a, pv):
     """Coordinates c of T(psi) = sum_a c_a e_a and the evaluation of ``fn`` at u = psi - T(psi).
 
     ``fn`` is the pure-critical functional, ``a`` and ``pv`` are psi's eigen
-    coordinates and collocation values, and ``dirs`` stacks the 2d real kernel
-    directions e_1, i e_1, e_2, i e_2, ... (``_pack`` order).  Damped Newton
-    on the strictly convex c -> K(psi - sum c_a e_a) =
-    (1/2*) int |psi - sum c_a e_a|^{2*}, started from the L^2 projection.
+    coordinates and collocation values, and ``dirs`` stacks the collocation
+    values of the unit vectors e_a of the kernel coordinates, so c are those
+    coordinates.  Damped Newton on the strictly convex c -> K(psi - sum c_a e_a)
+    = (1/2*) int |psi - sum c_a e_a|^{2*}, started from the L^2 projection.
     The gradient pairs the directions with ``Evaluation.gu`` = g(|u|) u, the
     Hessian is ``_kernel_hessian``, and the backtracking value is the
     evaluation's ``mass``.
     """
     cell = fn.split.grid.cell
     ts = critical_exponent(fn.split.grid.m)
-    d = len(dirs) // 2
-    e = dirs[::2]
 
     def evaluate(c):
-        return fn._evaluate(a, pv - np.tensordot(c, e, axes=(0, 0)))
+        return fn._evaluate(a, pv - np.tensordot(c, dirs, axes=(0, 0)))
 
     # L^2 projection: exact minimizer for p = 2, warm start for p = 2*.
-    c = np.array([cell * (pv * bv.conj()).sum() for bv in e], dtype=complex)
+    c = _pair(dirs, pv[None], cell)[:, 0]
     ev = evaluate(c)
     # Stop when the gradient of int |u|^{2*} (2* times K's) is small against int |psi|^{2*}.
     scale = max(1.0, cell * float((pointwise_real_inner(pv, pv) ** (0.5 * ts)).sum())) / ts
@@ -276,7 +265,7 @@ def _kernel_coords(fn, dirs, a, pv):
         gnorm = np.linalg.norm(grad)
         if gnorm < _T_TOL * scale:
             break
-        step = _unpack(np.linalg.solve(_kernel_hessian(ev, dirs), -grad))
+        step = np.linalg.solve(_kernel_hessian(ev, dirs), -grad)
         alpha = 1.0
         for _ in range(40):
             trial = evaluate(c + alpha * step)
@@ -287,7 +276,7 @@ def _kernel_coords(fn, dirs, a, pv):
     else:
         raise SolverFailure(
             "kernel projector Newton did not converge",
-            {"grad_norm": gnorm, "dim": d, "iterations": _T_MAX_ITER},
+            {"grad_norm": gnorm, "dim": len(dirs) // 2, "iterations": _T_MAX_ITER},
         )
     return c, ev
 
@@ -299,9 +288,10 @@ class _FJet:
     u = psi - T(psi): its ``energy`` is L_T(psi), its ``mass`` is
     F_lam(psi) = (1/2*) |psi - T(psi)|_{2*}^{2*}, and its ``rep`` and
     ``grad`` are L_T'(psi), because T'(psi) drops out of the gradient at
-    f = 0.  ``kernel`` is the lambda-orthonormal E^0 block, whose unit vectors
-    are the L^2-orthonormal e_a, and ``c`` are T(psi)'s coordinates in it.  The
-    kernel Hessian that T' solves with is built on first use.
+    f = 0.  ``kernel`` is the lambda-orthonormal E^0 block, ``dirs`` the
+    collocation values of its unit vectors, the L^2-orthonormal real kernel
+    directions, and ``c`` are T(psi)'s coordinates in it.  The kernel Hessian
+    that T' solves with is built on first use.
     """
 
     def __init__(self, split, psi):
@@ -309,9 +299,8 @@ class _FJet:
         self.kernel = SubspaceCoords(split, split.zero)
         self.ts = critical_exponent(split.grid.m)
         pv = psi.values()
-        e = np.array([self.kernel.to_field(z).values() for z in np.eye(self.kernel.dim)])
-        e = e.reshape((self.kernel.dim,) + pv.shape)
-        self.dirs = np.stack([e, 1j * e], axis=1).reshape((2 * self.kernel.dim,) + pv.shape)  # in ``_pack`` order
+        dirs = [self.kernel.to_field(x).values() for x in np.eye(self.kernel.dim)]
+        self.dirs = np.array(dirs).reshape((self.kernel.dim,) + pv.shape)
         fn = Functional(split, make_nonlinearity("zero", split.grid.m))
         self.c, self.ev = _kernel_coords(fn, self.dirs, split.table.to_eigen(psi.coeffs), pv)
 
@@ -322,7 +311,7 @@ class _FJet:
     def t_prime_coords(self, chi_values):
         """Kernel coordinates of T'(psi)[chi], solving the linearized optimality system."""
         rhs = _pair(self.dirs, self.ev.second(chi_values)[None], self.split.grid.cell)[:, 0]
-        return _unpack(np.linalg.solve(self._hessian, rhs))
+        return np.linalg.solve(self._hessian, rhs)
 
     def first(self, phi):
         """F'(psi)[phi]."""
@@ -333,7 +322,7 @@ class _FJet:
         """F''(psi)[phi, chi] including the T' correction."""
         du = chi.values()
         if self.kernel.dim:
-            du = du - np.tensordot(self.t_prime_coords(du), self.dirs[::2], axes=(0, 0))
+            du = du - np.tensordot(self.t_prime_coords(du), self.dirs, axes=(0, 0))
         return float(self.split.grid.cell * (phi.values().conj() * self.ev.second(du)).real.sum())
 
 
@@ -391,11 +380,13 @@ def tmfm_gap(split, psi, phi):
 
 
 class SubspaceCoords:
-    """Masked eigen entries with Euclidean coordinates matching ||.||_lambda.
+    """Masked eigen entries with real Euclidean coordinates matching ||.||_lambda.
 
     Entries are addressed by their flat positions ``flat`` in the
-    (n_modes, N) eigen array, so packing and unpacking are one 1-d gather or
-    scatter each.
+    (n_modes, N) eigen array.  The coordinates of an entry are its real and
+    imaginary part times ``scale``, so ``dim`` is twice the number of entries,
+    and going to and from eigen coordinates is one 1-d scatter or gather on a
+    complex view of the real vector.
     """
 
     def __init__(self, split, mask):
@@ -403,12 +394,12 @@ class SubspaceCoords:
         self.grid = split.grid
         self.flat = np.flatnonzero(mask)
         self.scale = np.sqrt(split.grid.volume * split.w2.ravel()[self.flat])
-        self.dim = int(self.flat.size)
+        self.dim = 2 * int(self.flat.size)
 
-    def to_eigen(self, z, base=None):
-        """Eigen coordinates of the coordinates ``z``, added in place onto the eigen array ``base`` when given."""
+    def to_eigen(self, x, base=None):
+        """Eigen coordinates of the real coordinates ``x``, added in place onto the eigen array ``base`` when given."""
         a = np.zeros((self.grid.n_modes, self.table.N), dtype=complex) if base is None else base
-        a.reshape(-1)[self.flat] += z / self.scale
+        a.reshape(-1)[self.flat] += np.ascontiguousarray(x, dtype=float).view(complex) / self.scale
         return a
 
     def from_eigen(self, a):
@@ -417,10 +408,10 @@ class SubspaceCoords:
         Applied to a lambda-metric gradient this gives the Euclidean gradient
         in these coordinates.
         """
-        return np.take(a.reshape(-1), self.flat) * self.scale
+        return (np.take(a.reshape(-1), self.flat) * self.scale).view(float)
 
-    def to_field(self, z):
-        return SpinorField(self.grid, self.table.from_eigen(self.to_eigen(z)))
+    def to_field(self, x):
+        return SpinorField(self.grid, self.table.from_eigen(self.to_eigen(x)))
 
     def from_field(self, psi):
         return self.from_eigen(self.table.to_eigen(psi.coeffs))
@@ -440,23 +431,22 @@ def _inner_maximize(objective, coords, z0, gtol, maxiter):
     evals = [0]
 
     def fun(x):
-        val, grad = objective(coords.to_eigen(_unpack(x)))
+        val, grad = objective(coords.to_eigen(x))
         evals[0] += 1
-        return -val, -_pack(coords.from_eigen(grad))
+        return -val, -coords.from_eigen(grad)
 
     if coords.dim == 0:
-        val, _ = objective(coords.to_eigen(np.zeros(0, dtype=complex)))
-        return np.zeros(0, dtype=complex), val, 0.0, 0
+        val, _ = objective(coords.to_eigen(np.zeros(0)))
+        return np.zeros(0), val, 0.0, 0
     res = _scipy_minimize(
         fun,
-        _pack(z0),
+        z0,
         jac=True,
         method="L-BFGS-B",
         options={"gtol": gtol, "ftol": 1e-18, "maxiter": maxiter, "maxcor": 20},
     )
-    z = _unpack(res.x)
     gnorm = float(np.linalg.norm(res.jac))
-    return z, float(-res.fun), gnorm, evals[0]
+    return res.x, float(-res.fun), gnorm, evals[0]
 
 
 @dataclass
@@ -486,11 +476,10 @@ class FiberPoint:
 
 
 class _FiberCoords:
-    """Coordinates (t, z) of t phi + chi: entry 0 is the real scale t, the rest ``fn.inner``'s.
+    """Coordinates (t, z) of t phi + chi: entry 0 is the scale t, the rest ``fn.inner``'s.
 
     phi is lambda-unit and lambda-orthogonal to ``fn.inner``, so the
-    coordinates are lambda-orthonormal.  The imaginary part of entry 0 is
-    unused; its gradient is zero, so an ascent never moves it.
+    coordinates are lambda-orthonormal.
     """
 
     def __init__(self, fn, phi_e):
@@ -501,13 +490,10 @@ class _FiberCoords:
         self.dim = 1 + fn.inner.dim
 
     def to_eigen(self, x):
-        return self.inner.to_eigen(x[1:], base=x[0].real * self.phi_e)
+        return self.inner.to_eigen(x[1:], base=x[0] * self.phi_e)
 
     def from_eigen(self, g):
-        out = np.empty(self.dim, dtype=complex)
-        out[0] = np.vdot(self.phi_dual, g).real
-        out[1:] = self.inner.from_eigen(g)
-        return out
+        return np.concatenate([[np.vdot(self.phi_dual, g).real], self.inner.from_eigen(g)])
 
 
 def fiber_maximize(fn, phi, gtol=1e-9, maxiter=500, start=None):
@@ -538,7 +524,7 @@ def fiber_maximize(fn, phi, gtol=1e-9, maxiter=500, start=None):
             raise SolverFailure("fiber direction has no positive ray maximum", {"alpha": alpha})
         ts = critical_exponent(fn.split.grid.m)
         beta = fn.split.grid.cell * float((ev.rho ** (0.5 * ts)).sum())
-        t0, z0 = (alpha / beta) ** (1.0 / (ts - 2.0)), np.zeros(fn.inner.dim, dtype=complex)
+        t0, z0 = (alpha / beta) ** (1.0 / (ts - 2.0)), np.zeros(fn.inner.dim)
     else:
         t0, z0 = start
     last = {"a": None, "ev": None}
@@ -550,7 +536,7 @@ def fiber_maximize(fn, phi, gtol=1e-9, maxiter=500, start=None):
     x, value, grad_norm, evals = _inner_maximize(objective, coords, np.concatenate([[t0], z0]), gtol, maxiter)
     a = coords.to_eigen(x)
     ev = last["ev"] if np.array_equal(last["a"], a) else None
-    t, z = float(x[0].real), x[1:]
+    t, z = float(x[0]), x[1:]
     if t < 0:
         # L is even: a line-search step across t = 0 lands on the mirror maximizer.
         t, z, a, ev = -t, -z, -a, None
@@ -572,7 +558,7 @@ def fiber_maximize(fn, phi, gtol=1e-9, maxiter=500, start=None):
 def _sphere_grad(fn, coords, fiber, zhat):
     """t times the sphere-tangent part at zhat of the E^+ gradient at the fiber maximizer."""
     gz = coords.from_eigen(fiber.evaluated(fn).grad)
-    return fiber.t * (gz - np.vdot(zhat, gz).real * zhat)
+    return fiber.t * (gz - (zhat @ gz) * zhat)
 
 
 def m_lambda(split, nl, phi):
@@ -624,26 +610,25 @@ def ray_opt_direction(split):
     fn = Functional(split, make_nonlinearity("zero", split.grid.m))
     coords = SubspaceCoords(split, split.plus)
     rng = np.random.default_rng(1)
-    z0 = rng.standard_normal(coords.dim) + 1j * rng.standard_normal(coords.dim)
+    z0 = rng.standard_normal(coords.flat.size) + 1j * rng.standard_normal(coords.flat.size)
     z0 = z0 / (1.0 + split.w2.ravel()[coords.flat] ** 2)
 
     def fun(x):  # log Q: its gradient Q'/Q is relative, so one gtol fits every lambda and cutoff
-        val, rep = _ray_quotient(fn(coords.to_eigen(_unpack(x))))
-        return np.log(val), _pack(coords.from_eigen(rep / (val * split.w2)))
+        val, rep = _ray_quotient(fn(coords.to_eigen(x)))
+        return np.log(val), coords.from_eigen(rep / (val * split.w2))
 
     res = _scipy_minimize(
         fun,
-        _pack(z0),
+        z0.view(float),
         jac=True,
         method="L-BFGS-B",
         options={"maxiter": 600, "gtol": 1e-8, "ftol": 1e-16},
     )
-    z = _unpack(res.x)
-    nrm = float(np.linalg.norm(z))
+    nrm = float(np.linalg.norm(res.x))
     if nrm <= 0:
         raise SolverFailure("ray optimization collapsed to zero")
     info = {"evals": int(res.nfev), "iterations": int(res.nit), "message": str(res.message)}
-    return coords.to_field(z / nrm), info
+    return coords.to_field(res.x / nrm), info
 
 
 def sphere_minimize(fn, phi0, gtol, maxiter=120):
@@ -674,9 +659,8 @@ def sphere_minimize(fn, phi0, gtol, maxiter=120):
     last = {"fiber": None, "fiber_grad_max": 0.0, "fiber_evals": 0}
 
     def fun(x):
-        z = _unpack(x)
-        nrm = float(np.linalg.norm(z))
-        zhat = z / nrm
+        nrm = float(np.linalg.norm(x))
+        zhat = x / nrm
         prev = last["fiber"]
         start = None if prev is None else (prev.t, prev.z)
         fiber = fiber_maximize(fn, coords.to_field(zhat), gtol=1e-7, start=start)
@@ -686,11 +670,11 @@ def sphere_minimize(fn, phi0, gtol, maxiter=120):
         last["fiber_grad_max"] = max(last["fiber_grad_max"], fiber.grad_norm)
         last["fiber_evals"] += fiber.inner_evals
         last["gnorm"] = float(np.linalg.norm(gz))
-        return fiber.value, _pack(gz)
+        return fiber.value, gz
 
     res = _scipy_minimize(
         fun,
-        _pack(z0),
+        z0,
         jac=True,
         method="L-BFGS-B",
         options={"gtol": gtol, "ftol": 1e-16, "maxiter": maxiter, "maxcor": 25},
@@ -720,7 +704,7 @@ def _j_max(fn, phi_plus, z0=None):
     """J(phi_plus) = max of fn over phi_plus + fn.inner; returns (z, J, grad_norm, evals)."""
     coords = fn.inner
     base = fn.split.table.to_eigen(phi_plus.coeffs)
-    z0 = np.zeros(coords.dim, dtype=complex) if z0 is None else z0
+    z0 = np.zeros(coords.dim) if z0 is None else z0
     z, val, gnorm, evals = _inner_maximize(
         lambda chi: fn.value_and_grad(base + chi), coords, z0, 1e-10, 900
     )
@@ -770,8 +754,7 @@ def nehari_second_order(split, nl, phi_bar):
     direction = (1.0 / t_bar) * phi_bar
     fn = Functional(split, nl)
     h = 1e-4 * t_bar
-    z = np.zeros(fn.inner.dim, dtype=complex)
-    sp, z, _ = h_lambda(fn, (t_bar + h) * direction, z0=z)
+    sp, z, _ = h_lambda(fn, (t_bar + h) * direction)
     sm, z, _ = h_lambda(fn, (t_bar - h) * direction, z0=z)
     return t_bar**2 * (sp - sm) / (2.0 * h)
 
@@ -823,7 +806,7 @@ def s_lambda(split, nl, phi_nehari):
         return r_val, rep / split.w2
 
     z, val, gnorm, evals = _inner_maximize(
-        objective, fn.inner, np.zeros(fn.inner.dim, dtype=complex), 1e-10, 400
+        objective, fn.inner, np.zeros(fn.inner.dim), 1e-10, 400
     )
     return float(val), fn.inner.to_field(z), {"grad_norm": gnorm, "inner_evals": evals}
 
@@ -846,10 +829,10 @@ def nu_lambda_k(fn, fiber, n_starts=8):
         raise SolverFailure(f"nu requires lam <= lambda_k = {fn.split.lam}, got {fn.lam}")
     best, values = fiber, [fiber.value]
     rng = np.random.default_rng(0)
-    dim = fn.inner.dim
+    n = fn.inner.flat.size
     for _ in range(max(0, n_starts - 1)):
-        z = 0.3 * best.t * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / max(np.sqrt(dim), 1.0)
-        fib = fiber_maximize(fn, fiber.phi, start=(best.t, z))
+        z = 0.3 * best.t * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / max(np.sqrt(n), 1.0)
+        fib = fiber_maximize(fn, fiber.phi, start=(best.t, z.view(float)))
         values.append(fib.value)
         if fib.value > best.value + 1e-8:
             best = fib

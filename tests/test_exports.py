@@ -2,6 +2,8 @@
 
 import inspect
 
+import numpy as np
+
 import diractorus
 
 
@@ -37,3 +39,24 @@ def test_every_traced_layer_resolves():
     targets = [(getattr(diractorus, mod), attr) for mod, attrs in layers.items() for attr in attrs]
     targets += [(diractorus.spectral.EigenTable, attr) for attr in ("to_eigen", "from_eigen")]
     assert [f"{owner.__name__}.{attr}" for owner, attr in targets if not callable(vars(owner).get(attr))] == []
+
+
+def test_the_inner_ascent_returns_its_evaluation_count():
+    # the benchmark's tracer reads entry 3 of ``_inner_maximize``'s result as
+    # the layer's inner-evaluation count
+    from diractorus.variational import SubspaceCoords, _inner_maximize
+
+    sp = diractorus.split(diractorus.assemble(2, 2), 0.5)
+    coords = SubspaceCoords(sp, sp.minus)
+    target = coords.to_eigen(np.linspace(-1.0, 1.0, coords.dim))
+    calls = []
+
+    def objective(a):  # -||a - target||_lambda^2 / 2, maximized at the target
+        calls.append(1)
+        r = coords.from_eigen(a - target)
+        return -0.5 * float(r @ r), target - a
+
+    result = _inner_maximize(objective, coords, np.zeros(coords.dim), 1e-10, 50)
+    assert len(result) == 4
+    assert result[3] == len(calls) > 0
+    assert np.allclose(coords.to_eigen(result[0]), target, atol=1e-8)

@@ -107,6 +107,18 @@ def test_eigen_residual(m, K):
     assert table.eigen_residual() < 1e-12
 
 
+def test_the_m3_eigenvector_phase_does_not_follow_rounding():
+    # 336 of the 4394 columns have two components of equal modulus; the first
+    # of them, not whichever eigh rounds larger, is made real and positive
+    cols = np.swapaxes(assemble(3, 6).basis, 1, 2)  # (mode, column, component)
+    mod = np.abs(cols)
+    tied = mod >= (1.0 - 1e-12) * mod.max(axis=2, keepdims=True)
+    assert (tied.sum(axis=2) > 1).sum() > 100
+    lead = np.take_along_axis(cols, np.argmax(tied, axis=2)[:, :, None], axis=2)[:, :, 0]
+    assert lead.real.min() > 0
+    assert np.abs(lead.imag).max() <= 1e-15
+
+
 def test_spectrum_symmetric_with_multiplicities():
     table = assemble(2, 6)
     for Lam in (1.0, 2.5, 4.0, 6.0):

@@ -59,10 +59,16 @@ def kernel1(sp1):
 
 
 def kernel_field(kernel, coords):
-    """The kernel field sum_a c_a e_a, from {a: c_a}."""
-    z = np.zeros(kernel.dim, dtype=complex)
+    """The kernel field sum_a c_a e_a, from complex {a: c_a}."""
+    z = np.zeros(kernel.flat.size, dtype=complex)
     z[list(coords)] = list(coords.values())
-    return kernel.to_field(z)
+    return kernel.to_field(z.view(float))
+
+
+def complex_draw(rng, coords):
+    """One complex standard normal per entry of ``coords``, as its real coordinates."""
+    n = coords.flat.size
+    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)).view(float)
 
 
 def unit_plane_wave(table, sp, k=(1, 0)):
@@ -214,7 +220,7 @@ def test_mu_global_max_over_fiber_samples(table, sp05):
     coords = SubspaceCoords(sp05, sp05.zero | sp05.minus)
     for _ in range(50):
         t = fib.t * (0.2 + 2.0 * rng.random())
-        z = rng.standard_normal(coords.dim) + 1j * rng.standard_normal(coords.dim)
+        z = complex_draw(rng, coords)
         z *= rng.random() * fib.t / max(np.linalg.norm(z), 1e-12)
         trial = SpinorField(table.grid, t * fib.phi.coeffs + coords.to_field(z).coeffs)
         assert L_lambda(sp05, NL, trial) <= fib.value + 1e-8
@@ -238,8 +244,8 @@ def test_fiber_maximum_is_start_independent(table, sp05):
     cold = fiber_maximize(fn, phi)
     t_star = cold.t
     z_star = fn.inner.from_field(cold.psi - t_star * cold.phi)
-    z_rand = t_star * (rng.standard_normal(fn.inner.dim) + 1j * rng.standard_normal(fn.inner.dim))
-    z_rand /= np.sqrt(fn.inner.dim)
+    z_rand = t_star * complex_draw(rng, fn.inner)
+    z_rand /= np.sqrt(fn.inner.flat.size)
     starts = [(0.5 * t_star, z_rand), (2.0 * t_star, np.zeros_like(z_star)), (-t_star, z_star)]
     for t0, z0 in starts:
         fib = fiber_maximize(fn, phi, start=(t0, z0))
@@ -307,13 +313,13 @@ def test_m_lambda_gradient_fd(table, sp05):
     coords = SubspaceCoords(sp05, sp05.plus)
     worst = 0.0
     for _ in range(5):
-        z = rng.standard_normal(coords.dim) + 1j * rng.standard_normal(coords.dim)
+        z = complex_draw(rng, coords)
         zhat = z / np.linalg.norm(z)
         phi = coords.to_field(zhat)
         val, grad, _ = m_lambda(sp05, NL, phi)
         assert val > 0
-        dz = rng.standard_normal(coords.dim) + 1j * rng.standard_normal(coords.dim)
-        dz -= np.vdot(zhat, dz).real * zhat
+        dz = complex_draw(rng, coords)
+        dz -= (zhat @ dz) * zhat
         dz /= np.linalg.norm(dz)
         d = coords.to_field(dz)
         h = 1e-4
@@ -459,8 +465,8 @@ def test_kernel_direction_ceiling(table, sp1):
         # chi = 0 is a critical point of the restriction; seed a kernel mode
         # so the ascent reaches the interior maximum.
         kmask = sp1.zero.ravel()[fn.inner.flat]
-        z0 = np.zeros(fn.inner.dim, dtype=complex)
-        z0[int(np.argmax(kmask))] = 0.5
+        z0 = np.zeros(fn.inner.dim)
+        z0[2 * int(np.argmax(kmask))] = 0.5  # the real part of the first kernel entry
         _, val, _, _ = _inner_maximize(fn.value_and_grad, fn.inner, z0, 1e-9, 500)
         sups.append(val)
     sups = np.array(sups)
@@ -554,7 +560,7 @@ def test_unreduced_fiber_maximum_equals_the_T_reduced_one(table, sp1, seed):
     # L_T over {t phi + chi : chi in E^-}, phi lambda-unit, started at (full.t, 0)
     t_reduced_fiber = SimpleNamespace(split=sp1, inner=SubspaceCoords(sp1, sp1.minus))
     coords = _FiberCoords(t_reduced_fiber, table.to_eigen(full.phi.coeffs))
-    x0 = np.concatenate([[full.t], np.zeros(coords.dim - 1)]).astype(complex)
+    x0 = np.concatenate([[full.t], np.zeros(coords.dim - 1)])
     reduced = _inner_maximize(_t_reduced(sp1), coords, x0, 1e-10, 500)[1]
     assert abs(full.value - reduced) <= 1e-9 * abs(reduced)
     chi0 = project(sp1, full.psi, "zero")
@@ -566,7 +572,7 @@ def test_unreduced_j_equals_the_T_reduced_one(table, sp1):
     phi = (1.5 / norm_lambda(sp1, raw)) * raw
     _, jval, _ = eta_lambda(sp1, NL, phi)
     base, minus, objective = table.to_eigen(phi.coeffs), SubspaceCoords(sp1, sp1.minus), _t_reduced(sp1)
-    z0 = np.zeros(minus.dim, dtype=complex)
+    z0 = np.zeros(minus.dim)
     reduced = _inner_maximize(lambda chi: objective(base + chi), minus, z0, 1e-10, 900)[1]
     assert abs(jval - reduced) <= 1e-9 * abs(reduced)
 
@@ -585,7 +591,7 @@ def test_s_lambda_at_an_eigenvalue_equals_the_T_reduced_maximum(table, sp1, seed
         r_val, rep = _rayleigh(_FJet(sp1, SpinorField(table.grid, table.from_eigen(base + chi))).ev)
         return r_val, rep / sp1.w2
 
-    reduced = _inner_maximize(objective, minus, np.zeros(minus.dim, dtype=complex), 1e-10, 400)[1]
+    reduced = _inner_maximize(objective, minus, np.zeros(minus.dim), 1e-10, 400)[1]
     assert abs(sval - reduced) <= 1e-9 * abs(reduced)
     assert abs(sval**2 - 4.0 * j_lambda(sp1, NL, phi_bar)) <= 1e-9 * sval**2
 
@@ -784,13 +790,32 @@ def test_the_kernel_matches_the_modulus_form_of_the_nonlinearity(m, K, kind):
     assert np.abs(ev.second(dv) - want).max() <= tol * np.abs(want).max()
 
 
-def test_pack_and_unpack_are_inverse():
-    from diractorus.variational import _pack, _unpack
-
+def test_solver_coordinates_are_real_and_lambda_orthonormal(table, sp05):
+    # a coordinate vector is the real vector scipy optimizes: the (re, im)
+    # pair of each masked eigen entry, scaled to the lambda metric
     rng = np.random.default_rng(43)
-    z = rng.standard_normal(14) + 1j * rng.standard_normal(14)
-    x = _pack(z)
-    assert x.dtype == float and x.shape == (28,)
-    assert np.array_equal(_unpack(x), z)
-    assert np.array_equal(_pack(_unpack(x)), x)
-    assert np.array_equal(np.sort(x), np.sort(np.concatenate([z.real, z.imag])))
+    fn = Functional(sp05, NL)
+    for coords in (fn.inner, SubspaceCoords(sp05, sp05.plus), SubspaceCoords(sp05, sp05.zero)):
+        assert coords.dim == 2 * coords.flat.size
+        x = rng.standard_normal(coords.dim)
+        a = coords.to_eigen(x)
+        assert np.array_equal(a.ravel()[coords.flat], (x[::2] + 1j * x[1::2]) / coords.scale)
+        back = coords.from_eigen(a)
+        # x / scale * scale rounds twice, so the round trip is exact to an ulp or two
+        assert back.dtype == float and np.allclose(back, x, rtol=1e-15, atol=0.0)
+        assert abs(x @ x - norm_lambda(sp05, coords.to_field(x)) ** 2) <= 1e-14 * (x @ x)
+    # the fiber coordinates (t, z): a real scale t and the inner coordinates
+    phi = project(sp05, random_field(table.grid, 2, rng), "plus")
+    phi = (1.0 / norm_lambda(sp05, phi)) * phi
+    coords = _FiberCoords(fn, table.to_eigen(phi.coeffs))
+    assert coords.dim == 1 + fn.inner.dim
+    x = np.concatenate([[1.3], 0.2 * rng.standard_normal(fn.inner.dim)])
+    g = coords.from_eigen(fn(coords.to_eigen(x)).grad)
+    assert g.dtype == float and g.shape == (coords.dim,)
+    h = 1e-5
+
+    def energy_at(t):
+        return fn(coords.to_eigen(np.concatenate([[t], x[1:]]))).energy
+
+    fd = (energy_at(x[0] + h) - energy_at(x[0] - h)) / (2.0 * h)
+    assert abs(g[0] - fd) <= 1e-8 * max(1.0, abs(fd))
