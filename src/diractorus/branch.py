@@ -35,8 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import diags
-from scipy.sparse.linalg import LinearOperator, minres
 
 from .nonlinearity import check_hypotheses
 from .spectral import omega_sphere, split as make_split
@@ -180,6 +178,18 @@ def _newton_rtol(resid, prev, target):
     return max(0.025 * target / (resid * slack), 1e-6)
 
 
+def minres(A, b, **kwargs):
+    """scipy.sparse.linalg.minres, imported on the first polish.
+
+    The import waits for the call so that ``import diractorus`` and runs
+    that never solve do not load scipy.sparse; after the first call it is
+    a lookup in Python's module cache.
+    """
+    from scipy.sparse.linalg import minres
+
+    return minres(A, b, **kwargs)
+
+
 def polish_residual(fn, psi, ev=None):
     """Newton polish of a near-solution on the Galerkin problem of the functional ``fn``.
 
@@ -209,6 +219,9 @@ def polish_residual(fn, psi, ev=None):
     the sphere descent stops coarse, so an unfinished polish leaves the
     reported energy unfinished too.
     """
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import LinearOperator
+
     table = fn.split.table
     shape, size = psi.coeffs.shape, 2 * psi.coeffs.size
     precond = diags(np.repeat(1.0 / fn.split.w2.ravel(), 2))  # on the real view: re and im of each eigen entry

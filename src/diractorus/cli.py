@@ -57,13 +57,21 @@ def _write_csv(path, header, rows):
 
 
 def _environment():
-    """The library versions a run's numbers came from, BLAS included."""
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    """The library versions a run's numbers came from, BLAS included.
+
+    numpy before 1.25 has no ``show_config(mode=...)``; there the BLAS is
+    recorded as unknown.
+    """
+    blas = {}
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        pass
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas": {"name": blas.get("name", "unknown"), "version": blas.get("version", "unknown")},
     }
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 
 class NonlinearityError(ValueError):
@@ -194,6 +193,8 @@ def _make_log_critical(m, alpha, q):
 
 def f5_integral(nl, rho):
     """The (f_5) quantity rho^(m-1) / |ln rho|^max(3-m, 0) * int_0^(1/rho) F(...) r^(m-1) dr."""
+    from scipy.integrate import quad
+
     m = nl.m
     ex = 0.5 * (m - 1.0)
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .clifford import clifford_mul
 from .nonlinearity import critical_exponent
@@ -360,20 +359,28 @@ def sweep(table, sp, eps_values, delta):
     return rows
 
 
+@lru_cache(maxsize=None)
+def _bubble_integral(m):
+    """int_0^inf r^(m-1)/(1+r^2)^m dr by quadrature (scipy.integrate is imported on the first call)."""
+    from scipy.integrate import quad
+
+    return quad(lambda r: r ** (m - 1.0) / (1.0 + r * r) ** m, 0.0, np.inf)[0]
+
+
 def omega_identity_residual(m):
     """|2^m omega_(m-1) int_0^inf r^(m-1)/(1+r^2)^m dr - omega_m|."""
-    val, _ = quad(lambda r: r ** (m - 1.0) / (1.0 + r * r) ** m, 0.0, np.inf)
-    return abs(2.0**m * omega_sphere(m - 1) * val - omega_sphere(m))
+    return abs(2.0**m * omega_sphere(m - 1) * _bubble_integral(m) - omega_sphere(m))
 
 
 def l2star_mass_limit(m):
     """Limit of |phi_eps|_{2*}^{2*} as eps -> 0: m^m omega_(m-1) int r^(m-1)/(1+r^2)^m dr."""
-    val, _ = quad(lambda r: r ** (m - 1.0) / (1.0 + r * r) ** m, 0.0, np.inf)
-    return float(m**m * omega_sphere(m - 1) * val)
+    return float(m**m * omega_sphere(m - 1) * _bubble_integral(m))
 
 
 def radial_mass_ratio(nl, delta, eps):
     """int F(|phi_eps|) / int |phi_eps|^2 by radial quadrature (lam <= 0 probe)."""
+    from scipy.integrate import quad
+
     m = nl.m
     amp = m ** ((m - 1) / 2.0) * eps ** (-(m - 1) / 2.0)
 

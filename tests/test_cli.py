@@ -36,6 +36,15 @@ def test_manifest_records_the_environment(tmp_path):
     assert env["blas"]["name"]
 
 
+def test_manifest_records_an_unknown_blas_on_numpy_before_1_25(tmp_path, monkeypatch):
+    # numpy 1.24's show_config takes no mode argument
+    monkeypatch.setattr(np, "show_config", lambda: None)
+    assert run_cli(["clifford", "--dim", "2", "--out", str(tmp_path)]) == 0
+    env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+    assert env["blas"] == {"name": "unknown", "version": "unknown"}
+    assert env["numpy"] == np.__version__
+
+
 def test_spectrum_golden_format(tmp_path):
     assert run_cli(["spectrum", "--dim", "2", "--cutoff", "2", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "results.csv").read_text().splitlines()

@@ -1,0 +1,48 @@
+"""Which scipy subpackages a run loads, seen from a fresh interpreter.
+
+The parent test process has imported everything the other tests use, so
+the check runs in a subprocess.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import diractorus
+from diractorus import check_hypotheses, make_nonlinearity
+
+HEAVY = ("scipy.optimize", "scipy.sparse", "scipy.sparse.linalg", "scipy.integrate")
+
+SCRIPT = """
+import json, sys
+import diractorus as d
+
+def loaded():
+    return [name for name in %r if name in sys.modules]
+
+out = {"import": loaded()}
+table = d.assemble(2, 8, n_grid=64)
+params = d.TestSpinorParams(eps=0.2)
+psi = d.build_test_spinor(table.grid, table.rep, params)
+d.energy_report(table, d.split(table, 0.5), psi, params=params)
+out["sweep"] = loaded()
+d.minimize_M(d.split(d.assemble(2, 6), 0.7), d.make_nonlinearity("power", 2, alpha=1, p=3))
+out["solve"] = loaded()
+out["report"] = d.check_hypotheses(d.make_nonlinearity("power", 2, alpha=1, p=3))
+out["hypotheses"] = loaded()
+print(json.dumps(out))
+""" % (HEAVY,)
+
+
+def test_a_sweep_loads_no_solver_stack_and_a_solve_loads_it_on_first_call():
+    src = str(Path(diractorus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    assert out["import"] == [] and out["sweep"] == []
+    assert out["solve"] == ["scipy.optimize", "scipy.sparse", "scipy.sparse.linalg"]
+    assert out["hypotheses"] == list(HEAVY)
+    assert out["report"] == check_hypotheses(make_nonlinearity("power", 2, alpha=1, p=3))
