@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .iterative import minres
 from .nonlinearity import check_hypotheses
 from .spectral import omega_sphere, split as make_split
 from .testspinor import radial_mass_ratio
@@ -144,6 +145,7 @@ class Polish:
     steps: int  # Newton steps kept
     hvps: int  # Hessian-vector products of the MINRES solves
     converged: bool  # in_band within 10 times the rounding level the polish aims at
+    minres: list  # per MINRES solve, kept step or not: its iterations, stop code and relative residual estimate
 
     @property
     def residual(self):
@@ -165,29 +167,18 @@ def _newton_rtol(resid, prev, target):
     dominated).  While that is above ``target`` the step solves to 1e-4.
     Once it is below, the step can be the last one, and it aims at 0.025
     target: a fortieth of the target below it, by design instead of by luck.
-    scipy's MINRES stops on its own test, ||r|| / (||A|| ||x||) with r in
-    the preconditioned norm, which leaves the L^2 residual above rtol times
-    resid (3 to 240 times in the steps measured at K = 16); the last step's
-    landing, resid / (rtol_prev residual_prev), measures that slack
-    (quadratic error included, so it overestimates it), and the aim is
-    divided by it.  The solve is never asked for less than 1e-6.
+    MINRES (``iterative.minres``, Paige-Saunders) stops on its own test,
+    ||r|| / (||A|| ||x||) with r in the preconditioned norm, which leaves the
+    L^2 residual above rtol times resid (3 to 240 times in the steps measured
+    at K = 16); the last step's landing, resid / (rtol_prev residual_prev),
+    measures that slack (quadratic error included, so it overestimates it),
+    and the aim is divided by it.  The solve is never asked for less than
+    1e-6.
     """
     if prev is None or resid**3 > target * prev[0] ** 2:
         return 1e-4
     slack = max(1.0, resid / (prev[1] * prev[0]))
     return max(0.025 * target / (resid * slack), 1e-6)
-
-
-def minres(A, b, **kwargs):
-    """scipy.sparse.linalg.minres, imported on the first polish.
-
-    The import waits for the call so that ``import diractorus`` and runs
-    that never solve do not load scipy.sparse; after the first call it is
-    a lookup in Python's module cache.
-    """
-    from scipy.sparse.linalg import minres
-
-    return minres(A, b, **kwargs)
 
 
 def polish_residual(fn, psi, ev=None):
@@ -198,12 +189,15 @@ def polish_residual(fn, psi, ev=None):
     caller holds one (a fiber's ``evaluation``), else the polish makes it.
     Newton runs on the in-band residual, the ``rep`` of L_lam' on the cutoff
     space, whose zeros are the Galerkin critical points the solvers find.
-    Each step solves L''(psi) d = -L'(psi) with MINRES on the Hessian-vector
-    product ``Evaluation.hvp``, preconditioned by 1/w2 in the eigenbasis:
-    ``split.w2`` = |sigma - lambda|, one on the kernel block, is the lambda
-    metric the fibers and the sphere descent run in.  For a second solution
-    it is that of the split frozen at lambda_k.  ``hvps`` counts the
-    products.  MINRES solves to relative tolerance 1e-4 until the step that
+    Each step solves L''(psi) d = -L'(psi) with the package's MINRES
+    (``iterative.minres``) on the Hessian-vector product ``Evaluation.hvp``,
+    preconditioned by 1/w2 in the eigenbasis, an array product on the real
+    view: ``split.w2`` = |sigma - lambda|, one on the kernel block, is the
+    lambda metric the fibers and the sphere descent run in.  For a second
+    solution it is that of the split frozen at lambda_k.  ``hvps`` counts the
+    products, and ``minres`` records each solve's iterations, stop code and
+    own relative residual estimate phibar / beta1, kept step or not.
+    MINRES solves to relative tolerance 1e-4 until the step that
     can be the last, which ``_newton_rtol`` solves just tight enough to land
     below the stop (Eisenstat-Walker, SIAM J. Sci. Comput. 17, 1996), so the
     number of steps does not hang on where rounding puts the last one.
@@ -219,26 +213,21 @@ def polish_residual(fn, psi, ev=None):
     the sphere descent stops coarse, so an unfinished polish leaves the
     reported energy unfinished too.
     """
-    from scipy.sparse import diags
-    from scipy.sparse.linalg import LinearOperator
-
     table = fn.split.table
-    shape, size = psi.coeffs.shape, 2 * psi.coeffs.size
-    precond = diags(np.repeat(1.0 / fn.split.w2.ravel(), 2))  # on the real view: re and im of each eigen entry
+    shape = psi.coeffs.shape
+    precond = np.repeat(1.0 / fn.split.w2.ravel(), 2)  # on the real view: re and im of each eigen entry
     ev = fn.at_field(psi) if ev is None else ev
-    hvps = 0
+    solves = []
 
     def hvp(x):  # the Hessian at the current iterate ``ev``
-        nonlocal hvps
-        hvps += 1
         return ev.hvp(x.view(complex).reshape(shape)).view(float).ravel()
 
-    hess = LinearOperator((size, size), matvec=hvp, dtype=float)
     pre = _strong_residual(ev)
     resid, prev, steps = pre[0], None, 0
     while steps < 20 and resid > _rounding_level(ev):
         rtol = _newton_rtol(resid, prev, _rounding_level(ev))
-        d = minres(hess, -ev.rep.view(float).ravel(), M=precond, rtol=rtol)[0]
+        d, its, istop, relres = minres(hvp, -ev.rep.view(float).ravel(), precond, rtol)
+        solves.append({"iterations": its, "istop": istop, "relres": float(relres)})
         if not np.isfinite(d).all():
             break
         trial = SpinorField(psi.grid, psi.coeffs + table.from_eigen(d.view(complex).reshape(shape)))
@@ -250,8 +239,8 @@ def polish_residual(fn, psi, ev=None):
         psi, ev, resid, prev, steps = trial, trial_ev, trial_resid, (resid, rtol), steps + 1
         if not halved:
             break
-    return Polish(psi, ev.energy, pre, *(_strong_residual(ev) if steps else pre), steps, hvps,
-                  bool(resid <= 10.0 * _rounding_level(ev)))
+    return Polish(psi, ev.energy, pre, *(_strong_residual(ev) if steps else pre), steps,
+                  sum(s["iterations"] for s in solves), bool(resid <= 10.0 * _rounding_level(ev)), solves)
 
 
 def _solved_point(fn, fiber, value, level, k=None, flags=(), **diagnostics):
@@ -280,7 +269,7 @@ def _solved_point(fn, fiber, value, level, k=None, flags=(), **diagnostics):
         accepted=bool(below and resid <= RESIDUAL_TOL and not flags),
         psi=SpinorField(polish.psi.grid, polish.psi.coeffs),  # no collocation cache: 1/5 the memory
         diagnostics=dict(diagnostics, value_pre_polish=float(value), residual_pre_polish=float(resid_pre),
-                         polish_steps=polish.steps, polish_hvps=polish.hvps,
+                         polish_steps=polish.steps, polish_hvps=polish.hvps, polish_minres=polish.minres,
                          residual_in_band=polish.in_band, residual_spill=polish.spill),
         flags=flags + ([] if resid <= RESIDUAL_TOL else ["resolution-limited-residual"]),
     )

@@ -1,0 +1,395 @@
+"""The solvers' two iteration loops: L-BFGS and preconditioned MINRES.
+
+``lbfgs`` is the quasi-Newton loop of every ascent and descent (the fibers,
+the sphere descent, the ray-quotient start); ``minres`` solves the Newton
+systems of the polish.  Both run on plain numpy arrays, so a solve pays no
+per-call wrapping and loads no optimization or sparse-matrix library.
+
+``lbfgs`` follows the unconstrained path of L-BFGS-B (Byrd, Lu, Nocedal and
+Zhu, SIAM J. Sci. Comput. 16, 1995) as scipy runs it: the same first step,
+line search, memory resets, stop tests and messages.  Its search direction
+is the two-loop recursion's (Nocedal, Math. Comp. 35, 1980), with the
+recursion's inner products read off the matrix of the pairs' s_i.y_j
+(``_Memory``); L-BFGS-B's own compact matrices give the same direction up to
+rounding.  The line search is MINPACK-2's ``dcsrch``/``dcstep`` (More and
+Thuente, ACM TOMS 20, 1994).
+
+``minres`` is Paige and Saunders' MINRES (SIAM J. Numer. Anal. 12, 1975),
+ported operation for operation from scipy's ``scipy.sparse.linalg.minres``
+for a zero start and no shift, with a diagonal preconditioner applied as an
+array product; it returns scipy's iterates bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+EPS = float(np.finfo(float).eps)
+STPMAX = 1e10  # L-BFGS-B's largest step when no variable is bounded
+MAXLS = 20  # evaluations in one line search before the memory is reset
+
+
+@dataclass(frozen=True)
+class LbfgsResult:
+    """Outcome of ``lbfgs``: the last accepted iterate with its value and gradient."""
+
+    x: np.ndarray
+    fun: float
+    jac: np.ndarray
+    nfev: int  # calls of ``fun``
+    nit: int  # accepted steps
+    success: bool  # stopped on one of the two convergence tests
+    message: str
+
+
+def lbfgs(fun, x0, gtol, ftol, maxiter, maxcor):
+    """Minimize ``fun``, which returns (value, gradient), from ``x0`` with L-BFGS.
+
+    The inverse Hessian is that of the two-loop recursion over the last
+    ``maxcor`` pairs (s, y) on H0 = (s.y / y.y) I of the newest pair, and the
+    identity with no pair (``_Memory``).  The first step is min(1/||d||, 1e10)
+    along d = -g, every later one starts at 1, and the line search is
+    ``dcsrch`` with ftol 1e-3, gtol 0.9 and xtol 0.1.  A line search that ends
+    in a warning is accepted as the next iterate.  One that meets no condition
+    in 20 evaluations, or starts uphill, is undone: the memory is dropped and
+    the step retried along -g, or, with the memory already empty, the run
+    stops ``ABNORMAL``.  After each accepted step the tests run in L-BFGS-B's
+    order: ``maxiter`` steps; max |g_i| <= ``gtol``; f_old - f <= ``ftol``
+    max(|f_old|, |f|, 1).  Then the pair is stored unless s.y <= eps (-g_old.s).
+    As in scipy, a trial point equal to the last evaluated one is not
+    evaluated again.
+    """
+    x = np.array(x0, dtype=float)
+    f, g = fun(x)
+    xe, ft, gt, nfev, nit = x, f, g, 1, 0
+    memory = _Memory(x.size, maxcor)
+    if np.abs(g).max() <= gtol:
+        return LbfgsResult(x, f, g, nfev, nit, True, "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL")
+    while True:
+        d = memory.direction(g)
+        gd0 = float(g @ d)
+        stp = min(1.0 / math.sqrt(d @ d), STPMAX) if nit == 0 else 1.0
+        accepted = False
+        if gd0 < 0:
+            search = _LineSearch(f, gd0, stp)
+            for _ in range(MAXLS):
+                xt = x + stp * d
+                if not (xt == xe).all():
+                    ft, gt = fun(xt)
+                    xe, nfev = xt, nfev + 1
+                gd = float(gt @ d)
+                stp, task = search.step(stp, ft, gd)
+                if task != "FG":
+                    accepted = True
+                    break
+        if not accepted:
+            if not memory.k:
+                return LbfgsResult(x, f, g, nfev, nit, False, "ABNORMAL: ")
+            memory.reset()
+            continue
+        nit += 1
+        f_old, g_old = f, g
+        x, f, g = xt, ft, gt
+        if nit >= maxiter:
+            return LbfgsResult(x, f, g, nfev, nit, False, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT")
+        if np.abs(g).max() <= gtol:
+            return LbfgsResult(x, f, g, nfev, nit, True, "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL")
+        if f_old - f <= ftol * max(abs(f_old), abs(f), 1.0):
+            return LbfgsResult(x, f, g, nfev, nit, True, "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH")
+        sy = (gd - gd0) * stp  # s.y with s = stp d, as L-BFGS-B forms it
+        if sy > EPS * (-gd0 * stp):
+            memory.add(stp * d, g - g_old, sy)
+
+
+class _Memory:
+    """The last ``maxcor`` L-BFGS pairs (s, y), oldest first, and the product -H g they define.
+
+    The two-loop recursion (Nocedal, Math. Comp. 35, 1980) takes alpha_i =
+    rho_i s_i.q_(i+1) from the newest pair down, with rho_i = 1/(s_i.y_i),
+    then beta_i = rho_i y_i.r_i from the oldest up.  Its inner products are
+    read off R, the upper triangle of the matrix of s_i.y_j (i <= j), whose
+    inverse is kept as pairs come and go: alpha = R^-1 S g, q = g - Y^T alpha
+    and alpha - beta = R^-T (D alpha - gamma Y q), with D the s_i.y_i.  So a
+    product is four passes over the stacked pairs, whatever their number,
+    instead of four per pair (Byrd, Nocedal and Schnabel, Math. Prog. 63,
+    1994, give the same matrices).  The pairs sit in rows ``lo`` to ``lo + k``
+    of buffers twice ``maxcor`` long (and R^-1 in that block of its own), so
+    dropping the oldest moves nothing.
+    """
+
+    def __init__(self, n, maxcor):
+        self.maxcor = maxcor
+        self.s = np.empty((2 * maxcor, n))
+        self.y = np.empty((2 * maxcor, n))
+        self.sy = np.empty(2 * maxcor)
+        self.rinv = np.zeros((2 * maxcor, 2 * maxcor))  # R^-1 of the pairs in its [lo, lo + k) block
+        self.reset()
+
+    def reset(self):
+        self.lo, self.k, self.gamma = 0, 0, 1.0
+
+    def add(self, s, y, sy):
+        lo, k = self.lo, self.k
+        if lo + k == len(self.s):  # move the pairs to the front
+            for buf in (self.s, self.y, self.sy):
+                buf[:k] = buf[lo:lo + k]
+            self.rinv[:k, :k] = self.rinv[lo:lo + k, lo:lo + k]
+            lo = self.lo = 0
+        new, old = lo + k, slice(lo, lo + k)
+        self.rinv[old, new] = (self.rinv[old, old] @ (self.s[old] @ y)) * (-1.0 / sy)
+        self.rinv[new, old] = 0.0
+        self.rinv[new, new] = 1.0 / sy
+        self.s[new], self.y[new], self.sy[new] = s, y, sy
+        self.gamma = sy / float(y @ y)
+        if k == self.maxcor:  # drop the oldest: the inverse of a trailing block of R is that block of R^-1
+            self.lo = lo + 1
+        else:
+            self.k = k + 1
+
+    def direction(self, g):
+        """-H g."""
+        if not self.k:
+            return -g
+        pairs = slice(self.lo, self.lo + self.k)
+        s, y, rinv = self.s[pairs], self.y[pairs], self.rinv[pairs, pairs]
+        alpha = rinv @ (s @ g)
+        q = g - alpha @ y
+        c = (self.sy[pairs] * alpha - self.gamma * (y @ q)) @ rinv
+        return -(self.gamma * q + c @ s)
+
+
+class _LineSearch:
+    """MINPACK-2's ``dcsrch`` with ftol 1e-3, gtol 0.9, xtol 0.1, on steps in [0, STPMAX].
+
+    Built at stp = 0 with the value ``f0`` and slope ``g0`` < 0 there and
+    the first trial step ``stp``; ``step`` takes the value and slope at the
+    trial step and returns the next step with "FG" (evaluate there), or the
+    same step with "CONV" (sufficient decrease and curvature hold) or "WARN"
+    (rounding, the bracket width or a step bound ends the search).
+    """
+
+    FTOL, GTOL, XTOL = 1e-3, 0.9, 0.1
+
+    def __init__(self, f0, g0, stp):
+        self.brackt, self.stage = False, 1
+        self.finit, self.ginit, self.gtest = f0, g0, self.FTOL * g0
+        self.width, self.width1 = STPMAX, STPMAX / 0.5
+        self.stx, self.fx, self.gx = 0.0, f0, g0
+        self.sty, self.fy, self.gy = 0.0, f0, g0
+        self.stmin, self.stmax = 0.0, stp + 4.0 * stp
+
+    def step(self, stp, f, g):
+        ftest = self.finit + stp * self.gtest
+        if self.stage == 1 and f <= ftest and g >= 0:
+            self.stage = 2
+        task = "FG"
+        if self.brackt and (stp <= self.stmin or stp >= self.stmax):
+            task = "WARN"  # rounding errors prevent progress
+        if self.brackt and self.stmax - self.stmin <= self.XTOL * self.stmax:
+            task = "WARN"  # xtol test satisfied
+        if stp == STPMAX and f <= ftest and g <= self.gtest:
+            task = "WARN"  # stp = stpmax
+        if stp == 0.0 and (f > ftest or g >= self.gtest):
+            task = "WARN"  # stp = stpmin
+        if f <= ftest and abs(g) <= self.GTOL * -self.ginit:
+            task = "CONV"
+        if task != "FG":
+            return stp, task
+        if self.stage == 1 and f <= self.fx and f > ftest:
+            # the modified function psi(stp) = f(stp) - f0 - ftol stp g0 until it has a nonpositive value
+            gt = self.gtest
+            stx, fxm, gxm, sty, fym, gym, stp, self.brackt = _dcstep(
+                self.stx, self.fx - self.stx * gt, self.gx - gt, self.sty, self.fy - self.sty * gt, self.gy - gt,
+                stp, f - stp * gt, g - gt, self.brackt, self.stmin, self.stmax)
+            self.stx, self.fx, self.gx = stx, fxm + stx * gt, gxm + gt
+            self.sty, self.fy, self.gy = sty, fym + sty * gt, gym + gt
+        else:
+            (self.stx, self.fx, self.gx, self.sty, self.fy, self.gy, stp, self.brackt) = _dcstep(
+                self.stx, self.fx, self.gx, self.sty, self.fy, self.gy,
+                stp, f, g, self.brackt, self.stmin, self.stmax)
+        if self.brackt:
+            if abs(self.sty - self.stx) >= 0.66 * self.width1:
+                stp = self.stx + 0.5 * (self.sty - self.stx)
+            self.width1, self.width = self.width, abs(self.sty - self.stx)
+            self.stmin, self.stmax = min(self.stx, self.sty), max(self.stx, self.sty)
+        else:
+            self.stmin, self.stmax = stp + 1.1 * (stp - self.stx), stp + 4.0 * (stp - self.stx)
+        stp = min(max(stp, 0.0), STPMAX)
+        if self.brackt and (stp <= self.stmin or stp >= self.stmax
+                            or self.stmax - self.stmin <= self.XTOL * self.stmax):
+            stp = self.stx  # no progress is possible: the best step so far
+        return stp, "FG"
+
+
+def _sqrt(v):
+    """sqrt(v), NaN for v < 0 (or NaN) as in the Fortran original, where math.sqrt would raise."""
+    return math.sqrt(v) if v >= 0 else math.nan
+
+
+def _sign(v):
+    """-1, 0 or 1: the sign ``dcstep`` compares slopes by."""
+    return (v > 0) - (v < 0)
+
+
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
+    """MINPACK-2's ``dcstep``: a safeguarded step from the best step stx, the other end sty and the trial stp."""
+    sgnd = _sign(dp) * _sign(dx)
+    if fp > fx:  # higher value: the minimum is bracketed
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = s * _sqrt((theta / s) ** 2 - (dx / s) * (dp / s))
+        if stp < stx:
+            gamma = -gamma
+        p = (gamma - dx) + theta
+        q = ((gamma - dx) + gamma) + dp
+        stpc = stx + (p / q) * (stp - stx)
+        stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
+        stpf = stpc if abs(stpc - stx) <= abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
+        brackt = True
+    elif sgnd < 0:  # lower value, slopes of opposite sign: bracketed
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = s * _sqrt((theta / s) ** 2 - (dx / s) * (dp / s))
+        if stp > stx:
+            gamma = -gamma
+        p = (gamma - dp) + theta
+        q = ((gamma - dp) + gamma) + dx
+        stpc = stp + (p / q) * (stx - stp)
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+        brackt = True
+    elif abs(dp) < abs(dx):  # lower value, same sign, the slope decreases in magnitude
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = s * _sqrt(max(0.0, (theta / s) ** 2 - (dx / s) * (dp / s)))
+        if stp > stx:
+            gamma = -gamma
+        p = (gamma - dp) + theta
+        q = (gamma + (dx - dp)) + gamma
+        r = p / q
+        if r < 0 and gamma != 0:
+            stpc = stp + r * (stx - stp)
+        elif stp > stx:
+            stpc = stpmax
+        else:
+            stpc = stpmin
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        if brackt:
+            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+            if stp > stx:
+                stpf = min(stp + 0.66 * (sty - stp), stpf)
+            else:
+                stpf = max(stp + 0.66 * (sty - stp), stpf)
+        else:
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            stpf = min(max(stpf, stpmin), stpmax)
+    elif brackt:  # lower value, same sign, the slope does not decrease: cubic step to sty
+        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+        s = max(abs(theta), abs(dy), abs(dp))
+        gamma = s * _sqrt((theta / s) ** 2 - (dy / s) * (dp / s))
+        if stp > sty:
+            gamma = -gamma
+        p = (gamma - dp) + theta
+        q = ((gamma - dp) + gamma) + dy
+        stpf = stp + (p / q) * (sty - stp)
+    else:
+        stpf = stpmax if stp > stx else stpmin
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if sgnd < 0:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, stpf, brackt
+
+
+def _norm(v):
+    """np.linalg.norm(v) of a real vector, without its dispatch: the same ddot and square root."""
+    return math.sqrt(v.dot(v))
+
+
+def minres(matvec, b, precond, rtol):
+    """Solve A x = b for symmetric ``A`` (``matvec``) by preconditioned MINRES from x = 0.
+
+    ``precond`` is the diagonal of the positive definite preconditioner,
+    applied as ``precond * r``.  Returns (x, iterations, istop, phibar /
+    beta1), with one ``matvec`` per iteration.  ``istop`` is Paige and
+    Saunders' stop code, as scipy numbers it: 1 when ||r|| / (||A|| ||x||)
+    <= ``rtol`` and 2 when ||A r|| / (||A|| ||r||) <= ``rtol`` (r in the
+    preconditioned norm, as every norm here), 3 when ||A|| ||x|| eps reaches
+    ||b||, 4 when the condition estimate reaches 0.1/eps, 6 after 5 n
+    iterations, -1 when b is an eigenvector of the preconditioned A, and 0
+    for b = 0.  phibar / beta1 is MINRES's own estimate of ||b - A x|| / ||b||.
+    Every iterate equals scipy's ``minres(A, b, M=diags(precond), rtol=rtol)``.
+    """
+    n = b.size
+    maxiter = 5 * n
+    x = np.zeros(n)
+    r1 = b.copy()
+    y = precond * r1
+    beta1 = r1.dot(y)
+    if beta1 == 0 or _norm(b) == 0:
+        return x, 0, 0, 0.0
+    beta1 = math.sqrt(beta1)
+    istop, itn = 0, 0
+    oldb, beta, dbar, epsln, phibar = 0.0, beta1, 0.0, 0.0, beta1
+    tnorm2, gmax, gmin = 0.0, 0.0, np.finfo(float).max
+    cs, sn = -1.0, 0.0
+    w = np.zeros(n)
+    w2 = np.zeros(n)
+    r2 = r1
+    while itn < maxiter:
+        itn += 1
+        v = (1.0 / beta) * y
+        y = matvec(v)
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = v.dot(y)
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = precond * r2
+        oldb, beta = beta, math.sqrt(r2.dot(y))
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        if itn == 1 and beta / beta1 <= 10 * EPS:
+            istop = -1  # b is an eigenvector; terminate below
+        # apply the previous rotation, then compute the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = _norm(np.array((gbar, dbar)))
+        gamma = max(_norm(np.array((gbar, beta))), EPS)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
+        x = x + phi * w
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+        # estimate the norms and test for convergence
+        anorm = math.sqrt(tnorm2)
+        ynorm = _norm(x)
+        epsx = anorm * ynorm * EPS
+        test1 = math.inf if ynorm == 0 or anorm == 0 else phibar / (anorm * ynorm)  # ||r|| / (||A|| ||x||)
+        test2 = math.inf if anorm == 0 else root / anorm  # ||A r|| / (||A|| ||r||)
+        if istop == 0:
+            if 1 + test2 <= 1:
+                istop = 2
+            if 1 + test1 <= 1:
+                istop = 1
+            if itn >= maxiter:
+                istop = 6
+            if gmax / gmin >= 0.1 / EPS:
+                istop = 4
+            if epsx >= beta1:
+                istop = 3
+            if test2 <= rtol:
+                istop = 2
+            if test1 <= rtol:
+                istop = 1
+        if istop != 0:
+            break
+    return x, itn, istop, phibar / beta1

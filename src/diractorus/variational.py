@@ -46,7 +46,7 @@ part is ``nonlin``.
 
 Solvers use lambda-orthonormal coordinates on masked eigen entries
 (``SubspaceCoords``): the real and imaginary part of each entry, scaled to
-the lambda metric.  They are real vectors, the ones scipy optimizes, and
+the lambda metric.  They are real vectors, the ones L-BFGS runs on, and
 their Euclidean geometry is the ||.||_lambda geometry; every L-BFGS run
 lives here.  The fiber maximum over {t phi + chi}
 is one L-BFGS ascent over (t, chi) jointly: by the generalized Nehari
@@ -70,6 +70,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .iterative import lbfgs as _lbfgs
 from .nonlinearity import critical_exponent, make_nonlinearity
 from .spectral import norm_lambda, project
 from .torus import SpinorField, analyze, pointwise_real_inner, synthesize, zero_field
@@ -420,25 +421,14 @@ class SubspaceCoords:
 # Ascent in lambda-orthonormal coordinates (fiber, J and S maximizations)
 
 
-def _scipy_minimize(fun, x0, options):
-    """scipy's L-BFGS-B on ``fun``, which returns (value, gradient), from ``x0``.
-
-    scipy.optimize is imported on the first solve, not on ``import
-    diractorus``, so runs that never solve (the test-spinor sweeps,
-    ``spectrum``, ``weyl``, ``clifford``) do not load it; after the first
-    call the import is a lookup in Python's module cache.
-    """
-    from scipy.optimize import minimize
-
-    return minimize(fun, x0, jac=True, method="L-BFGS-B", options=options)
-
-
 def _inner_maximize(objective, coords, z0, gtol, maxiter):
     """Maximize an objective over the coordinates ``coords`` with L-BFGS.
 
-    ``objective(a)`` takes eigen coordinates and returns (value, lambda-metric
-    gradient in eigen coordinates).  Returns (z, value, gradient norm,
-    evaluations).
+    The loop is the package's own (``iterative.lbfgs``, the unconstrained
+    path of L-BFGS-B) on the negated objective, with 20 pairs of memory and
+    ftol 1e-18.  ``objective(a)`` takes eigen coordinates and returns (value,
+    lambda-metric gradient in eigen coordinates).  Returns (z, value,
+    gradient norm, evaluations).
     """
     evals = [0]
 
@@ -450,7 +440,7 @@ def _inner_maximize(objective, coords, z0, gtol, maxiter):
     if coords.dim == 0:
         val, _ = objective(coords.to_eigen(np.zeros(0)))
         return np.zeros(0), val, 0.0, 0
-    res = _scipy_minimize(fun, z0, options={"gtol": gtol, "ftol": 1e-18, "maxiter": maxiter, "maxcor": 20})
+    res = _lbfgs(fun, z0, gtol=gtol, ftol=1e-18, maxiter=maxiter, maxcor=20)
     gnorm = float(np.linalg.norm(res.jac))
     return res.x, float(-res.fun), gnorm, evals[0]
 
@@ -623,7 +613,7 @@ def ray_opt_direction(split):
         val, rep = _ray_quotient(fn(coords.to_eigen(x)))
         return np.log(val), coords.from_eigen(rep / (val * split.w2))
 
-    res = _scipy_minimize(fun, z0.view(float), options={"maxiter": 600, "gtol": 1e-8, "ftol": 1e-16})
+    res = _lbfgs(fun, z0.view(float), gtol=1e-8, ftol=1e-16, maxiter=600, maxcor=10)
     nrm = float(np.linalg.norm(res.x))
     if nrm <= 0:
         raise SolverFailure("ray optimization collapsed to zero")
@@ -672,7 +662,7 @@ def sphere_minimize(fn, phi0, gtol, maxiter=120):
         last["gnorm"] = float(np.linalg.norm(gz))
         return fiber.value, gz
 
-    res = _scipy_minimize(fun, z0, options={"gtol": gtol, "ftol": 1e-16, "maxiter": maxiter, "maxcor": 25})
+    res = _lbfgs(fun, z0, gtol=gtol, ftol=1e-16, maxiter=maxiter, maxcor=25)
     if not np.array_equal(last["x"], res.x):
         fun(res.x)  # re-evaluate at the optimizer so the reported fiber matches res.x
     value = last["fiber"].value

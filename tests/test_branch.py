@@ -280,7 +280,7 @@ def test_minimize_M_flags_a_polish_that_stalls(monkeypatch):
     # the descent stops at gtol 1e-3 and the polish finishes the energy, so a
     # polish that cannot step (MINRES returns a zero step) rejects the point
     sp = split(assemble(2, 8), 0.7)
-    monkeypatch.setattr(branch, "minres", lambda A, b, **kw: (np.zeros_like(b), 0))
+    monkeypatch.setattr(branch, "minres", lambda matvec, b, precond, rtol: (np.zeros_like(b), 0, 0, 0.0))
     pt = minimize_M(sp, NL)
     assert pt.diagnostics["polish_steps"] == 0
     assert "polish-not-converged" in pt.flags
@@ -486,17 +486,31 @@ def test_ray_quotient_is_the_scale_invariant_ray_maximum_at_m3():
     assert abs(slope - fd) <= 1e-6 * max(1.0, abs(fd))
 
 
+def test_a_solved_point_records_each_minres_solve():
+    # one record per Newton step: MINRES's iterations (one product each),
+    # its Paige-Saunders stop code and its own estimate phibar / beta1 of
+    # the relative residual, which lands above rtol 1e-4 on the first step
+    pt = minimize_M(split(assemble(2, 8), 0.7), NL)
+    solves = pt.diagnostics["polish_minres"]
+    assert len(solves) == pt.diagnostics["polish_steps"] == 3
+    assert sum(s["iterations"] for s in solves) == pt.diagnostics["polish_hvps"]
+    assert [s["istop"] for s in solves] == [1, 1, 1]
+    assert 1e-4 < solves[0]["relres"] < 1e-2 and solves[-1]["relres"] < solves[0]["relres"]
+
+
 def test_the_polish_preconditioner_is_one_over_w2_per_real_coordinate(monkeypatch):
     # MINRES runs on the real view of the eigen array; each real coordinate,
     # real or imaginary part, is weighted by 1/w2 of its own eigen entry
     table = assemble(2, 4)
     sp = split(table, 0.5)
     seen = []
-    monkeypatch.setattr(branch, "minres", lambda A, b, M=None, **kw: seen.append(M) or (np.zeros_like(b), 0))
+    monkeypatch.setattr(
+        branch, "minres", lambda matvec, b, precond, rtol: seen.append(precond) or (np.zeros_like(b), 0, 0, 0.0)
+    )
     rng = np.random.default_rng(6)
     polish_residual(Functional(sp, NL), plane_wave_solution(table, 0.5) + 1e-3 * random_field(table.grid, 2, rng))
     z = rng.standard_normal(sp.w2.shape) + 1j * rng.standard_normal(sp.w2.shape)
-    got = (seen[0] @ z.view(float).ravel()).view(complex).reshape(z.shape)
+    got = (seen[0] * z.view(float).ravel()).view(complex).reshape(z.shape)
     assert np.allclose(got, z / sp.w2, rtol=1e-15, atol=0.0)
 
 

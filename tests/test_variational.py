@@ -284,14 +284,14 @@ def test_a_fiber_carries_its_last_evaluation_only_when_it_was_at_psi(monkeypatch
     # an ascent from the mirror start ends at t < 0, where its last gradient has the other sign
     mirror = fiber_maximize(fn, phi, start=(-cold.t, -cold.z))
     # an ascent whose last call was elsewhere: one more call after L-BFGS returns
-    minimize = variational._scipy_minimize
+    minimize = variational._lbfgs
 
     def and_one_more(fun, x0, **kwargs):
         res = minimize(fun, x0, **kwargs)
         fun(res.x + 1e-3)
         return res
 
-    monkeypatch.setattr(variational, "_scipy_minimize", and_one_more)
+    monkeypatch.setattr(variational, "_lbfgs", and_one_more)
     elsewhere = fiber_maximize(fn, phi, gtol=1e-7)
     for fib in (mirror, elsewhere):
         assert fib.t > 0 and fib.evaluation is None
@@ -791,7 +791,7 @@ def test_the_kernel_matches_the_modulus_form_of_the_nonlinearity(m, K, kind):
 
 
 def test_solver_coordinates_are_real_and_lambda_orthonormal(table, sp05):
-    # a coordinate vector is the real vector scipy optimizes: the (re, im)
+    # a coordinate vector is the real vector L-BFGS optimizes: the (re, im)
     # pair of each masked eigen entry, scaled to the lambda metric
     rng = np.random.default_rng(43)
     fn = Functional(sp05, NL)
