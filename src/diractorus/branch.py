@@ -145,7 +145,7 @@ class Polish:
     steps: int  # Newton steps kept
     hvps: int  # Hessian-vector products of the MINRES solves
     converged: bool  # in_band within 10 times the rounding level the polish aims at
-    minres: list  # per MINRES solve, kept step or not: its iterations, stop code and relative residual estimate
+    minres: list  # per MINRES solve, kept step or not: its iterations, stop code, rtol and relative residual
 
     @property
     def residual(self):
@@ -161,24 +161,19 @@ def _rounding_level(ev):
 def _newton_rtol(resid, prev, target):
     """MINRES's relative tolerance for the Newton step from the in-band residual ``resid``.
 
-    ``prev`` is the (residual, rtol) of the last kept step, None before the
-    first.  An exact Newton step would leave C resid^2, with C ~ resid /
-    residual_prev^2 (an overestimate when the last step's linear error
-    dominated).  While that is above ``target`` the step solves to 1e-4.
-    Once it is below, the step can be the last one, and it aims at 0.025
-    target: a fortieth of the target below it, by design instead of by luck.
-    MINRES (``iterative.minres``, Paige-Saunders) stops on its own test,
-    ||r|| / (||A|| ||x||) with r in the preconditioned norm, which leaves the
-    L^2 residual above rtol times resid (3 to 240 times in the steps measured
-    at K = 16); the last step's landing, resid / (rtol_prev residual_prev),
-    measures that slack (quadratic error included, so it overestimates it),
-    and the aim is divided by it.  The solve is never asked for less than
-    1e-6.
+    ``prev`` is the in-band residual before the last kept step, None before
+    the first.  An exact Newton step would leave C resid^2, with C ~ resid /
+    prev^2 (an overestimate when the last step's linear error dominated).
+    While that is above ``target`` the step cannot be the last, and it solves
+    to 1e-3.  Once it is below, the step can be the last one, and it aims at
+    a quarter of the target: MINRES (``iterative.minres``) stops on its own
+    relative residual, so rtol 0.25 target / resid asks for a linear
+    residual a quarter of the target (in the preconditioned norm MINRES
+    measures), below it by design instead of by luck.
     """
-    if prev is None or resid**3 > target * prev[0] ** 2:
-        return 1e-4
-    slack = max(1.0, resid / (prev[1] * prev[0]))
-    return max(0.025 * target / (resid * slack), 1e-6)
+    if prev is None or resid**3 > target * prev**2:
+        return 1e-3
+    return 0.25 * target / resid
 
 
 def polish_residual(fn, psi, ev=None):
@@ -195,12 +190,13 @@ def polish_residual(fn, psi, ev=None):
     view: ``split.w2`` = |sigma - lambda|, one on the kernel block, is the
     lambda metric the fibers and the sphere descent run in.  For a second
     solution it is that of the split frozen at lambda_k.  ``hvps`` counts the
-    products, and ``minres`` records each solve's iterations, stop code and
-    own relative residual estimate phibar / beta1, kept step or not.
-    MINRES solves to relative tolerance 1e-4 until the step that
-    can be the last, which ``_newton_rtol`` solves just tight enough to land
-    below the stop (Eisenstat-Walker, SIAM J. Sci. Comput. 17, 1996), so the
-    number of steps does not hang on where rounding puts the last one.
+    products, and ``minres`` records each solve's iterations, stop code,
+    asked tolerance ``rtol`` and own relative residual phibar / beta1, on
+    which MINRES stops, kept step or not.  MINRES solves to relative
+    tolerance 1e-3 until the step that can be the last, which
+    ``_newton_rtol`` solves to a quarter of the stop (Eisenstat-Walker, SIAM
+    J. Sci. Comput. 17, 1996), so the number of steps does not hang on where
+    rounding puts the last one.
     A step is kept when it lowers the in-band norm, and the polish goes on
     while each step at least halves it, until that norm is at rounding level
     1e-12 max(1, ||(D - lam) psi||) (at most 20 steps).  The out-of-band
@@ -227,7 +223,7 @@ def polish_residual(fn, psi, ev=None):
     while steps < 20 and resid > _rounding_level(ev):
         rtol = _newton_rtol(resid, prev, _rounding_level(ev))
         d, its, istop, relres = minres(hvp, -ev.rep.view(float).ravel(), precond, rtol)
-        solves.append({"iterations": its, "istop": istop, "relres": float(relres)})
+        solves.append({"iterations": its, "istop": istop, "rtol": rtol, "relres": float(relres)})
         if not np.isfinite(d).all():
             break
         trial = SpinorField(psi.grid, psi.coeffs + table.from_eigen(d.view(complex).reshape(shape)))
@@ -236,7 +232,7 @@ def polish_residual(fn, psi, ev=None):
         if not trial_resid < resid:
             break
         halved = trial_resid <= 0.5 * resid
-        psi, ev, resid, prev, steps = trial, trial_ev, trial_resid, (resid, rtol), steps + 1
+        psi, ev, resid, prev, steps = trial, trial_ev, trial_resid, resid, steps + 1
         if not halved:
             break
     return Polish(psi, ev.energy, pre, *(_strong_residual(ev) if steps else pre), steps,

@@ -15,9 +15,12 @@ rounding.  The line search is MINPACK-2's ``dcsrch``/``dcstep`` (More and
 Thuente, ACM TOMS 20, 1994).
 
 ``minres`` is Paige and Saunders' MINRES (SIAM J. Numer. Anal. 12, 1975),
-ported operation for operation from scipy's ``scipy.sparse.linalg.minres``
-for a zero start and no shift, with a diagonal preconditioner applied as an
-array product; it returns scipy's iterates bit for bit.
+ported from scipy's ``scipy.sparse.linalg.minres`` for a zero start and no
+shift, with a diagonal preconditioner applied as an array product.  It
+stops on the relative residual phibar / beta1 that it tracks, the quantity
+a Newton forcing term asks for, not on scipy's ||r|| / (||A|| ||x||), and
+its Givens norms are scalar ``math.hypot`` calls, not BLAS ones; so its
+iterates are scipy's up to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -316,14 +319,15 @@ def minres(matvec, b, precond, rtol):
 
     ``precond`` is the diagonal of the positive definite preconditioner,
     applied as ``precond * r``.  Returns (x, iterations, istop, phibar /
-    beta1), with one ``matvec`` per iteration.  ``istop`` is Paige and
-    Saunders' stop code, as scipy numbers it: 1 when ||r|| / (||A|| ||x||)
-    <= ``rtol`` and 2 when ||A r|| / (||A|| ||r||) <= ``rtol`` (r in the
-    preconditioned norm, as every norm here), 3 when ||A|| ||x|| eps reaches
-    ||b||, 4 when the condition estimate reaches 0.1/eps, 6 after 5 n
-    iterations, -1 when b is an eigenvector of the preconditioned A, and 0
-    for b = 0.  phibar / beta1 is MINRES's own estimate of ||b - A x|| / ||b||.
-    Every iterate equals scipy's ``minres(A, b, M=diags(precond), rtol=rtol)``.
+    beta1), with one ``matvec`` per iteration; phibar / beta1 is MINRES's own
+    estimate of the relative residual ||b - A x|| / ||b||.  ``istop`` is the
+    stop code, numbered as scipy's: 1 when phibar / beta1 <= ``rtol`` and 2
+    when ||A r|| / (||A|| ||r||) <= ``rtol`` (r and b in the preconditioned
+    norm, as every norm here), 3 when ||A|| ||x|| eps reaches ||b||, 4 when
+    the condition estimate reaches 0.1/eps, 6 after 5 n iterations, -1 when
+    b is an eigenvector of the preconditioned A, and 0 for b = 0.  Each
+    iterate is that of scipy's ``minres(A, b, M=diags(precond))`` at the
+    same iteration, up to rounding.
     """
     n = b.size
     maxiter = 5 * n
@@ -361,8 +365,8 @@ def minres(matvec, b, precond, rtol):
         gbar = sn * dbar - cs * alfa
         epsln = sn * beta
         dbar = -cs * beta
-        root = _norm(np.array((gbar, dbar)))
-        gamma = max(_norm(np.array((gbar, beta))), EPS)
+        root = math.hypot(gbar, dbar)
+        gamma = max(math.hypot(gbar, beta), EPS)
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
         w1, w2 = w2, w
@@ -371,15 +375,11 @@ def minres(matvec, b, precond, rtol):
         gmax, gmin = max(gmax, gamma), min(gmin, gamma)
         # estimate the norms and test for convergence
         anorm = math.sqrt(tnorm2)
-        ynorm = _norm(x)
-        epsx = anorm * ynorm * EPS
-        test1 = math.inf if ynorm == 0 or anorm == 0 else phibar / (anorm * ynorm)  # ||r|| / (||A|| ||x||)
+        epsx = anorm * _norm(x) * EPS
         test2 = math.inf if anorm == 0 else root / anorm  # ||A r|| / (||A|| ||r||)
         if istop == 0:
             if 1 + test2 <= 1:
                 istop = 2
-            if 1 + test1 <= 1:
-                istop = 1
             if itn >= maxiter:
                 istop = 6
             if gmax / gmin >= 0.1 / EPS:
@@ -388,7 +388,7 @@ def minres(matvec, b, precond, rtol):
                 istop = 3
             if test2 <= rtol:
                 istop = 2
-            if test1 <= rtol:
+            if phibar <= rtol * beta1:
                 istop = 1
         if istop != 0:
             break

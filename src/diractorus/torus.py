@@ -130,9 +130,9 @@ class TorusGrid:
 
 
 def make_grid(m, K, n_grid=None):
-    """Grid with quartic-dealiased default resolution n = max(2K+2, 4K+2)."""
+    """Grid with quartic-dealiased default resolution n = 4K+2."""
     if n_grid is None:
-        n_grid = max(2 * K + 2, 4 * K + 2)
+        n_grid = 4 * K + 2
     return TorusGrid(m=m, K=K, n_grid=n_grid)
 
 

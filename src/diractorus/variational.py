@@ -430,11 +430,8 @@ def _inner_maximize(objective, coords, z0, gtol, maxiter):
     lambda-metric gradient in eigen coordinates).  Returns (z, value,
     gradient norm, evaluations).
     """
-    evals = [0]
-
     def fun(x):
         val, grad = objective(coords.to_eigen(x))
-        evals[0] += 1
         return -val, -coords.from_eigen(grad)
 
     if coords.dim == 0:
@@ -442,7 +439,7 @@ def _inner_maximize(objective, coords, z0, gtol, maxiter):
         return np.zeros(0), val, 0.0, 0
     res = _lbfgs(fun, z0, gtol=gtol, ftol=1e-18, maxiter=maxiter, maxcor=20)
     gnorm = float(np.linalg.norm(res.jac))
-    return res.x, float(-res.fun), gnorm, evals[0]
+    return res.x, float(-res.fun), gnorm, res.nfev
 
 
 @dataclass

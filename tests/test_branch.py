@@ -488,14 +488,25 @@ def test_ray_quotient_is_the_scale_invariant_ray_maximum_at_m3():
 
 def test_a_solved_point_records_each_minres_solve():
     # one record per Newton step: MINRES's iterations (one product each),
-    # its Paige-Saunders stop code and its own estimate phibar / beta1 of
-    # the relative residual, which lands above rtol 1e-4 on the first step
+    # its stop code, the tolerance it was asked for and its own relative
+    # residual phibar / beta1, which a stop on code 1 brings within that
+    # tolerance; the first step asks 1e-3, the last a quarter of the stop
     pt = minimize_M(split(assemble(2, 8), 0.7), NL)
     solves = pt.diagnostics["polish_minres"]
     assert len(solves) == pt.diagnostics["polish_steps"] == 3
     assert sum(s["iterations"] for s in solves) == pt.diagnostics["polish_hvps"]
     assert [s["istop"] for s in solves] == [1, 1, 1]
-    assert 1e-4 < solves[0]["relres"] < 1e-2 and solves[-1]["relres"] < solves[0]["relres"]
+    assert all(s["relres"] <= s["rtol"] for s in solves if s["istop"] == 1)
+    assert solves[0]["rtol"] == 1e-3 and solves[-1]["rtol"] < 1e-3
+
+
+def test_the_last_newton_step_lands_below_the_stop():
+    # criterion 7's K = 16, lambda = 0.6 point: when MINRES stopped on
+    # ||r|| / (||A|| ||x||), its last step landed above the stop at 2.4e-12
+    # and the polish took 5 steps and 99 products
+    pt = minimize_M(split(assemble(2, 16), 0.6), NL, maxiter=60)
+    assert pt.accepted
+    assert pt.diagnostics["polish_steps"] <= 3 and pt.diagnostics["polish_hvps"] <= 70
 
 
 def test_the_polish_preconditioner_is_one_over_w2_per_real_coordinate(monkeypatch):

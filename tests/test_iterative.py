@@ -136,17 +136,23 @@ def _polish_system(K=8, lam=0.7):
 
 
 @pytest.mark.parametrize("rtol", [1e-4, 1e-6])
-def test_minres_is_bitwise_scipys(rtol):
+def test_minres_matches_scipys_iterate_at_its_stop(rtol):
+    # the stop is on phibar / beta1, not scipy's ||r|| / (||A|| ||x||), so
+    # scipy runs without a tolerance for the same number of iterations; the
+    # Givens norms are math.hypot, not BLAS, so the iterates agree to
+    # rounding, not bit for bit
     systems = [_symmetric_indefinite(n, seed) for n, seed in ((40, 1), (300, 2))]
     systems = [(lambda x, a=a: a @ x, b, w) for a, b, w in systems] + [_polish_system()]
     for matvec, b, w in systems:
         calls = []
         x, its, istop, relres = minres(lambda v: calls.append(1) or matvec(v), b, w, rtol)
         op = LinearOperator((b.size, b.size), matvec=matvec, dtype=float)
-        ref, info = scipy_minres(op, b, M=diags(w), rtol=rtol)
-        assert info == 0 and istop in (1, 2)
-        assert np.array_equal(x, ref)
+        ref, info = scipy_minres(op, b, M=diags(w), rtol=0.0, maxiter=its)
+        assert info == its and istop in (1, 2)
+        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
         assert its == len(calls) > 1
+        if istop == 1:
+            assert relres <= rtol
         # phibar / beta1 estimates the preconditioned residual ||b - A x||_M / ||b||_M
         r = b - matvec(x)
         assert relres == pytest.approx(np.sqrt(r @ (w * r) / (b @ (w * b))), rel=1e-3)
