@@ -29,9 +29,9 @@ from .acceptance import SUITES, run_suite
 from .branch import branch_sweep, gamma_crit, multiplicity_count, nu_window
 from .clifford import build_rep
 from .config import PARSERS, ConfigError, RunConfig, load_config, validate_config
-from .spectral import assemble, split, weyl_cm_vol, weyl_counts
-from .testspinor import asymptotic_fit, sweep
-from .torus import lp_norm, make_grid, random_field, resample_field
+from .spectral import SpectralError, assemble, split, weyl_cm_vol, weyl_counts
+from .testspinor import TestSpinorError, asymptotic_fit, sweep
+from .torus import GridError, lp_norm, make_grid, random_field, resample_field
 from .variational import SolverFailure
 
 _FMT = "%.11e"
@@ -392,7 +392,7 @@ def main(argv=None):
         if cfg.command == "spectrum":
             return cmd_spectrum(cfg, out_dir, t0, emit_json=getattr(args, "json", False))
         return _DISPATCH[cfg.command](cfg, out_dir, t0)
-    except ConfigError as exc:
+    except (ConfigError, GridError, SpectralError, TestSpinorError) as exc:  # inputs the validators reject
         print(f"config error: {exc}", file=sys.stderr)
         return 64
     except SolverFailure as exc:

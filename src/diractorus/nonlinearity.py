@@ -191,17 +191,27 @@ def _make_log_critical(m, alpha, q):
     return Nonlinearity("log-critical", m, {"alpha": alpha, "q": q}, _f=f, _F=F)
 
 
+def radial_integral(f, breaks, scale):
+    """sum_i int_(breaks[i])^(breaks[i+1]) f(r) dr for a vectorized f; the last break may be inf.
+
+    Each piece is one 64-node Gauss-Legendre rule in theta = arctan(r / scale),
+    dr = scale sec^2(theta) dtheta, which maps [0, inf) onto [0, pi/2) and
+    spreads the nodes over the scale where the radial profiles bend.  A break
+    belongs wherever f is only piecewise smooth.  The nodes are built on each
+    call (1-2 ms), so ``import diractorus`` does no quadrature work.
+    """
+    edges = np.arctan(np.asarray(breaks, dtype=float) / scale)
+    # nodes and weights on [-1, 1], scaled to each piece's half-width
+    x, w = (0.5 * np.diff(edges)[:, None] * v for v in np.polynomial.legendre.leggauss(64))
+    theta = (x + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
+    return float(np.dot(f(scale * np.tan(theta)), w.ravel() * scale / np.cos(theta) ** 2))
+
+
 def f5_integral(nl, rho):
     """The (f_5) quantity rho^(m-1) / |ln rho|^max(3-m, 0) * int_0^(1/rho) F(...) r^(m-1) dr."""
-    from scipy.integrate import quad
-
     m = nl.m
     ex = 0.5 * (m - 1.0)
-
-    def integrand(r):
-        return float(nl.F(rho**-ex / (1.0 + r * r) ** ex)) * r ** (m - 1.0)
-
-    val, _ = quad(integrand, 0.0, 1.0 / rho, limit=400)
+    val = radial_integral(lambda r: nl.F(rho**-ex / (1.0 + r * r) ** ex) * r ** (m - 1.0), (0.0, 1.0 / rho), 1.0)
     return rho ** (m - 1.0) / abs(np.log(rho)) ** max(3.0 - m, 0.0) * val
 
 

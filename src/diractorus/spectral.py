@@ -324,11 +324,12 @@ def dual_norm_eigen(sp, be):
 def weyl_counts(table, Lambda):
     """(d_plus, d_minus, N_count) for eigenvalues of modulus <= Lambda.
 
-    Requires Lambda <= K so the cutoff cube contains the whole counting ball.
+    Requires 0 < Lambda <= K: the cutoff cube must contain the whole
+    counting ball, and the Weyl ratio divides by Lambda^m.
     """
-    if Lambda > table.grid.K:
+    if not 0 < Lambda <= table.grid.K:
         raise SpectralError(
-            f"Lambda={Lambda} exceeds the cutoff K={table.grid.K}; counts would be truncated"
+            f"Lambda={Lambda} is outside (0, K={table.grid.K}]: the counting ball must be nonempty and inside the cutoff"
         )
     eigs = table.distinct
     mult = table.multiplicity

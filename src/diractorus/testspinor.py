@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .clifford import clifford_mul
-from .nonlinearity import critical_exponent
+from .nonlinearity import critical_exponent, radial_integral
 from .spectral import dual_norm_eigen, omega_sphere
 from .torus import SpinorField, analyze, pointwise_modulus, pointwise_real_inner
 
@@ -359,12 +359,9 @@ def sweep(table, sp, eps_values, delta):
     return rows
 
 
-@lru_cache(maxsize=None)
 def _bubble_integral(m):
-    """int_0^inf r^(m-1)/(1+r^2)^m dr by quadrature (scipy.integrate is imported on the first call)."""
-    from scipy.integrate import quad
-
-    return quad(lambda r: r ** (m - 1.0) / (1.0 + r * r) ** m, 0.0, np.inf)[0]
+    """int_0^inf r^(m-1)/(1+r^2)^m dr by ``radial_integral``."""
+    return radial_integral(lambda r: r ** (m - 1.0) / (1.0 + r * r) ** m, (0.0, np.inf), 1.0)
 
 
 def omega_identity_residual(m):
@@ -378,15 +375,21 @@ def l2star_mass_limit(m):
 
 
 def radial_mass_ratio(nl, delta, eps):
-    """int F(|phi_eps|) / int |phi_eps|^2 by radial quadrature (lam <= 0 probe)."""
-    from scipy.integrate import quad
+    """int F(|phi_eps|) / int |phi_eps|^2 by ``radial_integral`` (lam <= 0 probe).
 
+    The rule runs at scale eps with breaks at delta and 2 delta, where the
+    cutoff eta turns from 1 to its quintic ramp and then to 0, and at
+    sqrt(eps delta), which splits the 1/r tail of the m = 2 integrands.
+    Without that break one piece on [0, delta] misses by 3e-13 relative at
+    delta / eps = 50 and by 9e-5 at 500; with it, by 1e-14 at 500.
+    """
     m = nl.m
     amp = m ** ((m - 1) / 2.0) * eps ** (-(m - 1) / 2.0)
 
     def mod(r):
         return cutoff_eta(r, delta) * amp * (1.0 + (r / eps) ** 2) ** (-(m - 1) / 2.0)
 
-    num, _ = quad(lambda r: float(nl.F(mod(r))) * r ** (m - 1.0), 0.0, 2.0 * delta, limit=400)
-    den, _ = quad(lambda r: mod(r) ** 2 * r ** (m - 1.0), 0.0, 2.0 * delta, limit=400)
+    breaks = (0.0, np.sqrt(eps * delta), delta, 2.0 * delta)
+    num = radial_integral(lambda r: nl.F(mod(r)) * r ** (m - 1.0), breaks, eps)
+    den = radial_integral(lambda r: mod(r) ** 2 * r ** (m - 1.0), breaks, eps)
     return num / den

@@ -147,7 +147,8 @@ class Evaluation:
         """K''(u)[dv] = g(|u|) dv + (g'(|u|)/|u|) Re<u, dv> u on collocation values shaped like u.
 
         ``dv`` may stack several directions on leading axes.  Re<u, dv> is
-        ``pointwise_real_inner``, one einsum over real views of u and dv.
+        ``pointwise_real_inner``: one product of real views of u and dv, then
+        a sum of its real columns.
         """
         g, radial = self._second_weights
         beta = pointwise_real_inner(self.u, dv)[..., None]

@@ -461,6 +461,34 @@ def test_branch_sweep_keeps_a_second_point_that_violates_the_guard(monkeypatch):
     assert inits[1] is flagged.psi
 
 
+@pytest.mark.parametrize("warm_shift, kept", [(0.0, True), (20.0, False)])
+def test_branch_sweep_keeps_a_monotone_repair_only_when_it_is_lower(monkeypatch, warm_shift, kept):
+    # the cold solve at 0.7 is lifted above the 0.5 point's energy; phase 2
+    # re-solves it from the 0.5 field and keeps that solve only if it is lower
+    solve, calls = branch.minimize_M, []
+
+    def rising(sp, nl, init=None, maxiter=60):
+        pt = solve(sp, nl, init=init, maxiter=maxiter)
+        if np.isclose(sp.lam, 0.7):
+            pt.energy += 10.0 if init is None else warm_shift
+        calls.append((sp.lam, init, pt))
+        return pt
+
+    monkeypatch.setattr(branch, "minimize_M", rising)
+    left, right = branch_sweep(assemble(2, 4), NL, [0.5, 0.7], maxiter=20).points
+    (lam0, init0, _), (lam1, init1, cold), (lam2, init2, warm) = calls
+    assert (lam0, lam1, lam2) == (0.5, 0.7, 0.7)
+    assert init0 is None and init1 is None and init2 is left.psi
+    assert cold.energy > left.energy
+    assert "monotone-repair" not in left.flags
+    if kept:
+        assert right is warm and warm.energy < cold.energy
+        assert "monotone-repair" in right.flags
+    else:
+        assert right is cold and warm.energy > cold.energy
+        assert "monotone-repair" not in right.flags
+
+
 def test_ray_quotient_is_the_scale_invariant_ray_maximum_at_m3():
     # alpha^2 / (4 beta) is the ray maximum only at m = 2; at m = 3 it grew
     # linearly with the scale of phi

@@ -201,6 +201,22 @@ def test_malformed_flag_values_are_config_errors(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"config error: bad value for '{key}': ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weyl", "--Lambda", "100", "--cutoff", "4"],  # Lambda above the cutoff
+        ["weyl", "--Lambda", "0"],
+        ["weyl", "--Lambda", "-2"],  # printed a Weyl ratio of 0.0
+        ["quadcheck", "--p", "0.5"],
+        ["testspinor", "--eps-sweep", "0.9,0.5"],  # eps above the default delta pi/4
+    ],
+)
+def test_inputs_the_validators_reject_are_config_errors(tmp_path, capsys, argv):
+    # each used to escape as a traceback (or, for Lambda < 0, a silent wrong answer)
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 64
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_run_config_rejects_the_tolerances_section(tmp_path, capsys):
     # the solver stop policy is fixed; its section and keys are gone
     path = tmp_path / "tol.ini"

@@ -32,15 +32,19 @@ d.minimize_M(d.split(d.assemble(2, 6), 0.7), d.make_nonlinearity("power", 2, alp
 out["solve"] = loaded()
 out["report"] = d.check_hypotheses(d.make_nonlinearity("power", 2, alpha=1, p=3))
 out["hypotheses"] = loaded()
+d.minimize_M(d.split(d.assemble(2, 4), -0.5), d.make_nonlinearity("power", 2, alpha=1, p=3))
+out["nonpositive"] = loaded()
+from diractorus.testspinor import omega_identity_residual
+omega_identity_residual(2)
+out["bubble"] = loaded()
 print(json.dumps(out))
 """ % (HEAVY,)
 
 
 def test_a_sweep_or_a_solve_loads_no_solver_stack():
     # the solvers' L-BFGS and MINRES are the package's own (``iterative``),
-    # so a solve needs no scipy beyond scipy.fft.  check_hypotheses' (f5)
-    # integrals load scipy.integrate, whose package init imports
-    # scipy.optimize and scipy.sparse itself (scipy 1.17)
+    # and the radial integrals of (f5), the lambda <= 0 probe and criterion 5
+    # are one numpy Gauss-Legendre rule, so no path needs scipy beyond scipy.fft
     src = str(Path(diractorus.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=300)
@@ -48,5 +52,6 @@ def test_a_sweep_or_a_solve_loads_no_solver_stack():
     out = json.loads(run.stdout)
     assert out["import"] == [] and out["sweep"] == []
     assert out["solve"] == []
-    assert out["hypotheses"] == list(HEAVY)
+    assert out["hypotheses"] == []
+    assert out["nonpositive"] == [] and out["bubble"] == []
     assert out["report"] == check_hypotheses(make_nonlinearity("power", 2, alpha=1, p=3))

@@ -257,8 +257,9 @@ def test_weyl_counts_m2():
     assert dm == 316
     assert total == 2 * 316 + 2
     assert np.isclose(dp / 10.0**2, 3.16)
-    with pytest.raises(SpectralError):
-        weyl_counts(table, 13.0)
+    for Lam in (13.0, 0.0, -2.0):
+        with pytest.raises(SpectralError):
+            weyl_counts(table, Lam)
 
 
 def test_weyl_ratio_near_disk_area():

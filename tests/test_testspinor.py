@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from diractorus.clifford import build_rep
-from diractorus.nonlinearity import make_nonlinearity
+from diractorus.nonlinearity import make_nonlinearity, radial_integral
 from diractorus.spectral import assemble, split
 from diractorus.testspinor import (
     TestSpinorError,
@@ -332,3 +332,19 @@ def test_radial_mass_ratio_divergence_trend():
     assert vals[0] < vals[1] < vals[2]
     nl0 = make_nonlinearity("zero", 2)
     assert radial_mass_ratio(nl0, np.pi / 4, 0.05) == 0.0
+
+
+@pytest.mark.parametrize("m, p", [(2, 3.0), (3, 2.5)])
+def test_radial_mass_ratio_holds_its_accuracy_far_below_delta(m, p):
+    # at m = 2 the integrands fall off like 1/r out to delta; one Gauss-Legendre
+    # piece on [0, delta] missed by 9e-5 at delta / eps = 500
+    nl, delta, eps = make_nonlinearity("power", m, alpha=1.0, p=p), 0.5, 1e-3
+    amp = m ** ((m - 1) / 2.0) * eps ** (-(m - 1) / 2.0)
+
+    def mod(r):
+        return cutoff_eta(r, delta) * amp * (1.0 + (r / eps) ** 2) ** (-(m - 1) / 2.0)
+
+    breaks = np.concatenate([[0.0], np.geomspace(eps / 8, delta, 24), [2.0 * delta]])
+    num = radial_integral(lambda r: nl.F(mod(r)) * r ** (m - 1.0), breaks, eps)
+    den = radial_integral(lambda r: mod(r) ** 2 * r ** (m - 1.0), breaks, eps)
+    assert radial_mass_ratio(nl, delta, eps) == pytest.approx(num / den, rel=1e-12)
