@@ -38,7 +38,7 @@ import numpy as np
 
 from .iterative import minres
 from .nonlinearity import check_hypotheses
-from .spectral import omega_sphere, split as make_split
+from .spectral import SpectralError, omega_sphere, split as make_split
 from .testspinor import radial_mass_ratio
 from .torus import SpinorField, cube_coefficients, l2_norm
 from .variational import (
@@ -78,10 +78,13 @@ def nu_window(m, volume):
 
 
 def multiplicity_count(table, lam):
-    """l(lam): total complex kernel dimension of eigenvalues in (lam, lam + nu), nu = ``nu_window``."""
+    """l(lam): total complex kernel dimension of eigenvalues in (lam, lam + nu), nu = ``nu_window``.
+
+    A window that passes the cutoff K raises ``SpectralError``.
+    """
     nu = nu_window(table.m, table.grid.volume)
     if lam + nu > table.grid.K:
-        raise SolverFailure(
+        raise SpectralError(
             f"window (lam, lam+nu) = ({lam}, {lam + nu}) exceeds cutoff K={table.grid.K}"
         )
     eigs = table.distinct
@@ -440,8 +443,13 @@ def branch_sweep(table, nl, lam_grid, second_near=None, second_offsets=(0.05, 0.
     recorded energies up to solver tolerance.  Second-branch points are
     solved from the largest offset down, each warm-started from the last one
     that has a field.  Per-point failures are recorded as flagged points and
-    the sweep continues.  The CLI's ``solve`` is a one-point sweep.
+    the sweep continues.  The CLI's ``solve`` is a one-point sweep.  A
+    ``second_near`` with no positive eigenvalue of that index inside the
+    cutoff raises ``SpectralError`` before any solve.
     """
+    pos = table.distinct[table.distinct > 0]
+    if second_near is not None and not 1 <= second_near <= pos.size:
+        raise SpectralError(f"no eigenvalue index k={second_near} inside the cutoff")
     lam_grid = sorted({float(x) for x in lam_grid})
     points = [_solve_sweep_point(table, nl, lam, maxiter) for lam in lam_grid]
 
@@ -462,9 +470,6 @@ def branch_sweep(table, nl, lam_grid, second_near=None, second_offsets=(0.05, 0.
 
     if second_near is not None:
         k = int(second_near)
-        pos = table.distinct[table.distinct > 0]
-        if k < 1 or k > pos.size:
-            raise SolverFailure(f"no eigenvalue index k={k} inside the cutoff")
         lam_k = float(pos[k - 1])
         sp_k = make_split(table, lam_k)
         warm = None

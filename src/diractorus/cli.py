@@ -6,7 +6,9 @@ configuration next to it; branch runs also emit a plot-ready
 one-point ``branch`` sweep, so both write one row per point, failed points
 included, and share one exit-code rule.  Exit codes: 0 full success, 1
 solver failures, 2 guard violations (converged energy at or above the
-compactness threshold), 64 malformed configuration.
+compactness threshold), 64 malformed configuration: a malformed or missing
+value, from a flag or a config file, or one the library rejects.  An unknown
+flag is an argparse usage error, exit 2.
 """
 
 from __future__ import annotations
@@ -14,11 +16,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import platform
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from . import __version__
 from .acceptance import SUITES, run_suite
 from .branch import branch_sweep, gamma_crit, multiplicity_count, nu_window
 from .clifford import build_rep
-from .config import PARSERS, ConfigError, RunConfig, load_config, validate_config
+from .config import _KEYS, ConfigError, RunConfig, load_config, set_values, validate_config
 from .spectral import SpectralError, assemble, split, weyl_cm_vol, weyl_counts
 from .testspinor import TestSpinorError, asymptotic_fit, sweep
 from .torus import GridError, lp_norm, make_grid, random_field, resample_field
@@ -266,7 +266,7 @@ def cmd_accept(cfg, out_dir, t0):
 def cmd_quadcheck(cfg, out_dir, t0):
     """Quadrature self-test: L^p norms under collocation refinement."""
     p = cfg.p if cfg.p is not None else 3.0
-    grid1 = make_grid(cfg.dim, cfg.cutoff)
+    grid1 = make_grid(cfg.dim, cfg.cutoff, cfg.n_grid)
     grid2 = make_grid(cfg.dim, cfg.cutoff, 2 * grid1.n_grid)
     rng = np.random.default_rng(cfg.seed)
     psi1 = random_field(grid1, 2 ** (cfg.dim // 2), rng)
@@ -279,119 +279,73 @@ def cmd_quadcheck(cfg, out_dir, t0):
     return 0
 
 
-_DISPATCH = {
-    "clifford": cmd_clifford,
-    "spectrum": cmd_spectrum,
-    "weyl": cmd_weyl,
-    "testspinor": cmd_testspinor,
-    "solve": cmd_solve,
-    "branch": cmd_branch,
-    "multiplicity": cmd_multiplicity,
-    "accept": cmd_accept,
-    "quadcheck": cmd_quadcheck,
+_COMMON = ("dim", "cutoff", "n_grid", "out_dir", "seed")
+_NONLINEARITY = ("nl_kind", "alpha", "p", "q")
+
+# Every subcommand: (handler, help, the RunConfig attributes its flags set).
+# ``run`` has no handler: its config file names the command.
+_COMMANDS = {
+    "run": (None, "execute a config file", ("out_dir",)),
+    "clifford": (cmd_clifford, "gamma-matrix relation residuals", _COMMON),
+    "spectrum": (cmd_spectrum, "exact torus Dirac spectrum", _COMMON),
+    "weyl": (cmd_weyl, "eigenvalue counting", _COMMON + ("Lambda",)),
+    "testspinor": (
+        cmd_testspinor,
+        "concentration sweep measurements",
+        _COMMON + ("eps_sweep", "delta", "dual_lambda"),
+    ),
+    "solve": (cmd_solve, "least-energy solve at one lambda", _COMMON + ("lam",) + _NONLINEARITY),
+    "branch": (
+        cmd_branch,
+        "branch sweep over a lambda grid",
+        _COMMON + ("lambda_grid", "second_near") + _NONLINEARITY,
+    ),
+    "multiplicity": (cmd_multiplicity, "continuation-window solution count", _COMMON + ("lam",)),
+    "accept": (cmd_accept, "run acceptance criteria", ("out_dir",)),
+    "quadcheck": (cmd_quadcheck, "quadrature refinement self-test", _COMMON + ("p",)),
 }
 
 
 def build_parser():
+    """One subparser per ``_COMMANDS`` row, each flag named by its key's ``_KEYS`` row.
+
+    Flags take strings: ``main`` parses them with the key's parser, as a
+    config file's values are.
+    """
     parser = argparse.ArgumentParser(
         prog="diractorus",
         description="Spectral workbench for critical nonlinear Dirac equations on flat tori",
     )
     sub = parser.add_subparsers(dest="command")
-
-    def common(p):
-        p.add_argument("--dim", type=int, default=None)
-        p.add_argument("--cutoff", type=int, default=None)
-        p.add_argument("--n-grid", type=int, default=None)
-        p.add_argument("--out", dest="out_dir", type=str, default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-
-    def nonlinearity(p):
-        p.add_argument("--nl", dest="nl_kind", type=str, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--p", type=float, default=None)
-        p.add_argument("--q", type=float, default=None)
-
-    p = sub.add_parser("run", help="execute a config file")
-    p.add_argument("config", type=str)
-    p.add_argument("--out", dest="out_dir", type=str, default=None)
-
-    p = sub.add_parser("clifford", help="gamma-matrix relation residuals")
-    common(p)
-
-    p = sub.add_parser("spectrum", help="exact torus Dirac spectrum")
-    common(p)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("weyl", help="eigenvalue counting")
-    common(p)
-    p.add_argument("--Lambda", type=float, required=True)
-
-    p = sub.add_parser("testspinor", help="concentration sweep measurements")
-    common(p)
-    p.add_argument("--eps-sweep", type=str, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--dual-lambda", type=float, default=None)
-
-    p = sub.add_parser("solve", help="least-energy solve at one lambda")
-    common(p)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    nonlinearity(p)
-
-    p = sub.add_parser("branch", help="branch sweep over a lambda grid")
-    common(p)
-    p.add_argument("--lambda-grid", type=str, required=True)
-    p.add_argument("--second-near", type=int, default=None)
-    nonlinearity(p)
-
-    p = sub.add_parser("multiplicity", help="continuation-window solution count")
-    common(p)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-
-    p = sub.add_parser("accept", help="run acceptance criteria")
-    p.add_argument("suite", nargs="?", default="all", choices=sorted(SUITES))
-    p.add_argument("--out", dest="out_dir", type=str, default=None)
-
-    p = sub.add_parser("quadcheck", help="quadrature refinement self-test")
-    common(p)
-    p.add_argument("--p", type=float, default=None)
+    flags = {attr: flag for *_, attr, _, flag in _KEYS}
+    for name, (_, help_text, attrs) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for attr in attrs:
+            p.add_argument(flags[attr], dest=attr)
+    sub.choices["run"].add_argument("config")
+    sub.choices["spectrum"].add_argument("--json", action="store_true")
+    sub.choices["accept"].add_argument("suite", nargs="?", default="all", choices=sorted(SUITES))
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
+    flags = vars(parser.parse_args(argv))
+    command = flags.pop("command")
+    if command is None:
         parser.print_help()
         return 0
     t0 = time.time()
+    commands = [name for name, (handler, _, _) in _COMMANDS.items() if handler]
     try:
-        if args.command == "run":
-            cfg = load_config(args.config, overrides={"out_dir": args.out_dir})
+        if command == "run":
+            cfg = load_config(flags.pop("config"), commands, overrides=flags)
         else:
-            # each flag's dest is its RunConfig attribute; the key's parser reads
-            # the list-valued flags and leaves the others as argparse typed them
-            cfg = RunConfig()
-            for f in fields(RunConfig):
-                value = getattr(args, f.name, None)
-                if value is not None:
-                    key, parse = PARSERS[f.name]
-                    try:
-                        setattr(cfg, f.name, parse(value))
-                    except ValueError as exc:  # a malformed value, as in a config file
-                        raise ConfigError(f"bad value for {key!r}: {exc}") from exc
-            validate_config(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 64
-    out_dir = Path(cfg.out_dir)
-    root = os.environ.get("DIRACTORUS_OUT_ROOT")
-    if root and not out_dir.is_absolute():
-        out_dir = Path(root) / out_dir
-    try:
+            cfg = validate_config(set_values(RunConfig(command=command), flags), commands)
+        out_dir = Path(cfg.out_dir)
         if cfg.command == "spectrum":
-            return cmd_spectrum(cfg, out_dir, t0, emit_json=getattr(args, "json", False))
-        return _DISPATCH[cfg.command](cfg, out_dir, t0)
+            return cmd_spectrum(cfg, out_dir, t0, emit_json=flags.get("json", False))
+        return _COMMANDS[cfg.command][0](cfg, out_dir, t0)
     except (ConfigError, GridError, SpectralError, TestSpinorError) as exc:  # inputs the validators reject
         print(f"config error: {exc}", file=sys.stderr)
         return 64

@@ -1,9 +1,11 @@
 """Run configuration: flat key-value sections, validated at load time.
 
-The canonical interface is an INI-style file; command-line flags override
-individual keys.  Unknown sections or keys are rejected with the offending
-line number, as are values violating the module preconditions (dimension,
-cutoff, grid parity, nonlinearity exponent ranges, sweep shapes).
+A run's keys are set from an INI-style file or from command-line flags, two
+ways to set the same keys: ``_KEYS`` names each key's section, parser and
+flag, and ``set_values`` parses a value from either source.  Unknown sections
+or keys are rejected with the offending line number, as are values violating
+the module preconditions (dimension, cutoff, grid parity, nonlinearity
+exponent ranges, sweep shapes).
 """
 
 from __future__ import annotations
@@ -23,19 +25,6 @@ class ConfigError(ValueError):
     def __init__(self, message, line=None):
         self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
-
-
-_COMMANDS = {
-    "clifford",
-    "spectrum",
-    "weyl",
-    "testspinor",
-    "solve",
-    "branch",
-    "multiplicity",
-    "accept",
-    "quadcheck",
-}
 
 
 @dataclass
@@ -114,34 +103,53 @@ def _floats(spec):
     return tuple(float(x) for x in spec.split(","))
 
 
-# Every run key, in load order: (section, key, RunConfig attribute, parser of its string value).
+# Every run key, in load order: (section, key, RunConfig attribute, parser of
+# its string value, command-line flag or None).
 _KEYS = (
-    ("run", "command", "command", str),
-    ("run", "out_dir", "out_dir", str),
-    ("run", "seed", "seed", int),
-    ("problem", "dim", "dim", int),
-    ("problem", "cutoff", "cutoff", int),
-    ("problem", "n_grid", "n_grid", int),
-    ("problem", "lambda", "lam", float),
-    ("problem", "lambda_grid", "lambda_grid", parse_lambda_grid),
-    ("problem", "Lambda", "Lambda", float),
-    ("nonlinearity", "kind", "nl_kind", str),
-    ("nonlinearity", "alpha", "alpha", float),
-    ("nonlinearity", "p", "p", float),
-    ("nonlinearity", "q", "q", float),
-    ("testspinor", "eps_sweep", "eps_sweep", _floats),
-    ("testspinor", "delta", "delta", float),
-    ("testspinor", "dual_lambda", "dual_lambda", float),
-    ("branch", "second_near", "second_near", int),
-    ("branch", "second_offsets", "second_offsets", _floats),
-    ("accept", "suite", "suite", str),
+    ("run", "command", "command", str, None),
+    ("run", "out_dir", "out_dir", str, "--out"),
+    ("run", "seed", "seed", int, "--seed"),
+    ("problem", "dim", "dim", int, "--dim"),
+    ("problem", "cutoff", "cutoff", int, "--cutoff"),
+    ("problem", "n_grid", "n_grid", int, "--n-grid"),
+    ("problem", "lambda", "lam", float, "--lambda"),
+    ("problem", "lambda_grid", "lambda_grid", parse_lambda_grid, "--lambda-grid"),
+    ("problem", "Lambda", "Lambda", float, "--Lambda"),
+    ("nonlinearity", "kind", "nl_kind", str, "--nl"),
+    ("nonlinearity", "alpha", "alpha", float, "--alpha"),
+    ("nonlinearity", "p", "p", float, "--p"),
+    ("nonlinearity", "q", "q", float, "--q"),
+    ("testspinor", "eps_sweep", "eps_sweep", _floats, "--eps-sweep"),
+    ("testspinor", "delta", "delta", float, "--delta"),
+    ("testspinor", "dual_lambda", "dual_lambda", float, "--dual-lambda"),
+    ("branch", "second_near", "second_near", int, "--second-near"),
+    ("branch", "second_offsets", "second_offsets", _floats, None),
+    ("accept", "suite", "suite", str, None),
 )
-_SCHEMA = {section: {k for s, k, _, _ in _KEYS if s == section} for section, *_ in _KEYS}
-PARSERS = {attr: (key, parse) for _, key, attr, parse in _KEYS}
+_SCHEMA = {section: {k for s, k, *_ in _KEYS if s == section} for section, *_ in _KEYS}
 
 
-def load_config(path, overrides=None):
-    """Load and validate a RunConfig from an INI file."""
+def set_values(cfg, values, path=None):
+    """Set the string values of ``values``, keyed by RunConfig attribute, through each key's parser.
+
+    Entries that name no key, or hold None, are skipped.  ``path`` is the
+    config file the values came from, for the line of a bad one.
+    """
+    for section, key, attr, parse, _ in _KEYS:
+        if values.get(attr) is not None:
+            try:
+                setattr(cfg, attr, parse(values[attr]))
+            except ValueError as exc:  # ConfigError included
+                line = _line_of(path, section, key) if path else None
+                raise ConfigError(f"bad value for {key!r}: {exc}", line=line) from exc
+    return cfg
+
+
+def load_config(path, commands, overrides=None):
+    """Load and validate a RunConfig from an INI file; ``overrides`` are set after the file's values.
+
+    ``commands`` are the command names a file may run.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keys are case-sensitive: ``lambda`` and ``Lambda`` are two keys
     try:
@@ -163,31 +171,18 @@ def load_config(path, overrides=None):
                     f"unknown key {key!r} in [{section}]", line=_line_of(path, section, key)
                 )
 
-    cfg = RunConfig()
-    for section, key, attr, parse in _KEYS:
-        if parser.has_option(section, key):
-            try:
-                setattr(cfg, attr, parse(parser.get(section, key)))
-            except ValueError as exc:  # ConfigError included
-                raise ConfigError(
-                    f"bad value for {key!r}: {exc}", line=_line_of(path, section, key)
-                ) from exc
-
-    for attr, value in (overrides or {}).items():
-        if value is not None:
-            setattr(cfg, attr, value)
-
-    validate_config(cfg, path)
-    return cfg
+    values = {attr: parser.get(s, k) for s, k, attr, *_ in _KEYS if parser.has_option(s, k)}
+    cfg = set_values(set_values(RunConfig(), values, path), overrides or {})
+    return validate_config(cfg, commands, path)
 
 
-def validate_config(cfg, path=None):
+def validate_config(cfg, commands, path=None):
     def bad(msg, section=None, key=None):
         line = _line_of(path, section, key) if path and section else None
         raise ConfigError(msg, line=line)
 
-    if cfg.command not in _COMMANDS:
-        bad(f"unknown command {cfg.command!r}; choose from {sorted(_COMMANDS)}", "run", "command")
+    if cfg.command not in commands:
+        bad(f"unknown command {cfg.command!r}; choose from {sorted(commands)}", "run", "command")
     if cfg.dim < 2:
         bad(f"dim must be >= 2, got {cfg.dim}", "problem", "dim")
     if cfg.cutoff < 1:

@@ -17,7 +17,7 @@ from diractorus.branch import (
     second_solution,
 )
 from diractorus.nonlinearity import make_nonlinearity
-from diractorus.spectral import assemble, omega_sphere, project, split
+from diractorus.spectral import SpectralError, assemble, omega_sphere, project, split
 from diractorus.torus import SpinorField, random_field, zero_field
 from diractorus.variational import (
     Evaluation,
@@ -81,7 +81,7 @@ def test_multiplicity_counts():
             if lam < ev < lam + nu
         )
         assert multiplicity_count(table, lam) == brute
-    with pytest.raises(SolverFailure):
+    with pytest.raises(SpectralError):
         multiplicity_count(table, 7.9)
 
 

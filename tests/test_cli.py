@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 import scipy
 
-from diractorus.cli import _DISPATCH, build_parser, main
-from diractorus.config import _COMMANDS, ConfigError, load_config, parse_lambda_grid
+from diractorus.cli import build_parser, main
+from diractorus.config import ConfigError, load_config, parse_lambda_grid
 
 
 def run_cli(args):
@@ -136,7 +136,12 @@ def test_branch_takes_a_power_nonlinearity_from_flags(tmp_path):
 
 def test_quadcheck_subcommand(tmp_path, capsys):
     assert run_cli(["quadcheck", "--dim", "2", "--cutoff", "6", "--p", "3", "--out", str(tmp_path)]) == 0
-    assert "rel diff" in capsys.readouterr().out
+    assert "n=26 -> " in capsys.readouterr().out  # the default grid 4K+2
+    # --n-grid sets the coarse grid; it used to be accepted and ignored
+    argv = ["quadcheck", "--cutoff", "6", "--n-grid", "40", "--out", str(tmp_path)]
+    assert run_cli(argv) == 0
+    out = capsys.readouterr().out
+    assert "n=40 -> " in out and "n=80 -> " in out and "rel diff" in out
 
 
 def test_quadcheck_p_is_an_lp_exponent_not_a_power_exponent(tmp_path, capsys):
@@ -181,10 +186,10 @@ def test_run_config_keys_are_case_sensitive(tmp_path, capsys):
     # and the other way round
     path = tmp_path / "case.ini"
     path.write_text("[problem]\nlambda = 0.99\n")
-    cfg = load_config(str(path))
+    cfg = load_config(str(path), ["solve"])
     assert (cfg.lam, cfg.Lambda) == (0.99, None)
     path.write_text("[problem]\nLambda = 10\n")
-    cfg = load_config(str(path))
+    cfg = load_config(str(path), ["solve"])
     assert (cfg.lam, cfg.Lambda) == (None, 10.0)
     # a mis-cased key is an unknown key
     path.write_text("[problem]\nCutoff = 8\n")
@@ -194,9 +199,12 @@ def test_run_config_keys_are_case_sensitive(tmp_path, capsys):
 
 
 def test_malformed_flag_values_are_config_errors(tmp_path, capsys):
-    # a flag value its key's parser rejects used to escape as a ValueError
+    # a flag value its key's parser rejects used to escape as a ValueError;
+    # the last two were argparse usage errors, exit 2
     for argv, key in ((["testspinor", "--eps-sweep", "abc"], "eps_sweep"),
-                      (["branch", "--lambda-grid", "abc"], "lambda_grid")):
+                      (["branch", "--lambda-grid", "abc"], "lambda_grid"),
+                      (["spectrum", "--cutoff", "abc"], "cutoff"),
+                      (["weyl", "--Lambda", "x"], "Lambda")):
         assert run_cli(argv + ["--out", str(tmp_path)]) == 64
         assert capsys.readouterr().err.startswith(f"config error: bad value for '{key}': ")
 
@@ -209,10 +217,17 @@ def test_malformed_flag_values_are_config_errors(tmp_path, capsys):
         ["weyl", "--Lambda", "-2"],  # printed a Weyl ratio of 0.0
         ["quadcheck", "--p", "0.5"],
         ["testspinor", "--eps-sweep", "0.9,0.5"],  # eps above the default delta pi/4
+        ["multiplicity", "--lambda", "20", "--cutoff", "4"],  # window beyond the cutoff
+        ["branch", "--lambda-grid", "0.5", "--second-near", "0", "--cutoff", "4"],
+        ["solve"],  # no --lambda
+        ["weyl"],  # no --Lambda
+        ["branch"],  # no --lambda-grid
     ],
 )
 def test_inputs_the_validators_reject_are_config_errors(tmp_path, capsys, argv):
-    # each used to escape as a traceback (or, for Lambda < 0, a silent wrong answer)
+    # each used to escape as a traceback, a silent wrong answer (Lambda < 0),
+    # a solver failure, exit 1 (the multiplicity window, second_near 0), or an
+    # argparse usage error, exit 2 (a missing value)
     assert run_cli(argv + ["--out", str(tmp_path)]) == 64
     assert capsys.readouterr().err.startswith("config error: ")
 
@@ -247,13 +262,7 @@ def test_config_rejects_bad_grid(tmp_path):
     path = tmp_path / "bad3.ini"
     path.write_text("[run]\ncommand = spectrum\n\n[problem]\ndim = 2\ncutoff = 8\nn_grid = 9\n")
     with pytest.raises(ConfigError):
-        load_config(str(path))
-
-
-def test_output_root_environment_variable(tmp_path, monkeypatch):
-    monkeypatch.setenv("DIRACTORUS_OUT_ROOT", str(tmp_path))
-    assert run_cli(["spectrum", "--dim", "2", "--cutoff", "2", "--out", "rel"]) == 0
-    assert (tmp_path / "rel" / "results.csv").exists()
+        load_config(str(path), ["spectrum"])
 
 
 def test_accept_cli_clifford_suite(tmp_path, capsys):
@@ -286,6 +295,34 @@ def test_a_failing_solve_writes_its_flagged_row(tmp_path):
     assert json.loads((tmp_path / "manifest.json").read_text())["failures"] == 1
 
 
-def test_every_command_is_named_in_config_dispatch_and_parser():
+# every subcommand's option strings, positionals by name, as the hand-written parser had them
+_OPTIONS = {
+    "run": ["--help", "--out", "-h", "config"],
+    "clifford": ["--cutoff", "--dim", "--help", "--n-grid", "--out", "--seed", "-h"],
+    "spectrum": ["--cutoff", "--dim", "--help", "--json", "--n-grid", "--out", "--seed", "-h"],
+    "weyl": ["--Lambda", "--cutoff", "--dim", "--help", "--n-grid", "--out", "--seed", "-h"],
+    "testspinor": [
+        "--cutoff", "--delta", "--dim", "--dual-lambda", "--eps-sweep", "--help", "--n-grid",
+        "--out", "--seed", "-h",
+    ],
+    "solve": [
+        "--alpha", "--cutoff", "--dim", "--help", "--lambda", "--n-grid", "--nl", "--out", "--p",
+        "--q", "--seed", "-h",
+    ],
+    "branch": [
+        "--alpha", "--cutoff", "--dim", "--help", "--lambda-grid", "--n-grid", "--nl", "--out",
+        "--p", "--q", "--second-near", "--seed", "-h",
+    ],
+    "multiplicity": ["--cutoff", "--dim", "--help", "--lambda", "--n-grid", "--out", "--seed", "-h"],
+    "accept": ["--help", "--out", "-h", "suite"],
+    "quadcheck": ["--cutoff", "--dim", "--help", "--n-grid", "--out", "--p", "--seed", "-h"],
+}
+
+
+def test_every_subcommand_keeps_its_option_strings():
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(_COMMANDS) == set(_DISPATCH) == set(subparsers.choices) - {"run"}
+    options = {
+        name: sorted(s for a in p._actions for s in a.option_strings or [a.dest])
+        for name, p in subparsers.choices.items()
+    }
+    assert options == _OPTIONS
