@@ -113,9 +113,10 @@ def _strong_residual(ev):
     """
     grid = ev.fn.split.grid
     cube = cube_coefficients(grid, ev.gu)
+    band = (slice(None),) + grid.cube_index
     if "nonlin" not in vars(ev):  # Evaluation.nonlin is a cached_property
-        ev.nonlin = ev.fn.split.table.to_eigen(cube[grid.cube_index])
-    cube[grid.cube_index] = 0.0
+        ev.nonlin = ev.fn.split.table.to_eigen(cube[band].T)
+    cube[band] = 0.0
     return _l2(grid, ev.rep), _l2(grid, cube)
 
 

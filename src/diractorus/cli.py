@@ -310,16 +310,18 @@ def build_parser():
     """One subparser per ``_COMMANDS`` row, each flag named by its key's ``_KEYS`` row.
 
     Flags take strings: ``main`` parses them with the key's parser, as a
-    config file's values are.
+    config file's values are.  Only the declared flags parse: no prefix of
+    one is taken for it (``allow_abbrev=False``).
     """
     parser = argparse.ArgumentParser(
         prog="diractorus",
         description="Spectral workbench for critical nonlinear Dirac equations on flat tori",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command")
     flags = {attr: flag for *_, attr, _, flag in _KEYS}
     for name, (_, help_text, attrs) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for attr in attrs:
             p.add_argument(flags[attr], dest=attr)
     sub.choices["run"].add_argument("config")

@@ -13,8 +13,8 @@ solution family) inherit the e_i^2 = -I convention from here.
 Every generator of the construction is monomial: one nonzero entry per row,
 a phase in {+-1, +-i}, since each is a tensor product of Pauli matrices up
 to such a phase.  Clifford multiplication runs per spinor component over that
-structure, (x . s)_i = sum_j x_j c_(j,i) s_(p_j(i)): m strided
-multiply-adds, with no (..., N, N) matrix built per point.
+structure, (x . s)_i = sum_j x_j c_(j,i) s_(p_j(i)): m multiply-adds of
+permuted spinors, with no (N, N, ...) matrix built per point.
 """
 
 from __future__ import annotations
@@ -113,28 +113,31 @@ def build_rep(m):
 def _check_shapes(rep, x, s):
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=complex)
-    if x.shape[-1:] != (rep.m,):
-        raise CliffordError(f"vector must have last axis {rep.m}, got {x.shape}")
-    if s.shape[-1:] != (rep.N,):
-        raise CliffordError(f"spinor must have last axis {rep.N}, got {s.shape}")
+    if x.shape[:1] != (rep.m,):
+        raise CliffordError(f"vector must have first axis {rep.m}, got {x.shape}")
+    if s.shape[:1] != (rep.N,):
+        raise CliffordError(f"spinor must have first axis {rep.N}, got {s.shape}")
     try:
-        np.broadcast_shapes(x.shape[:-1], s.shape[:-1])
+        tail = np.broadcast_shapes(x.shape[1:], s.shape[1:])
     except ValueError:
-        raise CliffordError(f"leading axes of {x.shape} and {s.shape} do not broadcast") from None
-    return x, s
+        raise CliffordError(f"trailing axes of {x.shape} and {s.shape} do not broadcast") from None
+    return x, s.reshape(s.shape[:1] + (1,) * (len(tail) + 1 - s.ndim) + s.shape[1:])  # s.ndim = 1 + len(tail)
 
 
 def clifford_mul(rep, x, s):
     """Clifford multiplication x . s = sum_j x_j (e_j s).
 
-    ``x`` has last axis m and ``s`` last axis N; their leading axes broadcast,
-    so one vector can act on a batch of spinors, a batch of vectors on one
-    spinor, or each point's vector on its own spinor.
+    ``x`` has first axis m and ``s`` first axis N, the layout of collocation
+    values; their trailing axes broadcast, so one vector can act on a batch
+    of spinors, a batch of vectors on one spinor, or each point's vector on
+    its own spinor.  Each component x_j is a plane that multiplies the whole
+    permuted spinor e_j s.
     """
     x, s = _check_shapes(rep, x, s)
-    out = x[..., :1] * (rep.phases[0] * np.take(s, rep.columns[0], axis=-1))
+    phases = rep.phases.reshape(rep.phases.shape + (1,) * (s.ndim - 1))
+    out = x[0] * (phases[0] * s[rep.columns[0]])
     for j in range(1, rep.m):
-        out += x[..., j : j + 1] * (rep.phases[j] * np.take(s, rep.columns[j], axis=-1))
+        out += x[j] * (phases[j] * s[rep.columns[j]])
     return out
 
 
@@ -143,4 +146,5 @@ def one_minus_x_mul(rep, x, s):
 
     Satisfies |(1 - x) . s|^2 = (1 + |x|^2) |s|^2.
     """
-    return np.asarray(s, dtype=complex) - clifford_mul(rep, x, s)
+    _, s = _check_shapes(rep, x, s)
+    return s - clifford_mul(rep, x, s)

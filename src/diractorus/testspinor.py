@@ -94,39 +94,31 @@ def cutoff_eta_prime(r, delta):
     return -du / delta
 
 
-def _squared_norm(x):
-    """|x|^2 over the last axis, a sum of component squares rather than a reduction over it."""
-    sq = x[..., 0] ** 2
-    for j in range(1, x.shape[-1]):
-        sq += x[..., j] ** 2
-    return sq
-
-
 def _solution_and_dirac(rep, x, psi0):
-    """``euclidean_solution`` and ``euclidean_dirac`` at the points x, one spinor component at a time.
+    """``euclidean_solution`` and ``euclidean_dirac`` at the points x (first axis m), one spinor component at a time.
 
     Both share |x|^2, mu and x . psi_0, whose component i is
-    sum_j x_j (e_j psi_0)_i.  Every product runs on whole per-point arrays,
-    never broadcasting a per-point factor along the short spinor axis.
+    sum_j x_j (e_j psi_0)_i.  The values are shaped (N, ...), spinor axis
+    first, and every product runs on whole planes of points.
     """
     m = rep.m
-    sq = _squared_norm(x)
+    sq = (x**2).sum(axis=0)
     mu = 1.0 / (1.0 + sq)
-    images = clifford_mul(rep, np.eye(m), psi0)  # row j is e_j . psi_0
+    images = clifford_mul(rep, np.eye(m), psi0[:, None])  # column j is e_j . psi_0
     lead, slope = mu ** (m / 2.0), -m * mu ** (m / 2.0 + 1.0)
-    psi = np.empty(x.shape[:-1] + (rep.N,), dtype=complex)
+    psi = np.empty((rep.N,) + x.shape[1:], dtype=complex)
     dpsi = np.empty_like(psi)
     for i in range(rep.N):
-        xpsi0 = x[..., 0] * images[0, i]
+        xpsi0 = x[0] * images[i, 0]
         for j in range(1, m):
-            xpsi0 += x[..., j] * images[j, i]
-        psi[..., i] = lead * (psi0[i] - xpsi0)
-        dpsi[..., i] = slope * (xpsi0 + sq * psi0[i]) + m * lead * psi0[i]
+            xpsi0 += x[j] * images[i, j]
+        psi[i] = lead * (psi0[i] - xpsi0)
+        dpsi[i] = slope * (xpsi0 + sq * psi0[i]) + m * lead * psi0[i]
     return psi, dpsi
 
 
 def euclidean_solution(rep, x, params):
-    """psi(x) = mu^(m/2) (1 - x) . psi_0 at one or many points x (last axis m)."""
+    """psi(x) = mu^(m/2) (1 - x) . psi_0 at one or many points x (first axis m), shaped (N, ...)."""
     return _solution_and_dirac(rep, np.asarray(x, dtype=float), params.direction(rep))[0]
 
 
@@ -170,16 +162,17 @@ def _chart_geometry(grid, center, delta):
     Returns ``(box, y, eta, grad_eta)``.  ``box`` holds, per axis, the grid
     indices with |y_j| < 2 delta; outside the box eta and eta' vanish.  The
     other arrays hold the chart coordinates, the cutoff and its gradient on
-    the box points.  ``center`` is a tuple of floats or None, so
+    the box points; y and grad eta have the vector axis first, (m, ...), and
+    eta is one plane.  ``center`` is a tuple of floats or None, so
     the arguments hash.
     """
     axes = _chart_coordinates(grid, center)
     box = tuple(np.flatnonzero(np.abs(a) < 2.0 * delta) for a in axes)
-    y = np.stack(np.meshgrid(*(a[k] for a, k in zip(axes, box)), indexing="ij"), axis=-1)
-    r = np.sqrt(_squared_norm(y))
+    y = np.stack(np.meshgrid(*(a[k] for a, k in zip(axes, box)), indexing="ij"))
+    r = np.sqrt((y**2).sum(axis=0))
     eta = cutoff_eta(r, delta)
     rr = np.where(r > 0, r, 1.0)
-    grad_eta = cutoff_eta_prime(r, delta)[..., None] * y / rr[..., None]
+    grad_eta = cutoff_eta_prime(r, delta) * y / rr
     for a in (*box, y, eta, grad_eta):
         a.setflags(write=False)
     return box, y, eta, grad_eta
@@ -213,8 +206,8 @@ class TestSpinorField(SpinorField):
     @property
     def samples(self):
         """The exact collocation values on the full grid, built on each read."""
-        samples = np.zeros((self.grid.n_grid,) * self.grid.m + (self.N,), dtype=complex)
-        samples[np.ix_(*self.profile[0])] = self.box_values
+        samples = np.zeros((self.N,) + (self.grid.n_grid,) * self.grid.m, dtype=complex)
+        samples[(slice(None),) + np.ix_(*self.profile[0])] = self.box_values
         return samples
 
 
@@ -231,7 +224,7 @@ def build_test_spinor(grid, rep, params):
     if grid.m != rep.m:
         raise TestSpinorError("grid and representation dimensions differ")
     box, y, eta, grad_eta, psi_eps, _ = profile = _profile_values(grid, rep, params)
-    values = eta[..., None] * psi_eps
+    values = eta * psi_eps
     psi = TestSpinorField(grid, analyze(grid, values, support=box))
     psi.box_values = values
     psi.params = params
@@ -271,14 +264,14 @@ def energy_report(table, sp, psi, params=None):
     l2star_pow = float(cell * (s**ts).sum())
 
     # Exact D phi = grad(eta) . psi_eps + eta D psi_eps in the chart.
-    dphi = clifford_mul(rep, grad_eta, psi_eps) + eta[..., None] * dpsi_eps
+    dphi = clifford_mul(rep, grad_eta, psi_eps) + eta * dpsi_eps
     same_box = all(np.array_equal(a, b) for a, b in zip(box, own))
-    phi_box = phi if same_box else psi.samples[np.ix_(*box)]
+    phi_box = phi if same_box else psi.samples[(slice(None),) + np.ix_(*box)]
     dirac_energy = float(cell * pointwise_real_inner(dphi, phi_box).sum())
     free_energy = 0.5 * dirac_energy - l2star_pow / ts
 
     a = table.to_eigen(psi.coeffs)
-    nonlinear = (s ** (ts - 2.0))[..., None] * phi
+    nonlinear = s ** (ts - 2.0) * phi
     resid = table.eigenvalues * a - table.to_eigen(analyze(grid, nonlinear, support=own))
     dual_phi, dual_resid = dual_norm_eigen(sp, a), dual_norm_eigen(sp, resid)
     # Spectral Dirac energy of the band-limited field, as a cross-check.

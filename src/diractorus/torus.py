@@ -7,19 +7,23 @@ represented canonically by Fourier coefficients on the cube of modes
     psi(x) = sum_k  c_k e^{i k.x},        c_k in C^N,
 
 stored as a complex array of shape (n_modes, N).  Collocation values live on
-the uniform n x ... x n grid x_j = 2 pi j / n.  With n >= 2K + 2 the
-synthesis/analysis round trip is exact; pointwise nonlinearities of degree d
-are integrated exactly by the trapezoidal rule when n > d*K (the default
-solver grid uses n = 4K + 2 for quartic terms).
+the uniform n x ... x n grid x_j = 2 pi j / n, in arrays shaped
+(N, n, ..., n): the spinor axis first, so component i is the whole plane
+``values[i]``.  Every pointwise weight (|psi|, g(|psi|), a cutoff) is such a
+plane and multiplies the values without a broadcast along a short inner
+axis.  With n >= 2K + 2 the synthesis/analysis round trip is exact; pointwise
+nonlinearities of degree d are integrated exactly by the trapezoidal rule
+when n > d*K (the default solver grid uses n = 4K + 2 for quartic terms).
 
-Both transforms are band-pruned.  They transform one axis at a time, from the
-last axis to the first (the order ``scipy.fft.fftn`` uses), and every axis
-not yet in grid space is only 2K + 1 mode slabs wide: synthesis zero-pads
-each axis from the (2K + 1)^m mode box just before its inverse FFT, and
-analysis keeps the 2K + 1 mode slabs of each axis right after its FFT.  The
-modes go in and come out by one gather each, over row indices the grid
-builds once: synthesis builds its first FFT's input, the mode box with the
-last axis already n wide, and analysis reads them off its last FFT's output.  In
+Both transforms are band-pruned.  They transform one grid axis at a time
+(axes 1..m of the values), from the last axis to the first (the order
+``scipy.fft.fftn`` uses), and every axis not yet in grid space is only
+2K + 1 mode slabs wide: synthesis zero-pads each axis from the (2K + 1)^m
+mode box just before its inverse FFT, and analysis keeps the 2K + 1 mode
+slabs of each axis right after its FFT.  The modes go in and come out by
+one gather each, over indices the grid builds once: synthesis builds its
+first FFT's input, per spinor component the mode box with the last axis
+already n wide, and analysis reads them off its last FFT's output.  In
 m = 2 a transform then runs n + 2K + 1 one-dimensional FFTs of length n per
 spinor component instead of 2n (3/4 of them at the default n = 4K + 2).  The
 per-axis FFTs are those of ``scipy.fft.ifftn``/``fftn`` on the full cube with
@@ -27,7 +31,7 @@ per-axis FFTs are those of ``scipy.fft.ifftn``/``fftn`` on the full cube with
 plain sum over modes, and neither transform makes a separate scaling pass.
 
 Analysis also takes values given only on a box of grid points (``support``:
-one index array per axis), for fields that vanish off a compact support.
+one index array per grid axis), for fields that vanish off a compact support.
 Before each axis's FFT it zero-fills that axis from its support to n, so the
 zero cube outside the box is never built; the lines it transforms are those
 of the full cube, so the output is the same.
@@ -76,11 +80,11 @@ class TorusGrid:
     box_index: tuple = field(init=False, repr=False, compare=False, default=None)
     # positions of ``modes`` on the n-point grid of every axis (the full FFT cube)
     cube_index: tuple = field(init=False, repr=False, compare=False, default=None)
-    # the row of ``modes`` (n_modes: none) at each point of the mode box with its last axis
-    # n wide, in C order: the array synthesis's first inverse FFT runs on
+    # the index into ``modes`` (n_modes: none) at each point of one spinor component's mode
+    # box with its last axis n wide, in C order: the array synthesis's first inverse FFT runs on
     synth_rows: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    # each mode's row in the C-order mode box with its first axis n wide, the output of
-    # analysis's last FFT
+    # each mode's position in one component's C-order mode box with its first axis n wide,
+    # the output of analysis's last FFT
     analyze_rows: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -162,7 +166,7 @@ class SpinorField:
         return self.coeffs.shape[1]
 
     def values(self):
-        """Collocation values, shape (n, ..., n, N)."""
+        """Collocation values, shape (N, n, ..., n): the spinor axis first, then the m grid axes."""
         if self._values is None:
             self._values = synthesize(self.grid, self.coeffs)
         return self._values
@@ -234,60 +238,65 @@ def _spread_axis(vals, axis, n, index):
 
 
 def synthesize(grid, coeffs):
-    """Evaluate sum_k c_k e^{i k.x} on the collocation grid.
+    """Evaluate sum_k c_k e^{i k.x} on the collocation grid, shape (N, n, ..., n).
 
     Builds the array the first inverse FFT runs on in one gather
-    (``grid.synth_rows``): the (2K+1)^m mode box with its last axis already
-    n wide.  Then for each axis, last to first, it runs an unscaled inverse
-    FFT along that axis (``norm="forward"``), zero-padding the next axis to
-    n before its turn.
+    (``grid.synth_rows``): per spinor component, the (2K+1)^m mode box with
+    its last axis already n wide.  Then for each grid axis, last to first, it
+    runs an unscaled inverse FFT along that axis (``norm="forward"``),
+    zero-padding the next axis to n before its turn.
     """
     n, K, m = grid.n_grid, grid.K, grid.m
-    rows = np.concatenate([coeffs, np.zeros((1, coeffs.shape[1]))])  # the last row stands for no mode
-    vals = np.take(rows, grid.synth_rows, axis=0).reshape((2 * K + 1,) * (m - 1) + (n, coeffs.shape[1]))
-    for axis in reversed(range(m)):
-        if axis < m - 1:
+    rows = np.zeros((coeffs.shape[1], grid.n_modes + 1), dtype=complex)  # the last column stands for no mode
+    rows[:, :-1] = coeffs.T
+    vals = np.take(rows, grid.synth_rows, axis=1).reshape((len(rows),) + (2 * K + 1,) * (m - 1) + (n,))
+    for axis in range(m, 0, -1):
+        if axis < m:
             vals = _pad_axis(vals, axis, n, K)
         vals = scipy.fft.ifft(vals, axis=axis, norm="forward", overwrite_x=True)
     return vals
 
 
 def analyze(grid, values, support=None):
-    """Project collocation values onto the |k_j| <= K mode cube.
+    """Project collocation values, shape (N, n, ..., n), onto the |k_j| <= K mode cube.
 
     Exact inverse of ``synthesize`` for band-limited data; otherwise it is the
     aliased trigonometric interpolation restricted to the cube.  Runs an FFT
-    along each axis, last to first, each scaled by 1/n (``norm="forward"``),
-    and keeps only that axis's 2K + 1 mode slabs before moving on; the modes
-    are gathered straight from the last FFT's output (``grid.analyze_rows``).
+    along each grid axis, last to first, each scaled by 1/n
+    (``norm="forward"``), and keeps only that axis's 2K + 1 mode slabs before
+    moving on; the modes are gathered straight from the last FFT's output
+    (``grid.analyze_rows``).  The (n_modes, N) result is the transpose of that
+    (N, n_modes) gather, a view.
 
-    With ``support`` (one array of distinct grid indices per axis), ``values``
-    holds only the box ``np.ix_(*support)`` of a field that vanishes
-    elsewhere; each axis is zero-filled from its support to n just before its
-    FFT.  The result equals ``analyze`` of the scattered full cube.
+    With ``support`` (one array of distinct grid indices per grid axis),
+    ``values`` holds only the box ``cube[(slice(None),) + np.ix_(*support)]``
+    of a field cube that vanishes elsewhere; each axis is zero-filled from its
+    support to n just before its FFT.  The result equals ``analyze`` of the
+    scattered full cube.
     """
     n, K = grid.n_grid, grid.K
     vals = np.asarray(values, dtype=complex)
     # a spread axis or a converted copy is the transform's own; the caller's array is not
     own = support is not None or (vals is not values and vals.base is None)
-    for axis in reversed(range(grid.m)):
+    for axis in range(grid.m, 0, -1):
         if support is not None:
-            vals = _spread_axis(vals, axis, n, support[axis])
+            vals = _spread_axis(vals, axis, n, support[axis - 1])
         vals = scipy.fft.fft(vals, axis=axis, norm="forward", overwrite_x=own)
         own = True
-        if axis:
+        if axis > 1:
             vals = _crop_axis(vals, axis, n, K)
-    return np.take(vals.reshape(-1, vals.shape[-1]), grid.analyze_rows, axis=0)
+    return np.take(vals.reshape(len(vals), -1), grid.analyze_rows, axis=1).T
 
 
 def cube_coefficients(grid, values):
-    """All n^m Fourier coefficients of collocation values, FFT order on every axis.
+    """All n^m Fourier coefficients of collocation values, FFT order on every grid axis.
 
-    The unpruned counterpart of ``analyze``, with the same 1/n^m scaling: the
-    modes of ``grid.modes`` sit at ``grid.cube_index``, the rest is spill
-    above the cutoff.  A new array; ``values`` is left alone.
+    The unpruned counterpart of ``analyze``, with the same 1/n^m scaling and
+    the values' (N, n, ..., n) shape: the modes of ``grid.modes`` sit at
+    ``(slice(None),) + grid.cube_index``, the rest is spill above the cutoff.
+    A new array; ``values`` is left alone.
     """
-    return scipy.fft.fftn(values, axes=tuple(range(grid.m)), norm="forward")
+    return scipy.fft.fftn(values, axes=tuple(range(1, grid.m + 1)), norm="forward")
 
 
 def from_values(grid, values):
@@ -304,34 +313,30 @@ def l2_norm(a):
     return float(np.sqrt(a.grid.volume) * np.linalg.norm(a.coeffs))
 
 
-def _real_view(values):
-    """Values as real numbers with one more axis: (re, im) pairs of complex input, length 1 of real input; no copy."""
-    values = values[..., None]
-    return values.view(float) if np.iscomplexobj(values) else values
-
-
 def pointwise_real_inner(a, b):
-    """Re <a(x), b(x)> over the last axis, broadcasting the leading axes.
+    """Re <a(x), b(x)> over the spinor axis: the first axis of ``a``, the same axis counted from the end of ``b``.
 
-    One product of real views of both, then a sum of its 2N real columns in
-    a fixed order; for a 2-wide spinor axis that is about twice as fast as
-    an ``einsum`` over the same views, and four times as fast as summing
-    ``a.real * b.real + a.imag * b.imag``.  Complex or real, contiguous or
-    not.
+    ``b`` may stack several fields on leading axes, and the result stacks
+    their planes.  The sum runs per spinor component on whole planes, in the
+    order re_0, im_0, re_1, im_1, ...: as fast at n = 66, and a fifth
+    faster at n = 130, as one product of real views followed by a sum over
+    their interleaved (re, im) columns, and its plane needs no broadcast.
+    Complex or real, contiguous or not.
     """
     a, b = np.asarray(a), np.asarray(b)
     if np.iscomplexobj(a) != np.iscomplexobj(b):  # a real factor pairs with the other's real part only
         a, b = a.real, b.real
-    prod = _real_view(a) * _real_view(b)
-    prod = prod.reshape(prod.shape[:-2] + (-1,))
-    out = prod[..., 0].copy()
-    for j in range(1, prod.shape[-1]):
-        out += prod[..., j]
+    parts = ((a.real, b.real), (a.imag, b.imag)) if np.iscomplexobj(a) else ((a, b),)
+    lead = (slice(None),) * (b.ndim - a.ndim)  # the fields b stacks, before its spinor axis
+    terms = [(x[i], y[lead + (i,)]) for i in range(len(a)) for x, y in parts]
+    out = terms[0][0] * terms[0][1]
+    for x, y in terms[1:]:
+        out += x * y
     return out
 
 
 def pointwise_modulus(values):
-    """Spinor modulus |psi(x)| over the last axis, of complex or real values."""
+    """Spinor modulus |psi(x)| over the spinor axis, the first, of complex or real values."""
     return np.sqrt(pointwise_real_inner(values, values))
 
 

@@ -120,7 +120,7 @@ class Evaluation:
 
     @cached_property
     def gu(self):
-        return self.fn.nl.g_of_rho(self.rho)[..., None] * self.u
+        return self.fn.nl.g_of_rho(self.rho).astype(complex) * self.u
 
     @cached_property
     def nonlin(self):
@@ -141,18 +141,22 @@ class Evaluation:
     def _second_weights(self):
         rho = np.maximum(self.rho, _FLOOR)
         nl = self.fn.nl
-        return nl.g_of_rho(rho)[..., None], nl.radial_of_rho(rho)[..., None]
+        return nl.g_of_rho(rho).astype(complex), nl.radial_of_rho(rho)
 
     def second(self, dv):
         """K''(u)[dv] = g(|u|) dv + (g'(|u|)/|u|) Re<u, dv> u on collocation values shaped like u.
 
-        ``dv`` may stack several directions on leading axes.  Re<u, dv> is
-        ``pointwise_real_inner``: one product of real views of u and dv, then
-        a sum of its real columns.
+        ``dv`` may stack several directions on leading axes.  The weights
+        g(|u|) and (g'(|u|)/|u|) Re<u, dv> (``pointwise_real_inner``) are
+        planes, one value per grid point, that multiply whole spinor
+        components.  Each is cast to complex as a plane, g once per
+        evaluation: a real factor would be cast again for every component
+        it multiplies, which costs more than the product.
         """
         g, radial = self._second_weights
-        beta = pointwise_real_inner(self.u, dv)[..., None]
-        return g * dv + radial * beta * self.u
+        out = g * dv
+        out += np.expand_dims((radial * pointwise_real_inner(self.u, dv)).astype(complex), -self.u.ndim) * self.u
+        return out
 
     def hvp(self, d):
         """L^2 representative of L''(psi)[d] in eigen coordinates: one synthesize, one analyze."""

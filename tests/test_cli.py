@@ -26,6 +26,17 @@ def test_clifford_subcommand(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["solve", "--lam", "0.9", "--cut", "4"], ["branch", "--lambda", "0.5"]]
+)
+def test_a_prefix_of_a_flag_is_a_usage_error(tmp_path, argv):
+    # a prefix is not read as the flag it starts: branch takes --lambda-grid, not --lambda
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_manifest_records_the_environment(tmp_path):
     assert run_cli(["clifford", "--dim", "2", "--out", str(tmp_path)]) == 0
     env = json.loads((tmp_path / "manifest.json").read_text())["environment"]

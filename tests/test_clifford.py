@@ -68,12 +68,12 @@ def test_clifford_mul_shape_errors():
         clifford_mul(rep, [1.0, 0.0, 0.0], np.zeros(2, dtype=complex))
     with pytest.raises(CliffordError):
         clifford_mul(rep, [1.0, 0.0], np.zeros(3, dtype=complex))
-    # batched vectors and spinors whose leading axes do not broadcast
+    # batched vectors and spinors whose trailing axes do not broadcast
     for op in (clifford_mul, one_minus_x_mul):
         with pytest.raises(CliffordError):
-            op(rep, np.zeros((5, 2)), np.zeros((4, 2), dtype=complex))
+            op(rep, np.zeros((2, 5)), np.zeros((2, 4), dtype=complex))
         with pytest.raises(CliffordError):
-            op(rep, np.zeros((3, 5, 2)), np.zeros((5, 3, 2), dtype=complex))
+            op(rep, np.zeros((2, 3, 5)), np.zeros((2, 5, 3), dtype=complex))
 
 
 def test_one_minus_x_example():
@@ -105,21 +105,21 @@ def test_isometry_properties(m):
         worst_norm = max(worst_norm, abs(lhs - rhs) / rhs)
     assert worst_iso < 1e-12
     assert worst_norm < 1e-12
-    # the batched action on (P, m) points equals the per-vector one
-    xs = rng.standard_normal((40, m))
-    ss = rng.standard_normal((40, rep.N)) + 1j * rng.standard_normal((40, rep.N))
-    mats = [sum(x[j] * rep.gamma[j] for j in range(m)) for x in xs]
-    direct = np.array([mat @ s for mat, s in zip(mats, ss)])
+    # the batched action on (m, P) points equals the per-vector one
+    xs = rng.standard_normal((m, 40))
+    ss = rng.standard_normal((rep.N, 40)) + 1j * rng.standard_normal((rep.N, 40))
+    mats = [sum(x[j] * rep.gamma[j] for j in range(m)) for x in xs.T]
+    direct = np.array([mat @ s for mat, s in zip(mats, ss.T)]).T
     assert np.abs(clifford_mul(rep, xs, ss) - direct).max() < 1e-13
     assert np.abs(one_minus_x_mul(rep, xs, ss) - (ss - direct)).max() < 1e-13
     for op in (clifford_mul, one_minus_x_mul):
         batched = op(rep, xs, ss)
         assert batched.shape == ss.shape
-        per_vector = np.array([op(rep, x, s) for x, s in zip(xs, ss)])
+        per_vector = np.array([op(rep, x, s) for x, s in zip(xs.T, ss.T)]).T
         assert np.abs(batched - per_vector).max() < 1e-14
         # one spinor against many points broadcasts the same way
-        per_point = np.array([op(rep, x, ss[0]) for x in xs])
-        assert np.abs(op(rep, xs, ss[0]) - per_point).max() < 1e-14
+        per_point = np.array([op(rep, x, ss[:, 0]) for x in xs.T]).T
+        assert np.abs(op(rep, xs, ss[:, 0]) - per_point).max() < 1e-14
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -131,16 +131,18 @@ def test_clifford_mul_matches_the_dense_product(m):
         assert np.array_equal(g[np.arange(rep.N), cols], phases)
         assert set(phases) <= {1, -1, 1j, -1j}
     rng = np.random.default_rng(60 + m)
-    xs = rng.standard_normal((3, 17, m))
-    ss = rng.standard_normal((3, 17, rep.N)) + 1j * rng.standard_normal((3, 17, rep.N))
+    xs = rng.standard_normal((m, 3, 17))
+    ss = rng.standard_normal((rep.N, 3, 17)) + 1j * rng.standard_normal((rep.N, 3, 17))
 
-    def dense(x, s):
-        return np.einsum("...ij,...j->...i", np.tensordot(x, np.stack(rep.gamma), axes=(-1, 0)), s)
+    def dense(x, s):  # the reference in the points-last layout, moved back to the first axis
+        x, s = np.moveaxis(x, 0, -1), np.moveaxis(s, 0, -1)
+        out = np.einsum("...ij,...j->...i", np.tensordot(x, np.stack(rep.gamma), axes=(-1, 0)), s)
+        return np.moveaxis(out, -1, 0)
 
-    for x, s in ((xs, ss), (xs, ss[0, 0]), (xs[0, 0], ss), (xs[:, :1], ss[:1])):
+    for x, s in ((xs, ss), (xs, ss[:, 0, 0]), (xs[:, 0, 0], ss), (xs[:, :, :1], ss[:, :1])):
         want = dense(x, s)
         got = clifford_mul(rep, x, s)
-        assert got.shape == want.shape == np.broadcast_shapes(x.shape[:-1], s.shape[:-1]) + (rep.N,)
+        assert got.shape == want.shape == (rep.N,) + np.broadcast_shapes(x.shape[1:], s.shape[1:])
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 

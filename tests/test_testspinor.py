@@ -192,7 +192,7 @@ def test_off_center_spinor_is_the_rolled_centered_one(sweep_table):
     moved = build_test_spinor(grid, rep, TestSpinorParams(eps=0.1, center=center))
     for idx in moved.profile[0]:
         assert idx.min() == 0 and idx.max() == grid.n_grid - 1
-    rolled = np.roll(centered.samples, shift, axis=(0, 1))
+    rolled = np.roll(centered.samples, shift, axis=(1, 2))  # the grid axes, after the spinor axis
     # equal up to the rounding of the shifted chart coordinates
     assert np.abs(moved.samples - rolled).max() <= 1e-13 * np.abs(rolled).max()
     want = energy_report(sweep_table, sp, centered)

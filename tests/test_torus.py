@@ -59,17 +59,29 @@ def test_round_trip(m):
     assert np.abs(again - vals).max() < 1e-12 * np.abs(vals).max()
 
 
+def test_random_field_draws_the_pinned_coefficients():
+    # the seeded draw is part of every test and solver start built on it
+    g = make_grid(2, 3)
+    coeffs = random_field(g, 2, np.random.default_rng(5)).coeffs
+    assert coeffs.shape == (49, 2)
+    assert coeffs[0, 0] == -0.8019314252534474 - 0.4642445916374816j
+    assert coeffs[0, 1] == -1.324358995628145 - 0.4786384630527245j
+    assert coeffs[7, 1] == -0.5773782808131949 - 0.20507284434502304j
+    assert coeffs[48, 0] == -0.018539842653222654 + 0.013153556834274851j
+
+
+# the full-cube references: numpy's FFTs over the grid axes 1..m of (N, n, ..., n) values
 def _full_cube_synthesize(grid, coeffs):
     n = grid.n_grid
-    cube = np.zeros((n,) * grid.m + (coeffs.shape[1],), dtype=complex)
-    cube[tuple(grid.modes[:, j] % n for j in range(grid.m))] = coeffs
-    return np.fft.ifftn(cube, axes=tuple(range(grid.m))) * n**grid.m
+    cube = np.zeros((coeffs.shape[1],) + (n,) * grid.m, dtype=complex)
+    cube[(slice(None),) + tuple(grid.modes[:, j] % n for j in range(grid.m))] = coeffs.T
+    return np.fft.ifftn(cube, axes=tuple(range(1, grid.m + 1))) * n**grid.m
 
 
 def _full_cube_analyze(grid, values):
     n = grid.n_grid
-    cube = np.fft.fftn(values, axes=tuple(range(grid.m))) / n**grid.m
-    return cube[tuple(grid.modes[:, j] % n for j in range(grid.m))]
+    cube = np.fft.fftn(values, axes=tuple(range(1, grid.m + 1))) / n**grid.m
+    return cube[(slice(None),) + tuple(grid.modes[:, j] % n for j in range(grid.m))].T
 
 
 # (m, K, n): n = 2K + 2 puts the two mode slabs of an axis side by side
@@ -79,22 +91,25 @@ def _full_cube_analyze(grid, values):
 def test_pruned_transforms_match_full_cube_fft(m, K, n):
     rng = np.random.default_rng(100 * m + K)
     g = TorusGrid(m=m, K=K, n_grid=n)
-    coeffs = random_field(g, 2, rng).coeffs
-    vals = synthesize(g, coeffs)
-    want = _full_cube_synthesize(g, coeffs)
-    assert np.abs(vals - want).max() <= 1e-15 * np.abs(want).max()
-    # analyze on values that are not band-limited: the aliased projection
-    shape = (n,) * m + (2,)
-    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    for values in (raw, raw.real, vals):
-        got = analyze(g, values)
-        want = _full_cube_analyze(g, values)
-        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
-    # the unpruned transform holds the same modes at the grid's cube positions
-    cube = cube_coefficients(g, raw)
-    assert cube.shape == raw.shape
-    want = _full_cube_analyze(g, raw)
-    assert np.abs(cube[g.cube_index] - want).max() <= 1e-15 * np.abs(want).max()
+    for N in (1, 2):
+        coeffs = random_field(g, N, rng).coeffs
+        vals = synthesize(g, coeffs)
+        want = _full_cube_synthesize(g, coeffs)
+        assert vals.shape == want.shape == (N,) + (n,) * m
+        assert np.abs(vals - want).max() <= 1e-15 * np.abs(want).max()
+        # analyze on values that are not band-limited: the aliased projection
+        shape = (N,) + (n,) * m
+        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for values in (raw, raw.real, vals):
+            got = analyze(g, values)
+            want = _full_cube_analyze(g, values)
+            assert got.shape == want.shape == (g.n_modes, N)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        # the unpruned transform holds the same modes at the grid's cube positions
+        cube = cube_coefficients(g, raw)
+        assert cube.shape == raw.shape
+        want = _full_cube_analyze(g, raw)
+        assert np.abs(cube[(slice(None),) + g.cube_index].T - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def _support(kind, n):
@@ -122,14 +137,16 @@ def test_analyze_on_a_support_box_matches_the_scattered_cube(kinds):
     rng = np.random.default_rng(len(kinds))
     g = TorusGrid(m=m, K=K, n_grid=n)
     support = tuple(_support(kind, n) for kind in kinds)
-    shape = tuple(len(idx) for idx in support) + (2,)
-    box = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    cube = np.zeros((n,) * m + (2,), dtype=complex)
-    cube[np.ix_(*support)] = box
-    want = analyze(g, cube)
-    got = analyze(g, box, support=support)
-    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
-    assert np.abs(got - _full_cube_analyze(g, cube)).max() <= 1e-15 * np.abs(want).max()
+    for N in (1, 2):
+        shape = (N,) + tuple(len(idx) for idx in support)
+        box = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        cube = np.zeros((N,) + (n,) * m, dtype=complex)
+        cube[(slice(None),) + np.ix_(*support)] = box
+        want = analyze(g, cube)
+        got = analyze(g, box, support=support)
+        assert got.shape == (g.n_modes, N)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        assert np.abs(got - _full_cube_analyze(g, cube)).max() <= 1e-15 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -142,15 +159,15 @@ def test_transforms_leave_their_inputs_alone(m):
     before = coeffs.copy()
     synthesize(g, coeffs)
     assert np.array_equal(coeffs, before)
-    shape = (n,) * m + (2,)
+    shape = (2,) + (n,) * m
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    wide = rng.standard_normal(shape[:-1] + (4,)) + 1j * rng.standard_normal(shape[:-1] + (4,))
+    wide = rng.standard_normal((4,) + shape[1:]) + 1j * rng.standard_normal((4,) + shape[1:])
     support = tuple(_support("wrap", n) for _ in range(m))
     cases = [
         (raw, None),
         (raw.real, None),  # real, a view into a complex array
-        (wide[..., ::2], None),  # not contiguous
-        (raw[np.ix_(*support)], support),
+        (wide[::2], None),  # not contiguous
+        (raw[(slice(None),) + np.ix_(*support)], support),
     ]
     for values, sup in cases:
         before = values.copy()
@@ -178,12 +195,13 @@ def test_resample_pads_and_truncates_in_the_mode_cube(m):
 def test_pointwise_modulus_and_real_inner_match_their_componentwise_sums():
     rng = np.random.default_rng(13)
     vals = random_field(make_grid(2, 4), 4, rng).values()
-    for values in (vals, vals[::3, 1:, 1::2], vals.real, vals.imag[:, ::2, :3]):  # non-contiguous, real
-        want = np.linalg.norm(values, axis=-1)
+    for values in (vals, vals[1::2, ::3, 1:], vals.real, vals.imag[:3, :, ::2]):  # non-contiguous, real
+        want = np.linalg.norm(values, axis=0)
         assert np.abs(pointwise_modulus(values) - want).max() <= 1e-15 * want.max()
     other = random_field(make_grid(2, 4), 4, rng).values()
-    for a, b in ((vals, other), (vals[:, ::2], other.real[:, 1::2]), (vals.imag, other[None])):
-        want = (a.real * b.real + a.imag * b.imag).sum(axis=-1)
+    # the spinor axis is the first of a, the same axis from the end of b (which may stack fields)
+    for a, b in ((vals, other), (vals[:, :, ::2], other.real[:, :, 1::2]), (vals.imag, other[None])):
+        want = (a.real * b.real + a.imag * b.imag).sum(axis=-3)
         got = pointwise_real_inner(a, b)
         assert got.shape == want.shape and np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 

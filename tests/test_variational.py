@@ -161,8 +161,8 @@ def test_grad_L_kernel_direction(table, sp1, kernel1):
     from diractorus.torus import analyze
 
     vals = psi.values()
-    s2 = (vals.real**2 + vals.imag**2).sum(axis=-1)
-    cubic = analyze(psi.grid, s2[..., None] * vals)
+    s2 = (vals.real**2 + vals.imag**2).sum(axis=0)
+    cubic = analyze(psi.grid, s2 * vals)
     assert np.abs(rep + cubic).max() < 1e-12
     assert np.abs(rep).max() > 0
 
@@ -661,9 +661,60 @@ def test_second_matches_the_componentwise_real_inner_product(table, sp05):
     g, radial = ev._second_weights
     dv = random_field(table.grid, 2, rng).values()
     for w in (dv, np.array([dv, 1j * dv, 2.0 * dv.conj()])):  # one direction, and a stack as in the kernel Hessian
-        beta = (ev.u.real * w.real + ev.u.imag * w.imag).sum(axis=-1, keepdims=True)
+        beta = (ev.u.real * w.real + ev.u.imag * w.imag).sum(axis=-3, keepdims=True)
         want = g * w + radial * beta * ev.u
         assert np.abs(ev.second(w) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _spinor_last_reference(fn, a, d):
+    """Energy, rep and hvp at eigen coordinates a (direction d) by the spinor-last formulas.
+
+    The values are moved to (n, n, N); every weight is an (n, n, 1) broadcast
+    against the spinor axis and Re<u, dv> sums the (re_0, im_0, re_1, im_1)
+    columns of a product of real views, as the package computed them before
+    its values put the spinor axis first.  The transforms are the package's.
+    """
+    from diractorus.torus import analyze, synthesize
+
+    table, grid, nl = fn.split.table, fn.split.grid, fn.nl
+
+    def values(coords):
+        return np.moveaxis(synthesize(grid, table.from_eigen(coords)), 0, -1)
+
+    def to_eigen(vals):
+        return table.to_eigen(analyze(grid, np.ascontiguousarray(np.moveaxis(vals, -1, 0))))
+
+    def real_inner(x, y):
+        prod = (x[..., None].view(float) * y[..., None].view(float)).reshape(x.shape[:-1] + (-1,))
+        out = prod[..., 0].copy()
+        for j in range(1, prod.shape[-1]):
+            out += prod[..., j]
+        return out
+
+    u, dv = values(a), values(d)
+    rho = real_inner(u, u)
+    energy = 0.5 * grid.volume * float(np.vdot(a, fn.shift * a).real) - float(grid.cell * nl.G_of_rho(rho).sum())
+    rep = fn.shift * a - to_eigen(nl.g_of_rho(rho)[..., None] * u)
+    floor = np.maximum(rho, 1e-28)
+    g, radial = nl.g_of_rho(floor)[..., None], nl.radial_of_rho(floor)[..., None]
+    hvp = fn.shift * d - to_eigen(g * dv + radial * real_inner(u, dv)[..., None] * u)
+    return energy, rep, hvp
+
+
+@pytest.mark.parametrize("kind", ["bnd", "power"])
+def test_the_spinor_first_layout_reproduces_the_spinor_last_formulas(kind):
+    # the relayout moves no bit: the same products per point, summed in the same order
+    table = assemble(2, 8)
+    fn = Functional(split(table, 0.7), make_nonlinearity(kind, 2, alpha=0.8, p=3.0))
+    rng = np.random.default_rng(31)
+    a = table.to_eigen(random_field(table.grid, 2, rng, scale=0.6).coeffs)
+    d = table.to_eigen(random_field(table.grid, 2, rng, scale=0.6).coeffs)
+    energy, rep, hvp = _spinor_last_reference(fn, a, d)
+    ev = fn(a)
+    assert ev.u.shape == (2,) + (table.grid.n_grid,) * 2
+    assert ev.energy == energy
+    assert np.array_equal(ev.rep, rep)
+    assert np.array_equal(ev.hvp(d), hvp)
 
 
 def test_one_evaluation_is_one_synthesize_and_one_analyze(monkeypatch, table, sp1):
@@ -779,13 +830,13 @@ def test_the_kernel_matches_the_modulus_form_of_the_nonlinearity(m, K, kind):
     fn = Functional(split(table, 0.5), nl)
     ev = fn(table.to_eigen(random_field(table.grid, table.N, rng, scale=0.6).coeffs))
     dv = random_field(table.grid, table.N, rng).values()
-    s = np.linalg.norm(ev.u, axis=-1)
+    s = np.linalg.norm(ev.u, axis=0)
     assert abs(ev.mass - table.grid.cell * nl.G(s).sum()) <= 1e-14 * abs(ev.mass)
-    want = nl.g(s)[..., None] * ev.u
+    want = nl.g(s) * ev.u
     assert np.abs(ev.gu - want).max() <= 1e-14 * np.abs(want).max()
     sf = np.maximum(s, 1e-14)
-    beta = (ev.u.real * dv.real + ev.u.imag * dv.imag).sum(axis=-1)
-    want = nl.g(sf)[..., None] * dv + (nl.g_prime(sf) / sf * beta)[..., None] * ev.u
+    beta = (ev.u.real * dv.real + ev.u.imag * dv.imag).sum(axis=0)
+    want = nl.g(sf) * dv + nl.g_prime(sf) / sf * beta * ev.u
     tol = 1e-14 if nl.is_zero() else 1e-8
     assert np.abs(ev.second(dv) - want).max() <= tol * np.abs(want).max()
 
