@@ -19,10 +19,10 @@ import json
 import platform
 import sys
 import time
+from importlib import metadata
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .acceptance import SUITES, run_suite
@@ -60,7 +60,9 @@ def _environment():
     """The library versions a run's numbers came from, BLAS included.
 
     numpy before 1.25 has no ``show_config(mode=...)``; there the BLAS is
-    recorded as unknown.
+    recorded as unknown.  scipy is not imported, only looked up among the
+    installed distributions (``None`` when it is not installed): the tests use
+    it as a reference, the runtime does not.
     """
     blas = {}
     try:
@@ -70,7 +72,7 @@ def _environment():
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": next((dist.version for dist in metadata.distributions(name="scipy")), None),
         "blas": {"name": blas.get("name", "unknown"), "version": blas.get("version", "unknown")},
     }
 

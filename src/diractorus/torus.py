@@ -15,18 +15,18 @@ axis.  With n >= 2K + 2 the synthesis/analysis round trip is exact; pointwise
 nonlinearities of degree d are integrated exactly by the trapezoidal rule
 when n > d*K (the default solver grid uses n = 4K + 2 for quartic terms).
 
-Both transforms are band-pruned.  They transform one grid axis at a time
-(axes 1..m of the values), from the last axis to the first (the order
-``scipy.fft.fftn`` uses), and every axis not yet in grid space is only
-2K + 1 mode slabs wide: synthesis zero-pads each axis from the (2K + 1)^m
-mode box just before its inverse FFT, and analysis keeps the 2K + 1 mode
-slabs of each axis right after its FFT.  The modes go in and come out by
-one gather each, over indices the grid builds once: synthesis builds its
-first FFT's input, per spinor component the mode box with the last axis
-already n wide, and analysis reads them off its last FFT's output.  In
-m = 2 a transform then runs n + 2K + 1 one-dimensional FFTs of length n per
-spinor component instead of 2n (3/4 of them at the default n = 4K + 2).  The
-per-axis FFTs are those of ``scipy.fft.ifftn``/``fftn`` on the full cube with
+Both transforms are band-pruned ``numpy.fft`` passes.  They transform one
+grid axis at a time (axes 1..m of the values), from the last axis to the
+first, and every axis not yet in grid space is only 2K + 1 mode slabs wide:
+synthesis zero-pads each axis from the (2K + 1)^m mode box just before its
+inverse FFT, and analysis keeps the 2K + 1 mode slabs of each axis right
+after its FFT.  The modes go in and come out by one gather each, over
+indices the grid builds once: synthesis builds its first FFT's input, per
+spinor component the mode box with the last axis already n wide, and
+analysis reads them off its last FFT's output.  In m = 2 a transform then
+runs n + 2K + 1 one-dimensional FFTs of length n per spinor component
+instead of 2n (3/4 of them at the default n = 4K + 2).  The per-axis FFTs
+are those of ``numpy.fft.ifftn``/``fftn`` on the full cube with
 ``norm="forward"``, which puts the whole 1/n^m on analysis: synthesis is the
 plain sum over modes, and neither transform makes a separate scaling pass.
 
@@ -36,8 +36,8 @@ Before each axis's FFT it zero-fills that axis from its support to n, so the
 zero cube outside the box is never built; the lines it transforms are those
 of the full cube, so the output is the same.
 
-Every FFT runs in place (``overwrite_x``) when its input is an array the
-transform made itself: the synthesis gather, a padded, spread or cropped
+Every FFT runs in place (``out=`` its input) when its input is an array
+the transform made itself: the synthesis gather, a padded, spread or cropped
 axis, an earlier FFT's output, or a copy ``analyze`` made to convert real
 values.  On large grids the page faults of a fresh output array cost more
 than the transform itself.  The caller's array is never written: complex
@@ -52,7 +52,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 
 class GridError(ValueError):
@@ -171,9 +170,6 @@ class SpinorField:
             self._values = synthesize(self.grid, self.coeffs)
         return self._values
 
-    def copy(self, coeffs=None):
-        return SpinorField(self.grid, self.coeffs.copy() if coeffs is None else coeffs)
-
     def __add__(self, other):
         _same_grid(self, other)
         return SpinorField(self.grid, self.coeffs + other.coeffs)
@@ -253,7 +249,7 @@ def synthesize(grid, coeffs):
     for axis in range(m, 0, -1):
         if axis < m:
             vals = _pad_axis(vals, axis, n, K)
-        vals = scipy.fft.ifft(vals, axis=axis, norm="forward", overwrite_x=True)
+        vals = np.fft.ifft(vals, axis=axis, norm="forward", out=vals)
     return vals
 
 
@@ -281,7 +277,7 @@ def analyze(grid, values, support=None):
     for axis in range(grid.m, 0, -1):
         if support is not None:
             vals = _spread_axis(vals, axis, n, support[axis - 1])
-        vals = scipy.fft.fft(vals, axis=axis, norm="forward", overwrite_x=own)
+        vals = np.fft.fft(vals, axis=axis, norm="forward", out=vals if own else None)
         own = True
         if axis > 1:
             vals = _crop_axis(vals, axis, n, K)
@@ -294,13 +290,18 @@ def cube_coefficients(grid, values):
     The unpruned counterpart of ``analyze``, with the same 1/n^m scaling and
     the values' (N, n, ..., n) shape: the modes of ``grid.modes`` sit at
     ``(slice(None),) + grid.cube_index``, the rest is spill above the cutoff.
-    A new array; ``values`` is left alone.
+    A new array; ``values`` is left alone.  The FFTs run from the first grid
+    axis to the last, and the whole 1/n^m multiplies the first one's output
+    in place: the order and the one scaling of ``scipy.fft.fftn``, so complex
+    values get that transform's coefficients, rounding included.  The later
+    FFTs run in place on that output, where ``numpy.fft.fftn`` would allocate
+    a new array per axis.
     """
-    return scipy.fft.fftn(values, axes=tuple(range(1, grid.m + 1)), norm="forward")
-
-
-def from_values(grid, values):
-    return SpinorField(grid, analyze(grid, values))
+    vals = np.fft.fft(values, axis=1)
+    vals *= 1.0 / grid.n_grid**grid.m
+    for axis in range(2, grid.m + 1):
+        np.fft.fft(vals, axis=axis, out=vals)
+    return vals
 
 
 def l2_inner(a, b):

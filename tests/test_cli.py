@@ -47,6 +47,15 @@ def test_manifest_records_the_environment(tmp_path):
     assert env["blas"]["name"]
 
 
+def test_manifest_records_no_scipy_where_it_is_not_installed(tmp_path, monkeypatch):
+    # scipy is a test dependency: the runtime looks its version up and never imports it
+    monkeypatch.setattr("diractorus.cli.metadata.distributions", lambda **kwargs: iter(()))
+    assert run_cli(["clifford", "--dim", "2", "--out", str(tmp_path)]) == 0
+    env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+    assert env["scipy"] is None
+    assert env["numpy"] == np.__version__
+
+
 def test_manifest_records_an_unknown_blas_on_numpy_before_1_25(tmp_path, monkeypatch):
     # numpy 1.24's show_config takes no mode argument
     monkeypatch.setattr(np, "show_config", lambda: None)

@@ -9,7 +9,6 @@ from diractorus.torus import (
     TorusGrid,
     analyze,
     cube_coefficients,
-    from_values,
     l2_inner,
     l2_norm,
     lp_norm,
@@ -53,9 +52,9 @@ def test_round_trip(m):
     back = analyze(g, synthesize(g, psi.coeffs))
     rel = np.abs(back - psi.coeffs).max() / np.abs(psi.coeffs).max()
     assert rel < 1e-12
-    # and values -> field -> values
+    # and values -> coefficients -> values
     vals = psi.values()
-    again = from_values(g, vals).values()
+    again = synthesize(g, analyze(g, vals))
     assert np.abs(again - vals).max() < 1e-12 * np.abs(vals).max()
 
 
@@ -147,6 +146,32 @@ def test_analyze_on_a_support_box_matches_the_scattered_cube(kinds):
         assert got.shape == (g.n_modes, N)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
         assert np.abs(got - _full_cube_analyze(g, cube)).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("m, K, n", [(2, 4, 18), (2, 3, 40), (3, 2, 10), (3, 3, 16)])
+def test_transforms_match_scipy_full_cube_ffts(m, K, n):
+    # scipy serves only as an independent reference here; the transforms are numpy.fft
+    sfft = pytest.importorskip("scipy.fft")
+    rng = np.random.default_rng(40 + 10 * m + K)
+    g = TorusGrid(m=m, K=K, n_grid=n)
+    axes, band = tuple(range(1, m + 1)), (slice(None),) + g.cube_index
+    coeffs = random_field(g, 2, rng).coeffs
+    cube = np.zeros((2,) + (n,) * m, dtype=complex)
+    cube[band] = coeffs.T
+    want = sfft.ifftn(cube, axes=axes, norm="forward")
+    assert np.abs(synthesize(g, coeffs) - want).max() <= 1e-13 * np.abs(want).max()
+    raw = rng.standard_normal(cube.shape) + 1j * rng.standard_normal(cube.shape)
+    full = sfft.fftn(raw, axes=axes, norm="forward")
+    assert np.abs(cube_coefficients(g, raw) - full).max() <= 1e-13 * np.abs(full).max()
+    want = full[band].T
+    assert np.abs(analyze(g, raw) - want).max() <= 1e-13 * np.abs(want).max()
+    # on a support box: the scattered cube's transform, the zeros outside included
+    support = tuple(_support(kind, n) for kind in ("wrap", "inner", "whole")[:m])
+    box = np.zeros_like(raw)
+    box[(slice(None),) + np.ix_(*support)] = raw[(slice(None),) + np.ix_(*support)]
+    want = sfft.fftn(box, axes=axes, norm="forward")[band].T
+    got = analyze(g, raw[(slice(None),) + np.ix_(*support)], support=support)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
