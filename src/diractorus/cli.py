@@ -59,15 +59,15 @@ def _write_csv(path, header, rows):
 def _environment():
     """The library versions a run's numbers came from, BLAS included.
 
-    numpy before 1.25 has no ``show_config(mode=...)``; there the BLAS is
-    recorded as unknown.  scipy is not imported, only looked up among the
-    installed distributions (``None`` when it is not installed): the tests use
-    it as a reference, the runtime does not.
+    A numpy build that lists no BLAS dependency records it as unknown.
+    scipy is not imported, only looked up among the installed distributions
+    (``None`` when it is not installed): the tests use it as a reference, the
+    runtime does not.
     """
     blas = {}
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):
+    except KeyError:
         pass
     return {
         "python": platform.python_version(),

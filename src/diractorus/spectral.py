@@ -11,6 +11,13 @@ the aggregated (eigenvalue, multiplicity) spectrum, and everything needed for
 the lambda-dependent splitting E = E^+ + E^0 + E^-, the ||.||_lambda norm,
 its dual, and Weyl counting.
 
+The eigenbasis is closed form at every m, with no eigensolver (``assemble``):
+the diagonal chirality splits the spinor coordinates into two halves on
+which A_k is a scalar a; the mu = +-|k| eigenvectors are the columns
+(A_k + mu I) e_i with i in the half where a mu >= 0, a rule on a sign and
+not on compared norms, so rounding cannot move it; and each column's entry
+at i is real and positive.
+
 Eigenvalues are exact square roots of integers |k|^2; all bookkeeping is done
 on the integer keys, so multiplicity aggregation is immune to float fuzz.
 """
@@ -102,13 +109,9 @@ class EigenTable:
     def eigen_residual(self):
         """max_k ||A_k u - sigma u|| over all tabulated eigenpairs."""
         av = np.einsum(
-            "kij,kja->kia", self._mode_matrices(), self.basis
+            "kij,kja->kia", _symbol(self.rep, self.grid.modes.astype(float)), self.basis
         ) - self.eigenvalues[:, None, :] * self.basis
         return float(np.abs(av).max())
-
-    def _mode_matrices(self):
-        gam = np.stack(self.rep.gamma)
-        return 1j * np.einsum("kj,jab->kab", self.grid.modes.astype(float), gam)
 
 
 def _row_sum(terms, x):
@@ -127,22 +130,34 @@ def _row_sum(terms, x):
 
 
 def assemble(m, K, n_grid=None):
-    """Diagonalize i k.gamma on every mode of the cutoff-K cube."""
+    """Diagonalize i k.gamma on every mode of the cutoff-K cube, in closed form.
+
+    The chirality e_1...e_m' (m' = m for even m, m - 1 for odd m) is diagonal
+    in ``build_rep``'s generators, and splits the spinor coordinates into two
+    halves of N/2.  Every e_j with j <= m' maps one half to the other; at odd
+    m, e_m is a multiple of the chirality.  So on each half A_k is a I, a real
+    (a = 0 at even m, +-k_m at odd m), and the two halves carry opposite a.
+
+    Since A_k^2 = |k|^2, the columns of A_k + mu I lie in the mu-eigenspace,
+    mu = +-|k|.  For each mu the columns (A_k + mu I) e_i with i in the half
+    where a mu >= 0 (the half of index 0 when a = 0) are orthogonal, each of
+    squared norm 2|k| (|k| + |a|), so none vanishes.  The half is chosen by
+    that sign, never by comparing column norms: at m = 2 both halves' norms
+    are equal and such a comparison can follow the rounding.  Each column
+    is scaled so that its entry at i, the pivot, is real and positive:
+    p = 1/sqrt(2|k| / (|k| + |a|)), the other entries sign(mu) A_ji/(|k| + |a|) p.
+    At m = 2 that is (1, +-conj(c)/|k|)/sqrt(2), c = -k_1 + i k_2.
+
+    No eigensolver runs, so the basis is the same on every numpy and
+    LAPACK build.  The -|k| columns come first; the zero mode keeps the
+    standard basis.
+    """
     if K < 1:
         raise SpectralError(f"cutoff must be >= 1, got {K}")
     grid = make_grid(m, K, n_grid)
     rep = build_rep(m)
-    modes = grid.modes
-    ksq = (modes**2).sum(axis=1)
-    kabs = np.sqrt(ksq.astype(float))
-    n = rep.N
-
-    if m == 2:
-        eigenvalues, basis = _diagonalize_m2(modes, kabs)
-    else:
-        eigenvalues, basis = _diagonalize_general(grid, rep, kabs)
-
-    distinct, multiplicity = _aggregate(ksq, n)
+    eigenvalues, basis = _diagonalize(rep, grid.modes.astype(float))
+    distinct, multiplicity = _aggregate((grid.modes**2).sum(axis=1), rep.N)
     return EigenTable(
         grid=grid,
         rep=rep,
@@ -153,77 +168,44 @@ def assemble(m, K, n_grid=None):
     )
 
 
-def _diagonalize_m2(modes, kabs):
-    # A_k = -(k1 sigma1 + k2 sigma2) = [[0, c], [conj(c), 0]], c = -k1 + i k2;
-    # eigenvectors (1, +-conj(c)/|c|)/sqrt(2) for eigenvalues +-|k|.
-    n_modes = modes.shape[0]
-    eigenvalues = np.stack([-kabs, kabs], axis=1)
-    basis = np.zeros((n_modes, 2, 2), dtype=complex)
+def _symbol(rep, xi):
+    """A_xi = i xi.gamma for each row of xi, shape (len(xi), N, N)."""
+    return np.einsum("kj,jab->kab", xi, 1j * np.stack(rep.gamma))
+
+
+def _diagonalize(rep, xi):
+    """Eigenvalues (-|xi| on the first N/2 columns) and the closed-form eigenbasis of ``assemble``."""
+    n, half = rep.N, rep.N // 2
+    kabs = np.sqrt((xi**2).sum(axis=1))
+    eigenvalues = np.repeat(np.stack([-kabs, kabs], axis=1), half, axis=1)
     nz = kabs > 0
-    c = -modes[:, 0].astype(float) + 1j * modes[:, 1].astype(float)
-    phase = np.ones(n_modes, dtype=complex)
-    phase[nz] = np.conj(c[nz]) / kabs[nz]
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    basis[nz, 0, 0] = inv_sqrt2
-    basis[nz, 1, 0] = -phase[nz] * inv_sqrt2
-    basis[nz, 0, 1] = inv_sqrt2
-    basis[nz, 1, 1] = phase[nz] * inv_sqrt2
-    basis[~nz] = np.eye(2)
+    basis = np.zeros((len(xi), n, n), dtype=complex)
+    basis[~nz] = np.eye(n)
+    chirality = np.diagonal(np.linalg.multi_dot(rep.gamma[: rep.m - rep.m % 2]))
+    first = chirality == chirality[0]
+    upper, lower = np.flatnonzero(first), np.flatnonzero(~first)
+    mats, kabs = _symbol(rep, xi[nz]), kabs[nz]
+    a = mats[:, upper[0], upper[0]].real  # A_xi on the upper half; -a on the lower
+    denom = kabs + np.abs(a)
+    p = 1.0 / np.sqrt(2.0 * kabs / denom)
+    for sign, cols in ((-1.0, slice(None, half)), (1.0, slice(half, None))):
+        piv = np.where((sign * a >= 0)[:, None], upper, lower)[:, None, :]
+        vec = np.take_along_axis(mats, piv, axis=2)
+        vec /= denom[:, None, None]
+        vec *= sign * p[:, None, None]
+        np.put_along_axis(vec, piv, p[:, None, None], axis=1)
+        basis[nz, :, cols] = vec
     return eigenvalues, basis
 
 
-def _diagonalize_general(grid, rep, kabs):
-    """Per-mode eigenbasis of i k.gamma from ``eigh``, with a fixed phase per column.
-
-    The first component of each column within 1e-12 relative of its largest
-    modulus is made real and positive.  Components of equal modulus are
-    common (336 of the 4394 columns at m = 3, K = 6), and picking the
-    largest one would follow 1-ulp differences in eigh's output, so the
-    m = 3 basis, with one-dimensional eigenspaces, would depend on the
-    BLAS/LAPACK build.  At m >= 4 the eigenspaces have dimension N/2 >= 2,
-    and the basis inside them is still LAPACK's choice.
-    """
-    gam = np.stack(rep.gamma)
-    mats = 1j * np.einsum("kj,jab->kab", grid.modes.astype(float), gam)
-    _, vecs = np.linalg.eigh(mats)  # vecs[k][:, a], eigenvalues ascending
-    n = rep.N
-    half = n // 2
-    # Exact eigenvalues: -|k| on the first N/2 columns, +|k| on the rest.
-    eigenvalues = np.concatenate(
-        [np.repeat(-kabs[:, None], half, axis=1), np.repeat(kabs[:, None], n - half, axis=1)],
-        axis=1,
-    )
-    zero = kabs == 0
-    eigenvalues[zero] = 0.0
-    vecs[zero] = np.eye(n)
-    cols = np.swapaxes(vecs, 1, 2)  # (k, a, i)
-    mod = np.abs(cols)
-    lead = np.argmax(mod >= (1.0 - 1e-12) * mod.max(axis=2, keepdims=True), axis=2)
-    piv = np.take_along_axis(cols, lead[:, :, None], axis=2)[:, :, 0]
-    piv = np.where(piv == 0, 1.0, piv)
-    cols = cols * (np.abs(piv) / piv)[:, :, None]
-    return eigenvalues, np.ascontiguousarray(np.swapaxes(cols, 1, 2))
-
-
 def _aggregate(ksq, n_spinor):
-    half = n_spinor // 2
-    counts = {}
-    for q in ksq:
-        counts[int(q)] = counts.get(int(q), 0) + 1
-    qs = sorted(counts)
-    eigs = []
-    mults = []
-    for q in reversed(qs):
-        if q > 0:
-            eigs.append(-np.sqrt(q))
-            mults.append(half * counts[q])
-    eigs.append(0.0)
-    mults.append(n_spinor * counts.get(0, 0))
-    for q in qs:
-        if q > 0:
-            eigs.append(np.sqrt(q))
-            mults.append(half * counts[q])
-    return np.array(eigs), np.array(mults, dtype=int)
+    """Distinct eigenvalues -sqrt(q), ..., 0, ..., sqrt(q) and their multiplicities, keyed on the integers q = |k|^2."""
+    qs, counts = np.unique(ksq, return_counts=True)  # qs[0] = 0: the cube holds k = 0
+    root = np.sqrt(qs[1:])
+    side = (n_spinor // 2) * counts[1:]
+    distinct = np.concatenate([-root[::-1], [0.0], root])
+    multiplicity = np.concatenate([side[::-1], n_spinor * counts[:1], side])
+    return distinct, multiplicity
 
 
 def apply_dirac(table, psi):
@@ -280,7 +262,7 @@ def split(table, lam):
     sig = table.eigenvalues
     zero = np.abs(sig - lam) <= tol
     if zero.any():
-        lam = sig[zero][0]
+        lam = sig[zero][0] + 0.0  # the zero mode's -|k| columns hold -0.0; lambda = 0 snaps to +0.0
     plus = sig - lam > tol
     minus = ~(zero | plus)
     w2 = np.abs(sig - lam)

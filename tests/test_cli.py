@@ -56,9 +56,9 @@ def test_manifest_records_no_scipy_where_it_is_not_installed(tmp_path, monkeypat
     assert env["numpy"] == np.__version__
 
 
-def test_manifest_records_an_unknown_blas_on_numpy_before_1_25(tmp_path, monkeypatch):
-    # numpy 1.24's show_config takes no mode argument
-    monkeypatch.setattr(np, "show_config", lambda: None)
+def test_manifest_records_an_unknown_blas_on_a_numpy_build_without_one(tmp_path, monkeypatch):
+    # a numpy build whose configuration lists no BLAS dependency
+    monkeypatch.setattr(np, "show_config", lambda mode: {"Build Dependencies": {}})
     assert run_cli(["clifford", "--dim", "2", "--out", str(tmp_path)]) == 0
     env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
     assert env["blas"] == {"name": "unknown", "version": "unknown"}

@@ -101,22 +101,71 @@ def test_zero_mode_kernel(m):
     assert table.multiplicity[i0] == table.N
 
 
-@pytest.mark.parametrize("m,K", [(2, 6), (3, 3), (4, 2)])
+@pytest.mark.parametrize("m,K", [(2, 6), (3, 3), (4, 2), (5, 2)])
 def test_eigen_residual(m, K):
     table = assemble(m, K)
-    assert table.eigen_residual() < 1e-12
+    assert table.eigen_residual() <= 1e-14
+    gram = np.einsum("kia,kib->kab", table.basis.conj(), table.basis)
+    assert np.abs(gram - np.eye(table.N)).max() <= 1e-14
 
 
-def test_the_m3_eigenvector_phase_does_not_follow_rounding():
-    # 336 of the 4394 columns have two components of equal modulus; the first
-    # of them, not whichever eigh rounds larger, is made real and positive
-    cols = np.swapaxes(assemble(3, 6).basis, 1, 2)  # (mode, column, component)
-    mod = np.abs(cols)
-    tied = mod >= (1.0 - 1e-12) * mod.max(axis=2, keepdims=True)
-    assert (tied.sum(axis=2) > 1).sum() > 100
-    lead = np.take_along_axis(cols, np.argmax(tied, axis=2)[:, :, None], axis=2)[:, :, 0]
-    assert lead.real.min() > 0
-    assert np.abs(lead.imag).max() <= 1e-15
+@pytest.mark.parametrize("m,K", [(2, 4), (3, 3), (4, 2), (5, 1)])
+def test_each_eigenvector_is_real_and_positive_at_its_chirality_pivot(m, K):
+    # the chirality e_1...e_m' (m' the even one of m, m - 1) is diagonal; on
+    # each of its halves A_k is a scalar a.  A mu = +-|k| column has exactly
+    # one nonzero entry in the half where a mu >= 0 (the half of index 0 when
+    # a = 0), and that entry is real and positive: the half follows a sign,
+    # so rounding cannot flip it
+    table = assemble(m, K)
+    rep = table.rep
+    chirality = np.linalg.multi_dot(rep.gamma[: m - m % 2])
+    assert np.array_equal(chirality, np.diag(np.diag(chirality)))
+    upper = np.diag(chirality) == chirality[0, 0]
+    assert upper.sum() == table.N // 2
+    for k, sig, basis in zip(table.grid.modes, table.eigenvalues, table.basis):
+        if not k.any():
+            continue
+        a = (1j * sum(k[j] * rep.gamma[j] for j in range(m)))[0, 0].real
+        for mu, col in zip(sig, basis.T):
+            half = upper if a * mu >= 0 else ~upper
+            entries = col[half]
+            assert np.count_nonzero(entries) == 1
+            pivot = entries[entries != 0][0]
+            assert pivot.imag == 0 and pivot.real >= 1 / np.sqrt(2.0)
+
+
+def _m2_reference_basis(modes):
+    """(1, -+conj(c)/|k|)/sqrt(2), c = -k1 + i k2, for -+|k|: the m = 2 eigenvectors of A_k = [[0, c], [conj(c), 0]]."""
+    kabs = np.sqrt((modes**2).sum(axis=1).astype(float))
+    basis = np.zeros((modes.shape[0], 2, 2), dtype=complex)
+    nz = kabs > 0
+    c = -modes[:, 0].astype(float) + 1j * modes[:, 1].astype(float)
+    phase = np.conj(c[nz]) / kabs[nz]
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    basis[nz, 0, 0] = inv_sqrt2
+    basis[nz, 1, 0] = -phase * inv_sqrt2
+    basis[nz, 0, 1] = inv_sqrt2
+    basis[nz, 1, 1] = phase * inv_sqrt2
+    basis[~nz] = np.eye(2)
+    return basis
+
+
+def test_the_m2_basis_equals_the_explicit_formula_entry_for_entry():
+    # as numbers: a zero component may differ in sign, which array_equal does not see
+    table = assemble(2, 8)
+    assert np.array_equal(table.basis, _m2_reference_basis(table.grid.modes))
+    kabs = np.sqrt((table.grid.modes**2).sum(axis=1).astype(float))
+    assert np.array_equal(table.eigenvalues, np.stack([-kabs, kabs], axis=1))
+
+
+@pytest.mark.parametrize("m,K", [(2, 3), (3, 2), (4, 2), (5, 1)])
+def test_assemble_runs_no_eigensolver(m, K, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("assemble called an eigensolver")
+
+    for name in ("eigh", "eig"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert assemble(m, K).eigen_residual() <= 1e-14
 
 
 def test_spectrum_symmetric_with_multiplicities():
@@ -181,6 +230,9 @@ def test_split_snaps_lambda_to_an_eigenvalue_within_its_tolerance():
     assert sp.lam == np.sqrt(2.0) and sp.kernel_dim == 4
     assert not (table.eigenvalues - sp.lam)[sp.zero].any()
     assert split(table, 1 + 2e-9).lam == 1 + 2e-9
+    # lambda = 0 snaps to the zero mode's eigenvalue, as +0.0 at every m
+    for m in (2, 3):
+        assert np.copysign(1.0, split(assemble(m, 1), -1e-12).lam) == 1.0
 
 
 def test_projector_algebra():
