@@ -5,10 +5,12 @@ compactness threshold gamma_crit = (1/2m)(m/2)^m omega_m and its strong-form
 residual ||D psi - lam psi - f(|psi|)psi - |psi|^(2*-2)psi||_2 is at most
 RESIDUAL_TOL = 1e-6.  Energies above the threshold are reported as guard
 violations: the minimization certificate is meaningless there.  The stop
-policy is fixed: both sphere descents stop at outer gtol 1e-3 with their
-fiber ascents at 1e-7, every other fiber ascent stops at ``fiber_maximize``'s
-1e-9, and the Newton polish finishes each point (a coarse minimax, then a
-local Newton: Li-Zhou, SIAM J. Sci. Comput. 23, 2001).
+policy is fixed: both sphere descents stop at outer gtol 1e-3, each of
+their fiber ascents at max(1e-7, 1e-2 max(1e-3, |g|_inf)) with |g|_inf the
+smallest sphere gradient the descent has seen (``sphere_minimize``), every
+other fiber ascent stops at ``fiber_maximize``'s 1e-9, and the Newton polish
+finishes each point (a coarse minimax, then a local Newton: Li-Zhou, SIAM J.
+Sci. Comput. 23, 2001).
 
 Each solve builds one ``Functional`` and uses it end to end: the start, the
 sphere descent, the Newton polish (``polish_residual``) and the reported
@@ -341,11 +343,13 @@ def _lambda_nonpositive_gate(nl):
 def _descend(fn, init, maxiter):
     """Sphere descent of ``fn`` from the field ``init``, else from the ray-quotient direction of its split.
 
-    It stops at outer gtol 1e-3, its fibers at 1e-7, and the Newton polish
-    of ``_solved_point`` finishes it.  Returns sphere_minimize's (value,
-    fiber point, info), the flag ``descent-not-converged`` when it stopped
-    before gtol, and the start's diagnostics: ``ray_opt``, the ray-quotient
-    run's ``{evals, iterations, message}``, for a ray-opt start.
+    It stops at outer gtol 1e-3, each fiber at a hundredth of the smallest
+    sphere gradient seen so far and never below 1e-5, a hundredth of gtol
+    (``sphere_minimize``), and the Newton polish of ``_solved_point``
+    finishes it.  Returns sphere_minimize's (value, fiber point, info), the
+    flag ``descent-not-converged`` when it stopped before gtol, and the
+    start's diagnostics: ``ray_opt``, the ray-quotient run's ``{evals,
+    iterations, message}``, for a ray-opt start.
     """
     start = {}
     if init is None:
@@ -357,9 +361,10 @@ def _descend(fn, init, maxiter):
 def minimize_M(split, nl, init=None, maxiter=120):
     """Least-energy solve at the split's lambda, descending from the field ``init`` or the ray-quotient direction.
 
-    The descent stops at gtol 1e-3, its fibers at 1e-7, and the Newton
-    polish finishes it.  Returns the polished BranchPoint: accepted, or
-    flagged ``descent-not-converged`` when the descent stopped before its
+    The descent stops at gtol 1e-3, each fiber at a hundredth of the
+    smallest sphere gradient seen so far (``sphere_minimize``), and the
+    Newton polish finishes it.  Returns the polished BranchPoint: accepted,
+    or flagged ``descent-not-converged`` when the descent stopped before its
     tolerance (at ``maxiter``), ``polish-not-converged`` when the polish did
     not finish, or ``resolution-limited-residual`` when its residual stays
     above RESIDUAL_TOL.  Raises GuardViolationError when the converged energy

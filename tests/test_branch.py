@@ -313,9 +313,10 @@ def _tight(fn, level, maxiter, **diagnostics):
     return _solved_point(fn, fiber, value, level, flags=flags, **diagnostics)
 
 
-@pytest.mark.parametrize("lam, maxiter", [(0.5, 120), (0.9, 120), (1.0, 60)])
+@pytest.mark.parametrize("lam, maxiter", [(0.3, 120), (0.5, 120), (0.7, 120), (0.9, 120), (1.0, 60)])
 def test_the_coarse_descent_gives_the_tight_solve(lam, maxiter):
-    # the polish finishes a descent stopped at gtol 1e-3 (fibers at 1e-7) to
+    # the polish finishes a descent stopped at gtol 1e-3 (each fiber at a
+    # hundredth of the smallest sphere gradient seen, never below 1e-5) to
     # the point a descent to gtol 1e-9 reaches; lambda = 1 is the kernel point
     sp = split(assemble(2, 8), lam)
     pt = minimize_M(sp, NL, maxiter=maxiter)
@@ -351,6 +352,57 @@ def test_fiber_evals_are_reproducible():
     sp = split(assemble(2, 8), 0.9)
     counts = [minimize_M(sp, NL).diagnostics["outer"]["fiber_evals"] for _ in range(2)]
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("gtol, first", [(1e-3, 1e-5), (1e-9, 1e-7)])
+def test_each_descent_fiber_stops_at_a_hundredth_of_the_smallest_gradient_seen(monkeypatch, gtol, first):
+    # fiber gtol = max(1e-7, 1e-2 max(gtol, |g|_inf)), |g|_inf the smallest
+    # max-norm of the sphere gradients L-BFGS has been handed so far; at
+    # K = 8, lambda = 0.7 the last gradient instead of the smallest lets the
+    # stop rise from 6e-4 to 1.2e-3 at the third fiber
+    import diractorus.variational as variational
+
+    sp = split(assemble(2, 8), 0.7)
+    fn = Functional(sp, NL)
+    phi0, _ = ray_opt_direction(sp)
+    asked, grads = [], []
+    fiber_maximize, lbfgs = variational.fiber_maximize, variational._lbfgs
+
+    def recording_fiber_maximize(fn, phi, gtol=1e-9, **kwargs):
+        asked.append(gtol)
+        return fiber_maximize(fn, phi, gtol=gtol, **kwargs)
+
+    def recording_lbfgs(fun, x0, **kwargs):
+        if kwargs["maxcor"] != 25:  # a fiber ascent's own L-BFGS
+            return lbfgs(fun, x0, **kwargs)
+
+        def recorded(x):
+            value, g = fun(x)
+            grads.append(float(np.abs(g).max()))
+            return value, g
+
+        return lbfgs(recorded, x0, **kwargs)
+
+    monkeypatch.setattr(variational, "fiber_maximize", recording_fiber_maximize)
+    monkeypatch.setattr(variational, "_lbfgs", recording_lbfgs)
+    _, _, info = sphere_minimize(fn, phi0, gtol=gtol)
+    assert len(asked) > 3 and len(grads) >= len(asked) - 1
+    assert asked[0] == first
+    assert min(asked) >= 1e-7
+    for i in range(1, len(asked)):
+        assert asked[i] == max(1e-7, 1e-2 * max(gtol, min(grads[:i])))
+    assert "fell_back" not in info
+    assert info["fiber_gtol"] == asked[-1]
+
+
+def test_inexact_fibers_cut_the_fiber_evaluations_of_a_least_solve():
+    # with every fiber at gtol 1e-7 this solve made 52 fiber evaluations in
+    # the same 6 outer evaluations; the inexact fibers make 33
+    pt = minimize_M(split(assemble(2, 8), 0.7), NL)
+    outer = pt.diagnostics["outer"]
+    assert pt.accepted
+    assert outer["outer_evals"] == 6
+    assert outer["fiber_evals"] <= 40
 
 
 @pytest.fixture(scope="module")
