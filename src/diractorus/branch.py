@@ -15,10 +15,13 @@ Sci. Comput. 23, 2001).
 Each solve builds one ``Functional`` and uses it end to end: the start, the
 sphere descent, the Newton polish (``polish_residual``) and the reported
 energy and residual all run on it, so no solved point splits the spectrum a
-second time.  Both kinds of solve descend with ``_descend``: on the unit
-sphere of E^+ from one start, the E^+ part of the caller's warm field when
-given, else the minimizer of the ray quotient
-(``variational.ray_opt_direction``).  Plane waves are exact critical points
+second time.  One report, ``_solved_point(fn, psi, ev, level)``, polishes a
+field and reads every number off the polish's first and last evaluations
+(``Evaluation.residual`` for the residual), so it reports any field near a
+solution, with or without the evaluation there.  Both kinds of solve
+descend with ``_descend``: on the unit sphere of E^+ from one start, the
+E^+ part of the caller's warm field when given, else the minimizer of the
+ray quotient (``variational.ray_opt_direction``).  Plane waves are exact critical points
 of M on the torus, so a descent started on one never leaves it; no start is
 taken from them.  At every lambda the fibers keep E^0 in their inner space:
 L_T(psi) = max_c L(psi - sum_a c_a e_a) at an eigenvalue with f = 0.  A sweep
@@ -42,10 +45,12 @@ from .iterative import minres
 from .nonlinearity import check_hypotheses
 from .spectral import SpectralError, omega_sphere, split as make_split
 from .testspinor import radial_mass_ratio
-from .torus import SpinorField, cube_coefficients, l2_norm
+from .torus import SpinorField, l2_norm
 from .variational import (
+    Evaluation,
     Functional,
     SolverFailure,
+    _l2,
     default_sigma,
     nu_lambda_k,
     ray_opt_direction,
@@ -94,38 +99,10 @@ def multiplicity_count(table, lam):
     return int(table.multiplicity[mask].sum())
 
 
-def _l2(grid, r):
-    """L^2 norm of the field whose band (or full-cube) coefficients are r."""
-    return float(np.sqrt(grid.volume * (np.abs(r) ** 2).sum()))
-
-
-def _strong_residual(ev):
-    """In-band and out-of-band L^2 norms of the strong-form residual at the evaluation ``ev``.
-
-    The in-band part is the norm of ``ev.rep``, the Galerkin gradient: the L^2
-    representative of L_lam'(psi) on the cutoff space, which the solvers drive
-    to zero.  The spill is the part of g(|psi|) psi outside the band, read off
-    the full FFT cube of the evaluation's ``gu`` (``cube_coefficients``);
-    fixed by psi, it estimates the truncation error.  It is transformed on
-    its own, not taken as the full norm minus the band norm, which cancels
-    to the square root of rounding at a band-limited solution.  When the
-    evaluation has not made its band projection ``nonlin`` yet, the band
-    part of the same cube gives it, so the residual costs one transform of
-    ``gu``, not two.
-    """
-    grid = ev.fn.split.grid
-    cube = cube_coefficients(grid, ev.gu)
-    band = (slice(None),) + grid.cube_index
-    if "nonlin" not in vars(ev):  # Evaluation.nonlin is a cached_property
-        ev.nonlin = ev.fn.split.table.to_eigen(cube[band].T)
-    cube[band] = 0.0
-    return _l2(grid, ev.rep), _l2(grid, cube)
-
-
 def residual_check(table, nl, psi, lam):
     """L^2 norm of the strong-form residual: its in-band part and out-of-band spill combined.
 
-    Both parts come from one evaluation of L_lam at psi (``_strong_residual``).
+    Both parts come from one evaluation of L_lam at psi (``Evaluation.residual``).
     The linear part lives on the cutoff band; the pointwise nonlinearity is
     transformed on the full collocation cube, so out-of-band spill counts
     toward the residual.  For the critical term at m = 2, g(|psi|) psi =
@@ -135,8 +112,7 @@ def residual_check(table, nl, psi, lam):
     lambda = 0.2 least-energy point at K = 96 has a full residual of
     0.61787859 at n_grid = 386 and 0.61787873 at n_grid = 390.
     """
-    ev = Functional(make_split(table, lam), nl).at_field(psi)
-    return float(np.hypot(*_strong_residual(ev)))
+    return float(np.hypot(*Functional(make_split(table, lam), nl).at_field(psi).residual))
 
 
 @dataclass(frozen=True)
@@ -144,19 +120,17 @@ class Polish:
     """Outcome of ``polish_residual``."""
 
     psi: SpinorField
-    energy: float  # L_lam at psi, from the last evaluation
-    pre: tuple  # (in-band, spill) of the residual at the start, from the first evaluation
-    in_band: float  # the two parts of the final residual, from the last evaluation
-    spill: float
+    first: Evaluation  # at the start: the energy and residual before the polish
+    last: Evaluation  # at psi: the energy and residual after it
     steps: int  # Newton steps kept
     hvps: int  # Hessian-vector products of the MINRES solves
-    converged: bool  # in_band within 10 times the rounding level the polish aims at
+    converged: bool  # the final in-band residual within 10 times the rounding level the polish aims at
     minres: list  # per MINRES solve, kept step or not: its iterations, stop code, rtol and relative residual
 
     @property
     def residual(self):
         """The full ``residual_check`` value at ``psi``."""
-        return float(np.hypot(self.in_band, self.spill))
+        return float(np.hypot(*self.last.residual))
 
 
 def _rounding_level(ev):
@@ -207,25 +181,25 @@ def polish_residual(fn, psi, ev=None):
     while each step at least halves it, until that norm is at rounding level
     1e-12 max(1, ||(D - lam) psi||) (at most 20 steps).  The out-of-band
     spill is left alone, so the polish does not trade the Galerkin critical
-    point for a smaller full residual.  The energy and both residual parts,
-    before and after, are read off the first and last evaluations
-    (``_strong_residual``); a polish that keeps no step transforms the spill
-    once.  ``residual`` is the full ``residual_check`` value at ``psi``.  The
-    polish is ``converged`` when it ends within 10 times that rounding level;
-    the sphere descent stops coarse, so an unfinished polish leaves the
-    reported energy unfinished too.
+    point for a smaller full residual.  The polish keeps its ``first`` and
+    ``last`` evaluations, and the energy and both residual parts, before and
+    after, are read off them (``Evaluation.residual``); a polish that keeps
+    no step has one evaluation and transforms the spill once.  ``residual``
+    is the full ``residual_check`` value at ``psi``.  The polish is
+    ``converged`` when it ends within 10 times that rounding level; the
+    sphere descent stops coarse, so an unfinished polish leaves the reported
+    energy unfinished too.
     """
     table = fn.split.table
     shape = psi.coeffs.shape
     precond = np.repeat(1.0 / fn.split.w2.ravel(), 2)  # on the real view: re and im of each eigen entry
-    ev = fn.at_field(psi) if ev is None else ev
+    ev = first = fn.at_field(psi) if ev is None else ev
     solves = []
 
     def hvp(x):  # the Hessian at the current iterate ``ev``
         return ev.hvp(x.view(complex).reshape(shape)).view(float).ravel()
 
-    pre = _strong_residual(ev)
-    resid, prev, steps = pre[0], None, 0
+    resid, prev, steps = first.residual[0], None, 0
     while steps < 20 and resid > _rounding_level(ev):
         rtol = _newton_rtol(resid, prev, _rounding_level(ev))
         d, its, istop, relres = minres(hvp, -ev.rep.view(float).ravel(), precond, rtol)
@@ -241,25 +215,27 @@ def polish_residual(fn, psi, ev=None):
         psi, ev, resid, prev, steps = trial, trial_ev, trial_resid, resid, steps + 1
         if not halved:
             break
-    return Polish(psi, ev.energy, pre, *(_strong_residual(ev) if steps else pre), steps,
-                  sum(s["iterations"] for s in solves), bool(resid <= 10.0 * _rounding_level(ev)), solves)
+    return Polish(psi, first, ev, steps, sum(s["iterations"] for s in solves),
+                  bool(resid <= 10.0 * _rounding_level(ev)), solves)
 
 
-def _solved_point(fn, fiber, value, level, k=None, flags=(), **diagnostics):
-    """Polish the fiber maximizer ``fiber`` solved on the functional ``fn`` and report it; raises GuardViolationError at or above gamma_crit.
+def _solved_point(fn, psi, ev, level, k=None, flags=(), **diagnostics):
+    """Polish the field ``psi`` on the functional ``fn`` it was solved on and report it; raises GuardViolationError at or above gamma_crit.
 
-    The polish starts from the fiber's own evaluation when it carries one.
-    ``value`` is the solver's energy at ``fiber.psi``, the coarse descent's
-    value, kept as ``value_pre_polish`` and replaced by the polish's energy
-    only when the polish moves psi.  Any of the solver's own ``flags``
-    rejects the point, and so does ``polish-not-converged``, a polish that
-    did not finish.
+    ``ev`` is ``fn``'s evaluation at ``psi`` when the caller holds one (a
+    fiber's ``evaluation``), else None and the polish makes it; any field
+    near a solution will do, not only a fiber maximizer.  Every number is
+    read off the polish's first and last evaluations: the energy and
+    residual before the polish (``value_pre_polish``,
+    ``residual_pre_polish``) and after it.  Any of the solver's own
+    ``flags`` rejects the point, and so does ``polish-not-converged``, a
+    polish that did not finish.
     """
     m = fn.split.grid.m
-    polish = polish_residual(fn, fiber.psi, fiber.evaluation)
+    polish = polish_residual(fn, psi, ev)
     flags = list(flags) + ([] if polish.converged else ["polish-not-converged"])
-    energy = polish.energy if polish.steps else value
-    resid, resid_pre = polish.residual, np.hypot(*polish.pre)
+    energy, resid = polish.last.energy, polish.residual
+    in_band, spill = polish.last.residual
     below = bool(energy < gamma_crit(m))
     point = BranchPoint(
         lam=fn.lam,
@@ -270,9 +246,10 @@ def _solved_point(fn, fiber, value, level, k=None, flags=(), **diagnostics):
         below_gamma_crit=below,
         accepted=bool(below and resid <= RESIDUAL_TOL and not flags),
         psi=SpinorField(polish.psi.grid, polish.psi.coeffs),  # no collocation cache: 1/5 the memory
-        diagnostics=dict(diagnostics, value_pre_polish=float(value), residual_pre_polish=float(resid_pre),
-                         polish_steps=polish.steps, polish_hvps=polish.hvps, polish_minres=polish.minres,
-                         residual_in_band=polish.in_band, residual_spill=polish.spill),
+        diagnostics=dict(diagnostics, value_pre_polish=float(polish.first.energy),
+                         residual_pre_polish=float(np.hypot(*polish.first.residual)), polish_steps=polish.steps,
+                         polish_hvps=polish.hvps, polish_minres=polish.minres,
+                         residual_in_band=in_band, residual_spill=spill),
         flags=flags + ([] if resid <= RESIDUAL_TOL else ["resolution-limited-residual"]),
     )
     if not below:
@@ -306,9 +283,14 @@ class SweepTable:
     eigenvalues: np.ndarray
 
     def interval_index(self, lam):
-        """Index k of the interval [lambda_k, lambda_{k+1}) containing lam."""
-        pos = self.eigenvalues[self.eigenvalues > 0]
-        return int(np.searchsorted(pos, lam, side="right"))
+        """Index k of the interval [lambda_k, lambda_{k+1}) of successive distinct eigenvalues that holds lam.
+
+        The eigenvalues are numbered from lambda_0 = 0, negative k below it:
+        k is the number of eigenvalues in (0, lam], or minus the number in
+        (lam, 0].
+        """
+        eigs = self.eigenvalues
+        return int(np.searchsorted(eigs, lam, "right") - np.searchsorted(eigs, 0.0, "right"))
 
     def monotone_violations(self):
         """Successive least-energy points in one spectral interval whose energy rises by more than MONOTONE_TOL."""
@@ -346,16 +328,16 @@ def _descend(fn, init, maxiter):
     It stops at outer gtol 1e-3, each fiber at a hundredth of the smallest
     sphere gradient seen so far and never below 1e-5, a hundredth of gtol
     (``sphere_minimize``), and the Newton polish of ``_solved_point``
-    finishes it.  Returns sphere_minimize's (value, fiber point, info), the
-    flag ``descent-not-converged`` when it stopped before gtol, and the
-    start's diagnostics: ``ray_opt``, the ray-quotient run's ``{evals,
-    iterations, message}``, for a ray-opt start.
+    finishes it.  Returns sphere_minimize's (fiber point, info), the flag
+    ``descent-not-converged`` when it stopped before gtol, and the start's
+    diagnostics: ``ray_opt``, the ray-quotient run's ``{evals, iterations,
+    message}``, for a ray-opt start.
     """
     start = {}
     if init is None:
         init, start["ray_opt"] = ray_opt_direction(fn.split)
-    value, fiber, info = sphere_minimize(fn, init, gtol=1e-3, maxiter=maxiter)
-    return value, fiber, info, [] if info["converged"] else ["descent-not-converged"], start
+    fiber, info = sphere_minimize(fn, init, gtol=1e-3, maxiter=maxiter)
+    return fiber, info, [] if info["converged"] else ["descent-not-converged"], start
 
 
 def minimize_M(split, nl, init=None, maxiter=120):
@@ -373,8 +355,8 @@ def minimize_M(split, nl, init=None, maxiter=120):
     if split.lam <= 0:
         _lambda_nonpositive_gate(nl)
     fn = Functional(split, nl)
-    value, fiber, info, flags, start = _descend(fn, init, maxiter)
-    return _solved_point(fn, fiber, value, "least", flags=flags,
+    fiber, info, flags, start = _descend(fn, init, maxiter)
+    return _solved_point(fn, fiber.psi, fiber.evaluation, "least", flags=flags,
                          init="ray-opt" if init is None else "warm", outer=info, **start,
                          fiber_grad_norm=fiber.grad_norm, t=fiber.t, kernel_dim=split.kernel_dim)
 
@@ -387,24 +369,24 @@ def second_solution(split_k, nl, lam, k, init=None):
     after 80 iterations.  lam must sit in the guard window just below
     lambda_k.  The returned point carries a uniqueness-confidence flag from
     the 8-start certification (``nu_lambda_k``, whose first start is the
-    descent's final fiber), a flag when the final direction's L^2 mass is
-    below ``default_sigma`` and the descent and polish flags of
-    ``minimize_M``.  The point is polished and reported at lam, on the
+    descent's final fiber re-solved to 1e-9), a flag when the final
+    direction's L^2 mass is below ``default_sigma`` and the descent and
+    polish flags of ``minimize_M``.  The point is polished and reported at lam, on the
     frozen functional it was solved on.
     """
     fn = Functional(split_k, nl, lam)
     if not (fn.lam <= split_k.lam + split_k.tol):
         raise SolverFailure(f"second solution needs lam <= lambda_k = {split_k.lam}, got {fn.lam}")
     sigma = default_sigma(split_k)
-    _, fiber, info, flags, start = _descend(fn, init, 80)
+    fiber, info, flags, start = _descend(fn, init, 80)
     mass = l2_norm(fiber.phi) ** 2
     if mass < sigma:
         flags.append("sigma-constraint-violated")
     confirmed = nu_lambda_k(fn, fiber)
     if not confirmed.unique_confident:
         flags.append("non-unique-fiber-maximizer")
-    return _solved_point(fn, confirmed, confirmed.value, "second", k=int(k), flags=flags, outer=info, **start,
-                         phi_mass=float(mass), sigma=float(sigma), lambda_k=float(split_k.lam))
+    return _solved_point(fn, confirmed.psi, confirmed.evaluation, "second", k=int(k), flags=flags, outer=info,
+                         **start, phi_mass=float(mass), sigma=float(sigma), lambda_k=float(split_k.lam))
 
 
 def _as_point(solve, lam, level, k=None):

@@ -334,7 +334,7 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    flags = vars(parser.parse_args(argv))
+    flags = parser.parse_args(argv).__dict__
     command = flags.pop("command")
     if command is None:
         parser.print_help()

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb, gamma as _gamma_fn
+from math import gamma as _gamma_fn
 
 import numpy as np
 
@@ -47,17 +47,15 @@ def unit_ball_volume(m):
     return np.pi ** (m / 2.0) / _gamma_fn(m / 2.0 + 1.0)
 
 
-def weyl_cm_vol(m, volume=None):
-    """The Weyl limit of d_pm(Lambda)/Lambda^m for the flat torus.
+def weyl_cm_vol(m):
+    """The Weyl limit of d_pm(Lambda)/Lambda^m for the side-2pi flat torus.
 
-    Equals C_m * Vol with C_m = 2^(floor(m/2) - 1) * vol(B^m) / (2 pi)^m; for
-    the side-2pi torus this is pi when m = 2.
+    Equals C_m * Vol with C_m = 2^(floor(m/2) - 1) * vol(B^m) / (2 pi)^m and
+    Vol = (2 pi)^m; this is pi when m = 2.
     """
-    if volume is None:
-        volume = (2.0 * np.pi) ** m
     n_spinor = 2 ** (m // 2)
     cm = 0.5 * n_spinor * unit_ball_volume(m) / (2.0 * np.pi) ** m
-    return cm * volume
+    return cm * (2.0 * np.pi) ** m
 
 
 @dataclass(frozen=True)
@@ -326,23 +324,3 @@ def weyl_counts(table, Lambda):
     d_minus = int(mult[(eigs < 0) & (eigs >= -Lambda)].sum())
     kernel = int(mult[eigs == 0].sum())
     return d_plus, d_minus, d_plus + d_minus + kernel
-
-
-# Round-sphere reference data (literature-derived closed forms, used only for
-# cross-checks; no spherical field arithmetic is implemented).
-
-def sphere_lambda_min_plus(m):
-    """(m/2) * omega_m^(1/m), the smallest positive Dirac eigenvalue invariant of S^m."""
-    return 0.5 * m * omega_sphere(m) ** (1.0 / m)
-
-
-def sphere_eigenvalues(m, count):
-    """First ``count`` positive Dirac eigenvalues of the round S^m with multiplicities.
-
-    Eigenvalues are +-(m/2 + k), k >= 0, with multiplicity
-    2^floor(m/2) * binom(k + m - 1, k).
-    """
-    rows = []
-    for k in range(count):
-        rows.append((0.5 * m + k, 2 ** (m // 2) * comb(k + m - 1, k)))
-    return rows

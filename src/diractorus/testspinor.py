@@ -48,14 +48,13 @@ class TestSpinorError(ValueError):
 
 @dataclass(frozen=True)
 class TestSpinorParams:
-    """Concentration scale, cutoff radius, direction spinor, center."""
+    """Concentration scale, cutoff radius and center; the direction spinor psi_0 is fixed (``direction``)."""
 
     __test__ = False  # keep pytest from collecting this dataclass
 
     eps: float
     delta: float = np.pi / 4.0
     center: tuple = None
-    psi0: np.ndarray = None
 
     def __post_init__(self):
         if self.eps <= 0:
@@ -68,11 +67,7 @@ class TestSpinorParams:
             raise TestSpinorError(f"eps={self.eps} exceeds delta={self.delta}")
 
     def direction(self, rep):
-        if self.psi0 is not None:
-            psi0 = np.asarray(self.psi0, dtype=complex)
-            if psi0.shape != (rep.N,):
-                raise TestSpinorError(f"psi0 must have shape ({rep.N},)")
-            return psi0
+        """psi_0 = m^((m-1)/2) e_1."""
         psi0 = np.zeros(rep.N, dtype=complex)
         psi0[0] = rep.m ** ((rep.m - 1) / 2.0)
         return psi0

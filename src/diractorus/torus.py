@@ -74,7 +74,7 @@ class TorusGrid:
     m: int
     K: int
     n_grid: int
-    modes: np.ndarray = field(repr=False, compare=False, default=None)
+    modes: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     # per-axis positions of ``modes`` in the (2K+1)^m box, FFT order [0..K, -K..-1]
     box_index: tuple = field(init=False, repr=False, compare=False, default=None)
     # positions of ``modes`` on the n-point grid of every axis (the full FFT cube)
@@ -95,8 +95,7 @@ class TorusGrid:
             raise GridError(
                 f"n_grid must be even and >= 2K+2 = {2 * self.K + 2}, got {self.n_grid}"
             )
-        if self.modes is None:
-            object.__setattr__(self, "modes", _build_modes(self.m, self.K))
+        object.__setattr__(self, "modes", _build_modes(self.m, self.K))
         self.modes.setflags(write=False)
         box, n = 2 * self.K + 1, self.n_grid
         box_index = tuple(self.modes[:, j] % box for j in range(self.m))

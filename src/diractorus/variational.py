@@ -40,9 +40,10 @@ Hessian and backtracking value are read from evaluations at its iterates;
 S maximizes the unreduced R over E^0 + E^-.  A lambda within the split's
 tolerance of an eigenvalue is that eigenvalue (``spectral.split`` snaps it),
 so the kernel block has sigma - lambda = 0 exactly.  The residual of the
-Euler-Lagrange equation is read off an evaluation too: its in-band part is
-``rep``, and its out-of-band spill is that of ``gu``, the g(|u|) u whose band
-part is ``nonlin``.
+Euler-Lagrange equation is read off an evaluation too
+(``Evaluation.residual``): its in-band part is ``rep``, and its out-of-band
+spill is that of ``gu``, the g(|u|) u whose band part is ``nonlin``, from one
+full-cube transform that also fills ``nonlin`` when it is not made yet.
 
 Solvers use lambda-orthonormal coordinates on masked eigen entries
 (``SubspaceCoords``): the real and imaginary part of each entry, scaled to
@@ -69,7 +70,7 @@ gradient's own size (Carter, SIAM J. Numer. Anal. 28, 1991).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -77,7 +78,7 @@ import numpy as np
 from .iterative import lbfgs as _lbfgs
 from .nonlinearity import critical_exponent, make_nonlinearity
 from .spectral import norm_lambda, project
-from .torus import SpinorField, analyze, pointwise_real_inner, synthesize, zero_field
+from .torus import SpinorField, analyze, cube_coefficients, pointwise_real_inner, synthesize, zero_field
 
 
 class SolverFailure(RuntimeError):
@@ -94,6 +95,11 @@ class SolverFailure(RuntimeError):
 _FLOOR = 1e-28  # floor of the squared modulus in the second variation's weights (1e-14 on |u|)
 
 
+def _l2(grid, r):
+    """L^2 norm of the field whose band (or full-cube) coefficients are r."""
+    return float(np.sqrt(grid.volume * (np.abs(r) ** 2).sum()))
+
+
 class Evaluation:
     """The functional at one point, everything in eigen coordinates.
 
@@ -104,10 +110,10 @@ class Evaluation:
     value-only caller never pays for it.  ``u`` holds the collocation values
     of u, ``rho`` the pointwise squared modulus |u|^2 that every weight is
     read from (``Nonlinearity.G_of_rho`` and its kin), and ``gu`` the values
-    of g(|u|) u, whose out-of-band part is the residual's spill.  ``second``
-    and ``hvp`` give the second variation of the mass at u.  Solver
-    evaluations have u = psi; ``_FJet``'s has u = psi - T(psi), and its
-    ``hvp`` leaves T' out.
+    of g(|u|) u, whose out-of-band part is the spill of ``residual``.
+    ``second`` and ``hvp`` give the second variation of the mass at u.
+    Solver evaluations have u = psi; ``_FJet``'s has u = psi - T(psi), and
+    its ``hvp`` leaves T' out.
     """
 
     def __init__(self, fn, quadratic, mass, lin, u, rho):
@@ -117,6 +123,7 @@ class Evaluation:
         self.lin = lin
         self.u = u
         self.rho = rho
+        self._nonlin = None
 
     @property
     def energy(self):
@@ -126,10 +133,34 @@ class Evaluation:
     def gu(self):
         return self.fn.nl.g_of_rho(self.rho).astype(complex) * self.u
 
-    @cached_property
+    @property
     def nonlin(self):
-        split = self.fn.split
-        return split.table.to_eigen(analyze(split.grid, self.gu))
+        if self._nonlin is None:
+            split = self.fn.split
+            self._nonlin = split.table.to_eigen(analyze(split.grid, self.gu))
+        return self._nonlin
+
+    @cached_property
+    def residual(self):
+        """In-band and out-of-band L^2 norms of the strong-form residual D psi - lam psi - g(|psi|) psi.
+
+        The in-band part is the norm of ``rep``, the Galerkin gradient: the
+        L^2 representative of L_lam'(psi) on the cutoff space, which the
+        solvers drive to zero.  The spill is the part of ``gu`` outside the
+        band, read off its full FFT cube (``cube_coefficients``); fixed by
+        psi, it estimates the truncation error.  It is transformed on its
+        own, not taken as the full norm minus the band norm, which cancels to
+        the square root of rounding at a band-limited solution.  When
+        ``nonlin`` is not computed yet, the band part of the same cube gives
+        it, so the residual costs one transform of ``gu``, not two.
+        """
+        grid = self.fn.split.grid
+        cube = cube_coefficients(grid, self.gu)
+        band = (slice(None),) + grid.cube_index
+        if self._nonlin is None:
+            self._nonlin = self.fn.split.table.to_eigen(cube[band].T)
+        cube[band] = 0.0
+        return _l2(grid, self.rep), _l2(grid, cube)
 
     @property
     def rep(self):
@@ -455,10 +486,12 @@ def _inner_maximize(objective, coords, z0, gtol, maxiter):
 class FiberPoint:
     """Constrained maximizer over a fiber {t phi + chi}.
 
+    ``value`` and ``grad_norm`` are the ascent's final value and gradient
+    norm in the (t, z) coordinates, whatever stop it was asked for.
     ``evaluation`` is the ascent's last evaluation when it was at psi, so a
-    caller reads the value and gradient there without evaluating again; it
-    is None when the ascent ended elsewhere or on the t < 0 mirror
-    (``fiber_maximize``).
+    caller reads the value, the gradient and the residual there without
+    evaluating again; it is None when the ascent ended elsewhere or on the
+    t < 0 mirror (``fiber_maximize``).
     """
 
     phi: SpinorField
@@ -468,7 +501,6 @@ class FiberPoint:
     value: float
     grad_norm: float
     inner_evals: int
-    converged: bool
     unique_confident: bool = True
     evaluation: Evaluation | None = field(default=None, repr=False, compare=False)
 
@@ -498,7 +530,10 @@ class _FiberCoords:
         return np.concatenate([[np.vdot(self.phi_dual, g).real], self.inner.from_eigen(g)])
 
 
-def fiber_maximize(fn, phi, gtol=1e-9, maxiter=500, start=None):
+_FIBER_MAXITER = 500  # iteration cap of every fiber ascent
+
+
+def fiber_maximize(fn, phi, gtol=1e-9, start=None):
     """Global maximizer of ``fn`` over the fiber {t phi + chi : t > 0, chi in fn.inner}.
 
     One L-BFGS ascent over (t, chi) jointly.  Under the generalized Nehari
@@ -535,7 +570,7 @@ def fiber_maximize(fn, phi, gtol=1e-9, maxiter=500, start=None):
         last["a"], last["ev"] = a, fn(a)
         return last["ev"].energy, last["ev"].grad
 
-    x, value, grad_norm, evals = _inner_maximize(objective, coords, np.concatenate([[t0], z0]), gtol, maxiter)
+    x, value, grad_norm, evals = _inner_maximize(objective, coords, np.concatenate([[t0], z0]), gtol, _FIBER_MAXITER)
     a = coords.to_eigen(x)
     ev = last["ev"] if np.array_equal(last["a"], a) else None
     t, z = float(x[0]), x[1:]
@@ -552,7 +587,6 @@ def fiber_maximize(fn, phi, gtol=1e-9, maxiter=500, start=None):
         value=value,
         grad_norm=grad_norm,
         inner_evals=evals,
-        converged=bool(grad_norm < 1e-6 * max(1.0, abs(value))),
         evaluation=ev,
     )
 
@@ -652,18 +686,17 @@ def sphere_minimize(fn, phi0, gtol, maxiter=120):
     is read off the fiber ascent's last evaluation there
     (``FiberPoint.evaluated``).
 
-    Returns (value, fiber_point, info); the fiber is that of L-BFGS's last
-    call when it was at the optimizer, else a re-solve there.  ``info``
-    holds ``fiber_grad_max``, the largest final gradient norm of its fiber
-    solves, loosely stopped early ones included (1.7e-3 at K = 16,
-    lambda = 0.7, against 2.7e-7 with every fiber at 1e-7), ``fiber_evals``,
-    the sum of their inner evaluations, and ``fiber_gtol``, the stop of the
-    returned fiber's ascent.  That fiber's final gradient norm is its
-    ``grad_norm``, and its ``converged`` is ``fiber_maximize``'s fixed test
-    grad_norm < 1e-6 max(1, |value|), not whether it met its stop.  A
-    descent never ends above its start: when it took a step and still ended
-    higher than its first evaluation at phi0, that evaluation is returned
-    and ``info`` records ``fell_back``.
+    Returns (fiber_point, info); the fiber is that of L-BFGS's last call
+    when it was at the optimizer, else a re-solve there, and the descent's
+    value is its ``value``.  ``info`` holds ``fiber_grad_max``, the largest
+    final gradient norm of its fiber solves, loosely stopped early ones
+    included (1.7e-3 at K = 16, lambda = 0.7, against 2.7e-7 with every
+    fiber at 1e-7), ``fiber_evals``, the sum of their inner evaluations, and
+    ``fiber_gtol``, the stop of the returned fiber's ascent, whose final
+    gradient norm is the fiber's ``grad_norm``.  A descent never ends above
+    its start: when it took a step and still ended higher than its first
+    evaluation at phi0, that evaluation is returned and ``info`` records
+    ``fell_back``.
     """
     split = fn.split
     coords = SubspaceCoords(split, split.plus)
@@ -705,7 +738,7 @@ def sphere_minimize(fn, phi0, gtol, maxiter=120):
         info["fell_back"] = True
         last["fiber"], last["fiber_gtol"] = last["first"]
     info["fiber_gtol"] = last["fiber_gtol"]
-    return float(last["fiber"].value), last["fiber"], info
+    return last["fiber"], info
 
 
 # ---------------------------------------------------------------------------
@@ -827,29 +860,37 @@ def s_lambda(split, nl, phi_nehari):
 # Frozen-fiber maximizers near an eigenvalue
 
 
-def nu_lambda_k(fn, fiber, n_starts=8):
+_NU_STARTS = 8  # fiber ascents that certify a frozen-fiber maximizer
+
+
+def nu_lambda_k(fn, fiber):
     """Certify ``fiber``, a maximizer of ``fn`` = L_lam on the split frozen at lambda_k, lam <= lambda_k.
 
-    ``fiber`` (the descent's final fiber, in ``second_solution``) is the first
-    of ``n_starts`` starts; the others are gradient ascents over the fiber of
-    its phi from fixed random inner starts.  Returns the best, whose
+    ``fiber`` (the descent's final fiber, in ``second_solution``) is first
+    re-solved warm from its own (t, z) at ``fiber_maximize``'s 1e-9, so all
+    ``_NU_STARTS`` values share one stop: the descent's fibers stop looser
+    (``sphere_minimize``), and a handed fiber sat 2e-12 below its re-solve
+    at K = 8 and 16, lambda = 0.95, lambda_k = 1.  That re-solve is the
+    first start; the others are gradient ascents over the fiber of its phi
+    from fixed random inner starts.  Returns the best, a new point whose
     uniqueness confidence flag needs all starts to agree to 1e-8 (the
     positive kernel-direction quadratic makes the inner problem only locally
     well-posed for lam < lambda_k).
     """
     if fn.lam > fn.split.lam + fn.split.tol:
         raise SolverFailure(f"nu requires lam <= lambda_k = {fn.split.lam}, got {fn.lam}")
-    best, values = fiber, [fiber.value]
+    best = fiber_maximize(fn, fiber.phi, start=(fiber.t, fiber.z))
+    values = [best.value]
     rng = np.random.default_rng(0)
     n = fn.inner.flat.size
-    for _ in range(max(0, n_starts - 1)):
+    for _ in range(_NU_STARTS - 1):
         z = 0.3 * best.t * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / max(np.sqrt(n), 1.0)
         fib = fiber_maximize(fn, fiber.phi, start=(best.t, z.view(float)))
         values.append(fib.value)
         if fib.value > best.value + 1e-8:
             best = fib
-    spread = max(values) - min(values)
-    return replace(best, unique_confident=bool(spread <= 1e-8 * max(1.0, abs(best.value))))
+    best.unique_confident = bool(max(values) - min(values) <= 1e-8 * max(1.0, abs(best.value)))
+    return best
 
 
 def default_sigma(split_k):

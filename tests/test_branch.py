@@ -18,7 +18,7 @@ from diractorus.branch import (
 )
 from diractorus.nonlinearity import make_nonlinearity
 from diractorus.spectral import SpectralError, assemble, omega_sphere, project, split
-from diractorus.torus import SpinorField, random_field, zero_field
+from diractorus.torus import SpinorField, random_field, resample_field, zero_field
 from diractorus.variational import (
     Evaluation,
     Functional,
@@ -106,7 +106,7 @@ def test_hvp_and_residual_leave_the_evaluation_values_alone():
     u, gu = ev.u.copy(), ev.gu.copy()
     assert np.isfinite(ev.rep).all()  # the band projection of gu: one analyze of it
     ev.hvp(table.to_eigen(random_field(table.grid, 2, rng).coeffs))
-    branch._strong_residual(ev)
+    assert ev.residual[1] > 0.0
     residual_check(table, NL, psi, 0.5)
     assert np.array_equal(ev.u, u)
     assert np.array_equal(ev.gu, gu)
@@ -123,7 +123,7 @@ def test_polish_reduces_residual():
     assert before > 1e-4
     assert after < 1e-8
     assert np.isclose(residual_check(table, NL, polished, 0.5), after, rtol=1e-6)
-    assert polish.energy == L_lambda(split(table, 0.5), NL, polished)
+    assert polish.last.energy == L_lambda(split(table, 0.5), NL, polished)
 
 
 def test_polish_does_not_stall_near_exact_solution():
@@ -155,12 +155,12 @@ def test_polish_keeps_the_galerkin_energy_where_the_spill_is_large():
     assert in_band < 1e-8
     assert np.isclose(np.hypot(in_band, spill), pt.residual_l2)
     fn = Functional(sp, NL)
-    value, fiber, _ = sphere_minimize(fn, ray_opt_direction(sp)[0], gtol=1e-9)
+    fiber, _ = sphere_minimize(fn, ray_opt_direction(sp)[0], gtol=1e-9)
     polish = polish_residual(fn, fiber.psi)
-    assert abs(L_lambda(sp, NL, polish.psi) - value) < 1e-10
-    assert np.isclose(pt.energy, polish.energy, rtol=1e-12, atol=0.0)
-    assert polish.in_band < 1e-8
-    assert np.isclose(np.hypot(polish.in_band, polish.spill), residual_check(table, NL, polish.psi, 0.4))
+    assert abs(L_lambda(sp, NL, polish.psi) - fiber.value) < 1e-10
+    assert np.isclose(pt.energy, polish.last.energy, rtol=1e-12, atol=0.0)
+    assert polish.last.residual[0] < 1e-8
+    assert np.isclose(polish.residual, residual_check(table, NL, polish.psi, 0.4))
 
 
 def test_minimize_M_closed_form_bound():
@@ -240,29 +240,36 @@ def test_minimize_M_at_an_eigenvalue_runs_no_kernel_newton(monkeypatch):
 
 
 def test_minimize_M_transforms_the_strong_residual_twice(monkeypatch):
-    # One full-cube transform before the polish and one after it: the final
-    # residual and its in-band and spill parts come from the same call.
-    import diractorus.branch as branch
+    # One full-cube transform before the polish and one after it, each the
+    # residual of an evaluation the polish holds: the final residual and its
+    # in-band and spill parts are read off the last one
+    import diractorus.variational as variational
 
-    calls = []
-    strong_residual = branch._strong_residual
-
-    def counted(*args):
-        calls.append(strong_residual(*args))
-        return calls[-1]
-
-    monkeypatch.setattr(branch, "_strong_residual", counted)
-    pt = minimize_M(split(assemble(2, 4), 0.5), NL)
-    assert len(calls) == 2
-    assert pt.diagnostics["residual_pre_polish"] == float(np.hypot(*calls[0]))
-    assert pt.residual_l2 == float(np.hypot(*calls[1]))
-    assert (pt.diagnostics["residual_in_band"], pt.diagnostics["residual_spill"]) == calls[1]
-    # a polish that keeps no step reads both ends off its one evaluation
-    calls.clear()
+    cubes, analyzed, polishes = [], [], []
+    cube_coefficients, analyze = variational.cube_coefficients, variational.analyze
+    monkeypatch.setattr(variational, "cube_coefficients", lambda *a: cubes.append(1) or cube_coefficients(*a))
+    monkeypatch.setattr(variational, "analyze", lambda *a, **k: analyzed.append(1) or analyze(*a, **k))
+    monkeypatch.setattr(branch, "polish_residual", lambda *a: polishes.append(polish_residual(*a)) or polishes[-1])
     table = assemble(2, 4)
-    polish = branch.polish_residual(Functional(split(table, 0.5), NL), plane_wave_solution(table, 0.5))
-    assert polish.steps == 0 and len(calls) == 1
-    assert polish.pre == (polish.in_band, polish.spill) == calls[0]
+    sp = split(table, 0.5)
+    pt = minimize_M(sp, NL)
+    (polish,) = polishes
+    assert len(cubes) == 2 and polish.steps > 0
+    assert pt.diagnostics["value_pre_polish"] == polish.first.energy
+    assert pt.diagnostics["residual_pre_polish"] == float(np.hypot(*polish.first.residual))
+    assert pt.energy == polish.last.energy
+    assert pt.residual_l2 == polish.residual == float(np.hypot(*polish.last.residual))
+    assert (pt.diagnostics["residual_in_band"], pt.diagnostics["residual_spill"]) == polish.last.residual
+    # a polish that keeps no step reads both ends off its one evaluation
+    cubes.clear()
+    polish = polish_residual(Functional(sp, NL), plane_wave_solution(table, 0.5))
+    assert polish.steps == 0 and polish.first is polish.last
+    assert polish.residual < 1e-12 and len(cubes) == 1
+    # residual_check fills the band projection from its one cube: no analyze
+    cubes.clear()
+    analyzed.clear()
+    residual_check(table, NL, pt.psi, 0.5)
+    assert len(cubes) == 1 and analyzed == []
 
 
 def test_minimize_M_flags_a_descent_that_stops_unconverged():
@@ -308,9 +315,9 @@ def test_a_least_solve_reuses_fiber_evaluations_and_polishes_in_the_lambda_metri
 
 def _tight(fn, level, maxiter, **diagnostics):
     """A descent to gtol 1e-9 from the ray-quotient direction, polished on ``fn``."""
-    value, fiber, info = sphere_minimize(fn, ray_opt_direction(fn.split)[0], gtol=1e-9, maxiter=maxiter)
+    fiber, info = sphere_minimize(fn, ray_opt_direction(fn.split)[0], gtol=1e-9, maxiter=maxiter)
     flags = [] if info["converged"] else ["descent-not-converged"]
-    return _solved_point(fn, fiber, value, level, flags=flags, **diagnostics)
+    return _solved_point(fn, fiber.psi, fiber.evaluation, level, flags=flags, **diagnostics)
 
 
 @pytest.mark.parametrize("lam, maxiter", [(0.3, 120), (0.5, 120), (0.7, 120), (0.9, 120), (1.0, 60)])
@@ -385,7 +392,7 @@ def test_each_descent_fiber_stops_at_a_hundredth_of_the_smallest_gradient_seen(m
 
     monkeypatch.setattr(variational, "fiber_maximize", recording_fiber_maximize)
     monkeypatch.setattr(variational, "_lbfgs", recording_lbfgs)
-    _, _, info = sphere_minimize(fn, phi0, gtol=gtol)
+    _, info = sphere_minimize(fn, phi0, gtol=gtol)
     assert len(asked) > 3 and len(grads) >= len(asked) - 1
     assert asked[0] == first
     assert min(asked) >= 1e-7
@@ -452,6 +459,36 @@ def test_branch_sweep_structure():
     assert not sweep.monotone_violations()
     assert sweep.interval_index(0.7) == 0
     assert sweep.interval_index(1.2) == 1
+
+
+def test_a_sweep_below_zero_keeps_its_spectral_intervals_apart(monkeypatch):
+    # lambda = -1.5 and -1.2 lie in (-2, -sqrt(2)) and (-sqrt(2), -1); when
+    # only positive eigenvalues were counted both fell in interval 0, so the
+    # rise from 0.00306 to 0.0342 was a monotone violation and -1.2 was
+    # re-solved warm from the -1.5 field
+    nl = make_nonlinearity("power", 2, alpha=1.0, p=3.0)
+    solve, lams = branch.minimize_M, []
+    monkeypatch.setattr(branch, "minimize_M", lambda sp, nl, **kw: lams.append(sp.lam) or solve(sp, nl, **kw))
+    sweep = branch_sweep(assemble(2, 6), nl, [-1.5, -1.2])
+    assert lams == [-1.5, -1.2]
+    assert [p.lam for p in sweep.points] == [-1.5, -1.2]
+    assert sweep.monotone_violations() == []
+    assert sweep.interval_index(-1.5) == -3 and sweep.interval_index(-1.2) == -2
+    assert sweep.interval_index(0.0) == 0 and sweep.interval_index(-0.5) == -1
+
+
+def test_a_field_from_another_cutoff_is_reported_as_its_cold_solve():
+    # the report polishes any field near a solution, with no fiber behind it:
+    # a K = 8 least point resampled to K = 12 and handed over with no
+    # evaluation polishes (2 steps) to the point a cold K = 12 solve reaches
+    pt8 = minimize_M(split(assemble(2, 8), 0.7), NL)
+    table = assemble(2, 12)
+    sp = split(table, 0.7)
+    pt = _solved_point(Functional(sp, NL), resample_field(pt8.psi, table.grid), None, "least")
+    assert pt.accepted and pt.flags == []
+    assert pt.diagnostics["polish_steps"] > 0
+    assert pt.diagnostics["value_pre_polish"] == L_lambda(sp, NL, resample_field(pt8.psi, table.grid))
+    assert np.isclose(pt.energy, minimize_M(sp, NL).energy, rtol=1e-12, atol=0.0)
 
 
 def test_returned_points_keep_no_collocation_cache():
@@ -642,7 +679,7 @@ def test_the_polish_step_count_does_not_hang_on_rounding():
     # 10 perturbations of it by 1e-13 relative in 4
     sp = split(assemble(2, 16), 0.9)
     fn = Functional(sp, NL)
-    _, fiber, _ = sphere_minimize(fn, ray_opt_direction(sp)[0], gtol=1e-3)
+    fiber, _ = sphere_minimize(fn, ray_opt_direction(sp)[0], gtol=1e-3)
     steps = polish_residual(fn, fiber.psi).steps
     c = fiber.psi.coeffs
     for seed in range(10):

@@ -1,9 +1,10 @@
-"""That no run loads scipy, seen from a fresh interpreter.
+"""What the package imports: no run loads scipy, and no module imports a name it never uses.
 
 The parent test process has imported everything the other tests use, so
-the check runs in a subprocess.
+the scipy check runs in a subprocess.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -54,3 +55,28 @@ def test_a_sweep_or_a_solve_loads_no_solver_stack():
     assert out["hypotheses"] == []
     assert out["nonpositive"] == [] and out["bubble"] == []
     assert out["report"] == check_hypotheses(make_nonlinearity("power", 2, alpha=1, p=3))
+
+
+def _unused_imports(tree):
+    """Names a module's import statements bind that no expression reads and ``__all__`` does not list."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return sorted(bound - read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # no linter is part of the toolchain; a deletion that leaves its import
+    # behind (a helper's last caller gone, its module still importing it)
+    # shows up here
+    package = Path(diractorus.__file__).parent
+    unused = {path.name: _unused_imports(ast.parse(path.read_text())) for path in sorted(package.glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}
+    assert _unused_imports(ast.parse("from math import comb, gamma\nx = gamma(2)\n")) == ["comb"]

@@ -13,10 +13,7 @@ from diractorus.spectral import (
     dual_norm,
     inner_lambda,
     norm_lambda,
-    omega_sphere,
     project,
-    sphere_eigenvalues,
-    sphere_lambda_min_plus,
     split,
     weyl_cm_vol,
     weyl_counts,
@@ -321,19 +318,6 @@ def test_weyl_ratio_near_disk_area():
     ratio = dp / 40.0**2
     assert abs(ratio - np.pi) / np.pi < 0.02
     assert np.isclose(weyl_cm_vol(2), np.pi, rtol=1e-14)
-
-
-def test_sphere_reference_data():
-    # lambda_min^+(S^m) = (m/2) omega_m^(1/m)
-    assert np.isclose(sphere_lambda_min_plus(2), np.sqrt(4 * np.pi), rtol=1e-14)
-    rows = sphere_eigenvalues(2, 30)
-    assert rows[0] == (1.0, 2)
-    assert rows[1] == (2.0, 4)
-    # Weyl ratio on the sphere: d_+(L)/L^m -> C_m omega_m (= 1 for m = 2)
-    Lam = 25.0
-    d_plus = sum(mult for ev, mult in rows if ev <= Lam)
-    target = weyl_cm_vol(2, volume=omega_sphere(2))
-    assert abs(d_plus / Lam**2 - target) / target < 0.1
 
 
 @pytest.mark.parametrize("m, K", [(2, 5), (3, 2), (4, 1)])

@@ -29,7 +29,9 @@ from diractorus.variational import (
     nehari_second_order,
     nu_lambda_k,
     r_lambda,
+    ray_opt_direction,
     s_lambda,
+    sphere_minimize,
     t_lambda,
     t_prime,
     tmfm_gap,
@@ -198,7 +200,7 @@ def test_mu_lambda_plane_wave(table, sp05):
     assert np.isclose(fib.value, np.pi**2 / 4.0, rtol=1e-9)
     assert l2_norm(project(sp05, fib.psi, "zero")) < 1e-9
     assert l2_norm(project(sp05, fib.psi, "minus")) < 1e-9
-    assert fib.converged
+    assert fib.grad_norm < 1e-6 * max(1.0, abs(fib.value))
 
 
 def test_mu_lambda_phase_equivariance(table, sp05):
@@ -252,13 +254,6 @@ def test_fiber_maximum_is_start_independent(table, sp05):
         assert fib.t > 0
         assert abs(fib.value - cold.value) < 1e-10 * abs(cold.value)
         assert l2_norm(fib.psi - cold.psi) < 1e-6 * l2_norm(cold.psi)
-
-
-def test_fiber_maximize_reports_an_unconverged_stop(table, sp05):
-    rng = np.random.default_rng(14)
-    phi = project(sp05, random_field(table.grid, 2, rng), "plus")
-    fib = fiber_maximize(Functional(sp05, NL), phi, maxiter=2)
-    assert not fib.converged
 
 
 def _assert_same_evaluation(ev, fresh):
@@ -418,34 +413,49 @@ def test_r_lambda_is_read_off_the_ray_quotient(m):
     assert np.isclose(r_lambda(sp, psi), expected, rtol=1e-12, atol=0.0)
 
 
-def _nu(sp, lam, phi, n_starts):
+def _nu(sp, lam, phi):
     """nu_lambda_k certifying the fiber maximum of phi on the split ``sp`` frozen at its lambda."""
     fn = Functional(sp, NL, lam)
-    return nu_lambda_k(fn, fiber_maximize(fn, phi), n_starts=n_starts)
+    return nu_lambda_k(fn, fiber_maximize(fn, phi))
 
 
 def test_nu_matches_mu_at_lambda_k(table, sp1):
     phi = unit_plane_wave(table, sp1, k=(1, 1))
-    fib_nu = _nu(sp1, 1.0, phi, n_starts=3)
+    fib_nu = _nu(sp1, 1.0, phi)
     fib_mu = fiber_maximize(Functional(sp1, NL), phi)
     assert abs(fib_nu.value - fib_mu.value) < 1e-8
     assert fib_nu.unique_confident
 
 
 def test_nu_certifies_the_fiber_it_is_handed(table, sp1):
-    # the handed fiber is the first start, and the caller's point is not changed
+    # the handed fiber, re-solved, is the first start, and the caller's point is not changed
     fn = Functional(sp1, NL, 0.97)
     fiber = fiber_maximize(fn, unit_plane_wave(table, sp1, k=(1, 1)))
     fiber.unique_confident = None
-    best = nu_lambda_k(fn, fiber, n_starts=3)
+    best = nu_lambda_k(fn, fiber)
     assert best.unique_confident and fiber.unique_confident is None
     assert abs(best.value - fiber.value) < 1e-8
 
 
+def test_nu_certifies_the_descent_fiber_at_the_stop_of_its_restarts():
+    # a cold second-solution descent at lambda = 0.95, frozen at lambda_k = 1:
+    # its last fiber stopped at the descent's loose fiber gtol and sat 2e-12
+    # below the 1e-9 ascent from its own (t, z), and that handed value was
+    # the certified one; re-solved first, all eight values share one stop
+    sp1 = split(assemble(2, 8), 1.0)
+    fn = Functional(sp1, NL, 0.95)
+    fiber, info = sphere_minimize(fn, ray_opt_direction(sp1)[0], gtol=1e-3, maxiter=80)
+    assert info["fiber_gtol"] > 1e-9
+    resolved = fiber_maximize(fn, fiber.phi, start=(fiber.t, fiber.z))
+    best = nu_lambda_k(fn, fiber)
+    assert best.unique_confident
+    assert abs(best.value - resolved.value) <= 1e-13 * abs(resolved.value)
+
+
 def test_nu_monotone_below_lambda_k(table, sp1):
     phi = unit_plane_wave(table, sp1, k=(1, 1))
-    v_at = _nu(sp1, 1.0, phi, n_starts=1).value
-    v_lo = _nu(sp1, 0.97, phi, n_starts=1).value
+    v_at = _nu(sp1, 1.0, phi).value
+    v_lo = _nu(sp1, 0.97, phi).value
     assert v_lo >= v_at - 1e-10
 
 
