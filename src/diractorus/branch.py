@@ -179,9 +179,11 @@ def polish_residual(fn, psi, ev=None):
     rounding puts the last one.
     A step is kept when it lowers the in-band norm, and the polish goes on
     while each step at least halves it, until that norm is at rounding level
-    1e-12 max(1, ||(D - lam) psi||) (at most 20 steps).  The out-of-band
-    spill is left alone, so the polish does not trade the Galerkin critical
-    point for a smaller full residual.  The polish keeps its ``first`` and
+    1e-12 max(1, ||(D - lam) psi||) (at most 20 steps).  A zero step (MINRES
+    returned zeros) ends it unkept: its trial is psi itself, whose
+    re-evaluated norm differs from the held one by rounding alone.  The
+    out-of-band spill is left alone, so the polish does not trade the
+    Galerkin critical point for a smaller full residual.  The polish keeps its ``first`` and
     ``last`` evaluations, and the energy and both residual parts, before and
     after, are read off them (``Evaluation.residual``); a polish that keeps
     no step has one evaluation and transforms the spill once.  ``residual``
@@ -204,7 +206,7 @@ def polish_residual(fn, psi, ev=None):
         rtol = _newton_rtol(resid, prev, _rounding_level(ev))
         d, its, istop, relres = minres(hvp, -ev.rep.view(float).ravel(), precond, rtol)
         solves.append({"iterations": its, "istop": istop, "rtol": rtol, "relres": float(relres)})
-        if not np.isfinite(d).all():
+        if not d.any() or not np.isfinite(d).all():  # a zero step would compare two roundings of psi
             break
         trial = SpinorField(psi.grid, psi.coeffs + table.from_eigen(d.view(complex).reshape(shape)))
         trial_ev = fn.at_field(trial)

@@ -7,8 +7,16 @@ per-call wrapping and loads no optimization or sparse-matrix library.
 
 ``lbfgs`` follows the unconstrained path of L-BFGS-B (Byrd, Lu, Nocedal and
 Zhu, SIAM J. Sci. Comput. 16, 1995) as scipy runs it: the same first step,
-line search, memory resets, stop tests and messages.  Its search direction
-is the two-loop recursion's (Nocedal, Math. Comp. 35, 1980), with the
+line search, memory resets, stop tests and messages.  Two options leave
+that path, and only the sphere descent sets them.  A run can start from
+the pairs (s, y) of an earlier run, kept in a ``_Memory`` that it updates
+in place (quasi-Newton pairs reused across related problems: Morales and
+Nocedal, SIAM J. Optim. 10, 2000); its first trial is then the unit step,
+like every later one.  The descent's fibers share their pairs this way.
+And a run with no pairs can take a first step of length ||g||/|f|, the
+unit step on log |f|, instead of L-BFGS-B's unit length; the descent
+itself starts so.  Without them a run is scipy's.  Its search direction is the
+two-loop recursion's (Nocedal, Math. Comp. 35, 1980), with the
 recursion's inner products read off the matrix of the pairs' s_i.y_j
 (``_Memory``); L-BFGS-B's own compact matrices give the same direction up to
 rounding.  The line search is MINPACK-2's ``dcsrch``/``dcstep`` (More and
@@ -48,33 +56,44 @@ class LbfgsResult:
     message: str
 
 
-def lbfgs(fun, x0, gtol, ftol, maxiter, maxcor):
+def lbfgs(fun, x0, gtol, ftol, maxiter, maxcor, memory=None, relative=False):
     """Minimize ``fun``, which returns (value, gradient), from ``x0`` with L-BFGS.
 
     The inverse Hessian is that of the two-loop recursion over the last
     ``maxcor`` pairs (s, y) on H0 = (s.y / y.y) I of the newest pair, and the
-    identity with no pair (``_Memory``).  The first step is min(1/||d||, 1e10)
-    along d = -g, every later one starts at 1, and the line search is
-    ``dcsrch`` with ftol 1e-3, gtol 0.9 and xtol 0.1.  A line search that ends
-    in a warning is accepted as the next iterate.  One that meets no condition
-    in 20 evaluations, or starts uphill, is undone: the memory is dropped and
-    the step retried along -g, or, with the memory already empty, the run
-    stops ``ABNORMAL``.  After each accepted step the tests run in L-BFGS-B's
-    order: ``maxiter`` steps; max |g_i| <= ``gtol``; f_old - f <= ``ftol``
-    max(|f_old|, |f|, 1).  Then the pair is stored unless s.y <= eps (-g_old.s).
-    As in scipy, a trial point equal to the last evaluated one is not
-    evaluated again.
+    identity with no pair (``_Memory``).  ``memory``, when given, is a
+    ``_Memory`` of ``maxcor`` pairs that the run starts from and leaves its
+    own pairs in, so a run on a nearby problem starts on this one's
+    curvature; without it the run starts empty.  With no pair the first step
+    along d = -g is min(1/||d||, 1e10), a unit length, or, when
+    ``relative``, 1/|f|, a length ||g||/|f|: the unit step of L-BFGS on
+    log |f|.  With pairs the first step is 1, as every later one, and the
+    line search is ``dcsrch`` with ftol 1e-3, gtol 0.9 and xtol 0.1.  A line
+    search that ends in a warning is accepted as the next iterate.  One that
+    meets no condition in 20 evaluations, or starts uphill, is undone: the
+    memory, a handed one too, is emptied and the step retried along -g
+    (with the first-step rule when no step was taken yet), or, with the
+    memory already empty, the run stops ``ABNORMAL``.  After each accepted
+    step the tests run in L-BFGS-B's order: ``maxiter`` steps; max |g_i| <=
+    ``gtol``; f_old - f <= ``ftol`` max(|f_old|, |f|, 1).  Then the pair is
+    stored unless s.y <= eps (-g_old.s).  As in scipy, a trial point equal
+    to the last evaluated one is not evaluated again.
     """
     x = np.array(x0, dtype=float)
     f, g = fun(x)
     xe, ft, gt, nfev, nit = x, f, g, 1, 0
-    memory = _Memory(x.size, maxcor)
+    memory = _Memory(x.size, maxcor) if memory is None else memory
     if np.abs(g).max() <= gtol:
         return LbfgsResult(x, f, g, nfev, nit, True, "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL")
     while True:
         d = memory.direction(g)
         gd0 = float(g @ d)
-        stp = min(1.0 / math.sqrt(d @ d), STPMAX) if nit == 0 else 1.0
+        if nit or memory.k:
+            stp = 1.0
+        elif relative:
+            stp = 1.0 / max(abs(f), 1.0 / STPMAX)
+        else:
+            stp = min(1.0 / math.sqrt(d @ d), STPMAX)
         accepted = False
         if gd0 < 0:
             search = _LineSearch(f, gd0, stp)

@@ -55,17 +55,21 @@ reduction its only critical point with t > 0 is the global maximum, and
 evenness of L maps a run that crosses t = 0 back from the mirror maximizer.
 An ascent starts from the (t, z) pair its caller passes, a nearby fiber's
 scale and inner coordinates, which every ``FiberPoint`` carries together
-with the ascent's last evaluation when it was at the maximizer; a cold one
-starts on the ray t phi where its critical part t^2 q(phi) -
-(t^{2*}/2*) |phi|_{2*}^{2*} peaks, in closed form from one evaluation at phi
-(the ray maximum ``_ray_quotient`` measures).  The Nehari projection of an E^+
+with the ascent's L-BFGS pairs and its last evaluation when it was at the
+maximizer; a cold one starts on the ray t phi where its critical part
+t^2 q(phi) - (t^{2*}/2*) |phi|_{2*}^{2*} peaks, in closed form from one
+evaluation at phi (the ray maximum ``_ray_quotient`` measures).  The Nehari projection of an E^+
 direction is the scale of its fiber maximum.  The sphere descent over E^+
 (``sphere_minimize``) starts from a caller's field or from the minimizer of
 the ray quotient (``ray_opt_direction``), a fiber-free lower bound of M.  Its
 fibers are inexact: each ascent stops at a hundredth of the larger of the
 descent's gtol and the smallest sphere gradient it has seen, and never below
 1e-7, as a descent needs its gradient only to a fixed fraction of the
-gradient's own size (Carter, SIAM J. Numer. Anal. 28, 1991).
+gradient's own size (Carter, SIAM J. Numer. Anal. 28, 1991).  They are warm:
+each ascent after the first starts from the last fiber's (t, z) and its
+L-BFGS pairs, one memory for the whole descent.  The descent's first step
+rotates by |g|_2 / M, the unit step of L-BFGS on log M, as the ray-quotient
+start steps on log Q.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .iterative import lbfgs as _lbfgs
+from .iterative import _Memory, lbfgs as _lbfgs
 from .nonlinearity import critical_exponent, make_nonlinearity
 from .spectral import norm_lambda, project
 from .torus import SpinorField, analyze, cube_coefficients, pointwise_real_inner, synthesize, zero_field
@@ -461,14 +465,18 @@ class SubspaceCoords:
 # Ascent in lambda-orthonormal coordinates (fiber, J and S maximizations)
 
 
-def _inner_maximize(objective, coords, z0, gtol, maxiter):
+_INNER_MAXCOR = 20  # L-BFGS pairs of every ascent
+
+
+def _inner_maximize(objective, coords, z0, gtol, maxiter, memory=None):
     """Maximize an objective over the coordinates ``coords`` with L-BFGS.
 
     The loop is the package's own (``iterative.lbfgs``, the unconstrained
     path of L-BFGS-B) on the negated objective, with 20 pairs of memory and
-    ftol 1e-18.  ``objective(a)`` takes eigen coordinates and returns (value,
-    lambda-metric gradient in eigen coordinates).  Returns (z, value,
-    gradient norm, evaluations).
+    ftol 1e-18; ``memory``, when given, is the ``iterative._Memory`` it
+    starts from and leaves its pairs in.  ``objective(a)`` takes eigen
+    coordinates and returns (value, lambda-metric gradient in eigen
+    coordinates).  Returns (z, value, gradient norm, evaluations).
     """
     def fun(x):
         val, grad = objective(coords.to_eigen(x))
@@ -477,7 +485,7 @@ def _inner_maximize(objective, coords, z0, gtol, maxiter):
     if coords.dim == 0:
         val, _ = objective(coords.to_eigen(np.zeros(0)))
         return np.zeros(0), val, 0.0, 0
-    res = _lbfgs(fun, z0, gtol=gtol, ftol=1e-18, maxiter=maxiter, maxcor=20)
+    res = _lbfgs(fun, z0, gtol=gtol, ftol=1e-18, maxiter=maxiter, maxcor=_INNER_MAXCOR, memory=memory)
     gnorm = float(np.linalg.norm(res.jac))
     return res.x, float(-res.fun), gnorm, res.nfev
 
@@ -491,7 +499,9 @@ class FiberPoint:
     ``evaluation`` is the ascent's last evaluation when it was at psi, so a
     caller reads the value, the gradient and the residual there without
     evaluating again; it is None when the ascent ended elsewhere or on the
-    t < 0 mirror (``fiber_maximize``).
+    t < 0 mirror (``fiber_maximize``).  ``memory`` holds the ascent's
+    L-BFGS pairs (``iterative._Memory``), which a nearby fiber's ascent can
+    start from; an ascent handed them updates them in place.
     """
 
     phi: SpinorField
@@ -503,6 +513,7 @@ class FiberPoint:
     inner_evals: int
     unique_confident: bool = True
     evaluation: Evaluation | None = field(default=None, repr=False, compare=False)
+    memory: _Memory | None = field(default=None, repr=False, compare=False)
 
     def evaluated(self, fn):
         """The evaluation of ``fn`` at psi: the ascent's last one when it was there, else a fresh one."""
@@ -533,7 +544,7 @@ class _FiberCoords:
 _FIBER_MAXITER = 500  # iteration cap of every fiber ascent
 
 
-def fiber_maximize(fn, phi, gtol=1e-9, start=None):
+def fiber_maximize(fn, phi, gtol=1e-9, start=None, memory=None):
     """Global maximizer of ``fn`` over the fiber {t phi + chi : t > 0, chi in fn.inner}.
 
     One L-BFGS ascent over (t, chi) jointly.  Under the generalized Nehari
@@ -545,9 +556,14 @@ def fiber_maximize(fn, phi, gtol=1e-9, start=None):
     evaluation at phi.  t0 maximizes the critical part of L on the ray t phi:
     exactly L's ray maximum at f = 0, at or above it for f >= 0.  A direction
     with alpha <= 0 has no positive ray maximum and raises ``SolverFailure``.
-    The returned point carries the ascent's last ``Evaluation`` when L-BFGS
-    made it at the returned (t, z), and none after the t < 0 mirror, where
-    its gradient has the other sign.
+    ``memory``, a nearby fiber's ``FiberPoint.memory``, is the L-BFGS pairs
+    the ascent starts from, so its first step is the unit quasi-Newton step
+    on that fiber's curvature; without it the ascent starts with an empty
+    memory and L-BFGS-B's first step.  The returned point carries the
+    ascent's pairs, and its last ``Evaluation`` when L-BFGS made it at the
+    returned (t, z).  After the t < 0 mirror it carries no evaluation, whose
+    gradient has the other sign there, but the same pairs: L is even, so
+    the mirrored pairs (-s, -y) define the same inverse Hessian.
     """
     nrm = norm_lambda(fn.split, phi)
     if nrm <= 0:
@@ -564,13 +580,16 @@ def fiber_maximize(fn, phi, gtol=1e-9, start=None):
         t0, z0 = (alpha / beta) ** (1.0 / (ts - 2.0)), np.zeros(fn.inner.dim)
     else:
         t0, z0 = start
+    memory = _Memory(coords.dim, _INNER_MAXCOR) if memory is None else memory
     last = {"a": None, "ev": None}
 
     def objective(a):
         last["a"], last["ev"] = a, fn(a)
         return last["ev"].energy, last["ev"].grad
 
-    x, value, grad_norm, evals = _inner_maximize(objective, coords, np.concatenate([[t0], z0]), gtol, _FIBER_MAXITER)
+    x, value, grad_norm, evals = _inner_maximize(
+        objective, coords, np.concatenate([[t0], z0]), gtol, _FIBER_MAXITER, memory
+    )
     a = coords.to_eigen(x)
     ev = last["ev"] if np.array_equal(last["a"], a) else None
     t, z = float(x[0]), x[1:]
@@ -588,6 +607,7 @@ def fiber_maximize(fn, phi, gtol=1e-9, start=None):
         grad_norm=grad_norm,
         inner_evals=evals,
         evaluation=ev,
+        memory=memory,
     )
 
 
@@ -666,8 +686,12 @@ def sphere_minimize(fn, phi0, gtol, maxiter=120):
 
     The descent starts from the normalized E^+ part of the field ``phi0``.
     Quasi-Newton descent on the scale-invariant extension phi -> M(phi/||phi||)
-    in lambda-orthonormal E^+ coordinates.  Each fiber ascent starts from the
-    previous fiber's maximizer (t, z) and stops at
+    in lambda-orthonormal E^+ coordinates.  Each fiber ascent after the
+    first starts from the previous fiber's maximizer (t, z) and its L-BFGS
+    pairs (``FiberPoint.memory``), so the fibers of one descent share one
+    memory and each starts with a unit quasi-Newton step; the first fiber
+    starts cold.  Consecutive fibers are nearly the same problem, and the
+    pairs stay valid across the t < 0 mirror.  Each stops at
 
         fiber gtol = max(1e-7, 1e-2 max(gtol, |g|_inf)),
 
@@ -684,14 +708,19 @@ def sphere_minimize(fn, phi0, gtol, maxiter=120):
     ``gtol`` with the stop they had.  The branch solves stop at gtol 1e-3
     and finish with the Newton polish.  The gradient at each fiber maximizer
     is read off the fiber ascent's last evaluation there
-    (``FiberPoint.evaluated``).
+    (``FiberPoint.evaluated``).  The descent's first trial rotates by
+    |g|_2 / M, the unit step of L-BFGS on log M (``lbfgs``'s ``relative``),
+    not L-BFGS-B's unit length, a rotation of about 1 rad that overshot: at
+    K = 16 it took lambda = 0.3 from 2.87 to 5.64, and its far fiber spoiled
+    the carried pairs.
 
     Returns (fiber_point, info); the fiber is that of L-BFGS's last call
     when it was at the optimizer, else a re-solve there, and the descent's
     value is its ``value``.  ``info`` holds ``fiber_grad_max``, the largest
     final gradient norm of its fiber solves, loosely stopped early ones
-    included (1.7e-3 at K = 16, lambda = 0.7, against 2.7e-7 with every
-    fiber at 1e-7), ``fiber_evals``, the sum of their inner evaluations, and
+    included (4.9e-4 at K = 16, lambda = 0.7, against 2.7e-7 with every
+    fiber at 1e-7), ``fiber_evals``, the sum of their inner evaluations,
+    ``first_step``, the first trial's rotation |g|_2 / M, and
     ``fiber_gtol``, the stop of the returned fiber's ascent, whose final
     gradient norm is the fiber's ``grad_norm``.  A descent never ends above
     its start: when it took a step and still ended higher than its first
@@ -711,9 +740,9 @@ def sphere_minimize(fn, phi0, gtol, maxiter=120):
         nrm = float(np.linalg.norm(x))
         zhat = x / nrm
         prev = last["fiber"]
-        start = None if prev is None else (prev.t, prev.z)
+        start, memory = (None, None) if prev is None else ((prev.t, prev.z), prev.memory)
         fiber_gtol = max(1e-7, 1e-2 * (gtol if prev is None else max(gtol, last["gmin"])))
-        fiber = fiber_maximize(fn, coords.to_field(zhat), gtol=fiber_gtol, start=start)
+        fiber = fiber_maximize(fn, coords.to_field(zhat), gtol=fiber_gtol, start=start, memory=memory)
         gz = _sphere_grad(fn, coords, fiber, zhat) / nrm
         last["x"], last["fiber"], last["fiber_gtol"] = x.copy(), fiber, fiber_gtol
         last.setdefault("first", (fiber, fiber_gtol))
@@ -721,9 +750,10 @@ def sphere_minimize(fn, phi0, gtol, maxiter=120):
         last["fiber_grad_max"] = max(last["fiber_grad_max"], fiber.grad_norm)
         last["fiber_evals"] += fiber.inner_evals
         last["gnorm"] = float(np.linalg.norm(gz))
+        last.setdefault("first_step", last["gnorm"] / abs(fiber.value))  # the first trial's rotation
         return fiber.value, gz
 
-    res = _lbfgs(fun, z0, gtol=gtol, ftol=1e-16, maxiter=maxiter, maxcor=25)
+    res = _lbfgs(fun, z0, gtol=gtol, ftol=1e-16, maxiter=maxiter, maxcor=25, relative=True)
     if not np.array_equal(last["x"], res.x):
         fun(res.x)  # re-evaluate at the optimizer so the reported fiber matches res.x
     info = {
@@ -732,6 +762,7 @@ def sphere_minimize(fn, phi0, gtol, maxiter=120):
         "tangent_grad_norm": last["gnorm"],
         "fiber_grad_max": last["fiber_grad_max"],
         "fiber_evals": last["fiber_evals"],
+        "first_step": last["first_step"],
         "converged": bool(last["gnorm"] <= 10.0 * gtol or res.success),
     }
     if res.nit > 0 and last["fiber"].value > last["first"][0].value:

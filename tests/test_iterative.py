@@ -8,7 +8,7 @@ from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import minres as scipy_minres
 
 from diractorus import variational
-from diractorus.iterative import lbfgs, minres
+from diractorus.iterative import _Memory, lbfgs, minres
 from diractorus.nonlinearity import make_nonlinearity
 from diractorus.spectral import assemble, split
 from diractorus.variational import Functional, fiber_maximize, ray_opt_direction
@@ -101,6 +101,72 @@ def test_lbfgs_drops_its_memory_and_retries_after_a_failed_search():
     assert np.array_equal(got.x, ours[7]) and np.abs(got.x - ref.x).max() <= 1e-12 * np.abs(ref.x).max()
     retry = [i for i, x in enumerate(ours) if np.array_equal(x, got.x - got.jac)]  # unit step along -g
     assert len(retry) == 1 and 8 < retry[0] <= 8 + 20 < got.nfev <= 8 + 40
+
+
+def _recorded(fun):
+    """``fun`` and the list of the points it is called at."""
+    calls = []
+    return (lambda x: calls.append(x.copy()) or fun(x)), calls
+
+
+def test_lbfgs_with_an_empty_memory_runs_as_scipy_and_leaves_its_pairs_in_it():
+    fun, x0 = _quadratic(30, 0), np.zeros(30)
+    options = {"gtol": 1e-6, "ftol": 1e-16, "maxiter": 500, "maxcor": 10}
+    memory = _Memory(30, 10)
+    got = lbfgs(fun, x0, **options, memory=memory)
+    _assert_same_run(got, _scipy_lbfgs(fun, x0, **options))
+    assert np.array_equal(got.x, lbfgs(fun, x0, **options).x)
+    assert memory.k == 10
+
+
+def test_lbfgs_handed_the_pairs_of_an_earlier_run_takes_a_unit_first_step():
+    # the second run starts on the curvature of the first, on the same
+    # quadratic (condition 100, as many pairs as dimensions) from another
+    # point: its first trial is x0 + d with d = -H g of the handed pairs,
+    # and it needs 29 evaluations where a cold run needs 48
+    n = 10
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a, b = (q * np.geomspace(1.0, 100.0, n)) @ q.T, rng.standard_normal(n)
+    fun = lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b)  # noqa: E731
+    options = {"gtol": 1e-6, "ftol": 1e-16, "maxiter": 500, "maxcor": 10}
+    memory = _Memory(n, 10)
+    lbfgs(fun, np.zeros(n), **options, memory=memory)
+    x0 = np.random.default_rng(1).standard_normal(n)
+    d = memory.direction(fun(x0)[1])
+    warm_fun, calls = _recorded(fun)
+    warm = lbfgs(warm_fun, x0, **options, memory=memory)
+    cold = lbfgs(fun, x0, **options)
+    assert warm.success and cold.success
+    assert np.array_equal(calls[1], x0 + d)
+    assert warm.nfev < cold.nfev
+
+
+def test_lbfgs_relative_first_step_is_the_unit_step_on_log_f():
+    # with no pair, the first trial moves ||g|| / |f| along -g instead of a unit length
+    fun, x0 = _quadratic(30, 0), np.ones(30)
+    f0, g0 = fun(x0)
+    recorded, calls = _recorded(fun)
+    got = lbfgs(recorded, x0, gtol=1e-6, ftol=1e-16, maxiter=500, maxcor=10, relative=True)
+    assert got.success
+    assert np.allclose(calls[1], x0 - g0 / abs(f0), rtol=1e-15, atol=1e-15)
+    recorded, calls = _recorded(fun)
+    lbfgs(recorded, x0, gtol=1e-6, ftol=1e-16, maxiter=500, maxcor=10)
+    assert np.allclose(calls[1], x0 - g0 / np.linalg.norm(g0), rtol=1e-15, atol=1e-15)
+
+
+def test_lbfgs_drops_handed_pairs_after_a_failed_search():
+    # the gradient has the wrong sign, so the search along the handed pairs'
+    # direction finds no decrease: the handed memory is emptied in place and
+    # the retry along -g takes L-BFGS-B's unit-length first step
+    memory = _Memory(3, 10)
+    lbfgs(lambda x: (float(x @ x), 2.0 * x), np.ones(3), gtol=1e-10, ftol=1e-16, maxiter=3, maxcor=10, memory=memory)
+    assert memory.k > 0
+    fun, calls = _recorded(lambda x: (float(x @ x), -2.0 * x))
+    got = lbfgs(fun, np.ones(3), gtol=1e-10, ftol=1e-16, maxiter=50, maxcor=10, memory=memory)
+    assert (got.nit, got.message) == (0, "ABNORMAL: ") and memory.k == 0
+    retry = [x for x in calls if np.allclose(x, np.ones(3) * (1.0 + 1.0 / np.sqrt(3.0)), rtol=1e-15)]
+    assert len(retry) == 1
 
 
 def test_lbfgs_reproduces_scipy_on_the_ray_opt_objective(monkeypatch):
