@@ -258,8 +258,8 @@ def criterion_6(ctx=None):
     grid = table.grid
     idx = grid.mode_index()[(1, 0)]
     u = table.basis[idx][:, -1]
-    coeffs = np.zeros((grid.n_modes, table.N), dtype=complex)
-    coeffs[idx] = u * np.sqrt(0.5)
+    coeffs = np.zeros((table.N, grid.n_modes), dtype=complex)
+    coeffs[:, idx] = u * np.sqrt(0.5)
     pw = SpinorField(grid, coeffs)  # |s|^2 = 0.5 solves the lam = 0.5 problem
     resid_pw = residual_check(table, ctx.nl, pw, 0.5)
     rec_a = _record(6, "plane-wave residual at lambda=0.5", resid_pw < 1e-12, resid_pw, 0.0, 1e-12)

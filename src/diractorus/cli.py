@@ -281,14 +281,14 @@ def cmd_quadcheck(cfg, out_dir, t0):
     return 0
 
 
-_COMMON = ("dim", "cutoff", "n_grid", "out_dir", "seed")
+_COMMON = ("dim", "cutoff", "n_grid", "out_dir")
 _NONLINEARITY = ("nl_kind", "alpha", "p", "q")
 
 # Every subcommand: (handler, help, the RunConfig attributes its flags set).
 # ``run`` has no handler: its config file names the command.
 _COMMANDS = {
     "run": (None, "execute a config file", ("out_dir",)),
-    "clifford": (cmd_clifford, "gamma-matrix relation residuals", _COMMON),
+    "clifford": (cmd_clifford, "gamma-matrix relation residuals", ("dim", "out_dir")),
     "spectrum": (cmd_spectrum, "exact torus Dirac spectrum", _COMMON),
     "weyl": (cmd_weyl, "eigenvalue counting", _COMMON + ("Lambda",)),
     "testspinor": (
@@ -304,7 +304,7 @@ _COMMANDS = {
     ),
     "multiplicity": (cmd_multiplicity, "continuation-window solution count", _COMMON + ("lam",)),
     "accept": (cmd_accept, "run acceptance criteria", ("out_dir",)),
-    "quadcheck": (cmd_quadcheck, "quadrature refinement self-test", _COMMON + ("p",)),
+    "quadcheck": (cmd_quadcheck, "quadrature refinement self-test", _COMMON + ("seed", "p")),
 }
 
 

@@ -84,23 +84,31 @@ def _line_of(path, section, key=None):
     return None
 
 
+def _real(spec):
+    """A finite float: nan and +-inf are malformed, as no key has a use for them."""
+    value = float(spec)
+    if not np.isfinite(value):
+        raise ConfigError(f"{spec.strip()!r} is not a finite number")
+    return value
+
+
 def parse_lambda_grid(spec):
-    """Parse "a:b:step" or a comma list into a float grid."""
+    """Parse "a:b:step" or a comma list into a grid of finite floats."""
     spec = spec.strip()
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ConfigError(f"lambda_grid must be start:stop:step, got {spec!r}")
-        a, b, step = (float(p) for p in parts)
+        a, b, step = (_real(p) for p in parts)
         if step <= 0 or b < a:
             raise ConfigError(f"bad lambda_grid range {spec!r}")
         n = int(np.floor((b - a) / step + 1e-9)) + 1
         return [round(a + i * step, 12) for i in range(n)]
-    return [float(p) for p in spec.split(",") if p.strip()]
+    return [_real(p) for p in spec.split(",") if p.strip()]
 
 
 def _floats(spec):
-    return tuple(float(x) for x in spec.split(","))
+    return tuple(_real(x) for x in spec.split(","))
 
 
 # Every run key, in load order: (section, key, RunConfig attribute, parser of
@@ -112,16 +120,16 @@ _KEYS = (
     ("problem", "dim", "dim", int, "--dim"),
     ("problem", "cutoff", "cutoff", int, "--cutoff"),
     ("problem", "n_grid", "n_grid", int, "--n-grid"),
-    ("problem", "lambda", "lam", float, "--lambda"),
+    ("problem", "lambda", "lam", _real, "--lambda"),
     ("problem", "lambda_grid", "lambda_grid", parse_lambda_grid, "--lambda-grid"),
-    ("problem", "Lambda", "Lambda", float, "--Lambda"),
+    ("problem", "Lambda", "Lambda", _real, "--Lambda"),
     ("nonlinearity", "kind", "nl_kind", str, "--nl"),
-    ("nonlinearity", "alpha", "alpha", float, "--alpha"),
-    ("nonlinearity", "p", "p", float, "--p"),
-    ("nonlinearity", "q", "q", float, "--q"),
+    ("nonlinearity", "alpha", "alpha", _real, "--alpha"),
+    ("nonlinearity", "p", "p", _real, "--p"),
+    ("nonlinearity", "q", "q", _real, "--q"),
     ("testspinor", "eps_sweep", "eps_sweep", _floats, "--eps-sweep"),
-    ("testspinor", "delta", "delta", float, "--delta"),
-    ("testspinor", "dual_lambda", "dual_lambda", float, "--dual-lambda"),
+    ("testspinor", "delta", "delta", _real, "--delta"),
+    ("testspinor", "dual_lambda", "dual_lambda", _real, "--dual-lambda"),
     ("branch", "second_near", "second_near", int, "--second-near"),
     ("branch", "second_offsets", "second_offsets", _floats, None),
     ("accept", "suite", "suite", str, None),

@@ -179,8 +179,10 @@ def _profile_values(grid, rep, params):
     Returns ``(box, y, eta, grad_eta, psi_eps, dpsi_eps)``: the shared
     geometry of ``_chart_geometry``, the rescaled solution on the box points
     and its closed-form D psi_eps, both from one set of Euclidean terms at
-    y / eps.
+    y / eps.  A center needs one coordinate per grid axis.
     """
+    if params.center is not None and len(params.center) != grid.m:
+        raise TestSpinorError(f"center must have {grid.m} coordinates, got {len(params.center)}")
     center = None if params.center is None else tuple(float(c) for c in params.center)
     geometry = _chart_geometry(grid, center, float(params.delta))
     psi, dpsi = _solution_and_dirac(rep, geometry[1] / params.eps, params.direction(rep))

@@ -6,12 +6,13 @@ represented canonically by Fourier coefficients on the cube of modes
 
     psi(x) = sum_k  c_k e^{i k.x},        c_k in C^N,
 
-stored as a complex array of shape (n_modes, N).  Collocation values live on
-the uniform n x ... x n grid x_j = 2 pi j / n, in arrays shaped
-(N, n, ..., n): the spinor axis first, so component i is the whole plane
-``values[i]``.  Every pointwise weight (|psi|, g(|psi|), a cutoff) is such a
-plane and multiplies the values without a broadcast along a short inner
-axis.  With n >= 2K + 2 the synthesis/analysis round trip is exact; pointwise
+stored as a complex array of shape (N, n_modes): the spinor axis first, so
+component i is the row ``coeffs[i]``.  Collocation values live on the uniform
+n x ... x n grid x_j = 2 pi j / n, in arrays shaped (N, n, ..., n): the
+spinor axis first again, so component i is the whole plane ``values[i]``.
+Every pointwise weight (|psi|, g(|psi|), a cutoff) is such a plane and
+multiplies the values without a broadcast along a short inner axis.  With
+n >= 2K + 2 the synthesis/analysis round trip is exact; pointwise
 nonlinearities of degree d are integrated exactly by the trapezoidal rule
 when n > d*K (the default solver grid uses n = 4K + 2 for quartic terms).
 
@@ -142,7 +143,7 @@ def make_grid(m, K, n_grid=None):
 class SpinorField:
     """Fourier-coefficient spinor field on a TorusGrid.
 
-    ``coeffs`` has shape (n_modes, N).  Collocation values are synthesized on
+    ``coeffs`` has shape (N, n_modes).  Collocation values are synthesized on
     demand and cached; fields are treated as immutable once built.
     """
 
@@ -151,9 +152,9 @@ class SpinorField:
 
     def __post_init__(self):
         self.coeffs = np.ascontiguousarray(self.coeffs, dtype=complex)
-        if self.coeffs.ndim != 2 or self.coeffs.shape[0] != self.grid.n_modes:
+        if self.coeffs.ndim != 2 or self.coeffs.shape[1] != self.grid.n_modes:
             raise GridError(
-                f"coeffs must have shape ({self.grid.n_modes}, N), got {self.coeffs.shape}"
+                f"coeffs must have shape (N, {self.grid.n_modes}), got {self.coeffs.shape}"
             )
         if not np.all(np.isfinite(self.coeffs)):
             raise GridError("coeffs contain non-finite entries")
@@ -161,7 +162,7 @@ class SpinorField:
 
     @property
     def N(self):
-        return self.coeffs.shape[1]
+        return self.coeffs.shape[0]
 
     def values(self):
         """Collocation values, shape (N, n, ..., n): the spinor axis first, then the m grid axes."""
@@ -193,7 +194,7 @@ def _same_grid(a, b):
 
 
 def zero_field(grid, N):
-    return SpinorField(grid, np.zeros((grid.n_modes, N), dtype=complex))
+    return SpinorField(grid, np.zeros((N, grid.n_modes), dtype=complex))
 
 
 def _pad_axis(box, axis, n, K):
@@ -242,8 +243,8 @@ def synthesize(grid, coeffs):
     zero-padding the next axis to n before its turn.
     """
     n, K, m = grid.n_grid, grid.K, grid.m
-    rows = np.zeros((coeffs.shape[1], grid.n_modes + 1), dtype=complex)  # the last column stands for no mode
-    rows[:, :-1] = coeffs.T
+    rows = np.zeros((len(coeffs), grid.n_modes + 1), dtype=complex)  # the last column stands for no mode
+    rows[:, :-1] = coeffs
     vals = np.take(rows, grid.synth_rows, axis=1).reshape((len(rows),) + (2 * K + 1,) * (m - 1) + (n,))
     for axis in range(m, 0, -1):
         if axis < m:
@@ -259,9 +260,8 @@ def analyze(grid, values, support=None):
     aliased trigonometric interpolation restricted to the cube.  Runs an FFT
     along each grid axis, last to first, each scaled by 1/n
     (``norm="forward"``), and keeps only that axis's 2K + 1 mode slabs before
-    moving on; the modes are gathered straight from the last FFT's output
-    (``grid.analyze_rows``).  The (n_modes, N) result is the transpose of that
-    (N, n_modes) gather, a view.
+    moving on; the (N, n_modes) modes are gathered straight from the last
+    FFT's output (``grid.analyze_rows``).
 
     With ``support`` (one array of distinct grid indices per grid axis),
     ``values`` holds only the box ``cube[(slice(None),) + np.ix_(*support)]``
@@ -280,7 +280,7 @@ def analyze(grid, values, support=None):
         own = True
         if axis > 1:
             vals = _crop_axis(vals, axis, n, K)
-    return np.take(vals.reshape(len(vals), -1), grid.analyze_rows, axis=1).T
+    return np.take(vals.reshape(len(vals), -1), grid.analyze_rows, axis=1)
 
 
 def cube_coefficients(grid, values):
@@ -357,15 +357,20 @@ def resample_field(psi, new_grid):
     if new_grid.m != psi.grid.m:
         raise GridError("resample requires matching dimensions")
     keep = np.abs(psi.grid.modes).max(axis=1) <= new_grid.K
-    box = np.zeros((2 * new_grid.K + 1,) * new_grid.m + (psi.N,), dtype=complex)
-    box[tuple((psi.grid.modes[keep] % (2 * new_grid.K + 1)).T)] = psi.coeffs[keep]
-    return SpinorField(new_grid, box[new_grid.box_index])
+    box = np.zeros((psi.N,) + (2 * new_grid.K + 1,) * new_grid.m, dtype=complex)
+    box[(slice(None),) + tuple((psi.grid.modes[keep] % (2 * new_grid.K + 1)).T)] = psi.coeffs[:, keep]
+    return SpinorField(new_grid, box[(slice(None),) + new_grid.box_index])
 
 
 def random_field(grid, N, rng, scale=1.0, decay=1.0):
-    """Random band-limited field with |k|-decaying coefficients (test helper)."""
+    """Random band-limited field with |k|-decaying coefficients (test helper).
+
+    The normals are drawn mode-major, one mode's N entries after another:
+    the pinned seeded fields of the tests and of acceptance criteria 9 and
+    11 depend on that order.
+    """
     ksq = (grid.modes**2).sum(axis=1).astype(float)
     amp = scale / (1.0 + ksq) ** decay
-    shape = (grid.n_modes, N)
-    coeffs = amp[:, None] * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return SpinorField(grid, coeffs)
+    size = grid.n_modes * N
+    draw = (rng.standard_normal(size) + 1j * rng.standard_normal(size)).reshape(-1, N)
+    return SpinorField(grid, amp * draw.T)

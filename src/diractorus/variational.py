@@ -162,7 +162,7 @@ class Evaluation:
         cube = cube_coefficients(grid, self.gu)
         band = (slice(None),) + grid.cube_index
         if self._nonlin is None:
-            self._nonlin = self.fn.split.table.to_eigen(cube[band].T)
+            self._nonlin = self.fn.split.table.to_eigen(cube[band])
         cube[band] = 0.0
         return _l2(grid, self.rep), _l2(grid, cube)
 
@@ -221,7 +221,7 @@ class Functional:
         self.inner = SubspaceCoords(split, split.zero | split.minus)
 
     def __call__(self, a):
-        """Evaluation at eigen coordinates ``a`` of shape (n_modes, N)."""
+        """Evaluation at eigen coordinates ``a`` of shape (N, n_modes)."""
         return self._evaluate(a, synthesize(self.split.grid, self.split.table.from_eigen(a)))
 
     def at_field(self, psi):
@@ -427,22 +427,26 @@ class SubspaceCoords:
     """Masked eigen entries with real Euclidean coordinates matching ||.||_lambda.
 
     Entries are addressed by their flat positions ``flat`` in the
-    (n_modes, N) eigen array.  The coordinates of an entry are its real and
-    imaginary part times ``scale``, so ``dim`` is twice the number of entries,
-    and going to and from eigen coordinates is one 1-d scatter or gather on a
-    complex view of the real vector.
+    (N, n_modes) eigen array, taken in mode-major order: entry j is the j-th
+    masked (mode, spin) pair, so coordinates 2j and 2j + 1 are its real and
+    imaginary part, and the seeded starts of ``ray_opt_direction`` and
+    ``nu_lambda_k`` draw their entries mode by mode.  Those parts are scaled
+    by ``scale``, so ``dim`` is twice the number of entries, and going to and
+    from eigen coordinates is one 1-d scatter or gather on a complex view of
+    the real vector.
     """
 
     def __init__(self, split, mask):
         self.table = split.table
         self.grid = split.grid
-        self.flat = np.flatnonzero(mask)
+        mode, spin = np.nonzero(mask.T)
+        self.flat = np.ravel_multi_index((spin, mode), mask.shape)
         self.scale = np.sqrt(split.grid.volume * split.w2.ravel()[self.flat])
         self.dim = 2 * int(self.flat.size)
 
     def to_eigen(self, x, base=None):
         """Eigen coordinates of the real coordinates ``x``, added in place onto the eigen array ``base`` when given."""
-        a = np.zeros((self.grid.n_modes, self.table.N), dtype=complex) if base is None else base
+        a = np.zeros((self.table.N, self.grid.n_modes), dtype=complex) if base is None else base
         a.reshape(-1)[self.flat] += np.ascontiguousarray(x, dtype=float).view(complex) / self.scale
         return a
 

@@ -39,8 +39,8 @@ def plane_wave_solution(table, lam, k=(1, 0)):
     idx = grid.mode_index()[k]
     u = table.basis[idx][:, -1]
     amp = np.sqrt(np.linalg.norm(np.array(k)) - lam)
-    coeffs = np.zeros((grid.n_modes, table.N), dtype=complex)
-    coeffs[idx] = amp * u
+    coeffs = np.zeros((table.N, grid.n_modes), dtype=complex)
+    coeffs[:, idx] = amp * u
     return SpinorField(grid, coeffs)
 
 
@@ -362,8 +362,8 @@ def test_minimize_M_descends_below_the_plane_wave_level(nl):
     table = assemble(2, 8)
     sp = split(table, 0.5)
     idx = table.grid.mode_index()[(1, 0)]
-    coeffs = np.zeros((table.grid.n_modes, table.N), dtype=complex)
-    coeffs[idx] = table.basis[idx][:, -1]
+    coeffs = np.zeros((table.N, table.grid.n_modes), dtype=complex)
+    coeffs[:, idx] = table.basis[idx][:, -1]
     plane_wave_level = m_lambda(sp, nl, SpinorField(table.grid, coeffs))[0]
     pt = minimize_M(sp, nl)
     assert pt.diagnostics["outer"]["outer_iterations"] > 0
@@ -741,7 +741,7 @@ def test_the_polish_step_count_does_not_hang_on_rounding():
     steps = polish_residual(fn, fiber.psi).steps
     c = fiber.psi.coeffs
     for seed in range(10):
-        noise = np.random.default_rng(seed).standard_normal(c.shape)
+        noise = np.random.default_rng(seed).standard_normal(c.shape[::-1]).T
         polish = polish_residual(fn, SpinorField(fiber.psi.grid, c * (1.0 + 1e-13 * noise)))
         assert polish.steps == steps and polish.converged, seed
 

@@ -252,6 +252,37 @@ def test_inputs_the_validators_reject_are_config_errors(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["solve", "--lambda", "nan"], "lambda"),  # a ZeroDivisionError traceback in the ray quotient
+        (["solve", "--lambda", "inf"], "lambda"),  # a solver failure at lambda = 0, where split snapped it
+        (["branch", "--lambda-grid=0.5,nan"], "lambda_grid"),
+        (["branch", "--lambda-grid", "0.5:inf:0.5"], "lambda_grid"),
+        (["multiplicity", "--lambda", "nan"], "lambda"),  # exit 0 with count 0
+        (["testspinor", "--dual-lambda", "nan"], "dual_lambda"),  # exit 0 with nan dual norms
+        (["testspinor", "--eps-sweep", "0.2,nan"], "eps_sweep"),
+        (["testspinor", "--delta", "nan"], "delta"),
+        (["weyl", "--Lambda", "inf"], "Lambda"),
+        (["solve", "--lambda", "0.5", "--nl", "power", "--alpha", "inf", "--p", "3"], "alpha"),
+        (["solve", "--lambda", "0.5", "--nl", "power", "--alpha", "1", "--p", "nan"], "p"),
+        (["solve", "--lambda", "0.5", "--nl", "log-critical", "--alpha", "1", "--q=-inf"], "q"),
+    ],
+)
+def test_values_that_are_not_finite_are_config_errors(tmp_path, capsys, argv, key):
+    assert run_cli(argv + ["--cutoff", "4", "--out", str(tmp_path)]) == 64
+    assert capsys.readouterr().err.startswith(f"config error: bad value for '{key}': ")
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_run_config_rejects_second_offsets_that_are_not_finite(tmp_path, capsys):
+    path = tmp_path / "nan.ini"
+    path.write_text("[run]\ncommand = branch\n\n[problem]\nlambda_grid = 0.5\n\n[branch]\nsecond_offsets = 0.05,nan\n")
+    assert run_cli(["run", str(path)]) == 64
+    err = capsys.readouterr().err
+    assert "line 8" in err and "'second_offsets'" in err and "not a finite number" in err
+
+
 def test_run_config_rejects_the_tolerances_section(tmp_path, capsys):
     # the solver stop policy is fixed; its section and keys are gone
     path = tmp_path / "tol.ini"
@@ -315,25 +346,25 @@ def test_a_failing_solve_writes_its_flagged_row(tmp_path):
     assert json.loads((tmp_path / "manifest.json").read_text())["failures"] == 1
 
 
-# every subcommand's option strings, positionals by name, as the hand-written parser had them
+# every subcommand's option strings, positionals by name; each flag is one its handler reads
 _OPTIONS = {
     "run": ["--help", "--out", "-h", "config"],
-    "clifford": ["--cutoff", "--dim", "--help", "--n-grid", "--out", "--seed", "-h"],
-    "spectrum": ["--cutoff", "--dim", "--help", "--json", "--n-grid", "--out", "--seed", "-h"],
-    "weyl": ["--Lambda", "--cutoff", "--dim", "--help", "--n-grid", "--out", "--seed", "-h"],
+    "clifford": ["--dim", "--help", "--out", "-h"],
+    "spectrum": ["--cutoff", "--dim", "--help", "--json", "--n-grid", "--out", "-h"],
+    "weyl": ["--Lambda", "--cutoff", "--dim", "--help", "--n-grid", "--out", "-h"],
     "testspinor": [
         "--cutoff", "--delta", "--dim", "--dual-lambda", "--eps-sweep", "--help", "--n-grid",
-        "--out", "--seed", "-h",
+        "--out", "-h",
     ],
     "solve": [
         "--alpha", "--cutoff", "--dim", "--help", "--lambda", "--n-grid", "--nl", "--out", "--p",
-        "--q", "--seed", "-h",
+        "--q", "-h",
     ],
     "branch": [
         "--alpha", "--cutoff", "--dim", "--help", "--lambda-grid", "--n-grid", "--nl", "--out",
-        "--p", "--q", "--second-near", "--seed", "-h",
+        "--p", "--q", "--second-near", "-h",
     ],
-    "multiplicity": ["--cutoff", "--dim", "--help", "--lambda", "--n-grid", "--out", "--seed", "-h"],
+    "multiplicity": ["--cutoff", "--dim", "--help", "--lambda", "--n-grid", "--out", "-h"],
     "accept": ["--help", "--out", "-h", "suite"],
     "quadcheck": ["--cutoff", "--dim", "--help", "--n-grid", "--out", "--p", "--seed", "-h"],
 }

@@ -1,4 +1,7 @@
-"""What the package imports: no run loads scipy, and no module imports a name it never uses.
+"""What the package imports and defines.
+
+No run loads scipy, no module imports a name it never uses, and no private
+helper is left unreferenced.
 
 The parent test process has imported everything the other tests use, so
 the scipy check runs in a subprocess.
@@ -80,3 +83,37 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: _unused_imports(ast.parse(path.read_text())) for path in sorted(package.glob("*.py"))}
     assert {name: names for name, names in unused.items() if names} == {}
     assert _unused_imports(ast.parse("from math import comb, gamma\nx = gamma(2)\n")) == ["comb"]
+
+
+def _unreferenced_private(trees):
+    """Private functions and classes (one leading underscore, any depth) whose name no expression in ``trees`` reads."""
+    defined = {
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    }
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(defined - read)
+
+
+def test_no_private_helper_is_left_unreferenced():
+    # a change that removes a helper's last caller leaves the helper behind;
+    # the package's own code must read every private function and class it
+    # defines, whether by name, as a method or as an attribute
+    package = Path(diractorus.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
+    assert _unreferenced_private(trees) == []
+    sample = (
+        "def _used():\n    pass\n\ndef _orphan():\n    pass\n\n"
+        "class _Cls:\n    def _method(self):\n        return _used()\n\n_Cls()\n"
+    )
+    assert _unreferenced_private([ast.parse(sample)]) == ["_method", "_orphan"]

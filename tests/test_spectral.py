@@ -18,7 +18,15 @@ from diractorus.spectral import (
     weyl_cm_vol,
     weyl_counts,
 )
-from diractorus.torus import SpinorField, l2_inner, l2_norm, random_field, zero_field
+from diractorus.torus import (
+    SpinorField,
+    analyze,
+    l2_inner,
+    l2_norm,
+    random_field,
+    synthesize,
+    zero_field,
+)
 
 
 def brute_spectrum(m, K):
@@ -35,8 +43,8 @@ def brute_spectrum(m, K):
 
 def plane_wave(table, k, s):
     grid = table.grid
-    coeffs = np.zeros((grid.n_modes, table.N), dtype=complex)
-    coeffs[grid.mode_index()[tuple(k)]] = s
+    coeffs = np.zeros((table.N, grid.n_modes), dtype=complex)
+    coeffs[:, grid.mode_index()[tuple(k)]] = s
     return SpinorField(grid, coeffs)
 
 
@@ -119,7 +127,7 @@ def test_each_eigenvector_is_real_and_positive_at_its_chirality_pivot(m, K):
     assert np.array_equal(chirality, np.diag(np.diag(chirality)))
     upper = np.diag(chirality) == chirality[0, 0]
     assert upper.sum() == table.N // 2
-    for k, sig, basis in zip(table.grid.modes, table.eigenvalues, table.basis):
+    for k, sig, basis in zip(table.grid.modes, table.eigenvalues.T, table.basis):
         if not k.any():
             continue
         a = (1j * sum(k[j] * rep.gamma[j] for j in range(m)))[0, 0].real
@@ -152,7 +160,7 @@ def test_the_m2_basis_equals_the_explicit_formula_entry_for_entry():
     table = assemble(2, 8)
     assert np.array_equal(table.basis, _m2_reference_basis(table.grid.modes))
     kabs = np.sqrt((table.grid.modes**2).sum(axis=1).astype(float))
-    assert np.array_equal(table.eigenvalues, np.stack([-kabs, kabs], axis=1))
+    assert np.array_equal(table.eigenvalues, np.stack([-kabs, kabs]))
 
 
 @pytest.mark.parametrize("m,K", [(2, 3), (3, 2), (4, 2), (5, 1)])
@@ -230,6 +238,23 @@ def test_split_snaps_lambda_to_an_eigenvalue_within_its_tolerance():
     # lambda = 0 snaps to the zero mode's eigenvalue, as +0.0 at every m
     for m in (2, 3):
         assert np.copysign(1.0, split(assemble(m, 1), -1e-12).lam) == 1.0
+
+
+def test_split_rejects_a_lambda_that_is_not_finite():
+    # +-inf snapped onto the zero eigenvalue, whose tolerance was infinite
+    table = assemble(2, 3)
+    for lam in (np.nan, np.inf, -np.inf):
+        with pytest.raises(SpectralError, match="finite"):
+            split(table, lam)
+
+
+def test_coefficients_eigen_coordinates_and_weights_share_the_spinor_first_layout():
+    table = assemble(2, 3)
+    grid = table.grid
+    c = random_field(grid, table.N, np.random.default_rng(4)).coeffs
+    assert c.shape == (table.N, grid.n_modes)
+    a = table.to_eigen(analyze(grid, synthesize(grid, c)))
+    assert a.shape == table.eigenvalues.shape == split(table, 0.5).w2.shape == (table.N, grid.n_modes)
 
 
 def test_projector_algebra():
@@ -327,7 +352,7 @@ def test_eigen_transforms_match_the_einsum_form(m, K):
     table = assemble(m, K)
     rng = np.random.default_rng(m)
     c = random_field(table.grid, table.N, rng).coeffs
-    want_to = np.einsum("kia,ki->ka", table.basis.conj(), c)
-    want_from = np.einsum("kia,ka->ki", table.basis, c)
+    want_to = np.einsum("kia,ik->ak", table.basis.conj(), c)
+    want_from = np.einsum("kia,ak->ik", table.basis, c)
     assert np.abs(table.to_eigen(c) - want_to).max() <= 1e-15 * np.abs(want_to).max()
     assert np.abs(table.from_eigen(c) - want_from).max() <= 1e-15 * np.abs(want_from).max()

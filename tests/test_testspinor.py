@@ -219,6 +219,15 @@ def test_array_center_reports_as_the_tuple_center(sweep_table):
             cached[(0,) * cached.ndim] = 1.0
 
 
+@pytest.mark.parametrize("center", [(0.1,), (0.1, 0.2, 0.3)])
+def test_a_center_needs_one_coordinate_per_grid_axis(center):
+    # at m = 2 a 3-vector center built a wrong field that energy_report then
+    # failed on inside clifford_mul, and a 1-vector one raised an IndexError
+    table = assemble(2, 8)
+    with pytest.raises(TestSpinorError, match="center must have 2 coordinates"):
+        build_test_spinor(table.grid, table.rep, TestSpinorParams(eps=0.2, center=center))
+
+
 def test_l2_mass_ratio_near_4pi(sweep_table):
     # the small-eps limit of |phi_eps|_2^2/(eps |ln eps|) is m^(m-1) omega_(m-1) = 4 pi
     rep = sweep_table.rep

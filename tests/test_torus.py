@@ -62,25 +62,25 @@ def test_random_field_draws_the_pinned_coefficients():
     # the seeded draw is part of every test and solver start built on it
     g = make_grid(2, 3)
     coeffs = random_field(g, 2, np.random.default_rng(5)).coeffs
-    assert coeffs.shape == (49, 2)
+    assert coeffs.shape == (2, 49)
     assert coeffs[0, 0] == -0.8019314252534474 - 0.4642445916374816j
-    assert coeffs[0, 1] == -1.324358995628145 - 0.4786384630527245j
-    assert coeffs[7, 1] == -0.5773782808131949 - 0.20507284434502304j
-    assert coeffs[48, 0] == -0.018539842653222654 + 0.013153556834274851j
+    assert coeffs[1, 0] == -1.324358995628145 - 0.4786384630527245j
+    assert coeffs[1, 7] == -0.5773782808131949 - 0.20507284434502304j
+    assert coeffs[0, 48] == -0.018539842653222654 + 0.013153556834274851j
 
 
 # the full-cube references: numpy's FFTs over the grid axes 1..m of (N, n, ..., n) values
 def _full_cube_synthesize(grid, coeffs):
     n = grid.n_grid
-    cube = np.zeros((coeffs.shape[1],) + (n,) * grid.m, dtype=complex)
-    cube[(slice(None),) + tuple(grid.modes[:, j] % n for j in range(grid.m))] = coeffs.T
+    cube = np.zeros((len(coeffs),) + (n,) * grid.m, dtype=complex)
+    cube[(slice(None),) + tuple(grid.modes[:, j] % n for j in range(grid.m))] = coeffs
     return np.fft.ifftn(cube, axes=tuple(range(1, grid.m + 1))) * n**grid.m
 
 
 def _full_cube_analyze(grid, values):
     n = grid.n_grid
     cube = np.fft.fftn(values, axes=tuple(range(1, grid.m + 1))) / n**grid.m
-    return cube[(slice(None),) + tuple(grid.modes[:, j] % n for j in range(grid.m))].T
+    return cube[(slice(None),) + tuple(grid.modes[:, j] % n for j in range(grid.m))]
 
 
 # (m, K, n): n = 2K + 2 puts the two mode slabs of an axis side by side
@@ -102,13 +102,13 @@ def test_pruned_transforms_match_full_cube_fft(m, K, n):
         for values in (raw, raw.real, vals):
             got = analyze(g, values)
             want = _full_cube_analyze(g, values)
-            assert got.shape == want.shape == (g.n_modes, N)
+            assert got.shape == want.shape == (N, g.n_modes)
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
         # the unpruned transform holds the same modes at the grid's cube positions
         cube = cube_coefficients(g, raw)
         assert cube.shape == raw.shape
         want = _full_cube_analyze(g, raw)
-        assert np.abs(cube[(slice(None),) + g.cube_index].T - want).max() <= 1e-15 * np.abs(want).max()
+        assert np.abs(cube[(slice(None),) + g.cube_index] - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def _support(kind, n):
@@ -143,7 +143,7 @@ def test_analyze_on_a_support_box_matches_the_scattered_cube(kinds):
         cube[(slice(None),) + np.ix_(*support)] = box
         want = analyze(g, cube)
         got = analyze(g, box, support=support)
-        assert got.shape == (g.n_modes, N)
+        assert got.shape == (N, g.n_modes)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
         assert np.abs(got - _full_cube_analyze(g, cube)).max() <= 1e-15 * np.abs(want).max()
 
@@ -157,19 +157,19 @@ def test_transforms_match_scipy_full_cube_ffts(m, K, n):
     axes, band = tuple(range(1, m + 1)), (slice(None),) + g.cube_index
     coeffs = random_field(g, 2, rng).coeffs
     cube = np.zeros((2,) + (n,) * m, dtype=complex)
-    cube[band] = coeffs.T
+    cube[band] = coeffs
     want = sfft.ifftn(cube, axes=axes, norm="forward")
     assert np.abs(synthesize(g, coeffs) - want).max() <= 1e-13 * np.abs(want).max()
     raw = rng.standard_normal(cube.shape) + 1j * rng.standard_normal(cube.shape)
     full = sfft.fftn(raw, axes=axes, norm="forward")
     assert np.abs(cube_coefficients(g, raw) - full).max() <= 1e-13 * np.abs(full).max()
-    want = full[band].T
+    want = full[band]
     assert np.abs(analyze(g, raw) - want).max() <= 1e-13 * np.abs(want).max()
     # on a support box: the scattered cube's transform, the zeros outside included
     support = tuple(_support(kind, n) for kind in ("wrap", "inner", "whole")[:m])
     box = np.zeros_like(raw)
     box[(slice(None),) + np.ix_(*support)] = raw[(slice(None),) + np.ix_(*support)]
-    want = sfft.fftn(box, axes=axes, norm="forward")[band].T
+    want = sfft.fftn(box, axes=axes, norm="forward")[band]
     got = analyze(g, raw[(slice(None),) + np.ix_(*support)], support=support)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -210,9 +210,9 @@ def test_resample_pads_and_truncates_in_the_mode_cube(m):
     assert np.array_equal(resample_field(up, g).coeffs, psi.coeffs)
     down = resample_field(psi, make_grid(m, 2))
     old = g.mode_index()
-    for k, c in zip(down.grid.modes, down.coeffs):
-        assert np.array_equal(c, psi.coeffs[old[tuple(k)]])
-    assert not up.coeffs[np.abs(up.grid.modes).max(axis=1) > 3].any()
+    for k, c in zip(down.grid.modes, down.coeffs.T):
+        assert np.array_equal(c, psi.coeffs[:, old[tuple(k)]])
+    assert not up.coeffs[:, np.abs(up.grid.modes).max(axis=1) > 3].any()
     inside = np.abs(g.modes).max(axis=1) <= 2
     assert down.grid.n_modes == inside.sum()
 
@@ -247,7 +247,7 @@ def test_parseval_matches_quadrature():
 
 def test_lp_norm_constants():
     g = make_grid(2, 2)
-    coeffs = np.zeros((g.n_modes, 2), dtype=complex)
+    coeffs = np.zeros((2, g.n_modes), dtype=complex)
     coeffs[0, 0] = 1.0  # constant field, |psi| = 1
     psi = SpinorField(g, coeffs)
     assert np.isclose(lp_norm(psi, 4), (4 * np.pi**2) ** 0.25, rtol=1e-13)
@@ -258,8 +258,8 @@ def test_lp_norm_constants():
 def test_lp_norm_plane_wave_constant_modulus():
     g = make_grid(2, 3)
     idx = g.mode_index()[(1, 2)]
-    coeffs = np.zeros((g.n_modes, 2), dtype=complex)
-    coeffs[idx] = [0.3 + 0.4j, -0.5j]
+    coeffs = np.zeros((2, g.n_modes), dtype=complex)
+    coeffs[:, idx] = [0.3 + 0.4j, -0.5j]
     psi = SpinorField(g, coeffs)
     c = np.sqrt(0.25 + 0.25)
     for p in (2, 3.0, 4):
@@ -277,7 +277,15 @@ def test_field_algebra_and_validation():
     assert np.allclose(s.coeffs, a.coeffs + b.coeffs)
     with pytest.raises(GridError):
         SpinorField(g, np.zeros((3, 2), dtype=complex))
-    bad = np.zeros((g.n_modes, 2), dtype=complex)
+    bad = np.zeros((2, g.n_modes), dtype=complex)
     bad[0, 0] = np.nan
     with pytest.raises(GridError):
         SpinorField(g, bad)
+
+
+def test_a_field_rejects_mode_major_coefficients():
+    # coefficients are (N, n_modes), the spinor axis first like the values
+    g = make_grid(2, 2)
+    assert SpinorField(g, np.zeros((2, g.n_modes))).N == 2
+    with pytest.raises(GridError, match=r"\(N, 25\)"):
+        SpinorField(g, np.zeros((g.n_modes, 2), dtype=complex))

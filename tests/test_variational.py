@@ -75,8 +75,8 @@ def complex_draw(rng, coords):
 
 def unit_plane_wave(table, sp, k=(1, 0)):
     idx = table.grid.mode_index()[k]
-    coeffs = np.zeros((table.grid.n_modes, table.N), dtype=complex)
-    coeffs[idx] = table.basis[idx][:, -1]
+    coeffs = np.zeros((table.N, table.grid.n_modes), dtype=complex)
+    coeffs[:, idx] = table.basis[idx][:, -1]
     pw = SpinorField(table.grid, coeffs)
     return (1.0 / norm_lambda(sp, pw)) * pw
 
@@ -849,6 +849,20 @@ def test_the_kernel_matches_the_modulus_form_of_the_nonlinearity(m, K, kind):
     want = nl.g(sf) * dv + nl.g_prime(sf) / sf * beta * ev.u
     tol = 1e-14 if nl.is_zero() else 1e-8
     assert np.abs(ev.second(dv) - want).max() <= tol * np.abs(want).max()
+
+
+def test_solver_coordinates_run_over_the_masked_entries_mode_by_mode(table, sp05):
+    # entry j is the j-th masked (mode, spin) pair in mode-major order, the
+    # order in which the seeded ray-opt start and L-BFGS read the coordinates
+    for mask in (sp05.plus, sp05.zero | sp05.minus):
+        coords = SubspaceCoords(sp05, mask)
+        entries = [(i, k) for k in range(table.grid.n_modes) for i in range(table.N) if mask[i, k]]
+        x = 1.0 + np.arange(coords.dim)
+        a = coords.to_eigen(x)
+        assert coords.dim == 2 * len(entries) and np.count_nonzero(a) == len(entries)
+        for j, (i, k) in enumerate(entries):
+            want = (x[2 * j] + 1j * x[2 * j + 1]) / np.sqrt(table.grid.volume * sp05.w2[i, k])
+            assert np.isclose(a[i, k], want, rtol=1e-15, atol=0.0), (j, i, k)
 
 
 def test_solver_coordinates_are_real_and_lambda_orthonormal(table, sp05):
