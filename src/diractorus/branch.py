@@ -15,10 +15,15 @@ Sci. Comput. 23, 2001).
 Each solve builds one ``Functional`` and uses it end to end: the start, the
 sphere descent, the Newton polish (``polish_residual``) and the reported
 energy and residual all run on it, so no solved point splits the spectrum a
-second time.  One report, ``_solved_point(fn, psi, ev, level)``, polishes a
-field and reads every number off the polish's first and last evaluations
-(``Evaluation.residual`` for the residual), so it reports any field near a
-solution, with or without the evaluation there.  Both kinds of solve
+second time.  Inside a solve every point is eigen coordinates, (N, n_modes)
+arrays, from the start to the polish, which steps with ``fn(a + d)``; a
+solve builds one ``SpinorField``, the reported ``BranchPoint.psi``, and
+converts a warm field once on entry.  One report,
+``_solved_point(fn, a, ev, level)``, polishes a point and reads every
+number off the polish's first and last evaluations (``Evaluation.residual``
+for the residual), so it reports any point near a solution, with or without
+the evaluation there: a field from elsewhere, a prolonged one say, is
+handed over as ``table.to_eigen(field.coeffs)``.  Both kinds of solve
 descend with ``_descend``: on the unit sphere of E^+ from one start, the
 E^+ part of the caller's warm field when given, else the minimizer of the
 ray quotient (``variational.ray_opt_direction``).  Plane waves are exact critical points
@@ -45,12 +50,13 @@ from .iterative import minres
 from .nonlinearity import check_hypotheses
 from .spectral import SpectralError, omega_sphere, split as make_split
 from .testspinor import radial_mass_ratio
-from .torus import SpinorField, l2_norm
+from .torus import SpinorField
 from .variational import (
     Evaluation,
     Functional,
     SolverFailure,
     _l2,
+    _unit_plus,
     default_sigma,
     nu_lambda_k,
     ray_opt_direction,
@@ -117,9 +123,9 @@ def residual_check(table, nl, psi, lam):
 
 @dataclass(frozen=True)
 class Polish:
-    """Outcome of ``polish_residual``."""
+    """Outcome of ``polish_residual``; ``psi`` is the polished point's eigen coordinates, (N, n_modes)."""
 
-    psi: SpinorField
+    psi: np.ndarray
     first: Evaluation  # at the start: the energy and residual before the polish
     last: Evaluation  # at psi: the energy and residual after it
     steps: int  # Newton steps kept
@@ -156,12 +162,14 @@ def _newton_rtol(resid, prev, target):
     return 0.25 * target / resid
 
 
-def polish_residual(fn, psi, ev=None):
-    """Newton polish of a near-solution on the Galerkin problem of the functional ``fn``.
+def polish_residual(fn, a, ev=None):
+    """Newton polish of a near-solution, at eigen coordinates ``a``, on the Galerkin problem of the functional ``fn``.
 
     ``fn`` is the functional the solver ran on, so no solve splits the
-    spectrum a second time; ``ev`` is its evaluation at ``psi`` when the
+    spectrum a second time; ``ev`` is its evaluation at ``a`` when the
     caller holds one (a fiber's ``evaluation``), else the polish makes it.
+    Each trial is ``fn(a + d)``, so the polish makes no transform outside
+    its evaluations and products.
     Newton runs on the in-band residual, the ``rep`` of L_lam' on the cutoff
     space, whose zeros are the Galerkin critical points the solvers find.
     Each step solves L''(psi) d = -L'(psi) with the package's MINRES
@@ -192,10 +200,9 @@ def polish_residual(fn, psi, ev=None):
     sphere descent stops coarse, so an unfinished polish leaves the reported
     energy unfinished too.
     """
-    table = fn.split.table
-    shape = psi.coeffs.shape
+    shape = a.shape
     precond = np.repeat(1.0 / fn.split.w2.ravel(), 2)  # on the real view: re and im of each eigen entry
-    ev = first = fn.at_field(psi) if ev is None else ev
+    ev = first = fn(a) if ev is None else ev
     solves = []
 
     def hvp(x):  # the Hessian at the current iterate ``ev``
@@ -208,25 +215,28 @@ def polish_residual(fn, psi, ev=None):
         solves.append({"iterations": its, "istop": istop, "rtol": rtol, "relres": float(relres)})
         if not d.any() or not np.isfinite(d).all():  # a zero step would compare two roundings of psi
             break
-        trial = SpinorField(psi.grid, psi.coeffs + table.from_eigen(d.view(complex).reshape(shape)))
-        trial_ev = fn.at_field(trial)
-        trial_resid = _l2(psi.grid, trial_ev.rep)
+        trial = a + d.view(complex).reshape(shape)
+        trial_ev = fn(trial)
+        trial_resid = _l2(fn.split.grid, trial_ev.rep)
         if not trial_resid < resid:
             break
         halved = trial_resid <= 0.5 * resid
-        psi, ev, resid, prev, steps = trial, trial_ev, trial_resid, resid, steps + 1
+        a, ev, resid, prev, steps = trial, trial_ev, trial_resid, resid, steps + 1
         if not halved:
             break
-    return Polish(psi, first, ev, steps, sum(s["iterations"] for s in solves),
+    return Polish(a, first, ev, steps, sum(s["iterations"] for s in solves),
                   bool(resid <= 10.0 * _rounding_level(ev)), solves)
 
 
-def _solved_point(fn, psi, ev, level, k=None, flags=(), **diagnostics):
-    """Polish the field ``psi`` on the functional ``fn`` it was solved on and report it; raises GuardViolationError at or above gamma_crit.
+def _solved_point(fn, a, ev, level, k=None, flags=(), **diagnostics):
+    """Polish the point at eigen coordinates ``a`` on the functional ``fn`` it was solved on and report it; raises GuardViolationError at or above gamma_crit.
 
-    ``ev`` is ``fn``'s evaluation at ``psi`` when the caller holds one (a
-    fiber's ``evaluation``), else None and the polish makes it; any field
-    near a solution will do, not only a fiber maximizer.  Every number is
+    ``ev`` is ``fn``'s evaluation at ``a`` when the caller holds one (a
+    fiber's ``evaluation``), else None and the polish makes it; any point
+    near a solution will do, not only a fiber maximizer: a field is handed
+    over as ``table.to_eigen(field.coeffs)``.  The report's ``psi`` is the
+    one field a solve builds, with ``from_eigen`` of the polished point, and
+    it holds no collocation values.  Every number is
     read off the polish's first and last evaluations: the energy and
     residual before the polish (``value_pre_polish``,
     ``residual_pre_polish``) and after it.  Any of the solver's own
@@ -234,7 +244,7 @@ def _solved_point(fn, psi, ev, level, k=None, flags=(), **diagnostics):
     polish that did not finish.
     """
     m = fn.split.grid.m
-    polish = polish_residual(fn, psi, ev)
+    polish = polish_residual(fn, a, ev)
     flags = list(flags) + ([] if polish.converged else ["polish-not-converged"])
     energy, resid = polish.last.energy, polish.residual
     in_band, spill = polish.last.residual
@@ -247,7 +257,7 @@ def _solved_point(fn, psi, ev, level, k=None, flags=(), **diagnostics):
         residual_l2=float(resid),
         below_gamma_crit=below,
         accepted=bool(below and resid <= RESIDUAL_TOL and not flags),
-        psi=SpinorField(polish.psi.grid, polish.psi.coeffs),  # no collocation cache: 1/5 the memory
+        psi=SpinorField(fn.split.grid, fn.split.table.from_eigen(polish.psi)),
         diagnostics=dict(diagnostics, value_pre_polish=float(polish.first.energy),
                          residual_pre_polish=float(np.hypot(*polish.first.residual)), polish_steps=polish.steps,
                          polish_hvps=polish.hvps, polish_minres=polish.minres,
@@ -325,7 +335,11 @@ def _lambda_nonpositive_gate(nl):
 
 
 def _descend(fn, init, maxiter):
-    """Sphere descent of ``fn`` from the field ``init``, else from the ray-quotient direction of its split.
+    """Sphere descent of ``fn`` from the E^+ part of the field ``init``, else from the ray-quotient direction of its split.
+
+    The warm field is converted once, to its unit E^+ coordinates
+    (``variational._unit_plus``); the descent, its fibers and the polish
+    run on eigen coordinates from there.
 
     It stops at outer gtol 1e-3, each fiber at a hundredth of the smallest
     sphere gradient seen so far and never below 1e-5, a hundredth of gtol
@@ -337,8 +351,10 @@ def _descend(fn, init, maxiter):
     """
     start = {}
     if init is None:
-        init, start["ray_opt"] = ray_opt_direction(fn.split)
-    fiber, info = sphere_minimize(fn, init, gtol=1e-3, maxiter=maxiter)
+        z0, start["ray_opt"] = ray_opt_direction(fn.split)
+    else:
+        z0 = _unit_plus(fn.split, init)[1]
+    fiber, info = sphere_minimize(fn, z0, gtol=1e-3, maxiter=maxiter)
     return fiber, info, [] if info["converged"] else ["descent-not-converged"], start
 
 
@@ -381,7 +397,7 @@ def second_solution(split_k, nl, lam, k, init=None):
         raise SolverFailure(f"second solution needs lam <= lambda_k = {split_k.lam}, got {fn.lam}")
     sigma = default_sigma(split_k)
     fiber, info, flags, start = _descend(fn, init, 80)
-    mass = l2_norm(fiber.phi) ** 2
+    mass = _l2(split_k.grid, fiber.phi) ** 2
     if mass < sigma:
         flags.append("sigma-constraint-violated")
     confirmed = nu_lambda_k(fn, fiber)

@@ -49,7 +49,15 @@ Solvers use lambda-orthonormal coordinates on masked eigen entries
 (``SubspaceCoords``): the real and imaginary part of each entry, scaled to
 the lambda metric.  They are real vectors, the ones L-BFGS runs on, and
 their Euclidean geometry is the ||.||_lambda geometry; every L-BFGS run
-lives here.  The fiber maximum over {t phi + chi}
+lives here.  The solver layers hand each other points as eigen
+coordinates, (N, n_modes) arrays: the ray-quotient start returns its unit
+E^+ coordinates, the sphere descent takes them, each fiber takes the eigen
+coordinates of its lambda-unit direction, and a ``FiberPoint`` holds phi
+and psi as eigen arrays.  A field enters once, at the public boundary
+(``_unit_plus``, whose masked gather is the E^+ projection and which holds
+the one check that a direction is not zero), and ``m_lambda`` and
+``nehari_project`` convert once on the way in and once on the way out.
+The fiber maximum over {t phi + chi}
 is one L-BFGS ascent over (t, chi) jointly: by the generalized Nehari
 reduction its only critical point with t > 0 is the global maximum, and
 evenness of L maps a run that crosses t = 0 back from the mirror maximizer.
@@ -60,8 +68,9 @@ maximizer; a cold one starts on the ray t phi where its critical part
 t^2 q(phi) - (t^{2*}/2*) |phi|_{2*}^{2*} peaks, in closed form from one
 evaluation at phi (the ray maximum ``_ray_quotient`` measures).  The Nehari projection of an E^+
 direction is the scale of its fiber maximum.  The sphere descent over E^+
-(``sphere_minimize``) starts from a caller's field or from the minimizer of
-the ray quotient (``ray_opt_direction``), a fiber-free lower bound of M.  Its
+(``sphere_minimize``) starts from the unit E^+ coordinates of a caller's
+field or of the minimizer of the ray quotient (``ray_opt_direction``), a
+fiber-free lower bound of M.  Its
 fibers are inexact: each ascent stops at a hundredth of the larger of the
 descent's gtol and the smallest sphere gradient it has seen, and never below
 1e-7, as a descent needs its gradient only to a fixed fraction of the
@@ -81,7 +90,7 @@ import numpy as np
 
 from .iterative import _Memory, lbfgs as _lbfgs
 from .nonlinearity import critical_exponent, make_nonlinearity
-from .spectral import norm_lambda, project
+from .spectral import norm_lambda
 from .torus import SpinorField, analyze, cube_coefficients, pointwise_real_inner, synthesize, zero_field
 
 
@@ -496,8 +505,10 @@ def _inner_maximize(objective, coords, z0, gtol, maxiter, memory=None):
 
 @dataclass
 class FiberPoint:
-    """Constrained maximizer over a fiber {t phi + chi}.
+    """Constrained maximizer over a fiber {t phi + chi}, its points as eigen coordinates.
 
+    ``phi`` and ``psi`` = t phi + chi are (N, n_modes) eigen arrays: phi the
+    lambda-unit E^+ direction the ascent was handed, psi the maximizer.
     ``value`` and ``grad_norm`` are the ascent's final value and gradient
     norm in the (t, z) coordinates, whatever stop it was asked for.
     ``evaluation`` is the ascent's last evaluation when it was at psi, so a
@@ -508,10 +519,10 @@ class FiberPoint:
     start from; an ascent handed them updates them in place.
     """
 
-    phi: SpinorField
+    phi: np.ndarray
     t: float
     z: np.ndarray  # coordinates of chi in ``fn.inner``
-    psi: SpinorField
+    psi: np.ndarray
     value: float
     grad_norm: float
     inner_evals: int
@@ -521,7 +532,7 @@ class FiberPoint:
 
     def evaluated(self, fn):
         """The evaluation of ``fn`` at psi: the ascent's last one when it was there, else a fresh one."""
-        return fn.at_field(self.psi) if self.evaluation is None else self.evaluation
+        return fn(self.psi) if self.evaluation is None else self.evaluation
 
 
 class _FiberCoords:
@@ -551,7 +562,10 @@ _FIBER_MAXITER = 500  # iteration cap of every fiber ascent
 def fiber_maximize(fn, phi, gtol=1e-9, start=None, memory=None):
     """Global maximizer of ``fn`` over the fiber {t phi + chi : t > 0, chi in fn.inner}.
 
-    One L-BFGS ascent over (t, chi) jointly.  Under the generalized Nehari
+    ``phi`` is the eigen coordinates of a lambda-unit E^+ direction, so
+    (t, z) are lambda-orthonormal (``_FiberCoords``), and the returned
+    point's ``phi`` and ``psi`` are eigen coordinates too.  One L-BFGS
+    ascent over (t, chi) jointly.  Under the generalized Nehari
     reduction every critical point with t > 0 on the fiber is its unique
     global maximum, so the start only has to lie in its basin: the pair
     ``start`` = (t, z) of a scale and inner coordinates (a nearby fiber's
@@ -569,13 +583,9 @@ def fiber_maximize(fn, phi, gtol=1e-9, start=None, memory=None):
     gradient has the other sign there, but the same pairs: L is even, so
     the mirrored pairs (-s, -y) define the same inverse Hessian.
     """
-    nrm = norm_lambda(fn.split, phi)
-    if nrm <= 0:
-        raise SolverFailure("fiber direction is zero")
-    phi = (1.0 / nrm) * phi
-    coords = _FiberCoords(fn, fn.split.table.to_eigen(phi.coeffs))
+    coords = _FiberCoords(fn, phi)
     if start is None:
-        ev = fn(coords.phi_e)
+        ev = fn(phi)
         alpha = 2.0 * ev.quadratic
         if alpha <= 0:
             raise SolverFailure("fiber direction has no positive ray maximum", {"alpha": alpha})
@@ -606,7 +616,7 @@ def fiber_maximize(fn, phi, gtol=1e-9, start=None, memory=None):
         phi=phi,
         t=t,
         z=z,
-        psi=SpinorField(fn.split.grid, fn.split.table.from_eigen(a)),
+        psi=a,
         value=value,
         grad_norm=grad_norm,
         inner_evals=evals,
@@ -621,17 +631,32 @@ def _sphere_grad(fn, coords, fiber, zhat):
     return fiber.t * (gz - (zhat @ gz) * zhat)
 
 
+def _unit_plus(split, psi):
+    """``SubspaceCoords`` of ``split.plus``, and the unit coordinates in it of the field psi's E^+ part.
+
+    The masked gather of ``SubspaceCoords.from_field`` is the E^+
+    projection, and the coordinates' Euclidean norm is the lambda norm.
+    This is where a field enters the solvers, and the one check that its
+    direction is not zero.
+    """
+    coords = SubspaceCoords(split, split.plus)
+    z = coords.from_field(psi)
+    nrm = float(np.linalg.norm(z))
+    if nrm <= 0:
+        raise SolverFailure("direction has no E^+ component")
+    return coords, z / nrm
+
+
 def m_lambda(split, nl, phi):
-    """Reduced functional M(phi) = L(mu(phi)) and its sphere-tangent gradient.
+    """Reduced functional M(phi) = L(mu(phi)) and its sphere-tangent gradient, at the E^+ part of the field phi.
 
     The gradient is ||mu(phi)^+||_lam times the E^+ restriction of grad L at
-    the fiber maximizer, projected onto the tangent space at phi.
+    the fiber maximizer, projected onto the tangent space at phi, as a field.
     """
     fn = Functional(split, nl)
-    fiber = fiber_maximize(fn, phi)
-    coords = SubspaceCoords(split, split.plus)
-    grad = coords.to_field(_sphere_grad(fn, coords, fiber, coords.from_field(fiber.phi)))
-    return fiber.value, grad, fiber
+    coords, zhat = _unit_plus(split, phi)
+    fiber = fiber_maximize(fn, coords.to_eigen(zhat))
+    return fiber.value, coords.to_field(_sphere_grad(fn, coords, fiber, zhat)), fiber
 
 
 def _ray_quotient(ev):
@@ -664,8 +689,9 @@ def ray_opt_direction(split):
     to 2.5e-9 at K = 8, 16 and 32), where line searches fail in the noise,
     and it is as tight at every lambda: near an eigenvalue Q is small
     (7.9e-4 at lambda = 0.99), and a stop on Q' itself at 1e-8 there left a
-    start whose polish stalled.  Returns the lambda-unit field and
-    ``{evals, iterations, message}`` read off the L-BFGS result.
+    start whose polish stalled.  Returns the direction's unit coordinates in
+    ``SubspaceCoords(split, split.plus)`` and ``{evals, iterations,
+    message}`` read off the L-BFGS result.
     """
     fn = Functional(split, make_nonlinearity("zero", split.grid.m))
     coords = SubspaceCoords(split, split.plus)
@@ -678,19 +704,18 @@ def ray_opt_direction(split):
         return np.log(val), coords.from_eigen(rep / (val * split.w2))
 
     res = _lbfgs(fun, z0.view(float), gtol=1e-8, ftol=1e-16, maxiter=600, maxcor=10)
-    nrm = float(np.linalg.norm(res.x))
-    if nrm <= 0:
-        raise SolverFailure("ray optimization collapsed to zero")
     info = {"evals": int(res.nfev), "iterations": int(res.nit), "message": str(res.message)}
-    return coords.to_field(res.x / nrm), info
+    return res.x / np.linalg.norm(res.x), info
 
 
-def sphere_minimize(fn, phi0, gtol, maxiter=120):
+def sphere_minimize(fn, z0, gtol, maxiter=120):
     """Minimize the fiber maximum of ``fn`` over the unit sphere of E^+, to the outer tolerance ``gtol``.
 
-    The descent starts from the normalized E^+ part of the field ``phi0``.
-    Quasi-Newton descent on the scale-invariant extension phi -> M(phi/||phi||)
-    in lambda-orthonormal E^+ coordinates.  Each fiber ascent after the
+    The descent starts from ``z0``, the unit coordinates of a direction in
+    ``SubspaceCoords(split, split.plus)`` (``ray_opt_direction``,
+    ``_unit_plus``), and hands each fiber the eigen coordinates of its
+    direction.  Quasi-Newton descent on the scale-invariant extension
+    phi -> M(phi/||phi||) in lambda-orthonormal E^+ coordinates.  Each fiber ascent after the
     first starts from the previous fiber's maximizer (t, z) and its L-BFGS
     pairs (``FiberPoint.memory``), so the fibers of one descent share one
     memory and each starts with a unit quasi-Newton step; the first fiber
@@ -728,16 +753,10 @@ def sphere_minimize(fn, phi0, gtol, maxiter=120):
     ``fiber_gtol``, the stop of the returned fiber's ascent, whose final
     gradient norm is the fiber's ``grad_norm``.  A descent never ends above
     its start: when it took a step and still ended higher than its first
-    evaluation at phi0, that evaluation is returned and ``info`` records
+    evaluation at z0, that evaluation is returned and ``info`` records
     ``fell_back``.
     """
-    split = fn.split
-    coords = SubspaceCoords(split, split.plus)
-    phi0 = project(split, phi0, "plus")
-    nrm0 = norm_lambda(split, phi0)
-    if nrm0 <= 0:
-        raise SolverFailure("initial direction has no E^+ component")
-    z0 = coords.from_field((1.0 / nrm0) * phi0)
+    coords = SubspaceCoords(fn.split, fn.split.plus)
     last = {"fiber": None, "gmin": np.inf, "fiber_grad_max": 0.0, "fiber_evals": 0}
 
     def fun(x):
@@ -746,7 +765,7 @@ def sphere_minimize(fn, phi0, gtol, maxiter=120):
         prev = last["fiber"]
         start, memory = (None, None) if prev is None else ((prev.t, prev.z), prev.memory)
         fiber_gtol = max(1e-7, 1e-2 * (gtol if prev is None else max(gtol, last["gmin"])))
-        fiber = fiber_maximize(fn, coords.to_field(zhat), gtol=fiber_gtol, start=start, memory=memory)
+        fiber = fiber_maximize(fn, coords.to_eigen(zhat), gtol=fiber_gtol, start=start, memory=memory)
         gz = _sphere_grad(fn, coords, fiber, zhat) / nrm
         last["x"], last["fiber"], last["fiber_gtol"] = x.copy(), fiber, fiber_gtol
         last.setdefault("first", (fiber, fiber_gtol))
@@ -824,8 +843,8 @@ def nehari_project(split, nl, phi):
     t-derivative is H(t phi) = 0, so t is that fiber's scale.  The returned
     field's lambda norm is t.
     """
-    fib = fiber_maximize(Functional(split, nl), project(split, phi, "plus"), gtol=1e-10)
-    return fib.t * fib.phi
+    coords, zhat = _unit_plus(split, phi)
+    return coords.to_field(fiber_maximize(Functional(split, nl), coords.to_eigen(zhat), gtol=1e-10).t * zhat)
 
 
 def nehari_second_order(split, nl, phi_bar):

@@ -1,5 +1,7 @@
 """Branch-engine units: thresholds, counts, residuals, small solves."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from diractorus.branch import (
     second_solution,
 )
 from diractorus.nonlinearity import make_nonlinearity
-from diractorus.spectral import SpectralError, assemble, omega_sphere, project, split
+from diractorus.spectral import EigenTable, SpectralError, assemble, omega_sphere, project, split
 from diractorus.torus import SpinorField, random_field, resample_field, zero_field
 from diractorus.variational import (
     Evaluation,
@@ -42,6 +44,16 @@ def plane_wave_solution(table, lam, k=(1, 0)):
     coeffs = np.zeros((table.N, grid.n_modes), dtype=complex)
     coeffs[:, idx] = amp * u
     return SpinorField(grid, coeffs)
+
+
+def eigen(table, psi):
+    """Eigen coordinates of the field psi: the points the polish and the report take."""
+    return table.to_eigen(psi.coeffs)
+
+
+def as_field(table, a):
+    """The field whose eigen coordinates are ``a``."""
+    return SpinorField(table.grid, table.from_eigen(a))
 
 
 def test_gamma_crit_values():
@@ -118,12 +130,12 @@ def test_polish_reduces_residual():
     rng = np.random.default_rng(4)
     psi = plane_wave_solution(table, 0.5) + 1e-3 * random_field(table.grid, 2, rng)
     before = residual_check(table, NL, psi, 0.5)
-    polish = polish_residual(Functional(split(table, 0.5), NL), psi)
+    polish = polish_residual(Functional(split(table, 0.5), NL), eigen(table, psi))
     polished, after = polish.psi, polish.residual
     assert before > 1e-4
     assert after < 1e-8
-    assert np.isclose(residual_check(table, NL, polished, 0.5), after, rtol=1e-6)
-    assert polish.last.energy == L_lambda(split(table, 0.5), NL, polished)
+    assert np.isclose(residual_check(table, NL, as_field(table, polished), 0.5), after, rtol=1e-6)
+    assert polish.last.energy == Functional(split(table, 0.5), NL)(polished).energy
 
 
 def test_polish_does_not_stall_near_exact_solution():
@@ -134,12 +146,12 @@ def test_polish_does_not_stall_near_exact_solution():
         table = assemble(2, K)
         rng = np.random.default_rng(4)
         psi = plane_wave_solution(table, 0.5) + noise * random_field(table.grid, 2, rng)
-        polish = polish_residual(Functional(split(table, 0.5), NL), psi)
+        polish = polish_residual(Functional(split(table, 0.5), NL), eigen(table, psi))
         polished, after = polish.psi, polish.residual
         assert after < 1e-12
         assert polish.steps >= 2
         assert polish.converged
-        assert np.isclose(residual_check(table, NL, polished, 0.5), after, rtol=1e-6)
+        assert np.isclose(residual_check(table, NL, as_field(table, polished), 0.5), after, rtol=1e-6)
 
 
 def test_polish_keeps_the_galerkin_energy_where_the_spill_is_large():
@@ -157,10 +169,10 @@ def test_polish_keeps_the_galerkin_energy_where_the_spill_is_large():
     fn = Functional(sp, NL)
     fiber, _ = sphere_minimize(fn, ray_opt_direction(sp)[0], gtol=1e-9)
     polish = polish_residual(fn, fiber.psi)
-    assert abs(L_lambda(sp, NL, polish.psi) - fiber.value) < 1e-10
+    assert abs(L_lambda(sp, NL, as_field(table, polish.psi)) - fiber.value) < 1e-10
     assert np.isclose(pt.energy, polish.last.energy, rtol=1e-12, atol=0.0)
     assert polish.last.residual[0] < 1e-8
-    assert np.isclose(polish.residual, residual_check(table, NL, polish.psi, 0.4))
+    assert np.isclose(polish.residual, residual_check(table, NL, as_field(table, polish.psi), 0.4))
 
 
 def test_minimize_M_closed_form_bound():
@@ -262,7 +274,7 @@ def test_minimize_M_transforms_the_strong_residual_twice(monkeypatch):
     assert (pt.diagnostics["residual_in_band"], pt.diagnostics["residual_spill"]) == polish.last.residual
     # a polish that keeps no step reads both ends off its one evaluation
     cubes.clear()
-    polish = polish_residual(Functional(sp, NL), plane_wave_solution(table, 0.5))
+    polish = polish_residual(Functional(sp, NL), eigen(table, plane_wave_solution(table, 0.5)))
     assert polish.steps == 0 and polish.first is polish.last
     assert polish.residual < 1e-12 and len(cubes) == 1
     # residual_check fills the band projection from its one cube: no analyze
@@ -316,17 +328,83 @@ def test_a_least_solve_reuses_fiber_evaluations_and_polishes_in_the_lambda_metri
     # by 1/(|sigma - lambda| + 1) instead of 1/w2, made 74 products
     sp = split(assemble(2, 16), 0.7)
     fn = Functional(sp, NL)
-    phi0, _ = ray_opt_direction(sp)
-    at_field, fields = Functional.at_field, []
-    monkeypatch.setattr(Functional, "at_field", lambda self, psi: fields.append(psi) or at_field(self, psi))
-    sphere_minimize(fn, phi0, gtol=1e-3)
-    assert fields == []
+    z0, _ = ray_opt_direction(sp)
+    evaluate, evaluations = Functional._evaluate, []
+    monkeypatch.setattr(Functional, "_evaluate", lambda self, *a: evaluations.append(1) or evaluate(self, *a))
+    _, info = sphere_minimize(fn, z0, gtol=1e-3)
+    assert len(evaluations) == info["fiber_evals"] + 1  # the ascents' own, and the first fiber's cold start
     monkeypatch.undo()
     hvp, products = Evaluation.hvp, []
     monkeypatch.setattr(Evaluation, "hvp", lambda self, d: products.append(d) or hvp(self, d))
     pt = minimize_M(sp, NL)
     assert pt.accepted
     assert pt.diagnostics["polish_hvps"] == len(products) <= 55
+
+
+def _census(monkeypatch):
+    """Counts, from now on, of ``SpinorField`` builds and of eigen transforms made outside an evaluation.
+
+    Inside means under ``Functional.__call__``, ``Evaluation.nonlin``,
+    ``Evaluation.residual`` or ``Evaluation.hvp`` on the call stack.
+    """
+    inside = {Functional.__call__.__code__, Evaluation.nonlin.fget.__code__,
+              Evaluation.__dict__["residual"].func.__code__, Evaluation.hvp.__code__}
+    counts = {"fields": 0, "to_eigen": 0, "from_eigen": 0}
+    post_init = SpinorField.__post_init__
+
+    def counted_post_init(field):
+        counts["fields"] += 1
+        post_init(field)
+
+    def outside(name, transform):
+        def counted(table, x):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code not in inside:
+                frame = frame.f_back
+            counts[name] += frame is None
+            return transform(table, x)
+
+        return counted
+
+    monkeypatch.setattr(SpinorField, "__post_init__", counted_post_init)
+    for name in ("to_eigen", "from_eigen"):
+        monkeypatch.setattr(EigenTable, name, outside(name, getattr(EigenTable, name)))
+    return counts
+
+
+def test_a_least_solve_builds_one_field_and_transforms_only_inside_its_evaluations(monkeypatch):
+    # the solver layers hand each other eigen coordinates; when they handed
+    # each other fields this solve built 21 and made 15 to_eigen and 14
+    # from_eigen outside any evaluation, round trips between layers.  The one
+    # field is the report's, from the one from_eigen; a warm field is
+    # converted once more, on entry
+    sp = split(assemble(2, 16), 0.7)
+    counts = _census(monkeypatch)
+    pt = minimize_M(sp, NL)
+    assert pt.accepted and counts == {"fields": 1, "to_eigen": 0, "from_eigen": 1}
+    counts.update(fields=0, to_eigen=0, from_eigen=0)
+    warm = minimize_M(sp, NL, init=pt.psi)
+    assert warm.accepted and counts == {"fields": 1, "to_eigen": 1, "from_eigen": 1}
+
+
+def test_an_m3_least_solve_sits_below_the_plane_wave_level():
+    # at m = 3, 2* = 3: the plane wave on k = (1, 0, 0) with |s| = 1 - lambda
+    # solves the equation exactly at the level (1 - lambda)^3 (2 pi)^3 / 6,
+    # and the least solve at K = 4 lies below it and below gamma_crit(3).
+    # The flags are not asserted: this polish stalls (ROADMAP item 6)
+    nl = make_nonlinearity("bnd", 3)
+    table = assemble(3, 3)
+    idx = table.grid.mode_index()[(1, 0, 0)]
+    coeffs = np.zeros((table.N, table.grid.n_modes), dtype=complex)
+    coeffs[:, idx] = 0.5 * table.basis[idx][:, -1]
+    plane_wave = SpinorField(table.grid, coeffs)
+    level = 0.5**3 * (2.0 * np.pi) ** 3 / 6.0
+    assert residual_check(table, nl, plane_wave, 0.5) <= 1e-12
+    assert np.isclose(L_lambda(split(table, 0.5), nl, plane_wave), 5.167712780049969, rtol=1e-12, atol=0.0)
+    assert np.isclose(level, 5.167712780049969, rtol=1e-15, atol=0.0)
+    pt = minimize_M(split(assemble(3, 4), 0.5), nl)
+    assert np.isclose(pt.energy, 3.698963565293745, rtol=1e-9, atol=0.0)
+    assert pt.energy < level < gamma_crit(3)
 
 
 def _tight(fn, level, maxiter, **diagnostics):
@@ -542,10 +620,11 @@ def test_a_field_from_another_cutoff_is_reported_as_its_cold_solve():
     pt8 = minimize_M(split(assemble(2, 8), 0.7), NL)
     table = assemble(2, 12)
     sp = split(table, 0.7)
-    pt = _solved_point(Functional(sp, NL), resample_field(pt8.psi, table.grid), None, "least")
+    a = eigen(table, resample_field(pt8.psi, table.grid))
+    pt = _solved_point(Functional(sp, NL), a, None, "least")
     assert pt.accepted and pt.flags == []
     assert pt.diagnostics["polish_steps"] > 0
-    assert pt.diagnostics["value_pre_polish"] == L_lambda(sp, NL, resample_field(pt8.psi, table.grid))
+    assert pt.diagnostics["value_pre_polish"] == Functional(sp, NL)(a).energy
     assert np.isclose(pt.energy, minimize_M(sp, NL).energy, rtol=1e-12, atol=0.0)
 
 
@@ -694,7 +773,7 @@ def test_the_polish_preconditioner_is_one_over_w2_per_real_coordinate(monkeypatc
         branch, "minres", lambda matvec, b, precond, rtol: seen.append(precond) or (np.zeros_like(b), 0, 0, 0.0)
     )
     rng = np.random.default_rng(6)
-    polish_residual(Functional(sp, NL), plane_wave_solution(table, 0.5) + 1e-3 * random_field(table.grid, 2, rng))
+    polish_residual(Functional(sp, NL), eigen(table, plane_wave_solution(table, 0.5) + 1e-3 * random_field(table.grid, 2, rng)))
     z = rng.standard_normal(sp.w2.shape) + 1j * rng.standard_normal(sp.w2.shape)
     got = (seen[0] * z.view(float).ravel()).view(complex).reshape(z.shape)
     assert np.allclose(got, z / sp.w2, rtol=1e-15, atol=0.0)
@@ -739,10 +818,10 @@ def test_the_polish_step_count_does_not_hang_on_rounding():
     fn = Functional(sp, NL)
     fiber, _ = sphere_minimize(fn, ray_opt_direction(sp)[0], gtol=1e-3)
     steps = polish_residual(fn, fiber.psi).steps
-    c = fiber.psi.coeffs
+    c = sp.table.from_eigen(fiber.psi)
     for seed in range(10):
         noise = np.random.default_rng(seed).standard_normal(c.shape[::-1]).T
-        polish = polish_residual(fn, SpinorField(fiber.psi.grid, c * (1.0 + 1e-13 * noise)))
+        polish = polish_residual(fn, sp.table.to_eigen(c * (1.0 + 1e-13 * noise)))
         assert polish.steps == steps and polish.converged, seed
 
 

@@ -11,7 +11,7 @@ from diractorus import variational
 from diractorus.iterative import _Memory, lbfgs, minres
 from diractorus.nonlinearity import make_nonlinearity
 from diractorus.spectral import assemble, split
-from diractorus.variational import Functional, fiber_maximize, ray_opt_direction
+from diractorus.variational import Functional, SubspaceCoords, fiber_maximize, ray_opt_direction
 
 NL = make_nonlinearity("bnd", 2)
 
@@ -194,7 +194,8 @@ def _symmetric_indefinite(n, seed):
 
 def _polish_system(K=8, lam=0.7):
     fn = Functional(split(assemble(2, K), lam), NL)
-    phi, _ = ray_opt_direction(fn.split)
+    z, _ = ray_opt_direction(fn.split)
+    phi = SubspaceCoords(fn.split, fn.split.plus).to_eigen(z)
     ev = fiber_maximize(fn, phi, gtol=1e-7).evaluated(fn)
     shape = ev.rep.shape
     matvec = lambda x: ev.hvp(x.view(complex).reshape(shape)).view(float).ravel()  # noqa: E731

@@ -18,6 +18,7 @@ from diractorus.variational import (
     _inner_maximize,
     _ray_quotient,
     _rayleigh,
+    _unit_plus,
     default_sigma,
     eta_lambda,
     f_lambda_value,
@@ -71,6 +72,17 @@ def complex_draw(rng, coords):
     """One complex standard normal per entry of ``coords``, as its real coordinates."""
     n = coords.flat.size
     return (rng.standard_normal(n) + 1j * rng.standard_normal(n)).view(float)
+
+
+def as_field(table, a):
+    """The field whose eigen coordinates are ``a``."""
+    return SpinorField(table.grid, table.from_eigen(a))
+
+
+def unit_direction(sp, psi):
+    """Eigen coordinates of the lambda-unit E^+ part of the field psi: a fiber's direction."""
+    coords, z = _unit_plus(sp, psi)
+    return coords.to_eigen(z)
 
 
 def unit_plane_wave(table, sp, k=(1, 0)):
@@ -195,11 +207,11 @@ def test_T_prime(table, sp1):
 
 def test_mu_lambda_plane_wave(table, sp05):
     phi = unit_plane_wave(table, sp05)
-    fib = fiber_maximize(Functional(sp05, NL), phi)
+    fib = fiber_maximize(Functional(sp05, NL), table.to_eigen(phi.coeffs))
     assert np.isclose(fib.t, np.pi, rtol=1e-7)
     assert np.isclose(fib.value, np.pi**2 / 4.0, rtol=1e-9)
-    assert l2_norm(project(sp05, fib.psi, "zero")) < 1e-9
-    assert l2_norm(project(sp05, fib.psi, "minus")) < 1e-9
+    assert l2_norm(project(sp05, as_field(table, fib.psi), "zero")) < 1e-9
+    assert l2_norm(project(sp05, as_field(table, fib.psi), "minus")) < 1e-9
     assert fib.grad_norm < 1e-6 * max(1.0, abs(fib.value))
 
 
@@ -208,23 +220,23 @@ def test_mu_lambda_phase_equivariance(table, sp05):
     raw = project(sp05, random_field(table.grid, 2, rng), "plus")
     phi = (1.0 / norm_lambda(sp05, raw)) * raw
     zeta = np.exp(0.7j)
-    fib = fiber_maximize(Functional(sp05, NL), phi)
-    fib2 = fiber_maximize(Functional(sp05, NL), zeta * phi)
+    fib = fiber_maximize(Functional(sp05, NL), table.to_eigen(phi.coeffs))
+    fib2 = fiber_maximize(Functional(sp05, NL), table.to_eigen((zeta * phi).coeffs))
     assert abs(fib.value - fib2.value) < 1e-8 * max(1.0, abs(fib.value))
-    assert l2_norm(fib2.psi - zeta * fib.psi) < 1e-5 * l2_norm(fib.psi)
+    assert l2_norm(as_field(table, fib2.psi - zeta * fib.psi)) < 1e-5 * l2_norm(as_field(table, fib.psi))
 
 
 def test_mu_global_max_over_fiber_samples(table, sp05):
     rng = np.random.default_rng(6)
     raw = project(sp05, random_field(table.grid, 2, rng), "plus")
     phi = (1.0 / norm_lambda(sp05, raw)) * raw
-    fib = fiber_maximize(Functional(sp05, NL), phi)
+    fib = fiber_maximize(Functional(sp05, NL), table.to_eigen(phi.coeffs))
     coords = SubspaceCoords(sp05, sp05.zero | sp05.minus)
     for _ in range(50):
         t = fib.t * (0.2 + 2.0 * rng.random())
         z = complex_draw(rng, coords)
         z *= rng.random() * fib.t / max(np.linalg.norm(z), 1e-12)
-        trial = SpinorField(table.grid, t * fib.phi.coeffs + coords.to_field(z).coeffs)
+        trial = as_field(table, t * fib.phi + coords.to_eigen(z))
         assert L_lambda(sp05, NL, trial) <= fib.value + 1e-8
 
 
@@ -233,7 +245,7 @@ def test_mu_value_positive_lower_bound(table, sp05):
     for _ in range(5):
         raw = project(sp05, random_field(table.grid, 2, rng), "plus")
         phi = (1.0 / norm_lambda(sp05, raw)) * raw
-        fib = fiber_maximize(Functional(sp05, NL), phi)
+        fib = fiber_maximize(Functional(sp05, NL), table.to_eigen(phi.coeffs))
         ray_max = max(L_lambda(sp05, NL, t * phi) for t in np.linspace(0.05, 3 * fib.t, 60))
         assert fib.value >= ray_max - 1e-9
         assert fib.value > 0
@@ -242,10 +254,10 @@ def test_mu_value_positive_lower_bound(table, sp05):
 def test_fiber_maximum_is_start_independent(table, sp05):
     rng = np.random.default_rng(13)
     fn = Functional(sp05, NL)
-    phi = project(sp05, random_field(table.grid, 2, rng), "plus")
+    phi = unit_direction(sp05, random_field(table.grid, 2, rng))
     cold = fiber_maximize(fn, phi)
     t_star = cold.t
-    z_star = fn.inner.from_field(cold.psi - t_star * cold.phi)
+    z_star = fn.inner.from_eigen(cold.psi - t_star * cold.phi)
     z_rand = t_star * complex_draw(rng, fn.inner)
     z_rand /= np.sqrt(fn.inner.flat.size)
     starts = [(0.5 * t_star, z_rand), (2.0 * t_star, np.zeros_like(z_star)), (-t_star, z_star)]
@@ -253,7 +265,7 @@ def test_fiber_maximum_is_start_independent(table, sp05):
         fib = fiber_maximize(fn, phi, start=(t0, z0))
         assert fib.t > 0
         assert abs(fib.value - cold.value) < 1e-10 * abs(cold.value)
-        assert l2_norm(fib.psi - cold.psi) < 1e-6 * l2_norm(cold.psi)
+        assert l2_norm(as_field(table, fib.psi - cold.psi)) < 1e-6 * l2_norm(as_field(table, cold.psi))
 
 
 def _assert_same_evaluation(ev, fresh):
@@ -269,13 +281,14 @@ def test_a_fiber_carries_its_last_evaluation_only_when_it_was_at_psi(monkeypatch
     table8 = assemble(2, 8)
     fn = Functional(split(table8, 0.5), NL)
     rng = np.random.default_rng(16)
-    phi = project(fn.split, random_field(table8.grid, 2, rng), "plus")
+    raw = project(fn.split, random_field(table8.grid, 2, rng), "plus")
+    phi = unit_direction(fn.split, raw)
     cold = fiber_maximize(fn, phi, gtol=1e-7)
-    nearby = phi + 1e-2 * project(fn.split, random_field(table8.grid, 2, rng), "plus")
+    nearby = unit_direction(fn.split, raw + 1e-2 * project(fn.split, random_field(table8.grid, 2, rng), "plus"))
     warm = fiber_maximize(fn, nearby, gtol=1e-7, start=(cold.t, cold.z))
     for fib in (cold, warm):
         assert fib.evaluation is not None and fib.evaluated(fn) is fib.evaluation
-        _assert_same_evaluation(fib.evaluation, fn.at_field(fib.psi))
+        _assert_same_evaluation(fib.evaluation, fn.at_field(as_field(table8, fib.psi)))
     # an ascent from the mirror start ends at t < 0, where its last gradient has the other sign
     mirror = fiber_maximize(fn, phi, start=(-cold.t, -cold.z))
     # an ascent whose last call was elsewhere: one more call after L-BFGS returns
@@ -290,7 +303,7 @@ def test_a_fiber_carries_its_last_evaluation_only_when_it_was_at_psi(monkeypatch
     elsewhere = fiber_maximize(fn, phi, gtol=1e-7)
     for fib in (mirror, elsewhere):
         assert fib.t > 0 and fib.evaluation is None
-        ev, fresh = fib.evaluated(fn), fn.at_field(fib.psi)  # the fallback is a fresh evaluation
+        ev, fresh = fib.evaluated(fn), fn(fib.psi)  # the fallback is a fresh evaluation
         assert ev.energy == fresh.energy and np.array_equal(ev.grad, fresh.grad)
         _assert_same_evaluation(ev, fresh)
 
@@ -299,7 +312,7 @@ def test_a_cold_fiber_on_an_e_minus_direction_fails(table, sp05):
     # q < 0 on the ray: it has no positive maximum to start from
     phi = project(sp05, random_field(table.grid, 2, np.random.default_rng(15)), "minus")
     with pytest.raises(SolverFailure, match="no positive ray maximum") as exc:
-        fiber_maximize(Functional(sp05, NL), phi)
+        fiber_maximize(Functional(sp05, NL), table.to_eigen(phi.coeffs))
     assert exc.value.diagnostics["alpha"] < 0
 
 
@@ -328,6 +341,21 @@ def test_m_lambda_gradient_fd(table, sp05):
         slope = inner_lambda(sp05, grad, d)
         worst = max(worst, abs(slope - fd) / max(1.0, abs(fd)))
     assert worst < 1e-5
+
+
+def test_m_lambda_reads_only_the_e_plus_part_of_its_direction():
+    # M lives on the unit sphere of E^+: m_lambda handed its raw phi to the
+    # fiber and projected the sphere gradient with the E^+ coordinates of
+    # the normalized phi, which are not unit when phi has an E^- part, so
+    # the value agreed and the gradient was off by 22 % here
+    table = assemble(2, 4)
+    sp = split(table, 0.5)
+    raw = random_field(table.grid, 2, np.random.default_rng(0))
+    plus, minus = project(sp, raw, "plus"), project(sp, raw, "minus")
+    value, grad, _ = m_lambda(sp, NL, plus)
+    mixed_value, mixed_grad, _ = m_lambda(sp, NL, plus + 0.5 * minus)
+    assert abs(mixed_value - value) <= 1e-12 * abs(value)
+    assert l2_norm(mixed_grad - grad) <= 1e-6 * l2_norm(grad)
 
 
 def test_eta_lambda_plane_wave(table, sp05):
@@ -416,13 +444,13 @@ def test_r_lambda_is_read_off_the_ray_quotient(m):
 def _nu(sp, lam, phi):
     """nu_lambda_k certifying the fiber maximum of phi on the split ``sp`` frozen at its lambda."""
     fn = Functional(sp, NL, lam)
-    return nu_lambda_k(fn, fiber_maximize(fn, phi))
+    return nu_lambda_k(fn, fiber_maximize(fn, sp.table.to_eigen(phi.coeffs)))
 
 
 def test_nu_matches_mu_at_lambda_k(table, sp1):
     phi = unit_plane_wave(table, sp1, k=(1, 1))
     fib_nu = _nu(sp1, 1.0, phi)
-    fib_mu = fiber_maximize(Functional(sp1, NL), phi)
+    fib_mu = fiber_maximize(Functional(sp1, NL), table.to_eigen(phi.coeffs))
     assert abs(fib_nu.value - fib_mu.value) < 1e-8
     assert fib_nu.unique_confident
 
@@ -430,7 +458,7 @@ def test_nu_matches_mu_at_lambda_k(table, sp1):
 def test_nu_certifies_the_fiber_it_is_handed(table, sp1):
     # the handed fiber, re-solved, is the first start, and the caller's point is not changed
     fn = Functional(sp1, NL, 0.97)
-    fiber = fiber_maximize(fn, unit_plane_wave(table, sp1, k=(1, 1)))
+    fiber = fiber_maximize(fn, table.to_eigen(unit_plane_wave(table, sp1, k=(1, 1)).coeffs))
     fiber.unique_confident = None
     best = nu_lambda_k(fn, fiber)
     assert best.unique_confident and fiber.unique_confident is None
@@ -460,7 +488,7 @@ def test_nu_monotone_below_lambda_k(table, sp1):
 
 
 def test_nu_guard_rejects_above(table, sp1):
-    fiber = fiber_maximize(Functional(sp1, NL), unit_plane_wave(table, sp1, k=(1, 1)))
+    fiber = fiber_maximize(Functional(sp1, NL), table.to_eigen(unit_plane_wave(table, sp1, k=(1, 1)).coeffs))
     with pytest.raises(SolverFailure, match="nu requires"):
         nu_lambda_k(Functional(sp1, NL, 1.2), fiber)
 
@@ -486,11 +514,13 @@ def test_kernel_direction_ceiling(table, sp1):
 
 
 def test_degenerate_fiber_error(table, sp05):
-    # the zero direction cannot host a fiber
-    from diractorus.variational import SolverFailure
-
+    # the zero direction cannot host a fiber, and the zero field gives no
+    # direction: the one check where a field enters the solvers
     with pytest.raises(SolverFailure):
-        fiber_maximize(Functional(sp05, NL), zero_field(table.grid, 2))
+        fiber_maximize(Functional(sp05, NL), np.zeros((2, table.grid.n_modes), dtype=complex))
+    for reduced in (m_lambda, nehari_project):
+        with pytest.raises(SolverFailure, match="no E\\^\\+ component"):
+            reduced(sp05, NL, zero_field(table.grid, 2))
 
 
 def test_k_inequality_lemma(table, sp05):
@@ -566,15 +596,16 @@ def test_unreduced_fiber_maximum_equals_the_T_reduced_one(table, sp1, seed):
     # space gives the T-reduced fiber maximum, and the maximizer's kernel part is
     # -T of the rest.
     raw = project(sp1, random_field(table.grid, 2, np.random.default_rng(seed), decay=1.2), "plus")
-    full = fiber_maximize(Functional(sp1, NL), raw, gtol=1e-10)
+    full = fiber_maximize(Functional(sp1, NL), unit_direction(sp1, raw), gtol=1e-10)
     # L_T over {t phi + chi : chi in E^-}, phi lambda-unit, started at (full.t, 0)
     t_reduced_fiber = SimpleNamespace(split=sp1, inner=SubspaceCoords(sp1, sp1.minus))
-    coords = _FiberCoords(t_reduced_fiber, table.to_eigen(full.phi.coeffs))
+    coords = _FiberCoords(t_reduced_fiber, full.phi)
     x0 = np.concatenate([[full.t], np.zeros(coords.dim - 1)])
     reduced = _inner_maximize(_t_reduced(sp1), coords, x0, 1e-10, 500)[1]
     assert abs(full.value - reduced) <= 1e-9 * abs(reduced)
-    chi0 = project(sp1, full.psi, "zero")
-    assert l2_norm(chi0 + t_lambda(sp1, full.psi - chi0)) < 1e-7
+    psi = as_field(table, full.psi)
+    chi0 = project(sp1, psi, "zero")
+    assert l2_norm(chi0 + t_lambda(sp1, psi - chi0)) < 1e-7
 
 
 def test_unreduced_j_equals_the_T_reduced_one(table, sp1):
@@ -787,7 +818,7 @@ def test_ray_search_is_one_evaluation(monkeypatch, table, sp05, case):
     for module in (torus, variational):
         _counting(monkeypatch, module, "synthesize", calls)
     monkeypatch.setattr(variational, "_inner_maximize", lambda _, c, x0, *a: (x0, 0.0, 0.0, 0))
-    t0 = fiber_maximize(fn, phi).t
+    t0 = fiber_maximize(fn, phi_e).t
     assert calls["synthesize"] == 1
     monkeypatch.undo()
 
