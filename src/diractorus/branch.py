@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .iterative import minres
+from .iterative import gmres
 from .nonlinearity import check_hypotheses
 from .spectral import SpectralError, omega_sphere, split as make_split
 from .testspinor import radial_mass_ratio
@@ -129,9 +129,9 @@ class Polish:
     first: Evaluation  # at the start: the energy and residual before the polish
     last: Evaluation  # at psi: the energy and residual after it
     steps: int  # Newton steps kept
-    hvps: int  # Hessian-vector products of the MINRES solves
+    hvps: int  # Hessian-vector products of the Newton solves
     converged: bool  # the final in-band residual within 10 times the rounding level the polish aims at
-    minres: list  # per MINRES solve, kept step or not: its iterations, stop code, rtol and relative residual
+    solves: list  # per Newton solve, kept step or not: its iterations, stop code, rtol and relative residual
 
     @property
     def residual(self):
@@ -145,16 +145,16 @@ def _rounding_level(ev):
 
 
 def _newton_rtol(resid, prev, target):
-    """MINRES's relative tolerance for the Newton step from the in-band residual ``resid``.
+    """GMRES's relative tolerance for the Newton step from the in-band residual ``resid``.
 
     ``prev`` is the in-band residual before the last kept step, None before
     the first.  An exact Newton step would leave C resid^2, with C ~ resid /
     prev^2 (an overestimate when the last step's linear error dominated).
     While that is above ``target`` the step cannot be the last, and it solves
     to 1e-3.  Once it is below, the step can be the last one, and it aims at
-    a quarter of the target: MINRES (``iterative.minres``) stops on its own
+    a quarter of the target: GMRES (``iterative.gmres``) stops on its own
     relative residual, so rtol 0.25 target / resid asks for a linear
-    residual a quarter of the target (in the preconditioned norm MINRES
+    residual a quarter of the target (in the 1/w2-weighted norm GMRES
     measures), below it by design instead of by luck.
     """
     if prev is None or resid**3 > target * prev**2:
@@ -172,22 +172,26 @@ def polish_residual(fn, a, ev=None):
     its evaluations and products.
     Newton runs on the in-band residual, the ``rep`` of L_lam' on the cutoff
     space, whose zeros are the Galerkin critical points the solvers find.
-    Each step solves L''(psi) d = -L'(psi) with the package's MINRES
-    (``iterative.minres``) on the Hessian-vector product ``Evaluation.hvp``,
-    preconditioned by 1/w2 in the eigenbasis, an array product on the real
-    view: ``split.w2`` = |sigma - lambda|, one on the kernel block, is the
-    lambda metric the fibers and the sphere descent run in.  For a second
-    solution it is that of the split frozen at lambda_k.  ``hvps`` counts the
-    products, and ``minres`` records each solve's iterations, stop code,
-    asked tolerance ``rtol`` and own relative residual phibar / beta1, on
-    which MINRES stops, kept step or not.  MINRES solves to relative
-    tolerance 1e-3 until the step that can be the last, which
-    ``_newton_rtol`` solves to a quarter of the stop (Eisenstat-Walker, SIAM
-    J. Sci. Comput. 17, 1996), so the number of steps does not hang on where
-    rounding puts the last one.
+    Each step solves H d = -L'(psi), H = L''(psi) the Hessian-vector product
+    ``Evaluation.hvp``, with the package's GMRES (``iterative.gmres``) on
+    the real view of the eigen array, in the signed lambda metric: GMRES
+    runs on W^-1/2 H W^-1/2 S z = W^-1/2 (-L'(psi)) and the step is d =
+    W^-1/2 S z.  W is ``split.w2`` = |sigma - lambda|, one on the kernel
+    block, the lambda metric the fibers and the sphere descent run in, and
+    S is +1 on E^+ and -1 on the solvers' inner space E^0 + E^-; for a
+    second solution both are those of the split frozen at lambda_k.  H is
+    (D - lam) - K'', positive on E^+ and negative on E^0 + E^-, so the
+    operator is the identity plus a compact part, and its residual is the
+    true one in the 1/w2-weighted norm.  ``hvps`` counts the products, and
+    ``solves`` records each solve's iterations, stop code, asked tolerance
+    ``rtol`` and relative residual, on which GMRES stops, kept step or not.
+    GMRES solves to relative tolerance 1e-3 until the step that can be the
+    last, which ``_newton_rtol`` solves to a quarter of the stop
+    (Eisenstat-Walker, SIAM J. Sci. Comput. 17, 1996), so the number of
+    steps does not hang on where rounding puts the last one.
     A step is kept when it lowers the in-band norm, and the polish goes on
     while each step at least halves it, until that norm is at rounding level
-    1e-12 max(1, ||(D - lam) psi||) (at most 20 steps).  A zero step (MINRES
+    1e-12 max(1, ||(D - lam) psi||) (at most 20 steps).  A zero step (GMRES
     returned zeros) ends it unkept: its trial is psi itself, whose
     re-evaluated norm differs from the held one by rounding alone.  The
     out-of-band spill is left alone, so the polish does not trade the
@@ -200,22 +204,24 @@ def polish_residual(fn, a, ev=None):
     sphere descent stops coarse, so an unfinished polish leaves the reported
     energy unfinished too.
     """
-    shape = a.shape
-    precond = np.repeat(1.0 / fn.split.w2.ravel(), 2)  # on the real view: re and im of each eigen entry
+    shape, split = a.shape, fn.split
+    # W^-1/2 S and W^-1/2 on the real view: re and im of each eigen entry
+    right = np.repeat((np.where(split.plus, 1.0, -1.0) / np.sqrt(split.w2)).ravel(), 2)
+    left = np.abs(right)
     ev = first = fn(a) if ev is None else ev
     solves = []
 
-    def hvp(x):  # the Hessian at the current iterate ``ev``
-        return ev.hvp(x.view(complex).reshape(shape)).view(float).ravel()
+    def operator(z):  # W^-1/2 H W^-1/2 S, H the Hessian at the current iterate ``ev``
+        return left * ev.hvp((right * z).view(complex).reshape(shape)).view(float).ravel()
 
     resid, prev, steps = first.residual[0], None, 0
     while steps < 20 and resid > _rounding_level(ev):
         rtol = _newton_rtol(resid, prev, _rounding_level(ev))
-        d, its, istop, relres = minres(hvp, -ev.rep.view(float).ravel(), precond, rtol)
+        z, its, istop, relres = gmres(operator, -left * ev.rep.view(float).ravel(), rtol)
         solves.append({"iterations": its, "istop": istop, "rtol": rtol, "relres": float(relres)})
-        if not d.any() or not np.isfinite(d).all():  # a zero step would compare two roundings of psi
+        if not z.any() or not np.isfinite(z).all():  # a zero step would compare two roundings of psi
             break
-        trial = a + d.view(complex).reshape(shape)
+        trial = a + (right * z).view(complex).reshape(shape)
         trial_ev = fn(trial)
         trial_resid = _l2(fn.split.grid, trial_ev.rep)
         if not trial_resid < resid:
@@ -260,7 +266,7 @@ def _solved_point(fn, a, ev, level, k=None, flags=(), **diagnostics):
         psi=SpinorField(fn.split.grid, fn.split.table.from_eigen(polish.psi)),
         diagnostics=dict(diagnostics, value_pre_polish=float(polish.first.energy),
                          residual_pre_polish=float(np.hypot(*polish.first.residual)), polish_steps=polish.steps,
-                         polish_hvps=polish.hvps, polish_minres=polish.minres,
+                         polish_hvps=polish.hvps, polish_solves=polish.solves,
                          residual_in_band=in_band, residual_spill=spill),
         flags=flags + ([] if resid <= RESIDUAL_TOL else ["resolution-limited-residual"]),
     )

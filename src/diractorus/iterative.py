@@ -1,34 +1,36 @@
-"""The solvers' two iteration loops: L-BFGS and preconditioned MINRES.
+"""The solvers' two iteration loops: L-BFGS and GMRES.
 
 ``lbfgs`` is the quasi-Newton loop of every ascent and descent (the fibers,
-the sphere descent, the ray-quotient start); ``minres`` solves the Newton
+the sphere descent, the ray-quotient start); ``gmres`` solves the Newton
 systems of the polish.  Both run on plain numpy arrays, so a solve pays no
 per-call wrapping and loads no optimization or sparse-matrix library.
 
 ``lbfgs`` follows the unconstrained path of L-BFGS-B (Byrd, Lu, Nocedal and
 Zhu, SIAM J. Sci. Comput. 16, 1995) as scipy runs it: the same first step,
-line search, memory resets, stop tests and messages.  Two options leave
-that path, and only the sphere descent sets them.  A run can start from
-the pairs (s, y) of an earlier run, kept in a ``_Memory`` that it updates
-in place (quasi-Newton pairs reused across related problems: Morales and
-Nocedal, SIAM J. Optim. 10, 2000); its first trial is then the unit step,
-like every later one.  The descent's fibers share their pairs this way.
-And a run with no pairs can take a first step of length ||g||/|f|, the
-unit step on log |f|, instead of L-BFGS-B's unit length; the descent
-itself starts so.  Without them a run is scipy's.  Its search direction is the
-two-loop recursion's (Nocedal, Math. Comp. 35, 1980), with the
-recursion's inner products read off the matrix of the pairs' s_i.y_j
-(``_Memory``); L-BFGS-B's own compact matrices give the same direction up to
-rounding.  The line search is MINPACK-2's ``dcsrch``/``dcstep`` (More and
-Thuente, ACM TOMS 20, 1994).
+line search, memory resets, stop tests and messages, except that a run
+also ends converged at the first trial whose gradient meets gtol, which
+scipy's tests only once the line search accepts the trial.  Two options
+leave that path further, and only the sphere descent sets them.  A run can
+start from the pairs (s, y) of an earlier run, kept in a ``_Memory`` that
+it updates in place (quasi-Newton pairs reused across related problems:
+Morales and Nocedal, SIAM J. Optim. 10, 2000); its first trial is then the
+unit step, like every later one.  The descent's fibers share their pairs
+this way.  And a run with no pairs can take a first step of length
+||g||/|f|, the unit step on log |f|, instead of L-BFGS-B's unit length;
+the descent itself starts so.  Without them a run is scipy's up to that
+early stop.  Its search direction is the two-loop recursion's (Nocedal,
+Math. Comp. 35, 1980), with the recursion's inner products read off the
+matrix of the pairs' s_i.y_j (``_Memory``); L-BFGS-B's own compact
+matrices give the same direction up to rounding.  The line search is
+MINPACK-2's ``dcsrch``/``dcstep`` (More and Thuente, ACM TOMS 20, 1994).
 
-``minres`` is Paige and Saunders' MINRES (SIAM J. Numer. Anal. 12, 1975),
-ported from scipy's ``scipy.sparse.linalg.minres`` for a zero start and no
-shift, with a diagonal preconditioner applied as an array product.  It
-stops on the relative residual phibar / beta1 that it tracks, the quantity
-a Newton forcing term asks for, not on scipy's ||r|| / (||A|| ||x||), and
-its Givens norms are scalar ``math.hypot`` calls, not BLAS ones; so its
-iterates are scipy's up to rounding, not bit for bit.
+``gmres`` is Saad and Schultz's GMRES (SIAM J. Sci. Stat. Comput. 7, 1986)
+from a zero start, without restarts and without a preconditioner: the
+polish hands it an operator already scaled so that it is the identity plus
+a compact part, on which GMRES converges superlinearly.  It stops on the
+relative residual its Givens rotations track, the quantity a Newton
+forcing term asks for; its iterates are scipy's ``gmres`` ones up to
+rounding.
 """
 
 from __future__ import annotations
@@ -77,7 +79,11 @@ def lbfgs(fun, x0, gtol, ftol, maxiter, maxcor, memory=None, relative=False):
     step the tests run in L-BFGS-B's order: ``maxiter`` steps; max |g_i| <=
     ``gtol``; f_old - f <= ``ftol`` max(|f_old|, |f|, 1).  Then the pair is
     stored unless s.y <= eps (-g_old.s).  As in scipy, a trial point equal
-    to the last evaluated one is not evaluated again.
+    to the last evaluated one is not evaluated again.  Unlike scipy, the
+    run ends converged at the first trial whose max |g_i| <= ``gtol``,
+    taken as a step, before the line search judges it: near a minimum the
+    trial's decrease sits at the rounding of f, and a search that rejected
+    such a trial made the run's end hang on that rounding.
     """
     x = np.array(x0, dtype=float)
     f, g = fun(x)
@@ -102,6 +108,9 @@ def lbfgs(fun, x0, gtol, ftol, maxiter, maxcor, memory=None, relative=False):
                 if not (xt == xe).all():
                     ft, gt = fun(xt)
                     xe, nfev = xt, nfev + 1
+                    if np.abs(gt).max() <= gtol:  # converged, whether or not the line search would accept it
+                        return LbfgsResult(xt, ft, gt, nfev, nit + 1, True,
+                                           "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL")
                 gd = float(gt @ d)
                 stp, task = search.step(stp, ft, gd)
                 if task != "FG":
@@ -333,82 +342,63 @@ def _norm(v):
     return math.sqrt(v.dot(v))
 
 
-def minres(matvec, b, precond, rtol):
-    """Solve A x = b for symmetric ``A`` (``matvec``) by preconditioned MINRES from x = 0.
+GMRES_MAXITER = 500  # iterations at most, and so rows of the Arnoldi basis
 
-    ``precond`` is the diagonal of the positive definite preconditioner,
-    applied as ``precond * r``.  Returns (x, iterations, istop, phibar /
-    beta1), with one ``matvec`` per iteration; phibar / beta1 is MINRES's own
-    estimate of the relative residual ||b - A x|| / ||b||.  ``istop`` is the
-    stop code, numbered as scipy's: 1 when phibar / beta1 <= ``rtol`` and 2
-    when ||A r|| / (||A|| ||r||) <= ``rtol`` (r and b in the preconditioned
-    norm, as every norm here), 3 when ||A|| ||x|| eps reaches ||b||, 4 when
-    the condition estimate reaches 0.1/eps, 6 after 5 n iterations, -1 when
-    b is an eigenvector of the preconditioned A, and 0 for b = 0.  Each
-    iterate is that of scipy's ``minres(A, b, M=diags(precond))`` at the
-    same iteration, up to rounding.
+
+def gmres(matvec, b, rtol):
+    """Solve A x = b (``matvec``) by GMRES from x = 0, unrestarted.
+
+    Returns (x, iterations, istop, relres), with one ``matvec`` per
+    iteration.  relres is the residual ||b - A x|| / ||b|| that the Givens
+    rotations track; GMRES minimizes it over the Krylov space, so it never
+    rises.  ``istop`` is the stop code: 1 when relres <= ``rtol``, 6 after
+    min(n, ``GMRES_MAXITER``) iterations, and 0 for b = 0.
+    The Arnoldi basis is the rows of one array, grown by doubling from 16,
+    and each new vector is orthogonalized by classical Gram-Schmidt run
+    twice (Giraud, Langou and Rozloznik, Comput. Math. Appl. 50, 2005): two
+    matrix-vector products with the basis per pass, whatever the iteration.
+    The rotated Hessenberg columns are kept as the columns of the triangular
+    factor, and x comes from one back substitution at the stop.
     """
     n = b.size
-    maxiter = 5 * n
-    x = np.zeros(n)
-    r1 = b.copy()
-    y = precond * r1
-    beta1 = r1.dot(y)
-    if beta1 == 0 or _norm(b) == 0:
-        return x, 0, 0, 0.0
-    beta1 = math.sqrt(beta1)
-    istop, itn = 0, 0
-    oldb, beta, dbar, epsln, phibar = 0.0, beta1, 0.0, 0.0, beta1
-    tnorm2, gmax, gmin = 0.0, 0.0, np.finfo(float).max
-    cs, sn = -1.0, 0.0
-    w = np.zeros(n)
-    w2 = np.zeros(n)
-    r2 = r1
-    while itn < maxiter:
+    beta = _norm(b)
+    if beta == 0:
+        return np.zeros(n), 0, 0, 0.0
+    maxiter = min(n, GMRES_MAXITER)
+    basis = np.empty((min(16, maxiter), n))
+    basis[0] = b / beta
+    cols, cs, sn, g = [], [], [], [beta]  # g: the rotated beta e1; |g[-1]| is the residual norm
+    itn, istop = 0, 0
+    while istop == 0:
+        w = matvec(basis[itn])
+        v = basis[:itn + 1]
+        h = v @ w
+        w = w - h @ v
+        h2 = v @ w
+        w -= h2 @ v
+        h = (h + h2).tolist()
+        hnext = _norm(w)
+        for i in range(itn):  # the earlier rotations
+            h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], cs[i] * h[i + 1] - sn[i] * h[i]
+        gamma = math.hypot(h[itn], hnext)
+        cs.append(h[itn] / gamma)
+        sn.append(hnext / gamma)
+        h[itn] = gamma
+        cols.append(np.array(h))
+        g.append(-sn[itn] * g[itn])
+        g[itn] *= cs[itn]
         itn += 1
-        v = (1.0 / beta) * y
-        y = matvec(v)
-        if itn >= 2:
-            y = y - (beta / oldb) * r1
-        alfa = v.dot(y)
-        y = y - (alfa / beta) * r2
-        r1, r2 = r2, y
-        y = precond * r2
-        oldb, beta = beta, math.sqrt(r2.dot(y))
-        tnorm2 += alfa**2 + oldb**2 + beta**2
-        if itn == 1 and beta / beta1 <= 10 * EPS:
-            istop = -1  # b is an eigenvector; terminate below
-        # apply the previous rotation, then compute the next one
-        oldeps = epsln
-        delta = cs * dbar + sn * alfa
-        gbar = sn * dbar - cs * alfa
-        epsln = sn * beta
-        dbar = -cs * beta
-        root = math.hypot(gbar, dbar)
-        gamma = max(math.hypot(gbar, beta), EPS)
-        cs, sn = gbar / gamma, beta / gamma
-        phi, phibar = cs * phibar, sn * phibar
-        w1, w2 = w2, w
-        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
-        x = x + phi * w
-        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
-        # estimate the norms and test for convergence
-        anorm = math.sqrt(tnorm2)
-        epsx = anorm * _norm(x) * EPS
-        test2 = math.inf if anorm == 0 else root / anorm  # ||A r|| / (||A|| ||r||)
-        if istop == 0:
-            if 1 + test2 <= 1:
-                istop = 2
-            if itn >= maxiter:
-                istop = 6
-            if gmax / gmin >= 0.1 / EPS:
-                istop = 4
-            if epsx >= beta1:
-                istop = 3
-            if test2 <= rtol:
-                istop = 2
-            if phibar <= rtol * beta1:
-                istop = 1
-        if istop != 0:
-            break
-    return x, itn, istop, phibar / beta1
+        relres = abs(g[itn]) / beta
+        if relres <= rtol:
+            istop = 1
+        elif itn >= maxiter:
+            istop = 6
+        else:
+            if itn == len(basis):
+                basis = np.concatenate([basis, np.empty((min(itn, maxiter - itn), n))])
+            basis[itn] = w * (1.0 / hnext)
+    y = np.array(g[:itn])
+    for j in range(itn - 1, -1, -1):  # back substitution, column by column
+        y[j] /= cols[j][j]
+        y[:j] -= y[j] * cols[j][:j]
+    return y @ basis[:itn], itn, istop, relres

@@ -290,7 +290,11 @@ def inner_lambda(sp, a, b):
 def norm_lambda(sp, psi):
     """||psi||_lambda, zero iff psi = 0; Pythagorean across the split."""
     _check_field(sp.table, psi)
-    ae = sp.table.to_eigen(psi.coeffs)
+    return norm_lambda_eigen(sp, sp.table.to_eigen(psi.coeffs))
+
+
+def norm_lambda_eigen(sp, ae):
+    """``norm_lambda`` of the field whose eigen coordinates are ``ae``."""
     return float(np.sqrt(sp.grid.volume * (sp.w2 * (ae.real**2 + ae.imag**2)).sum()))
 
 

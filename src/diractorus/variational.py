@@ -90,7 +90,7 @@ import numpy as np
 
 from .iterative import _Memory, lbfgs as _lbfgs
 from .nonlinearity import critical_exponent, make_nonlinearity
-from .spectral import norm_lambda
+from .spectral import norm_lambda, norm_lambda_eigen
 from .torus import SpinorField, analyze, cube_coefficients, pointwise_real_inner, synthesize, zero_field
 
 
@@ -470,9 +470,6 @@ class SubspaceCoords:
     def to_field(self, x):
         return SpinorField(self.grid, self.table.from_eigen(self.to_eigen(x)))
 
-    def from_field(self, psi):
-        return self.from_eigen(self.table.to_eigen(psi.coeffs))
-
 
 # ---------------------------------------------------------------------------
 # Ascent in lambda-orthonormal coordinates (fiber, J and S maximizations)
@@ -634,15 +631,17 @@ def _sphere_grad(fn, coords, fiber, zhat):
 def _unit_plus(split, psi):
     """``SubspaceCoords`` of ``split.plus``, and the unit coordinates in it of the field psi's E^+ part.
 
-    The masked gather of ``SubspaceCoords.from_field`` is the E^+
+    The masked gather of ``SubspaceCoords.from_eigen`` is the E^+
     projection, and the coordinates' Euclidean norm is the lambda norm.
     This is where a field enters the solvers, and the one check that its
-    direction is not zero.
+    direction is not zero: an E^+ part of lambda norm at most 1e-12 of the
+    field's is rounding, and normalizing it would make a direction of noise.
     """
     coords = SubspaceCoords(split, split.plus)
-    z = coords.from_field(psi)
+    a = split.table.to_eigen(psi.coeffs)
+    z = coords.from_eigen(a)
     nrm = float(np.linalg.norm(z))
-    if nrm <= 0:
+    if nrm <= 1e-12 * norm_lambda_eigen(split, a):
         raise SolverFailure("direction has no E^+ component")
     return coords, z / nrm
 

@@ -297,9 +297,9 @@ def test_minimize_M_flags_a_descent_that_stops_unconverged():
 
 def test_minimize_M_flags_a_polish_that_stalls(monkeypatch):
     # the descent stops at gtol 1e-3 and the polish finishes the energy, so a
-    # polish that cannot step (MINRES returns a zero step) rejects the point
+    # polish that cannot step (GMRES returns a zero step) rejects the point
     sp = split(assemble(2, 8), 0.7)
-    monkeypatch.setattr(branch, "minres", lambda matvec, b, precond, rtol: (np.zeros_like(b), 0, 0, 0.0))
+    monkeypatch.setattr(branch, "gmres", lambda matvec, b, rtol: (np.zeros_like(b), 0, 0, 0.0))
     pt = minimize_M(sp, NL)
     assert pt.diagnostics["polish_steps"] == 0
     assert "polish-not-converged" in pt.flags
@@ -312,12 +312,12 @@ def test_the_polish_keeps_no_zero_step(monkeypatch, lam):
     # trip through its coefficients; at these K = 8 points that norm read
     # below the fiber's by rounding, and the zero step was kept
     sp = split(assemble(2, 8), lam)
-    monkeypatch.setattr(branch, "minres", lambda matvec, b, precond, rtol: (np.zeros_like(b), 0, 0, 0.0))
+    monkeypatch.setattr(branch, "gmres", lambda matvec, b, rtol: (np.zeros_like(b), 0, 0, 0.0))
     polishes = []
     monkeypatch.setattr(branch, "polish_residual", lambda *a: polishes.append(polish_residual(*a)) or polishes[-1])
     pt = minimize_M(sp, NL)
     (polish,) = polishes
-    assert pt.diagnostics["polish_steps"] == 0 and len(pt.diagnostics["polish_minres"]) == 1
+    assert pt.diagnostics["polish_steps"] == 0 and len(pt.diagnostics["polish_solves"]) == 1
     assert polish.first is polish.last
     assert "polish-not-converged" in pt.flags
 
@@ -741,12 +741,12 @@ def test_ray_quotient_is_the_scale_invariant_ray_maximum_at_m3():
 
 
 def test_a_solved_point_records_each_minres_solve():
-    # one record per Newton step: MINRES's iterations (one product each),
-    # its stop code, the tolerance it was asked for and its own relative
-    # residual phibar / beta1, which a stop on code 1 brings within that
-    # tolerance; the first step asks 1e-3, the last a quarter of the stop
+    # one record per Newton step: the solver's iterations (one product
+    # each), its stop code, the tolerance it was asked for and its relative
+    # residual, which a stop on code 1 brings within that tolerance; the
+    # first step asks 1e-3, the last a quarter of the stop
     pt = minimize_M(split(assemble(2, 8), 0.7), NL)
-    solves = pt.diagnostics["polish_minres"]
+    solves = pt.diagnostics["polish_solves"]
     assert len(solves) == pt.diagnostics["polish_steps"] == 2
     assert sum(s["iterations"] for s in solves) == pt.diagnostics["polish_hvps"]
     assert [s["istop"] for s in solves] == [1, 1]
@@ -755,7 +755,7 @@ def test_a_solved_point_records_each_minres_solve():
 
 
 def test_the_last_newton_step_lands_below_the_stop():
-    # criterion 7's K = 16, lambda = 0.6 point: when MINRES stopped on
+    # criterion 7's K = 16, lambda = 0.6 point: when the polish (MINRES then) stopped on
     # ||r|| / (||A|| ||x||), its last step landed above the stop at 2.4e-12
     # and the polish took 5 steps and 99 products
     pt = minimize_M(split(assemble(2, 16), 0.6), NL, maxiter=60)
@@ -764,19 +764,33 @@ def test_the_last_newton_step_lands_below_the_stop():
 
 
 def test_the_polish_preconditioner_is_one_over_w2_per_real_coordinate(monkeypatch):
-    # MINRES runs on the real view of the eigen array; each real coordinate,
-    # real or imaginary part, is weighted by 1/w2 of its own eigen entry
+    # GMRES runs on the real view of the eigen array, on W^-1/2 H W^-1/2 S,
+    # and the step is W^-1/2 S z: each real coordinate, real or imaginary
+    # part, is weighted by 1/sqrt(w2) of its own eigen entry on each side,
+    # so by the signed 1/w2 in all, + on E^+ and - on E^0 + E^-
     table = assemble(2, 4)
     sp = split(table, 0.5)
-    seen = []
-    monkeypatch.setattr(
-        branch, "minres", lambda matvec, b, precond, rtol: seen.append(precond) or (np.zeros_like(b), 0, 0, 0.0)
-    )
+    fn = Functional(sp, NL)
     rng = np.random.default_rng(6)
-    polish_residual(Functional(sp, NL), eigen(table, plane_wave_solution(table, 0.5) + 1e-3 * random_field(table.grid, 2, rng)))
+    a = eigen(table, plane_wave_solution(table, 0.5) + 1e-3 * random_field(table.grid, 2, rng))
+    ev = fn(a)
     z = rng.standard_normal(sp.w2.shape) + 1j * rng.standard_normal(sp.w2.shape)
-    got = (seen[0] * z.view(float).ravel()).view(complex).reshape(z.shape)
-    assert np.allclose(got, z / sp.w2, rtol=1e-15, atol=0.0)
+    seen, trials = [], []
+
+    def fake_gmres(matvec, b, rtol):
+        seen.append((matvec(z.view(float).ravel()), b))
+        return z.view(float).ravel(), 1, 1, 0.0
+
+    monkeypatch.setattr(branch, "gmres", fake_gmres)
+    call = Functional.__call__
+    monkeypatch.setattr(Functional, "__call__", lambda self, x: trials.append(x) or call(self, x))
+    polish_residual(fn, a, ev)
+    (az, b), *_ = seen
+    sign, w = np.where(sp.plus, 1.0, -1.0), np.sqrt(sp.w2)
+    assert sp.plus.any() and not sp.plus.all()
+    assert np.allclose(az.view(complex).reshape(z.shape), ev.hvp(sign * z / w) / w, rtol=1e-14, atol=0.0)
+    assert np.allclose(b.view(complex).reshape(z.shape), -ev.rep / w, rtol=1e-15, atol=0.0)
+    assert np.allclose(trials[0] - a, sign * z / w, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("K", [8, 16])

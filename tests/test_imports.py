@@ -44,7 +44,7 @@ print(json.dumps(out))
 
 
 def test_a_sweep_or_a_solve_loads_no_solver_stack():
-    # the transforms are numpy.fft, the solvers' L-BFGS and MINRES are the
+    # the transforms are numpy.fft, the solvers' L-BFGS and GMRES are the
     # package's own (``iterative``), and the radial integrals of (f5), the
     # lambda <= 0 probe and criterion 5 are one numpy Gauss-Legendre rule, so
     # no path needs scipy at all

@@ -1,14 +1,14 @@
-"""The package's L-BFGS and MINRES against scipy's, which serve here only as the reference."""
+"""The package's L-BFGS and GMRES against scipy's, which serve here only as the reference."""
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize, rosen, rosen_der
-from scipy.sparse import diags
 from scipy.sparse.linalg import LinearOperator
-from scipy.sparse.linalg import minres as scipy_minres
+from scipy.sparse.linalg import gmres as scipy_gmres
 
-from diractorus import variational
-from diractorus.iterative import _Memory, lbfgs, minres
+from diractorus import branch, iterative, variational
+from diractorus.branch import polish_residual
+from diractorus.iterative import _Memory, gmres, lbfgs
 from diractorus.nonlinearity import make_nonlinearity
 from diractorus.spectral import assemble, split
 from diractorus.variational import Functional, SubspaceCoords, fiber_maximize, ray_opt_direction
@@ -63,6 +63,24 @@ def test_lbfgs_stops_at_maxiter_as_scipy_does():
     assert got.nit == 7 and not got.success
     assert got.message == "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
     _assert_same_run(got, _scipy_lbfgs(_rosenbrock, np.linspace(-1.0, 1.0, 8), **options))
+
+
+def test_lbfgs_ends_converged_at_a_trial_that_meets_gtol():
+    # the first trial from a unit x0 lands on the minimizer of |x|^2 / 2,
+    # where a bump raises the value: the line search would reject it for
+    # its value (as a decrease at the rounding of f can be), and scipy's
+    # run went on to step elsewhere
+    def fun(x):
+        xx = float(x @ x)
+        return 0.5 * xx + (1.0 if xx < 1e-20 else 0.0), x.copy()
+
+    x0 = np.array([0.6, 0.8])
+    options = {"gtol": 1e-8, "ftol": 1e-16, "maxiter": 50, "maxcor": 10}
+    got = lbfgs(fun, x0, **options)
+    assert (got.nfev, got.nit, got.success) == (2, 1, True)
+    assert got.message == "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
+    assert np.abs(got.x).max() <= 1e-15 and got.fun == 1.0
+    assert _scipy_lbfgs(fun, x0, **options).nfev > 2
 
 
 def test_lbfgs_stops_abnormal_when_a_search_fails_with_an_empty_memory():
@@ -188,43 +206,56 @@ def test_lbfgs_reproduces_scipy_on_the_ray_opt_objective(monkeypatch):
 def _symmetric_indefinite(n, seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    a = (q * np.linspace(-3.0, 5.0, n)) @ q.T
-    return a, rng.standard_normal(n), rng.uniform(0.1, 3.0, n)
+    a = (q * (np.where(np.arange(n) % 3, 1.0, -1.0) * np.linspace(1.0, 4.0, n))) @ q.T  # a third negative
+    return (lambda x: a @ x), rng.standard_normal(n)
 
 
-def _polish_system(K=8, lam=0.7):
+def _polish_system(monkeypatch, K=8, lam=0.7):
+    """The first Newton system of the polish at a K, lambda fiber maximizer: the operator and right-hand side it hands GMRES."""
     fn = Functional(split(assemble(2, K), lam), NL)
     z, _ = ray_opt_direction(fn.split)
     phi = SubspaceCoords(fn.split, fn.split.plus).to_eigen(z)
-    ev = fiber_maximize(fn, phi, gtol=1e-7).evaluated(fn)
-    shape = ev.rep.shape
-    matvec = lambda x: ev.hvp(x.view(complex).reshape(shape)).view(float).ravel()  # noqa: E731
-    return matvec, -ev.rep.view(float).ravel(), np.repeat(1.0 / fn.split.w2.ravel(), 2)
+    fib = fiber_maximize(fn, phi, gtol=1e-7)
+    systems = []
+    monkeypatch.setattr(branch, "gmres", lambda matvec, b, rtol: systems.append((matvec, b)) or (np.zeros_like(b), 0, 0, 0.0))
+    polish_residual(fn, fib.psi)
+    monkeypatch.undo()
+    return systems[0]
 
 
 @pytest.mark.parametrize("rtol", [1e-4, 1e-6])
-def test_minres_matches_scipys_iterate_at_its_stop(rtol):
-    # the stop is on phibar / beta1, not scipy's ||r|| / (||A|| ||x||), so
-    # scipy runs without a tolerance for the same number of iterations; the
-    # Givens norms are math.hypot, not BLAS, so the iterates agree to
-    # rounding, not bit for bit
-    systems = [_symmetric_indefinite(n, seed) for n, seed in ((40, 1), (300, 2))]
-    systems = [(lambda x, a=a: a @ x, b, w) for a, b, w in systems] + [_polish_system()]
-    for matvec, b, w in systems:
+def test_gmres_matches_scipys_iterate_at_its_stop(monkeypatch, rtol):
+    # scipy runs one unrestarted cycle without a tolerance for the same
+    # number of iterations; its Arnoldi process is modified Gram-Schmidt,
+    # this one classical Gram-Schmidt twice, so the iterates agree to
+    # rounding, not bit for bit.  The polish's operator is not symmetric.
+    systems = [_symmetric_indefinite(n, seed) for n, seed in ((40, 1), (300, 2))] + [_polish_system(monkeypatch)]
+    for matvec, b in systems:
         calls = []
-        x, its, istop, relres = minres(lambda v: calls.append(1) or matvec(v), b, w, rtol)
+        x, its, istop, relres = gmres(lambda v: calls.append(1) or matvec(v), b, rtol)
         op = LinearOperator((b.size, b.size), matvec=matvec, dtype=float)
-        ref, info = scipy_minres(op, b, M=diags(w), rtol=0.0, maxiter=its)
-        assert info == its and istop in (1, 2)
-        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
-        assert its == len(calls) > 1
-        if istop == 1:
-            assert relres <= rtol
-        # phibar / beta1 estimates the preconditioned residual ||b - A x||_M / ||b||_M
-        r = b - matvec(x)
-        assert relres == pytest.approx(np.sqrt(r @ (w * r) / (b @ (w * b))), rel=1e-3)
+        ref, _ = scipy_gmres(op, b, rtol=0.0, atol=0.0, restart=its, maxiter=1)
+        assert istop == 1 and its == len(calls) > 1
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert relres <= rtol
+        # the rotations' residual is the true one
+        assert relres == pytest.approx(np.linalg.norm(b - matvec(x)) / np.linalg.norm(b), rel=1e-6, abs=0.0)
 
 
-def test_minres_of_a_zero_right_hand_side_is_zero():
-    x, its, istop, relres = minres(lambda v: v, np.zeros(5), np.ones(5), 1e-6)
+def test_gmres_stops_at_its_iteration_cap_with_the_residual_it_reports(monkeypatch):
+    # min(n, GMRES_MAXITER) iterations: the dimension gives the dense
+    # solution, a smaller cap the iterate there; both grow the 16-row basis
+    matvec, b = _symmetric_indefinite(40, 1)
+    a = np.array([matvec(e) for e in np.eye(40)]).T
+    x, its, istop, relres = gmres(matvec, b, 0.0)
+    assert (its, istop) == (40, 6)
+    assert np.linalg.norm(x - np.linalg.solve(a, b)) <= 1e-12 * np.linalg.norm(x)
+    monkeypatch.setattr(iterative, "GMRES_MAXITER", 20)
+    x, its, istop, relres = gmres(matvec, b, 0.0)
+    assert (its, istop) == (20, 6)
+    assert relres == pytest.approx(np.linalg.norm(b - a @ x) / np.linalg.norm(b), rel=1e-8, abs=0.0)
+
+
+def test_gmres_of_a_zero_right_hand_side_is_zero():
+    x, its, istop, relres = gmres(lambda v: v, np.zeros(5), 1e-6)
     assert np.array_equal(x, np.zeros(5)) and (its, istop, relres) == (0, 0, 0.0)

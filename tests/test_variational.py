@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from diractorus.branch import minimize_M
 from diractorus.nonlinearity import critical_exponent, make_nonlinearity
 from diractorus.spectral import apply_dirac, assemble, inner_lambda, norm_lambda, project, split
 from diractorus.torus import SpinorField, l2_inner, l2_norm, lp_norm, random_field, zero_field
@@ -521,6 +522,18 @@ def test_degenerate_fiber_error(table, sp05):
     for reduced in (m_lambda, nehari_project):
         with pytest.raises(SolverFailure, match="no E\\^\\+ component"):
             reduced(sp05, NL, zero_field(table.grid, 2))
+
+
+def test_a_field_on_e_minus_up_to_rounding_gives_no_direction(table, sp05):
+    # the E^- projection of a field keeps E^+ coordinates of lambda norm
+    # 1.1e-15 against the field's 17.6; m_lambda normalized that noise into
+    # a direction, and minimize_M descended from it to a flagged 1.824
+    psi = project(sp05, random_field(table.grid, 2, np.random.default_rng(0)), "minus")
+    assert 0 < np.linalg.norm(SubspaceCoords(sp05, sp05.plus).from_eigen(table.to_eigen(psi.coeffs)))
+    with pytest.raises(SolverFailure, match="no E\\^\\+ component"):
+        m_lambda(sp05, NL, psi)
+    with pytest.raises(SolverFailure, match="no E\\^\\+ component"):
+        minimize_M(sp05, NL, init=psi)
 
 
 def test_k_inequality_lemma(table, sp05):
