@@ -114,9 +114,9 @@ def residual_check(table, nl, psi, lam):
     toward the residual.  For the critical term at m = 2, g(|psi|) psi =
     |psi|^2 psi has band 3K.  Its band part, and so the in-band part (the
     Galerkin gradient), is exact for n_grid > 4K.  Its spill is aliased when
-    n_grid < 6K + 1, which includes the default n_grid = 4K + 2: the
+    n_grid < 6K + 1, which includes the default grid (``make_grid``): the
     lambda = 0.2 least-energy point at K = 96 has a full residual of
-    0.61787859 at n_grid = 386 and 0.61787873 at n_grid = 390.
+    0.61787859 at n_grid = 386 and 0.61787873 at the default 390.
     """
     return float(np.hypot(*Functional(make_split(table, lam), nl).at_field(psi).residual))
 
@@ -131,7 +131,7 @@ class Polish:
     steps: int  # Newton steps kept
     hvps: int  # Hessian-vector products of the Newton solves
     converged: bool  # the final in-band residual within 10 times the rounding level the polish aims at
-    solves: list  # per Newton solve, kept step or not: its iterations, stop code, rtol and relative residual
+    solves: list  # per Newton solve, kept step or not: its iterations, stop code, rtol, relative residual and deflation
 
     @property
     def residual(self):
@@ -182,9 +182,17 @@ def polish_residual(fn, a, ev=None):
     second solution both are those of the split frozen at lambda_k.  H is
     (D - lam) - K'', positive on E^+ and negative on E^0 + E^-, so the
     operator is the identity plus a compact part, and its residual is the
-    true one in the 1/w2-weighted norm.  ``hvps`` counts the products, and
-    ``solves`` records each solve's iterations, stop code, asked tolerance
-    ``rtol`` and relative residual, on which GMRES stops, kept step or not.
+    true one in the 1/w2-weighted norm.  The Hessians of one polish are
+    close, so every solve after the first recycles the first one's Krylov
+    space: it runs right-preconditioned, on A M^-1 y = b with M^-1 = I +
+    V^T (H^-1 - I) V the deflation of the first solve's Arnoldi basis V and
+    Hessenberg matrix H (``GmresResult.deflation``), and steps by z = M^-1
+    y.  GMRES's relative residual on A M^-1 is still the true residual of
+    z in that norm, so every tolerance and stop below means what it did
+    without it.  ``hvps`` counts the products, and ``solves`` records each
+    solve's iterations, stop code, asked tolerance ``rtol``, relative
+    residual, on which GMRES stops, and ``deflation``, the dimension k of
+    the recycled space (0 on the first solve), kept step or not.
     GMRES solves to relative tolerance 1e-3 until the step that can be the
     last, which ``_newton_rtol`` solves to a quarter of the stop
     (Eisenstat-Walker, SIAM J. Sci. Comput. 17, 1996), so the number of
@@ -209,7 +217,7 @@ def polish_residual(fn, a, ev=None):
     right = np.repeat((np.where(split.plus, 1.0, -1.0) / np.sqrt(split.w2)).ravel(), 2)
     left = np.abs(right)
     ev = first = fn(a) if ev is None else ev
-    solves = []
+    solves, deflate, dim = [], (lambda y: y), 0  # M^-1: the identity, then the first solve's deflation
 
     def operator(z):  # W^-1/2 H W^-1/2 S, H the Hessian at the current iterate ``ev``
         return left * ev.hvp((right * z).view(complex).reshape(shape)).view(float).ravel()
@@ -217,10 +225,14 @@ def polish_residual(fn, a, ev=None):
     resid, prev, steps = first.residual[0], None, 0
     while steps < 20 and resid > _rounding_level(ev):
         rtol = _newton_rtol(resid, prev, _rounding_level(ev))
-        z, its, istop, relres = gmres(operator, -left * ev.rep.view(float).ravel(), rtol)
-        solves.append({"iterations": its, "istop": istop, "rtol": rtol, "relres": float(relres)})
+        sol = gmres(lambda y: operator(deflate(y)), -left * ev.rep.view(float).ravel(), rtol)
+        z = deflate(sol.x)
+        solves.append({"iterations": sol.iterations, "istop": sol.istop, "rtol": rtol, "relres": float(sol.relres),
+                       "deflation": dim})
         if not z.any() or not np.isfinite(z).all():  # a zero step would compare two roundings of psi
             break
+        if len(solves) == 1:
+            deflate, dim = sol.deflation(), sol.iterations
         trial = a + (right * z).view(complex).reshape(shape)
         trial_ev = fn(trial)
         trial_resid = _l2(fn.split.grid, trial_ev.rep)

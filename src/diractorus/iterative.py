@@ -25,12 +25,16 @@ matrices give the same direction up to rounding.  The line search is
 MINPACK-2's ``dcsrch``/``dcstep`` (More and Thuente, ACM TOMS 20, 1994).
 
 ``gmres`` is Saad and Schultz's GMRES (SIAM J. Sci. Stat. Comput. 7, 1986)
-from a zero start, without restarts and without a preconditioner: the
-polish hands it an operator already scaled so that it is the identity plus
-a compact part, on which GMRES converges superlinearly.  It stops on the
-relative residual its Givens rotations track, the quantity a Newton
-forcing term asks for; its iterates are scipy's ``gmres`` ones up to
-rounding.
+from a zero start, without restarts: the polish hands it an operator
+already scaled so that it is the identity plus a compact part, on which
+GMRES converges superlinearly.  It stops on the relative residual its
+Givens rotations track, the quantity a Newton forcing term asks for; its
+iterates are scipy's ``gmres`` ones up to rounding.  It returns its Arnoldi
+basis and Hessenberg matrix with the iterate, and ``GmresResult.deflation``
+turns them into the right preconditioner that recycles the solve's Krylov
+space for the next system of a sequence (Erhel, Burrage and Pohl, J.
+Comput. Appl. Math. 69, 1996; Parks, de Sturler et al., SIAM J. Sci.
+Comput. 28, 2006): the polish's later Newton systems run on it.
 """
 
 from __future__ import annotations
@@ -345,29 +349,57 @@ def _norm(v):
 GMRES_MAXITER = 500  # iterations at most, and so rows of the Arnoldi basis
 
 
-def gmres(matvec, b, rtol):
-    """Solve A x = b (``matvec``) by GMRES from x = 0, unrestarted.
+@dataclass(frozen=True)
+class GmresResult:
+    """Outcome of ``gmres``: the iterate, and the Arnoldi data of the Krylov space it was taken from."""
 
-    Returns (x, iterations, istop, relres), with one ``matvec`` per
-    iteration.  relres is the residual ||b - A x|| / ||b|| that the Givens
-    rotations track; GMRES minimizes it over the Krylov space, so it never
-    rises.  ``istop`` is the stop code: 1 when relres <= ``rtol``, 6 after
-    min(n, ``GMRES_MAXITER``) iterations, and 0 for b = 0.
+    x: np.ndarray
+    iterations: int  # calls of ``matvec``
+    istop: int  # 1: relres <= rtol; 6: the iteration cap; 0: b = 0
+    relres: float  # ||b - A x|| / ||b||, as the Givens rotations track it
+    basis: np.ndarray  # V: the k = ``iterations`` orthonormal Arnoldi vectors, as rows
+    hessenberg: np.ndarray  # H = V A V^T, k x k and upper Hessenberg
+
+    def deflation(self):
+        """The right preconditioner M^-1 = I + V^T (H^-1 - I) V of this solve's Krylov space, as a function.
+
+        On a nearby operator A', solving A' M^-1 y = b' and taking x' = M^-1 y
+        (Erhel, Burrage and Pohl, J. Comput. Appl. Math. 69, 1996): A M^-1
+        is the identity on the span of V up to the Arnoldi remainder
+        h_(k+1,k) v_(k+1), so the directions this solve already resolved
+        cost the next one nothing, and GMRES's residual on A' M^-1 is the
+        true residual of x'.  A solve with no iteration gives the identity.
+        """
+        if not self.iterations:
+            return lambda w: w
+        v, shift = self.basis, np.linalg.inv(self.hessenberg) - np.eye(self.iterations)
+        return lambda w: w + (shift @ (v @ w)) @ v
+
+
+def gmres(matvec, b, rtol):
+    """Solve A x = b (``matvec``) by GMRES from x = 0, unrestarted; a ``GmresResult``.
+
+    One ``matvec`` per iteration.  relres is the residual ||b - A x|| / ||b||
+    that the Givens rotations track; GMRES minimizes it over the Krylov
+    space, so it never rises.  ``istop`` is the stop code: 1 when relres <=
+    ``rtol``, 6 after min(n, ``GMRES_MAXITER``) iterations, and 0 for b = 0.
     The Arnoldi basis is the rows of one array, grown by doubling from 16,
     and each new vector is orthogonalized by classical Gram-Schmidt run
     twice (Giraud, Langou and Rozloznik, Comput. Math. Appl. 50, 2005): two
     matrix-vector products with the basis per pass, whatever the iteration.
     The rotated Hessenberg columns are kept as the columns of the triangular
-    factor, and x comes from one back substitution at the stop.
+    factor, and x comes from one back substitution at the stop.  The result
+    also holds the basis and the square Hessenberg matrix H = V A V^T of the
+    unrotated columns, whose ``deflation`` preconditions a later solve.
     """
     n = b.size
     beta = _norm(b)
     if beta == 0:
-        return np.zeros(n), 0, 0, 0.0
+        return GmresResult(np.zeros(n), 0, 0, 0.0, np.empty((0, n)), np.empty((0, 0)))
     maxiter = min(n, GMRES_MAXITER)
     basis = np.empty((min(16, maxiter), n))
     basis[0] = b / beta
-    cols, cs, sn, g = [], [], [], [beta]  # g: the rotated beta e1; |g[-1]| is the residual norm
+    hcols, cols, cs, sn, g = [], [], [], [], [beta]  # g: the rotated beta e1; |g[-1]| is the residual norm
     itn, istop = 0, 0
     while istop == 0:
         w = matvec(basis[itn])
@@ -376,8 +408,10 @@ def gmres(matvec, b, rtol):
         w = w - h @ v
         h2 = v @ w
         w -= h2 @ v
-        h = (h + h2).tolist()
+        h += h2
         hnext = _norm(w)
+        hcols.append(np.append(h, hnext))  # the Hessenberg column, before its rotations
+        h = h.tolist()
         for i in range(itn):  # the earlier rotations
             h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], cs[i] * h[i + 1] - sn[i] * h[i]
         gamma = math.hypot(h[itn], hnext)
@@ -401,4 +435,7 @@ def gmres(matvec, b, rtol):
     for j in range(itn - 1, -1, -1):  # back substitution, column by column
         y[j] /= cols[j][j]
         y[:j] -= y[j] * cols[j][:j]
-    return y @ basis[:itn], itn, istop, relres
+    hess = np.zeros((itn + 1, itn))
+    for j, col in enumerate(hcols):
+        hess[:j + 2, j] = col
+    return GmresResult(y @ basis[:itn], itn, istop, relres, basis[:itn], hess[:itn])

@@ -14,7 +14,8 @@ Every pointwise weight (|psi|, g(|psi|), a cutoff) is such a plane and
 multiplies the values without a broadcast along a short inner axis.  With
 n >= 2K + 2 the synthesis/analysis round trip is exact; pointwise
 nonlinearities of degree d are integrated exactly by the trapezoidal rule
-when n > d*K (the default solver grid uses n = 4K + 2 for quartic terms).
+when n > d*K (the default solver grid, ``make_grid``, is the smallest even
+n >= 4K + 2 with no prime factor above 13, for quartic terms).
 
 Both transforms are band-pruned ``numpy.fft`` passes.  They transform one
 grid axis at a time (axes 1..m of the values), from the last axis to the
@@ -26,7 +27,7 @@ indices the grid builds once: synthesis builds its first FFT's input, per
 spinor component the mode box with the last axis already n wide, and
 analysis reads them off its last FFT's output.  In m = 2 a transform then
 runs n + 2K + 1 one-dimensional FFTs of length n per spinor component
-instead of 2n (3/4 of them at the default n = 4K + 2).  The per-axis FFTs
+instead of 2n (3/4 of them at n = 4K + 2).  The per-axis FFTs
 are those of ``numpy.fft.ifftn``/``fftn`` on the full cube with
 ``norm="forward"``, which puts the whole 1/n^m on analysis: synthesis is the
 plain sum over modes, and neither transform makes a separate scaling pass.
@@ -41,8 +42,10 @@ Every FFT runs in place (``out=`` its input) when its input is an array
 the transform made itself: the synthesis gather, a padded, spread or cropped
 axis, an earlier FFT's output, or a copy ``analyze`` made to convert real
 values.  On large grids the page faults of a fresh output array cost more
-than the transform itself.  The caller's array is never written: complex
-values reach the first FFT uncopied, and that FFT writes a new array.
+than the transform itself.  The caller's array is never written unless the
+caller hands it over (``analyze``'s ``overwrite``, for the temporaries of an
+evaluation and a Hessian-vector product): otherwise complex values reach the
+first FFT uncopied, and that FFT writes a new array.
 
 Mode ordering is lexicographic in (|k|^2, k), which makes every table built
 on top of the grid reproducible across runs.
@@ -133,10 +136,25 @@ class TorusGrid:
 
 
 def make_grid(m, K, n_grid=None):
-    """Grid with quartic-dealiased default resolution n = 4K+2."""
+    """Grid with the quartic-dealiased default resolution: the smallest even n >= 4K + 2 whose prime factors are <= 13.
+
+    An FFT of a length with a large prime factor is several times slower than
+    one of a nearby smooth length (n = 194 = 2 * 97 against 196 = 2^2 7^2 at
+    K = 48); 13 keeps criterion 6's K = 32 grid at 130 = 2 * 5 * 13.
+    """
     if n_grid is None:
         n_grid = 4 * K + 2
+        while not _smooth(n_grid):
+            n_grid += 2
     return TorusGrid(m=m, K=K, n_grid=n_grid)
+
+
+def _smooth(n):
+    """Whether every prime factor of n is at most 13."""
+    for p in (2, 3, 5, 7, 11, 13):
+        while n % p == 0:
+            n //= p
+    return n == 1
 
 
 @dataclass
@@ -253,7 +271,7 @@ def synthesize(grid, coeffs):
     return vals
 
 
-def analyze(grid, values, support=None):
+def analyze(grid, values, support=None, overwrite=False):
     """Project collocation values, shape (N, n, ..., n), onto the |k_j| <= K mode cube.
 
     Exact inverse of ``synthesize`` for band-limited data; otherwise it is the
@@ -268,11 +286,15 @@ def analyze(grid, values, support=None):
     of a field cube that vanishes elsewhere; each axis is zero-filled from its
     support to n just before its FFT.  The result equals ``analyze`` of the
     scattered full cube.
+
+    With ``overwrite`` the caller hands over ``values`` to be consumed: its
+    first FFT runs in place on them, and they hold no field afterwards.
+    Without it the caller's array is never written.
     """
     n, K = grid.n_grid, grid.K
     vals = np.asarray(values, dtype=complex)
-    # a spread axis or a converted copy is the transform's own; the caller's array is not
-    own = support is not None or (vals is not values and vals.base is None)
+    # handed over, a spread axis or a converted copy is the transform's own; the caller's array is not
+    own = overwrite or support is not None or (vals is not values and vals.base is None)
     for axis in range(grid.m, 0, -1):
         if support is not None:
             vals = _spread_axis(vals, axis, n, support[axis - 1])

@@ -122,8 +122,10 @@ class Evaluation:
     ``nonlin`` holds the one analyze and is computed on first use, so a
     value-only caller never pays for it.  ``u`` holds the collocation values
     of u, ``rho`` the pointwise squared modulus |u|^2 that every weight is
-    read from (``Nonlinearity.G_of_rho`` and its kin), and ``gu`` the values
-    of g(|u|) u, whose out-of-band part is the spill of ``residual``.
+    read from (``Nonlinearity.G_of_rho`` and its kin), and ``gu`` forms the
+    values of g(|u|) u, whose out-of-band part is the spill of ``residual``,
+    in a new array on each read: ``nonlin`` hands its own to ``analyze`` to
+    transform in place, and no evaluation keeps it.
     ``second`` and ``hvp`` give the second variation of the mass at u.
     Solver evaluations have u = psi; ``_FJet``'s has u = psi - T(psi), and
     its ``hvp`` leaves T' out.
@@ -142,7 +144,7 @@ class Evaluation:
     def energy(self):
         return self.quadratic - self.mass
 
-    @cached_property
+    @property
     def gu(self):
         return self.fn.nl.g_of_rho(self.rho).astype(complex) * self.u
 
@@ -150,7 +152,7 @@ class Evaluation:
     def nonlin(self):
         if self._nonlin is None:
             split = self.fn.split
-            self._nonlin = split.table.to_eigen(analyze(split.grid, self.gu))
+            self._nonlin = split.table.to_eigen(analyze(split.grid, self.gu, overwrite=True))
         return self._nonlin
 
     @cached_property
@@ -191,7 +193,7 @@ class Evaluation:
         nl = self.fn.nl
         return nl.g_of_rho(rho).astype(complex), nl.radial_of_rho(rho)
 
-    def second(self, dv):
+    def second(self, dv, out=None):
         """K''(u)[dv] = g(|u|) dv + (g'(|u|)/|u|) Re<u, dv> u on collocation values shaped like u.
 
         ``dv`` may stack several directions on leading axes.  The weights
@@ -199,18 +201,27 @@ class Evaluation:
         planes, one value per grid point, that multiply whole spinor
         components.  Each is cast to complex as a plane, g once per
         evaluation: a real factor would be cast again for every component
-        it multiplies, which costs more than the product.
+        it multiplies, which costs more than the product.  The result is
+        written into ``out``, which may be ``dv`` itself, else a new array.
         """
         g, radial = self._second_weights
-        out = g * dv
-        out += np.expand_dims((radial * pointwise_real_inner(self.u, dv)).astype(complex), -self.u.ndim) * self.u
+        weight = np.expand_dims((radial * pointwise_real_inner(self.u, dv)).astype(complex), -self.u.ndim)
+        out = np.multiply(g, dv, out=out)
+        out += weight * self.u
         return out
 
     def hvp(self, d):
-        """L^2 representative of L''(psi)[d] in eigen coordinates: one synthesize, one analyze."""
+        """L^2 representative of L''(psi)[d] in eigen coordinates: one synthesize, one analyze.
+
+        K''(u)[dv] is written into the values ``synthesize`` returns for d,
+        and ``analyze`` transforms them in place: the product allocates no
+        collocation array beyond the one synthesis makes.  ``d`` and the
+        evaluation's arrays are not written.
+        """
         fn = self.fn
         table, grid = fn.split.table, fn.split.grid
-        return fn.shift * d - table.to_eigen(analyze(grid, self.second(synthesize(grid, table.from_eigen(d)))))
+        dv = synthesize(grid, table.from_eigen(d))
+        return fn.shift * d - table.to_eigen(analyze(grid, self.second(dv, out=dv), overwrite=True))
 
 
 class Functional:

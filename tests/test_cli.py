@@ -156,7 +156,7 @@ def test_branch_takes_a_power_nonlinearity_from_flags(tmp_path):
 
 def test_quadcheck_subcommand(tmp_path, capsys):
     assert run_cli(["quadcheck", "--dim", "2", "--cutoff", "6", "--p", "3", "--out", str(tmp_path)]) == 0
-    assert "n=26 -> " in capsys.readouterr().out  # the default grid 4K+2
+    assert "n=26 -> " in capsys.readouterr().out  # the default grid, 4K+2 at K = 6
     # --n-grid sets the coarse grid; it used to be accepted and ignored
     argv = ["quadcheck", "--cutoff", "6", "--n-grid", "40", "--out", str(tmp_path)]
     assert run_cli(argv) == 0
