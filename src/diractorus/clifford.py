@@ -12,9 +12,11 @@ solution family) inherit the e_i^2 = -I convention from here.
 
 Every generator of the construction is monomial: one nonzero entry per row,
 a phase in {+-1, +-i}, since each is a tensor product of Pauli matrices up
-to such a phase.  Clifford multiplication runs per spinor component over that
-structure, (x . s)_i = sum_j x_j c_(j,i) s_(p_j(i)): m multiply-adds of
-permuted spinors, with no (N, N, ...) matrix built per point.
+to such a phase.  Clifford multiplication runs per output component over that
+structure, (x . s)_i = sum_j x_j c_(j,i) s_(p_j(i)).  A phase only picks the
+real or imaginary plane of s_(p_j(i)) and a sign, so each real or imaginary
+plane of the product is m products of real planes: no (N, N, ...) matrix is
+built per point, and no permuted copy of the spinor per generator.
 """
 
 from __future__ import annotations
@@ -38,7 +40,10 @@ class CliffordRep:
 
     ``gamma`` is a tuple of m skew-adjoint complex (N, N) arrays, each
     monomial.  ``columns[j, i]`` is the column of row i's nonzero in e_j and
-    ``phases[j, i]`` its value, both (m, N) and read-only.
+    ``phases[j, i]`` its value, both (m, N) and read-only.  ``terms[i][q]``
+    lists, for the real (q = 0) or imaginary (q = 1) plane of output
+    component i of ``clifford_mul``, one ``(j, k, r, sign)`` per generator:
+    the term sign * x_j * (plane r of s_k).
     """
 
     m: int
@@ -46,6 +51,7 @@ class CliffordRep:
     gamma: tuple
     columns: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     phases: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    terms: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         gam = np.stack(self.gamma)
@@ -57,6 +63,7 @@ class CliffordRep:
         for name, value in (("columns", columns), ("phases", phases)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "terms", tuple(_plane_terms(columns[:, i], phases[:, i]) for i in range(self.N)))
 
     def relation_residuals(self):
         """Max residuals of the anticommutation and skew-adjointness relations.
@@ -76,6 +83,20 @@ class CliffordRep:
                 r = gi @ self.gamma[j] + self.gamma[j] @ gi + 2.0 * (i == j) * eye
                 anti = max(anti, np.abs(r).max())
         return {"anticommutation": anti, "skew_adjoint": skew, "unitary": unit}
+
+
+def _plane_terms(columns, phases):
+    """The terms of one output component's real and imaginary planes, in generator order.
+
+    Re(c s) = a Re s - b Im s and Im(c s) = b Re s + a Im s for c = a + ib,
+    and a phase has one of a, b nonzero.
+    """
+    real, imag = [], []
+    for j, (k, c) in enumerate(zip(columns.tolist(), phases.tolist())):
+        a, b = int(c.real), int(c.imag)
+        real.append((j, k, 0, a) if a else (j, k, 1, -b))
+        imag.append((j, k, 1, a) if a else (j, k, 0, b))
+    return tuple(real), tuple(imag)
 
 
 def _hermitian_generators(m):
@@ -124,20 +145,35 @@ def _check_shapes(rep, x, s):
     return x, s.reshape(s.shape[:1] + (1,) * (len(tail) + 1 - s.ndim) + s.shape[1:])  # s.ndim = 1 + len(tail)
 
 
-def clifford_mul(rep, x, s):
+def clifford_mul(rep, x, s, out=None, work=None):
     """Clifford multiplication x . s = sum_j x_j (e_j s).
 
     ``x`` has first axis m and ``s`` first axis N, the layout of collocation
     values; their trailing axes broadcast, so one vector can act on a batch
     of spinors, a batch of vectors on one spinor, or each point's vector on
-    its own spinor.  Each component x_j is a plane that multiplies the whole
-    permuted spinor e_j s.
+    its own spinor.
+
+    Runs per output component on real planes: the real or imaginary plane of
+    (x . s)_i is sum_j x_j c_(j,i) s_(p_j(i)) taken apart by ``rep.terms``,
+    m products x_j * (a plane of s) summed in generator order, so the sums
+    round as those of the complex products.  ``out`` (complex, N by the
+    broadcast trailing shape) receives the product and ``work`` (real, the
+    trailing shape) each later term; both are allocated when not given.
     """
     x, s = _check_shapes(rep, x, s)
-    phases = rep.phases.reshape(rep.phases.shape + (1,) * (s.ndim - 1))
-    out = x[0] * (phases[0] * s[rep.columns[0]])
-    for j in range(1, rep.m):
-        out += x[j] * (phases[j] * s[rep.columns[j]])
+    tail = np.broadcast_shapes(x.shape[1:], s.shape[1:])
+    out = np.empty((rep.N,) + tail, dtype=complex) if out is None else out
+    work = np.empty(tail) if work is None else work
+    planes = (s.real, s.imag)
+    for i, component in enumerate(rep.terms):
+        for target, terms in zip((out[i, ...].real, out[i, ...].imag), component):
+            j, k, r, sign = terms[0]
+            np.multiply(x[j], planes[r][k], out=target)
+            for j, k, r, term_sign in terms[1:]:  # summed with the first term's sign factored out
+                np.multiply(x[j], planes[r][k], out=work)
+                (np.add if term_sign == sign else np.subtract)(target, work, out=target)
+            if sign < 0:
+                np.negative(target, out=target)
     return out
 
 

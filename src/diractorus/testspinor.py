@@ -20,11 +20,21 @@ Everything is evaluated only on the cutoff's support box, the grid points
 with |y_j| < 2 delta on every axis (a quarter of the torus at delta = pi/4):
 the profile, its closed-form derivative, every quadrature sum, and the
 transforms of the samples and of the nonlinear term, which ``analyze`` takes
-on the box.  The eps-free chart geometry of the box (y, eta, grad eta) is
-computed once per (grid, center, delta) and shared, read-only, by every eps.
-No full-grid array is built unless ``samples`` is read.  Dual norms are
-measured on the cutoff-K Fourier coefficients, where the
+on the box.  The eps-free chart geometry of the box (y, |y|^2, eta,
+grad eta) is computed once per (grid, center, delta) and shared, read-only,
+by every eps.  No full-grid array is built unless ``samples`` is read.  Dual
+norms are measured on the cutoff-K Fourier coefficients, where the
 1/|sigma - lambda|^(1/2) weights concentrate the mass at low modes.
+
+Per eps, a build and a report allocate box-sized arrays only for what the
+returned field keeps: one block holding its box values, psi_eps and
+D psi_eps, and its coefficients.  The profile folds the eps scalings into
+its real planes and writes psi_eps and D psi_eps plane by plane
+(``_solution_and_dirac``).  Every scratch array, the profile's and the
+report's planes and ``analyze``'s spread and cropped arrays, is one of the
+box's ``Workspace``, cached with its geometry and reused from one eps to
+the next; none is returned, and no field is built on one.  A sweep then
+touches almost no fresh pages after its first eps.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ import numpy as np
 from .clifford import clifford_mul
 from .nonlinearity import critical_exponent, radial_integral
 from .spectral import dual_norm_eigen, omega_sphere
-from .torus import SpinorField, analyze, pointwise_modulus, pointwise_real_inner
+from .torus import SpinorField, Workspace, analyze, pointwise_real_inner
 
 
 class TestSpinorError(ValueError):
@@ -89,32 +99,79 @@ def cutoff_eta_prime(r, delta):
     return -du / delta
 
 
-def _solution_and_dirac(rep, x, psi0):
-    """``euclidean_solution`` and ``euclidean_dirac`` at the points x (first axis m), one spinor component at a time.
+def _weighted_sum(terms, out, work):
+    """out = the sum of a * plane over the (plane, a) in ``terms``; ``work`` holds each later term."""
+    (plane, a), *rest = terms
+    np.multiply(plane, a, out=out)
+    for plane, a in rest:
+        out += np.multiply(plane, a, out=work)
+    return out
 
-    Both share |x|^2, mu and x . psi_0, whose component i is
-    sum_j x_j (e_j psi_0)_i.  The values are shaped (N, ...), spinor axis
-    first, and every product runs on whole planes of points.
+
+def _solution_and_dirac(rep, y, eps, psi0, r2=None, workspace=None, out=None):
+    """psi_eps(y) = eps^(-(m-1)/2) psi(y/eps) and its closed-form D psi_eps, at the points y (first axis m).
+
+    With mu = eps^2 / (eps^2 + |y|^2), the value of mu at y/eps, the two
+    scalings fold into the real planes lead = eps^(-(m-1)/2) mu^(m/2) and
+    slope = -m eps^(-(m+1)/2) mu^(m/2+1) = -lead w, where w = (m/eps) mu.
+    With t = (y/eps) . psi_0, whose component i is sum_j y_j (e_j psi_0)_i
+    / eps over the monomial images e_j psi_0,
+
+        psi_eps = lead (psi_0 - t),
+        D psi_eps = slope (t + |y/eps|^2 psi_0) + (m/eps) lead psi_0,
+
+    the second the two derivative terms of ``euclidean_dirac``, not the
+    identity D psi = m mu psi.  Both are written into ``out`` (a complex
+    (2, N, ...) array, new when not given), spinor axis first, one real or
+    imaginary plane at a time, with no complex temporary and no separate
+    scaling pass.  A plane of t is a sum of y_j planes times the parts of
+    the images; a plane whose part of psi_0 vanishes skips the |y|^2 term,
+    one with no image skips t, and one with neither is zero (at m = 2,
+    component 0 is a real plane with no x-term, and component 1 has no
+    constant).  ``r2`` is |y|^2 when the caller has it, and the planes lead
+    and w come from ``workspace`` (a ``Workspace``, fresh when not given).
     """
     m = rep.m
-    sq = (x**2).sum(axis=0)
-    mu = 1.0 / (1.0 + sq)
-    images = clifford_mul(rep, np.eye(m), psi0[:, None])  # column j is e_j . psi_0
-    lead, slope = mu ** (m / 2.0), -m * mu ** (m / 2.0 + 1.0)
-    psi = np.empty((rep.N,) + x.shape[1:], dtype=complex)
-    dpsi = np.empty_like(psi)
+    shape = y.shape[1:]
+    r2 = (y**2).sum(axis=0) if r2 is None else r2
+    workspace = Workspace() if workspace is None else workspace
+    w, lead = (workspace.get(("plane", k), shape) for k in (0, 1))
+    np.divide(m * eps, np.add(r2, eps * eps, out=w), out=w)
+    np.power(w, m / 2.0, out=lead)
+    lead *= np.sqrt(eps) * m ** (-m / 2.0)  # eps^(-(m-1)/2) (eps w / m)^(m/2)
+    images = clifford_mul(rep, np.eye(m), psi0[:, None]) / eps  # column j is e_j . psi_0 / eps
+    psi, dpsi = np.empty((2, rep.N) + shape, dtype=complex) if out is None else out
     for i in range(rep.N):
-        xpsi0 = x[0] * images[i, 0]
-        for j in range(1, m):
-            xpsi0 += x[j] * images[i, j]
-        psi[i] = lead * (psi0[i] - xpsi0)
-        dpsi[i] = slope * (xpsi0 + sq * psi0[i]) + m * lead * psi0[i]
+        for part in ("real", "imag"):
+            p, d = getattr(psi[i, ...], part), getattr(dpsi[i, ...], part)
+            c = float(getattr(psi0[i], part))
+            terms = [(y[j], a) for j, a in enumerate(getattr(images[i], part)) if a != 0]
+            if terms:
+                _weighted_sum(terms, p, d)  # t
+            if c:  # d = w (t + c |y|^2 / eps^2)
+                np.multiply(r2, c / eps**2, out=d)
+                if terms:
+                    d += p
+                d *= w
+            elif terms:
+                np.multiply(p, w, out=d)
+            else:
+                p[...] = 0.0
+                d[...] = 0.0
+                continue
+            np.subtract(m * c / eps, d, out=d)
+            d *= lead
+            if terms:
+                np.subtract(c, p, out=p)
+                p *= lead
+            else:
+                np.multiply(lead, c, out=p)
     return psi, dpsi
 
 
 def euclidean_solution(rep, x, params):
     """psi(x) = mu^(m/2) (1 - x) . psi_0 at one or many points x (first axis m), shaped (N, ...)."""
-    return _solution_and_dirac(rep, np.asarray(x, dtype=float), params.direction(rep))[0]
+    return _solution_and_dirac(rep, np.asarray(x, dtype=float), 1.0, params.direction(rep))[0]
 
 
 def euclidean_dirac(rep, x, params):
@@ -125,7 +182,7 @@ def euclidean_dirac(rep, x, params):
     x . psi_0 + |x|^2 psi_0.  No use of the pointwise identity
     D psi = m mu psi, so this can cross-check it.
     """
-    return _solution_and_dirac(rep, np.asarray(x, dtype=float), params.direction(rep))[1]
+    return _solution_and_dirac(rep, np.asarray(x, dtype=float), 1.0, params.direction(rep))[1]
 
 
 def dirac_identity_fd_residual(rep, params, x, h):
@@ -152,43 +209,58 @@ def _chart_coordinates(grid, center):
 
 @lru_cache(maxsize=4)
 def _chart_geometry(grid, center, delta):
-    """The eps-free chart geometry of the cutoff's support box, read-only.
+    """The eps-free chart geometry of the cutoff's support box, read-only, and the workspace its eps share.
 
-    Returns ``(box, y, eta, grad_eta)``.  ``box`` holds, per axis, the grid
-    indices with |y_j| < 2 delta; outside the box eta and eta' vanish.  The
-    other arrays hold the chart coordinates, the cutoff and its gradient on
-    the box points; y and grad eta have the vector axis first, (m, ...), and
-    eta is one plane.  ``center`` is a tuple of floats or None, so
-    the arguments hash.
+    Returns ``(box, y, eta, grad_eta, r2, workspace)``.  ``box`` holds, per
+    axis, the grid indices with |y_j| < 2 delta; outside the box eta and eta'
+    vanish.  The next arrays hold the chart coordinates, the cutoff, its
+    gradient and |y|^2 on the box points; y and grad eta have the vector
+    axis first, (m, ...), and eta and r2 are planes.  ``workspace`` (a
+    ``Workspace``) holds the scratch arrays that a build and a report on
+    this box reuse from one eps to the next: the profile's and the report's
+    planes and ``analyze``'s spread and cropped arrays.  No returned array
+    and no field is built on them.  ``center`` is a tuple of floats or None,
+    so the arguments hash.
     """
     axes = _chart_coordinates(grid, center)
     box = tuple(np.flatnonzero(np.abs(a) < 2.0 * delta) for a in axes)
     y = np.stack(np.meshgrid(*(a[k] for a, k in zip(axes, box)), indexing="ij"))
-    r = np.sqrt((y**2).sum(axis=0))
+    r2 = (y**2).sum(axis=0)
+    r = np.sqrt(r2)
     eta = cutoff_eta(r, delta)
     rr = np.where(r > 0, r, 1.0)
     grad_eta = cutoff_eta_prime(r, delta) * y / rr
-    for a in (*box, y, eta, grad_eta):
+    for a in (*box, y, eta, grad_eta, r2):
         a.setflags(write=False)
-    return box, y, eta, grad_eta
+    return box, y, eta, grad_eta, r2, Workspace()
+
+
+def _chart(grid, params):
+    """``_chart_geometry`` of the box of ``params``; a center needs one coordinate per grid axis."""
+    if params.center is not None and len(params.center) != grid.m:
+        raise TestSpinorError(f"center must have {grid.m} coordinates, got {len(params.center)}")
+    center = None if params.center is None else tuple(float(c) for c in params.center)
+    return _chart_geometry(grid, center, float(params.delta))
 
 
 def _profile_values(grid, rep, params):
     """Exact samples of the cutoff rescaled solution on the cutoff's support box.
 
-    Returns ``(box, y, eta, grad_eta, psi_eps, dpsi_eps)``: the shared
-    geometry of ``_chart_geometry``, the rescaled solution on the box points
-    and its closed-form D psi_eps, both from one set of Euclidean terms at
-    y / eps.  A center needs one coordinate per grid axis.
+    Returns ``(box, y, eta, grad_eta, psi_eps, dpsi_eps, values)``: the
+    shared geometry of ``_chart_geometry``, the rescaled solution on the box
+    points and its closed-form D psi_eps, both written by
+    ``_solution_and_dirac`` with the eps scalings folded into its planes,
+    which it takes from the box's workspace, and the box values
+    eta psi_eps.  The last three are the arrays a field keeps, made as one
+    new (3, N, ...) block: a sweep frees and allocates one block per eps,
+    which the allocator hands back whole, where three separate arrays came
+    back as fresh pages at most eps.
     """
-    if params.center is not None and len(params.center) != grid.m:
-        raise TestSpinorError(f"center must have {grid.m} coordinates, got {len(params.center)}")
-    center = None if params.center is None else tuple(float(c) for c in params.center)
-    geometry = _chart_geometry(grid, center, float(params.delta))
-    psi, dpsi = _solution_and_dirac(rep, geometry[1] / params.eps, params.direction(rep))
-    psi_eps = params.eps ** (-(rep.m - 1) / 2.0) * psi
-    dpsi_eps = params.eps ** (-(rep.m + 1) / 2.0) * dpsi
-    return geometry + (psi_eps, dpsi_eps)
+    box, y, eta, grad_eta, r2, workspace = _chart(grid, params)
+    block = np.empty((3, rep.N) + eta.shape, dtype=complex)
+    psi_eps, dpsi_eps = _solution_and_dirac(rep, y, float(params.eps), params.direction(rep), r2, workspace, block[:2])
+    values = np.multiply(eta, psi_eps, out=block[2])
+    return box, y, eta, grad_eta, psi_eps, dpsi_eps, values
 
 
 class TestSpinorField(SpinorField):
@@ -216,18 +288,26 @@ def build_test_spinor(grid, rep, params):
     same on the full grid, built when read), ``params``, ``profile`` (the
     support-box arrays ``(box, y, eta, grad_eta, psi_eps, dpsi_eps)`` the
     values were built from) and ``resolution_warning`` (grid coarser than eight
-    points per concentration scale).  Only the box is transformed.
+    points per concentration scale).  Only the box is transformed, through
+    the spread and cropped arrays of the box's workspace.  The field's own
+    arrays (its box values, psi_eps, D psi_eps and coefficients) are the
+    only ones a build allocates at the size of the box.
     """
     if grid.m != rep.m:
         raise TestSpinorError("grid and representation dimensions differ")
-    box, y, eta, grad_eta, psi_eps, _ = profile = _profile_values(grid, rep, params)
-    values = eta * psi_eps
-    psi = TestSpinorField(grid, analyze(grid, values, support=box))
+    *profile, values = _profile_values(grid, rep, params)
+    box = profile[0]
+    psi = TestSpinorField(grid, analyze(grid, values, support=box, workspace=_chart(grid, params)[-1]))
     psi.box_values = values
     psi.params = params
-    psi.profile = profile
+    psi.profile = tuple(profile)
     psi.resolution_warning = bool(grid.n_grid < 8.0 * (2.0 * np.pi / params.eps))
     return psi
+
+
+def _parts(values, i):
+    """The real and imaginary planes of component i of complex values."""
+    return values[i, ...].real, values[i, ...].imag
 
 
 def energy_report(table, sp, psi, params=None):
@@ -244,6 +324,19 @@ def energy_report(table, sp, psi, params=None):
     D phi), and the nonlinear term is transformed on the field's box; the
     full grid is filled only when the box of ``params`` differs from the
     field's.
+
+    rho = |phi|^2 is formed once, and l2^2 = sum rho, l2star^2* =
+    sum rho^((2*-2)/2) rho and the nonlinear weight rho^((2*-2)/2) are read
+    off it, not off a square root raised to powers; every sum is a plane
+    sum, not a BLAS dot, so it does not depend on the BLAS thread count.
+    Every box-sized array of the report comes from the field's workspace
+    (``_chart_geometry``): the planes rho and weight, a product temporary,
+    and one spinor array that holds D phi (``clifford_mul`` into it) and
+    then the nonlinear term, which is handed to ``analyze`` to consume on
+    the same workspace.  sigma a sits in a workspace row while R's
+    transforms run.  A report on the field's own parameters allocates only
+    mode-sized arrays: the eigen coordinates, the nonlinear term's
+    coefficients and their transforms.
     """
     grid = psi.grid
     rep = table.rep
@@ -251,28 +344,43 @@ def energy_report(table, sp, psi, params=None):
     if params is psi.params:
         box, _, eta, grad_eta, psi_eps, dpsi_eps = psi.profile
     else:
-        box, _, eta, grad_eta, psi_eps, dpsi_eps = _profile_values(grid, rep, params)
+        box, _, eta, grad_eta, psi_eps, dpsi_eps, _ = _profile_values(grid, rep, params)
     own = psi.profile[0]
+    work = _chart(grid, psi.params)[-1]
     phi = psi.box_values
     ts = critical_exponent(grid.m)
     cell = grid.cell
-    s = pointwise_modulus(phi)
-    l2_sq = float(cell * (s**2).sum())
-    l2star_pow = float(cell * (s**ts).sum())
+    plane = phi.shape[1:]
+    rho, weight, tmp = (work.get(("plane", k), plane) for k in range(3))
+    pointwise_real_inner(phi, phi, out=rho, work=tmp)
+    np.power(rho, (ts - 2.0) / 2.0, out=weight)  # rho^((2*-2)/2) = |phi|^(2*-2)
+    l2_sq = float(cell * rho.sum())
+    l2star_pow = float(cell * np.multiply(weight, rho, out=tmp).sum())
 
-    # Exact D phi = grad(eta) . psi_eps + eta D psi_eps in the chart.
-    dphi = clifford_mul(rep, grad_eta, psi_eps) + eta * dpsi_eps
+    # Exact D phi = grad(eta) . psi_eps + eta D psi_eps in the chart; rho is
+    # spent, and its plane takes the pairing of D phi with phi
+    pairing, tmp = (work.get(("plane", k), eta.shape) for k in (0, 2))
+    dphi = clifford_mul(rep, grad_eta, psi_eps, out=work.get("spinor", psi_eps.shape, complex), work=tmp)
+    for i in range(rep.N):
+        for target, source in zip(_parts(dphi, i), _parts(dpsi_eps, i)):
+            target += np.multiply(eta, source, out=tmp)
     same_box = all(np.array_equal(a, b) for a, b in zip(box, own))
     phi_box = phi if same_box else psi.samples[(slice(None),) + np.ix_(*box)]
-    dirac_energy = float(cell * pointwise_real_inner(dphi, phi_box).sum())
+    dirac_energy = float(cell * pointwise_real_inner(dphi, phi_box, out=pairing, work=tmp).sum())
     free_energy = 0.5 * dirac_energy - l2star_pow / ts
 
+    nonlinear = work.get("spinor", phi.shape, complex)  # D phi's array when the boxes agree
+    for i in range(rep.N):
+        for target, source in zip(_parts(nonlinear, i), _parts(phi, i)):
+            np.multiply(weight, source, out=target)
     a = table.to_eigen(psi.coeffs)
-    nonlinear = s ** (ts - 2.0) * phi
-    resid = table.eigenvalues * a - table.to_eigen(analyze(grid, nonlinear, support=own))
-    dual_phi, dual_resid = dual_norm_eigen(sp, a), dual_norm_eigen(sp, resid)
+    dual_phi = dual_norm_eigen(sp, a)
     # Spectral Dirac energy of the band-limited field, as a cross-check.
     dirac_spectral = float(grid.volume * (table.eigenvalues * (a.real**2 + a.imag**2)).sum())
+    resid = np.multiply(table.eigenvalues, a, out=work.get("modes", a.shape, complex))
+    del a  # only sigma a is read on; the nonlinear term's transforms need the room
+    resid -= table.to_eigen(analyze(grid, nonlinear, support=own, overwrite=True, workspace=work))
+    dual_resid = dual_norm_eigen(sp, resid)
 
     return {
         "eps": float(params.eps),

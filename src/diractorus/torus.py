@@ -36,7 +36,10 @@ Analysis also takes values given only on a box of grid points (``support``:
 one index array per grid axis), for fields that vanish off a compact support.
 Before each axis's FFT it zero-fills that axis from its support to n, so the
 zero cube outside the box is never built; the lines it transforms are those
-of the full cube, so the output is the same.
+of the full cube, so the output is the same.  The spread and cropped arrays
+of that path come from a ``Workspace``: a caller that transforms one box
+again and again (the concentration sweep) passes its own and reuses them,
+so no call after the first touches a fresh page for them.
 
 Every FFT runs in place (``out=`` its input) when its input is an array
 the transform made itself: the synthesis gather, a padded, spread or cropped
@@ -53,6 +56,7 @@ on top of the grid reproducible across runs.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,6 +219,32 @@ def zero_field(grid, N):
     return SpinorField(grid, np.zeros((N, grid.n_modes), dtype=complex))
 
 
+class Workspace(threading.local):
+    """Scratch arrays kept by name for reuse from one call to the next; each thread sees its own.
+
+    ``get`` hands back the array last made under a name when its shape and
+    dtype still match, and makes a new one otherwise.  Its contents are
+    whatever its last user left there.  A function that takes a workspace
+    writes its arrays before reading them, returns none of them and builds
+    no result on them.
+    """
+
+    def __init__(self):
+        self.arrays = {}
+
+    def get(self, name, shape, dtype=float):
+        arr = self.arrays.get(name)
+        if arr is None or arr.shape != tuple(shape) or arr.dtype != dtype:
+            arr = self.arrays[name] = np.empty(shape, dtype=dtype)
+        return arr
+
+
+def _runs(index):
+    """(first position in ``index``, first grid index, length) of each run of consecutive grid indices."""
+    cuts = (0, *(np.flatnonzero(np.diff(index) != 1) + 1), len(index))
+    return [(lo, int(index[lo]), hi - lo) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
+
+
 def _pad_axis(box, axis, n, K):
     """Zero-pad one FFT-ordered axis of a mode box from 2K + 1 to n entries."""
     shape = list(box.shape)
@@ -226,28 +256,32 @@ def _pad_axis(box, axis, n, K):
     return out
 
 
-def _crop_axis(cube, axis, n, K):
-    """Keep the 2K + 1 mode slabs [0..K, n-K..n-1] of one transformed axis."""
+def _crop_axis(cube, axis, n, K, workspace=None):
+    """Keep the 2K + 1 mode slabs [0..K, n-K..n-1] of one transformed axis, in an array of ``workspace`` if given."""
     head = (slice(None),) * axis
+    shape = cube.shape[:axis] + (2 * K + 1,) + cube.shape[axis + 1:]
+    out = None if workspace is None else workspace.get(("crop", axis), shape, complex)
     return np.concatenate(
-        (cube[head + (slice(0, K + 1),)], cube[head + (slice(n - K, n),)]), axis=axis
+        (cube[head + (slice(0, K + 1),)], cube[head + (slice(n - K, n),)]), axis=axis, out=out
     )
 
 
-def _spread_axis(vals, axis, n, index):
-    """Zero-fill one axis from the grid indices ``index`` to all n grid points.
+def _spread_axis(vals, axis, n, index, workspace):
+    """Zero-fill one axis from the grid indices ``index`` to all n grid points, in an array of ``workspace``.
 
-    Copies each run of consecutive indices as one slice; a fancy-indexed
-    scatter along an inner axis is about three times slower.
+    Copies each run of consecutive indices as one slice, and zeroes each run
+    between them; a fancy-indexed scatter along an inner axis is about three
+    times slower.  The array is the workspace's, reused from the last call
+    with the same shape, so every point of it is written here.
     """
-    shape = list(vals.shape)
-    shape[axis] = n
-    out = np.zeros(shape, dtype=complex)
+    out = workspace.get(("spread", axis), vals.shape[:axis] + (n,) + vals.shape[axis + 1:], complex)
     head = (slice(None),) * axis
-    cuts = (0, *(np.flatnonzero(np.diff(index) != 1) + 1), len(index))
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi > lo:  # an empty support has one empty run
-            out[head + (slice(index[lo], index[lo] + hi - lo),)] = vals[head + (slice(lo, hi),)]
+    gaps = np.ones(n, dtype=bool)
+    gaps[index] = False
+    for _, start, length in _runs(np.flatnonzero(gaps)):
+        out[head + (slice(start, start + length),)] = 0.0
+    for lo, start, length in _runs(index):
+        out[head + (slice(start, start + length),)] = vals[head + (slice(lo, lo + length),)]
     return out
 
 
@@ -271,7 +305,7 @@ def synthesize(grid, coeffs):
     return vals
 
 
-def analyze(grid, values, support=None, overwrite=False):
+def analyze(grid, values, support=None, overwrite=False, workspace=None):
     """Project collocation values, shape (N, n, ..., n), onto the |k_j| <= K mode cube.
 
     Exact inverse of ``synthesize`` for band-limited data; otherwise it is the
@@ -285,23 +319,32 @@ def analyze(grid, values, support=None, overwrite=False):
     ``values`` holds only the box ``cube[(slice(None),) + np.ix_(*support)]``
     of a field cube that vanishes elsewhere; each axis is zero-filled from its
     support to n just before its FFT.  The result equals ``analyze`` of the
-    scattered full cube.
+    scattered full cube.  The spread and cropped arrays of this path are those
+    of ``workspace`` (a ``Workspace``, fresh when not given), and every FFT
+    runs in place on them: a caller that passes the same workspace again
+    allocates only the returned coefficients.  ``values`` is only read.
 
     With ``overwrite`` the caller hands over ``values`` to be consumed: its
     first FFT runs in place on them, and they hold no field afterwards.
     Without it the caller's array is never written.
     """
     n, K = grid.n_grid, grid.K
-    vals = np.asarray(values, dtype=complex)
-    # handed over, a spread axis or a converted copy is the transform's own; the caller's array is not
-    own = overwrite or support is not None or (vals is not values and vals.base is None)
+    if support is not None:
+        # each axis is spread into the workspace before its FFT, so every FFT runs in place there
+        vals, own = np.asarray(values), True
+        workspace = Workspace() if workspace is None else workspace
+    else:
+        vals = np.asarray(values, dtype=complex)
+        # handed over or a converted copy is the transform's own; the caller's array is not
+        own = overwrite or (vals is not values and vals.base is None)
+        workspace = None  # the solver path's crops are its own temporaries
     for axis in range(grid.m, 0, -1):
         if support is not None:
-            vals = _spread_axis(vals, axis, n, support[axis - 1])
+            vals = _spread_axis(vals, axis, n, support[axis - 1], workspace)
         vals = np.fft.fft(vals, axis=axis, norm="forward", out=vals if own else None)
         own = True
         if axis > 1:
-            vals = _crop_axis(vals, axis, n, K)
+            vals = _crop_axis(vals, axis, n, K, workspace)
     return np.take(vals.reshape(len(vals), -1), grid.analyze_rows, axis=1)
 
 
@@ -335,7 +378,7 @@ def l2_norm(a):
     return float(np.sqrt(a.grid.volume) * np.linalg.norm(a.coeffs))
 
 
-def pointwise_real_inner(a, b):
+def pointwise_real_inner(a, b, out=None, work=None):
     """Re <a(x), b(x)> over the spinor axis: the first axis of ``a``, the same axis counted from the end of ``b``.
 
     ``b`` may stack several fields on leading axes, and the result stacks
@@ -343,7 +386,9 @@ def pointwise_real_inner(a, b):
     order re_0, im_0, re_1, im_1, ...: as fast at n = 66, and a fifth
     faster at n = 130, as one product of real views followed by a sum over
     their interleaved (re, im) columns, and its plane needs no broadcast.
-    Complex or real, contiguous or not.
+    Complex or real, contiguous or not.  ``out`` receives the result and
+    ``work``, an array of the same shape, each later product; both are
+    allocated when not given.
     """
     a, b = np.asarray(a), np.asarray(b)
     if np.iscomplexobj(a) != np.iscomplexobj(b):  # a real factor pairs with the other's real part only
@@ -351,9 +396,9 @@ def pointwise_real_inner(a, b):
     parts = ((a.real, b.real), (a.imag, b.imag)) if np.iscomplexobj(a) else ((a, b),)
     lead = (slice(None),) * (b.ndim - a.ndim)  # the fields b stacks, before its spinor axis
     terms = [(x[i], y[lead + (i,)]) for i in range(len(a)) for x, y in parts]
-    out = terms[0][0] * terms[0][1]
+    out = np.multiply(*terms[0], out=out)
     for x, y in terms[1:]:
-        out += x * y
+        out += np.multiply(x, y, out=work)
     return out
 
 

@@ -12,6 +12,7 @@ from diractorus.testspinor import (
     TestSpinorError,
     TestSpinorParams,
     _chart_geometry,
+    _profile_values,
     asymptotic_fit,
     build_test_spinor,
     cutoff_eta,
@@ -23,7 +24,7 @@ from diractorus.testspinor import (
     omega_identity_residual,
     radial_mass_ratio,
 )
-from diractorus.torus import pointwise_modulus
+from diractorus.torus import make_grid, pointwise_modulus
 
 
 def test_params_validation():
@@ -69,6 +70,22 @@ def test_closed_form_dirac_matches_pointwise_identity(m):
         psi = euclidean_solution(rep, x, params)
         power = np.linalg.norm(psi) ** (2.0 / (m - 1.0))
         assert np.abs(lhs - power * psi).max() < 1e-12
+
+
+@pytest.mark.parametrize("m, K", [(2, 12), (3, 6), (4, 3)])
+def test_profile_folds_the_eps_scaling_into_its_planes(m, K):
+    # psi_eps and D psi_eps come from planes with eps^(-(m-1)/2) and
+    # eps^(-(m+1)/2) folded in; they must be the rescaled Euclidean values
+    grid, rep = make_grid(m, K), build_rep(m)
+    for eps in (0.3, 0.07):
+        params = TestSpinorParams(eps=eps)
+        _, y, eta, _, psi_eps, dpsi_eps, values = _profile_values(grid, rep, params)
+        want = eps ** (-(m - 1) / 2.0) * euclidean_solution(rep, y / eps, params)
+        assert np.abs(psi_eps - want).max() <= 1e-14 * np.abs(want).max()
+        want = eps ** (-(m + 1) / 2.0) * euclidean_dirac(rep, y / eps, params)
+        assert np.abs(dpsi_eps - want).max() <= 1e-14 * np.abs(want).max()
+        # the box values are the cut-off samples, in the same allocation
+        assert np.array_equal(values, eta * psi_eps)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -143,6 +160,34 @@ GOLDEN_REPORTS = {
         "resolution_flag": True,
     },
 }
+
+
+# energy_report at m = 3, K = 6, n = 48, lambda = 0.5, eps = 0.3, recorded
+# before the eps scaling was folded into the profile's planes
+GOLDEN_REPORT_M3 = {
+    "l2": 4.205752877431966,
+    "l2_sq": 17.68835726602726,
+    "l2star": 4.004626293397166,
+    "l2star_pow": 64.22231901316582,
+    "dirac_energy": 64.44302208863637,
+    "dirac_energy_spectral": 54.660837954274406,
+    "free_energy": 10.814071373262912,
+    "dual_norm_phi": 2.6942904571419475,
+    "dual_norm_residual": 2.429647241232717,
+    "resolution_flag": True,
+}
+
+
+def test_energy_report_golden_m3():
+    table = assemble(3, 6, n_grid=48)
+    psi = build_test_spinor(table.grid, table.rep, TestSpinorParams(eps=0.3))
+    rec = energy_report(table, split(table, 0.5), psi)
+    assert rec["eps"] == 0.3
+    for name, want in GOLDEN_REPORT_M3.items():
+        if isinstance(want, bool):
+            assert rec[name] is want, name
+        else:
+            assert abs(rec[name] - want) <= 1e-12 * abs(want), name
 
 
 @pytest.mark.parametrize("eps", sorted(GOLDEN_REPORTS))
@@ -292,7 +337,9 @@ def test_spectral_vs_exact_dirac_energy(table48):
 
 def test_concentration_report_builds_no_full_grid_cube(table48):
     # one 512^2 x 2 complex cube is 8 MiB; a report that fills the full grid
-    # for its samples and its nonlinear term peaks above three of them
+    # for its samples and its nonlinear term peaks above three of them.  The
+    # cold peak, about 21 MiB, is the box geometry, the box's workspace
+    # (kept for the next eps) and the field; one full-grid cube more fails
     sp = split(table48, 0.5)
     params = TestSpinorParams(eps=0.05)
     _chart_geometry.cache_clear()  # count the shared geometry too
@@ -304,6 +351,53 @@ def test_concentration_report_builds_no_full_grid_cube(table48):
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def _field_bytes(psi):
+    # one allocation holds the box values, psi_eps and D psi_eps
+    return psi.box_values.base.nbytes + psi.coeffs.nbytes
+
+
+def test_a_warm_report_allocates_only_its_field(table48):
+    # after one report on the box, the next eps reuses the workspace of the
+    # box: spread, cropped and profile arrays, report planes.  The build
+    # traces the new field's own arrays, and no scratch array of 256 KiB or
+    # more (a profile plane is 0.5 MiB here); the report adds only the
+    # mode-sized temporaries of the eigen transforms (about 0.9 MiB), not
+    # the 9.8 MiB of box-sized temporaries a report traced when each eps
+    # made its own
+    sp = split(table48, 0.5)
+    params = TestSpinorParams(eps=0.05)
+    first = build_test_spinor(table48.grid, table48.rep, TestSpinorParams(eps=0.07))
+    energy_report(table48, sp, first)
+    tracemalloc.start()
+    try:
+        psi = build_test_spinor(table48.grid, table48.rep, params)
+        _, build_peak = tracemalloc.get_traced_memory()
+        energy_report(table48, sp, psi, params=params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert psi.box_values.base is psi.profile[4].base is psi.profile[5].base
+    assert build_peak < _field_bytes(psi) + 2**18, f"build traced {build_peak / 2**20:.2f} MiB"
+    assert peak <= _field_bytes(psi) + 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+
+
+def test_fields_built_back_to_back_keep_their_own_arrays(table48):
+    # the workspace's arrays are reused from one eps to the next; a field
+    # built on them would change under the next build
+    grid, rep = table48.grid, table48.rep
+    sp = split(table48, 0.5)
+    built = [build_test_spinor(grid, rep, TestSpinorParams(eps=eps)) for eps in (0.1, 0.05)]
+    reports = [energy_report(table48, sp, psi) for psi in built]
+    _chart_geometry.cache_clear()  # fresh builds on a fresh workspace
+    for psi, report in zip(built, reports):
+        fresh = build_test_spinor(grid, rep, psi.params)
+        assert np.array_equal(psi.box_values, fresh.box_values)
+        assert np.array_equal(psi.coeffs, fresh.coeffs)
+        for got, want in zip(psi.profile[4:], fresh.profile[4:]):
+            assert np.array_equal(got, want)
+        assert energy_report(table48, sp, fresh) == report
 
 
 def test_omega_identity():
