@@ -31,10 +31,13 @@ returned field keeps: one block holding its box values, psi_eps and
 D psi_eps, and its coefficients.  The profile folds the eps scalings into
 its real planes and writes psi_eps and D psi_eps plane by plane
 (``_solution_and_dirac``).  Every scratch array, the profile's and the
-report's planes and ``analyze``'s spread and cropped arrays, is one of the
-box's ``Workspace``, cached with its geometry and reused from one eps to
-the next; none is returned, and no field is built on one.  A sweep then
-touches almost no fresh pages after its first eps.
+report's planes and ``analyze``'s intermediates, is one of the box's
+``Workspace``, cached with its geometry and reused from one eps to the
+next; none is returned, and no field is built on one.  The workspace also
+keeps ``analyze``'s real DFT rows of the box and its gather tables, built
+at the first eps.  A sweep then touches almost no fresh pages after its
+first eps, and its box transforms run no FFT: each is two dgemms and a few
+gathers at m = 2.
 """
 
 from __future__ import annotations
@@ -218,9 +221,10 @@ def _chart_geometry(grid, center, delta):
     axis first, (m, ...), and eta and r2 are planes.  ``workspace`` (a
     ``Workspace``) holds the scratch arrays that a build and a report on
     this box reuse from one eps to the next: the profile's and the report's
-    planes and ``analyze``'s spread and cropped arrays.  No returned array
-    and no field is built on them.  ``center`` is a tuple of floats or None,
-    so the arguments hash.
+    planes and ``analyze``'s intermediates; it also keeps ``analyze``'s real
+    DFT rows of the box and its gather tables, so they are built once per
+    box.  No returned array and no field is built on them.  ``center`` is a
+    tuple of floats or None, so the arguments hash.
     """
     axes = _chart_coordinates(grid, center)
     box = tuple(np.flatnonzero(np.abs(a) < 2.0 * delta) for a in axes)
@@ -288,8 +292,8 @@ def build_test_spinor(grid, rep, params):
     same on the full grid, built when read), ``params``, ``profile`` (the
     support-box arrays ``(box, y, eta, grad_eta, psi_eps, dpsi_eps)`` the
     values were built from) and ``resolution_warning`` (grid coarser than eight
-    points per concentration scale).  Only the box is transformed, through
-    the spread and cropped arrays of the box's workspace.  The field's own
+    points per concentration scale).  Only the box is transformed, by
+    ``analyze``'s pruned real DFT on the box's workspace.  The field's own
     arrays (its box values, psi_eps, D psi_eps and coefficients) are the
     only ones a build allocates at the size of the box.
     """
@@ -328,12 +332,15 @@ def energy_report(table, sp, psi, params=None):
     rho = |phi|^2 is formed once, and l2^2 = sum rho, l2star^2* =
     sum rho^((2*-2)/2) rho and the nonlinear weight rho^((2*-2)/2) are read
     off it, not off a square root raised to powers; every sum is a plane
-    sum, not a BLAS dot, so it does not depend on the BLAS thread count.
-    Every box-sized array of the report comes from the field's workspace
-    (``_chart_geometry``): the planes rho and weight, a product temporary,
-    and one spinor array that holds D phi (``clifford_mul`` into it) and
-    then the nonlinear term, which is handed to ``analyze`` to consume on
-    the same workspace.  sigma a sits in a workspace row while R's
+    sum, not a BLAS dot.  The box transforms of the build and of the
+    nonlinear term are dgemms, whose rounding could depend on the BLAS
+    thread count; at K = 48 the seven reports of criterion 4 come out
+    bitwise equal at one and two OpenBLAS threads, and a test holds them
+    to 1e-14.  Every box-sized array of the report comes from the field's
+    workspace (``_chart_geometry``): the planes rho and weight, a product
+    temporary, and one spinor array that holds D phi (``clifford_mul`` into
+    it) and then the nonlinear term, which ``analyze`` reads on the same
+    workspace.  sigma a sits in a workspace row while R's
     transforms run.  A report on the field's own parameters allocates only
     mode-sized arrays: the eigen coordinates, the nonlinear term's
     coefficients and their transforms.
@@ -379,7 +386,7 @@ def energy_report(table, sp, psi, params=None):
     dirac_spectral = float(grid.volume * (table.eigenvalues * (a.real**2 + a.imag**2)).sum())
     resid = np.multiply(table.eigenvalues, a, out=work.get("modes", a.shape, complex))
     del a  # only sigma a is read on; the nonlinear term's transforms need the room
-    resid -= table.to_eigen(analyze(grid, nonlinear, support=own, overwrite=True, workspace=work))
+    resid -= table.to_eigen(analyze(grid, nonlinear, support=own, workspace=work))
     dual_resid = dual_norm_eigen(sp, resid)
 
     return {

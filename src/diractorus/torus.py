@@ -34,16 +34,19 @@ plain sum over modes, and neither transform makes a separate scaling pass.
 
 Analysis also takes values given only on a box of grid points (``support``:
 one index array per grid axis), for fields that vanish off a compact support.
-Before each axis's FFT it zero-fills that axis from its support to n, so the
-zero cube outside the box is never built; the lines it transforms are those
-of the full cube, so the output is the same.  The spread and cropped arrays
-of that path come from a ``Workspace``: a caller that transforms one box
-again and again (the concentration sweep) passes its own and reuses them,
-so no call after the first touches a fresh page for them.
+That path runs no FFT.  On such a box most of each full-length line is zero
+and only 2K + 1 of its outputs are kept, so a dense pruned DFT (Markel 1971;
+Sorensen and Burrus 1993) beats the padded FFT: each axis is contracted with
+its real cos and sin rows by one dgemm on the float view of the box, and the
+modes are gathered from the resulting (2K + 1)^m row cube.  The rows, the
+gather tables and the intermediates come from a ``Workspace``: a caller
+that transforms one box again and again (the concentration sweep) passes
+its own, so the rows are built once per box and no call after the first
+touches a fresh page for them.
 
 Every FFT runs in place (``out=`` its input) when its input is an array
-the transform made itself: the synthesis gather, a padded, spread or cropped
-axis, an earlier FFT's output, or a copy ``analyze`` made to convert real
+the transform made itself: the synthesis gather, a padded or cropped axis,
+an earlier FFT's output, or a copy ``analyze`` made to convert real
 values.  On large grids the page faults of a fresh output array cost more
 than the transform itself.  The caller's array is never written unless the
 caller hands it over (``analyze``'s ``overwrite``, for the temporaries of an
@@ -220,17 +223,20 @@ def zero_field(grid, N):
 
 
 class Workspace(threading.local):
-    """Scratch arrays kept by name for reuse from one call to the next; each thread sees its own.
+    """Scratch arrays kept by name for reuse from one call to the next, and read-only tables; each thread sees its own.
 
     ``get`` hands back the array last made under a name when its shape and
     dtype still match, and makes a new one otherwise.  Its contents are
     whatever its last user left there.  A function that takes a workspace
     writes its arrays before reading them, returns none of them and builds
-    no result on them.
+    no result on them.  ``table`` hands back what ``make()`` built the first
+    time its key was asked for (the key names everything the table depends
+    on), so a table is built once per workspace.
     """
 
     def __init__(self):
         self.arrays = {}
+        self.tables = {}
 
     def get(self, name, shape, dtype=float):
         arr = self.arrays.get(name)
@@ -238,11 +244,50 @@ class Workspace(threading.local):
             arr = self.arrays[name] = np.empty(shape, dtype=dtype)
         return arr
 
+    def table(self, key, make):
+        if key not in self.tables:
+            self.tables[key] = make()
+        return self.tables[key]
 
-def _runs(index):
-    """(first position in ``index``, first grid index, length) of each run of consecutive grid indices."""
-    cuts = (0, *(np.flatnonzero(np.diff(index) != 1) + 1), len(index))
-    return [(lo, int(index[lo]), hi - lo) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
+
+def _dft_rows(n, K, index):
+    """Real DFT rows of one support axis, stored transposed, (len(index), 2K + 1): cos(2 pi k j / n) / n for k = 0..K, then sin for k = 1..K.
+
+    Each angle is taken from r = k j mod n and split into a whole number of
+    quarter turns and a rest x with |x| <= pi/4, whose cosine and sine are
+    rotated into place; every entry is then correct to about an ulp at any n.
+    """
+    r = index[:, None] * np.arange(K + 1) % n
+    quarter = (8 * r + n) // (2 * n)  # the nearest whole number of quarter turns to 2 pi r / n
+    x = (4 * r - quarter * n) * (np.pi / (2 * n))
+    c, s, turn = np.cos(x), np.sin(x), quarter % 4
+    cos, sin = np.choose(turn, (c, -s, -c, s)), np.choose(turn, (s, c, -s, -c))
+    rows = np.concatenate((cos, sin[:, 1:]), axis=1) / n
+    rows.setflags(write=False)
+    return rows
+
+
+def _fold_rows(grid):
+    """Per choice of a cos or a sin row on every axis, where each mode's real and imaginary parts read the row cube, and their signs.
+
+    On each axis mode k reads row |k_j| with weight 1, or row K + |k_j| with
+    weight -i sgn k_j: e^{-i k x} = cos(|k| x) - i sgn(k) sin(|k| x).  At
+    k_j = 0 the sin choice reads row K with weight 0.  The row cube holds
+    its real plane, then its imaginary one, each (2K + 1)^m in axis order,
+    and the (N, n_modes) result is read as floats, real and imaginary part
+    of each mode in turn.  A choice of p sin rows has the weight (-i)^p
+    times the product of the signs: for odd p it is imaginary and swaps
+    the parts it reads.  The all-cos choice, weight 1, comes first.
+    """
+    K, m, size, sign = grid.K, grid.m, np.abs(grid.modes), np.sign(grid.modes)
+    plane, folds = (2 * K + 1) ** m, []
+    for sines in np.ndindex((2,) * m):
+        p = sum(sines)
+        rows = np.ravel_multi_index(tuple(size.T + K * np.array(sines)[:, None]), (2 * K + 1,) * m)
+        # (-i)^p = 1, -i, -1, i turns (a, b) into (a, b), (b, -a), (-a, -b), (-b, a)
+        factor = np.prod(sign[:, np.flatnonzero(sines)], axis=1)[:, None] * ((1, 1), (1, -1), (-1, -1), (-1, 1))[p % 4]
+        folds.append(((rows[:, None] + plane * np.array([p % 2, 1 - p % 2])).ravel(), factor.ravel()))
+    return folds
 
 
 def _pad_axis(box, axis, n, K):
@@ -256,33 +301,12 @@ def _pad_axis(box, axis, n, K):
     return out
 
 
-def _crop_axis(cube, axis, n, K, workspace=None):
-    """Keep the 2K + 1 mode slabs [0..K, n-K..n-1] of one transformed axis, in an array of ``workspace`` if given."""
+def _crop_axis(cube, axis, n, K):
+    """Keep the 2K + 1 mode slabs [0..K, n-K..n-1] of one transformed axis."""
     head = (slice(None),) * axis
-    shape = cube.shape[:axis] + (2 * K + 1,) + cube.shape[axis + 1:]
-    out = None if workspace is None else workspace.get(("crop", axis), shape, complex)
     return np.concatenate(
-        (cube[head + (slice(0, K + 1),)], cube[head + (slice(n - K, n),)]), axis=axis, out=out
+        (cube[head + (slice(0, K + 1),)], cube[head + (slice(n - K, n),)]), axis=axis
     )
-
-
-def _spread_axis(vals, axis, n, index, workspace):
-    """Zero-fill one axis from the grid indices ``index`` to all n grid points, in an array of ``workspace``.
-
-    Copies each run of consecutive indices as one slice, and zeroes each run
-    between them; a fancy-indexed scatter along an inner axis is about three
-    times slower.  The array is the workspace's, reused from the last call
-    with the same shape, so every point of it is written here.
-    """
-    out = workspace.get(("spread", axis), vals.shape[:axis] + (n,) + vals.shape[axis + 1:], complex)
-    head = (slice(None),) * axis
-    gaps = np.ones(n, dtype=bool)
-    gaps[index] = False
-    for _, start, length in _runs(np.flatnonzero(gaps)):
-        out[head + (slice(start, start + length),)] = 0.0
-    for lo, start, length in _runs(index):
-        out[head + (slice(start, start + length),)] = vals[head + (slice(lo, lo + length),)]
-    return out
 
 
 def synthesize(grid, coeffs):
@@ -317,35 +341,62 @@ def analyze(grid, values, support=None, overwrite=False, workspace=None):
 
     With ``support`` (one array of distinct grid indices per grid axis),
     ``values`` holds only the box ``cube[(slice(None),) + np.ix_(*support)]``
-    of a field cube that vanishes elsewhere; each axis is zero-filled from its
-    support to n just before its FFT.  The result equals ``analyze`` of the
-    scattered full cube.  The spread and cropped arrays of this path are those
-    of ``workspace`` (a ``Workspace``, fresh when not given), and every FFT
-    runs in place on them: a caller that passes the same workspace again
-    allocates only the returned coefficients.  ``values`` is only read.
+    of a field cube that vanishes elsewhere, and no FFT runs: the box is
+    contracted with the real DFT rows of each support axis (``_box_modes``).
+    The result equals ``analyze`` of the scattered full cube to rounding.
+    That path takes its rows, its intermediates and its gather tables from
+    ``workspace`` (a ``Workspace``, fresh when not given): a caller that
+    passes the same workspace again allocates only the returned
+    coefficients.  ``values`` is only read.
 
-    With ``overwrite`` the caller hands over ``values`` to be consumed: its
-    first FFT runs in place on them, and they hold no field afterwards.
-    Without it the caller's array is never written.
+    With ``overwrite`` the caller hands over full-grid ``values`` to be
+    consumed: its first FFT runs in place on them, and they hold no field
+    afterwards.  Without it the caller's array is never written.  The flag
+    means nothing on a support box, which is never written.
     """
-    n, K = grid.n_grid, grid.K
     if support is not None:
-        # each axis is spread into the workspace before its FFT, so every FFT runs in place there
-        vals, own = np.asarray(values), True
-        workspace = Workspace() if workspace is None else workspace
-    else:
-        vals = np.asarray(values, dtype=complex)
-        # handed over or a converted copy is the transform's own; the caller's array is not
-        own = overwrite or (vals is not values and vals.base is None)
-        workspace = None  # the solver path's crops are its own temporaries
+        return _box_modes(grid, values, support, Workspace() if workspace is None else workspace)
+    n, K = grid.n_grid, grid.K
+    vals = np.asarray(values, dtype=complex)
+    # handed over or a converted copy is the transform's own; the caller's array is not
+    own = overwrite or (vals is not values and vals.base is None)
     for axis in range(grid.m, 0, -1):
-        if support is not None:
-            vals = _spread_axis(vals, axis, n, support[axis - 1], workspace)
         vals = np.fft.fft(vals, axis=axis, norm="forward", out=vals if own else None)
         own = True
         if axis > 1:
-            vals = _crop_axis(vals, axis, n, K, workspace)
+            vals = _crop_axis(vals, axis, n, K)
     return np.take(vals.reshape(len(vals), -1), grid.analyze_rows, axis=1)
+
+
+def _box_modes(grid, values, support, workspace):
+    """``analyze`` of values on a support box, as a pruned real DFT.
+
+    For each grid axis in turn, one matmul applies the axis's real DFT rows
+    (``_dft_rows``) to the float view of the box, so a real matrix meets the
+    real and imaginary parts as one dgemm.  It takes the box's first axis
+    from the front and writes the new row axis at the end, so after m axes
+    the (2K + 1)^m row cube, its real plane before its imaginary one, is in
+    axis order.  Each mode is then gathered from it once per choice of a cos
+    or sin row on every axis (``_fold_rows``), signed and summed into the
+    result.  The rows, the gather tables and every intermediate are
+    ``workspace``'s.
+    """
+    K, n, R = grid.K, grid.n_grid, 2 * grid.K + 1
+    N, vals = len(values), np.ascontiguousarray(values, dtype=complex).view(float).reshape(np.shape(values) + (2,))
+    for axis, index in enumerate(support, 1):
+        rows = workspace.table(("dft", n, K, index.tobytes()), lambda: _dft_rows(n, K, index))
+        prod = workspace.get(("dft", axis), (N,) + vals.shape[2:] + (R,))
+        width = prod[0, ..., 0].size  # the columns a box point's row meets
+        np.matmul(vals.reshape(N, len(index), width).transpose(0, 2, 1), rows, out=prod.reshape(N, width, R))
+        vals = prod
+    cube = vals.reshape(N, -1)
+    (first, _), *rest = workspace.table(("fold", grid.m, K), lambda: _fold_rows(grid))
+    out = np.empty((N, grid.n_modes), dtype=complex)
+    parts = np.take(cube, first, axis=1, out=out.view(float), mode="clip")
+    term = workspace.get("fold", parts.shape)
+    for where, factor in rest:
+        parts += np.multiply(np.take(cube, where, axis=1, out=term, mode="clip"), factor, out=term)
+    return out
 
 
 def cube_coefficients(grid, values):

@@ -44,10 +44,10 @@ print(json.dumps(out))
 
 
 def test_a_sweep_or_a_solve_loads_no_solver_stack():
-    # the transforms are numpy.fft, the solvers' L-BFGS and GMRES are the
-    # package's own (``iterative``), and the radial integrals of (f5), the
-    # lambda <= 0 probe and criterion 5 are one numpy Gauss-Legendre rule, so
-    # no path needs scipy at all
+    # the transforms are numpy.fft and numpy.matmul, the solvers' L-BFGS and
+    # GMRES are the package's own (``iterative``), and the radial integrals of
+    # (f5), the lambda <= 0 probe and criterion 5 are one numpy
+    # Gauss-Legendre rule, so no path needs scipy at all
     src = str(Path(diractorus.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=300)

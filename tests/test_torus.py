@@ -126,6 +126,7 @@ def _support(kind, n):
         "whole": np.arange(n),
         "inner": np.arange(n // 8, n // 2),
         "empty": np.arange(0),
+        "third": np.arange(1, n, 3),  # no two indices adjacent
     }[kind]
 
 
@@ -138,23 +139,41 @@ def _support(kind, n):
         ("inner", "wrap"),
         ("wrap", "empty"),
         ("wrap", "inner", "whole"),
+        ("third",),
+        ("third", "wrap", "third"),
     ],
 )
 def test_analyze_on_a_support_box_matches_the_scattered_cube(kinds):
-    m, K, n = len(kinds), 3, 16
+    m, K = len(kinds), 3
     rng = np.random.default_rng(len(kinds))
-    g = TorusGrid(m=m, K=K, n_grid=n)
-    support = tuple(_support(kind, n) for kind in kinds)
-    for N in (1, 2):
-        shape = (N,) + tuple(len(idx) for idx in support)
-        box = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        cube = np.zeros((N,) + (n,) * m, dtype=complex)
-        cube[(slice(None),) + np.ix_(*support)] = box
-        want = analyze(g, cube)
-        got = analyze(g, box, support=support)
-        assert got.shape == (N, g.n_modes)
-        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
-        assert np.abs(got - _full_cube_analyze(g, cube)).max() <= 1e-15 * np.abs(want).max()
+    for n in (16, 18):
+        g = TorusGrid(m=m, K=K, n_grid=n)
+        support = tuple(_support(kind, n) for kind in kinds)
+        for N in (1, 2, 4):
+            shape = (N,) + tuple(len(idx) for idx in support)
+            complex_box = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for box in (complex_box, complex_box.real.copy()):
+                cube = np.zeros((N,) + (n,) * m, dtype=box.dtype)
+                cube[(slice(None),) + np.ix_(*support)] = box
+                want = analyze(g, cube)
+                got = analyze(g, box, support=support)
+                assert got.shape == (N, g.n_modes)
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+                assert np.abs(got - _full_cube_analyze(g, cube)).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_analyze_on_the_concentration_box_matches_the_unpruned_transform():
+    # the criterion-4 box: K = 48 on n = 512, 255 points per axis around index 0
+    g = TorusGrid(m=2, K=48, n_grid=512)
+    support = (np.r_[0:128, 385:512],) * 2
+    rng = np.random.default_rng(48)
+    shape = (2, 255, 255)
+    box = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    cube = np.zeros((2, 512, 512), dtype=complex)
+    cube[(slice(None),) + np.ix_(*support)] = box
+    want = cube_coefficients(g, cube)[(slice(None),) + g.cube_index]
+    got = analyze(g, box, support=support)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("m, K, n", [(2, 4, 18), (2, 3, 40), (3, 2, 10), (3, 3, 16)])
@@ -209,8 +228,11 @@ def test_transforms_leave_their_inputs_alone(m):
         got = analyze(g, values, support=sup)
         assert np.array_equal(values, before)
         assert np.array_equal(analyze(g, before, support=sup), got)
-        # handed over to be consumed, the array is transformed in place, to the same bits
-        assert np.array_equal(analyze(g, values.copy(), support=sup, overwrite=True), got)
+        # handed over to be consumed, a full grid is transformed in place, to the
+        # same bits; a support box is only read, handed over or not
+        handed = values.copy()
+        assert np.array_equal(analyze(g, handed, support=sup, overwrite=True), got)
+        assert sup is None or np.array_equal(handed, before)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
