@@ -20,24 +20,29 @@ Everything is evaluated only on the cutoff's support box, the grid points
 with |y_j| < 2 delta on every axis (a quarter of the torus at delta = pi/4):
 the profile, its closed-form derivative, every quadrature sum, and the
 transforms of the samples and of the nonlinear term, which ``analyze`` takes
-on the box.  The eps-free chart geometry of the box (y, |y|^2, eta,
-grad eta) is computed once per (grid, center, delta) and shared, read-only,
-by every eps.  No full-grid array is built unless ``samples`` is read.  Dual
-norms are measured on the cutoff-K Fourier coefficients, where the
+on the box.  The eps-free chart geometry of the box (y, |y|^2, eta) is
+computed once per (grid, center, delta) and shared, read-only, by every
+eps.  No full-grid array is built unless ``samples`` is read.  Dual norms
+are measured on the cutoff-K Fourier coefficients, where the
 1/|sigma - lambda|^(1/2) weights concentrate the mass at low modes.
 
+The Dirac energy needs no cutoff gradient.  In D phi = grad eta . psi_eps
++ eta D psi_eps, Clifford multiplication by a real vector is skew-adjoint,
+so Re <grad eta . psi_eps, psi_eps> = 0 at every point and
+Re <D phi, phi> = eta Re <D psi_eps, phi>.
+
 Per eps, a build and a report allocate box-sized arrays only for what the
-returned field keeps: one block holding its box values, psi_eps and
-D psi_eps, and its coefficients.  The profile folds the eps scalings into
-its real planes and writes psi_eps and D psi_eps plane by plane
-(``_solution_and_dirac``).  Every scratch array, the profile's and the
-report's planes and ``analyze``'s intermediates, is one of the box's
-``Workspace``, cached with its geometry and reused from one eps to the
-next; none is returned, and no field is built on one.  The workspace also
-keeps ``analyze``'s real DFT rows of the box and its gather tables, built
-at the first eps.  A sweep then touches almost no fresh pages after its
-first eps, and its box transforms run no FFT: each is two dgemms and a few
-gathers at m = 2.
+returned field keeps: one block holding its box values phi = eta psi_eps
+and D psi_eps, and its coefficients.  The profile folds the eps scalings
+into its real planes and writes psi_eps and D psi_eps plane by plane
+(``_solution_and_dirac``); the build then scales psi_eps by eta in place.
+Every scratch array, the profile's and the report's planes and
+``analyze``'s intermediates, is one of the box's ``Workspace``, cached with
+its geometry and reused from one eps to the next; none is returned, and no
+field is built on one.  The workspace also keeps ``analyze``'s real DFT
+rows of the box and its gather tables, built at the first eps.  A sweep
+then touches almost no fresh pages after its first eps, and its box
+transforms run no FFT: each is two dgemms and a few gathers at m = 2.
 """
 
 from __future__ import annotations
@@ -61,7 +66,11 @@ class TestSpinorError(ValueError):
 
 @dataclass(frozen=True)
 class TestSpinorParams:
-    """Concentration scale, cutoff radius and center; the direction spinor psi_0 is fixed (``direction``)."""
+    """Concentration scale, cutoff radius and center; the direction spinor psi_0 is fixed (``direction``).
+
+    ``center`` is None (the origin) or kept as a tuple of floats, whatever
+    sequence it was given as, so equal parameters compare equal and hash.
+    """
 
     __test__ = False  # keep pytest from collecting this dataclass
 
@@ -70,8 +79,12 @@ class TestSpinorParams:
     center: tuple = None
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise TestSpinorError(f"eps must be positive, got {self.eps}")
+        if not (np.isfinite(self.eps) and self.eps > 0):
+            raise TestSpinorError(f"eps must be positive and finite, got {self.eps}")
+        if self.center is not None:
+            object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+            if not np.isfinite(self.center).all():
+                raise TestSpinorError(f"center must be finite, got {self.center}")
         if not (0.0 < 2.0 * self.delta < np.pi):
             raise TestSpinorError(
                 f"cutoff must satisfy 2 delta < pi (chart support), got delta={self.delta}"
@@ -92,14 +105,6 @@ def cutoff_eta(r, delta):
     u = np.clip((r - delta) / delta, 0.0, 1.0)
     ramp = 10.0 * u**3 - 15.0 * u**4 + 6.0 * u**5
     return 1.0 - ramp
-
-
-def cutoff_eta_prime(r, delta):
-    r = np.asarray(r, dtype=float)
-    u = (r - delta) / delta
-    inside = (u > 0.0) & (u < 1.0)
-    du = np.where(inside, 30.0 * u**2 - 60.0 * u**3 + 30.0 * u**4, 0.0)
-    return -du / delta
 
 
 def _weighted_sum(terms, out, work):
@@ -214,57 +219,33 @@ def _chart_coordinates(grid, center):
 def _chart_geometry(grid, center, delta):
     """The eps-free chart geometry of the cutoff's support box, read-only, and the workspace its eps share.
 
-    Returns ``(box, y, eta, grad_eta, r2, workspace)``.  ``box`` holds, per
-    axis, the grid indices with |y_j| < 2 delta; outside the box eta and eta'
-    vanish.  The next arrays hold the chart coordinates, the cutoff, its
-    gradient and |y|^2 on the box points; y and grad eta have the vector
-    axis first, (m, ...), and eta and r2 are planes.  ``workspace`` (a
-    ``Workspace``) holds the scratch arrays that a build and a report on
-    this box reuse from one eps to the next: the profile's and the report's
-    planes and ``analyze``'s intermediates; it also keeps ``analyze``'s real
-    DFT rows of the box and its gather tables, so they are built once per
-    box.  No returned array and no field is built on them.  ``center`` is a
-    tuple of floats or None, so the arguments hash.
+    Returns ``(box, y, eta, r2, workspace)``.  ``box`` holds, per axis, the
+    grid indices with |y_j| < 2 delta; outside the box eta vanishes.  The
+    next arrays hold the chart coordinates, the cutoff and |y|^2 on the box
+    points; y has the vector axis first, (m, ...), and eta and r2 are
+    planes.  ``workspace`` (a ``Workspace``) holds the scratch arrays that a
+    build and a report on this box reuse from one eps to the next: the
+    profile's and the report's planes and ``analyze``'s intermediates; it
+    also keeps ``analyze``'s real DFT rows of the box and its gather
+    tables, so they are built once per box.  No returned array and no field
+    is built on them.  ``center`` is a tuple of floats or None
+    (``TestSpinorParams`` keeps it so), so the arguments hash.
     """
     axes = _chart_coordinates(grid, center)
     box = tuple(np.flatnonzero(np.abs(a) < 2.0 * delta) for a in axes)
     y = np.stack(np.meshgrid(*(a[k] for a, k in zip(axes, box)), indexing="ij"))
     r2 = (y**2).sum(axis=0)
-    r = np.sqrt(r2)
-    eta = cutoff_eta(r, delta)
-    rr = np.where(r > 0, r, 1.0)
-    grad_eta = cutoff_eta_prime(r, delta) * y / rr
-    for a in (*box, y, eta, grad_eta, r2):
+    eta = cutoff_eta(np.sqrt(r2), delta)
+    for a in (*box, y, eta, r2):
         a.setflags(write=False)
-    return box, y, eta, grad_eta, r2, Workspace()
+    return box, y, eta, r2, Workspace()
 
 
 def _chart(grid, params):
     """``_chart_geometry`` of the box of ``params``; a center needs one coordinate per grid axis."""
     if params.center is not None and len(params.center) != grid.m:
         raise TestSpinorError(f"center must have {grid.m} coordinates, got {len(params.center)}")
-    center = None if params.center is None else tuple(float(c) for c in params.center)
-    return _chart_geometry(grid, center, float(params.delta))
-
-
-def _profile_values(grid, rep, params):
-    """Exact samples of the cutoff rescaled solution on the cutoff's support box.
-
-    Returns ``(box, y, eta, grad_eta, psi_eps, dpsi_eps, values)``: the
-    shared geometry of ``_chart_geometry``, the rescaled solution on the box
-    points and its closed-form D psi_eps, both written by
-    ``_solution_and_dirac`` with the eps scalings folded into its planes,
-    which it takes from the box's workspace, and the box values
-    eta psi_eps.  The last three are the arrays a field keeps, made as one
-    new (3, N, ...) block: a sweep frees and allocates one block per eps,
-    which the allocator hands back whole, where three separate arrays came
-    back as fresh pages at most eps.
-    """
-    box, y, eta, grad_eta, r2, workspace = _chart(grid, params)
-    block = np.empty((3, rep.N) + eta.shape, dtype=complex)
-    psi_eps, dpsi_eps = _solution_and_dirac(rep, y, float(params.eps), params.direction(rep), r2, workspace, block[:2])
-    values = np.multiply(eta, psi_eps, out=block[2])
-    return box, y, eta, grad_eta, psi_eps, dpsi_eps, values
+    return _chart_geometry(grid, params.center, float(params.delta))
 
 
 class TestSpinorField(SpinorField):
@@ -288,30 +269,31 @@ def build_test_spinor(grid, rep, params):
     """Cutoff rescaled Euclidean spinor sampled in the chart, as a Fourier field.
 
     The returned ``TestSpinorField`` carries ``box_values`` (the exact
-    pre-truncation collocation values on the support box), ``samples`` (the
-    same on the full grid, built when read), ``params``, ``profile`` (the
-    support-box arrays ``(box, y, eta, grad_eta, psi_eps, dpsi_eps)`` the
-    values were built from) and ``resolution_warning`` (grid coarser than eight
-    points per concentration scale).  Only the box is transformed, by
-    ``analyze``'s pruned real DFT on the box's workspace.  The field's own
-    arrays (its box values, psi_eps, D psi_eps and coefficients) are the
-    only ones a build allocates at the size of the box.
+    pre-truncation collocation values phi = eta psi_eps on the support box),
+    ``samples`` (the same on the full grid, built when read), ``params``,
+    ``profile`` (``(box, eta, dpsi_eps)``: the support box, the cutoff on it
+    and the closed-form D psi_eps there) and ``resolution_warning`` (grid
+    coarser than eight points per concentration scale).  ``box_values`` and
+    D psi_eps are the two halves of one new (2, N, ...) block:
+    ``_solution_and_dirac`` writes psi_eps and D psi_eps into it, on planes
+    from the box's workspace, and psi_eps is then scaled by eta in place.  A
+    sweep frees and allocates one block per eps, which the allocator hands
+    back whole.  Only the box is transformed, by ``analyze``'s pruned real
+    DFT on the box's workspace.  The block and the coefficients are the
+    only arrays a build allocates at the size of the box.
     """
     if grid.m != rep.m:
         raise TestSpinorError("grid and representation dimensions differ")
-    *profile, values = _profile_values(grid, rep, params)
-    box = profile[0]
-    psi = TestSpinorField(grid, analyze(grid, values, support=box, workspace=_chart(grid, params)[-1]))
+    box, y, eta, r2, workspace = _chart(grid, params)
+    block = np.empty((2, rep.N) + eta.shape, dtype=complex)
+    values, dpsi_eps = _solution_and_dirac(rep, y, float(params.eps), params.direction(rep), r2, workspace, block)
+    values *= eta  # phi = eta psi_eps, over psi_eps
+    psi = TestSpinorField(grid, analyze(grid, values, support=box, workspace=workspace))
     psi.box_values = values
     psi.params = params
-    psi.profile = tuple(profile)
+    psi.profile = (box, eta, dpsi_eps)
     psi.resolution_warning = bool(grid.n_grid < 8.0 * (2.0 * np.pi / params.eps))
     return psi
-
-
-def _parts(values, i):
-    """The real and imaginary planes of component i of complex values."""
-    return values[i, ...].real, values[i, ...].imag
 
 
 def energy_report(table, sp, psi, params=None):
@@ -322,12 +304,13 @@ def energy_report(table, sp, psi, params=None):
     residual R = D phi - |phi|^(2*-2) phi are measured spectrally at the
     split's lambda.  They and dirac_energy_spectral are read off the field's
     eigen coordinates a, where D phi = sigma a, and R stays in eigen
-    coordinates: two eigen transforms per report.  The field's chart profile is reused unless ``params``
-    names other parameters than the field's own.  Every quadrature runs on a
-    support box (the field's own for the samples, the one of ``params`` for
-    D phi), and the nonlinear term is transformed on the field's box; the
-    full grid is filled only when the box of ``params`` differs from the
-    field's.
+    coordinates: two eigen transforms per report.  The report measures the
+    field it is handed: ``params``, when given, must equal the field's own
+    (the same object or an equal copy), and any other parameters raise
+    ``TestSpinorError``.  Every quadrature runs on the field's support box,
+    and the nonlinear term is transformed there.  dirac_energy is
+    cell sum eta Re <D psi_eps, phi>, which is cell sum Re <D phi, phi>: the
+    cutoff gradient's term pairs to zero with phi (module docstring).
 
     rho = |phi|^2 is formed once, and l2^2 = sum rho, l2star^2* =
     sum rho^((2*-2)/2) rho and the nonlinear weight rho^((2*-2)/2) are read
@@ -338,59 +321,43 @@ def energy_report(table, sp, psi, params=None):
     bitwise equal at one and two OpenBLAS threads, and a test holds them
     to 1e-14.  Every box-sized array of the report comes from the field's
     workspace (``_chart_geometry``): the planes rho and weight, a product
-    temporary, and one spinor array that holds D phi (``clifford_mul`` into
-    it) and then the nonlinear term, which ``analyze`` reads on the same
-    workspace.  sigma a sits in a workspace row while R's
-    transforms run.  A report on the field's own parameters allocates only
-    mode-sized arrays: the eigen coordinates, the nonlinear term's
-    coefficients and their transforms.
+    temporary, and one spinor array that holds the nonlinear term, which
+    ``analyze`` reads on the same workspace.  sigma a sits in a workspace
+    row while R's transforms run.  A report allocates only mode-sized
+    arrays: the eigen coordinates, the nonlinear term's coefficients and
+    their transforms.
     """
+    if params is not None and params != psi.params:
+        raise TestSpinorError(f"energy_report measures the field's own parameters {psi.params}, not {params}")
     grid = psi.grid
-    rep = table.rep
-    params = params if params is not None else psi.params
-    if params is psi.params:
-        box, _, eta, grad_eta, psi_eps, dpsi_eps = psi.profile
-    else:
-        box, _, eta, grad_eta, psi_eps, dpsi_eps, _ = _profile_values(grid, rep, params)
-    own = psi.profile[0]
+    box, eta, dpsi_eps = psi.profile
     work = _chart(grid, psi.params)[-1]
     phi = psi.box_values
     ts = critical_exponent(grid.m)
     cell = grid.cell
-    plane = phi.shape[1:]
-    rho, weight, tmp = (work.get(("plane", k), plane) for k in range(3))
+    rho, weight, tmp = (work.get(("plane", k), eta.shape) for k in range(3))
     pointwise_real_inner(phi, phi, out=rho, work=tmp)
     np.power(rho, (ts - 2.0) / 2.0, out=weight)  # rho^((2*-2)/2) = |phi|^(2*-2)
     l2_sq = float(cell * rho.sum())
     l2star_pow = float(cell * np.multiply(weight, rho, out=tmp).sum())
-
-    # Exact D phi = grad(eta) . psi_eps + eta D psi_eps in the chart; rho is
-    # spent, and its plane takes the pairing of D phi with phi
-    pairing, tmp = (work.get(("plane", k), eta.shape) for k in (0, 2))
-    dphi = clifford_mul(rep, grad_eta, psi_eps, out=work.get("spinor", psi_eps.shape, complex), work=tmp)
-    for i in range(rep.N):
-        for target, source in zip(_parts(dphi, i), _parts(dpsi_eps, i)):
-            target += np.multiply(eta, source, out=tmp)
-    same_box = all(np.array_equal(a, b) for a, b in zip(box, own))
-    phi_box = phi if same_box else psi.samples[(slice(None),) + np.ix_(*box)]
-    dirac_energy = float(cell * pointwise_real_inner(dphi, phi_box, out=pairing, work=tmp).sum())
+    # rho is spent, and its plane takes Re <D psi_eps, phi>; with the factor
+    # eta it is Re <D phi, phi>, as grad eta . psi_eps pairs to zero with phi
+    pairing = pointwise_real_inner(dpsi_eps, phi, out=rho, work=tmp)
+    dirac_energy = float(cell * np.multiply(pairing, eta, out=pairing).sum())
     free_energy = 0.5 * dirac_energy - l2star_pow / ts
 
-    nonlinear = work.get("spinor", phi.shape, complex)  # D phi's array when the boxes agree
-    for i in range(rep.N):
-        for target, source in zip(_parts(nonlinear, i), _parts(phi, i)):
-            np.multiply(weight, source, out=target)
+    nonlinear = np.multiply(phi, weight, out=work.get("spinor", phi.shape, complex))
     a = table.to_eigen(psi.coeffs)
     dual_phi = dual_norm_eigen(sp, a)
     # Spectral Dirac energy of the band-limited field, as a cross-check.
     dirac_spectral = float(grid.volume * (table.eigenvalues * (a.real**2 + a.imag**2)).sum())
     resid = np.multiply(table.eigenvalues, a, out=work.get("modes", a.shape, complex))
     del a  # only sigma a is read on; the nonlinear term's transforms need the room
-    resid -= table.to_eigen(analyze(grid, nonlinear, support=own, workspace=work))
+    resid -= table.to_eigen(analyze(grid, nonlinear, support=box, workspace=work))
     dual_resid = dual_norm_eigen(sp, resid)
 
     return {
-        "eps": float(params.eps),
+        "eps": float(psi.params.eps),
         "l2": float(np.sqrt(l2_sq)),
         "l2_sq": l2_sq,
         "l2star": float(l2star_pow ** (1.0 / ts)),

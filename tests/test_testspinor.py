@@ -11,14 +11,15 @@ import numpy as np
 import pytest
 
 import diractorus
-from diractorus.clifford import build_rep
+from diractorus.clifford import build_rep, clifford_mul
 from diractorus.nonlinearity import make_nonlinearity, radial_integral
 from diractorus.spectral import assemble, split
 from diractorus.testspinor import (
     TestSpinorError,
     TestSpinorParams,
+    _chart,
     _chart_geometry,
-    _profile_values,
+    _solution_and_dirac,
     asymptotic_fit,
     build_test_spinor,
     cutoff_eta,
@@ -30,7 +31,7 @@ from diractorus.testspinor import (
     omega_identity_residual,
     radial_mass_ratio,
 )
-from diractorus.torus import make_grid, pointwise_modulus
+from diractorus.torus import make_grid, pointwise_modulus, pointwise_real_inner
 
 
 def test_params_validation():
@@ -40,6 +41,22 @@ def test_params_validation():
         TestSpinorParams(eps=0.1, delta=2.0)  # 2 delta >= pi
     with pytest.raises(TestSpinorError):
         TestSpinorParams(eps=1.0, delta=0.5)  # eps > delta
+
+
+def test_a_non_finite_eps_is_rejected():
+    # eps = nan passed every comparison and failed later, inside SpinorField,
+    # as non-finite coefficients
+    for eps in (np.nan, np.inf):
+        with pytest.raises(TestSpinorError, match="eps must be positive and finite"):
+            TestSpinorParams(eps=eps)
+
+
+def test_a_non_finite_center_is_rejected():
+    # a nan center built an empty box and an all-zero field, whose report
+    # read zeros with no error
+    for center in ((np.nan, 0.0), np.array([0.0, np.inf])):
+        with pytest.raises(TestSpinorError, match="center must be finite"):
+            TestSpinorParams(eps=0.1, center=center)
 
 
 def test_cutoff_profile():
@@ -85,13 +102,18 @@ def test_profile_folds_the_eps_scaling_into_its_planes(m, K):
     grid, rep = make_grid(m, K), build_rep(m)
     for eps in (0.3, 0.07):
         params = TestSpinorParams(eps=eps)
-        _, y, eta, _, psi_eps, dpsi_eps, values = _profile_values(grid, rep, params)
+        _, y, eta, r2, workspace = _chart(grid, params)
+        psi_eps, dpsi_eps = _solution_and_dirac(rep, y, eps, params.direction(rep), r2, workspace)
         want = eps ** (-(m - 1) / 2.0) * euclidean_solution(rep, y / eps, params)
         assert np.abs(psi_eps - want).max() <= 1e-14 * np.abs(want).max()
         want = eps ** (-(m + 1) / 2.0) * euclidean_dirac(rep, y / eps, params)
         assert np.abs(dpsi_eps - want).max() <= 1e-14 * np.abs(want).max()
-        # the box values are the cut-off samples, in the same allocation
-        assert np.array_equal(values, eta * psi_eps)
+        # a field's box values are the cut-off samples, in one allocation
+        # with its D psi_eps
+        psi = build_test_spinor(grid, rep, params)
+        assert np.array_equal(psi.box_values, eta * psi_eps)
+        assert np.array_equal(psi.profile[2], dpsi_eps)
+        assert psi.box_values.base is psi.profile[2].base
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -209,27 +231,60 @@ def test_energy_report_golden(sweep_table, eps):
             assert abs(rec[name] - want) <= 1e-12 * abs(want), name
 
 
+def test_energy_report_measures_only_its_own_params(sweep_table):
+    # a report measures the field it is handed: other parameters raise, and
+    # the field's own, as the same object or as an equal copy, give the same
+    # bits as none
+    sp = split(sweep_table, 0.5)
+    center = (0.9, -1.2)
+    params = TestSpinorParams(eps=0.1, center=center)
+    psi = build_test_spinor(sweep_table.grid, sweep_table.rep, params)
+    want = energy_report(sweep_table, sp, psi)
+    for same in (params, TestSpinorParams(eps=0.1, center=center), TestSpinorParams(eps=0.1, center=np.array(center))):
+        assert energy_report(sweep_table, sp, psi, params=same) == want
+    others = [
+        TestSpinorParams(eps=0.07, center=center),
+        TestSpinorParams(eps=0.1, delta=np.pi / 5, center=center),
+        TestSpinorParams(eps=0.1),
+        TestSpinorParams(eps=0.1, center=np.array([0.9, -1.1])),
+    ]
+    for other in others:
+        with pytest.raises(TestSpinorError, match="own parameters"):
+            energy_report(sweep_table, sp, psi, params=other)
+
+
+def _grad_eta(y, delta):
+    """grad eta = eta'(r) y / r, from the closed-form derivative of ``cutoff_eta``'s quintic ramp."""
+    r = np.sqrt((y**2).sum(axis=0))
+    u = (r - delta) / delta
+    slope = np.where((u > 0.0) & (u < 1.0), -(30.0 * u**2 - 60.0 * u**3 + 30.0 * u**4) / delta, 0.0)
+    return slope * y / np.where(r > 0.0, r, 1.0)
+
+
 @pytest.mark.parametrize(
-    "params, dirac_energy, free_energy",
+    "m, K, n_grid, params",
     [
-        (TestSpinorParams(eps=0.1, delta=np.pi / 5), 12.417331911459582, 3.09751942260947),
-        (TestSpinorParams(eps=0.07, delta=np.pi / 4), 12.162865208999087, 2.9702860713792223),
+        (2, 24, 256, TestSpinorParams(eps=0.1)),
+        (2, 24, 256, TestSpinorParams(eps=0.05, delta=np.pi / 5, center=(0.9, -1.2))),
+        (3, 6, 48, TestSpinorParams(eps=0.3)),
     ],
 )
-def test_energy_report_with_other_params(sweep_table, params, dirac_energy, free_energy):
-    # D phi is taken from ``params`` (a smaller box, or another eps on the
-    # same box) and paired with the field built at eps = 0.1
-    sp = split(sweep_table, 0.5)
-    psi = build_test_spinor(sweep_table.grid, sweep_table.rep, TestSpinorParams(eps=0.1))
-    rec = energy_report(sweep_table, sp, psi, params=params)
-    want = {
-        "dirac_energy": dirac_energy,
-        "free_energy": free_energy,
-        "l2_sq": 3.003015866124517,
-        "dual_norm_residual": 1.1154649501930538,
-    }
-    for name, value in want.items():
-        assert abs(rec[name] - value) <= 1e-12 * abs(value), name
+def test_dirac_energy_is_the_pairing_with_the_cutoff_gradient(m, K, n_grid, params):
+    # D phi = grad eta . psi_eps + eta D psi_eps; the report drops the first
+    # term, which pairs to zero with phi because Clifford multiplication by a
+    # real vector is skew-adjoint.  Here it is kept, on the field's box
+    table = assemble(m, K, n_grid=n_grid)
+    grid, rep = table.grid, table.rep
+    psi = build_test_spinor(grid, rep, params)
+    _, eta, dpsi_eps = psi.profile
+    _, y, _, r2, _ = _chart(grid, params)
+    psi_eps, _ = _solution_and_dirac(rep, y, params.eps, params.direction(rep), r2)
+    gradient_term = clifford_mul(rep, _grad_eta(y, params.delta), psi_eps)
+    want = grid.cell * pointwise_real_inner(gradient_term + eta * dpsi_eps, psi.box_values).sum()
+    got = energy_report(table, split(table, 0.5), psi)["dirac_energy"]
+    assert abs(got - want) <= 1e-14 * abs(want)
+    # the dropped term is not small pointwise, only its pairing vanishes
+    assert grid.cell * np.abs(gradient_term).sum() > 1e-3 * abs(want)
 
 
 def test_off_center_spinor_is_the_rolled_centered_one(sweep_table):
@@ -263,9 +318,10 @@ def test_array_center_reports_as_the_tuple_center(sweep_table):
     for same in (np.array(center), list(center)):
         psi = build_test_spinor(grid, rep, TestSpinorParams(eps=0.1, center=same))
         assert energy_report(sweep_table, sp, psi) == want
-    # the shared geometry is read-only
-    box, y, eta, grad_eta, *_ = psi.profile
-    for cached in (box[0], y, eta, grad_eta):
+    # the shared geometry is read-only, and the field's box and cutoff are it
+    box, y, eta, r2, _ = _chart(grid, psi.params)
+    assert psi.profile[0] is box and psi.profile[1] is eta
+    for cached in (box[0], y, eta, r2):
         with pytest.raises(ValueError):
             cached[(0,) * cached.ndim] = 1.0
 
@@ -344,7 +400,7 @@ def test_spectral_vs_exact_dirac_energy(table48):
 def test_concentration_report_builds_no_full_grid_cube(table48):
     # one 512^2 x 2 complex cube is 8 MiB; a report that fills the full grid
     # for its samples and its nonlinear term peaks above three of them.  The
-    # cold peak, about 17.7 MiB, is the box geometry, the box's workspace
+    # cold peak, about 14.1 MiB, is the box geometry, the box's workspace
     # (its DFT rows, row products and planes, kept for the next eps) and the
     # field; the bound is that peak + 25 %, and one full-grid cube more fails
     sp = split(table48, 0.5)
@@ -357,11 +413,11 @@ def test_concentration_report_builds_no_full_grid_cube(table48):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 22 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+    assert peak < 18 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def _field_bytes(psi):
-    # one allocation holds the box values, psi_eps and D psi_eps
+    # one allocation holds the box values and D psi_eps
     return psi.box_values.base.nbytes + psi.coeffs.nbytes
 
 
@@ -385,7 +441,8 @@ def test_a_warm_report_allocates_only_its_field(table48):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert psi.box_values.base is psi.profile[4].base is psi.profile[5].base
+    assert psi.box_values.base is psi.profile[2].base
+    assert psi.box_values.base.shape == (2,) + psi.box_values.shape
     assert build_peak < _field_bytes(psi) + 2**18, f"build traced {build_peak / 2**20:.2f} MiB"
     assert peak <= _field_bytes(psi) + 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
@@ -402,8 +459,7 @@ def test_fields_built_back_to_back_keep_their_own_arrays(table48):
         fresh = build_test_spinor(grid, rep, psi.params)
         assert np.array_equal(psi.box_values, fresh.box_values)
         assert np.array_equal(psi.coeffs, fresh.coeffs)
-        for got, want in zip(psi.profile[4:], fresh.profile[4:]):
-            assert np.array_equal(got, want)
+        assert np.array_equal(psi.profile[2], fresh.profile[2])
         assert energy_report(table48, sp, fresh) == report
 
 
