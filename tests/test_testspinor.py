@@ -12,7 +12,7 @@ import pytest
 
 import diractorus
 from diractorus.clifford import build_rep, clifford_mul
-from diractorus.nonlinearity import make_nonlinearity, radial_integral
+from diractorus.nonlinearity import critical_exponent, make_nonlinearity, radial_integral
 from diractorus.spectral import assemble, split
 from diractorus.testspinor import (
     TestSpinorError,
@@ -285,6 +285,46 @@ def test_dirac_energy_is_the_pairing_with_the_cutoff_gradient(m, K, n_grid, para
     assert abs(got - want) <= 1e-14 * abs(want)
     # the dropped term is not small pointwise, only its pairing vanishes
     assert grid.cell * np.abs(gradient_term).sum() > 1e-3 * abs(want)
+
+
+@pytest.mark.parametrize(
+    "params, dirac_energy, free_energy",
+    [
+        (TestSpinorParams(eps=0.1, delta=np.pi / 5), 12.417331911459582, 3.09751942260947),
+        (TestSpinorParams(eps=0.07, delta=np.pi / 4), 12.162865208999087, 2.9702860713792223),
+    ],
+)
+def test_energy_report_with_other_params(sweep_table, params, dirac_energy, free_energy):
+    # energy_report refuses ``params`` other than the field's own.  The
+    # pairing it once computed for them, D phi of ``params`` (a smaller box,
+    # or another eps on the same box) with the field built at eps = 0.1, is
+    # rebuilt here on the full grid from the chart and the closed forms, and
+    # keeps its figures
+    grid, rep = sweep_table.grid, sweep_table.rep
+    sp = split(sweep_table, 0.5)
+    psi = build_test_spinor(grid, rep, TestSpinorParams(eps=0.1))
+    with pytest.raises(TestSpinorError, match="own parameters"):
+        energy_report(sweep_table, sp, psi, params=params)
+    rec = energy_report(sweep_table, sp, psi)
+    box, y, eta, r2, _ = _chart(grid, params)
+    psi_eps, dpsi_eps = _solution_and_dirac(rep, y, params.eps, params.direction(rep), r2)
+    dphi = np.zeros_like(psi.samples)
+    dphi[(slice(None),) + np.ix_(*box)] = clifford_mul(rep, _grad_eta(y, params.delta), psi_eps) + eta * dpsi_eps
+    mixed = grid.cell * pointwise_real_inner(dphi, psi.samples).sum()
+    got = {
+        "dirac_energy": mixed,
+        "free_energy": 0.5 * mixed - rec["l2star_pow"] / critical_exponent(grid.m),
+        "l2_sq": rec["l2_sq"],
+        "dual_norm_residual": rec["dual_norm_residual"],
+    }
+    want = {
+        "dirac_energy": dirac_energy,
+        "free_energy": free_energy,
+        "l2_sq": 3.003015866124517,
+        "dual_norm_residual": 1.1154649501930538,
+    }
+    for name, value in want.items():
+        assert abs(got[name] - value) <= 1e-12 * abs(value), name
 
 
 def test_off_center_spinor_is_the_rolled_centered_one(sweep_table):
