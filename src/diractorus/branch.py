@@ -85,16 +85,19 @@ def gamma_crit(m):
 
 def nu_window(m, volume):
     """Continuation window nu = (m/2) (omega_m / Vol)^(1/m) on a torus of volume ``volume``."""
-    if volume <= 0:
-        raise ValueError(f"volume must be positive, got {volume}")
+    if not (np.isfinite(volume) and volume > 0):
+        raise ValueError(f"volume must be positive and finite, got {volume}")
     return 0.5 * m * (omega_sphere(m) / volume) ** (1.0 / m)
 
 
 def multiplicity_count(table, lam):
     """l(lam): total complex kernel dimension of eigenvalues in (lam, lam + nu), nu = ``nu_window``.
 
-    A window that passes the cutoff K raises ``SpectralError``.
+    A window that passes the cutoff K, or a lambda that is not finite,
+    raises ``SpectralError``.
     """
+    if not np.isfinite(lam):
+        raise SpectralError(f"lambda must be finite, got {lam}")
     nu = nu_window(table.m, table.grid.volume)
     if lam + nu > table.grid.K:
         raise SpectralError(

@@ -128,16 +128,20 @@ def _solution_and_dirac(rep, y, eps, psi0, r2=None, workspace=None, out=None):
         psi_eps = lead (psi_0 - t),
         D psi_eps = slope (t + |y/eps|^2 psi_0) + (m/eps) lead psi_0,
 
-    the second the two derivative terms of ``euclidean_dirac``, not the
-    identity D psi = m mu psi.  Both are written into ``out`` (a complex
-    (2, N, ...) array, new when not given), spinor axis first, one real or
-    imaginary plane at a time, with no complex temporary and no separate
-    scaling pass.  A plane of t is a sum of y_j planes times the parts of
-    the images; a plane whose part of psi_0 vanishes skips the |y|^2 term,
-    one with no image skips t, and one with neither is zero (at m = 2,
-    component 0 is a real plane with no x-term, and component 1 has no
-    constant).  ``r2`` is |y|^2 when the caller has it, and the planes lead
-    and w come from ``workspace`` (a ``Workspace``, fresh when not given).
+    the second the two derivative terms of
+
+        D psi(x) = -m mu^(m/2+1) x . ((1 - x) . psi_0) + m mu^(m/2) psi_0
+
+    at x = y/eps, where x . x = -|x|^2 expands the product, and not the
+    identity D psi = m mu psi, so tests can check one against the other.  Both
+    are written into ``out`` (a complex (2, N, ...) array, new when not given),
+    spinor axis first, one real or imaginary plane at a time, with no complex
+    temporary and no separate scaling pass.  A plane of t is a sum of y_j
+    planes times the parts of the images; a plane whose part of psi_0 vanishes
+    skips the |y|^2 term, one with no image skips t, and one with neither is
+    zero (at m = 2, component 0 is a real plane with no x-term, and component 1
+    has no constant).  ``r2`` is |y|^2 when the caller has it, and the planes
+    lead and w come from ``workspace`` (a ``Workspace``, fresh when not given).
     """
     m = rep.m
     shape = y.shape[1:]
@@ -180,17 +184,6 @@ def _solution_and_dirac(rep, y, eps, psi0, r2=None, workspace=None, out=None):
 def euclidean_solution(rep, x, params):
     """psi(x) = mu^(m/2) (1 - x) . psi_0 at one or many points x (first axis m), shaped (N, ...)."""
     return _solution_and_dirac(rep, np.asarray(x, dtype=float), 1.0, params.direction(rep))[0]
-
-
-def euclidean_dirac(rep, x, params):
-    """Closed-form D psi(x), assembled from the two derivative terms.
-
-    D psi = -m mu^(m/2+1) x . ((1 - x) . psi_0) + m mu^(m/2) psi_0, where the
-    Clifford relation x . x = -|x|^2 gives x . ((1 - x) . psi_0) =
-    x . psi_0 + |x|^2 psi_0.  No use of the pointwise identity
-    D psi = m mu psi, so this can cross-check it.
-    """
-    return _solution_and_dirac(rep, np.asarray(x, dtype=float), 1.0, params.direction(rep))[1]
 
 
 def dirac_identity_fd_residual(rep, params, x, h):
@@ -367,7 +360,7 @@ def energy_report(table, sp, psi, params=None):
         "free_energy": free_energy,
         "dual_norm_phi": dual_phi,
         "dual_norm_residual": dual_resid,
-        "resolution_flag": bool(getattr(psi, "resolution_warning", False)),
+        "resolution_flag": psi.resolution_warning,
     }
 
 
@@ -439,11 +432,6 @@ def _bubble_integral(m):
 def omega_identity_residual(m):
     """|2^m omega_(m-1) int_0^inf r^(m-1)/(1+r^2)^m dr - omega_m|."""
     return abs(2.0**m * omega_sphere(m - 1) * _bubble_integral(m) - omega_sphere(m))
-
-
-def l2star_mass_limit(m):
-    """Limit of |phi_eps|_{2*}^{2*} as eps -> 0: m^m omega_(m-1) int r^(m-1)/(1+r^2)^m dr."""
-    return float(m**m * omega_sphere(m - 1) * _bubble_integral(m))
 
 
 def radial_mass_ratio(nl, delta, eps):

@@ -59,7 +59,6 @@ on top of the grid reproducible across runs.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,8 +221,8 @@ def zero_field(grid, N):
     return SpinorField(grid, np.zeros((N, grid.n_modes), dtype=complex))
 
 
-class Workspace(threading.local):
-    """Scratch arrays kept by name for reuse from one call to the next, and read-only tables; each thread sees its own.
+class Workspace:
+    """Scratch arrays kept by name for reuse from one call to the next, and read-only tables.
 
     ``get`` hands back the array last made under a name when its shape and
     dtype still match, and makes a new one otherwise.  Its contents are
@@ -419,12 +418,6 @@ def cube_coefficients(grid, values):
     return vals
 
 
-def l2_inner(a, b):
-    """Hermitian L^2 pairing int_M (a, b) dvol via Parseval."""
-    _same_grid(a, b)
-    return a.grid.volume * complex(np.vdot(b.coeffs, a.coeffs))
-
-
 def l2_norm(a):
     return float(np.sqrt(a.grid.volume) * np.linalg.norm(a.coeffs))
 
@@ -464,8 +457,8 @@ def lp_norm(psi, p):
     Exact for even integer p inside the dealiased band; otherwise accurate to
     the trapezoidal error of the smooth integrand.
     """
-    if p < 1:
-        raise GridError(f"p must be >= 1, got {p}")
+    if not (np.isfinite(p) and p >= 1):
+        raise GridError(f"p must be finite and >= 1, got {p}")
     s = pointwise_modulus(psi.values())
     return float((psi.grid.cell * (s**p).sum()) ** (1.0 / p))
 

@@ -402,14 +402,6 @@ def t_lambda(split, psi):
     return jet.kernel.to_field(jet.c)
 
 
-def t_prime(split, psi, chi):
-    """Derivative T'(psi)[chi], solving the linearized optimality system."""
-    if not split.kernel_dim:
-        return zero_field(psi.grid, psi.N)
-    jet = _FJet(split, psi)
-    return jet.kernel.to_field(jet.t_prime_coords(chi.values()))
-
-
 def f_lambda_value(split, psi):
     """F_lam(psi) = (1/2*) |psi - T(psi)|_{2*}^{2*}."""
     return _FJet(split, psi).ev.mass
@@ -855,17 +847,6 @@ def nehari_project(split, nl, phi):
     """
     coords, zhat = _unit_plus(split, phi)
     return coords.to_field(fiber_maximize(Functional(split, nl), coords.to_eigen(zhat), gtol=1e-10).t * zhat)
-
-
-def nehari_second_order(split, nl, phi_bar):
-    """t^2 j''(t) at the Nehari root (equals H'(phi)[phi] there), by central FD."""
-    t_bar = norm_lambda(split, phi_bar)
-    direction = (1.0 / t_bar) * phi_bar
-    fn = Functional(split, nl)
-    h = 1e-4 * t_bar
-    sp, z, _ = h_lambda(fn, (t_bar + h) * direction)
-    sm, z, _ = h_lambda(fn, (t_bar - h) * direction, z0=z)
-    return t_bar**2 * (sp - sm) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from diractorus.branch import (
 from diractorus.iterative import gmres
 from diractorus.nonlinearity import make_nonlinearity
 from diractorus.spectral import EigenTable, SpectralError, assemble, omega_sphere, project, split
-from diractorus.torus import SpinorField, random_field, resample_field, zero_field
+from diractorus.torus import GridError, SpinorField, lp_norm, make_grid, random_field, resample_field, zero_field
 from diractorus.variational import (
     Evaluation,
     Functional,
@@ -96,6 +96,23 @@ def test_multiplicity_counts():
         assert multiplicity_count(table, lam) == brute
     with pytest.raises(SpectralError):
         multiplicity_count(table, 7.9)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda v: multiplicity_count(assemble(2, 8), v), SpectralError),
+        (lambda v: nu_window(2, v), ValueError),
+        (lambda v: lp_norm(zero_field(make_grid(2, 2), 2), v), GridError),
+    ],
+    ids=["multiplicity_count", "nu_window", "lp_norm"],
+)
+def test_non_finite_inputs_are_rejected(call, error, value):
+    # every comparison with nan is False and inf passes a one-sided bound,
+    # so a range check written as a comparison does not reject them
+    with pytest.raises(error, match="finite"):
+        call(value)
 
 
 def test_residual_check_plane_wave():

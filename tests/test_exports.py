@@ -3,6 +3,7 @@
 import inspect
 
 import numpy as np
+import pytest
 
 import diractorus
 
@@ -24,6 +25,39 @@ def test_the_benchmark_surface_resolves():
     assert [name for name in names if not callable(getattr(diractorus, name, None))] == []
     assert issubclass(diractorus.branch.GuardViolationError, Exception)
     assert "params" in inspect.signature(diractorus.energy_report).parameters
+
+
+def test_the_benchmark_call_shapes_bind():
+    # every call bench/workloads.py makes on the package, in the same shape:
+    # the same positional arguments and keywords.  A change that drops or
+    # renames a parameter the benchmark passes fails here, not only in the
+    # benchmark's smoke test
+    arg = object()  # binding checks the shape of a call, not its values
+    calls = [
+        (diractorus.assemble, (2, 16), {}),
+        (diractorus.assemble, (2, 48), {"n_grid": 512}),
+        (diractorus.make_nonlinearity, ("bnd", 2), {}),
+        (diractorus.split, (arg, 0.7), {}),
+        (diractorus.minimize_M, (arg, arg), {"maxiter": 120}),
+        (diractorus.TestSpinorParams, (), {"eps": 0.2}),
+        (diractorus.build_test_spinor, (arg, arg, arg), {}),
+        (diractorus.energy_report, (arg, arg, arg), {"params": arg}),
+        (diractorus.gamma_crit, (2,), {}),
+        (diractorus.residual_check, (arg, arg, arg, 0.7), {}),
+        (diractorus.L_lambda, (arg, arg, arg, 0.7), {}),
+    ]
+    unbound = []
+    for func, args, kwargs in calls:
+        try:
+            inspect.signature(func).bind(*args, **kwargs)
+        except TypeError as exc:
+            unbound.append(f"{func.__name__}: {exc}")
+    assert unbound == []
+    with pytest.raises(TypeError):  # a shape the package does not take is caught
+        inspect.signature(diractorus.split).bind(arg, 0.7, seconds=6)
+    # the fields the benchmark reads off a solved point
+    read = {"lam", "energy", "residual_l2", "accepted", "psi", "flags"}
+    assert read <= set(diractorus.BranchPoint.__dataclass_fields__)
 
 
 def test_every_traced_layer_resolves():

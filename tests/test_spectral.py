@@ -21,12 +21,16 @@ from diractorus.spectral import (
 from diractorus.torus import (
     SpinorField,
     analyze,
-    l2_inner,
     l2_norm,
     random_field,
     synthesize,
     zero_field,
 )
+
+
+def l2_inner(a, b):
+    """Hermitian L^2 pairing int (a, b) dvol by Parseval."""
+    return a.grid.volume * complex(np.vdot(b.coeffs, a.coeffs))
 
 
 def brute_spectrum(m, K):

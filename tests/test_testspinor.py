@@ -13,7 +13,7 @@ import pytest
 import diractorus
 from diractorus.clifford import build_rep, clifford_mul
 from diractorus.nonlinearity import critical_exponent, make_nonlinearity, radial_integral
-from diractorus.spectral import assemble, split
+from diractorus.spectral import assemble, omega_sphere, split
 from diractorus.testspinor import (
     TestSpinorError,
     TestSpinorParams,
@@ -25,13 +25,16 @@ from diractorus.testspinor import (
     cutoff_eta,
     dirac_identity_fd_residual,
     energy_report,
-    euclidean_dirac,
     euclidean_solution,
-    l2star_mass_limit,
     omega_identity_residual,
     radial_mass_ratio,
 )
 from diractorus.torus import make_grid, pointwise_modulus, pointwise_real_inner
+
+
+def euclidean_dirac(rep, x, params):
+    """Closed-form D psi(x) from its two derivative terms, not from the identity D psi = m mu psi."""
+    return _solution_and_dirac(rep, np.asarray(x, dtype=float), 1.0, params.direction(rep))[1]
 
 
 def test_params_validation():
@@ -393,8 +396,9 @@ def test_l2star_mass_invariance(sweep_table):
     # |phi_eps|_{2*}^{2*} approaches m^m omega_(m-1) int r/(1+r^2)^2 dr = 4 pi
     rep = sweep_table.rep
     sp = split(sweep_table, 0.5)
-    limit = l2star_mass_limit(2)
-    assert np.isclose(limit, 4.0 * np.pi, rtol=1e-10)
+    limit = 4.0 * np.pi
+    bubble = radial_integral(lambda r: r / (1.0 + r * r) ** 2, (0.0, np.inf), 1.0)
+    assert np.isclose(2**2 * omega_sphere(1) * bubble, limit, rtol=1e-10)
     vals = []
     for eps in (0.2, 0.1, 0.05):
         params = TestSpinorParams(eps=eps)

@@ -8,7 +8,7 @@ import pytest
 from diractorus.branch import minimize_M
 from diractorus.nonlinearity import critical_exponent, make_nonlinearity
 from diractorus.spectral import apply_dirac, assemble, inner_lambda, norm_lambda, project, split
-from diractorus.torus import SpinorField, l2_inner, l2_norm, lp_norm, random_field, zero_field
+from diractorus.torus import SpinorField, l2_norm, lp_norm, random_field, zero_field
 from diractorus.variational import (
     Functional,
     L_lambda,
@@ -25,17 +25,16 @@ from diractorus.variational import (
     f_lambda_value,
     fiber_maximize,
     grad_L,
+    h_lambda,
     j_lambda,
     m_lambda,
     nehari_project,
-    nehari_second_order,
     nu_lambda_k,
     r_lambda,
     ray_opt_direction,
     s_lambda,
     sphere_minimize,
     t_lambda,
-    t_prime,
     tmfm_gap,
 )
 
@@ -73,6 +72,11 @@ def complex_draw(rng, coords):
     """One complex standard normal per entry of ``coords``, as its real coordinates."""
     n = coords.flat.size
     return (rng.standard_normal(n) + 1j * rng.standard_normal(n)).view(float)
+
+
+def l2_inner(a, b):
+    """Hermitian L^2 pairing int (a, b) dvol by Parseval."""
+    return a.grid.volume * complex(np.vdot(b.coeffs, a.coeffs))
 
 
 def as_field(table, a):
@@ -198,12 +202,13 @@ def test_T_prime(table, sp1):
     rng = np.random.default_rng(4)
     psi = random_field(table.grid, 2, rng)
     chi = random_field(table.grid, 2, rng)
-    tp = t_prime(sp1, psi, chi)
+    jet = _FJet(sp1, psi)
+    tp = jet.kernel.to_field(jet.t_prime_coords(chi.values()))
     h = 1e-5
     fd = (1.0 / (2 * h)) * (t_lambda(sp1, psi + h * chi) - t_lambda(sp1, psi - h * chi))
     assert l2_norm(fd - tp) < 1e-6 * max(l2_norm(tp), 1e-6)
     # T'(psi)[psi] = T(psi)
-    assert l2_norm(t_prime(sp1, psi, psi) - t_lambda(sp1, psi)) < 1e-9
+    assert l2_norm(jet.kernel.to_field(jet.t_prime_coords(psi.values())) - t_lambda(sp1, psi)) < 1e-9
 
 
 def test_mu_lambda_plane_wave(table, sp05):
@@ -402,7 +407,15 @@ def test_nehari_second_order_bound(table, sp05):
     eta, _, _ = eta_lambda(sp05, NL, phi_bar)
     u = phi_bar + eta  # trivial kernel: u - T(u) = u
     bound = -(2.0 / 3.0) * lp_norm(u, 4) ** 4
-    second = nehari_second_order(sp05, NL, phi_bar)
+    # t^2 j''(t) at the Nehari root, which is H'(phi)[phi] there, by a
+    # central difference of h_lambda along the ray
+    t_bar = norm_lambda(sp05, phi_bar)
+    direction = (1.0 / t_bar) * phi_bar
+    fn = Functional(sp05, NL)
+    h = 1e-4 * t_bar
+    s_plus, z, _ = h_lambda(fn, (t_bar + h) * direction)
+    s_minus, _, _ = h_lambda(fn, (t_bar - h) * direction, z0=z)
+    second = t_bar**2 * (s_plus - s_minus) / (2.0 * h)
     assert second <= bound + 1e-6 * abs(bound)
     assert second < 0
 
